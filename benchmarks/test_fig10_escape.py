@@ -1,17 +1,17 @@
 """Figure 10: escape@1/10/50 ratio of the T-III vulnerable functions."""
 
-from repro.evaluation import ESCAPE_RANKS, figure10, matrix_table
+from repro.evaluation import ESCAPE_RANKS, matrix_table
 
-from .conftest import emit, full_mode
+from .conftest import assert_golden, emit, experiment
 
 
 def test_figure10_escape_ratio(benchmark):
-    limit = None if full_mode() else 2
-    report = benchmark.pedantic(lambda: figure10(limit=limit),
+    report = benchmark.pedantic(lambda: experiment("figure10"),
                                 rounds=1, iterations=1)
     for rank in ESCAPE_RANKS:
         emit(f"Figure 10: escape@{rank} (higher = better hiding)",
              matrix_table(report.matrix(rank), row_title="tool"))
+    assert_golden("figure10", report)
 
     # escape ratio can only shrink as the rank budget grows
     for tool in sorted({row.tool for row in report.rows}):

@@ -1,19 +1,19 @@
 """Figure 11: normalised opcode histogram distance per obfuscation."""
 
-from repro.evaluation import figure11, matrix_table
+from repro.evaluation import matrix_table
 
-from .conftest import emit, full_mode
+from .conftest import assert_golden, emit, experiment
 
 
 def test_figure11_opcode_histogram_distance(benchmark):
-    limit = None if full_mode() else 3
-    report = benchmark.pedantic(lambda: figure11(limit=limit),
+    report = benchmark.pedantic(lambda: experiment("figure11"),
                                 rounds=1, iterations=1)
     emit("Figure 11: normalised opcode histogram distance (per program)",
          matrix_table(report.distances, row_title="program"))
     averages = {label: report.average(label) for label in report.labels()}
     emit("Figure 11: average distance per obfuscation",
          "\n".join(f"{label:10s} {value:.3f}" for label, value in averages.items()))
+    assert_golden("figure11", report)
 
     # the paper's observation: within Khaos, FuFi.all has the largest opcode
     # distance, followed by FuFi.sep and FuFi.ori (see EXPERIMENTS.md for the

@@ -1,18 +1,16 @@
 """Figure 8: Precision@1 of the five diffing tools under eight obfuscations."""
 
-from repro.evaluation import figure8, matrix_table
+from repro.evaluation import matrix_table
 
-from .conftest import emit, full_mode
+from .conftest import assert_golden, emit, experiment
 
 
 def test_figure8_precision(benchmark):
-    if full_mode():
-        kwargs = {"limit_spec": None, "limit_coreutils": None}
-    else:
-        kwargs = {"limit_spec": 2, "limit_coreutils": 2}
-    report = benchmark.pedantic(lambda: figure8(**kwargs), rounds=1, iterations=1)
+    report = benchmark.pedantic(lambda: experiment("figure8"),
+                                rounds=1, iterations=1)
     emit("Figure 8: Precision@1 per tool per obfuscation",
          matrix_table(report.matrix(), row_title="tool"))
+    assert_golden("figure8", report)
 
     # shape checks: BinDiff (symbol-assisted) resists the intra-procedural
     # baselines completely, and the strongest Khaos mode (FuFi.all) degrades

@@ -1,14 +1,13 @@
 """Figure 9: BinDiff similarity score, BinTuner vs Khaos (FuFi.all), O0-O3."""
 
-from repro.evaluation import figure9, format_table
+from repro.evaluation import format_table
 
-from .conftest import emit, full_mode
+from .conftest import assert_golden, emit, experiment
 
 
 def test_figure9_bintuner_vs_khaos(benchmark):
-    limit = None if full_mode() else 2
-    report = benchmark.pedantic(
-        lambda: figure9(limit=limit, tuner_iterations=4), rounds=1, iterations=1)
+    report = benchmark.pedantic(lambda: experiment("figure9"),
+                                rounds=1, iterations=1)
 
     rows = []
     for protection in ("bintuner", "khaos"):
@@ -19,6 +18,7 @@ def test_figure9_bintuner_vs_khaos(benchmark):
                  f"{report.bintuner_overhead_percent:.1f}%"])
     emit("Figure 9: BinDiff similarity score (lower = better hiding)",
          format_table(["protection", "reference build", "similarity"], rows))
+    assert_golden("figure9", report)
 
     # the paper's claim: Khaos produces binaries much less similar to any
     # optimization level than iterative compilation does

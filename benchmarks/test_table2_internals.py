@@ -1,16 +1,16 @@
 """Table 2: statistics of the fission and the fusion primitives."""
 
-from repro.evaluation import matrix_table, table2
+from repro.evaluation import matrix_table
 
-from .conftest import emit, full_mode
+from .conftest import assert_golden, emit, experiment
 
 
 def test_table2_fission_fusion_statistics(benchmark):
-    limit = None if full_mode() else 3
-    report = benchmark.pedantic(lambda: table2(limit=limit),
+    report = benchmark.pedantic(lambda: experiment("table2"),
                                 rounds=1, iterations=1)
     emit("Table 2: statistics of the fission and the fusion",
          matrix_table(report.as_table(), row_title="suite"))
+    assert_golden("table2", report)
 
     for suite, row in report.rows.items():
         # the paper reports fission ratios above 100% and fusion ratios of

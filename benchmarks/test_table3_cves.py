@@ -3,7 +3,7 @@
 from repro.evaluation import format_table
 from repro.workloads import EMBEDDED_VULNERABILITIES, embedded_programs
 
-from .conftest import emit
+from .conftest import assert_golden, emit, experiment
 
 
 def test_table3_vulnerable_functions(benchmark):
@@ -20,6 +20,7 @@ def test_table3_vulnerable_functions(benchmark):
     rows.append(["Total", f"{total_functions}", f"{len(total_cves)}"])
     emit("Table 3: vulnerable functions of Test Suite III",
          format_table(["program", "function", "CVE"], rows))
+    assert_golden("table3", experiment("table3"))
 
     # Table 3 totals: 14 vulnerable functions, 19 CVEs, in 5 programs
     assert total_functions == 14
