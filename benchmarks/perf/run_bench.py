@@ -17,9 +17,9 @@ can diff the perf trajectory.  Tracked metrics:
   the trace JIT threshold, then timed over repeat ``run_many`` batches —
   the superblock headline, expected ≥1.5× compiled), plus the figure-6/7
   measurement loop driven through batched multi-input execution
-  (:class:`~repro.evaluation.sharding.ShardBatch` /
+  (:class:`~repro.evaluation.overhead.ShardBatch` /
   :meth:`~repro.vm.batch.VMBatch.run_many`), compiled vs superblock
-  dispatch, both asserted row-identical to the serial reference;
+  dispatch, both asserted row-identical to the ``jobs=1`` reference;
 * **fig6_measure_loop** — the overhead-*measurement* loop of Figures 6/7:
   executing every built variant in the VM to collect dynamic cycle counts,
   compiled vs. legacy dispatch;
@@ -38,11 +38,10 @@ can diff the perf trajectory.  Tracked metrics:
   per-diff extraction (``REPRO_DIFF_FEATURES=legacy``) and the process
   executor at ``jobs=2``; both alternates are asserted row-identical to the
   indexed serial run;
-* **fig67_sharded** — the figure-6/7 overhead matrix through the sharded
-  scheduler (:mod:`repro.evaluation.sharding`) and the shared artifact store
-  (``REPRO_STORE_DIR``): serial vs ``jobs=2`` row-identity, cold vs
-  warm-attach timings, and the store's hit/miss/put counters — a warm attach
-  must rebuild **zero** variants;
+* **fig67_sharded** — the figure-6/7 overhead matrix over the shared
+  artifact store (``REPRO_STORE_DIR``): ``jobs=1`` vs ``jobs=2``
+  row-identity, cold vs warm-attach timings, and the store's hit/miss/put
+  counters — a warm attach must rebuild **zero** variants;
 * **verify_overhead** — full-tier IR verification (structural + types +
   dominance + dataflow lints, :mod:`repro.analysis.static`) over the fig6
   variant set: structural-tier baseline, cold full tier (fresh
@@ -50,34 +49,27 @@ can diff the perf trajectory.  Tracked metrics:
   every function is a ``verify:full`` cache hit, the regime
   ``PassManager(verify_each=...)`` re-verification runs in), reported
   against the uncached build phase (acceptance: warm < 10% of build);
-* **fig8_function_sharded** — the figure-8 precision matrix through the
-  *function-granularity* diff sharding
-  (:mod:`repro.evaluation.diff_sharding`) over a shared store: serial
-  reference vs cold shard run vs ``jobs=2`` vs warm re-attach timings, all
-  asserted row-identical; a warm run must adopt every per-function diff
-  payload from the tree, re-score **zero** units and rebuild **zero**
-  ``FeatureIndex`` payloads;
-* **fault_overhead** — the cost of the supervision layer when nothing
-  fails: the fig8 function-sharded matrix at ``jobs=2`` over one warm tree,
-  supervised scheduler vs the PR 5 ``pool.map`` path
-  (``REPRO_EXECUTOR=legacy``), checkpointing disabled so neither arm
-  resume-short-circuits; both row sets asserted identical to the serial
-  reference (acceptance: supervised within 5% of legacy — informational
-  here, timing assertions stay out of --smoke);
+* **fig8_function_sharded** — the figure-8 precision matrix through its
+  *function-granularity* units (:mod:`repro.evaluation.diff_sharding`)
+  over a shared store: storeless reference vs cold run vs ``jobs=2`` vs
+  warm re-attach timings, all asserted row-identical; a warm run must adopt
+  every per-function diff payload from the tree, re-score **zero** units
+  and rebuild **zero** ``FeatureIndex`` payloads;
 * **telemetry_overhead** — what :mod:`repro.obs` costs: VM steady-state
-  steps/s with tracing enabled vs disabled, and the warm fig8
-  function-sharded matrix at ``jobs=2`` (checkpointing off, like
-  ``fault_overhead``) with ``REPRO_TRACE=1`` vs unset — the traced arm
-  pays span recording, per-task flushes and the run-exit merge, and must
-  stay row-identical to the untraced arm and the serial reference
-  (acceptance: ≤2% disabled-mode overhead — informational here); the
-  traced run's merged telemetry is folded back in as a per-phase
-  self-time summary (``scripts/trace_report.py`` is the interactive view).
+  steps/s with tracing enabled vs disabled, and the warm fig8 matrix at
+  ``jobs=2`` (checkpointing off, so neither arm resumes from the journal)
+  with ``REPRO_TRACE=1`` vs unset — the traced arm pays span recording,
+  per-task flushes and the run-exit merge, and must stay row-identical to
+  the untraced arm and the storeless reference (acceptance: ≤2%
+  disabled-mode overhead — informational here); the traced run's merged
+  telemetry is folded back in as a per-phase self-time summary
+  (``scripts/trace_report.py`` is the interactive view).
 
 Set ``REPRO_VARIANT_CACHE_DIR`` to also exercise the legacy disk-persisted
 variant cache (save → reload round trip; adds a ``disk_cache`` section).
-``REPRO_STORE_DIR`` anchors the fig67 store tree (a fresh subtree per run);
-unset, a temp directory is used.
+``REPRO_STORE_DIR`` is where the store-backed sections create their trees
+(a fresh subtree each); unset, temp directories are used.  It is taken out
+of the environment at start-up, so every reference run is storeless.
 
 All workloads are deterministic (profile-seeded), so the only
 run-to-run variance is machine noise; every timing is a best-of-``reps``.
@@ -91,22 +83,26 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List
+from contextlib import contextmanager
+from typing import Callable, Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.variant_cache import (VariantCache,     # noqa: E402
                                       cache_file_path)
 from repro.diffing.index import clear_index_cache       # noqa: E402
-from repro.evaluation.overhead import measure_overhead  # noqa: E402
+from repro.evaluation.executor import reset_worker_cache  # noqa: E402
+from repro.evaluation.overhead import (ShardBatch,      # noqa: E402
+                                       measure_overhead)
 from repro.evaluation.precision import measure_precision  # noqa: E402
+from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
-from repro.evaluation.sharding import ShardBatch        # noqa: E402
 from repro.vm.machine import (DISPATCH_TIERS,           # noqa: E402
                               Interpreter, run_program)
 from repro.workloads.suites import (spec2006_programs,  # noqa: E402
@@ -118,8 +114,41 @@ MEASURE_LABELS = ("fission", "fufi.ori")
 REQUIRED_KEYS = ("schema", "config", "vm", "vm_superblock",
                  "fig6_measure_loop", "fig6_end_to_end", "pipeline",
                  "variant_cache", "fig8_diff_phase", "fig67_sharded",
-                 "fig8_function_sharded", "fault_overhead",
-                 "verify_overhead", "telemetry_overhead", "remote_store")
+                 "fig8_function_sharded", "verify_overhead",
+                 "telemetry_overhead", "remote_store")
+
+#: Where the store-backed sections create their trees: ``REPRO_STORE_DIR``
+#: at start-up, or ``None`` for temp directories (see :func:`store_tree`).
+STORE_BASE: Optional[str] = None
+
+
+def _set_env(values: Dict[str, Optional[str]]) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+@contextmanager
+def store_tree(prefix: str, **env: Optional[str]):
+    """A fresh store tree, exported as ``REPRO_STORE_DIR`` for the block,
+    with ``env`` set (``None`` unsets).  Trees under :data:`STORE_BASE` are
+    kept; temp trees are removed afterwards."""
+    if STORE_BASE:
+        os.makedirs(STORE_BASE, exist_ok=True)
+    root = tempfile.mkdtemp(prefix=f"{prefix}-", dir=STORE_BASE)
+    env = {"REPRO_STORE_DIR": root, **env}
+    saved = {name: os.environ.get(name) for name in env}
+    _set_env(env)
+    reset_worker_cache()
+    try:
+        yield root
+    finally:
+        reset_worker_cache()
+        _set_env(saved)
+        if not STORE_BASE:
+            shutil.rmtree(root, ignore_errors=True)
 
 
 def best_of(fn: Callable[[], object], reps: int) -> float:
@@ -168,11 +197,11 @@ def bench_vm_superblock(vm_programs, loop_programs, reps: int,
     threshold, then timed over repeat :meth:`Interpreter.run_many` batches —
     the regime the batched figure drivers run in.  ``fig67_batched`` drives
     the figure-6/7 measurement matrix through
-    :class:`~repro.evaluation.sharding.ShardBatch` with a ``batch``-input
+    :class:`~repro.evaluation.overhead.ShardBatch` with a ``batch``-input
     ``run_many`` per variant (one interpreter, per-input envs, amortized
     setup), compiled vs superblock dispatch; both row sets are asserted
-    identical to the serial :func:`measure_overhead` reference before any
-    timing is taken.
+    identical to the ``jobs=1`` :func:`measure_overhead` reference before
+    any timing is taken.
     """
     built = [wp.build() for wp in vm_programs]
     # verify all three tiers agree before timing anything
@@ -423,32 +452,22 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
-    """Figures 6/7 through the sharded scheduler and the shared store.
+    """Figures 6/7 over the shared store, in process and at ``jobs=2``.
 
-    Times the serial reference, a cold store-backed run (every variant built
-    and persisted), a warm re-attach (zero rebuilds — asserted structurally
-    by --smoke) and the ``jobs=2`` sharded run whose workers attach to the
-    same tree; serial and sharded rows must be identical.
+    Times the storeless ``jobs=1`` reference, a cold store-backed run (every
+    variant built and persisted), a warm re-attach (zero rebuilds — asserted
+    structurally by --smoke) and a ``jobs=2`` run whose workers attach to
+    the same tree; all rows must be identical.  Checkpointing is off, so no
+    run resumes from another's journal.
     """
-    from repro.evaluation.executor import reset_worker_cache
     from repro.store import KIND_VARIANT, ArtifactStore
 
     labels = MEASURE_LABELS
-    # jobs=1 pins the differential reference to the serial loop even when an
-    # ambient REPRO_JOBS would otherwise engage the executor
     reference = measure_overhead(programs, labels=labels, jobs=1)
     serial_s = best_of(
         lambda: measure_overhead(programs, labels=labels, jobs=1), reps)
 
-    base_dir = os.environ.get("REPRO_STORE_DIR")
-    if base_dir:
-        os.makedirs(base_dir, exist_ok=True)
-        store_root = tempfile.mkdtemp(prefix="fig67-", dir=base_dir)
-        cleanup_dir = None
-    else:
-        cleanup_dir = tempfile.TemporaryDirectory(prefix="fig67-store-")
-        store_root = cleanup_dir.name
-    try:
+    with store_tree("fig67", REPRO_CHECKPOINT="off") as store_root:
         cold_cache = VariantCache(store=ArtifactStore.attach(store_root))
         gc.collect()
         start = time.perf_counter()
@@ -475,25 +494,13 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
         warm_rebuilds = warm_stats["misses"]
 
         objects_before = warm_cache.store.entry_count(KIND_VARIANT)
-        previous_store = os.environ.get("REPRO_STORE_DIR")
-        os.environ["REPRO_STORE_DIR"] = store_root
         reset_worker_cache()
-        try:
-            gc.collect()
-            start = time.perf_counter()
-            sharded = measure_overhead(programs, labels=labels, jobs=2)
-            jobs2_s = time.perf_counter() - start
-        finally:
-            reset_worker_cache()
-            if previous_store is None:
-                os.environ.pop("REPRO_STORE_DIR", None)
-            else:
-                os.environ["REPRO_STORE_DIR"] = previous_store
+        gc.collect()
+        start = time.perf_counter()
+        sharded = measure_overhead(programs, labels=labels, jobs=2)
+        jobs2_s = time.perf_counter() - start
         objects_after = ArtifactStore.attach(store_root).entry_count(
             KIND_VARIANT)
-    finally:
-        if cleanup_dir is not None:
-            cleanup_dir.cleanup()
 
     # the store tree lives in a per-run temp directory; its random path
     # would be pure noise in the tracked results file
@@ -522,59 +529,32 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
-    """Figure 8 through the function-granularity diff sharding + the store.
+    """Figure 8 through its function-granularity units + the store.
 
-    Times the serial reference, a cold sharded run against a fresh store
-    tree (every unit scored and persisted under its per-function shard key),
-    a ``jobs=2`` run over the now-warm tree, and a warm serial re-attach —
-    which must adopt every diff payload, re-score zero units and rebuild
-    zero ``FeatureIndex`` payloads (asserted structurally by --smoke).
+    Times the storeless ``jobs=1`` reference, a cold run against a fresh
+    store tree (every unit scored and persisted under its per-function
+    key), a ``jobs=2`` run over the now-warm tree, and a warm in-process
+    re-attach — which must adopt every diff payload, re-score zero units
+    and rebuild zero ``FeatureIndex`` payloads (asserted structurally by
+    --smoke).
     """
-    from repro.evaluation.diff_sharding import (DiffShardStats,
-                                                measure_precision_sharded)
-    from repro.evaluation.executor import reset_worker_cache
-
     labels = MEASURE_LABELS
-    # jobs=1 pins the differential reference to the serial loop even when an
-    # ambient REPRO_JOBS would otherwise engage the executor
     reference = measure_precision(programs, labels=labels, jobs=1)
     serial_s = best_of(
         lambda: measure_precision(programs, labels=labels, jobs=1), reps)
 
-    base_dir = os.environ.get("REPRO_STORE_DIR")
-    if base_dir:
-        os.makedirs(base_dir, exist_ok=True)
-        store_root = tempfile.mkdtemp(prefix="fig8-", dir=base_dir)
-        cleanup_dir = None
-    else:
-        cleanup_dir = tempfile.TemporaryDirectory(prefix="fig8-store-")
-        store_root = cleanup_dir.name
-    previous_store = os.environ.get("REPRO_STORE_DIR")
-    os.environ["REPRO_STORE_DIR"] = store_root
-    reset_worker_cache()
-    try:
-        def timed_run(jobs, stats):
-            reset_worker_cache()
-            gc.collect()
-            start = time.perf_counter()
-            report = measure_precision_sharded(programs, labels=labels,
-                                               jobs=jobs, stats=stats)
-            return report, time.perf_counter() - start
-
-        cold_stats = DiffShardStats()
-        cold, cold_s = timed_run(1, cold_stats)
-        jobs2_stats = DiffShardStats()
-        jobs2, jobs2_s = timed_run(2, jobs2_stats)
-        warm_stats = DiffShardStats()
-        warm, warm_s = timed_run(1, warm_stats)
-    finally:
+    def timed_run(jobs):
         reset_worker_cache()
-        if previous_store is None:
-            os.environ.pop("REPRO_STORE_DIR", None)
-        else:
-            os.environ["REPRO_STORE_DIR"] = previous_store
-        if cleanup_dir is not None:
-            cleanup_dir.cleanup()
+        gc.collect()
+        start = time.perf_counter()
+        with counted("diffshard") as stats:
+            report = measure_precision(programs, labels=labels, jobs=jobs)
+        return report, time.perf_counter() - start, dict(stats)
+
+    with store_tree("fig8"):
+        cold, cold_s, cold_stats = timed_run(1)
+        jobs2, jobs2_s, jobs2_stats = timed_run(2)
+        warm, warm_s, warm_stats = timed_run(1)
 
     return {
         "programs": [wp.name for wp in programs],
@@ -585,10 +565,9 @@ def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
         "jobs2_s": round(jobs2_s, 4),
         "warm_shard_s": round(warm_s, 4),
         "warm_shard_speedup": round(cold_s / warm_s, 2) if warm_s else None,
-        "warm_feature_rebuilds": warm_stats.features_persisted,
-        "stats": {"cold": cold_stats.as_dict(),
-                  "jobs2": jobs2_stats.as_dict(),
-                  "warm": warm_stats.as_dict()},
+        "warm_feature_rebuilds": warm_stats.get("features_persisted", 0),
+        "stats": {"cold": cold_stats, "jobs2": jobs2_stats,
+                  "warm": warm_stats},
         "identical": {
             "cold": cold.rows == reference.rows,
             "jobs2": jobs2.rows == reference.rows,
@@ -600,24 +579,18 @@ def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
 def bench_remote_store(programs, reps: int) -> Dict[str, object]:
     """Figure 8 over a loopback store server vs the local tree.
 
-    Runs the function-sharded matrix cold and warm twice — once attached
-    to a local ``REPRO_STORE_DIR`` tree, once through ``REPRO_STORE_URL``
-    to a loopback ``scripts/store_server.py`` (every artifact crossing the
-    wire) — then resumes the warm remote tree through the two-partition
-    coordinator.  Server-side request counters make the read coalescing
-    visible: a warm remote rerun serves its shard objects out of far fewer
-    requests than objects.
+    Runs the function-sharded matrix cold and warm twice at ``jobs=2`` —
+    once attached to a local ``REPRO_STORE_DIR`` tree, once through
+    ``REPRO_STORE_URL`` to a loopback ``scripts/store_server.py`` (every
+    artifact crossing the wire).  Server-side request counters make the
+    read coalescing visible: a warm remote rerun serves its shard objects
+    out of far fewer requests than objects.
     """
     scripts = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                            "..", "..", "scripts"))
     if scripts not in sys.path:
         sys.path.insert(0, scripts)
     from store_server import StoreServer
-    from repro.evaluation.checkpoint import ShardRunStats
-    from repro.evaluation.coordinate import (CoordinatorStats,
-                                             measure_precision_coordinated)
-    from repro.evaluation.diff_sharding import measure_precision_sharded
-    from repro.evaluation.executor import reset_worker_cache
 
     labels = MEASURE_LABELS
     reference = measure_precision(programs, labels=labels, jobs=1)
@@ -628,10 +601,9 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
     def timed_sharded():
         reset_worker_cache()
         gc.collect()
-        stats = ShardRunStats()
         start = time.perf_counter()
-        report = measure_precision_sharded(programs, labels=labels, jobs=2,
-                                           run_stats=stats)
+        with counted("checkpoint") as stats:
+            report = measure_precision(programs, labels=labels, jobs=2)
         return report, time.perf_counter() - start, stats
 
     def server_counters(state):
@@ -661,15 +633,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
             cold_counters = server_counters(server.state)
             remote_warm, remote_warm_s, remote_warm_stats = timed_sharded()
             warm_counters = server_counters(server.state)
-
-            # the coordinator over the same warm tree: shared journal, so
-            # every partition revives its shards without re-executing
-            reset_worker_cache()
-            coord_stats = CoordinatorStats()
-            start = time.perf_counter()
-            coordinated = measure_precision_coordinated(
-                programs, labels=labels, workers=2, coord_stats=coord_stats)
-            coordinated_s = time.perf_counter() - start
     finally:
         reset_worker_cache()
         for name, value in saved.items():
@@ -687,14 +650,12 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
         "rows": len(reference.rows),
         "local": {"cold_s": round(local_cold_s, 4),
                   "warm_s": round(local_warm_s, 4),
-                  "warm_executed": local_warm_stats.executed},
+                  "warm_executed": local_warm_stats["executed"]},
         "remote": {"cold_s": round(remote_cold_s, 4),
                    "warm_s": round(remote_warm_s, 4),
-                   "warm_executed": remote_warm_stats.executed,
+                   "warm_executed": remote_warm_stats["executed"],
                    "server": {"cold": delta(cold_counters, mark),
                               "warm": warm_delta}},
-        "coordinated_remote": {"seconds": round(coordinated_s, 4),
-                               **coord_stats.as_dict()},
         "remote_overhead": {
             "cold_pct": round((remote_cold_s / local_cold_s - 1) * 100, 1)
             if local_cold_s else None,
@@ -713,83 +674,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
             "local_warm": local_warm.rows == reference.rows,
             "remote_cold": remote_cold.rows == reference.rows,
             "remote_warm": remote_warm.rows == reference.rows,
-            "coordinated_remote": coordinated.rows == reference.rows,
-        },
-    }
-
-
-def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
-    """What the supervision layer costs when nothing fails.
-
-    Runs the fig8 function-sharded matrix at ``jobs=2`` over one warm store
-    tree twice: once through the supervised scheduler (per-task futures,
-    timeout bookkeeping, retry accounting) and once through the PR 5
-    ``pool.map`` path (``REPRO_EXECUTOR=legacy``).  The tree is warmed
-    first so both arms time scheduling + store reads, not variant builds,
-    and ``REPRO_CHECKPOINT=off`` keeps the checkpoint layer from serving
-    either arm from the run journal.  Acceptance: supervised within 5% of
-    legacy (informational — only the row-identity checks gate --smoke).
-    """
-    from repro.evaluation.diff_sharding import measure_precision_sharded
-    from repro.evaluation.executor import reset_worker_cache
-
-    labels = MEASURE_LABELS
-    reference = measure_precision(programs, labels=labels, jobs=1)
-
-    base_dir = os.environ.get("REPRO_STORE_DIR")
-    if base_dir:
-        os.makedirs(base_dir, exist_ok=True)
-        store_root = tempfile.mkdtemp(prefix="faults-", dir=base_dir)
-        cleanup_dir = None
-    else:
-        cleanup_dir = tempfile.TemporaryDirectory(prefix="faults-store-")
-        store_root = cleanup_dir.name
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_STORE_DIR", "REPRO_CHECKPOINT",
-                          "REPRO_EXECUTOR", "REPRO_FAULTS")}
-    os.environ["REPRO_STORE_DIR"] = store_root
-    os.environ["REPRO_CHECKPOINT"] = "off"
-    os.environ.pop("REPRO_FAULTS", None)
-    try:
-        # warm the tree once (serial, no supervision in the timings below)
-        reset_worker_cache()
-        measure_precision_sharded(programs, labels=labels, jobs=1)
-
-        def timed(mode: str):
-            os.environ["REPRO_EXECUTOR"] = mode
-            reset_worker_cache()
-            gc.collect()
-            start = time.perf_counter()
-            report = measure_precision_sharded(programs, labels=labels,
-                                               jobs=2)
-            return report, time.perf_counter() - start
-
-        supervised, supervised_s = timed("supervised")
-        legacy, legacy_s = timed("legacy")
-        for _ in range(max(0, reps - 1)):
-            supervised_s = min(supervised_s, timed("supervised")[1])
-            legacy_s = min(legacy_s, timed("legacy")[1])
-    finally:
-        reset_worker_cache()
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        if cleanup_dir is not None:
-            cleanup_dir.cleanup()
-
-    return {
-        "programs": [wp.name for wp in programs],
-        "labels": list(labels),
-        "rows": len(reference.rows),
-        "legacy_s": round(legacy_s, 4),
-        "supervised_s": round(supervised_s, 4),
-        "overhead_pct": (round((supervised_s - legacy_s) / legacy_s * 100, 2)
-                         if legacy_s else None),
-        "identical": {
-            "supervised": supervised.rows == reference.rows,
-            "legacy": legacy.rows == reference.rows,
         },
     }
 
@@ -801,17 +685,15 @@ def bench_telemetry_overhead(programs, reps: int) -> Dict[str, object]:
     tracing enabled vs disabled — the registry façades are always on, so
     the delta isolates the tracing flag checks and buffer appends.
     **fig8_jobs2**: the warm fig8 function-sharded matrix at ``jobs=2``
-    over one store tree (checkpointing off, exactly like
-    ``fault_overhead``), with ``REPRO_TRACE=1`` vs unset: the traced arm
+    over one store tree (checkpointing off, so neither arm resumes from
+    the journal), with ``REPRO_TRACE=1`` vs unset: the traced arm
     additionally pays per-task worker flushes and the run-exit
-    merge/export, and both arms must stay row-identical to the serial
+    merge/export, and both arms must stay row-identical to the storeless
     reference.  The traced run's merged telemetry is summarised back into
     the results as per-phase self-time shares plus the attribution
     coverage (the fig8 acceptance wants ≥95% of busy time in named
     phases).
     """
-    from repro.evaluation.diff_sharding import measure_precision_sharded
-    from repro.evaluation.executor import reset_worker_cache
     from repro.obs import tracing
 
     labels = MEASURE_LABELS
@@ -840,57 +722,30 @@ def bench_telemetry_overhead(programs, reps: int) -> Dict[str, object]:
     vm_on_s = steady(True)
 
     # -- arm 2: warm fig8 jobs=2, REPRO_TRACE=1 vs unset ------------------
-    base_dir = os.environ.get("REPRO_STORE_DIR")
-    if base_dir:
-        os.makedirs(base_dir, exist_ok=True)
-        store_root = tempfile.mkdtemp(prefix="telemetry-", dir=base_dir)
-        cleanup_dir = None
-    else:
-        cleanup_dir = tempfile.TemporaryDirectory(prefix="telemetry-store-")
-        store_root = cleanup_dir.name
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_STORE_DIR", "REPRO_CHECKPOINT",
-                          "REPRO_TRACE", "REPRO_FAULTS")}
-    os.environ["REPRO_STORE_DIR"] = store_root
-    os.environ["REPRO_CHECKPOINT"] = "off"
-    os.environ.pop("REPRO_FAULTS", None)
-    os.environ.pop("REPRO_TRACE", None)
-    tracing.refresh()
+    def timed(trace_on: bool):
+        _set_env({"REPRO_TRACE": "1" if trace_on else None})
+        tracing.refresh()
+        reset_worker_cache()
+        gc.collect()
+        start = time.perf_counter()
+        report = measure_precision(programs, labels=labels, jobs=2)
+        return report, time.perf_counter() - start
+
     try:
-        # warm the tree once so both arms time scheduling + store reads
-        reset_worker_cache()
-        measure_precision_sharded(programs, labels=labels, jobs=1)
-
-        def timed(trace_on: bool):
-            if trace_on:
-                os.environ["REPRO_TRACE"] = "1"
-            else:
-                os.environ.pop("REPRO_TRACE", None)
+        with store_tree("telemetry", REPRO_CHECKPOINT="off",
+                        REPRO_FAULTS=None, REPRO_TRACE=None) as store_root:
             tracing.refresh()
-            reset_worker_cache()
-            gc.collect()
-            start = time.perf_counter()
-            report = measure_precision_sharded(programs, labels=labels,
-                                               jobs=2)
-            return report, time.perf_counter() - start
-
-        off_report, off_s = timed(False)
-        on_report, on_s = timed(True)
-        for _ in range(max(0, reps - 1)):
-            off_s = min(off_s, timed(False)[1])
-            on_s = min(on_s, timed(True)[1])
-        trace_summary = _fold_trace_summary(store_root)
+            # warm the tree once so both arms time scheduling + store reads
+            measure_precision(programs, labels=labels, jobs=1)
+            off_report, off_s = timed(False)
+            on_report, on_s = timed(True)
+            for _ in range(max(0, reps - 1)):
+                off_s = min(off_s, timed(False)[1])
+                on_s = min(on_s, timed(True)[1])
+            trace_summary = _fold_trace_summary(store_root)
     finally:
-        reset_worker_cache()
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
         tracing.refresh()
         tracing.drain()
-        if cleanup_dir is not None:
-            cleanup_dir.cleanup()
 
     return {
         "programs": [wp.name for wp in programs],
@@ -1104,12 +959,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
         if fig8_sharded.get("stats", {}).get("cold", {}).get(
                 "diff_payloads_persisted", 0) <= 0:
             problems.append("cold fig8 shard run persisted no diff payloads")
-    faults = results.get("fault_overhead", {})
-    if faults:
-        for name in ("supervised", "legacy"):
-            if not faults.get("identical", {}).get(name, False):
-                problems.append(f"fault_overhead {name} executor run "
-                                f"diverged from the serial reference")
     overhead = results.get("verify_overhead", {})
     if overhead and overhead.get("errors", -1) != 0:
         problems.append("full-tier verification found errors on the fig6 "
@@ -1136,9 +985,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
         if remote.get("remote", {}).get("warm_executed", -1) != 0:
             problems.append("warm remote fig8 rerun re-executed journaled "
                             "shards")
-        if remote.get("coordinated_remote", {}).get("executed", -1) != 0:
-            problems.append("coordinated remote rerun re-executed "
-                            "journaled shards")
         if remote.get("remote", {}).get("server", {}).get("cold", {}).get(
                 "objects_written", 0) <= 0:
             problems.append("cold remote run wrote no objects through the "
@@ -1168,6 +1014,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_results.json",
                         help="output path (default: BENCH_results.json)")
     args = parser.parse_args(argv)
+    global STORE_BASE
+    STORE_BASE = os.environ.pop("REPRO_STORE_DIR", None) or None
 
     if args.smoke:
         vm_programs = spec2006_programs()[:1]
@@ -1186,13 +1034,13 @@ def main(argv=None) -> int:
         batch = 32
 
     results = {
-        "schema": 10,
+        "schema": 11,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "batch": batch,
                    "python": sys.version.split()[0],
                    "variant_cache_dir":
                        os.environ.get("REPRO_VARIANT_CACHE_DIR") or None,
-                   "store_dir": os.environ.get("REPRO_STORE_DIR") or None},
+                   "store_dir": STORE_BASE},
         "vm": bench_vm(vm_programs, reps),
         "vm_superblock": bench_vm_superblock(vm_programs, loop_programs,
                                              reps, batch),
@@ -1208,8 +1056,6 @@ def main(argv=None) -> int:
                                              max(1, reps // 2)),
         "fig8_function_sharded": bench_fig8_function_sharded(
             loop_programs, max(1, reps // 2)),
-        "fault_overhead": bench_fault_overhead(loop_programs,
-                                               max(1, reps // 2)),
         "verify_overhead": bench_verify_overhead(loop_programs,
                                                  max(1, reps // 2)),
         "telemetry_overhead": bench_telemetry_overhead(loop_programs,
@@ -1261,10 +1107,6 @@ def main(argv=None) -> int:
           f"{f8['warm_shard_s']}s ({f8['warm_shard_speedup']}x, "
           f"{f8['warm_feature_rebuilds']} feature rebuilds, "
           f"identical={f8['identical']})")
-    fo = results["fault_overhead"]
-    print(f"fault overhead:    legacy {fo['legacy_s']}s -> supervised "
-          f"{fo['supervised_s']}s ({fo['overhead_pct']}% overhead, "
-          f"identical={fo['identical']})")
     vo = results["verify_overhead"]
     print(f"verify overhead:   cold full {vo['cold_full_s']}s -> warm "
           f"{vo['warm_full_s']}s ({vo['warm_speedup']}x; structural "
@@ -1282,9 +1124,7 @@ def main(argv=None) -> int:
           f"{rs['local']['warm_s']}s; remote cold {rs['remote']['cold_s']}s "
           f"/ warm {rs['remote']['warm_s']}s "
           f"(overhead {rs['remote_overhead']['cold_pct']}% cold, "
-          f"{rs['remote_overhead']['warm_pct']}% warm); coordinated "
-          f"{rs['coordinated_remote']['seconds']}s "
-          f"({rs['coordinated_remote']['resumed']} resumed); warm reads "
+          f"{rs['remote_overhead']['warm_pct']}% warm); warm reads "
           f"{rs['warm_read_coalescing']['objects_per_request']} "
           f"objects/request; identical={rs['identical']}")
     if "disk_cache" in results:

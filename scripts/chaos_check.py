@@ -2,12 +2,12 @@
 """Seeded chaos check: the fig8 matrix under injected faults, bit-identical.
 
 The CI chaos job's driver.  Runs the figure-8 function-sharded matrix three
-times and requires all of them to agree with the fault-free serial
-reference driver:
+times and requires all of them to agree with the fault-free in-process
+run:
 
-1. **reference** — ``measure_precision`` (the serial differential
-   reference), no store, no executor, no faults;
-2. **chaos** — ``measure_precision_sharded`` with ``jobs=2`` over a fresh
+1. **reference** — ``measure_precision`` at ``jobs=1``: in-process, no
+   store, no faults;
+2. **chaos** — ``measure_precision`` with ``jobs=2`` over a fresh
    store tree, with seeded worker crashes and store corruption injected
    (``worker_crash:p=0.2,seed=7;store_corrupt:p=0.1,seed=7`` by default):
    the supervised executor must retry/respawn through the crashes and the
@@ -133,12 +133,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.diffing import all_differs
     from repro.evaluation import measure_precision
-    from repro.evaluation.checkpoint import ShardRunStats
-    from repro.evaluation.diff_sharding import (DiffShardStats,
-                                                measure_precision_sharded)
     from repro.evaluation.executor import reset_worker_cache
     from repro.faults import reset_injector
     from repro.obs import tracing
+    from repro.obs.metrics import counted
     from repro.workloads.suites import spec2006_programs
 
     if args.as_json:
@@ -160,10 +158,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     phases: Dict[str, Dict[str, Any]] = {}
     telemetry: Dict[str, Any] = {}
 
-    # 1. fault-free serial reference (no store, no executor involvement)
+    def run(jobs: int):
+        """One fig8 run: its rows and the checkpoint.* / diffshard.*
+        counters it bumped."""
+        with counted("checkpoint") as run_counts, \
+                counted("diffshard") as unit_counts:
+            report = rows(measure_precision(workloads, labels, differs,
+                                            jobs=jobs))
+        return report, run_counts, unit_counts
+
+    # 1. fault-free in-process reference (no store, no workers)
     reset_worker_cache()
     started = time.monotonic()
-    reference = rows(measure_precision(workloads, labels, differs))
+    reference, _, _ = run(jobs=1)
     phases["reference"] = {"seconds": time.monotonic() - started,
                            "rows": len(reference), "ok": True}
     say(f"  reference: {len(reference)} rows")
@@ -186,24 +193,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_FAULTS"] = args.faults
         reset_worker_cache()
         reset_injector()
-        stats = DiffShardStats()
-        chaos_run = ShardRunStats()
         started = time.monotonic()
-        chaos = rows(measure_precision_sharded(
-            workloads, labels, differs, jobs=args.jobs, stats=stats,
-            run_stats=chaos_run))
+        chaos, chaos_run, stats = run(jobs=args.jobs)
         identical = chaos == reference
         phases["chaos"] = {"seconds": time.monotonic() - started,
                            "rows": len(chaos), "ok": identical,
-                           "shards_executed": chaos_run.executed,
-                           "units_scored": stats.units_scored}
+                           "shards_executed": chaos_run["executed"],
+                           "units_scored": stats["units_scored"]}
         telemetry["chaos_counters"] = _merged_counters(tree)
         if identical:
             say(f"  chaos run: bit-identical "
-                f"({chaos_run.executed} shards executed, "
-                f"{stats.units_scored} units scored)")
+                f"({chaos_run['executed']} shards executed, "
+                f"{stats['units_scored']} units scored)")
         else:
-            say("  chaos run: REPORT DIVERGED FROM SERIAL REFERENCE")
+            say("  chaos run: REPORT DIVERGED FROM THE REFERENCE")
             failures += 1
 
         # 3. resume over the same tree, faults off: every journaled unit is
@@ -214,28 +217,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ.pop("REPRO_FAULTS", None)
         reset_worker_cache()
         reset_injector()
-        resumed_stats = DiffShardStats()
-        resume_run = ShardRunStats()
         started = time.monotonic()
-        resumed = rows(measure_precision_sharded(
-            workloads, labels, differs, jobs=args.jobs, stats=resumed_stats,
-            run_stats=resume_run))
-        ok = (resumed == reference and resumed_stats.units_scored == 0)
+        resumed, resume_run, resumed_stats = run(jobs=args.jobs)
+        ok = (resumed == reference and resumed_stats["units_scored"] == 0)
         phases["resume"] = {"seconds": time.monotonic() - started,
                             "rows": len(resumed), "ok": ok,
-                            "shards_resumed": resume_run.resumed,
-                            "shards_planned": resume_run.planned,
-                            "shards_executed": resume_run.executed,
-                            "units_scored": resumed_stats.units_scored}
+                            "shards_resumed": resume_run["resumed"],
+                            "shards_planned": resume_run["planned"],
+                            "shards_executed": resume_run["executed"],
+                            "units_scored": resumed_stats["units_scored"]}
         if ok:
-            say(f"  resume: {resume_run.resumed}/{resume_run.planned} "
+            say(f"  resume: {resume_run['resumed']}/{resume_run['planned']} "
                 f"shards revived from the journal "
-                f"({resume_run.executed} re-read from store), "
+                f"({resume_run['executed']} re-read from store), "
                 f"zero units re-scored")
         else:
-            say(f"  resume: FAILED (executed={resume_run.executed}, "
-                f"resumed={resume_run.resumed}/{resume_run.planned}, "
-                f"units_scored={resumed_stats.units_scored}, "
+            say(f"  resume: FAILED (executed={resume_run['executed']}, "
+                f"resumed={resume_run['resumed']}/{resume_run['planned']}, "
+                f"units_scored={resumed_stats['units_scored']}, "
                 f"identical={resumed == reference})")
             failures += 1
 

@@ -1,6 +1,7 @@
 """Experiment drivers: one per table / figure of the paper's evaluation."""
 
-from .overhead import OverheadReport, OverheadRow, figure6, figure7, measure_overhead
+from .overhead import (OverheadReport, OverheadRow, ShardBatch, figure6,
+                       figure7, measure_overhead, shard_overhead_matrix)
 from .precision import PrecisionReport, PrecisionRow, figure8, measure_precision
 from .escape import (ESCAPE_LABELS, ESCAPE_RANKS, EscapeReport, EscapeRow,
                      figure10, measure_escape)
@@ -9,19 +10,14 @@ from .opcode_distance import DistanceReport, figure11, measure_opcode_distance
 from .internals import InternalsReport, InternalsRow, measure_internals, table2
 from .reporting import format_table, matrix_table, overhead_table
 from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experiment
-from .executor import (ExecutorTaskError, executor_mode, reset_worker_cache,
-                       resolve_jobs, resolve_task_retries,
-                       resolve_task_timeout, run_tasks, worker_cache,
-                       worker_cache_events)
+from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
+                       resolve_task_retries, resolve_task_timeout, run_tasks,
+                       worker_cache, worker_cache_events)
 from .faults import (FaultInjected, FaultInjector, FaultRule, active_injector,
                      parse_faults, reset_injector)
-from .checkpoint import (RunManifest, ShardRunStats, checkpoint_enabled,
-                         run_checkpointed, run_id)
-from .sharding import (ShardBatch, measure_overhead_sharded,
-                       shard_overhead_matrix)
-from .diff_sharding import (DiffShardStats, measure_bintuner_sharded,
-                            measure_escape_sharded, measure_precision_sharded,
-                            resolve_diff_shards, shard_diff_matrix)
+from .checkpoint import (RunManifest, checkpoint_enabled, run_checkpointed,
+                         run_id)
+from .diff_sharding import shard_diff_matrix
 
 __all__ = [
     "OverheadReport", "OverheadRow", "figure6", "figure7", "measure_overhead",
@@ -32,14 +28,11 @@ __all__ = [
     "InternalsReport", "InternalsRow", "measure_internals", "table2",
     "format_table", "matrix_table", "overhead_table", "EXPERIMENTS",
     "Experiment", "experiment_names", "run_experiment",
-    "ExecutorTaskError", "executor_mode", "reset_worker_cache",
-    "resolve_jobs", "resolve_task_retries", "resolve_task_timeout",
-    "run_tasks", "worker_cache", "worker_cache_events",
+    "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
+    "resolve_task_retries", "resolve_task_timeout", "run_tasks",
+    "worker_cache", "worker_cache_events",
     "FaultInjected", "FaultInjector", "FaultRule", "active_injector",
     "parse_faults", "reset_injector",
-    "RunManifest", "ShardRunStats", "checkpoint_enabled", "run_checkpointed",
-    "run_id",
-    "ShardBatch", "measure_overhead_sharded", "shard_overhead_matrix",
-    "DiffShardStats", "measure_bintuner_sharded", "measure_escape_sharded",
-    "measure_precision_sharded", "resolve_diff_shards", "shard_diff_matrix",
+    "RunManifest", "checkpoint_enabled", "run_checkpointed", "run_id",
+    "ShardBatch", "shard_overhead_matrix", "shard_diff_matrix",
 ]

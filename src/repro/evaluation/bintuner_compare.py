@@ -5,6 +5,10 @@ searches compiler options against an O0 baseline, Khaos uses FuFi.all on the
 standard O2 + LTO build, and both resulting binaries are compared by BinDiff
 against the program compiled at O0, O1, O2 and O3.  The paper additionally
 reports BinTuner's runtime overhead against the O2 + LTO baseline (30.35%).
+
+The unit is the binary pair, one per (workload, protection): its row value
+is the whole-binary similarity score, and its dominant cost is the BinTuner
+option search rather than any single diff.
 """
 
 from __future__ import annotations
@@ -13,16 +17,18 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..baselines.bintuner import BinTuner
-from ..backend.lowering import lower_program
+from ..core.variant_cache import variant_key
 from ..diffing.bindiff import BinDiff
+from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..opt.pipelines import optimize_program
-from ..toolchain import build_obfuscated, obfuscator_for
 from ..utils import geometric_mean
 from ..vm.machine import run_program
 from ..workloads.suites import (SPECINT_2006, SPECSPEED_2017, WorkloadProgram,
                                 find_program)
-from .executor import run_tasks
+from .checkpoint import run_matrix
+from .executor import worker_cache
+from .overhead import build_variant
 
 OPT_LEVELS = (0, 1, 2, 3)
 
@@ -60,46 +66,59 @@ def default_programs() -> List[WorkloadProgram]:
     return [find_program(name) for name in names]
 
 
-#: One figure-9 task (a whole workload), picklable for the process executor.
-BinTunerTask = Tuple[WorkloadProgram, int]
+#: One figure-9 unit: a workload's binary under one protection scheme,
+#: diffed against every opt-level reference.
+BinTunerShard = Tuple[WorkloadProgram, str, int]
 
 
-def _bintuner_task(task: BinTunerTask) -> Tuple[List[SimilarityRow], float]:
-    """Tune, obfuscate and diff one workload against every opt level.
+def shard_bintuner_matrix(workloads: Sequence[WorkloadProgram],
+                          tuner_iterations: int) -> List[BinTunerShard]:
+    """One unit per (workload, protection), bintuner before khaos."""
+    return [(workload, protection, tuner_iterations)
+            for workload in workloads
+            for protection in ("bintuner", "khaos")]
 
-    The unit of work of figure 9; returns the workload's similarity rows plus
-    its BinTuner overhead factor (aggregated by the caller in workload order).
+
+def _bintuner_shard(shard: BinTunerShard, cache=None
+                    ) -> Tuple[List[float], Optional[float]]:
+    """Diff one protection scheme's binary against every opt-level reference.
+
+    The opt-level references and the Khaos build are store-keyed variants;
+    the BinTuner search is seeded, so the tuned binary is deterministic per
+    (workload, iterations).  Returns the four similarity scores in
+    :data:`OPT_LEVELS` order plus, for the ``bintuner`` unit, the
+    runtime-overhead factor against the O2 + LTO baseline.
     """
-    workload, tuner_iterations = task
-    differ = BinDiff()
-    rows: List[SimilarityRow] = []
+    workload, protection, tuner_iterations = shard
+    cache = cache if cache is not None else worker_cache()
+    with obs_tracing.span("shard.fig9", cat="diff", workload=workload.name,
+                          protection=protection):
+        references = [build_variant(workload, "baseline",
+                                    OptOptions(level=level, lto=level >= 2),
+                                    cache).binary
+                      for level in OPT_LEVELS]
+        overhead: Optional[float] = None
+        if protection == "bintuner":
+            tuned = BinTuner(iterations=tuner_iterations).tune(workload.build())
+            target = tuned.best_binary
+            baseline_run = run_program(
+                build_variant(workload, "baseline", None, cache).program)
+            tuned_run = run_program(optimize_program(workload.build(),
+                                                     tuned.best_options))
+            base = baseline_run.cycles or 1
+            overhead = (tuned_run.cycles - base) / base
+        else:
+            target = build_variant(workload, "fufi.all", None, cache).binary
+        differ = BinDiff()
+        return ([differ.diff(reference, target).similarity_score
+                 for reference in references], overhead)
 
-    level_binaries = {}
-    for level in OPT_LEVELS:
-        options = OptOptions(level=level, lto=level >= 2)
-        level_binaries[level] = lower_program(
-            optimize_program(workload.build(), options))
 
-    tuner = BinTuner(iterations=tuner_iterations)
-    tuned = tuner.tune(workload.build())
-    khaos = build_obfuscated(workload.build(), obfuscator_for("fufi.all"))
-
-    for level in OPT_LEVELS:
-        reference = level_binaries[level]
-        rows.append(SimilarityRow(
-            program=workload.name, protection="bintuner", opt_level=level,
-            similarity=differ.diff(reference, tuned.best_binary).similarity_score))
-        rows.append(SimilarityRow(
-            program=workload.name, protection="khaos", opt_level=level,
-            similarity=differ.diff(reference, khaos.binary).similarity_score))
-
-    # BinTuner overhead vs the O2+LTO baseline (paper: 30.35%)
-    baseline_run = run_program(optimize_program(workload.build(), OptOptions()))
-    tuned_run = run_program(optimize_program(workload.build(),
-                                             tuned.best_options))
-    base = baseline_run.cycles or 1
-    overhead = (tuned_run.cycles - base) / base
-    return rows, overhead
+def bintuner_shard_key(shard: BinTunerShard) -> Tuple:
+    """The value-based checkpoint identity of one figure-9 unit."""
+    workload, protection, iterations = shard
+    return ("fig9shard", variant_key(workload, "baseline", None),
+            protection, iterations)
 
 
 def measure_bintuner(workloads: Sequence[WorkloadProgram],
@@ -107,25 +126,30 @@ def measure_bintuner(workloads: Sequence[WorkloadProgram],
                      jobs: Optional[int] = None) -> BinTunerReport:
     """Figure 9's measurement loop.
 
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards each workload into one task per
-    protection scheme across processes (see
-    :func:`~repro.evaluation.diff_sharding.measure_bintuner_sharded`,
-    binary-pair granularity — the row value is the whole-binary similarity);
-    rows and the overhead geomean are assembled in workload order, so the
-    report is bit-identical to the serial loop, which stays the default and
-    the differential reference.
+    An in-process run holds one workload's six variants at a time (the
+    four opt-level references, the O2 + LTO baseline and the Khaos build).
+    ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across worker
+    processes.  Rows come back per workload and opt level, bintuner before
+    khaos, and the overhead geomean is taken in workload order, so the
+    report is identical either way.
     """
-    from .executor import parallel_matrix
-    if parallel_matrix(jobs, None):
-        from .diff_sharding import measure_bintuner_sharded
-        return measure_bintuner_sharded(workloads, tuner_iterations,
-                                        jobs=jobs)
+    shards = shard_bintuner_matrix(workloads, tuner_iterations)
+    keys = [bintuner_shard_key(shard) for shard in shards]
+    results = run_matrix(_bintuner_shard, shards, keys, ("fig9", tuple(keys)),
+                         jobs, None, 6)
     report = BinTunerReport()
     overheads: List[float] = []
-    tasks: List[BinTunerTask] = [(workload, tuner_iterations)
-                                 for workload in workloads]
-    for rows, overhead in run_tasks(_bintuner_task, tasks, jobs=jobs):
-        report.rows.extend(rows)
+    for position, workload in enumerate(workloads):
+        bintuner_sims, overhead = results[2 * position]
+        khaos_sims, _ = results[2 * position + 1]
+        for level, bintuner_sim, khaos_sim in zip(OPT_LEVELS, bintuner_sims,
+                                                  khaos_sims):
+            report.rows.append(SimilarityRow(
+                program=workload.name, protection="bintuner",
+                opt_level=level, similarity=bintuner_sim))
+            report.rows.append(SimilarityRow(
+                program=workload.name, protection="khaos",
+                opt_level=level, similarity=khaos_sim))
         overheads.append(overhead)
     report.bintuner_overhead_percent = geometric_mean(overheads) * 100.0
     return report

@@ -1,49 +1,48 @@
-"""Checkpoint/resume for the sharded experiment matrices.
+"""The matrix engine of Figures 6–10: one run path, journaled and resumable.
 
-A fig6–10 matrix run is a deterministic list of shard units, each a pure
-function of its store key — which means an *interrupted* run (a ``kill -9``,
-a power loss, an aborted chaos test) should never throw completed work away.
-This module journals every completed shard so a restarted run re-executes
-only the unfinished ones:
+A fig6–10 matrix run is a deterministic list of value-keyed units, each a
+pure function of its store key.  :func:`run_matrix` is the one path every
+``measure_*`` driver takes: ``jobs=1`` runs the units in-process through a
+cache of the caller's size, ``jobs>1`` fans them across the supervised pool
+(:mod:`repro.evaluation.executor`), and the caller reduces the results in
+unit order — so a serial and a parallel run agree by construction.
 
-* each shard's finished result is persisted in the shared
+Whenever a store is attached, an *interrupted* run (a ``kill -9``, a power
+loss, an aborted chaos test) never throws completed work away:
+
+* each unit's finished result is persisted in the shared
   :class:`~repro.store.artifact_store.ArtifactStore` under kind
-  :data:`~repro.store.artifact_store.KIND_SHARD`, keyed by the shard's
+  :data:`~repro.store.artifact_store.KIND_SHARD`, keyed by the unit's
   value-based identity (tool config × variant keys × slice) — the same
   key discipline as every other store object, so two different runs that
-  contain the same shard share its result;
+  contain the same unit share its result;
 * a :class:`RunManifest` under ``<store root>/runs/<run_id>.jsonl`` journals
-  the digests of the shards *this run* completed — one ``O_APPEND`` JSON
-  line per shard, appended from :func:`run_checkpointed`'s ``on_result``
-  hook as results arrive, so the journal is current the instant a shard
-  finishes, not when the run ends.  ``run_id`` hashes the run's full shard
+  the digests of the units *this run* completed — one ``O_APPEND`` JSON
+  line per unit, appended from :func:`run_checkpointed`'s ``on_result``
+  hook as results arrive, so the journal is current the instant a unit
+  finishes, not when the run ends.  ``run_id`` hashes the run's full unit
   key list: a restart with the same matrix resolves to the same manifest,
   while any change to the matrix (labels, tools, partitioning) starts a
   fresh journal;
 * on start, :func:`run_checkpointed` loads the manifest, revives every
-  journaled shard's result from the store (``normalize`` rewrites its
-  counters so revived shards report as store reads, not fresh scores) and
+  journaled unit's result from the store (``normalize`` rewrites its
+  counters so revived units report as store reads, not fresh scores) and
   hands only the remainder to
   :func:`~repro.evaluation.executor.run_tasks`.
 
-Without ``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) the layer is
-a transparent pass-through — the serial no-store path stays the untouched
-differential reference.  A journaled digest whose object was lost or
+Without ``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) journaling is
+a transparent pass-through.  A journaled digest whose object was lost or
 quarantined is simply re-executed: the manifest is advisory, the store is
 the truth, exactly like the
 :class:`~repro.store.generation_log.GenerationLog` ledger.
-
-This is the contract a future multi-machine coordinator (ROADMAP item 1)
-partitions work against: shard keys are machine-independent, so "which
-units are finished" is a property of the shared tree, not of any process.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Set, TypeVar
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -51,7 +50,7 @@ from ..obs.collect import open_run
 from ..store.artifact_store import (KIND_SHARD, StoreError, store_digest,
                                     store_dir_from_env, store_from_env)
 from ..store.backend import RemoteBackend, RemoteStoreError
-from .executor import run_tasks
+from .executor import call_cache, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -64,9 +63,9 @@ def checkpoint_enabled(environ=os.environ) -> bool:
     """Checkpointing is on by default; ``REPRO_CHECKPOINT=off`` disables it.
 
     The off switch exists for measurements that must not short-circuit
-    (e.g. the ``fault_overhead`` bench re-runs one matrix twice through two
-    schedulers on one tree) and for tests that specifically exercise the
-    executor rather than the resume path.
+    (e.g. the ``telemetry_overhead`` bench re-runs one matrix twice on one
+    tree) and for tests that specifically exercise the executor rather than
+    the resume path.
     """
     value = environ.get("REPRO_CHECKPOINT", "").strip().lower()
     if value in ("", "on", "1", "true"):
@@ -78,12 +77,12 @@ def checkpoint_enabled(environ=os.environ) -> bool:
 
 
 def run_id(run_parts: object) -> str:
-    """The stable identity of one matrix run's shard list (hex, 16 chars)."""
+    """The stable identity of one matrix run's unit list (hex, 16 chars)."""
     return store_digest("run", run_parts)[:16]
 
 
 def _parse_journal(text: str) -> Set[str]:
-    """The completed-shard digests of one journal's lines — tolerant of
+    """The completed-unit digests of one journal's lines — tolerant of
     torn trailing lines, shared by the local and remote manifests."""
     done: Set[str] = set()
     for line in text.splitlines():
@@ -101,13 +100,13 @@ def _parse_journal(text: str) -> Set[str]:
 
 
 class RunManifest:
-    """The append-only journal of one run's completed shard digests.
+    """The append-only journal of one run's completed unit digests.
 
     Lives at ``<root>/runs/<run_id>.jsonl``; one JSON line per completed
-    shard, appended with a single ``O_APPEND`` write (atomic under POSIX),
-    so concurrent workers of one coordinated run may share a journal and a
-    torn trailing line from a killed process at worst under-reports one
-    shard — which is then re-executed, never mis-resumed.
+    unit, appended with a single ``O_APPEND`` write (atomic under POSIX),
+    so concurrent runs of one matrix may share a journal and a torn
+    trailing line from a killed process at worst under-reports one unit —
+    which is then re-executed, never mis-resumed.
     """
 
     def __init__(self, root: str, identity: str):
@@ -126,7 +125,7 @@ class RunManifest:
         self.done |= _parse_journal(text)
 
     def mark_done(self, digest: str) -> None:
-        """Journal one completed shard — O(1), durable before returning."""
+        """Journal one completed unit — O(1), durable before returning."""
         self.done.add(digest)
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         line = json.dumps({"digest": digest}) + "\n"
@@ -134,7 +133,7 @@ class RunManifest:
                      0o644)
         try:
             os.write(fd, line.encode("utf-8"))
-            # the journal line is the promise "this shard will not re-run";
+            # the journal line is the promise "this unit will not re-run";
             # fsync before returning so a crash cannot retract it
             os.fsync(fd)
         finally:
@@ -145,12 +144,11 @@ class RemoteRunManifest:
     """A :class:`RunManifest` hosted by the store server (``/runs/<id>``).
 
     The journal must live next to the objects it references — GC marks
-    journal-reachable shards live, and a coordinated fleet shares one
-    journal — so a remote-attached run appends its lines through the
-    server's ``O_APPEND`` endpoint instead of a local file.  A transient
-    append failure under-reports one shard (it re-executes next run —
-    safe, and counted in ``store.remote_errors`` by the backend); it
-    never mis-resumes.
+    journal-reachable units live — so a remote-attached run appends its
+    lines through the server's ``O_APPEND`` endpoint instead of a local
+    file.  A transient append failure under-reports one unit (it
+    re-executes next run — safe, and counted in ``store.remote_errors`` by
+    the backend); it never mis-resumes.
     """
 
     def __init__(self, backend: RemoteBackend, identity: str):
@@ -172,26 +170,6 @@ class RemoteRunManifest:
             pass  # under-reported, re-executed next run; never mis-resumed
 
 
-@dataclass
-class ShardRunStats:
-    """Resume accounting — "zero re-executes of journaled units" reads this.
-
-    ``planned`` is the run's full shard count, ``resumed`` how many were
-    revived from the journal + store without executing, ``executed`` how
-    many actually ran, ``journaled`` how many completions were appended to
-    the manifest this run.
-    """
-
-    planned: int = 0
-    resumed: int = 0
-    executed: int = 0
-    journaled: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"planned": self.planned, "resumed": self.resumed,
-                "executed": self.executed, "journaled": self.journaled}
-
-
 class _Sentinel:
     __slots__ = ()
 
@@ -199,20 +177,51 @@ class _Sentinel:
 _ABSENT = _Sentinel()
 
 
+def run_matrix(unit_fn: Callable[..., Result], units: Sequence[Task],
+               unit_keys: Sequence[object], run_parts: object,
+               jobs: Optional[int], cache, cache_entries: int,
+               normalize: Optional[Callable[[Result], Result]] = None
+               ) -> List[Result]:
+    """Run one figure's unit list; results come back in unit order.
+
+    ``unit_fn(unit, cache=None)`` builds through ``cache`` when it is given
+    and through the process-wide
+    :func:`~repro.evaluation.executor.worker_cache` otherwise.  At
+    ``jobs=1`` every unit runs in this process through the caller's
+    ``cache`` or, without one, through a fresh
+    :func:`~repro.evaluation.executor.call_cache` of ``cache_entries`` —
+    the working set the units share, released when the run returns.  At
+    ``jobs>1`` the units fan out across the supervised pool, each worker
+    building through its own cache.  An explicit ``cache`` is never
+    overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
+    argument engages the pool then).  Either way the run is journaled
+    whenever a store is attached (:func:`run_checkpointed`).
+    """
+    if cache is not None and jobs is None:
+        jobs = 1
+    if resolve_jobs(jobs) == 1:
+        unit_fn = partial(unit_fn, cache=cache if cache is not None
+                          else call_cache(cache_entries))
+    return run_checkpointed(unit_fn, units, unit_keys, run_parts, jobs=jobs,
+                            normalize=normalize)
+
+
 def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
                      task_keys: Sequence[object], run_parts: object,
-                     jobs: Optional[int] = None, chunksize: int = 1,
-                     normalize: Optional[Callable[[Result], Result]] = None,
-                     stats: Optional[ShardRunStats] = None) -> List[Result]:
-    """:func:`run_tasks` with journaled, resumable shard results.
+                     jobs: Optional[int] = None,
+                     normalize: Optional[Callable[[Result], Result]] = None
+                     ) -> List[Result]:
+    """:func:`run_tasks` with journaled, resumable unit results.
 
     ``task_keys[i]`` is the value-based store key of ``tasks[i]``'s result;
     ``run_parts`` identifies the run (normally the full key tuple).  Results
     come back in task order, exactly like :func:`run_tasks`: journaled
-    shards are revived from the store (and passed through ``normalize``, so
+    units are revived from the store (and passed through ``normalize``, so
     their counters report as store reads), the remainder execute through the
     scheduler and are persisted + journaled the moment each completes — an
-    abort mid-run keeps everything already finished.
+    abort mid-run keeps everything already finished.  The ``checkpoint.*``
+    registry counters record the run's planned, resumed, executed and
+    journaled units.
     """
     tasks = list(tasks)
     keys = list(task_keys)
@@ -228,14 +237,14 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
     with open_run(root, identity):
         with obs_tracing.span("run", cat="coordinate", run_id=identity,
                               tasks=len(tasks)):
-            return _run_checkpointed(task_fn, tasks, keys, identity, root,
-                                     jobs, chunksize, normalize, stats)
+            return _run_checkpointed(task_fn, tasks, keys, identity, jobs,
+                                     normalize)
 
 
-def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
-                      normalize, stats) -> List[Result]:
+def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
+                      normalize) -> List[Result]:
     if not checkpoint_enabled():
-        return run_tasks(task_fn, tasks, jobs=jobs, chunksize=chunksize)
+        return run_tasks(task_fn, tasks, jobs=jobs)
     try:
         store = store_from_env(max_memory_entries=8)
     except (StoreError, OSError):
@@ -244,19 +253,17 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
         # degradation
         store = None
     if store is None or not store.persistent:
-        return run_tasks(task_fn, tasks, jobs=jobs, chunksize=chunksize)
+        return run_tasks(task_fn, tasks, jobs=jobs)
     if store.root is not None:
         manifest = RunManifest(store.root, identity)
     else:
         manifest = RemoteRunManifest(store.backend, identity)
-    if stats is not None:
-        stats.planned = len(tasks)
     obs_metrics.counter("checkpoint.planned", len(tasks))
 
     results: List[object] = [_ABSENT] * len(tasks)
     digests = [store_digest(KIND_SHARD, key) for key in keys]
-    # a warm remote resume revives many shards at once: coalesce their
-    # fetch into batch requests instead of one round trip per shard
+    # a warm remote resume revives many units at once: coalesce their
+    # fetch into batch requests instead of one round trip per unit
     store.prefetch(KIND_SHARD, [keys[index]
                                 for index, digest in enumerate(digests)
                                 if digest in manifest.done])
@@ -266,8 +273,6 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
             payload = store.get(KIND_SHARD, keys[index], _ABSENT)
             if payload is not _ABSENT:
                 results[index] = normalize(payload) if normalize else payload
-                if stats is not None:
-                    stats.resumed += 1
                 obs_metrics.counter("checkpoint.resumed")
                 continue
             # journaled but lost/quarantined: the store is the truth
@@ -287,12 +292,8 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
             obs_metrics.counter("checkpoint.journaled")
             obs_tracing.event("checkpoint.journal", cat="coordinate",
                               shard=digests[index][:12])
-            if stats is not None:
-                stats.journaled += 1
 
         run_tasks(task_fn, [tasks[index] for index in pending], jobs=jobs,
-                  chunksize=chunksize, on_result=journal)
+                  on_result=journal)
         obs_metrics.counter("checkpoint.executed", len(pending))
-        if stats is not None:
-            stats.executed += len(pending)
     return results  # type: ignore[return-value]

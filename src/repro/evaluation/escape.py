@@ -18,8 +18,7 @@ from ..diffing import Asm2Vec, Safe, VulSeeker
 from ..diffing.base import BinaryDiffer
 from ..opt.pass_manager import OptOptions
 from ..workloads.suites import WorkloadProgram, embedded_programs
-from .executor import ephemeral_cache, parallel_matrix
-from .overhead import build_variant
+from .diff_sharding import diff_cells
 
 ESCAPE_LABELS = ("sub", "bog", "fla", "fufi.sep", "fufi.ori", "fufi.all")
 ESCAPE_RANKS = (1, 10, 50)
@@ -63,24 +62,6 @@ def escape_differs() -> List[BinaryDiffer]:
     return [VulSeeker(), Asm2Vec(), Safe()]
 
 
-def _escape_cell(workload: WorkloadProgram, label: str, differ: BinaryDiffer,
-                 options: Optional[OptOptions],
-                 cache: Optional[VariantCache]) -> List[EscapeRow]:
-    """Rank one (program, label, tool) cell's vulnerable functions."""
-    baseline = build_variant(workload, "baseline", options, cache)
-    variant = build_variant(workload, label, options, cache)
-    result = differ.diff(baseline.binary, variant.binary)
-    rows: List[EscapeRow] = []
-    for function_name in workload.vulnerable_functions:
-        if function_name not in result.matches:
-            continue
-        rank = result.rank_of_correct(function_name, variant.provenance)
-        rows.append(EscapeRow(
-            program=workload.name, function=function_name,
-            tool=differ.name, label=label, rank_of_correct=rank))
-    return rows
-
-
 def measure_escape(workloads: Sequence[WorkloadProgram],
                    labels: Sequence[str] = ESCAPE_LABELS,
                    differs: Optional[Sequence[BinaryDiffer]] = None,
@@ -89,27 +70,21 @@ def measure_escape(workloads: Sequence[WorkloadProgram],
                    jobs: Optional[int] = None) -> EscapeReport:
     """Rank the vulnerable functions of every workload under every label.
 
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards the (program × label × tool)
-    matrix at *function* granularity across processes (see
-    :mod:`~repro.evaluation.diff_sharding`); every unit is deterministic and
-    the merge is too, so the report is bit-identical to a serial run.  An
-    *explicit* ``cache`` is never overridden by the ambient ``REPRO_JOBS``
-    (only an explicit ``jobs`` argument engages the executor then).
+    Runs the figure-8 units of the vulnerable workloads; ``jobs > 1`` (or
+    ``REPRO_JOBS``) fans them across worker processes, and rows are
+    identical either way.
     """
     differs = list(differs) if differs is not None else escape_differs()
     vulnerable_workloads = [w for w in workloads if w.vulnerable_functions]
     report = EscapeReport()
-    if parallel_matrix(jobs, cache):
-        from .diff_sharding import measure_escape_sharded
-        return measure_escape_sharded(workloads, labels, differs, options,
-                                      jobs=jobs)
-    if cache is None:
-        cache = ephemeral_cache(labels)
-    for workload in vulnerable_workloads:
-        for label in labels:
-            for differ in differs:
-                report.rows.extend(_escape_cell(workload, label, differ,
-                                                options, cache))
+    for workload, label, differ, units, _merged, ranks in diff_cells(
+            vulnerable_workloads, labels, differs, options, jobs, cache):
+        for function_name in workload.vulnerable_functions:
+            if function_name in units:
+                report.rows.append(EscapeRow(
+                    program=workload.name, function=function_name,
+                    tool=differ.name, label=label,
+                    rank_of_correct=ranks[function_name]))
     return report
 
 

@@ -1,49 +1,41 @@
 """Process-parallel execution of the evaluation experiment matrices.
 
-The experiment matrices (Figures 6–10) iterate (program × label [× tool])
-grids in which every cell is a pure function of its inputs: workload
-synthesis, the obfuscators and the optimizer are all seeded, so a cell
-computes the same rows no matter where or when it runs.  That makes the
-matrices embarrassingly parallel — this module fans the cells across worker
-processes while keeping the results bit-identical to a serial run.
+The experiment matrices (Figures 6–10) are lists of units in which every
+unit is a pure function of its inputs: workload synthesis, the obfuscators
+and the optimizer are all seeded, so a unit computes the same result no
+matter where or when it runs.  :func:`run_tasks` runs such a list in one of
+two ways, and the results are bit-identical either way:
 
-Since PR 8 the pool path is a **supervised executor** rather than a bare
-``ProcessPoolExecutor.map``:
-
-* every task is an individual future carrying a configurable timeout
-  (``REPRO_TASK_TIMEOUT``, seconds; unset/0 disables) and a bounded retry
-  budget with exponential backoff + jitter (``REPRO_TASK_RETRIES``,
-  default 2; ``REPRO_TASK_BACKOFF`` scales the base delay);
-* a hung worker — one whose task exceeds the timeout — is killed together
-  with its pool, the pool is respawned, the hung task retried and the
-  innocent in-flight tasks resubmitted without burning a retry;
-* a crashed worker (``BrokenProcessPool``: segfault, OOM kill, injected
-  ``worker_crash``) likewise respawns the pool; after
+* ``jobs=1`` (the default) is a plain in-process loop — no pickling, no
+  supervision, no fault injection;
+* ``jobs>1`` is the **supervised executor**.  Every task is an individual
+  future carrying a configurable timeout (``REPRO_TASK_TIMEOUT``, seconds;
+  unset/0 disables) and a bounded retry budget with exponential backoff +
+  jitter (``REPRO_TASK_RETRIES``, default 2; ``REPRO_TASK_BACKOFF`` scales
+  the base delay).  A hung worker — one whose task exceeds the timeout — is
+  killed together with its pool, the pool is respawned, the hung task
+  retried and the innocent in-flight tasks resubmitted without burning a
+  retry.  A crashed worker (``BrokenProcessPool``: segfault, OOM kill,
+  injected ``worker_crash``) likewise respawns the pool; after
   :data:`MAX_POOL_FAILURES` consecutive pool deaths with no completed task
-  in between the run degrades gracefully to serial in-process execution
-  instead of thrashing;
-* results are collected **by submission index**, so ``jobs>1`` stays
-  bit-identical to the serial loop regardless of completion order;
-* a task that fails every attempt aborts the run cleanly with
-  :class:`ExecutorTaskError` carrying the task's identity.
+  in between the run degrades to serial in-process execution instead of
+  thrashing.  Results are collected **by submission index**, and a task
+  that fails every attempt aborts the run with :class:`ExecutorTaskError`
+  carrying the task's identity.  The worker-side task wrapper is where
+  seeded chaos (:mod:`repro.faults`, ``REPRO_FAULTS``) injects crashes,
+  hangs and task errors.
 
-``REPRO_EXECUTOR=legacy`` selects the PR 5 ``pool.map`` scheduler — kept as
-the supervision layer's own differential reference (and the baseline of the
-``fault_overhead`` bench section).  The worker-side task wrapper is where
-seeded chaos (:mod:`repro.faults`, ``REPRO_FAULTS``) injects crashes, hangs
-and task errors; the serial in-process path never injects, so it stays the
-untouched differential reference.
-
-Each worker process keeps one
-:class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); with
-``REPRO_STORE_DIR`` set, every worker *attaches* to the one shared on-disk
+Each worker process builds through one process-wide
+:class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); an
+in-process run builds through a cache of its own (:func:`call_cache`),
+sized by the caller and dropped when the run returns.  With
+``REPRO_STORE_DIR`` set, both attach to the one shared on-disk
 :class:`~repro.store.artifact_store.ArtifactStore` tree — artifacts built by
 any process are read (not rebuilt) by all the others.  The deprecated
 ``REPRO_VARIANT_CACHE_DIR`` is still honoured: pointing at a store tree it
 acts as an alias for ``REPRO_STORE_DIR``; pointing at a legacy
 ``variants.pkl`` it seeds each worker's in-memory layer.  ``jobs`` defaults
-to ``REPRO_JOBS`` and, absent that, to 1 — deterministic and tier-1-safe
-with no worker processes at all.
+to ``REPRO_JOBS`` and, absent that, to 1.
 """
 
 from __future__ import annotations
@@ -97,45 +89,31 @@ DEFAULT_TASK_RETRIES = 2
 DEFAULT_TASK_BACKOFF = 0.05
 
 
-def resolve_positive_int(value: Optional[int], env_var: str, default: int,
-                         param: str, hint: str = "") -> int:
-    """Shared parser of the executor's positive-integer knobs.
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker-process count: explicit ``jobs``, else ``REPRO_JOBS``, else 1.
 
-    An explicit argument wins over the environment; anything that is not a
+    ``1`` runs the tasks serially in-process.  Anything that is not a
     positive integer — ``0``, a negative count, a float, ``"many"`` in the
     environment — raises :class:`ValueError` here, at entry, rather than
     surfacing later as an opaque pool failure.
     """
-    if value is None:
-        raw = os.environ.get(env_var, "").strip()
+    if jobs is None:
+        raw = os.environ.get("REPRO_JOBS", "").strip()
         if not raw:
-            return default
+            return 1
         try:
-            value = int(raw)
+            jobs = int(raw)
         except ValueError:
+            jobs = 0
+        if jobs <= 0:
             raise ValueError(
-                f"{env_var} must be a positive integer, got {raw!r}")
-        if value <= 0:
-            raise ValueError(
-                f"{env_var} must be a positive integer, got {raw!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                f"REPRO_JOBS must be a positive integer, got {raw!r}")
+        return jobs
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs <= 0:
         raise ValueError(
-            f"{param} must be a positive integer, got {value!r}{hint}")
-    return value
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker-process count: explicit ``jobs``, else ``REPRO_JOBS``, else 1.
-
-    ``1`` runs the tasks serially in-process — the default, so experiment
-    results stay deterministic and reproducible without any executor
-    involvement.  Invalid counts raise :class:`ValueError` at entry (see
-    :func:`resolve_positive_int`).
-    """
-    return resolve_positive_int(
-        jobs, "REPRO_JOBS", 1, "jobs",
-        hint=" (use jobs=os.cpu_count() for one worker per core)")
+            f"jobs must be a positive integer, got {jobs!r} "
+            f"(use jobs=os.cpu_count() for one worker per core)")
+    return jobs
 
 
 def resolve_task_retries(retries: Optional[int] = None) -> int:
@@ -205,15 +183,6 @@ def _backoff_base() -> float:
     return DEFAULT_TASK_BACKOFF
 
 
-def executor_mode() -> str:
-    """``supervised`` (default) or ``legacy`` (the PR 5 ``pool.map`` path)."""
-    mode = os.environ.get("REPRO_EXECUTOR", "").strip() or "supervised"
-    if mode not in ("supervised", "legacy"):
-        raise ValueError(
-            f"REPRO_EXECUTOR must be 'supervised' or 'legacy', got {mode!r}")
-    return mode
-
-
 class ExecutorTaskError(RuntimeError):
     """A task failed every attempt; carries the task's identity.
 
@@ -281,8 +250,22 @@ def worker_cache() -> VariantCache:
     """
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
-        _WORKER_CACHE = _initial_cache()
+        bound = _worker_cache_bound()
+        _WORKER_CACHE = VariantCache(max_entries=bound,
+                                     store=_attach_store(bound))
+        _preload_legacy(_WORKER_CACHE)
     return _WORKER_CACHE
+
+
+def call_cache(entries: int) -> VariantCache:
+    """The cache of one in-process matrix run: at most ``entries`` in memory.
+
+    The caller sizes it to the working set its units share and drops it
+    when the run returns, so an in-process run never pins artifacts in the
+    process-wide :func:`worker_cache`.  It attaches to the shared store
+    exactly like a worker's cache does.
+    """
+    return VariantCache(max_entries=entries, store=_attach_store(entries))
 
 
 def worker_cache_events() -> Dict[str, int]:
@@ -302,42 +285,41 @@ def worker_cache_events() -> Dict[str, int]:
             int(registry.get(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures"))}
 
 
-def _initial_cache() -> VariantCache:
-    bound = _worker_cache_bound()
-    store: Optional[ArtifactStore] = None
+def _attach_store(bound: Optional[int]) -> Optional[ArtifactStore]:
+    """The store the environment names, or ``None`` (also when unusable)."""
     target = store_url_from_env() or store_dir_from_env()
-    if target:
-        try:
-            store = store_from_env(max_memory_entries=bound)
-        except (StoreError, OSError) as error:
-            # an unusable shared tree (or unreachable store server) must
-            # never kill a worker — but it must not silently cost a full
-            # rebuild either
-            obs_metrics.counter(
-                f"{_CACHE_EVENTS_PREFIX}.store_attach_failures")
-            logger.warning(
-                "worker cache: cannot attach store %s (%s: %s); "
-                "building storeless", target, type(error).__name__, error)
-            store = None
-    cache = VariantCache(max_entries=bound, store=store)
+    if not target:
+        return None
+    try:
+        return store_from_env(max_memory_entries=bound)
+    except (StoreError, OSError) as error:
+        # an unusable shared tree (or unreachable store server) must never
+        # kill a worker — but it must not silently cost a full rebuild
+        # either
+        obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures")
+        logger.warning(
+            "variant cache: cannot attach store %s (%s: %s); "
+            "building storeless", target, type(error).__name__, error)
+        return None
+
+
+def _preload_legacy(cache: VariantCache) -> None:
     directory = os.environ.get("REPRO_VARIANT_CACHE_DIR")
-    if directory:
-        path = cache_file_path(directory)
-        if os.path.exists(path):
-            try:
-                cache.import_legacy(path)
-            except Exception as error:
-                # best-effort preload: a corrupt, truncated or stale file
-                # (UnpicklingError, AttributeError on renamed classes, ...)
-                # must never kill a worker — builds are deterministic, so
-                # starting empty only costs time.  One warning + a counter
-                # so the degradation is diagnosable, not silent.
-                obs_metrics.counter(
-                    f"{_CACHE_EVENTS_PREFIX}.preload_failures")
-                logger.warning(
-                    "worker cache: preload from %s failed (%s: %s); "
-                    "starting cold", path, type(error).__name__, error)
-    return cache
+    path = cache_file_path(directory) if directory else None
+    if path is None or not os.path.exists(path):
+        return
+    try:
+        cache.import_legacy(path)
+    except Exception as error:
+        # best-effort preload: a corrupt, truncated or stale file
+        # (UnpicklingError, AttributeError on renamed classes, ...) must
+        # never kill a worker — builds are deterministic, so starting empty
+        # only costs time.  One warning + a counter so the degradation is
+        # diagnosable, not silent.
+        obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.preload_failures")
+        logger.warning(
+            "worker cache: preload from %s failed (%s: %s); "
+            "starting cold", path, type(error).__name__, error)
 
 
 def reset_worker_cache() -> None:
@@ -347,34 +329,10 @@ def reset_worker_cache() -> None:
     obs_metrics.REGISTRY.reset(_CACHE_EVENTS_PREFIX)
 
 
-# -- experiment-matrix helpers --------------------------------------------------------
-
-
 def rooted_store(cache) -> Optional[ArtifactStore]:
     """The cache's persistent artifact store (local tree or remote), if any."""
     store = getattr(cache, "store", None)
     return store if store is not None and store.persistent else None
-
-
-def parallel_matrix(jobs: Optional[int], cache) -> bool:
-    """Should a ``measure_*`` driver dispatch its matrix to the executor?
-
-    True when the effective job count exceeds one — unless the caller passed
-    an explicit ``cache`` and only the ambient ``REPRO_JOBS`` asked for
-    parallelism: an explicit argument is never vetoed by the environment
-    (workers cannot share the caller's in-process cache).
-    """
-    return resolve_jobs(jobs) > 1 and (cache is None or jobs is not None)
-
-
-def ephemeral_cache(labels) -> VariantCache:
-    """The serial drivers' per-call cache: one workload's working set.
-
-    Keeps the pre-executor loops' build reuse (baseline built once per
-    workload, each variant once per label) without pinning the whole
-    matrix's artifacts in memory like an unbounded memo would.
-    """
-    return VariantCache(max_entries=len(labels) + 1)
 
 
 # -- the supervised map primitive -----------------------------------------------------
@@ -597,24 +555,22 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
 
 
 def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
-              jobs: Optional[int] = None, chunksize: int = 1,
-              timeout: Optional[float] = None, retries: Optional[int] = None,
+              jobs: Optional[int] = None, timeout: Optional[float] = None,
+              retries: Optional[int] = None,
               on_result: Optional[Callable[[int, Result], None]] = None
               ) -> List[Result]:
     """Apply ``task_fn`` to every task, preserving task order in the results.
 
-    With ``jobs <= 1`` this is a plain in-process loop (no pickling, caller's
-    caches apply, no supervision, no fault injection) — the differential
-    reference.  With more, tasks and results cross process boundaries, so
-    both must be picklable and ``task_fn`` must be a module-level callable;
-    the supervised scheduler adds per-task timeout, bounded retry, pool
-    respawn and serial degradation (module docstring).  ``chunksize`` only
-    applies to the ``REPRO_EXECUTOR=legacy`` map path — supervision is
-    per-task by construction.
+    With ``jobs <= 1`` (or a single task) this is a plain in-process loop:
+    no pickling, no supervision, no fault injection.  With more, tasks and
+    results cross process boundaries, so both must be picklable and
+    ``task_fn`` must be a module-level callable; the supervised scheduler
+    adds per-task timeout, bounded retry, pool respawn and serial
+    degradation (module docstring).
 
     ``on_result(index, result)`` is invoked in the *calling* process as each
     task's result is accepted (completion order, not submission order) —
-    the checkpoint layer journals completed shard units through it.
+    the checkpoint layer journals completed units through it.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -628,13 +584,5 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
                 on_result(index, value)
             results.append(value)
         return results
-    workers = min(jobs, len(tasks))
-    if executor_mode() == "legacy":
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task_fn, tasks, chunksize=chunksize))
-        if on_result is not None:
-            for index, value in enumerate(results):
-                on_result(index, value)
-        return results
-    return _run_supervised(task_fn, tasks, workers, effective_timeout,
-                           effective_retries, on_result)
+    return _run_supervised(task_fn, tasks, min(jobs, len(tasks)),
+                           effective_timeout, effective_retries, on_result)

@@ -5,22 +5,30 @@ on SPEC CPU 2006 and 2017; Figure 7 compares their geometric means against
 the O-LLVM baselines (Sub, Bog, Fla, Fla-10).  Here "runtime" is the dynamic
 cycle count of the interpreter (see DESIGN.md for the substitution), so the
 columns are directly comparable between baseline and obfuscated builds.
+
+The matrix runs as one unit per workload (:func:`shard_overhead_matrix`),
+each unit measuring its baseline and every label through a
+:class:`ShardBatch`, on the engine every figure shares
+(:func:`~repro.evaluation.checkpoint.run_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.variant_cache import VariantCache, variant_key
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..toolchain import (KHAOS_LABELS, build_baseline, build_obfuscated,
-                         obfuscator_for, overhead_percent)
+                         obfuscator_for)
 from ..utils import geometric_mean
-from ..vm.machine import run_program
+from ..vm.batch import VMBatch
+from ..vm.machine import ExecutionResult
 from ..workloads.suites import WorkloadProgram, spec2006_programs, spec2017_programs
+from .checkpoint import run_matrix
+from .executor import worker_cache
 
 
 @dataclass
@@ -100,6 +108,74 @@ def build_variant(workload: WorkloadProgram, label: str,
                               traced_builder)
 
 
+#: One unit of the matrix: a workload with its full label row.
+OverheadShard = Tuple[WorkloadProgram, Tuple[str, ...], Optional[OptOptions]]
+
+
+def shard_overhead_matrix(workloads: Sequence[WorkloadProgram],
+                          labels: Sequence[str],
+                          options: Optional[OptOptions] = None
+                          ) -> List[OverheadShard]:
+    """Deterministic partitioning of the (program × label) matrix.
+
+    One unit per workload, in the caller's workload order; every unit
+    carries the whole label tuple, so a workload's builds never spread
+    across workers and its baseline runs once for every row.
+    """
+    return [(workload, tuple(labels), options) for workload in workloads]
+
+
+class ShardBatch:
+    """One unit's VM measurements against one cache.
+
+    Builds go through ``cache`` and every execution routes through
+    :meth:`VMBatch.run_many`: one interpreter per variant drives the unit's
+    whole ``input_sets`` batch.  The default ``input_sets`` (one empty input
+    vector) is what the figures measure.
+    """
+
+    def __init__(self, workload: WorkloadProgram,
+                 options: Optional[OptOptions], cache,
+                 input_sets: Sequence[Sequence[int]] = ((),),
+                 dispatch: Optional[str] = None):
+        self.workload = workload
+        self.options = options
+        self.cache = cache
+        self.input_sets = tuple(tuple(inputs) for inputs in input_sets)
+        self.vm = VMBatch(dispatch=dispatch)
+
+    def execute_many(self, label: str) -> List[ExecutionResult]:
+        """Build (or fetch) the ``label`` variant and run the input batch."""
+        artifact = build_variant(self.workload, label, self.options,
+                                 self.cache)
+        with obs_tracing.span("vm.measure", cat="measure",
+                              workload=self.workload.name, label=label,
+                              inputs=len(self.input_sets)):
+            return self.vm.run_many(artifact.program, self.input_sets)
+
+    def execute(self, label: str) -> ExecutionResult:
+        """The variant's first-input execution (the figure-driver row)."""
+        return self.execute_many(label)[0]
+
+    def rows(self, labels: Sequence[str]) -> List[OverheadRow]:
+        baseline_cycles = self.execute("baseline").cycles
+        return [OverheadRow(program=self.workload.name,
+                            suite=self.workload.suite, label=label,
+                            baseline_cycles=baseline_cycles,
+                            cycles=self.execute(label).cycles)
+                for label in labels]
+
+
+def _overhead_shard(shard: OverheadShard, cache=None) -> List[OverheadRow]:
+    """One workload's rows (the engine's unit function)."""
+    workload, labels, options = shard
+    with obs_tracing.span("shard.fig67", cat="measure",
+                          workload=workload.name, labels=len(labels)):
+        batch = ShardBatch(workload, options,
+                           cache if cache is not None else worker_cache())
+        return batch.rows(labels)
+
+
 def measure_overhead(workloads: Sequence[WorkloadProgram],
                      labels: Sequence[str] = KHAOS_LABELS,
                      options: Optional[OptOptions] = None,
@@ -110,30 +186,18 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
     Passing a :class:`~repro.core.variant_cache.VariantCache` skips the build
     phase (obfuscate → optimize → lower) for variants already built by an
     earlier experiment; the VM measurement still executes every variant.
-
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards the matrix one-workload-per-task
-    across worker processes (see :mod:`repro.evaluation.sharding`); workers
-    build through their own store-backed caches, so a passed ``cache``
-    applies to serial runs only — and an *explicit* ``cache`` is never
-    overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
-    argument engages the executor then).  Row order and row contents are
-    identical either way; the serial loop remains the default and the
-    differential reference.
+    Without one, an in-process run holds at most two variants (the baseline
+    and the label being measured).  ``jobs > 1`` (or ``REPRO_JOBS``) fans
+    the units across worker processes; rows are identical either way (see
+    :func:`~repro.evaluation.checkpoint.run_matrix`).
     """
-    from .executor import parallel_matrix
-    if parallel_matrix(jobs, cache):
-        from .sharding import measure_overhead_sharded
-        return measure_overhead_sharded(workloads, labels, options, jobs=jobs)
+    shards = shard_overhead_matrix(workloads, labels, options)
+    keys = [("fig67shard", variant_key(workload, "baseline", options),
+             tuple(labels)) for workload in workloads]
     report = OverheadReport()
-    for workload in workloads:
-        baseline = build_variant(workload, "baseline", options, cache)
-        baseline_cycles = run_program(baseline.program).cycles
-        for label in labels:
-            variant = build_variant(workload, label, options, cache)
-            report.rows.append(OverheadRow(
-                program=workload.name, suite=workload.suite, label=label,
-                baseline_cycles=baseline_cycles,
-                cycles=run_program(variant.program).cycles))
+    for rows in run_matrix(_overhead_shard, shards, keys,
+                           ("fig67", tuple(keys)), jobs, cache, 2):
+        report.rows.extend(rows)
     return report
 
 

@@ -5,11 +5,10 @@ diffed against each obfuscated build by each of the five tools; Precision@1 is
 computed with the relaxed pairing rule (provenance-based).  Figure 8 reports
 the average per (tool, obfuscation) pair over T-I and T-II.
 
-``jobs`` (or ``REPRO_JOBS``) fans the matrix across worker processes at
-*function* granularity via :mod:`repro.evaluation.diff_sharding`; every cell
-is a pure function of seeded inputs and the merge layer is deterministic, so
-the parallel report is bit-identical to the serial one (the default, and the
-differential reference).
+The matrix runs at *function* granularity through
+:func:`~repro.evaluation.diff_sharding.diff_cells`: Precision@1 is the
+fraction of a cell's source functions whose correct match ranks first, and
+the similarity score comes from the tool's deterministic merge.
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.variant_cache import VariantCache, variant_key
-from ..diffing import all_differs, precision_at_1
+from ..core.variant_cache import VariantCache
+from ..diffing import all_differs
 from ..diffing.base import BinaryDiffer
 from ..opt.pass_manager import OptOptions
-from ..store.feature_payloads import persist_features, warm_features
-from ..toolchain import ALL_LABELS, obfuscator_for
+from ..toolchain import ALL_LABELS
 from ..workloads.suites import (WorkloadProgram, coreutils_programs,
                                 spec2006_programs, spec2017_programs)
-from .executor import ephemeral_cache, parallel_matrix, rooted_store
-from .overhead import build_variant
+from .diff_sharding import diff_cells
 
 
 @dataclass
@@ -69,37 +66,6 @@ class PrecisionReport:
                 for tool in self.tools()}
 
 
-def _precision_cell(workload: WorkloadProgram, label: str,
-                    differ: BinaryDiffer, options: Optional[OptOptions],
-                    cache: Optional[VariantCache]) -> PrecisionRow:
-    """Diff one (program, label, tool) cell — the unit of work of figure 8.
-
-    With a store-backed cache the memoised diffing features of both binaries
-    ride along in the artifact store (kind ``"features"``): warmed before the
-    diff, persisted after.  Features are pure functions of the binaries, so
-    this only ever skips re-extraction — rows are identical with or without
-    the store.
-    """
-    baseline = build_variant(workload, "baseline", options, cache)
-    variant = build_variant(workload, label, options, cache)
-    store = rooted_store(cache)
-    if store is not None:
-        baseline_key = variant_key(workload, "baseline", options)
-        label_key = variant_key(workload, obfuscator_for(label), options)
-        warm_features(store, baseline_key, baseline.binary)
-        warm_features(store, label_key, variant.binary)
-    original_names = [f.name for f in baseline.binary.functions]
-    result = differ.diff(baseline.binary, variant.binary)
-    precision = precision_at_1(result, variant.provenance, original_names)
-    if store is not None:
-        persist_features(store, baseline_key, baseline.binary)
-        persist_features(store, label_key, variant.binary)
-    return PrecisionRow(
-        program=workload.name, suite=workload.suite,
-        tool=differ.name, label=label, precision=precision,
-        similarity_score=result.similarity_score)
-
-
 def measure_precision(workloads: Sequence[WorkloadProgram],
                       labels: Sequence[str] = ALL_LABELS,
                       differs: Optional[Sequence[BinaryDiffer]] = None,
@@ -110,28 +76,18 @@ def measure_precision(workloads: Sequence[WorkloadProgram],
 
     A shared :class:`~repro.core.variant_cache.VariantCache` lets this reuse
     the variants the overhead experiments already built (and vice versa).
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards the matrix at *function*
-    granularity across processes (see
-    :mod:`~repro.evaluation.diff_sharding`); workers build through their own
-    store-backed caches, so a passed ``cache`` applies to serial runs only —
-    and an *explicit* ``cache`` is never overridden by the ambient
-    ``REPRO_JOBS`` (only an explicit ``jobs`` argument engages the executor
-    then).  Row order and row contents are identical either way; the serial
-    loop remains the default and the differential reference.
+    ``jobs > 1`` (or ``REPRO_JOBS``) fans the function-granularity units
+    across worker processes; rows are identical either way.
     """
     differs = list(differs) if differs is not None else all_differs()
     report = PrecisionReport()
-    if parallel_matrix(jobs, cache):
-        from .diff_sharding import measure_precision_sharded
-        return measure_precision_sharded(workloads, labels, differs, options,
-                                         jobs=jobs)
-    if cache is None:
-        cache = ephemeral_cache(labels)
-    for workload in workloads:
-        for label in labels:
-            for differ in differs:
-                report.rows.append(_precision_cell(workload, label, differ,
-                                                   options, cache))
+    for workload, label, differ, units, merged, ranks in diff_cells(
+            workloads, labels, differs, options, jobs, cache):
+        correct = sum(1 for unit in units if ranks.get(unit) == 1)
+        report.rows.append(PrecisionRow(
+            program=workload.name, suite=workload.suite, tool=differ.name,
+            label=label, precision=correct / len(units) if units else 0.0,
+            similarity_score=merged.similarity_score))
     return report
 
 

@@ -35,9 +35,9 @@ injects the same faults no matter how processes are scheduled, which is what
 makes every chaos test re-runnable.
 
 Worker faults (``worker_crash``/``task_hang``/``task_error``) are applied
-only by the supervised executor's *worker-side* task wrapper — the serial
-in-process path stays the untouched differential reference even with
-``REPRO_FAULTS`` exported.  ``store_corrupt`` applies wherever a store
+only by the supervised executor's *worker-side* task wrapper — an
+in-process (``jobs=1``) run never injects, even with ``REPRO_FAULTS``
+exported.  ``store_corrupt`` applies wherever a store
 writes objects, but fires at most **once per object per process**
 (:attr:`FaultInjector._fired`), so the rebuild that follows a quarantined
 read persists a clean copy instead of corrupting forever.

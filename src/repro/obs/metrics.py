@@ -2,8 +2,7 @@
 
 The registry is the single home for every runtime counter in the pipeline;
 the older ad-hoc surfaces (``ArtifactStore.stats()``, the ``VMBatch``
-attributes, ``worker_cache_events()``, ``ShardRunStats``) are façades over
-it.  Design constraints, in order:
+attributes, ``worker_cache_events()``) are façades over it.  Design constraints, in order:
 
 1. **cheap enough to leave on** — an increment is one dict ``get`` + add on
    a plain ``dict``; no locks (CPython dict ops are atomic enough for the
@@ -27,7 +26,9 @@ kept alongside.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from collections import Counter
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 # Default histogram bucket upper bounds (seconds-flavoured log scale, but
 # dimensionless: callers observe whatever unit they like as long as they
@@ -228,3 +229,15 @@ def gauge(name: str, value: float) -> None:
 
 def observe(name: str, value: float) -> None:
     REGISTRY.observe(name, value)
+
+
+@contextmanager
+def counted(prefix: str) -> Iterator[Counter]:
+    """Yield a :class:`~collections.Counter` that holds, once the block
+    exits, how much each ``<prefix>.*`` counter of :data:`REGISTRY` grew
+    inside it (names without the prefix)."""
+    before = REGISTRY.prefixed(prefix)
+    grown: Counter = Counter()
+    yield grown
+    for name, value in REGISTRY.prefixed(prefix).items():
+        grown[name] = value - before.get(name, 0)

@@ -1,6 +1,6 @@
 """Deterministic IR interpreter and cycle cost model."""
 
-from .batch import VMBatch, run_batch
+from .batch import VMBatch
 from .costs import CostModel, DEFAULT_COST_MODEL, REGISTER_ARG_SLOTS
 from .machine import (DISPATCH_TIERS, ExecutionError, ExecutionResult,
                       FuncPointer, Interpreter, Pointer, StaleTraceError,
@@ -10,5 +10,5 @@ __all__ = [
     "CostModel", "DEFAULT_COST_MODEL", "DISPATCH_TIERS", "REGISTER_ARG_SLOTS",
     "ExecutionError", "ExecutionResult", "FuncPointer", "Interpreter",
     "Pointer", "StaleTraceError", "StepLimitExceeded", "VMBatch",
-    "run_batch", "run_program",
+    "run_program",
 ]

@@ -13,15 +13,15 @@ import os
 import pytest
 
 from repro.evaluation.checkpoint import (RUNS_DIR, RunManifest,
-                                         ShardRunStats, checkpoint_enabled,
+                                         checkpoint_enabled,
                                          run_checkpointed, run_id)
-from repro.evaluation.diff_sharding import (DiffShardStats,
-                                            measure_precision_sharded)
 from repro.evaluation.executor import reset_worker_cache
+from repro.evaluation.overhead import measure_overhead
 from repro.evaluation.precision import measure_precision
-from repro.evaluation.sharding import measure_overhead_sharded
 from repro.store import KIND_SHARD, ArtifactStore, store_digest
 from repro.workloads.suites import spec2006_programs
+from tests import oracles
+from repro.obs.metrics import counted
 
 WORKLOADS = spec2006_programs()[:1]
 LABELS = ("fission",)
@@ -101,12 +101,12 @@ class TestRunCheckpointed:
     def test_no_store_is_plain_pass_through(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
-        stats = ShardRunStats()
         values = [1, 2, 3]
-        out = run_checkpointed(_square, values, _keys(values),
-                               ("t", 1), jobs=1, stats=stats)
+        with counted("checkpoint") as stats:
+            out = run_checkpointed(_square, values, _keys(values),
+                                   ("t", 1), jobs=1)
         assert out == [1, 4, 9]
-        assert stats.planned == 0  # layer never engaged
+        assert stats["planned"] == 0  # layer never engaged
 
     def test_checkpoint_off_is_pass_through(self, tmp_store, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT", "off")
@@ -140,23 +140,22 @@ class TestRunCheckpointed:
             executed.append(value)
             return value * value
 
-        stats = ShardRunStats()
-        out = run_checkpointed(counting, values, keys, parts, jobs=1,
-                               stats=stats)
+        with counted("checkpoint") as stats:
+            out = run_checkpointed(counting, values, keys, parts, jobs=1)
         assert out == [1, 4, 9, 16, 25]
         assert executed == [4, 5]  # journaled units never re-execute
-        assert stats.planned == 5 and stats.resumed == 3
-        assert stats.executed == 2 and stats.journaled == 2
+        assert stats["planned"] == 5 and stats["resumed"] == 3
+        assert stats["executed"] == 2 and stats["journaled"] == 2
 
     def test_completed_run_restart_executes_nothing(self, tmp_store):
         values = [1, 2, 3]
         keys = _keys(values)
         run_checkpointed(_square, values, keys, ("t", 5), jobs=1)
-        stats = ShardRunStats()
-        out = run_checkpointed(_FailAt(1), values, keys, ("t", 5), jobs=1,
-                               stats=stats)  # poison proves nothing runs
+        with counted("checkpoint") as stats:
+            # the poison proves nothing runs
+            out = run_checkpointed(_FailAt(1), values, keys, ("t", 5), jobs=1)
         assert out == [1, 4, 9]
-        assert stats.resumed == 3 and stats.executed == 0
+        assert stats["resumed"] == 3 and stats["executed"] == 0
 
     def test_journaled_but_lost_object_re_executes(self, tmp_store):
         """The manifest is advisory; the store is the truth."""
@@ -169,11 +168,10 @@ class TestRunCheckpointed:
                                    store_digest(KIND_SHARD, keys[1]))
         os.unlink(victim)
         reset_worker_cache()
-        stats = ShardRunStats()
-        out = run_checkpointed(_square, values, keys, parts, jobs=1,
-                               stats=stats)
+        with counted("checkpoint") as stats:
+            out = run_checkpointed(_square, values, keys, parts, jobs=1)
         assert out == [1, 4, 9]
-        assert stats.resumed == 2 and stats.executed == 1
+        assert stats["resumed"] == 2 and stats["executed"] == 1
 
     def test_normalize_applies_to_revived_results_only(self, tmp_store):
         values = [1, 2]
@@ -191,10 +189,9 @@ class TestRunCheckpointed:
         values = [2, 3]
         keys = _keys(values)
         run_checkpointed(_square, values, keys, ("matrix", "A"), jobs=1)
-        stats = ShardRunStats()
-        run_checkpointed(_square, values, keys, ("matrix", "C"), jobs=1,
-                         stats=stats)
-        assert stats.resumed == 0 and stats.executed == 2
+        with counted("checkpoint") as stats:
+            run_checkpointed(_square, values, keys, ("matrix", "C"), jobs=1)
+        assert stats["resumed"] == 0 and stats["executed"] == 2
 
 
 class TestMatrixResume:
@@ -207,39 +204,34 @@ class TestMatrixResume:
     def test_fig8_completed_restart_revives_every_shard(self, tmp_store):
         from repro.diffing import all_differs
         differs = all_differs()[:1]
-        reference = self._rows(measure_precision(WORKLOADS, labels=LABELS,
-                                                 differs=differs))
-        first = ShardRunStats()
+        reference = self._rows(oracles.precision(WORKLOADS, LABELS, differs))
         reset_worker_cache()
-        rows = self._rows(measure_precision_sharded(
-            WORKLOADS, labels=LABELS, differs=differs, jobs=1,
-            run_stats=first))
+        with counted("checkpoint") as first:
+            rows = self._rows(measure_precision(
+                WORKLOADS, labels=LABELS, differs=differs, jobs=1))
         assert rows == reference
-        assert first.executed == first.planned > 0
+        assert first["executed"] == first["planned"] > 0
 
         reset_worker_cache()
-        second = ShardRunStats()
-        second_stats = DiffShardStats()
-        resumed = self._rows(measure_precision_sharded(
-            WORKLOADS, labels=LABELS, differs=differs, jobs=1,
-            stats=second_stats, run_stats=second))
+        with counted("checkpoint") as second, counted("diffshard") as diff:
+            resumed = self._rows(measure_precision(
+                WORKLOADS, labels=LABELS, differs=differs, jobs=1))
         assert resumed == reference
-        assert second.executed == 0
-        assert second.resumed == second.planned == first.planned
-        assert second_stats.units_scored == 0
+        assert second["executed"] == 0
+        assert second["resumed"] == second["planned"] == first["planned"]
+        assert diff["units_scored"] == 0
 
     def test_fig67_completed_restart_revives_every_shard(self, tmp_store):
-        first = ShardRunStats()
         reset_worker_cache()
-        baseline = measure_overhead_sharded(WORKLOADS, labels=LABELS,
-                                            jobs=1, run_stats=first)
-        assert first.executed == first.planned > 0
+        with counted("checkpoint") as first:
+            baseline = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
+        assert first["executed"] == first["planned"] > 0
         reset_worker_cache()
-        second = ShardRunStats()
-        resumed = measure_overhead_sharded(WORKLOADS, labels=LABELS,
-                                           jobs=1, run_stats=second)
+        with counted("checkpoint") as second:
+            resumed = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
         assert self._overhead_rows(resumed) == self._overhead_rows(baseline)
-        assert second.executed == 0 and second.resumed == first.planned
+        assert second["executed"] == 0
+        assert second["resumed"] == first["planned"]
 
     def _overhead_rows(self, report):
         return [(r.program, r.suite, r.label, r.baseline_cycles, r.cycles)

@@ -1,12 +1,14 @@
-"""Function-granularity diff sharding: contract, merge identity, store reuse.
+"""Function-granularity diff units: contract, merge identity, store reuse.
 
-The serial drivers (``measure_precision``/``measure_escape``/
-``measure_bintuner``) are the differential references; the sharded scheduler
-(:mod:`repro.evaluation.diff_sharding`) must reproduce their reports
-bit-for-bit from any partition, serially or across processes, cold or over a
-warm shared store — and a warm store must serve every unit without scoring a
-pair or rebuilding a single ``FeatureIndex`` payload.
+The diff matrices of figures 8 and 10 run as modular slices of each cell
+(:mod:`repro.evaluation.diff_sharding`) and merge through the tools'
+partial-result contract.  The reports must equal the plain whole-binary
+``diff()`` oracle bit for bit, in process or across processes, cold or over
+a warm shared store — and a warm store must serve every unit without
+scoring a pair or rebuilding a single ``FeatureIndex`` payload.
 """
+
+import os
 
 import pytest
 
@@ -15,17 +17,14 @@ from repro.diffing import (BinDiff, DeepBinDiff, all_differs,
 from repro.diffing.base import PartialDiff
 from repro.evaluation import (figure8, measure_bintuner, measure_escape,
                               measure_precision)
-from repro.evaluation.diff_sharding import (DEFAULT_SHARDS_PER_CELL,
-                                            DiffShardStats,
-                                            measure_bintuner_sharded,
-                                            measure_escape_sharded,
-                                            measure_precision_sharded,
-                                            resolve_diff_shards,
-                                            shard_diff_matrix)
+from repro.evaluation.checkpoint import RUNS_DIR
+from repro.evaluation.diff_sharding import SHARDS_PER_CELL, shard_diff_matrix
 from repro.evaluation.executor import reset_worker_cache
 from repro.store import KIND_FEATURES, ArtifactStore
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
 from repro.workloads.suites import embedded_programs, spec2006_programs
+from tests import oracles
+from repro.obs.metrics import counted
 from tests.conftest import build_demo_program
 
 WORKLOADS = spec2006_programs()[:2]
@@ -148,53 +147,29 @@ class TestShardPlanning:
 
     def test_function_tools_split_binary_tools_do_not(self):
         shards = shard_diff_matrix(WORKLOADS[:1], ("fission",),
-                                   [BinDiff(), DeepBinDiff()],
-                                   shards_per_cell=4)
+                                   [BinDiff(), DeepBinDiff()])
         counts = {}
         for _w, _label, differ, _opts, _index, count in shards:
             counts[differ.name] = count
-        assert counts == {"BinDiff": 4, "DeepBinDiff": 1}
-        assert len(shards) == 4 + 1
-
-    def test_resolve_diff_shards_defaults_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIFF_SHARDS", raising=False)
-        assert resolve_diff_shards() == DEFAULT_SHARDS_PER_CELL
-        monkeypatch.setenv("REPRO_DIFF_SHARDS", "5")
-        assert resolve_diff_shards() == 5
-        assert resolve_diff_shards(3) == 3  # explicit wins
-
-    def test_resolve_diff_shards_rejects_garbage(self, monkeypatch):
-        for bad in (0, -2, 1.5, "4", True):
-            with pytest.raises(ValueError, match="positive integer"):
-                resolve_diff_shards(bad)
-        monkeypatch.setenv("REPRO_DIFF_SHARDS", "many")
-        with pytest.raises(ValueError, match="REPRO_DIFF_SHARDS"):
-            resolve_diff_shards()
+        assert counts == {"BinDiff": SHARDS_PER_CELL, "DeepBinDiff": 1}
+        assert len(shards) == SHARDS_PER_CELL + 1
 
 
 class TestPrecisionSharded:
     def test_serial_shards_equal_the_reference(self):
-        serial = measure_precision(WORKLOADS[:1], labels=LABELS)
-        sharded = measure_precision_sharded(WORKLOADS[:1], labels=LABELS,
-                                            jobs=1)
-        assert _precision_rows(sharded) == _precision_rows(serial)
+        reference = oracles.precision(WORKLOADS[:1], LABELS)
+        serial = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
+        assert _precision_rows(serial) == _precision_rows(reference)
 
     def test_jobs2_equals_the_reference(self):
-        serial = measure_precision(WORKLOADS, labels=LABELS)
-        parallel = measure_precision_sharded(WORKLOADS, labels=LABELS, jobs=2)
-        assert _precision_rows(parallel) == _precision_rows(serial)
-        assert parallel.matrix() == serial.matrix()
-
-    def test_single_function_shards_equal_the_reference(self):
-        """The finest partition — one source function per shard."""
-        serial = measure_precision(WORKLOADS[:1], labels=("fission",))
-        finest = measure_precision_sharded(WORKLOADS[:1], labels=("fission",),
-                                           jobs=1, shards_per_cell=64)
-        assert _precision_rows(finest) == _precision_rows(serial)
+        reference = oracles.precision(WORKLOADS, LABELS)
+        parallel = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
+        assert _precision_rows(parallel) == _precision_rows(reference)
+        assert parallel.matrix() == reference.matrix()
 
     def test_figure8_jobs2_through_function_shards_is_bit_identical(self):
-        """The acceptance criterion: figure8(jobs=2) — which routes through
-        the function-granularity scheduler — equals the serial reference."""
+        """figure8(jobs=2) fans function-granularity units across workers
+        and still equals the in-process run."""
         kwargs = dict(limit_spec=1, limit_coreutils=1, labels=LABELS)
         serial = figure8(**kwargs)
         parallel = figure8(jobs=2, **kwargs)
@@ -205,84 +180,79 @@ class TestPrecisionSharded:
 class TestSharedStoreReuse:
     def test_warm_store_serves_every_unit_and_rebuilds_no_features(
             self, tmp_store):
-        serial = measure_precision(WORKLOADS[:1], labels=LABELS)
-        cold_stats = DiffShardStats()
-        cold = measure_precision_sharded(WORKLOADS[:1], labels=LABELS,
-                                         jobs=1, stats=cold_stats)
-        assert _precision_rows(cold) == _precision_rows(serial)
-        assert cold_stats.units_scored == cold_stats.units_total > 0
+        reference = oracles.precision(WORKLOADS[:1], LABELS)
+        with counted("diffshard") as cold_stats:
+            cold = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
+        assert _precision_rows(cold) == _precision_rows(reference)
+        assert cold_stats["units_scored"] == cold_stats["units_total"] > 0
         if use_indexed_features():
             # the legacy path extracts per diff and memoises nothing, so
             # only the indexed path has feature payloads to persist
-            assert cold_stats.features_persisted > 0
-        assert cold_stats.diff_payloads_persisted > 0
+            assert cold_stats["features_persisted"] > 0
+        assert cold_stats["diff_payloads_persisted"] > 0
 
         reset_worker_cache()
-        warm_stats = DiffShardStats()
-        warm = measure_precision_sharded(WORKLOADS[:1], labels=LABELS,
-                                         jobs=1, stats=warm_stats)
-        assert _precision_rows(warm) == _precision_rows(serial)
+        with counted("diffshard") as warm_stats:
+            warm = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
+        assert _precision_rows(warm) == _precision_rows(reference)
         # every unit adopted, zero pairs scored, zero feature rebuilds
-        assert warm_stats.units_from_store == warm_stats.units_total
-        assert warm_stats.units_scored == 0
-        assert warm_stats.features_persisted == 0
-        assert warm_stats.diff_payloads_persisted == 0
+        assert warm_stats["units_from_store"] == warm_stats["units_total"]
+        assert warm_stats["units_scored"] == 0
+        assert warm_stats["features_persisted"] == 0
+        assert warm_stats["diff_payloads_persisted"] == 0
         # ...and the tree gained no feature objects on the warm pass
         features_after = ArtifactStore.attach(tmp_store).entry_count(
             KIND_FEATURES)
         reset_worker_cache()
-        rerun_stats = DiffShardStats()
-        measure_precision_sharded(WORKLOADS[:1], labels=LABELS, jobs=1,
-                                  stats=rerun_stats)
+        with counted("diffshard") as rerun_stats:
+            measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         assert ArtifactStore.attach(tmp_store).entry_count(KIND_FEATURES) \
             == features_after
-        assert rerun_stats.features_persisted == 0
+        assert rerun_stats["features_persisted"] == 0
 
     def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store):
-        serial = measure_precision(WORKLOADS[:1], labels=LABELS)
-        measure_precision_sharded(WORKLOADS[:1], labels=LABELS, jobs=1)
+        reference = oracles.precision(WORKLOADS[:1], LABELS)
+        measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         reset_worker_cache()
-        warm_stats = DiffShardStats()
-        parallel = measure_precision_sharded(WORKLOADS[:1], labels=LABELS,
-                                             jobs=2, stats=warm_stats)
-        assert _precision_rows(parallel) == _precision_rows(serial)
-        assert warm_stats.units_from_store == warm_stats.units_total
+        with counted("diffshard") as warm_stats:
+            parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
+        assert _precision_rows(parallel) == _precision_rows(reference)
+        assert warm_stats["units_from_store"] == warm_stats["units_total"]
 
-    def test_different_partitions_share_one_store(self, tmp_store):
-        """Per-function payloads are partition-agnostic: a run with a
-        different shards_per_cell adopts everything a previous partition
-        persisted."""
-        measure_precision_sharded(WORKLOADS[:1], labels=("fission",),
-                                  jobs=1, shards_per_cell=2)
+    def test_stored_units_outlive_the_journal(self, tmp_store):
+        """Per-function payloads are independent of the run journal: with
+        the journals gone, a rerun adopts every unit a previous run
+        persisted and scores nothing."""
+        measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
+        for name in os.listdir(os.path.join(tmp_store, RUNS_DIR)):
+            os.unlink(os.path.join(tmp_store, RUNS_DIR, name))
         reset_worker_cache()
-        stats = DiffShardStats()
-        measure_precision_sharded(WORKLOADS[:1], labels=("fission",),
-                                  jobs=1, shards_per_cell=3, stats=stats)
-        assert stats.units_from_store == stats.units_total
-        assert stats.units_scored == 0
+        with counted("diffshard") as stats, counted("checkpoint") as run:
+            measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
+        assert run["resumed"] == 0 and run["executed"] > 0
+        assert stats["units_from_store"] == stats["units_total"]
+        assert stats["units_scored"] == 0
 
 
 class TestEscapeSharded:
     def test_sharded_escape_equals_the_reference(self):
         workloads = embedded_programs()[:1]
         labels = ("sub", "fufi.all")
-        serial = measure_escape(workloads, labels=labels)
-        sharded = measure_escape_sharded(workloads, labels=labels, jobs=1)
-        parallel = measure_escape_sharded(workloads, labels=labels, jobs=2)
-        assert _escape_rows(sharded) == _escape_rows(serial)
-        assert _escape_rows(parallel) == _escape_rows(serial)
+        reference = oracles.escape(workloads, labels)
+        serial = measure_escape(workloads, labels=labels, jobs=1)
+        parallel = measure_escape(workloads, labels=labels, jobs=2)
+        assert _escape_rows(serial) == _escape_rows(reference)
+        assert _escape_rows(parallel) == _escape_rows(reference)
         for n in (1, 10, 50):
-            assert parallel.matrix(n) == serial.matrix(n)
+            assert parallel.matrix(n) == reference.matrix(n)
 
 
 class TestBinTunerSharded:
     def test_sharded_bintuner_equals_the_reference(self):
-        serial = measure_bintuner(WORKLOADS[:1], tuner_iterations=1)
-        sharded = measure_bintuner_sharded(WORKLOADS[:1], tuner_iterations=1,
-                                           jobs=1)
-        parallel = measure_bintuner_sharded(WORKLOADS[:1], tuner_iterations=1,
-                                            jobs=2)
-        assert sharded.rows == serial.rows == parallel.rows
-        assert (sharded.bintuner_overhead_percent
-                == serial.bintuner_overhead_percent
+        reference = oracles.bintuner(WORKLOADS[:1], tuner_iterations=1)
+        serial = measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1)
+        parallel = measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=2)
+        assert serial.rows == reference.rows == parallel.rows
+        assert (serial.bintuner_overhead_percent
+                == reference.bintuner_overhead_percent
                 == parallel.bintuner_overhead_percent)

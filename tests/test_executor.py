@@ -1,29 +1,33 @@
-"""The parallel experiment executor: serial vs jobs=2 bit-identity.
+"""The parallel experiment executor: jobs=1 vs jobs=2 bit-identity.
 
 The (program × label × tool) matrices of figures 8, 9 and 10 are pure
 functions of seeded inputs; fanning them across processes must reproduce the
-serial reports exactly (same rows, same order, same floats).  Also covers
-``resolve_jobs`` / ``REPRO_JOBS`` resolution, the supervised scheduler's
-failure modes (crashed workers, exhausted retries, timeouts, legacy mode),
-the worker-cache degradation counters and the reworked ``escape_ratio``
-signature.
+in-process reports exactly (same rows, same order, same floats).  Also
+covers ``resolve_jobs`` / ``REPRO_JOBS`` resolution, the supervised
+scheduler's failure modes (crashed workers, exhausted retries, timeouts),
+the worker-cache degradation counters, what an in-process run leaves alive,
+and the reworked ``escape_ratio`` signature.
 """
 
+import gc
 import logging
 import os
 import time
+import weakref
 
 import pytest
 
 from repro.diffing import Asm2Vec, BinDiff, escape_ratio
-from repro.evaluation import (figure9, measure_escape, measure_precision,
-                              resolve_jobs, run_tasks)
-from repro.evaluation.executor import (ExecutorTaskError, executor_mode,
-                                       reset_worker_cache,
+from repro.evaluation import (executor, figure9, measure_bintuner,
+                              measure_escape, measure_overhead,
+                              measure_precision, resolve_jobs, run_tasks)
+from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
                                        resolve_task_retries,
                                        resolve_task_timeout, worker_cache,
                                        worker_cache_events)
+from repro.toolchain import BuildArtifact
 from repro.workloads.suites import embedded_programs, spec2006_programs
+from tests import oracles
 
 WORKLOADS = spec2006_programs()[:2]
 LABELS = ("fission", "fufi.ori")
@@ -155,15 +159,6 @@ class TestSupervisorKnobs:
         with pytest.raises(ValueError, match="retries"):
             resolve_task_retries(2.5)
 
-    def test_executor_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert executor_mode() == "supervised"
-        monkeypatch.setenv("REPRO_EXECUTOR", "legacy")
-        assert executor_mode() == "legacy"
-        monkeypatch.setenv("REPRO_EXECUTOR", "turbo")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            executor_mode()
-
 
 class TestSupervisedFailureModes:
     """The failure modes the supervised scheduler exists for."""
@@ -172,7 +167,6 @@ class TestSupervisedFailureModes:
     def _fast_backoff(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
     def test_broken_pool_mid_matrix_recovers(self, tmp_path, monkeypatch):
         """A worker hard-exit (BrokenProcessPool) respawns the pool and the
@@ -207,13 +201,6 @@ class TestSupervisedFailureModes:
         assert results == [0, -1, -2]
         assert (tmp_path / "hung").exists()
         assert elapsed < 30  # killed at ~1s, nowhere near the 60s sleep
-
-    def test_legacy_mode_is_selectable_and_identical(self, monkeypatch):
-        values = list(range(8))
-        supervised = run_tasks(_square, values, jobs=2)
-        monkeypatch.setenv("REPRO_EXECUTOR", "legacy")
-        legacy = run_tasks(_square, values, jobs=2)
-        assert supervised == legacy == [v * v for v in values]
 
     def test_on_result_fires_for_every_task(self):
         seen_serial = []
@@ -327,42 +314,75 @@ class TestParallelExperimentsBitIdentical:
 
 
 class TestWarmStoreParallelDiffing:
-    """Figures 9/10 at jobs=2 over a warm shared store vs the serial path.
+    """Figures 9/10 at jobs=2 over a warm shared store vs the oracle.
 
-    The fig6/7 and fig8 matrices have had this guarantee since the store
-    landed; these pin it for ``measure_escape`` and ``measure_bintuner``: a
-    parallel run whose workers adopt persisted artifacts (variants, feature
-    payloads, per-function diff payloads) must stay row-identical to the
-    storeless serial reference.
+    A parallel run whose workers adopt persisted artifacts (variants,
+    feature payloads, per-function diff payloads) must stay row-identical
+    to the storeless oracle.  The journal is switched off for the warm run,
+    so the workers really execute over the warm tree.
     """
 
-    def test_escape_jobs2_over_warm_store_equals_serial(self, tmp_store):
-        from repro.evaluation import measure_escape_sharded
+    def test_escape_jobs2_over_warm_store_equals_serial(self, tmp_store,
+                                                        monkeypatch):
         workloads = embedded_programs()[:1]
         labels = ("sub", "fufi.all")
-        serial = measure_escape(workloads, labels=labels)
-        # populate the tree (serial in-process pass through the store)...
-        cold = measure_escape_sharded(workloads, labels=labels, jobs=1)
+        reference = oracles.escape(workloads, labels)
+        # populate the tree (in-process pass through the store)...
+        cold = measure_escape(workloads, labels=labels, jobs=1)
         reset_worker_cache()
         # ...then fan out over the warm tree
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         warm = measure_escape(workloads, labels=labels, jobs=2)
-        assert cold.rows == serial.rows
-        assert warm.rows == serial.rows
+        assert cold.rows == reference.rows
+        assert warm.rows == reference.rows
         for n in (1, 10, 50):
-            assert warm.matrix(n) == serial.matrix(n)
+            assert warm.matrix(n) == reference.matrix(n)
 
-    def test_bintuner_jobs2_over_warm_store_equals_serial(self, tmp_store):
-        from repro.evaluation import measure_bintuner, measure_bintuner_sharded
+    def test_bintuner_jobs2_over_warm_store_equals_serial(self, tmp_store,
+                                                          monkeypatch):
         workloads = spec2006_programs()[:2]
-        serial = measure_bintuner(workloads, tuner_iterations=1)
-        cold = measure_bintuner_sharded(workloads, tuner_iterations=1, jobs=1)
+        reference = oracles.bintuner(workloads, tuner_iterations=1)
+        cold = measure_bintuner(workloads, tuner_iterations=1, jobs=1)
         reset_worker_cache()
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         warm = measure_bintuner(workloads, tuner_iterations=1, jobs=2)
-        assert cold.rows == serial.rows
-        assert warm.rows == serial.rows
+        assert cold.rows == reference.rows
+        assert warm.rows == reference.rows
         assert (warm.bintuner_overhead_percent
-                == serial.bintuner_overhead_percent
+                == reference.bintuner_overhead_percent
                 == cold.bintuner_overhead_percent)
+
+
+class TestInProcessMemory:
+    """An in-process run builds through a cache of its own, released when
+    the call returns: it never fills the process-wide worker cache and
+    leaves no built variant alive."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
+        lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
+                                  differs=[BinDiff()], jobs=1),
+        lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
+                               differs=[Asm2Vec()], jobs=1),
+        lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
+    ], ids=["overhead", "precision", "escape", "bintuner"])
+    def test_jobs1_leaves_no_worker_cache_and_no_artifact(self, call,
+                                                          monkeypatch):
+        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL", "REPRO_JOBS"):
+            monkeypatch.delenv(name, raising=False)
+        built = []
+        init = BuildArtifact.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(BuildArtifact, "__init__", tracked)
+        reset_worker_cache()
+        call()
+        gc.collect()
+        assert executor._WORKER_CACHE is None
+        assert built and all(ref() is None for ref in built)
 
 
 class TestEscapeRatioPairs:

@@ -4,20 +4,20 @@ The harness is only useful if its chaos is *reproducible*: firing decisions
 must be pure functions of (kind, seed, token, attempt), the spec grammar
 must reject typos loudly, and a full fig8 matrix under injected worker
 crashes + store corruption must still merge bit-identical to the fault-free
-serial reference (the ISSUE 8 acceptance criterion; the CI chaos job runs
-the scaled-up version through ``scripts/chaos_check.py``).
+oracle (the CI chaos job runs the scaled-up version through
+``scripts/chaos_check.py``).
 """
 
 import pytest
 
-from repro.evaluation.diff_sharding import (DiffShardStats,
-                                            measure_precision_sharded)
 from repro.evaluation.executor import reset_worker_cache, run_tasks
 from repro.evaluation.precision import measure_precision
 from repro.faults import (CRASH_EXIT_CODE, DEFAULT_HANG_SECONDS,
                           FaultInjected, FaultInjector, FaultRule,
                           active_injector, parse_faults, reset_injector)
 from repro.workloads.suites import spec2006_programs
+from tests import oracles
+from repro.obs.metrics import counted
 
 WORKLOADS = spec2006_programs()[:1]
 LABELS = ("fission",)
@@ -131,8 +131,8 @@ def _identity(value):
 
 class TestFaultsInTheExecutor:
     def test_serial_path_never_injects(self, monkeypatch):
-        """jobs=1 is the differential reference: REPRO_FAULTS must not
-        touch it even at p=1."""
+        """jobs=1 runs in-process: REPRO_FAULTS must not touch it even at
+        p=1."""
         monkeypatch.setenv("REPRO_FAULTS", "task_error:p=1;worker_crash:p=1")
         reset_injector()
         assert run_tasks(_identity, [1, 2, 3], jobs=1) == [1, 2, 3]
@@ -164,8 +164,8 @@ class TestFaultsInTheExecutor:
 
 
 class TestChaosDifferential:
-    """The acceptance criterion, test-sized: fig8 sharded under seeded
-    crashes + store corruption stays bit-identical to fault-free serial."""
+    """Test-sized chaos: fig8 at jobs=2 under seeded crashes + store
+    corruption stays bit-identical to the fault-free oracle."""
 
     def _rows(self, report):
         return [(r.program, r.suite, r.tool, r.label, r.precision,
@@ -175,8 +175,7 @@ class TestChaosDifferential:
                                                   monkeypatch):
         from repro.diffing import all_differs
         differs = all_differs()[:1]
-        reference = self._rows(measure_precision(WORKLOADS, labels=LABELS,
-                                                 differs=differs))
+        reference = self._rows(oracles.precision(WORKLOADS, LABELS, differs))
         monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "10")
         monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", "10")
@@ -186,12 +185,11 @@ class TestChaosDifferential:
         reset_injector()
         reset_worker_cache()
         try:
-            stats = DiffShardStats()
-            chaos = self._rows(measure_precision_sharded(
-                WORKLOADS, labels=LABELS, differs=differs, jobs=2,
-                stats=stats))
+            with counted("diffshard") as stats:
+                chaos = self._rows(measure_precision(
+                    WORKLOADS, labels=LABELS, differs=differs, jobs=2))
         finally:
             reset_injector()
             reset_worker_cache()
         assert chaos == reference
-        assert stats.units_total > 0
+        assert stats["units_total"] > 0

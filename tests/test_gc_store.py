@@ -20,13 +20,14 @@ import sys
 
 import pytest
 
-from repro.evaluation.checkpoint import RUNS_DIR, ShardRunStats
-from repro.evaluation.diff_sharding import measure_precision_sharded
+from repro.evaluation.checkpoint import RUNS_DIR
 from repro.evaluation.executor import reset_worker_cache
+from repro.evaluation.precision import measure_precision
 from repro.store import ArtifactStore, store_digest
 from repro.store.artifact_store import KIND_SHARD, KIND_VARIANT
 from repro.store.backend import LocalBackend
 from repro.workloads.suites import spec2006_programs
+from repro.obs.metrics import counted
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
@@ -41,10 +42,9 @@ LABELS = ("fission",)
 @pytest.fixture
 def populated(tmp_store):
     """A store tree after one cold journaled figure-8 run."""
-    stats = ShardRunStats()
-    report = measure_precision_sharded(WORKLOADS, labels=LABELS, jobs=1,
-                                       run_stats=stats)
-    assert stats.executed == stats.planned > 0
+    with counted("checkpoint") as stats:
+        report = measure_precision(WORKLOADS, labels=LABELS, jobs=1)
+    assert stats["executed"] == stats["planned"] > 0
     reset_worker_cache()
     return tmp_store, report
 
@@ -84,12 +84,11 @@ class TestSweepSafety:
             assert not object_exists(root, kind, digest)
 
         # the acceptance: a warm rerun over the swept tree rebuilds nothing
-        warm_stats = ShardRunStats()
-        warm = measure_precision_sharded(WORKLOADS, labels=LABELS, jobs=1,
-                                         run_stats=warm_stats)
+        with counted("checkpoint") as warm_stats:
+            warm = measure_precision(WORKLOADS, labels=LABELS, jobs=1)
         assert warm.rows == cold_report.rows
-        assert warm_stats.executed == 0
-        assert warm_stats.resumed == warm_stats.planned
+        assert warm_stats["executed"] == 0
+        assert warm_stats["resumed"] == warm_stats["planned"]
 
     def test_idempotent(self, populated):
         root, _ = populated

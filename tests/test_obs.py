@@ -313,10 +313,9 @@ class TestFacades:
 
         batch = VMBatch()
         batch.run(demo_program)
-        batch.run(demo_program)
-        assert batch.executions == 1
-        assert batch.interpreters == 1
-        assert batch.memo_hits == 1
+        batch.run_many(demo_program, ((), ()))
+        assert batch.executions == 3
+        assert batch.interpreters == 2
 
     def test_worker_cache_events(self, tmp_path, monkeypatch):
         from repro.core.variant_cache import cache_file_path
@@ -371,8 +370,8 @@ class TestEndToEnd:
                                                    monkeypatch):
         from repro.diffing import all_differs
         from repro.evaluation import measure_precision
-        from repro.evaluation.diff_sharding import measure_precision_sharded
         from repro.workloads.suites import spec2006_programs
+        from tests import oracles
 
         workloads = spec2006_programs()[:1]
         labels = ("fission",)
@@ -382,12 +381,12 @@ class TestEndToEnd:
             return [(r.program, r.suite, r.tool, r.label, r.precision,
                      r.similarity_score) for r in report.rows]
 
-        reference = rows(measure_precision(workloads, labels, differs))
+        reference = rows(oracles.precision(workloads, labels, differs))
 
         monkeypatch.setenv("REPRO_TRACE", "1")
         tracing.refresh()
         try:
-            traced = rows(measure_precision_sharded(
+            traced = rows(measure_precision(
                 workloads, labels, differs, jobs=2))
         finally:
             monkeypatch.delenv("REPRO_TRACE")

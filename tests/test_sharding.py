@@ -1,18 +1,18 @@
-"""The sharded fig6/7 scheduler: serial vs jobs=2 bit-identity + store reuse.
+"""The fig6/7 matrix: jobs=1 vs jobs=2 bit-identity + store reuse.
 
-The overhead matrices are pure functions of seeded inputs; sharding them
-across processes must reproduce the serial reports exactly (same rows, same
-order, same cycle counts), and workers attached to a warm shared store must
-rebuild nothing.
+The overhead matrices are pure functions of seeded inputs; running their
+units across processes must reproduce the in-process reports exactly (same
+rows, same order, same cycle counts), both must equal the plain per-cell
+oracle, and workers attached to a warm shared store must rebuild nothing.
 """
 
 
 from repro.core.variant_cache import VariantCache
-from repro.evaluation import (figure6, figure7, measure_overhead,
-                              measure_overhead_sharded, shard_overhead_matrix)
-from repro.evaluation.sharding import ShardBatch
+from repro.evaluation import (ShardBatch, figure6, figure7, measure_overhead,
+                              shard_overhead_matrix)
 from repro.store import KIND_VARIANT, ArtifactStore
 from repro.workloads.suites import spec2006_programs
+from tests import oracles
 
 WORKLOADS = spec2006_programs()[:2]
 LABELS = ("fission", "fufi.ori")
@@ -40,42 +40,16 @@ class TestShardBatch:
         batch = ShardBatch(WORKLOADS[0], None, VariantCache())
         rows = batch.rows(LABELS)
         assert len(rows) == len(LABELS)
-        # one VM execution per distinct variant: baseline + each label
+        # one VM execution per variant: baseline + each label
         assert batch.vm.executions == len(LABELS) + 1
-        assert batch.vm.memo_hits == 0
-        # re-measuring a label through the same batch reuses the execution
+        # nothing is memoised: measuring a label again executes it again
         batch.execute(LABELS[0])
-        assert batch.vm.executions == len(LABELS) + 1
-        assert batch.vm.memo_hits == 1
-
-    def test_vmbatch_never_serves_stale_results_for_recycled_ids(self):
-        """The memo must hold its programs strongly: after a caller drops a
-        measured program, CPython may hand its id() to the next build — a
-        bare-id memo would then return the dead program's result."""
-        from repro.vm.batch import VMBatch
-        batch = VMBatch()
-        cycles = set()
-        for _ in range(5):
-            program = WORKLOADS[0].build()
-            cycles.add(batch.run(program).cycles)
-            del program  # the old id would be free for recycling
-        assert batch.executions == 5 and batch.memo_hits == 0
-        assert len(cycles) == 1  # deterministic builds, fresh runs each time
-
-    def test_run_batch_deduplicates_repeated_programs(self):
-        from repro.vm.batch import run_batch
-        from repro.vm.machine import run_program
-        program = WORKLOADS[0].build()
-        results = run_batch([program, program])
-        assert results[0] is results[1]
-        reference = run_program(WORKLOADS[0].build())
-        assert results[0].observable() == reference.observable()
-        assert results[0].cycles == reference.cycles
+        assert batch.vm.executions == len(LABELS) + 2
 
     def test_rows_match_serial_driver(self):
-        serial = measure_overhead(WORKLOADS[:1], labels=LABELS)
         batch = ShardBatch(WORKLOADS[0], None, VariantCache())
-        assert batch.rows(LABELS) == serial.rows
+        assert batch.rows(LABELS) == \
+            oracles.overhead(WORKLOADS[:1], LABELS).rows
 
 
 class TestShardedBitIdentity:
@@ -86,10 +60,10 @@ class TestShardedBitIdentity:
         for label in LABELS:
             assert serial.geomean(label) == parallel.geomean(label)
 
-    def test_measure_overhead_sharded_direct(self):
-        serial = measure_overhead(WORKLOADS, labels=LABELS)
-        sharded = measure_overhead_sharded(WORKLOADS, LABELS, jobs=2)
-        assert _rows(serial) == _rows(sharded)
+    def test_measure_overhead_equals_the_oracle(self):
+        reference = oracles.overhead(WORKLOADS, LABELS)
+        assert _rows(measure_overhead(WORKLOADS, labels=LABELS)) == \
+            _rows(reference)
 
     def test_figure6_jobs2_equals_serial(self):
         serial = figure6(limit=2)
@@ -121,29 +95,32 @@ class TestShardedBitIdentity:
 
 
 class TestSharedStoreReuse:
-    def test_workers_attach_to_warm_tree_and_rebuild_nothing(self, tmp_store):
-        """After a cold serial populate, a jobs=2 run through the shared
+    def test_workers_attach_to_warm_tree_and_rebuild_nothing(
+            self, tmp_store, monkeypatch):
+        """After a cold in-process populate, a jobs=2 run through the shared
         store must add zero objects to the tree and reproduce the rows."""
         cold = VariantCache(store=ArtifactStore.attach(tmp_store))
         reference = measure_overhead(WORKLOADS, labels=LABELS, cache=cold)
         objects_before = cold.store.entry_count(KIND_VARIANT)
         assert objects_before == len(WORKLOADS) * (len(LABELS) + 1)
 
+        # no journal: the workers must really run, over the warm variants
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         parallel = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
         assert _rows(parallel) == _rows(reference)
         after = ArtifactStore.attach(tmp_store)
         assert after.entry_count(KIND_VARIANT) == objects_before  # no rebuilds
 
     def test_cold_parallel_run_populates_the_tree(self, tmp_store):
-        serial = measure_overhead(WORKLOADS[:1], labels=LABELS)
+        reference = oracles.overhead(WORKLOADS[:1], LABELS)
         parallel = measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=2)
-        assert _rows(parallel) == _rows(serial)
+        assert _rows(parallel) == _rows(reference)
         store = ArtifactStore.attach(tmp_store)
         assert store.entry_count(KIND_VARIANT) == len(LABELS) + 1
 
     def test_precision_workers_share_the_overhead_tree(self, tmp_store):
-        """Cross-experiment reuse through the store: figure-8-style workers
-        must fetch the variants the figure-6/7 run persisted."""
+        """Cross-experiment reuse through the store: figure-8 units must
+        fetch the variants the figure-6/7 run persisted."""
         from repro.evaluation import measure_precision
         cold = VariantCache(store=ArtifactStore.attach(tmp_store))
         measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cold)

@@ -319,9 +319,12 @@ class TestEnvResolution:
 
 
 class TestVariantCacheFacade:
-    def test_warm_attach_rebuilds_zero_variants(self, tmp_store):
+    def test_warm_attach_rebuilds_zero_variants(self, tmp_store,
+                                                monkeypatch):
         """The acceptance criterion: a second attach builds nothing."""
         root = tmp_store
+        # the façade is under test: no journal may serve the replay
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         cold = VariantCache(store=ArtifactStore.attach(root))
         reference = measure_overhead(WORKLOADS, labels=LABELS, cache=cold)
         built = cold.misses

@@ -24,8 +24,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
-from repro.evaluation.checkpoint import ShardRunStats
-from repro.evaluation.diff_sharding import measure_precision_sharded
 from repro.evaluation.executor import reset_worker_cache
 from repro.evaluation.precision import measure_precision
 from repro.faults import reset_injector
@@ -35,6 +33,7 @@ from repro.store.artifact_store import store_from_env, store_url_from_env
 from repro.store.backend import (LocalBackend, RemoteBackend,
                                  RemoteStoreError, fsync_directory)
 from repro.workloads.suites import spec2006_programs
+from repro.obs.metrics import counted
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
@@ -393,19 +392,17 @@ class TestRemoteDifferential:
 
         self._remote_env(monkeypatch, server.url)
         try:
-            cold_stats = ShardRunStats()
-            cold = measure_precision_sharded(WORKLOADS, labels=LABELS,
-                                             jobs=2, run_stats=cold_stats)
+            with counted("checkpoint") as cold_stats:
+                cold = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
             assert cold.rows == serial.rows
-            assert cold_stats.executed == cold_stats.planned > 0
+            assert cold_stats["executed"] == cold_stats["planned"] > 0
 
             reset_worker_cache()
-            warm_stats = ShardRunStats()
-            warm = measure_precision_sharded(WORKLOADS, labels=LABELS,
-                                             jobs=2, run_stats=warm_stats)
+            with counted("checkpoint") as warm_stats:
+                warm = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
             assert warm.rows == serial.rows
-            assert warm_stats.executed == 0
-            assert warm_stats.resumed == warm_stats.planned
+            assert warm_stats["executed"] == 0
+            assert warm_stats["resumed"] == warm_stats["planned"]
         finally:
             reset_worker_cache()
 
@@ -416,8 +413,7 @@ class TestRemoteDifferential:
         monkeypatch.setenv("REPRO_FAULTS", "remote_fault:p=0.05,seed=11")
         reset_injector()
         try:
-            chaotic = measure_precision_sharded(WORKLOADS, labels=LABELS,
-                                                jobs=2)
+            chaotic = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
             assert chaotic.rows == serial.rows
         finally:
             reset_injector()

@@ -17,7 +17,7 @@ from repro.analysis.manager import PRESERVE_ALL, AnalysisManager
 from repro.baselines import ControlFlowFlattening
 from repro.core.obfuscator import obfuscate
 from repro.core.variant_cache import VariantCache
-from repro.evaluation.sharding import ShardBatch
+from repro.evaluation.overhead import ShardBatch
 from repro.ir import (FunctionType, I64, IRBuilder, Module, Program,
                       create_function)
 from repro.opt.pipelines import optimize_program
@@ -319,22 +319,21 @@ class TestDispatchSelection:
 
 
 class TestBatchedMeasurement:
-    def test_vmbatch_run_many_memoises_input_batches(self):
+    def test_vmbatch_run_many_drives_one_interpreter_per_batch(self):
         program = input_sum_program()
         sets = ((1, 2, 3), (4, 5))
         batch = VMBatch(dispatch="superblock")
         first = batch.run_many(program, sets)
-        again = batch.run_many(program, sets)
         assert batch.interpreters == 1
         assert batch.executions == len(sets)
-        assert batch.memo_hits == 1
-        assert [r.cycles for r in first] == [r.cycles for r in again]
         for inputs, result in zip(sets, first):
             reference = run_program(input_sum_program(), inputs=inputs)
             assert result_tuple(result) == result_tuple(reference)
-        # a different input batch is a different measurement
-        batch.run_many(program, ((9,),))
-        assert batch.executions == len(sets) + 1
+        # every batch is a fresh measurement
+        again = batch.run_many(program, sets)
+        assert [r.cycles for r in first] == [r.cycles for r in again]
+        assert batch.interpreters == 2
+        assert batch.executions == 2 * len(sets)
 
     def test_shardbatch_superblock_rows_match_serial_reference(self):
         workload = spec2006_programs()[0]
