@@ -8,18 +8,25 @@ store-is-truth rule, and the pass-through contract when no store tree (or
 ``REPRO_CHECKPOINT=off``) is in play.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
+from repro.core.variant_cache import VariantCache
+from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
+from repro.evaluation import executor
+from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.checkpoint import (RUNS_DIR, RunManifest,
-                                         checkpoint_enabled,
-                                         run_checkpointed, run_id)
+                                         checkpoint_enabled, run_checkpointed,
+                                         run_id, run_matrix)
+from repro.evaluation.escape import measure_escape
 from repro.evaluation.executor import reset_worker_cache
 from repro.evaluation.overhead import measure_overhead
 from repro.evaluation.precision import measure_precision
 from repro.store import KIND_SHARD, ArtifactStore, store_digest
-from repro.workloads.suites import spec2006_programs
+from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
 from repro.obs.metrics import counted
 
@@ -95,6 +102,22 @@ class _FailAt:
 
 def _keys(values):
     return [("ckpt-test", value) for value in values]
+
+
+def _probe(value, cache=None):
+    """Picklable unit function reporting where and how the engine ran it."""
+    return value * value, os.getpid(), cache is None
+
+
+def _poisoned(value, cache=None):
+    raise AssertionError(f"unit {value} must not execute")
+
+
+def _storeless(monkeypatch):
+    for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL",
+                 "REPRO_VARIANT_CACHE_DIR", "REPRO_JOBS"):
+        monkeypatch.delenv(name, raising=False)
+    reset_worker_cache()
 
 
 class TestRunCheckpointed:
@@ -192,6 +215,118 @@ class TestRunCheckpointed:
         with counted("checkpoint") as stats:
             run_checkpointed(_square, values, keys, ("matrix", "C"), jobs=1)
         assert stats["resumed"] == 0 and stats["executed"] == 2
+
+
+class TestRunMatrix:
+    """The one run path every figure driver takes."""
+
+    def test_jobs1_units_share_one_call_cache_of_the_given_size(
+            self, monkeypatch):
+        _storeless(monkeypatch)
+        caches = []
+
+        def unit(value, cache=None):
+            caches.append(cache)
+            return value * value
+
+        values = [1, 2, 3]
+        out = run_matrix(unit, values, _keys(values), ("rm", 1), 1, None, 4)
+        assert out == [1, 4, 9]
+        assert len({id(cache) for cache in caches}) == 1
+        assert caches[0].max_entries == 4
+        assert executor._WORKER_CACHE is None
+
+    def test_call_cache_is_released_when_the_run_returns(self, monkeypatch):
+        _storeless(monkeypatch)
+        refs = []
+
+        def unit(value, cache=None):
+            refs.append(weakref.ref(cache))
+            return value
+
+        run_matrix(unit, [1, 2], _keys([1, 2]), ("rm", 2), 1, None, 2)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_explicit_cache_keeps_the_run_in_process(self, monkeypatch):
+        _storeless(monkeypatch)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        mine = VariantCache()
+        seen = []
+
+        def unit(value, cache=None):
+            seen.append((cache is mine, os.getpid()))
+            return value
+
+        values = [1, 2, 3]
+        assert run_matrix(unit, values, _keys(values), ("rm", 3), None, mine,
+                          4) == values
+        assert seen == [(True, os.getpid())] * len(values)
+
+    def test_jobs2_runs_units_in_workers_and_returns_unit_order(
+            self, monkeypatch):
+        _storeless(monkeypatch)
+        values = [1, 2, 3, 4]
+        out = run_matrix(_probe, values, _keys(values), ("rm", 4), 2,
+                         VariantCache(), 4)
+        assert [square for square, _pid, _ in out] == [1, 4, 9, 16]
+        assert os.getpid() not in {pid for _square, pid, _ in out}
+        # workers build through their own worker cache, never the caller's
+        assert all(storeless for *_rest, storeless in out)
+
+    def test_jobs1_journals_whenever_a_store_is_attached(self, tmp_store):
+        values = [1, 2, 3]
+        keys = _keys(values)
+        with counted("checkpoint") as first:
+            out = run_matrix(_probe, values, keys, ("rm", 5), 1, None, 2)
+        assert first["planned"] == first["executed"] == 3
+        assert first["journaled"] == 3
+        with counted("checkpoint") as second:
+            again = run_matrix(_poisoned, values, keys, ("rm", 5), 1, None, 2)
+        assert again == out
+        assert second["resumed"] == 3 and second["executed"] == 0
+
+    def test_jobs2_journals_and_counts_in_the_parent(self, tmp_store):
+        values = [1, 2, 3, 4]
+        with counted("checkpoint") as stats:
+            run_matrix(_probe, values, _keys(values), ("rm", 6), 2, None, 2)
+        assert stats["planned"] == stats["executed"] == 4
+        assert stats["journaled"] == 4
+        journal = RunManifest(tmp_store, run_id(("rm", 6)))
+        assert len(journal.done) == 4
+
+
+#: The journal each figure driver writes for one tiny matrix: its run
+#: identity and its unit count.  The identity hashes the run's whole
+#: unit-key list, so an unchanged name means unchanged units and keys — and
+#: store trees and journals written by earlier versions keep resuming with
+#: nothing re-executed.
+PINNED_RUNS = {
+    "fig67": ("d444d4555a09f068", 1),
+    "fig8": ("76f40b3a865710fe", 3),
+    "fig10": ("f6f71da0d7e23586", 2),
+    "fig9": ("5af1b31d74124efd", 2),
+}
+
+
+class TestRunIdentities:
+    @pytest.mark.parametrize("figure, call", [
+        ("fig67", lambda: measure_overhead(WORKLOADS, labels=LABELS, jobs=1)),
+        ("fig8", lambda: measure_precision(
+            WORKLOADS, labels=LABELS, differs=[BinDiff(), DeepBinDiff()],
+            jobs=1)),
+        ("fig10", lambda: measure_escape(
+            embedded_programs()[:1], labels=("sub",), differs=[Asm2Vec()],
+            jobs=1)),
+        ("fig9", lambda: measure_bintuner(WORKLOADS, tuner_iterations=1,
+                                          jobs=1)),
+    ], ids=["fig67", "fig8", "fig10", "fig9"])
+    def test_journal_identity_is_unchanged(self, tmp_store, figure, call):
+        call()
+        identity, units = PINNED_RUNS[figure]
+        assert os.listdir(os.path.join(tmp_store, RUNS_DIR)) == \
+            [f"{identity}.jsonl"]
+        assert len(RunManifest(tmp_store, identity).done) == units
 
 
 class TestMatrixResume:

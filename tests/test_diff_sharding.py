@@ -18,7 +18,10 @@ from repro.diffing.base import PartialDiff
 from repro.evaluation import (figure8, measure_bintuner, measure_escape,
                               measure_precision)
 from repro.evaluation.checkpoint import RUNS_DIR
-from repro.evaluation.diff_sharding import SHARDS_PER_CELL, shard_diff_matrix
+from repro.evaluation.bintuner_compare import (bintuner_shard_key,
+                                               shard_bintuner_matrix)
+from repro.evaluation.diff_sharding import (SHARDS_PER_CELL, diff_shard_key,
+                                            shard_diff_matrix)
 from repro.evaluation.executor import reset_worker_cache
 from repro.store import KIND_FEATURES, ArtifactStore
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
@@ -154,6 +157,20 @@ class TestShardPlanning:
         assert counts == {"BinDiff": SHARDS_PER_CELL, "DeepBinDiff": 1}
         assert len(shards) == SHARDS_PER_CELL + 1
 
+    def test_unit_keys_are_value_based_and_name_the_slice(self):
+        def keys(workloads):
+            return [diff_shard_key(shard) for shard in shard_diff_matrix(
+                workloads, ("fission",), [BinDiff(), DeepBinDiff()])]
+
+        planned = keys(WORKLOADS[:1])
+        assert len(set(planned)) == len(planned)
+        assert all(key[0] == "diffshard" for key in planned)
+        assert [key[-2:] for key in planned] == \
+            [(index, SHARDS_PER_CELL) for index in range(SHARDS_PER_CELL)] \
+            + [(0, 1)]
+        # fresh workload objects plan the same keys: value, not identity
+        assert keys(spec2006_programs()[:1]) == planned
+
 
 class TestPrecisionSharded:
     def test_serial_shards_equal_the_reference(self):
@@ -175,6 +192,17 @@ class TestPrecisionSharded:
         parallel = figure8(jobs=2, **kwargs)
         assert _precision_rows(parallel) == _precision_rows(serial)
         assert parallel.matrix() == serial.matrix()
+
+    def test_unit_counters_add_up_in_the_parent_at_jobs2(self, monkeypatch):
+        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL"):
+            monkeypatch.delenv(name, raising=False)
+        with counted("diffshard") as stats:
+            measure_precision(WORKLOADS[:1], labels=("fission",),
+                              differs=[BinDiff(), DeepBinDiff()], jobs=2)
+        assert stats["shards"] == SHARDS_PER_CELL + 1
+        assert stats["units_scored"] == stats["units_total"] > 0
+        assert stats["units_from_store"] == 0
+        assert stats["diff_payloads_persisted"] == 0      # storeless
 
 
 class TestSharedStoreReuse:
@@ -248,6 +276,16 @@ class TestEscapeSharded:
 
 
 class TestBinTunerSharded:
+    def test_units_pair_each_workload_bintuner_before_khaos(self):
+        shards = shard_bintuner_matrix(WORKLOADS, 3)
+        assert [(workload.name, protection)
+                for workload, protection, _iterations in shards] == \
+            [(workload.name, protection) for workload in WORKLOADS
+             for protection in ("bintuner", "khaos")]
+        keys = [bintuner_shard_key(shard) for shard in shards]
+        assert len(set(keys)) == len(keys)
+        assert all(key[0] == "fig9shard" and key[-1] == 3 for key in keys)
+
     def test_sharded_bintuner_equals_the_reference(self):
         reference = oracles.bintuner(WORKLOADS[:1], tuner_iterations=1)
         serial = measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1)

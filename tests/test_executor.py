@@ -21,10 +21,11 @@ from repro.diffing import Asm2Vec, BinDiff, escape_ratio
 from repro.evaluation import (executor, figure9, measure_bintuner,
                               measure_escape, measure_overhead,
                               measure_precision, resolve_jobs, run_tasks)
+from repro.evaluation import checkpoint
 from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
                                        resolve_task_retries,
-                                       resolve_task_timeout, worker_cache,
-                                       worker_cache_events)
+                                       resolve_task_timeout, rooted_store,
+                                       worker_cache, worker_cache_events)
 from repro.toolchain import BuildArtifact
 from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
@@ -96,6 +97,28 @@ class TestRunTasks:
     def test_worker_cache_is_process_local_singleton(self):
         reset_worker_cache()
         assert worker_cache() is worker_cache()
+
+
+class TestCallCache:
+    def test_bounded_private_and_never_the_worker_cache(self, monkeypatch):
+        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL",
+                     "REPRO_VARIANT_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        reset_worker_cache()
+        cache = executor.call_cache(2)
+        assert cache is not executor.call_cache(2)     # one per run
+        assert executor._WORKER_CACHE is None
+        assert rooted_store(cache) is None
+        for index in range(3):
+            cache.get_or_build(("call-cache-test", index), object)
+        assert cache.max_entries == 2 and len(cache) == 2
+
+    def test_attaches_the_shared_store_under_the_same_bound(self, tmp_store):
+        cache = executor.call_cache(3)
+        store = rooted_store(cache)
+        assert store is not None and store.root == os.path.abspath(tmp_store)
+        assert cache.max_entries == store.max_memory_entries == 3
+        assert executor._WORKER_CACHE is None
 
 
 def _square(value):
@@ -383,6 +406,35 @@ class TestInProcessMemory:
         gc.collect()
         assert executor._WORKER_CACHE is None
         assert built and all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("call, entries, variants", [
+        (lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
+         2, len(LABELS) + 1),
+        (lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
+                                   differs=[BinDiff()], jobs=1),
+         len(LABELS) + 1, len(LABELS) + 1),
+        (lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
+                                differs=[Asm2Vec()], jobs=1), 2, 2),
+        (lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
+         6, 6),
+    ], ids=["overhead", "precision", "escape", "bintuner"])
+    def test_jobs1_cache_is_sized_to_one_workloads_variants(
+            self, call, entries, variants, monkeypatch):
+        """The run's one cache holds exactly the variants a workload's
+        units share, and no more is needed: no variant is built twice."""
+        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL", "REPRO_JOBS"):
+            monkeypatch.delenv(name, raising=False)
+        made = []
+
+        def recording(size):
+            made.append(executor.call_cache(size))
+            return made[-1]
+
+        monkeypatch.setattr(checkpoint, "call_cache", recording)
+        call()
+        assert [cache.max_entries for cache in made] == [entries]
+        assert made[0].misses == variants
+        assert len(made[0]) <= entries
 
 
 class TestEscapeRatioPairs:

@@ -106,6 +106,22 @@ class TestMetrics:
         assert merged["histograms"]["h"]["min"] == 0.001
         assert merged["histograms"]["h"]["max"] == 5.0
 
+    def test_counted_reports_growth_inside_the_block_only(self):
+        obs_metrics.counter("countedtest.before", 4)
+        with obs_metrics.counted("countedtest") as grown:
+            obs_metrics.counter("countedtest.before", 2)
+            obs_metrics.counter("countedtest.fresh")
+            obs_metrics.counter("countedtestx.other", 9)   # another prefix
+        assert grown == {"before": 2, "fresh": 1}
+
+    def test_counted_sees_instance_registry_increments(self, demo_program):
+        from repro.vm.batch import VMBatch
+
+        with obs_metrics.counted("vmbatch") as grown:
+            VMBatch().run_many(demo_program, ((), ()))
+        assert grown["executions"] == 2
+        assert grown["interpreters"] == 1
+
 
 # -- span tracing ---------------------------------------------------------------------
 
