@@ -52,9 +52,11 @@ can diff the perf trajectory.  Tracked metrics:
 * **fig8_function_sharded** — the figure-8 precision matrix through its
   *function-granularity* units (:mod:`repro.evaluation.diff_sharding`)
   over a shared store: storeless reference vs cold run vs ``jobs=2`` vs
-  warm re-attach timings, all asserted row-identical; a warm run must adopt
-  every per-function diff payload from the tree, re-score **zero** units
-  and rebuild **zero** ``FeatureIndex`` payloads;
+  warm re-attach timings, all asserted row-identical; a cold run must keep
+  its variants in memory (adopt **zero** ``FeatureIndex`` payloads back
+  from the tree), and a warm run must adopt every per-function diff
+  payload from the tree, re-score **zero** units and rebuild **zero**
+  ``FeatureIndex`` payloads;
 * **telemetry_overhead** — what :mod:`repro.obs` costs: VM steady-state
   steps/s with tracing enabled vs disabled, and the warm fig8 matrix at
   ``jobs=2`` (checkpointing off, so neither arm resumes from the journal)
@@ -956,9 +958,12 @@ def check_results(results: Dict[str, object]) -> List[str]:
                             "already held")
         if warm.get("units_from_store", 0) <= 0:
             problems.append("warm fig8 shard run adopted no stored diff payloads")
-        if fig8_sharded.get("stats", {}).get("cold", {}).get(
-                "diff_payloads_persisted", 0) <= 0:
+        cold = fig8_sharded.get("stats", {}).get("cold", {})
+        if cold.get("diff_payloads_persisted", 0) <= 0:
             problems.append("cold fig8 shard run persisted no diff payloads")
+        if cold.get("features_adopted", -1) != 0:
+            problems.append("a cold fig8 shard run read its own variants "
+                            "back from the store")
     overhead = results.get("verify_overhead", {})
     if overhead and overhead.get("errors", -1) != 0:
         problems.append("full-tier verification found errors on the fig6 "

@@ -258,14 +258,20 @@ def worker_cache() -> VariantCache:
 
 
 def call_cache(entries: int) -> VariantCache:
-    """The cache of one in-process matrix run: at most ``entries`` in memory.
+    """The cache of one in-process matrix run: at most ``entries`` variants
+    in memory.
 
-    The caller sizes it to the working set its units share and drops it
-    when the run returns, so an in-process run never pins artifacts in the
+    The caller sizes it to the variants its units share and drops it when
+    the run returns, so an in-process run never pins artifacts in the
     process-wide :func:`worker_cache`.  It attaches to the shared store
-    exactly like a worker's cache does.
+    exactly like a worker's cache does, bounding each kind separately: the
+    binary, feature and diff objects the units write never evict the
+    variants they share.
     """
-    return VariantCache(max_entries=entries, store=_attach_store(entries))
+    store = _attach_store(entries)
+    if store is not None:
+        store.bound_per_kind = True
+    return VariantCache(max_entries=entries, store=store)
 
 
 def worker_cache_events() -> Dict[str, int]:

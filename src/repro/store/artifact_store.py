@@ -168,6 +168,12 @@ class ArtifactStore:
     before it is returned, so sibling workers observe it on their next miss.
     """
 
+    #: Does ``max_memory_entries`` bound each kind's entries separately
+    #: instead of all kinds together?  A store sized to a working set of
+    #: variants turns this on, so the binary, feature and diff objects
+    #: written alongside the variants never evict them.
+    bound_per_kind = False
+
     def __init__(self, root: Optional[str] = None,
                  max_memory_entries: Optional[int] = None,
                  backend: Optional[StoreBackend] = None,
@@ -449,9 +455,13 @@ class ArtifactStore:
         self._memory[slot] = payload
         self._memory.move_to_end(slot)
         self._keys[slot] = key
-        if (self.max_memory_entries is not None
-                and len(self._memory) > self.max_memory_entries):
-            evicted, _ = self._memory.popitem(last=False)
+        if self.max_memory_entries is None:
+            return
+        held = ([other for other in self._memory if other[0] == slot[0]]
+                if self.bound_per_kind else self._memory)
+        if len(held) > self.max_memory_entries:
+            evicted = next(iter(held))
+            del self._memory[evicted]
             self._keys.pop(evicted, None)
 
     def clear_memory(self) -> None:

@@ -26,6 +26,8 @@ from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
                                        resolve_task_retries,
                                        resolve_task_timeout, rooted_store,
                                        worker_cache, worker_cache_events)
+from repro.obs.metrics import counted
+from repro.store import KIND_VARIANT, ArtifactStore
 from repro.toolchain import BuildArtifact
 from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
@@ -118,6 +120,7 @@ class TestCallCache:
         store = rooted_store(cache)
         assert store is not None and store.root == os.path.abspath(tmp_store)
         assert cache.max_entries == store.max_memory_entries == 3
+        assert store.bound_per_kind    # only variants count against it
         assert executor._WORKER_CACHE is None
 
 
@@ -376,6 +379,33 @@ class TestWarmStoreParallelDiffing:
                 == cold.bintuner_overhead_percent)
 
 
+#: (driver call at jobs=1, its call cache size, the variants it builds)
+SIZED_CALLS = [
+    (lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
+     2, len(LABELS) + 1),
+    (lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
+                               differs=[BinDiff()], jobs=1),
+     len(LABELS) + 1, len(LABELS) + 1),
+    (lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
+                            differs=[Asm2Vec()], jobs=1), 2, 2),
+    (lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
+     6, 6),
+]
+SIZED_IDS = ["overhead", "precision", "escape", "bintuner"]
+
+
+def _record_call_caches(monkeypatch):
+    """Collect every call cache the engine makes from here on."""
+    made = []
+
+    def recording(size):
+        made.append(executor.call_cache(size))
+        return made[-1]
+
+    monkeypatch.setattr(checkpoint, "call_cache", recording)
+    return made
+
+
 class TestInProcessMemory:
     """An in-process run builds through a cache of its own, released when
     the call returns: it never fills the process-wide worker cache and
@@ -407,34 +437,46 @@ class TestInProcessMemory:
         assert executor._WORKER_CACHE is None
         assert built and all(ref() is None for ref in built)
 
-    @pytest.mark.parametrize("call, entries, variants", [
-        (lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
-         2, len(LABELS) + 1),
-        (lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
-                                   differs=[BinDiff()], jobs=1),
-         len(LABELS) + 1, len(LABELS) + 1),
-        (lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
-                                differs=[Asm2Vec()], jobs=1), 2, 2),
-        (lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
-         6, 6),
-    ], ids=["overhead", "precision", "escape", "bintuner"])
+    @pytest.mark.parametrize("call, entries, variants", SIZED_CALLS,
+                             ids=SIZED_IDS)
     def test_jobs1_cache_is_sized_to_one_workloads_variants(
             self, call, entries, variants, monkeypatch):
         """The run's one cache holds exactly the variants a workload's
         units share, and no more is needed: no variant is built twice."""
         for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL", "REPRO_JOBS"):
             monkeypatch.delenv(name, raising=False)
-        made = []
-
-        def recording(size):
-            made.append(executor.call_cache(size))
-            return made[-1]
-
-        monkeypatch.setattr(checkpoint, "call_cache", recording)
+        made = _record_call_caches(monkeypatch)
         call()
         assert [cache.max_entries for cache in made] == [entries]
         assert made[0].misses == variants
         assert len(made[0]) <= entries
+
+    @pytest.mark.parametrize("call, entries, variants", SIZED_CALLS,
+                             ids=SIZED_IDS)
+    def test_store_backed_jobs1_reads_no_variant_back(
+            self, call, entries, variants, tmp_store, monkeypatch):
+        """With a store attached, the binary, feature and diff objects the
+        units write share the call cache's store but never evict its
+        variants: a cold run looks each variant up in the tree once (the
+        miss that builds it) and adopts no feature payload back."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        made = _record_call_caches(monkeypatch)
+        lookups = []
+        read = ArtifactStore._read_object
+
+        def recording_read(store, kind, digest, key):
+            if kind == KIND_VARIANT:
+                lookups.append(digest)
+            return read(store, kind, digest, key)
+
+        monkeypatch.setattr(ArtifactStore, "_read_object", recording_read)
+        with counted("diffshard") as shards:
+            call()
+        assert [cache.max_entries for cache in made] == [entries]
+        assert made[0].misses == variants
+        assert len(lookups) == len(set(lookups)) == variants
+        assert len(made[0].store.keys(KIND_VARIANT)) <= entries
+        assert shards["features_adopted"] == 0
 
 
 class TestEscapeRatioPairs:

@@ -96,6 +96,18 @@ class TestMemoryLayer:
         assert store.contains(KIND_VARIANT, ("c",))
         assert store.entry_count(KIND_VARIANT) == 2
 
+    def test_bound_per_kind_keeps_other_kinds_from_evicting(self):
+        store = ArtifactStore(max_memory_entries=2)
+        store.bound_per_kind = True
+        for name in ("a", "b"):
+            store.put(KIND_VARIANT, (name,), name)
+        for name in ("x", "y", "z"):
+            store.put(KIND_DIFF, (name,), name)
+        assert store.keys(KIND_VARIANT) == [("a",), ("b",)]
+        assert store.keys(KIND_DIFF) == [("y",), ("z",)]
+        store.put(KIND_VARIANT, ("c",), "c")
+        assert store.keys(KIND_VARIANT) == [("b",), ("c",)]
+
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             ArtifactStore(max_memory_entries=0)
