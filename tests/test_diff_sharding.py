@@ -238,14 +238,18 @@ class TestSharedStoreReuse:
             == features_after
         assert rerun_stats["features_persisted"] == 0
 
-    def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store):
+    def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store,
+                                                        monkeypatch):
         reference = oracles.precision(WORKLOADS[:1], LABELS)
         measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         reset_worker_cache()
+        # no journal: the workers must really run, over the warm payloads
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         with counted("diffshard") as warm_stats:
             parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
         assert _precision_rows(parallel) == _precision_rows(reference)
-        assert warm_stats["units_from_store"] == warm_stats["units_total"]
+        assert warm_stats["units_from_store"] == warm_stats["units_total"] > 0
+        assert warm_stats["units_scored"] == 0
 
     def test_stored_units_outlive_the_journal(self, tmp_store):
         """Per-function payloads are independent of the run journal: with

@@ -10,6 +10,7 @@ oracle, and workers attached to a warm shared store must rebuild nothing.
 from repro.core.variant_cache import VariantCache
 from repro.evaluation import (ShardBatch, figure6, figure7, measure_overhead,
                               shard_overhead_matrix)
+from repro.obs.metrics import counted
 from repro.store import KIND_VARIANT, ArtifactStore
 from repro.workloads.suites import spec2006_programs
 from tests import oracles
@@ -126,9 +127,13 @@ class TestSharedStoreReuse:
         measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cold)
         objects_before = cold.store.entry_count(KIND_VARIANT)
 
-        serial = measure_precision(WORKLOADS[:1], labels=LABELS)
-        parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
-        assert [(r.program, r.tool, r.label, r.precision) for r in serial.rows] \
+        reference = oracles.precision(WORKLOADS[:1], LABELS)
+        with counted("checkpoint") as units:
+            parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
+        # no journal to resume from: every unit ran in a worker
+        assert units["executed"] == units["planned"] > 0
+        assert [(r.program, r.tool, r.label, r.precision)
+                for r in reference.rows] \
             == [(r.program, r.tool, r.label, r.precision) for r in parallel.rows]
         after = ArtifactStore.attach(tmp_store)
         assert after.entry_count(KIND_VARIANT) == objects_before
