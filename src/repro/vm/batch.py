@@ -69,9 +69,9 @@ class VMBatch:
                                   dispatch=self.dispatch)
         return interpreter.run_many(sets)
 
-    def run(self, program: Program, binary=None) -> ExecutionResult:
+    def run(self, program: Program) -> ExecutionResult:
         """Execute ``program`` once."""
-        return self.run_many(program, SINGLE_RUN, binary=binary)[0]
+        return self.run_many(program, SINGLE_RUN)[0]
 
     # -- façade counters (instance registry views) --------------------------------
 
@@ -83,5 +83,5 @@ class VMBatch:
     def interpreters(self) -> int:
         return int(self.metrics.get("vmbatch.interpreters"))
 
-    def cycles(self, program: Program, binary=None) -> int:
-        return self.run(program, binary=binary).cycles
+    def cycles(self, program: Program) -> int:
+        return self.run(program).cycles
