@@ -120,7 +120,7 @@ class TestCallCache:
         store = rooted_store(cache)
         assert store is not None and store.root == os.path.abspath(tmp_store)
         assert cache.max_entries == store.max_memory_entries == 3
-        assert store.bound_per_kind    # only variants count against it
+        assert store.bound_per_kind    # other kinds never evict its variants
         assert executor._WORKER_CACHE is None
 
 
