@@ -10,16 +10,6 @@ can diff the perf trajectory.  Tracked metrics:
 * **vm** — steps/second of the interpreter on the Figure-6 workloads,
   compiled dispatch vs. the legacy ``isinstance``-ladder path (kept in-tree
   as the reference semantics);
-* **vm_superblock** — the three-tier VM: legacy vs compiled vs superblock
-  (fused hot-chain traces, :mod:`repro.vm.compiler`) steps/s both cold
-  (fresh interpreter per run — the superblock column pays chain selection
-  and codegen) and steady-state (one interpreter per program, warmed past
-  the trace JIT threshold, then timed over repeat ``run_many`` batches —
-  the superblock headline, expected ≥1.5× compiled), plus the figure-6/7
-  measurement loop driven through batched multi-input execution
-  (:class:`~repro.evaluation.overhead.ShardBatch` /
-  :meth:`~repro.vm.batch.VMBatch.run_many`), compiled vs superblock
-  dispatch, both asserted row-identical to the ``jobs=1`` reference;
 * **fig6_measure_loop** — the overhead-*measurement* loop of Figures 6/7:
   executing every built variant in the VM to collect dynamic cycle counts,
   compiled vs. legacy dispatch;
@@ -98,24 +88,22 @@ from repro.core.variant_cache import (VariantCache,     # noqa: E402
                                       cache_file_path)
 from repro.diffing.index import clear_index_cache       # noqa: E402
 from repro.evaluation.executor import reset_worker_cache  # noqa: E402
-from repro.evaluation.overhead import (ShardBatch,      # noqa: E402
-                                       measure_overhead)
+from repro.evaluation.overhead import measure_overhead  # noqa: E402
 from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
-from repro.vm.machine import (DISPATCH_TIERS,           # noqa: E402
-                              Interpreter, run_program)
+from repro.vm.machine import Interpreter, run_program  # noqa: E402
 from repro.workloads.suites import (spec2006_programs,  # noqa: E402
                                     spec2017_programs)
 
 MEASURE_LABELS = ("fission", "fufi.ori")
 
 #: Keys every result file must contain (checked by --smoke).
-REQUIRED_KEYS = ("schema", "config", "vm", "vm_superblock",
-                 "fig6_measure_loop", "fig6_end_to_end", "pipeline",
-                 "variant_cache", "fig8_diff_phase", "fig67_sharded",
+REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
+                 "fig6_end_to_end", "pipeline", "variant_cache",
+                 "fig8_diff_phase", "fig67_sharded",
                  "fig8_function_sharded", "verify_overhead",
                  "telemetry_overhead", "remote_store")
 
@@ -168,16 +156,16 @@ def bench_vm(programs, reps: int) -> Dict[str, object]:
     # verify both dispatchers agree before timing anything
     steps = 0
     for program in built:
-        legacy = run_program(program, compiled=False)
-        fast = run_program(program, compiled=True)
+        legacy = run_program(program, dispatch="legacy")
+        fast = run_program(program, dispatch="compiled")
         assert legacy.observable() == fast.observable()
         assert legacy.cycles == fast.cycles and legacy.steps == fast.steps
         steps += legacy.steps
 
     legacy_s = best_of(
-        lambda: [run_program(p, compiled=False) for p in built], reps)
+        lambda: [run_program(p, dispatch="legacy") for p in built], reps)
     compiled_s = best_of(
-        lambda: [run_program(p, compiled=True) for p in built], reps)
+        lambda: [run_program(p, dispatch="compiled") for p in built], reps)
     return {
         "programs": [wp.name for wp in programs],
         "steps": steps,
@@ -186,100 +174,6 @@ def bench_vm(programs, reps: int) -> Dict[str, object]:
         "steps_per_sec_legacy": int(steps / legacy_s),
         "steps_per_sec_compiled": int(steps / compiled_s),
         "speedup": round(legacy_s / compiled_s, 2),
-    }
-
-
-def bench_vm_superblock(vm_programs, loop_programs, reps: int,
-                        batch: int) -> Dict[str, object]:
-    """The three-tier VM: superblock traces vs compiled blocks vs legacy.
-
-    ``cold`` times a fresh interpreter per run — the superblock column pays
-    chain selection and trace codegen on top of execution.  ``steady`` is
-    the headline: one interpreter per program, warmed past the trace JIT
-    threshold, then timed over repeat :meth:`Interpreter.run_many` batches —
-    the regime the batched figure drivers run in.  ``fig67_batched`` drives
-    the figure-6/7 measurement matrix through
-    :class:`~repro.evaluation.overhead.ShardBatch` with a ``batch``-input
-    ``run_many`` per variant (one interpreter, per-input envs, amortized
-    setup), compiled vs superblock dispatch; both row sets are asserted
-    identical to the ``jobs=1`` :func:`measure_overhead` reference before
-    any timing is taken.
-    """
-    built = [wp.build() for wp in vm_programs]
-    # verify all three tiers agree before timing anything
-    steps = 0
-    for program in built:
-        reference = run_program(program, dispatch="legacy")
-        for tier in ("compiled", "superblock"):
-            result = run_program(program, dispatch=tier)
-            assert result.observable() == reference.observable()
-            assert (result.cycles, result.steps) == (reference.cycles,
-                                                     reference.steps)
-        steps += reference.steps
-
-    cold = {}
-    for tier in DISPATCH_TIERS:
-        cold_s = best_of(
-            lambda t=tier: [run_program(p, dispatch=t) for p in built], reps)
-        cold[tier] = {"s": round(cold_s, 4),
-                      "steps_per_sec": int(steps / cold_s)}
-
-    warmup_runs, timed_runs = 16, 8
-    warm_sets = tuple(() for _ in range(warmup_runs))
-    timed_sets = tuple(() for _ in range(timed_runs))
-    steady = {}
-    for tier in DISPATCH_TIERS:
-        interpreters = [Interpreter(program, dispatch=tier)
-                        for program in built]
-        for interpreter in interpreters:
-            interpreter.run_many(warm_sets)
-        steady_s = best_of(
-            lambda vms=interpreters: [vm.run_many(timed_sets) for vm in vms],
-            reps)
-        steady[tier] = {"s": round(steady_s, 4),
-                        "steps_per_sec": int(steps * timed_runs / steady_s)}
-
-    labels = MEASURE_LABELS
-    reference_rows = measure_overhead(loop_programs, labels=labels,
-                                      jobs=1).rows
-    # warm the build cache so the timed columns measure the VM, not builds
-    cache = VariantCache()
-    measure_overhead(loop_programs, labels=labels, cache=cache)
-    batch_sets = tuple(() for _ in range(batch))
-
-    def batched_rows(dispatch: str):
-        rows = []
-        for workload in loop_programs:
-            shard = ShardBatch(workload, None, cache, input_sets=batch_sets,
-                               dispatch=dispatch)
-            rows.extend(shard.rows(labels))
-        return rows
-
-    identical = {tier: batched_rows(tier) == reference_rows
-                 for tier in ("compiled", "superblock")}
-    compiled_batched_s = best_of(lambda: batched_rows("compiled"),
-                                 max(1, reps // 2))
-    superblock_batched_s = best_of(lambda: batched_rows("superblock"),
-                                   max(1, reps // 2))
-
-    return {
-        "programs": [wp.name for wp in vm_programs],
-        "steps": steps,
-        "cold": cold,
-        "steady": {"warmup_runs": warmup_runs, "timed_runs": timed_runs,
-                   "tiers": steady},
-        "steady_superblock_vs_compiled": round(
-            steady["compiled"]["s"] / steady["superblock"]["s"], 2),
-        "fig67_batched": {
-            "programs": [wp.name for wp in loop_programs],
-            "labels": list(labels),
-            "batch": batch,
-            "rows": len(reference_rows),
-            "compiled_s": round(compiled_batched_s, 4),
-            "superblock_s": round(superblock_batched_s, 4),
-            "speedup": round(compiled_batched_s / superblock_batched_s, 2),
-            "identical": identical,
-        },
     }
 
 
@@ -301,9 +195,10 @@ def _build_variants(programs) -> List:
 def bench_fig6_measure_loop(programs, reps: int) -> Dict[str, object]:
     variants = _build_variants(programs)
     legacy_s = best_of(
-        lambda: [run_program(v, compiled=False) for v in variants], reps)
+        lambda: [run_program(v, dispatch="legacy") for v in variants], reps)
     compiled_s = best_of(
-        lambda: [run_program(v, compiled=True) for v in variants], reps)
+        lambda: [run_program(v, dispatch="compiled") for v in variants],
+        reps)
     return {
         "programs": [wp.name for wp in programs],
         "labels": list(MEASURE_LABELS),
@@ -903,17 +798,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
     cache = results.get("variant_cache", {})
     if cache and cache.get("fig8", {}).get("hits", 0) <= 0:
         problems.append("variant cache saw no figure-8 hits")
-    fused = results.get("vm_superblock", {})
-    if fused:
-        for tier in ("legacy", "compiled", "superblock"):
-            if tier not in fused.get("steady", {}).get("tiers", {}):
-                problems.append(f"vm_superblock steady section missing the "
-                                f"{tier} tier")
-        identical = fused.get("fig67_batched", {}).get("identical", {})
-        for tier in ("compiled", "superblock"):
-            if not identical.get(tier, False):
-                problems.append(f"batched fig6/7 {tier} rows diverged from "
-                                f"the serial reference")
     e2e = results.get("fig6_end_to_end", {})
     if e2e and e2e.get("cache", {}).get("hits", 0) <= 0:
         problems.append("fig6 end-to-end loop never hit the variant cache")
@@ -1026,29 +910,23 @@ def main(argv=None) -> int:
         vm_programs = spec2006_programs()[:1]
         loop_programs = spec2006_programs()[:1]
         reps = 1
-        batch = 4
     elif args.quick:
         vm_programs = spec2006_programs()[:2]
         loop_programs = spec2006_programs()[:1]
         reps = 2
-        batch = 8
     else:
         vm_programs = spec2006_programs()[:4] + spec2017_programs()[:2]
         loop_programs = spec2006_programs()[:3]
         reps = 5
-        batch = 32
 
     results = {
-        "schema": 11,
+        "schema": 12,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
-                   "batch": batch,
                    "python": sys.version.split()[0],
                    "variant_cache_dir":
                        os.environ.get("REPRO_VARIANT_CACHE_DIR") or None,
                    "store_dir": STORE_BASE},
         "vm": bench_vm(vm_programs, reps),
-        "vm_superblock": bench_vm_superblock(vm_programs, loop_programs,
-                                             reps, batch),
         "fig6_measure_loop": bench_fig6_measure_loop(loop_programs, reps),
         "fig6_end_to_end": bench_fig6_end_to_end(loop_programs,
                                                  max(2, reps // 2)),
@@ -1078,15 +956,6 @@ def main(argv=None) -> int:
     print(f"vm:                {results['vm']['speedup']}x "
           f"({results['vm']['steps_per_sec_compiled']:,} steps/s compiled, "
           f"{results['vm']['steps_per_sec_legacy']:,} legacy)")
-    sb = results["vm_superblock"]
-    tiers = sb["steady"]["tiers"]
-    fb = sb["fig67_batched"]
-    print(f"vm superblock:     steady {tiers['superblock']['steps_per_sec']:,}"
-          f" steps/s vs compiled {tiers['compiled']['steps_per_sec']:,} "
-          f"({sb['steady_superblock_vs_compiled']}x); fig6/7 batched "
-          f"x{fb['batch']}: compiled {fb['compiled_s']}s -> superblock "
-          f"{fb['superblock_s']}s ({fb['speedup']}x, "
-          f"identical={fb['identical']})")
     print(f"fig6 measure loop: {results['fig6_measure_loop']['speedup']}x")
     print(f"fig6 end to end:   {results['fig6_end_to_end']['speedup']}x "
           f"(compiled {results['fig6_end_to_end']['compiled_s']}s, "

@@ -6,10 +6,7 @@
 # --smoke (CI mode) runs the minimal matrix into a temp directory and asserts
 # the harness still produces a structurally valid BENCH_results.json — no
 # timing-sensitive assertions, and the tracked results file is not touched.
-# The smoke run also exercises the three-tier VM (the vm_superblock section:
-# legacy/compiled/superblock steady-state steps/s plus the batched fig6/7
-# measurement, asserted row-identical to the serial reference on both the
-# compiled and superblock tiers), the parallel experiment executor (the harness
+# The smoke run also exercises the parallel experiment executor (the harness
 # re-runs the figure-8 diff phase at jobs=2 and asserts row-identity), the
 # legacy disk-persisted variant cache (REPRO_VARIANT_CACHE_DIR round trip),
 # the shared artifact store (REPRO_STORE_DIR: the fig67_sharded section

@@ -7,8 +7,8 @@ an obfuscation scheme, and runs:
 
 * full-tier IR verification (structural + types + dominance + dataflow
   lints) on the linked program, and
-* the cost-model consistency check (compiled/superblock precomputed totals
-  vs a static recount from ``vm/costs.py``).
+* the cost-model consistency check (the compiled tier's precomputed block
+  totals vs a static recount from ``vm/costs.py``).
 
 Diagnostics print as ``function:block: message [code]`` lines (or JSON with
 ``--json``).  A baseline file (``--baseline``) suppresses known findings by

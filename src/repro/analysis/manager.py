@@ -29,9 +29,7 @@ consumers invalidate on any change).
 
 from __future__ import annotations
 
-import weakref
-
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from ..ir.function import Function
 from ..ir.module import Module
@@ -61,39 +59,9 @@ class AnalysisManager:
         self._functions: Dict[Function, Dict[str, object]] = {}
         self._fingerprints: Dict[Function, Tuple] = {}
         self._callgraphs: Dict[Module, CallGraph] = {}
-        self._listeners: List[weakref.ref] = []
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-
-    # -- invalidation listeners ---------------------------------------------------
-
-    def add_invalidation_listener(self, listener) -> None:
-        """Register an execution-side cache to be dropped with the analyses.
-
-        ``listener.invalidate_compiled(function)`` is called whenever this
-        manager invalidates ``function``'s analyses (``None`` for whole-cache
-        invalidation), keeping interpreter state — compiled blocks, fused
-        superblock traces — in sync with the passes that mutate the IR.
-        Listeners are held weakly: a discarded interpreter never keeps
-        itself alive through the manager, and dead references are pruned on
-        the next notification.
-        """
-        for ref in self._listeners:
-            if ref() is listener:
-                return
-        self._listeners.append(weakref.ref(listener))
-
-    def _notify_listeners(self, function: Optional[Function]) -> None:
-        if not self._listeners:
-            return
-        live = []
-        for ref in self._listeners:
-            listener = ref()
-            if listener is not None:
-                live.append(ref)
-                listener.invalidate_compiled(function)
-        self._listeners = live
 
     # -- fetchers -----------------------------------------------------------------
 
@@ -166,7 +134,6 @@ class AnalysisManager:
             else:
                 del self._functions[function]
         self._refingerprint(function)
-        self._notify_listeners(function)
 
     def invalidate_module(self, module: Module,
                           preserve: Union[str, Iterable[str]] = ()) -> None:
@@ -180,16 +147,12 @@ class AnalysisManager:
         for function in list(self._functions):
             if function.module is module or function.module is None:
                 self.invalidate(function, preserve=preserve)
-        # module passes may have mutated functions this manager never cached
-        # (the loop above cannot see them), so listeners are flushed fully
-        self._notify_listeners(None)
 
     def invalidate_all(self) -> None:
         self._functions.clear()
         self._fingerprints.clear()
         self._callgraphs.clear()
         self.invalidations += 1
-        self._notify_listeners(None)
 
     # -- internals ----------------------------------------------------------------
 

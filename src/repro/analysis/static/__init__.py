@@ -1,5 +1,5 @@
 """Deep static analysis of the IR: typed verification, dominance checks,
-dataflow lints, cost-model consistency and generated-trace AST linting.
+dataflow lints and cost-model consistency.
 
 Public surface:
 
@@ -10,18 +10,13 @@ Public surface:
 * :class:`~repro.analysis.static.diagnostics.Diagnostic` and the baseline
   suppression helpers;
 * :func:`~repro.analysis.static.costcheck.check_program` — cost-model
-  consistency of compiled/superblock totals;
-* :func:`~repro.analysis.static.ast_lint.lint_trace_source` /
-  :func:`~repro.analysis.static.ast_lint.verify_trace_source` — the
-  generated-code lint the TraceCompiler runs before accepting codegen.
+  consistency of the compiled tier's precomputed block totals.
 
 ``repro.ir.verifier`` remains the compatibility façade used across the
 code base (``assert_valid``, string-valued ``verify_*``); it delegates
 here.
 """
 
-from .ast_lint import (TRACE_CODES, TraceLintError, lint_trace_source,
-                       verify_trace_source)
 from .costcheck import COST_CODES, check_interpreter, check_program
 from .diagnostics import (Diagnostic, SEVERITY_ERROR, SEVERITY_WARNING,
                           apply_baseline, diagnostics_to_json, errors_only,
@@ -36,16 +31,14 @@ from .verify import (DEFAULT_TIER, ENV_VAR, TIERS, resolve_tier,
 
 #: Every diagnostic code the subsystem can emit.
 ALL_CODES = (STRUCTURAL_CODES + TYPECHECK_CODES + DOMINANCE_CODES
-             + LINT_CODES + COST_CODES + TRACE_CODES)
+             + LINT_CODES + COST_CODES)
 
 __all__ = [
     "ALL_CODES", "COST_CODES", "DEFAULT_TIER", "DOMINANCE_CODES",
     "Diagnostic", "ENV_VAR", "LINT_CODES", "SEVERITY_ERROR",
-    "SEVERITY_WARNING", "STRUCTURAL_CODES", "TIERS", "TRACE_CODES",
-    "TYPECHECK_CODES", "TraceLintError", "apply_baseline",
-    "check_interpreter", "check_program", "diagnostics_to_json",
-    "errors_only", "lint_trace_source", "load_baseline", "render_all",
+    "SEVERITY_WARNING", "STRUCTURAL_CODES", "TIERS", "TYPECHECK_CODES",
+    "apply_baseline", "check_interpreter", "check_program",
+    "diagnostics_to_json", "errors_only", "load_baseline", "render_all",
     "resolve_tier", "verification_errors", "verify", "verify_function",
-    "verify_module", "verify_program", "verify_trace_source",
-    "write_baseline",
+    "verify_module", "verify_program", "write_baseline",
 ]

@@ -1,18 +1,14 @@
 """Cost-model consistency lint.
 
 The compiled dispatch tier precomputes a ``(count, total_cost)`` pair per
-basic block (:meth:`repro.vm.compiler.BlockCompiler.compile_block`) and the
-superblock tier sums those pairs into per-trace totals that are charged in
-one batch.  A drift between those baked-in totals and the cost model —
-a compile routine charging the wrong field, a trace built from stale
-blocks — would silently corrupt every Figure 6/7 overhead measurement.
+basic block (:meth:`repro.vm.compiler.BlockCompiler.compile_block`) and
+charges it in one batch.  A drift between those baked-in totals and the
+cost model — a compile routine charging the wrong field — would silently
+corrupt every Figure 6/7 overhead measurement.
 
 This lint statically recomputes each block's step count and cycle total
-straight from :mod:`repro.vm.costs` and cross-checks:
-
-* every block the interpreter has compiled (``cost-block``);
-* every fused superblock trace against the sum of its member blocks
-  (``cost-trace``).
+straight from :mod:`repro.vm.costs` and cross-checks it against every block
+the interpreter has compiled (``cost-block``).
 
 Calls and ``unreachable`` contribute zero to a block's *precomputed* total
 by design: calls charge their (static) cost mid-step to keep the legacy
@@ -34,7 +30,6 @@ from .diagnostics import Diagnostic, error
 #: Codes this module can emit (each has a failing-input test).
 COST_CODES = (
     "cost-block",
-    "cost-trace",
 )
 
 
@@ -86,7 +81,7 @@ def static_block_cost(block: BasicBlock,
 
 
 def check_interpreter(interpreter) -> List[Diagnostic]:
-    """Cross-check every compiled block and trace cached on ``interpreter``."""
+    """Cross-check every compiled block cached on ``interpreter``."""
     diagnostics: List[Diagnostic] = []
     cost_model = interpreter.cost_model
     compiled_blocks = interpreter._compiled_blocks
@@ -102,22 +97,6 @@ def check_interpreter(interpreter) -> List[Diagnostic]:
                 f"cycles) != static recomputation ({count} steps, {cycles} "
                 f"cycles)", function.name if function is not None else "",
                 block.name))
-
-    for head, trace in getattr(interpreter, "_traces", {}).items():
-        count = 0
-        cycles = 0
-        for block in trace.blocks:
-            block_count, block_cycles = static_block_cost(block, cost_model)
-            count += block_count
-            cycles += block_cycles
-        if (count, cycles) != (trace.count, trace.total_cost):
-            function = head.parent
-            diagnostics.append(error(
-                "cost-trace",
-                f"superblock totals ({trace.count} steps, {trace.total_cost} "
-                f"cycles) != sum of member blocks ({count} steps, {cycles} "
-                f"cycles)", function.name if function is not None else "",
-                head.name))
     return diagnostics
 
 

@@ -21,10 +21,9 @@ Per-function results are cached through
 unrelated passes is a dictionary hit; any invalidation of the function
 drops the entry (passes never list ``verify:*`` in ``preserves``).
 
-The cost-model consistency lint (:mod:`.costcheck`) and the generated-trace
-AST lint (:mod:`.ast_lint`) live outside these tiers: they check VM
-execution state and generated Python rather than IR, and are wired into
-``scripts/lint_ir.py`` and the TraceCompiler respectively.
+The cost-model consistency lint (:mod:`.costcheck`) lives outside these
+tiers: it checks VM execution state rather than IR, and is wired into
+``scripts/lint_ir.py``.
 """
 
 from __future__ import annotations

@@ -129,33 +129,24 @@ class ShardBatch:
     """One unit's VM measurements against one cache.
 
     Builds go through ``cache`` and every execution routes through
-    :meth:`VMBatch.run_many`: one interpreter per variant drives the unit's
-    whole ``input_sets`` batch.  The default ``input_sets`` (one empty input
-    vector) is what the figures measure.
+    :meth:`VMBatch.run_many`: one interpreter per variant, one run with no
+    inputs — what the figures measure.
     """
 
     def __init__(self, workload: WorkloadProgram,
-                 options: Optional[OptOptions], cache,
-                 input_sets: Sequence[Sequence[int]] = ((),),
-                 dispatch: Optional[str] = None):
+                 options: Optional[OptOptions], cache):
         self.workload = workload
         self.options = options
         self.cache = cache
-        self.input_sets = tuple(tuple(inputs) for inputs in input_sets)
-        self.vm = VMBatch(dispatch=dispatch)
+        self.vm = VMBatch()
 
-    def execute_many(self, label: str) -> List[ExecutionResult]:
-        """Build (or fetch) the ``label`` variant and run the input batch."""
+    def execute(self, label: str) -> ExecutionResult:
+        """Build (or fetch) the ``label`` variant and run it once."""
         artifact = build_variant(self.workload, label, self.options,
                                  self.cache)
         with obs_tracing.span("vm.measure", cat="measure",
-                              workload=self.workload.name, label=label,
-                              inputs=len(self.input_sets)):
-            return self.vm.run_many(artifact.program, self.input_sets)
-
-    def execute(self, label: str) -> ExecutionResult:
-        """The variant's first-input execution (the figure-driver row)."""
-        return self.execute_many(label)[0]
+                              workload=self.workload.name, label=label):
+            return self.vm.run(artifact.program)
 
     def rows(self, labels: Sequence[str]) -> List[OverheadRow]:
         baseline_cycles = self.execute("baseline").cycles

@@ -5,12 +5,11 @@ interpreter to collect dynamic cycle counts.  :class:`VMBatch` is the
 measurement unit the figure-6/7 matrix (:mod:`repro.evaluation.overhead`)
 hands each of its units.  Every execution goes through
 :meth:`VMBatch.run_many`: one :class:`~repro.vm.machine.Interpreter` drives
-all of a program's input vectors through one compiled-block cache (and,
-under superblock dispatch, one set of fused traces), resetting per input —
-so interpreter setup, block compilation and trace generation are amortised
-across the whole batch instead of paid per run.  Nothing is kept between
-calls: a unit executes each of its variants exactly once, so the batch
-holds no program longer than its run.
+all of a program's input vectors through one compiled-block cache,
+resetting per input — so interpreter setup and block compilation are
+amortised across the whole batch instead of paid per run.  Nothing is kept
+between calls: a unit executes each of its variants exactly once, so the
+batch holds no program longer than its run.
 """
 
 from __future__ import annotations
@@ -30,16 +29,13 @@ SINGLE_RUN = ((),)
 class VMBatch:
     """Batched program execution under one execution configuration.
 
-    ``compiled``/``dispatch``/``cost_model``/``max_steps`` pin the execution
-    configuration for every run of the batch.
+    ``cost_model``/``max_steps`` pin the execution configuration for every
+    run of the batch; the dispatch tier is the interpreter default
+    (``REPRO_VM_DISPATCH``).
     """
 
-    def __init__(self, compiled: Optional[bool] = None,
-                 cost_model: Optional[CostModel] = None,
-                 max_steps: int = 5_000_000,
-                 dispatch: Optional[str] = None):
-        self.compiled = compiled
-        self.dispatch = dispatch
+    def __init__(self, cost_model: Optional[CostModel] = None,
+                 max_steps: int = 5_000_000):
         self.cost_model = cost_model
         self.max_steps = max_steps
         #: Per-batch counter view chained to the process-global registry:
@@ -64,9 +60,7 @@ class VMBatch:
         self.metrics.counter("vmbatch.interpreters")
         self.metrics.counter("vmbatch.executions", len(sets))
         interpreter = Interpreter(program, cost_model=self.cost_model,
-                                  max_steps=self.max_steps,
-                                  compiled=self.compiled,
-                                  dispatch=self.dispatch)
+                                  max_steps=self.max_steps)
         return interpreter.run_many(sets)
 
     def run(self, program: Program) -> ExecutionResult:

@@ -1,4 +1,4 @@
-"""Compiled-dispatch fast paths for the interpreter.
+"""Compiled-dispatch fast path for the interpreter.
 
 The baseline interpreter walks a long ``isinstance`` ladder for every executed
 instruction and re-resolves every operand through a second ``isinstance``
@@ -6,17 +6,7 @@ ladder (:meth:`Interpreter._value`).  For the overhead experiments (Figures 6
 and 7) each workload executes tens of thousands of steps, so this per-step
 dispatch dominates the whole measurement loop.
 
-Two tiers live here:
-
-* :class:`BlockCompiler` — the per-block closure tier (``compiled`` dispatch);
-* :class:`TraceCompiler` — the superblock tier (``superblock`` dispatch),
-  which fuses hot chains of blocks — following unconditional branches and
-  the hot arm of conditional ones, with guarded side exits for the cold
-  arm — into one generated Python function per trace and falls back to the
-  closures per instruction whenever an operand strays off the inlined fast
-  path.
-
-:class:`BlockCompiler` removes the per-step work:
+:class:`BlockCompiler` (``compiled`` dispatch) removes the per-step work:
 
 * a **per-instruction-class dispatch table** (:attr:`BlockCompiler._COMPILERS`)
   maps each concrete instruction class to a compile routine, resolved once per
@@ -52,15 +42,14 @@ charged counters on the (discarded) interpreter may differ from legacy.
 from __future__ import annotations
 
 import operator
-import os
 
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
-                               CondBranch, GetElementPtr, Instruction, Load,
-                               Ret, Select, Store, Switch, Unreachable)
+                               CondBranch, GetElementPtr, Load, Ret, Select,
+                               Store, Switch, Unreachable)
 from ..ir.types import IntType
 from ..ir.values import (Constant, GlobalVariable, NullPointer, UndefValue,
                          Value)
@@ -717,599 +706,3 @@ class BlockCompiler:
             if compiler is not None:
                 return compiler
         return None
-
-
-# ---------------------------------------------------------------------------
-# Superblock tier: fused traces over hot block chains
-# ---------------------------------------------------------------------------
-
-
-class _Unsupported(Exception):
-    """Internal: an instruction has no inline form; its closure is used."""
-
-
-class CompiledTrace:
-    """A superblock: a chain of fused blocks executed as one unit.
-
-    ``fast`` is the generated step function; it executes every fused
-    instruction against the call ``env`` and returns the chain's outcome —
-    a :class:`~repro.ir.basicblock.BasicBlock` to jump to, a ``_Return``,
-    or a ``(block, steps_back, cycles_back)`` side-exit tuple when an
-    off-trace conditional arm was taken (the driver credits the unexecuted
-    tail back).  ``count``/``total_cost`` are the precomputed step and cycle
-    totals of the whole chain, charged in one batch by the superblock
-    driver before ``fast`` runs.
-
-    ``fast`` starts as ``None``: code generation is *lazy*, triggered by the
-    driver once ``heat`` (dispatch count) reaches its JIT threshold — blocks
-    executed once or twice never pay ``compile()``, hot loop heads pay it
-    once and win it back every iteration.  ``codegen_ok`` marks traces that
-    may be generated at all (call-free and within the size bound).
-    ``fingerprint`` snapshots the chain's structure for the stale-trace
-    check (:attr:`Interpreter.verify_traces`).
-    """
-
-    __slots__ = ("blocks", "fast", "count", "total_cost", "has_call",
-                 "codegen_ok", "heat", "jit_at", "fingerprint", "source")
-
-    def __init__(self, blocks, count, total_cost, has_call, codegen_ok,
-                 jit_at, fingerprint):
-        self.blocks = blocks
-        self.fast = None
-        self.count = count
-        self.total_cost = total_cost
-        self.has_call = has_call
-        self.codegen_ok = codegen_ok
-        self.heat = 0
-        self.jit_at = jit_at
-        self.fingerprint = fingerprint
-        self.source = None
-
-
-class TraceCompiler:
-    """Fuses hot block chains into single generated step functions.
-
-    Chain selection walks forward from a trace head, guided by the analyses
-    the :class:`~repro.analysis.manager.AnalysisManager` already caches:
-    through unconditional branches, and through conditional branches along
-    the arm :class:`~repro.analysis.block_frequency.BlockFrequency` rates
-    hotter (the cold arm becomes a guarded side exit, which is what makes
-    these superblocks rather than mere extended blocks).  A successor is
-    appended while it is not cold, is dominated by the head
-    (:class:`~repro.analysis.dominators.DominatorTree`), is call-free and
-    properly terminated — join blocks are fused too, since a trace is only
-    ever entered at its head.  Correctness does not rest on the
-    heuristics — the fused body replays exactly the instructions execution
-    runs from the head, and a taken side exit credits the unexecuted tail's
-    steps and cycles back to the driver — they only bound how much code is
-    fused and keep every block in at most one trace.
-
-    Code generation emits one Python function per trace: operand slots become
-    literal ``env[<id>]`` subscripts, immediates become bound names, and each
-    instruction's inline expression is guarded by a zero-cost ``try`` whose
-    handler delegates to the instruction's per-block closure — so undefined
-    values, pointer arithmetic through integer ops, type confusion and
-    out-of-bounds accesses all reproduce the legacy semantics (and error
-    messages) exactly.  Inline writes to ``env`` or memory are always the
-    final action of an attempt, so a failed attempt commits nothing before
-    its fallback re-executes the instruction.
-    """
-
-    #: chains never extend into blocks executed less often than this per call
-    HOT_THRESHOLD = 0.5
-    #: bounds keeping generated sources small enough that one ``compile()``
-    #: stays in the low-millisecond range
-    MAX_CHAIN_BLOCKS = 64
-    MAX_TRACE_STEPS = 1600
-    #: fused steps a trace must have dispatched before its step function is
-    #: generated — ``compile()`` costs roughly this many interpreted steps,
-    #: so cooler traces would never win the investment back
-    JIT_WARMUP_STEPS = 256
-
-    def __init__(self, interpreter, block_compiler, analyses):
-        from .machine import Allocation, Pointer, _Return, _truncated_div
-        self._interp = interpreter
-        self._bc = block_compiler
-        self._analyses = analyses
-        self._base_ns = {
-            "_Pointer": Pointer,
-            "_Allocation": Allocation,
-            "_Return": _Return,
-            "_tdiv": _truncated_div,
-        }
-        # per-function chain-selection analyses (freq, domtree)
-        self._fn_analyses: Dict[Function, tuple] = {}
-        # per-trace codegen state
-        self._ns: Dict[str, object] = {}
-        self._n = 0
-
-    @staticmethod
-    def trace_fingerprint(blocks) -> tuple:
-        """Structural snapshot of a chain (mirrors ``AnalysisManager``)."""
-        return tuple(
-            (block, len(block.instructions), block.terminator,
-             tuple(block.successors()))
-            for block in blocks)
-
-    # -- trace construction -------------------------------------------------------
-
-    def build_trace(self, function: Function, head: BasicBlock) -> CompiledTrace:
-        chain = self._select_chain(function, head)
-        compiled = [self._compiled_block(function, block) for block in chain]
-        count = sum(c[2] for c in compiled)
-        total_cost = sum(c[3] for c in compiled)
-        has_call = any(c[5] for c in compiled)
-        codegen_ok = not has_call and 0 < count <= self.MAX_TRACE_STEPS
-        # dispatches before codegen: enough that the fused steps already
-        # executed through this head add up to the warm-up budget (ceiling
-        # division; large traces amortise compile() in fewer dispatches)
-        jit_at = (max(2, -(-self.JIT_WARMUP_STEPS // count))
-                  if codegen_ok else 0)
-        return CompiledTrace(tuple(chain), count, total_cost, has_call,
-                             codegen_ok, jit_at, self.trace_fingerprint(chain))
-
-    def ensure_fast(self, function: Function, trace: CompiledTrace):
-        """Generate ``trace.fast`` (idempotent); the driver calls this once
-        the trace's heat crosses the JIT threshold."""
-        if trace.fast is None and trace.codegen_ok:
-            compiled = [self._compiled_block(function, block)
-                        for block in trace.blocks]
-            trace.fast, trace.source = self._codegen(function, trace.blocks,
-                                                     compiled)
-        return trace.fast
-
-    def _compiled_block(self, function: Function, block: BasicBlock):
-        cache = self._interp._compiled_blocks
-        compiled = cache.get(block)
-        if compiled is None:
-            compiled = self._bc.compile_block(function, block)
-            cache[block] = compiled
-        return compiled
-
-    @staticmethod
-    def _executed_instructions(block: BasicBlock) -> List[Instruction]:
-        """The instructions a run of ``block`` executes (first terminator
-        included, anything after it dead) — the list ``compile_block`` walks."""
-        executed = []
-        for inst in block.instructions:
-            executed.append(inst)
-            if inst.is_terminator:
-                break
-        return executed
-
-    def _function_analyses(self, function: Function):
-        """The chain-selection analyses, one manager round-trip per
-        function (cleared by :meth:`invalidate`)."""
-        cached = self._fn_analyses.get(function)
-        if cached is None:
-            cached = (self._analyses.block_frequency(function),
-                      self._analyses.domtree(function))
-            self._fn_analyses[function] = cached
-        return cached
-
-    def invalidate(self, function: Optional[Function] = None) -> None:
-        """Drop cached chain-selection analyses after IR mutation."""
-        if function is None:
-            self._fn_analyses.clear()
-        else:
-            self._fn_analyses.pop(function, None)
-
-    def _select_chain(self, function: Function,
-                      head: BasicBlock) -> List[BasicBlock]:
-        chain = [head]
-        term = self._chain_terminator(head)
-        if term is None or self._has_call(head):
-            return chain
-        freq, domtree = self._function_analyses(function)
-        seen = {head}
-        while len(chain) < self.MAX_CHAIN_BLOCKS:
-            if isinstance(term, Branch):
-                succ = term.target
-            elif isinstance(term, CondBranch):
-                ck, _cn, cv = self._bc._slot(term.condition)
-                if ck is None:
-                    # constant condition: the taken arm is statically known,
-                    # so the branch fuses away with no guard at all
-                    succ = (term.true_target if self._interp._truthy(cv)
-                            else term.false_target)
-                elif term.true_target is term.false_target:
-                    break
-                elif (freq.get(term.true_target)
-                        >= freq.get(term.false_target)):
-                    succ = term.true_target
-                else:
-                    succ = term.false_target
-            else:
-                break
-            # join blocks (several predecessors) fuse fine: a trace is only
-            # ever entered at its head, so the fused body replays exactly
-            # the path execution takes from there (the IR has no phis —
-            # locals live in memory)
-            if (succ in seen or succ.parent is not function
-                    or freq.get(succ) < self.HOT_THRESHOLD
-                    or not domtree.dominates(head, succ)):
-                break
-            next_term = self._chain_terminator(succ)
-            if next_term is None or self._has_call(succ):
-                break
-            chain.append(succ)
-            seen.add(succ)
-            term = next_term
-        return chain
-
-    def _chain_terminator(self, block: BasicBlock):
-        """The executed terminator, or None if the block cannot anchor a
-        chain (falls through, or carries dead code past its terminator)."""
-        executed = self._executed_instructions(block)
-        if executed and executed[-1].is_terminator \
-                and executed[-1] is block.instructions[-1]:
-            return executed[-1]
-        return None
-
-    @staticmethod
-    def _has_call(block: BasicBlock) -> bool:
-        for inst in block.instructions:
-            if isinstance(inst, Call):
-                return True
-            if inst.is_terminator:
-                break
-        return False
-
-    # -- code generation ----------------------------------------------------------
-
-    def _codegen(self, function: Function, chain, compiled):
-        self._ns = dict(self._base_ns)
-        self._n = 0
-        count = sum(c[2] for c in compiled)
-        total_cost = sum(c[3] for c in compiled)
-        lines = ["def _trace(env):"]
-        tail = chain[-1]
-        steps_run = cost_run = 0
-        for index, (block, cblock) in enumerate(zip(chain, compiled)):
-            executed = self._executed_instructions(block)
-            per_step = cblock[4]
-            for inst, (step, cost) in zip(executed, per_step):
-                steps_run += 1
-                cost_run += cost
-                final = block is tail and inst is executed[-1]
-                if inst.is_terminator and not final:
-                    emitted = self._emit_interior(
-                        inst, step, chain[index + 1],
-                        count - steps_run, total_cost - cost_run)
-                else:
-                    emitted = self._emit(inst, step, final)
-                for line in emitted:
-                    lines.append("    " + line)
-        lines.append("    return None")
-        source = "\n".join(lines)
-        if self._interp.verify_traces or os.environ.get("REPRO_VERIFY_IR") == "full":
-            # reject the generated source before it ever executes if it
-            # strays from the single-env trace grammar (see ast_lint)
-            from ..analysis.static.ast_lint import verify_trace_source
-            verify_trace_source(
-                source, where=f"@{function.name}:{chain[0].name}")
-        namespace = self._ns
-        code = compile(source,
-                       f"<superblock @{function.name}:{chain[0].name}>",
-                       "exec")
-        exec(code, namespace)
-        return namespace["_trace"], source
-
-    def _emit_interior(self, inst: Instruction, step: Step,
-                       next_block: BasicBlock, steps_back: int,
-                       cost_back: int) -> List[str]:
-        """Lines for a fused-away interior terminator.
-
-        Unconditional branches and constant-folded conditional branches
-        vanish entirely — their step and cycle are in the trace totals, but
-        no dispatch happens at runtime.  A live conditional branch becomes
-        the superblock's guarded side exit: staying on trace falls through
-        to the next fused block's code, leaving the trace returns a
-        ``(block, steps_back, cycles_back)`` tuple so the driver credits
-        the unexecuted tail back out of the batched totals.
-        """
-        if isinstance(inst, Branch):
-            return []
-        ck, _cn, _cv = self._bc._slot(inst.condition)
-        if ck is None:
-            # constant condition, folded during chain selection
-            return []
-        on_true = next_block is inst.true_target
-        exit_block = inst.false_target if on_true else inst.true_target
-        exit_name = self._bind(exit_block, "_t")
-        fallback = self._bind(step, "_f")
-        return ["try:",
-                f"    _c = env[{ck}]",
-                "except KeyError:",
-                f"    return ({fallback}(env), {steps_back}, {cost_back})",
-                "if not _c:" if on_true else "if _c:",
-                f"    return ({exit_name}, {steps_back}, {cost_back})"]
-
-    def _bind(self, obj, prefix: str) -> str:
-        name = f"{prefix}{self._n}"
-        self._n += 1
-        self._ns[name] = obj
-        return name
-
-    def _literal(self, imm) -> str:
-        if imm is None:
-            return "None"
-        if imm.__class__ is bool:
-            return repr(imm)
-        if imm.__class__ is int:
-            return f"({imm!r})"
-        return self._bind(imm, "_g")
-
-    def _expr(self, value):
-        """Source expression for one operand: an ``env`` subscript for SSA
-        values, a literal or bound name for immediates."""
-        key, _name, imm = self._bc._slot(value)
-        if key is not None:
-            return f"env[{key}]", True
-        return self._literal(imm), False
-
-    def _emit(self, inst: Instruction, step: Step, final: bool) -> List[str]:
-        """Source lines for ``inst``; terminator lines return the outcome."""
-        try:
-            emitter = self._EMITTERS_BY_CLASS.get(type(inst))
-            if emitter is None:
-                for klass in type(inst).__mro__:
-                    emitter = self._EMITTERS_BY_CLASS.get(klass)
-                    if emitter is not None:
-                        break
-            if emitter is None:
-                raise _Unsupported
-            return emitter(self, inst, step)
-        except _Unsupported:
-            fallback = self._bind(step, "_f")
-            if inst.is_terminator:
-                return [f"return {fallback}(env)"]
-            return [f"{fallback}(env)"]
-
-    def _guarded(self, attempt: List[str], step: Step,
-                 exceptions: str = "(TypeError, KeyError)") -> List[str]:
-        fallback = self._bind(step, "_f")
-        return (["try:"]
-                + ["    " + line for line in attempt]
-                + [f"except {exceptions}:", f"    {fallback}(env)"])
-
-    _INT_OPS = {"add": "+", "sub": "-", "mul": "*",
-                "and": "&", "or": "|", "xor": "^"}
-    _FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-    _COMPARE_OPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-                    "sgt": ">", "sge": ">=", "oeq": "==", "one": "!=",
-                    "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
-
-    def _emit_binop(self, inst: BinaryOp, step: Step) -> List[str]:
-        key = id(inst)
-        lhs, _ = self._expr(inst.lhs)
-        rhs, _ = self._expr(inst.rhs)
-        op = inst.op
-        if op[0] == "f":
-            if op in self._FLOAT_OPS:
-                return self._guarded(
-                    [f"env[{key}] = float({lhs}) {self._FLOAT_OPS[op]} "
-                     f"float({rhs})"], step)
-            if op == "fdiv":
-                return self._guarded(
-                    [f"_b = float({rhs})",
-                     f"env[{key}] = float({lhs}) / _b if _b != 0.0 else 0.0"],
-                    step)
-            raise _Unsupported
-        if not isinstance(inst.type, IntType) or inst.type.bits <= 1:
-            # i1 logic and pointer-typed arithmetic: rare, stay on closures
-            raise _Unsupported
-        bits = inst.type.bits
-        half = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        # ((v + half) & mask) - half == IntType.wrap(v) for bits > 1; the
-        # ``& mask`` raises TypeError on any non-int intermediate (floats,
-        # pointer arithmetic), landing on the closure's exact semantics
-        if op in self._INT_OPS:
-            raw = f"({lhs} {self._INT_OPS[op]} {rhs})"
-        elif op == "sdiv":
-            raw = f"_tdiv({lhs}, {rhs})"
-        elif op == "srem":
-            raw = f"({lhs} - _tdiv({lhs}, {rhs}) * {rhs} if {rhs} != 0 else 0)"
-        elif op == "shl":
-            raw = f"({lhs} << ({rhs} & 63))"
-        elif op == "ashr":
-            raw = f"({lhs} >> ({rhs} & 63))"
-        else:
-            raise _Unsupported
-        return self._guarded(
-            [f"env[{key}] = ({raw} + {half} & {mask}) - {half}"], step)
-
-    def _emit_compare(self, inst: Compare, step: Step) -> List[str]:
-        cmp = self._COMPARE_OPS.get(inst.predicate)
-        if cmp is None:
-            raise _Unsupported
-        key = id(inst)
-        lhs, _ = self._expr(inst.lhs)
-        rhs, _ = self._expr(inst.rhs)
-        equality = inst.predicate in ("eq", "ne", "oeq", "one")
-        # equality is total on every runtime value; ordered comparisons
-        # raise TypeError on pointers, which the closure handles
-        exceptions = "KeyError" if equality else "(TypeError, KeyError)"
-        return self._guarded(
-            [f"env[{key}] = 1 if {lhs} {cmp} {rhs} else 0"], step,
-            exceptions)
-
-    def _emit_alloca(self, inst: Alloca, step: Step) -> List[str]:
-        key = id(inst)
-        size = max(1, inst.allocated_type.size_in_slots() * max(1, inst.count))
-        return [f"env[{key}] = _Pointer(_Allocation([0] * {size}, "
-                f"{f'%{inst.name}'!r}), 0)"]
-
-    def _emit_load(self, inst: Load, step: Step) -> List[str]:
-        key = id(inst)
-        pk, _pn, pv = self._bc._slot(inst.pointer)
-        if pk is None:
-            # fixed pointer (a global): resolve cells and bounds at codegen
-            if pv.__class__ is not self._base_ns["_Pointer"]:
-                raise _Unsupported
-            cells = pv.allocation.cells
-            if not 0 <= pv.offset < len(cells):
-                raise _Unsupported
-            name = self._bind(cells, "_g")
-            return [f"env[{key}] = {name}[{pv.offset}]"]
-        return self._guarded(
-            [f"_p = env[{pk}]",
-             "_c = _p.allocation.cells",
-             "_o = _p.offset",
-             "if 0 <= _o < len(_c):",
-             f"    env[{key}] = _c[_o]",
-             "else:",
-             f"    {self._bind(step, '_f')}(env)"],
-            step, "(AttributeError, KeyError)")
-
-    def _emit_store(self, inst: Store, step: Step) -> List[str]:
-        value, value_in_env = self._expr(inst.value)
-        pk, _pn, pv = self._bc._slot(inst.pointer)
-        if pk is None:
-            if pv.__class__ is not self._base_ns["_Pointer"]:
-                raise _Unsupported
-            cells = pv.allocation.cells
-            if not 0 <= pv.offset < len(cells):
-                raise _Unsupported
-            name = self._bind(cells, "_g")
-            attempt = [f"{name}[{pv.offset}] = {value}"]
-            if value_in_env:
-                return self._guarded(attempt, step, "KeyError")
-            return attempt
-        return self._guarded(
-            [f"_v = {value}",
-             f"_p = env[{pk}]",
-             "_c = _p.allocation.cells",
-             "_o = _p.offset",
-             "if 0 <= _o < len(_c):",
-             "    _c[_o] = _v",
-             "else:",
-             f"    {self._bind(step, '_f')}(env)"],
-            step, "(AttributeError, KeyError)")
-
-    def _emit_gep(self, inst: GetElementPtr, step: Step) -> List[str]:
-        key = id(inst)
-        pointer, _ = self._expr(inst.pointer)
-        ik, _iname, iv = self._bc._slot(inst.index)
-        if ik is None:
-            index = int(iv)
-            return self._guarded(
-                [f"_p = {pointer}",
-                 f"env[{key}] = _Pointer(_p.allocation, _p.offset + "
-                 f"({index!r}))"],
-                step, "(AttributeError, KeyError)")
-        # the closure coerces bool/float indices through int(); the inline
-        # form only takes genuine ints
-        return self._guarded(
-            [f"_p = {pointer}",
-             f"_i = env[{ik}]",
-             "if _i.__class__ is int:",
-             f"    env[{key}] = _Pointer(_p.allocation, _p.offset + _i)",
-             "else:",
-             f"    {self._bind(step, '_f')}(env)"],
-            step, "(AttributeError, KeyError)")
-
-    def _emit_cast(self, inst: Cast, step: Step) -> List[str]:
-        key = id(inst)
-        value, in_env = self._expr(inst.value)
-        kind = inst.kind
-        if kind in ("bitcast", "inttoptr", "ptrtoint"):
-            line = f"env[{key}] = {value}"
-            if in_env:
-                return self._guarded([line], step, "KeyError")
-            return [line]
-        if kind in ("trunc", "zext", "sext"):
-            if isinstance(inst.type, IntType):
-                bits = inst.type.bits
-                if bits > 1:
-                    half = 1 << (bits - 1)
-                    mask = (1 << bits) - 1
-                    attempt = (f"env[{key}] = ({value} + {half} & {mask})"
-                               f" - {half}")
-                else:
-                    attempt = f"env[{key}] = {value} & 1"
-                return self._guarded([attempt], step)
-            return self._guarded([f"env[{key}] = int({value})"], step,
-                                 "(TypeError, ValueError, KeyError)")
-        if kind == "fptosi":
-            return self._guarded([f"env[{key}] = int({value})"], step,
-                                 "(TypeError, ValueError, KeyError)")
-        if kind in ("sitofp", "fpext", "fptrunc"):
-            return self._guarded([f"env[{key}] = float({value})"], step,
-                                 "(TypeError, ValueError, KeyError)")
-        raise _Unsupported
-
-    def _emit_select(self, inst: Select, step: Step) -> List[str]:
-        key = id(inst)
-        cond, _ = self._expr(inst.condition)
-        true_value, _ = self._expr(inst.true_value)
-        false_value, _ = self._expr(inst.false_value)
-        return self._guarded(
-            [f"if {cond}:",
-             f"    env[{key}] = {true_value}",
-             "else:",
-             f"    env[{key}] = {false_value}"],
-            step, "KeyError")
-
-    def _emit_ret(self, inst: Ret, step: Step) -> List[str]:
-        if inst.value is None:
-            return ["return _Return(None)"]
-        value, in_env = self._expr(inst.value)
-        if not in_env:
-            return [f"return _Return({value})"]
-        fallback = self._bind(step, "_f")
-        return ["try:",
-                f"    return _Return({value})",
-                "except KeyError:",
-                f"    return {fallback}(env)"]
-
-    def _emit_branch(self, inst: Branch, step: Step) -> List[str]:
-        return [f"return {self._bind(inst.target, '_t')}"]
-
-    def _emit_cond_branch(self, inst: CondBranch, step: Step) -> List[str]:
-        ck, _cn, cv = self._bc._slot(inst.condition)
-        true_name = self._bind(inst.true_target, "_t")
-        false_name = self._bind(inst.false_target, "_t")
-        if ck is None:
-            fixed = true_name if self._interp._truthy(cv) else false_name
-            return [f"return {fixed}"]
-        fallback = self._bind(step, "_f")
-        return ["try:",
-                f"    return {true_name} if env[{ck}] else {false_name}",
-                "except KeyError:",
-                f"    return {fallback}(env)"]
-
-    def _emit_switch(self, inst: Switch, step: Step) -> List[str]:
-        vk, _vn, _vv = self._bc._slot(inst.value)
-        if vk is None:
-            raise _Unsupported
-        table: Dict[int, BasicBlock] = {}
-        for constant, target in inst.cases:
-            table.setdefault(int(constant.value), target)
-        table_name = self._bind(table, "_g")
-        default_name = self._bind(inst.default_target, "_t")
-        fallback = self._bind(step, "_f")
-        # bools fall back to the closure's int() coercion
-        return ["try:",
-                f"    _v = env[{vk}]",
-                "except KeyError:",
-                f"    return {fallback}(env)",
-                "if _v.__class__ is int:",
-                f"    return {table_name}.get(_v, {default_name})",
-                f"return {fallback}(env)"]
-
-    _EMITTERS_BY_CLASS = {
-        BinaryOp: _emit_binop,
-        Compare: _emit_compare,
-        Alloca: _emit_alloca,
-        Load: _emit_load,
-        Store: _emit_store,
-        GetElementPtr: _emit_gep,
-        Cast: _emit_cast,
-        Select: _emit_select,
-        Ret: _emit_ret,
-        Branch: _emit_branch,
-        CondBranch: _emit_cond_branch,
-        Switch: _emit_switch,
-    }

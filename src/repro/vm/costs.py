@@ -25,10 +25,10 @@ REGISTER_ARG_SLOTS = 6
 class CostModel:
     """Per-instruction-class cycle costs.
 
-    Frozen: compiled blocks and fused superblock traces bake these costs
-    into precomputed totals, so mutating a shared model mid-run would
-    silently desynchronise cached code from fresh runs.  Build a new model
-    (e.g. ``dataclasses.replace``) instead of mutating one.
+    Frozen: compiled blocks bake these costs into precomputed totals, so
+    mutating a shared model mid-run would silently desynchronise cached
+    code from fresh runs.  Build a new model (e.g. ``dataclasses.replace``)
+    instead of mutating one.
     """
     arithmetic: int = 1
     compare: int = 1

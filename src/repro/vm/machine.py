@@ -30,11 +30,10 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                CondBranch, GetElementPtr, Instruction, Load,
                                Ret, Select, Store, Switch, Unreachable)
 from ..ir.module import Program
-from ..ir.types import IntType, Type
+from ..ir.types import IntType
 from ..ir.values import (Constant, GlobalVariable, NullPointer, UndefValue,
                          Value)
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
 from .costs import CostModel, DEFAULT_COST_MODEL
 
 
@@ -44,16 +43,6 @@ class ExecutionError(Exception):
 
 class StepLimitExceeded(ExecutionError):
     """Raised when execution exceeds the configured step budget."""
-
-
-class StaleTraceError(RuntimeError):
-    """A fused trace was executed after its IR changed underneath it.
-
-    Only raised in the ``verify_traces`` mode (the trace analogue of
-    ``AnalysisManager(verify_invalidation=True)``); the fix is for whatever
-    mutated the function to call :meth:`Interpreter.invalidate_compiled`
-    (directly, or by invalidating through a wired ``AnalysisManager``).
-    """
 
 
 @dataclass
@@ -133,46 +122,31 @@ class ExecutionResult:
         return (self.exit_value, tuple(self.output))
 
 
-#: Recognised dispatch tiers, slowest (reference) to fastest.
-DISPATCH_TIERS = ("legacy", "compiled", "superblock")
+#: Recognised dispatch tiers: the reference semantics, then the fast path.
+DISPATCH_TIERS = ("legacy", "compiled")
 
 
 class Interpreter:
     """Executes a :class:`~repro.ir.module.Program`.
 
-    Three dispatch tiers produce bit-for-bit identical results:
+    Two dispatch tiers produce bit-for-bit identical results:
 
     * ``dispatch="legacy"`` walks the original per-step ``isinstance``
       ladder; it is the reference semantics for differential testing;
     * ``dispatch="compiled"`` (the default) lazily compiles each basic block
       into a list of step closures with pre-resolved operand slots and
       precomputed cycle costs (see :mod:`repro.vm.compiler`) — several times
-      faster on the Figure 6/7 measurement loop;
-    * ``dispatch="superblock"`` additionally fuses hot block chains —
-      through unconditional branches and the hot arm of conditional ones,
-      with guarded side exits for the cold arm — into generated trace
-      functions executed with one ``env`` dict, one precomputed fused cycle
-      total and zero inter-block dispatch
-      (:class:`~repro.vm.compiler.TraceCompiler`), falling back to compiled
-      blocks near the step limit and around calls.
+      faster on the Figure 6/7 measurement loop.
 
-    The ``REPRO_VM_DISPATCH`` environment variable (``legacy`` / ``compiled``
-    / ``superblock``) selects the tier when neither ``dispatch`` nor the
-    older ``compiled`` argument is given; unrecognised values mean
-    ``compiled``.  Passing ``analyses=`` wires this interpreter into an
-    :class:`~repro.analysis.manager.AnalysisManager` both as the source of
-    the chain-selection analyses and as an invalidation listener, so passes
-    that invalidate a function's analyses drop its compiled blocks and fused
-    traces too.  ``verify_traces=True`` (or ``REPRO_VM_VERIFY_TRACES=1``)
-    re-checks a trace's structural fingerprint on every dispatch and raises
-    :class:`StaleTraceError` on IR mutated without invalidation.
+    The ``REPRO_VM_DISPATCH`` environment variable (``legacy`` /
+    ``compiled``) selects the tier when ``dispatch`` is not given; any
+    other value, like any other explicit ``dispatch``, raises
+    :class:`ValueError`.
     """
 
     def __init__(self, program: Program, cost_model: Optional[CostModel] = None,
                  max_steps: int = 5_000_000, inputs: Optional[Sequence[int]] = None,
-                 compiled: Optional[bool] = None,
-                 dispatch: Optional[str] = None,
-                 analyses=None, verify_traces: Optional[bool] = None):
+                 dispatch: Optional[str] = None):
         self.program = program if len(program.modules) == 1 else program.link()
         self.module = self.program.modules[0]
         self.cost_model = cost_model or DEFAULT_COST_MODEL
@@ -187,31 +161,14 @@ class Interpreter:
         self._intrinsics: Dict[str, Callable] = self._build_intrinsics()
         self._initialise_globals()
         if dispatch is None:
-            if compiled is not None:
-                dispatch = "compiled" if compiled else "legacy"
-            else:
-                choice = os.environ.get("REPRO_VM_DISPATCH", "compiled")
-                dispatch = choice if choice in ("legacy", "superblock") \
-                    else "compiled"
-        elif dispatch not in DISPATCH_TIERS:
+            dispatch = os.environ.get("REPRO_VM_DISPATCH") or "compiled"
+        if dispatch not in DISPATCH_TIERS:
             raise ValueError(f"unknown dispatch tier {dispatch!r}; expected "
                              f"one of {DISPATCH_TIERS}")
         self.dispatch = dispatch
-        self.compiled = dispatch != "legacy"
-        self._superblock = dispatch == "superblock"
+        self._compiled = dispatch == "compiled"
         self._compiled_blocks: Dict[BasicBlock, tuple] = {}
         self._compiler = None
-        self._traces: Dict[BasicBlock, object] = {}
-        self._block_heat: Dict[BasicBlock, int] = {}
-        self._trace_compiler = None
-        self._analyses = analyses
-        self._owns_analyses = False
-        if analyses is not None:
-            analyses.add_invalidation_listener(self)
-        if verify_traces is None:
-            verify_traces = os.environ.get(
-                "REPRO_VM_VERIFY_TRACES", "") not in ("", "0")
-        self.verify_traces = bool(verify_traces)
 
     # -- setup --------------------------------------------------------------------
 
@@ -237,10 +194,10 @@ class Interpreter:
         """Rewind to a fresh-interpreter state, keeping compiled state.
 
         Counters, output and the input stream are cleared; global memory is
-        re-initialised **in place** (compiled closures and fused traces
-        capture the global cell lists, so the lists must keep their
-        identity).  Compiled blocks and traces depend only on the IR and
-        survive, which is what makes :meth:`run_many` amortise setup.
+        re-initialised **in place** (compiled closures capture the global
+        cell lists, so the lists must keep their identity).  Compiled blocks
+        depend only on the IR and survive, which is what makes
+        :meth:`run_many` amortise setup.
         """
         self.inputs = list(inputs or [])
         self.output = []
@@ -360,8 +317,7 @@ class Interpreter:
 
         Each run starts from :meth:`reset`, so result ``i`` is bit-identical
         to a fresh interpreter run with ``input_sets[i]`` — but compiled
-        blocks, fused traces and the analyses behind them are built once and
-        shared across the whole batch.
+        blocks are built once and shared across the whole batch.
         """
         results = []
         for inputs in input_sets:
@@ -385,9 +341,7 @@ class Interpreter:
         for formal, actual in zip(function.args, args):
             env[id(formal)] = actual
 
-        if self._superblock:
-            return self._call_superblock(function, env)
-        if self.compiled:
+        if self._compiled:
             return self._call_compiled(function, env)
 
         block = function.entry_block
@@ -500,181 +454,18 @@ class Interpreter:
         return None
 
     def invalidate_compiled(self, function: Optional[Function] = None) -> None:
-        """Drop compiled blocks and fused traces after IR mutation.
+        """Drop compiled blocks after IR mutation.
 
-        With a function, only that function's state is dropped (a trace is
-        dropped if *any* of its fused blocks belongs to the function, so
-        blocks moved between functions cannot leave a live trace behind);
-        with ``None``, everything.  Called directly by mutating code, or
-        automatically when a wired ``AnalysisManager`` invalidates.
+        With a function, only that function's blocks are dropped; with
+        ``None``, everything.  Called by code that mutates a program after
+        running it.
         """
-        if self._trace_compiler is not None:
-            self._trace_compiler.invalidate(function)
         if function is None:
             self._compiled_blocks.clear()
-            self._traces.clear()
-            self._block_heat.clear()
-            if self._owns_analyses:
-                self._analyses.invalidate_all()
             return
         for block in list(self._compiled_blocks):
             if block.parent is function:
                 del self._compiled_blocks[block]
-        for block in list(self._block_heat):
-            if block.parent is function:
-                del self._block_heat[block]
-        for head, trace in list(self._traces.items()):
-            if head.parent is function or any(
-                    block.parent is function for block in trace.blocks):
-                del self._traces[head]
-        if self._owns_analyses:
-            # a privately-owned manager has no pass pipeline invalidating
-            # it, so the trace rebuild must not see its stale analyses
-            self._analyses.invalidate(function)
-
-    # -- superblock dispatch ------------------------------------------------------
-
-    def _call_superblock(self, function: Function, env: Dict[int, object]):
-        """Run one function call through fused traces.
-
-        Hot chains execute as one generated function with the chain's step
-        and cycle totals charged in a single batch; a taken side exit
-        returns a ``(block, steps_back, cycles_back)`` tuple and the
-        unexecuted tail is credited back.  Both trace construction and code
-        generation are lazy: a block's chain is only selected on its second
-        dispatch (one-shot code never pays chain selection), and a trace's
-        step function is only generated once the trace has dispatched
-        ``trace.jit_at`` times (sized so the fused steps already run
-        through it match :attr:`TraceCompiler.JIT_WARMUP_STEPS` — roughly
-        what ``compile()`` costs), so cold code never pays codegen.
-        Anything a trace cannot cover (calls, the step limit in reach)
-        drops to the compiled per-block path for exactly the legacy
-        accounting.  Counters live in locals like ``_call_compiled``.
-        """
-        traces = self._traces
-        block_heat = self._block_heat
-        cache = self._compiled_blocks
-        max_steps = self.max_steps
-        verify = self.verify_traces
-        block = function.entry_block
-        steps = self.steps
-        instructions = self.instructions_executed
-        cycles = self.cycles
-        try:
-            while True:
-                trace = traces.get(block)
-                if trace is not None:
-                    if verify:
-                        self._check_trace(function, trace)
-                    fast = trace.fast
-                    if fast is None and trace.codegen_ok:
-                        trace.heat += 1
-                        if trace.heat >= trace.jit_at:
-                            fast = self._trace_compiler.ensure_fast(function,
-                                                                    trace)
-                            if fast is not None:
-                                obs_metrics.REGISTRY.counter(
-                                    "vm.trace_codegen")
-                                obs_tracing.event(
-                                    "vm.trace_codegen", cat="measure",
-                                    fn=function.name,
-                                    head=trace.blocks[0].name,
-                                    blocks=len(trace.blocks))
-                    if fast is not None and steps + trace.count <= max_steps:
-                        steps += trace.count
-                        instructions += trace.count
-                        cycles += trace.total_cost
-                        outcome = fast(env)
-                        if outcome.__class__ is tuple:
-                            block, steps_back, cycles_back = outcome
-                            steps -= steps_back
-                            instructions -= steps_back
-                            cycles -= cycles_back
-                            continue
-                        if outcome is None:
-                            raise ExecutionError(
-                                f"block {block.name} in @{function.name} "
-                                f"fell through without terminator")
-                        if outcome.__class__ is _Return:
-                            return outcome.value
-                        block = outcome
-                        continue
-                elif block not in block_heat:
-                    block_heat[block] = 1
-                else:
-                    del block_heat[block]
-                    self._build_trace(function, block)
-                    continue
-                # compiled per-block fallback, mirroring _call_compiled
-                compiled = cache.get(block)
-                if compiled is None:
-                    compiled = self._compiled_block_for(function, block)
-                body, last, count, total_cost, per_step, has_call = compiled
-                if not has_call and steps + count <= max_steps:
-                    steps += count
-                    instructions += count
-                    cycles += total_cost
-                    for step in body:
-                        step(env)
-                    outcome = last(env) if last is not None else None
-                else:
-                    self.steps = steps
-                    self.instructions_executed = instructions
-                    self.cycles = cycles
-                    try:
-                        outcome = self._run_block_exact(function, block,
-                                                        per_step, env)
-                    finally:
-                        steps = self.steps
-                        instructions = self.instructions_executed
-                        cycles = self.cycles
-                if outcome is None:
-                    raise ExecutionError(
-                        f"block {block.name} in @{function.name} fell through "
-                        f"without terminator")
-                if outcome.__class__ is _Return:
-                    return outcome.value
-                block = outcome
-        finally:
-            self.steps = steps
-            self.instructions_executed = instructions
-            self.cycles = cycles
-
-    def _compiled_block_for(self, function: Function, block: BasicBlock):
-        compiled = self._compiled_blocks.get(block)
-        if compiled is None:
-            if self._compiler is None:
-                from .compiler import BlockCompiler
-                self._compiler = BlockCompiler(self)
-            compiled = self._compiler.compile_block(function, block)
-            self._compiled_blocks[block] = compiled
-        return compiled
-
-    def _build_trace(self, function: Function, block: BasicBlock):
-        if self._trace_compiler is None:
-            from .compiler import BlockCompiler, TraceCompiler
-            if self._compiler is None:
-                self._compiler = BlockCompiler(self)
-            if self._analyses is None:
-                from ..analysis.manager import AnalysisManager
-                self._analyses = AnalysisManager()
-                self._owns_analyses = True
-            self._trace_compiler = TraceCompiler(self, self._compiler,
-                                                 self._analyses)
-        trace = self._trace_compiler.build_trace(function, block)
-        self._traces[block] = trace
-        obs_metrics.REGISTRY.counter("vm.traces_built")
-        obs_tracing.event("vm.trace_build", cat="measure", fn=function.name,
-                          head=block.name, blocks=len(trace.blocks))
-        return trace
-
-    def _check_trace(self, function: Function, trace) -> None:
-        from .compiler import TraceCompiler
-        if TraceCompiler.trace_fingerprint(trace.blocks) != trace.fingerprint:
-            raise StaleTraceError(
-                f"superblock trace at {trace.blocks[0].name} in "
-                f"@{function.name} is stale: the IR changed without "
-                f"invalidate_compiled()")
 
     # -- instruction dispatch -----------------------------------------------------
 
@@ -932,10 +723,9 @@ def run_program(program: Program, inputs: Optional[Sequence[int]] = None,
                 args: Optional[Sequence[object]] = None,
                 max_steps: int = 5_000_000,
                 cost_model: Optional[CostModel] = None,
-                compiled: Optional[bool] = None,
                 dispatch: Optional[str] = None) -> ExecutionResult:
     """Convenience wrapper: link (if needed), interpret, and return the result."""
     interpreter = Interpreter(program, cost_model=cost_model,
                               max_steps=max_steps, inputs=inputs,
-                              compiled=compiled, dispatch=dispatch)
+                              dispatch=dispatch)
     return interpreter.run(args=args)

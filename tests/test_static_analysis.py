@@ -2,9 +2,9 @@
 
 Covers: tier resolution, a failing-input test for every diagnostic code,
 verify-result caching through the AnalysisManager, the PassManager /
-obfuscator / post-link wiring, reg2mem demotion, the generated-trace AST
-lint hook, baseline suppression, and the corpus property suite (every
-scheme's output verifies clean at the ``full`` tier).
+obfuscator / post-link wiring, reg2mem demotion, baseline suppression,
+and the corpus property suite (every scheme's output verifies clean at the
+``full`` tier).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.analysis.manager import AnalysisManager
-from repro.analysis.static import (ALL_CODES, ast_lint, costcheck, dominance,
-                                   lints, structural, typecheck, verify,
+from repro.analysis.static import (ALL_CODES, costcheck, dominance, lints,
+                                   structural, typecheck, verify,
                                    verify_function)
 from repro.analysis.static.diagnostics import (apply_baseline,
                                                diagnostics_to_json,
@@ -381,88 +381,9 @@ class TestCostCodes:
         interp._compiled_blocks[block] = tampered
         assert "cost-block" in codes_of(costcheck.check_interpreter(interp))
 
-    def test_cost_trace(self):
-        interp = Interpreter(_loop_program(), dispatch="superblock")
-        for _ in range(8):
-            interp.run([])
-        assert interp._traces, "the loop head must have built a trace"
-        assert not costcheck.check_interpreter(interp)
-        trace = next(iter(interp._traces.values()))
-        trace.total_cost += 3
-        assert "cost-trace" in codes_of(costcheck.check_interpreter(interp))
-
     def test_check_program_clean_on_workload(self):
         program = load_suite("embedded")[0].build()
         assert not costcheck.check_program(program)
-
-
-# -- generated-trace AST lint codes ------------------------------------------------
-
-
-GOOD_TRACE = """\
-def _trace(env):
-    try:
-        _v = env[1] + env[2]
-        env[3] = _v
-    except (TypeError, KeyError):
-        _f0(env)
-    return _t0
-"""
-
-
-class TestTraceCodes:
-    def lint(self, source):
-        return codes_of(ast_lint.lint_trace_source(source, where="@t"))
-
-    def test_good_trace_is_clean(self):
-        assert not ast_lint.lint_trace_source(GOOD_TRACE, where="@t")
-
-    def test_trace_structure(self):
-        assert "trace-structure" in self.lint("x = 1")
-        assert "trace-structure" in self.lint("def _trace(env, extra):\n"
-                                              "    return None")
-        assert "trace-structure" in self.lint("def other(env):\n"
-                                              "    return None")
-
-    def test_trace_banned_construct(self):
-        assert "trace-banned-construct" in self.lint(
-            "def _trace(env):\n    while True:\n        pass")
-        assert "trace-banned-construct" in self.lint(
-            "def _trace(env):\n    import os\n    return None")
-
-    def test_trace_unknown_name(self):
-        assert "trace-unknown-name" in self.lint(
-            "def _trace(env):\n    return mystery")
-
-    def test_trace_env_misuse(self):
-        assert "trace-env-misuse" in self.lint(
-            "def _trace(env):\n    env = 1\n    return None")
-        assert "trace-env-misuse" in self.lint(
-            "def _trace(env):\n    _v = env\n    return None")
-        assert "trace-env-misuse" in self.lint(
-            "def _trace(env):\n    _v = env['key']\n    return None")
-
-    def test_trace_attr(self):
-        assert "trace-attr" in self.lint(
-            "def _trace(env):\n    _v = env[1].shady\n    return None")
-
-    def test_trace_call(self):
-        assert "trace-call" in self.lint(
-            "def _trace(env):\n    _v = eval(_g0)\n    return None")
-
-    def test_verify_trace_source_raises(self):
-        with pytest.raises(ast_lint.TraceLintError):
-            ast_lint.verify_trace_source("def _trace(env):\n    return spam")
-
-    def test_hook_lints_real_codegen(self):
-        interp = Interpreter(_loop_program(), dispatch="superblock",
-                             verify_traces=True)
-        for _ in range(8):
-            interp.run([])
-        fast = [t for t in interp._traces.values() if t.fast is not None]
-        assert fast, "hot loop must codegen under the lint hook"
-        for trace in fast:
-            assert not ast_lint.lint_trace_source(trace.source)
 
 
 # -- caching through the AnalysisManager -------------------------------------------
