@@ -42,6 +42,27 @@ def tier_results(program):
             for dispatch in DISPATCHES}
 
 
+_LEGACY_REFERENCES = {}
+
+
+def legacy_reference(workload):
+    """The result tuple of a fresh legacy run, computed once per workload."""
+    key = (workload.suite, workload.name)
+    if key not in _LEGACY_REFERENCES:
+        _LEGACY_REFERENCES[key] = result_tuple(
+            run_program(workload.build(), dispatch="legacy"))
+    return _LEGACY_REFERENCES[key]
+
+
+def aborted_state(program, dispatch, limit):
+    """Everything observable once the step limit stops a fresh run."""
+    interp = Interpreter(program, max_steps=limit, dispatch=dispatch)
+    with pytest.raises(StepLimitExceeded) as err:
+        interp.run()
+    return (str(err.value), interp.steps, interp.instructions_executed,
+            interp.cycles, interp.call_count, tuple(interp.output))
+
+
 def hot_loop_program(iterations=400):
     """A multi-block counting loop with a conditional exit."""
     module = Module("hot")
@@ -101,12 +122,33 @@ def input_sum_program():
     return Program("insum", [module])
 
 
+every_workload = pytest.mark.parametrize(
+    "workload", list(all_workloads()), ids=lambda wp: f"{wp.suite}-{wp.name}")
+
+
 class TestEveryWorkload:
-    @pytest.mark.parametrize("workload", list(all_workloads()),
-                             ids=lambda wp: f"{wp.suite}-{wp.name}")
+    @every_workload
     def test_identical_on_workload(self, workload):
-        results = tier_results(workload.build())
-        assert results["legacy"] == results["compiled"]
+        compiled = run_program(workload.build(), dispatch="compiled")
+        assert result_tuple(compiled) == legacy_reference(workload)
+
+    @every_workload
+    def test_warm_reruns_identical_on_workload(self, workload):
+        """One compiled interpreter, re-run through ``run_many`` with its
+        blocks already built, reproduces the fresh legacy run every time."""
+        interp = Interpreter(workload.build(), dispatch="compiled")
+        for result in interp.run_many([()] * 3):
+            assert result_tuple(result) == legacy_reference(workload)
+
+    @every_workload
+    def test_step_limit_stops_identically_on_workload(self, workload):
+        """A limit half-way through the run stops both tiers at ``limit + 1``
+        steps with the same message, counters and output so far."""
+        limit = legacy_reference(workload)[-1] // 2
+        states = {dispatch: aborted_state(workload.build(), dispatch, limit)
+                  for dispatch in DISPATCHES}
+        assert states["legacy"] == states["compiled"]
+        assert states["compiled"][1] == limit + 1
 
 
 class TestObfuscatedVariants:
