@@ -26,8 +26,9 @@ can diff the perf trajectory.  Tracked metrics:
 * **fig8_diff_phase** — the diffing phase of the figure-8 precision matrix
   against a warm variant cache: the ``FeatureIndex`` fast path vs the legacy
   per-diff extraction (``REPRO_DIFF_FEATURES=legacy``) and the process
-  executor at ``jobs=2``; both alternates are asserted row-identical to the
-  indexed serial run;
+  executor at ``jobs=2`` (its workers read the variants from a store tree
+  warmed by one store-backed build and score every unit); both alternates
+  are asserted row-identical to the indexed serial run;
 * **fig67_sharded** — the figure-6/7 overhead matrix over the shared
   artifact store (``REPRO_STORE_DIR``): ``jobs=1`` vs ``jobs=2``
   row-identity, cold vs warm-attach timings, and the store's hit/miss/put
@@ -57,8 +58,6 @@ can diff the perf trajectory.  Tracked metrics:
   telemetry is folded back in as a per-phase self-time summary
   (``scripts/trace_report.py`` is the interactive view).
 
-Set ``REPRO_VARIANT_CACHE_DIR`` to also exercise the legacy disk-persisted
-variant cache (save → reload round trip; adds a ``disk_cache`` section).
 ``REPRO_STORE_DIR`` is where the store-backed sections create their trees
 (a fresh subtree each); unset, temp directories are used.  It is taken out
 of the environment at start-up, so every reference run is storeless.
@@ -84,14 +83,15 @@ from typing import Callable, Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from repro.core.variant_cache import (VariantCache,     # noqa: E402
-                                      cache_file_path)
+from repro.core.variant_cache import VariantCache      # noqa: E402
 from repro.diffing.index import clear_index_cache       # noqa: E402
 from repro.evaluation.executor import reset_worker_cache  # noqa: E402
-from repro.evaluation.overhead import measure_overhead  # noqa: E402
+from repro.evaluation.overhead import (build_variant,  # noqa: E402
+                                       measure_overhead)
 from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
+from repro.store import KIND_VARIANT, ArtifactStore     # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
 from repro.vm.machine import Interpreter, run_program  # noqa: E402
@@ -105,7 +105,7 @@ REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
                  "fig6_end_to_end", "pipeline", "variant_cache",
                  "fig8_diff_phase", "fig67_sharded",
                  "fig8_function_sharded", "verify_overhead",
-                 "telemetry_overhead", "remote_store")
+                 "telemetry_overhead")
 
 #: Where the store-backed sections create their trees: ``REPRO_STORE_DIR``
 #: at start-up, or ``None`` for temp directories (see :func:`store_tree`).
@@ -301,24 +301,22 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         legacy_s = best_of(lambda: run_with("legacy"), max(1, reps // 2))
 
         os.environ["REPRO_DIFF_FEATURES"] = "indexed"
-        # hand the executor workers the already-built variants through a
-        # temporary disk cache, so jobs2_s times the diff phase + pool
-        # overhead like the other columns, not variant rebuilding
-        with tempfile.TemporaryDirectory() as tmpdir:
-            cache.save(cache_file_path(tmpdir))
-            previous_dir = os.environ.get("REPRO_VARIANT_CACHE_DIR")
-            os.environ["REPRO_VARIANT_CACHE_DIR"] = tmpdir
-            try:
-                gc.collect()
-                start = time.perf_counter()
+        # hand the executor workers the variants through a store tree warmed
+        # by one store-backed build, so jobs2_s times the diff phase + pool
+        # overhead like the other columns, not variant rebuilding; the tree
+        # holds no diff payloads and checkpointing is off, so the timed run
+        # scores every unit
+        with store_tree("fig8-diff-phase", REPRO_CHECKPOINT="off") as root:
+            seeded = VariantCache(store=ArtifactStore.attach(root))
+            for wp in programs:
+                for label in ("baseline",) + labels:
+                    build_variant(wp, label, cache=seeded)
+            gc.collect()
+            start = time.perf_counter()
+            with counted("diffshard") as jobs2_units:
                 parallel_report = measure_precision(programs, labels=labels,
                                                     jobs=2)
-                jobs2_s = time.perf_counter() - start
-            finally:
-                if previous_dir is None:
-                    os.environ.pop("REPRO_VARIANT_CACHE_DIR", None)
-                else:
-                    os.environ["REPRO_VARIANT_CACHE_DIR"] = previous_dir
+            jobs2_s = time.perf_counter() - start
 
         # a cold run re-featurizes every binary once (the indexed timing
         # above amortises the index across reps, like the figure drivers do)
@@ -340,6 +338,8 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         "indexed_s": round(indexed_s, 4),
         "indexed_cold_s": round(cold_s, 4),
         "jobs2_s": round(jobs2_s, 4),
+        "jobs2_units": {"scored": jobs2_units["units_scored"],
+                        "total": jobs2_units["units_total"]},
         "speedup": round(legacy_s / indexed_s, 2) if indexed_s else None,
         "identical": {
             "legacy": legacy_report.rows == reference.rows,
@@ -357,8 +357,6 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
     the same tree; all rows must be identical.  Checkpointing is off, so no
     run resumes from another's journal.
     """
-    from repro.store import KIND_VARIANT, ArtifactStore
-
     labels = MEASURE_LABELS
     reference = measure_overhead(programs, labels=labels, jobs=1)
     serial_s = best_of(
@@ -469,108 +467,6 @@ def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
             "cold": cold.rows == reference.rows,
             "jobs2": jobs2.rows == reference.rows,
             "warm": warm.rows == reference.rows,
-        },
-    }
-
-
-def bench_remote_store(programs, reps: int) -> Dict[str, object]:
-    """Figure 8 over a loopback store server vs the local tree.
-
-    Runs the function-sharded matrix cold and warm twice at ``jobs=2`` —
-    once attached to a local ``REPRO_STORE_DIR`` tree, once through
-    ``REPRO_STORE_URL`` to a loopback ``scripts/store_server.py`` (every
-    artifact crossing the wire).  Server-side request counters make the
-    read coalescing visible: a warm remote rerun serves its shard objects
-    out of far fewer requests than objects.
-    """
-    scripts = os.path.abspath(os.path.join(os.path.dirname(__file__),
-                                           "..", "..", "scripts"))
-    if scripts not in sys.path:
-        sys.path.insert(0, scripts)
-    from store_server import StoreServer
-
-    labels = MEASURE_LABELS
-    reference = measure_precision(programs, labels=labels, jobs=1)
-    env_keys = ("REPRO_STORE_DIR", "REPRO_STORE_URL",
-                "REPRO_STORE_CACHE_DIR", "REPRO_REMOTE_BACKOFF")
-    saved = {name: os.environ.get(name) for name in env_keys}
-
-    def timed_sharded():
-        reset_worker_cache()
-        gc.collect()
-        start = time.perf_counter()
-        with counted("checkpoint") as stats:
-            report = measure_precision(programs, labels=labels, jobs=2)
-        return report, time.perf_counter() - start, stats
-
-    def server_counters(state):
-        return {"requests": state.requests,
-                "objects_served": state.objects_served,
-                "bytes_served": state.bytes_served,
-                "objects_written": state.objects_written}
-
-    def delta(after, before):
-        return {name: after[name] - before[name] for name in after}
-
-    local_dir = tempfile.TemporaryDirectory(prefix="bench-local-store-")
-    remote_dir = tempfile.TemporaryDirectory(prefix="bench-remote-store-")
-    try:
-        for name in env_keys:
-            os.environ.pop(name, None)
-        os.environ["REPRO_STORE_DIR"] = local_dir.name
-        local_cold, local_cold_s, _ = timed_sharded()
-        local_warm, local_warm_s, local_warm_stats = timed_sharded()
-
-        os.environ.pop("REPRO_STORE_DIR", None)
-        os.environ["REPRO_REMOTE_BACKOFF"] = "0.001"
-        with StoreServer(remote_dir.name) as server:
-            os.environ["REPRO_STORE_URL"] = server.url
-            mark = server_counters(server.state)
-            remote_cold, remote_cold_s, _ = timed_sharded()
-            cold_counters = server_counters(server.state)
-            remote_warm, remote_warm_s, remote_warm_stats = timed_sharded()
-            warm_counters = server_counters(server.state)
-    finally:
-        reset_worker_cache()
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        local_dir.cleanup()
-        remote_dir.cleanup()
-
-    warm_delta = delta(warm_counters, cold_counters)
-    return {
-        "programs": [wp.name for wp in programs],
-        "labels": list(labels),
-        "rows": len(reference.rows),
-        "local": {"cold_s": round(local_cold_s, 4),
-                  "warm_s": round(local_warm_s, 4),
-                  "warm_executed": local_warm_stats["executed"]},
-        "remote": {"cold_s": round(remote_cold_s, 4),
-                   "warm_s": round(remote_warm_s, 4),
-                   "warm_executed": remote_warm_stats["executed"],
-                   "server": {"cold": delta(cold_counters, mark),
-                              "warm": warm_delta}},
-        "remote_overhead": {
-            "cold_pct": round((remote_cold_s / local_cold_s - 1) * 100, 1)
-            if local_cold_s else None,
-            "warm_pct": round((remote_warm_s / local_warm_s - 1) * 100, 1)
-            if local_warm_s else None,
-        },
-        "warm_read_coalescing": {
-            "requests": warm_delta["requests"],
-            "objects_served": warm_delta["objects_served"],
-            "objects_per_request": round(
-                warm_delta["objects_served"] / warm_delta["requests"], 2)
-            if warm_delta["requests"] else None,
-        },
-        "identical": {
-            "local_cold": local_cold.rows == reference.rows,
-            "local_warm": local_warm.rows == reference.rows,
-            "remote_cold": remote_cold.rows == reference.rows,
-            "remote_warm": remote_warm.rows == reference.rows,
         },
     }
 
@@ -759,36 +655,6 @@ def bench_verify_overhead(programs, reps: int) -> Dict[str, object]:
     }
 
 
-def bench_disk_cache(programs) -> Dict[str, object]:
-    """Save → reload round trip of the variant cache (REPRO_VARIANT_CACHE_DIR)."""
-    directory = os.environ["REPRO_VARIANT_CACHE_DIR"]
-    path = cache_file_path(directory)
-    cache = VariantCache()
-    if os.path.exists(path):
-        try:
-            cache = VariantCache.load(path)
-        except Exception as error:
-            # e.g. a file written before a version/key-schema bump: start
-            # fresh (builds are deterministic) instead of killing the run
-            print(f"disk cache: ignoring incompatible {path}: {error}",
-                  file=sys.stderr)
-    loaded_entries = len(cache)
-    gc.collect()
-    start = time.perf_counter()
-    measure_overhead(programs, labels=MEASURE_LABELS, cache=cache)
-    build_s = time.perf_counter() - start
-    cache.save(path)
-    reloaded = VariantCache.load(path)
-    return {
-        "path": path,
-        "loaded_entries": loaded_entries,
-        "saved_entries": len(cache),
-        "round_trip_entries": len(reloaded),
-        "round_trip_ok": len(reloaded) == len(cache) and len(reloaded) > 0,
-        "build_s": round(build_s, 4),
-    }
-
-
 def check_results(results: Dict[str, object]) -> List[str]:
     """Structural (timing-independent) sanity checks for --smoke."""
     problems = []
@@ -808,6 +674,10 @@ def check_results(results: Dict[str, object]) -> List[str]:
             problems.append("legacy diff path diverged from the FeatureIndex path")
         if not identical.get("jobs2", False):
             problems.append("jobs=2 executor diverged from the serial run")
+        units = diff_phase.get("jobs2_units", {})
+        if not 0 < units.get("scored", 0) == units.get("total", -1):
+            problems.append("the jobs=2 diff phase adopted stored diff "
+                            "payloads instead of scoring every unit")
     sharded = results.get("fig67_sharded", {})
     if sharded:
         identical = sharded.get("identical", {})
@@ -865,31 +735,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
             problems.append(f"trace attributed only "
                             f"{trace.get('coverage')} of busy time to "
                             f"named phases (want >= 0.95)")
-    remote = results.get("remote_store", {})
-    if remote:
-        for name, flag in sorted((remote.get("identical") or {}).items()):
-            if not flag:
-                problems.append(f"remote_store {name} run diverged from "
-                                f"the serial reference")
-        if remote.get("remote", {}).get("warm_executed", -1) != 0:
-            problems.append("warm remote fig8 rerun re-executed journaled "
-                            "shards")
-        if remote.get("remote", {}).get("server", {}).get("cold", {}).get(
-                "objects_written", 0) <= 0:
-            problems.append("cold remote run wrote no objects through the "
-                            "server")
-        coalescing = remote.get("warm_read_coalescing", {})
-        if (coalescing.get("objects_served", 0) > 8
-                and not (coalescing.get("requests", 0)
-                         < coalescing.get("objects_served", 0))):
-            problems.append("warm remote reads were not coalesced "
-                            "(requests >= objects served)")
-    if os.environ.get("REPRO_VARIANT_CACHE_DIR"):
-        disk = results.get("disk_cache")
-        if not disk:
-            problems.append("REPRO_VARIANT_CACHE_DIR set but no disk_cache section")
-        elif not disk.get("round_trip_ok", False):
-            problems.append("variant cache disk round trip failed")
     return problems
 
 
@@ -920,11 +765,9 @@ def main(argv=None) -> int:
         reps = 5
 
     results = {
-        "schema": 12,
+        "schema": 13,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "python": sys.version.split()[0],
-                   "variant_cache_dir":
-                       os.environ.get("REPRO_VARIANT_CACHE_DIR") or None,
                    "store_dir": STORE_BASE},
         "vm": bench_vm(vm_programs, reps),
         "fig6_measure_loop": bench_fig6_measure_loop(loop_programs, reps),
@@ -943,11 +786,7 @@ def main(argv=None) -> int:
                                                  max(1, reps // 2)),
         "telemetry_overhead": bench_telemetry_overhead(loop_programs,
                                                        max(1, reps // 2)),
-        "remote_store": bench_remote_store(loop_programs,
-                                           max(1, reps // 2)),
     }
-    if os.environ.get("REPRO_VARIANT_CACHE_DIR"):
-        results["disk_cache"] = bench_disk_cache(loop_programs)
 
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
@@ -993,18 +832,6 @@ def main(argv=None) -> int:
           f"(off {to['fig8_jobs2']['off_s']}s -> on "
           f"{to['fig8_jobs2']['on_s']}s); trace coverage "
           f"{to['trace'].get('coverage')}, identical={to['identical']}")
-    rs = results["remote_store"]
-    print(f"remote store:      local cold {rs['local']['cold_s']}s / warm "
-          f"{rs['local']['warm_s']}s; remote cold {rs['remote']['cold_s']}s "
-          f"/ warm {rs['remote']['warm_s']}s "
-          f"(overhead {rs['remote_overhead']['cold_pct']}% cold, "
-          f"{rs['remote_overhead']['warm_pct']}% warm); warm reads "
-          f"{rs['warm_read_coalescing']['objects_per_request']} "
-          f"objects/request; identical={rs['identical']}")
-    if "disk_cache" in results:
-        dc = results["disk_cache"]
-        print(f"disk cache:        {dc['saved_entries']} entries -> "
-              f"{dc['path']} (round trip ok: {dc['round_trip_ok']})")
     print(f"wrote {args.out}")
 
     if args.smoke:

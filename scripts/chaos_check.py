@@ -93,11 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="per-task retry budget; a pool break burns one "
                              "for every in-flight task, so chaos runs need "
                              "headroom over the nominal crash count")
-    parser.add_argument("--remote", action="store_true",
-                        help="serve the tree through a loopback store "
-                             "server and run the chaos/resume phases "
-                             "against REPRO_STORE_URL, with remote_fault "
-                             "added to the injected faults")
     parser.add_argument("--keep-tree", action="store_true",
                         help="print and keep the store tree for inspection")
     parser.add_argument("--json", action="store_true", dest="as_json",
@@ -120,12 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     os.environ["REPRO_MAX_POOL_FAILURES"] = "10"
     os.environ.pop("REPRO_JOBS", None)
     os.environ.pop("REPRO_STORE_DIR", None)
-    os.environ.pop("REPRO_STORE_URL", None)
-    os.environ.pop("REPRO_STORE_CACHE_DIR", None)
-    os.environ.pop("REPRO_VARIANT_CACHE_DIR", None)
     os.environ.pop("REPRO_FAULTS", None)
-    if args.remote and "remote_fault" not in args.faults:
-        args.faults += ";remote_fault:p=0.1,seed=7"
     if args.as_json:
         # the structured report reads retry/quarantine/fault counters out
         # of the run's merged telemetry, so the run must produce one
@@ -177,19 +167,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     tree = tempfile.mkdtemp(prefix="chaos-store-")
     failures = 0
-    server = None
     try:
-        # 2. chaos run: crashes + corruption over a fresh shared tree —
-        # attached directly, or through a loopback store server (--remote)
-        if args.remote:
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from store_server import StoreServer
-            server = StoreServer(tree)
-            os.environ["REPRO_STORE_URL"] = server.start()
-            os.environ["REPRO_REMOTE_BACKOFF"] = "0.001"
-            say(f"  serving {tree} at {server.url}")
-        else:
-            os.environ["REPRO_STORE_DIR"] = tree
+        # 2. chaos run: crashes + corruption over a fresh shared tree
+        os.environ["REPRO_STORE_DIR"] = tree
         os.environ["REPRO_FAULTS"] = args.faults
         reset_worker_cache()
         reset_injector()
@@ -238,12 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"identical={resumed == reference})")
             failures += 1
 
-        # 4. the tree must fsck clean after repairs (repair is local-only:
-        # quiesce the server first, then fsck the tree it served)
-        if server is not None:
-            server.stop()
-            server = None
-            os.environ.pop("REPRO_STORE_URL", None)
+        # 4. the tree must fsck clean after repairs
         script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "fsck_store.py")
         started = time.monotonic()
@@ -263,11 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry["counters"] = _merged_counters(tree)
         telemetry["run_dir"] = _latest_run_dir(tree)
     finally:
-        if server is not None:
-            server.stop()
         os.environ.pop("REPRO_STORE_DIR", None)
-        os.environ.pop("REPRO_STORE_URL", None)
-        os.environ.pop("REPRO_REMOTE_BACKOFF", None)
         os.environ.pop("REPRO_FAULTS", None)
         if args.keep_tree:
             say(f"  store tree kept at {tree}")
@@ -283,8 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "labels": list(labels),
                               "tools": [d.name for d in differs],
                               "jobs": args.jobs, "faults": args.faults,
-                              "retries": args.retries,
-                              "remote": bool(args.remote)},
+                              "retries": args.retries},
                    "phases": phases, "telemetry": telemetry},
                   sys.stdout, indent=2, sort_keys=True)
         print()

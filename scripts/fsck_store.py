@@ -5,8 +5,7 @@ The store's runtime read path already self-heals one object at a time —
 corrupt files are quarantined and rebuilt on demand.  ``fsck_store`` is the
 offline complement: it walks the whole tree at once and reports everything
 the runtime would eventually discover, so an operator can audit a tree
-*before* pointing a matrix run (or a future remote-store worker fleet) at
-it.
+*before* pointing a matrix run at it.
 
 Checks, per object file under ``objects/<kind>/<aa>/<digest>.pkl``:
 
@@ -32,23 +31,12 @@ run manifests under ``runs/`` are checked for journaled shard digests whose
 store object is gone (``manifest_orphans``): harmless for resume (the shard
 just re-executes) but repaired by dropping the stale journal lines.
 
-A remote store checks too: pass an ``http(s)://`` URL instead of a
-directory and every object is fetched through the
-:class:`~repro.store.backend.RemoteBackend` batch protocol and validated
-client-side with the same envelope checks.  Fetch failures are **never**
-silently degraded to misses — each failed batch is a per-cause
-``remote_error`` finding (the same causes ``store.remote_errors`` counts
-at runtime), and the report's ``remote_errors`` map aggregates them.
-``--repair`` is refused for URLs: repairs mutate the tree and belong on
-the machine that owns it.
-
 Exit status: 0 when the tree is clean (after repairs, with ``--repair``),
 1 when problems remain, 2 when the tree cannot be checked at all.
 
 Usage:
     PYTHONPATH=src python scripts/fsck_store.py /path/to/store
     PYTHONPATH=src python scripts/fsck_store.py --repair --json /path/to/store
-    PYTHONPATH=src python scripts/fsck_store.py http://127.0.0.1:8734
 """
 
 from __future__ import annotations
@@ -64,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.store import (CORRUPT_READ_ERRORS, OBJECTS_DIR, QUARANTINE_DIR,
                          STORE_SCHEMA, GenerationLog, KEY_SCHEMA,
                          store_digest)
-from repro.store.backend import RemoteBackend, RemoteStoreError
 from repro.evaluation.checkpoint import RUNS_DIR
 
 
@@ -83,9 +70,15 @@ class Finding:
                 "repairable": self.repairable}
 
 
-def _check_envelope(envelope: object, kind: str, shard: str, digest: str,
-                    path: str) -> Tuple[Optional[object], Optional[Finding]]:
-    """Validate one unpickled envelope; returns (key, finding)."""
+def _check_object(path: str, kind: str, shard: str,
+                  digest: str) -> Tuple[Optional[object], Optional[Finding]]:
+    """Validate one object file; returns (key, finding)."""
+    try:
+        with open(path, "rb") as fh:
+            envelope = pickle.load(fh)
+    except CORRUPT_READ_ERRORS as error:
+        return None, Finding("corrupt_object", path,
+                             f"{type(error).__name__}: {error}")
     if (not isinstance(envelope, dict)
             or envelope.get("store_schema") != STORE_SCHEMA
             or envelope.get("key_schema") != KEY_SCHEMA
@@ -103,18 +96,6 @@ def _check_envelope(envelope: object, kind: str, shard: str, digest: str,
             "digest_mismatch", path,
             f"file named {digest} in shard {shard} but key derives {derived}")
     return key, None
-
-
-def _check_object(path: str, kind: str, shard: str,
-                  digest: str) -> Tuple[Optional[object], Optional[Finding]]:
-    """Validate one object file; returns (key, finding)."""
-    try:
-        with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
-    except CORRUPT_READ_ERRORS as error:
-        return None, Finding("corrupt_object", path,
-                             f"{type(error).__name__}: {error}")
-    return _check_envelope(envelope, kind, shard, digest, path)
 
 
 def fsck(root: str, repair: bool = False) -> Dict[str, object]:
@@ -321,119 +302,15 @@ def _drop_manifest_lines(path: str, stale: set) -> None:
         pass
 
 
-def fsck_remote(url: str) -> Dict[str, object]:
-    """Check a remote store through the batch protocol, envelope by envelope.
-
-    Every object the server lists is fetched and validated client-side.  A
-    batch that cannot be fetched is a per-cause ``remote_error`` finding for
-    each of its objects — a dead or flaky server is *reported*, never
-    scored as "those objects are fine" or "those objects are missing".
-    """
-    findings: List[Finding] = []
-    remote_errors: Dict[str, int] = {}
-    scanned = 0
-    ok = 0
-    backend = RemoteBackend(url)
-    manifest = backend.manifest()
-    if (manifest.get("store_schema") != STORE_SCHEMA
-            or manifest.get("key_schema") != KEY_SCHEMA):
-        findings.append(Finding(
-            "schema_mismatch", url,
-            f"server stamped {manifest.get('store_schema')}/"
-            f"{manifest.get('key_schema')}, pipeline speaks "
-            f"{STORE_SCHEMA}/{KEY_SCHEMA}", repairable=False))
-    refs = backend.list_refs()
-    for start in range(0, len(refs), 256):
-        chunk = refs[start:start + 256]
-        try:
-            found = backend.get_many(chunk)
-        except RemoteStoreError as error:
-            cause = getattr(error, "cause", "error")
-            for kind, digest in chunk:
-                scanned += 1
-                remote_errors[cause] = remote_errors.get(cause, 0) + 1
-                findings.append(Finding(
-                    "remote_error", f"{url}/objects/{kind}/{digest}",
-                    f"unfetchable ({cause}): {error}", repairable=False))
-            continue
-        for kind, digest in chunk:
-            scanned += 1
-            path = f"{url}/objects/{kind}/{digest}"
-            data = found.get((kind, digest))
-            if data is None:
-                # listed a moment ago but gone now: raced GC/quarantine,
-                # drift not damage — report it, distinctly from an error
-                findings.append(Finding("listed_missing", path,
-                                        "listed but not fetchable",
-                                        repairable=False))
-                continue
-            try:
-                envelope = pickle.loads(data)
-            except CORRUPT_READ_ERRORS as error:
-                findings.append(Finding(
-                    "corrupt_object", path,
-                    f"{type(error).__name__}: {error}", repairable=False))
-                continue
-            _key, finding = _check_envelope(envelope, kind, digest[:2],
-                                            digest, path)
-            if finding is None:
-                ok += 1
-            else:
-                finding.repairable = False
-                findings.append(finding)
-    return {
-        "root": url,
-        "clean": not findings,
-        "counts": {
-            "objects_scanned": scanned,
-            "objects_ok": ok,
-            "problems": len(findings),
-            "remote_errors": sum(remote_errors.values()),
-        },
-        "remote_errors": dict(sorted(remote_errors.items())),
-        "findings": [f.as_dict() for f in findings],
-    }
-
-
-def _is_url(root: str) -> bool:
-    return root.startswith("http://") or root.startswith("https://")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="verify/repair an artifact-store tree")
-    parser.add_argument("root", help="store tree root (REPRO_STORE_DIR) "
-                                     "or store server URL (REPRO_STORE_URL)")
+    parser.add_argument("root", help="store tree root (REPRO_STORE_DIR)")
     parser.add_argument("--repair", action="store_true",
                         help="quarantine damage, reconcile ledger + journals")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the full report as JSON")
     args = parser.parse_args(argv)
-
-    if _is_url(args.root):
-        if args.repair:
-            print("fsck_store: --repair is local-only; run it on the "
-                  "server's tree", file=sys.stderr)
-            return 2
-        try:
-            report = fsck_remote(args.root.rstrip("/"))
-        except RemoteStoreError as error:
-            print(f"fsck_store: {args.root}: {error}", file=sys.stderr)
-            return 2
-        if args.as_json:
-            print(json.dumps(report, indent=1, sort_keys=True))
-        else:
-            counts = report["counts"]
-            print(f"fsck_store: {report['root']}")
-            print(f"  objects scanned: {counts['objects_scanned']}, "
-                  f"ok: {counts['objects_ok']}")
-            for finding in report["findings"]:
-                print(f"  [{finding['code']}] {finding['path']}: "
-                      f"{finding['detail']}")
-            if counts["remote_errors"]:
-                print(f"  remote errors: {report['remote_errors']}")
-            print("  clean" if report["clean"] else "  PROBLEMS FOUND")
-        return 0 if report["clean"] else 1
 
     if not os.path.isdir(args.root):
         print(f"fsck_store: {args.root}: not a directory", file=sys.stderr)

@@ -4,10 +4,9 @@
 A store tree only ever grows: every matrix run appends variants, binaries,
 feature payloads, per-function diff payloads and journaled shard results,
 and nothing ever deletes them.  That is the right default — artifacts are
-deterministic and cheap to keep — but a long-lived tree (or a store
-server's tree feeding a fleet) accumulates objects no journal references
-any more: superseded matrices, abandoned label sets, chaos-test leftovers.
-``gc_store`` reclaims exactly those.
+deterministic and cheap to keep — but a long-lived tree accumulates
+objects no journal references any more: superseded matrices, abandoned
+label sets, chaos-test leftovers.  ``gc_store`` reclaims exactly those.
 
 **Mark.**  The roots are the run journals under ``runs/<run_id>.jsonl`` —
 the same files resume reads — so *live* means journal-reachable:
@@ -374,8 +373,7 @@ def collect(root: str, dry_run: bool = False, grace: float = DEFAULT_GRACE,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="mark-and-sweep GC for an artifact-store tree")
-    parser.add_argument("root", help="store tree root (REPRO_STORE_DIR, or "
-                                     "a store server's --root)")
+    parser.add_argument("root", help="store tree root (REPRO_STORE_DIR)")
     parser.add_argument("--dry-run", action="store_true",
                         help="report what would be collected; delete nothing")
     parser.add_argument("--grace", type=float, default=DEFAULT_GRACE,

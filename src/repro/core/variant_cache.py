@@ -19,10 +19,8 @@ over :class:`repro.store.artifact_store.ArtifactStore`: the default
 construction wraps a pure in-memory store (the historical LRU behaviour),
 and passing ``store=ArtifactStore.attach(dir)`` makes every lookup fall
 through the in-process LRU to a shared on-disk object tree that any number
-of concurrent workers use together.  The pre-store single-pickle layout
-(:meth:`save`/:meth:`load`, ``variants.pkl`` under the now-deprecated
-``REPRO_VARIANT_CACHE_DIR``) is kept as an import/export format on top of
-the store — not as a parallel caching mechanism.
+of concurrent workers use together.  That tree is the only persistent form
+of the cache.
 
 Cached artifacts are shared between callers (and, through a rooted store,
 between processes), so consumers must treat them as immutable: run the
@@ -32,26 +30,10 @@ place.  (The evaluation drivers only ever execute and diff.)
 
 from __future__ import annotations
 
-import os
-import pickle
 from typing import Callable, Dict, Optional, Tuple
 
 from ..store.artifact_store import KIND_BINARY, KIND_VARIANT, ArtifactStore
-from ..store.keys import (KEY_SCHEMA as _KEY_SCHEMA,  # noqa: F401 (re-export)
-                          _freeze, _value_based, config_cache_key, variant_key)
-
-#: On-disk payload format version of the *legacy* single-pickle layout
-#: (bump when save()'s layout changes).  The store tree has its own schema
-#: stamp — see :data:`repro.store.artifact_store.STORE_SCHEMA`.
-CACHE_FILE_VERSION = 1
-
-#: File name used inside a ``REPRO_VARIANT_CACHE_DIR`` directory.
-CACHE_FILE_NAME = "variants.pkl"
-
-
-def cache_file_path(directory: str) -> str:
-    """The legacy cache file inside a ``REPRO_VARIANT_CACHE_DIR`` directory."""
-    return os.path.join(directory, CACHE_FILE_NAME)
+from ..store.keys import config_cache_key, variant_key  # noqa: F401 (re-export)
 
 
 class VariantCache:
@@ -145,57 +127,3 @@ class VariantCache:
         self._store.reset_counters()
         self.hits = 0
         self.misses = 0
-
-    # -- legacy single-pickle persistence ----------------------------------------
-
-    def save(self, path: str) -> None:
-        """Export the in-process entries to ``path`` (legacy pickle layout).
-
-        Written atomically (temp file + rename) so concurrent readers never
-        observe a half-written file.  Hit/miss counters are *not* persisted;
-        they describe one process's lookups, not the artifacts.  For a
-        store-backed cache only the memory layer is exported — the on-disk
-        tree already persists everything and needs no second copy.
-        """
-        payload = {
-            "version": CACHE_FILE_VERSION,
-            "key_schema": _KEY_SCHEMA,
-            "entries": self._store.memory_items(KIND_VARIANT),
-        }
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, path)
-
-    def import_legacy(self, path: str) -> int:
-        """Seed the in-process layer from a :meth:`save`-format file.
-
-        Returns the number of entries imported (the LRU bound applies, so
-        fewer may survive).  Raises :class:`ValueError` when the file was
-        written with a different payload format or variant-key schema — a
-        stale cache must never serve artifacts built by an incompatible
-        pipeline.
-        """
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CACHE_FILE_VERSION
-                or payload.get("key_schema") != _KEY_SCHEMA):
-            raise ValueError(
-                f"incompatible variant cache file {path!r} "
-                f"(want version={CACHE_FILE_VERSION}, key_schema={_KEY_SCHEMA})")
-        entries = payload["entries"]
-        for key, artifact in entries:
-            self._store.preload(KIND_VARIANT, key, artifact)
-        return len(entries)
-
-    @classmethod
-    def load(cls, path: str,
-             max_entries: Optional[int] = None) -> "VariantCache":
-        """Load a cache previously written by :meth:`save`."""
-        cache = cls(max_entries=max_entries)
-        cache.import_legacy(path)
-        return cache

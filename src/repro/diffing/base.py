@@ -50,9 +50,16 @@ def use_indexed_features() -> bool:
 
     The legacy path re-extracts every feature on every ``diff()`` call — it
     is the differential reference for the :class:`~repro.diffing.index.FeatureIndex`
-    fast path and must produce bit-identical results.
+    fast path and must produce bit-identical results.  Unset or empty
+    selects the indexed path; any value but ``indexed`` or ``legacy``
+    raises, so a typo in a reference run can never quietly compare the fast
+    path with itself.
     """
-    return os.environ.get("REPRO_DIFF_FEATURES", "indexed").lower() != "legacy"
+    value = os.environ.get("REPRO_DIFF_FEATURES", "")
+    if value not in ("", "indexed", "legacy"):
+        raise ValueError(f"REPRO_DIFF_FEATURES must be 'indexed' or "
+                         f"'legacy', got {value!r}")
+    return value != "legacy"
 
 
 @dataclass

@@ -13,8 +13,6 @@ from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experime
 from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
                        resolve_task_retries, resolve_task_timeout, run_tasks,
                        worker_cache, worker_cache_events)
-from .faults import (FaultInjected, FaultInjector, FaultRule, active_injector,
-                     parse_faults, reset_injector)
 from .checkpoint import (RunManifest, checkpoint_enabled, run_checkpointed,
                          run_id)
 from .diff_sharding import shard_diff_matrix
@@ -31,8 +29,6 @@ __all__ = [
     "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
     "resolve_task_retries", "resolve_task_timeout", "run_tasks",
     "worker_cache", "worker_cache_events",
-    "FaultInjected", "FaultInjector", "FaultRule", "active_injector",
-    "parse_faults", "reset_injector",
     "RunManifest", "checkpoint_enabled", "run_checkpointed", "run_id",
     "ShardBatch", "shard_overhead_matrix", "shard_diff_matrix",
 ]

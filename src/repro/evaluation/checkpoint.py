@@ -49,7 +49,6 @@ from ..obs import tracing as obs_tracing
 from ..obs.collect import open_run
 from ..store.artifact_store import (KIND_SHARD, StoreError, store_digest,
                                     store_dir_from_env, store_from_env)
-from ..store.backend import RemoteBackend, RemoteStoreError
 from .executor import call_cache, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
@@ -83,7 +82,7 @@ def run_id(run_parts: object) -> str:
 
 def _parse_journal(text: str) -> Set[str]:
     """The completed-unit digests of one journal's lines — tolerant of
-    torn trailing lines, shared by the local and remote manifests."""
+    torn trailing lines (``scripts/gc_store.py`` marks its roots with it)."""
     done: Set[str] = set()
     for line in text.splitlines():
         line = line.strip()
@@ -138,36 +137,6 @@ class RunManifest:
             os.fsync(fd)
         finally:
             os.close(fd)
-
-
-class RemoteRunManifest:
-    """A :class:`RunManifest` hosted by the store server (``/runs/<id>``).
-
-    The journal must live next to the objects it references — GC marks
-    journal-reachable units live — so a remote-attached run appends its
-    lines through the server's ``O_APPEND`` endpoint instead of a local
-    file.  A transient append failure under-reports one unit (it
-    re-executes next run — safe, and counted in ``store.remote_errors`` by
-    the backend); it never mis-resumes.
-    """
-
-    def __init__(self, backend: RemoteBackend, identity: str):
-        self.backend = backend
-        self.identity = identity
-        self.done: Set[str] = set()
-        try:
-            self.done |= _parse_journal(
-                backend.fetch_run_journal(identity))
-        except RemoteStoreError:
-            pass  # cold journal: everything re-executes, nothing is wrong
-
-    def mark_done(self, digest: str) -> None:
-        self.done.add(digest)
-        line = json.dumps({"digest": digest}) + "\n"
-        try:
-            self.backend.append_run_journal(self.identity, line)
-        except RemoteStoreError:
-            pass  # under-reported, re-executed next run; never mis-resumed
 
 
 class _Sentinel:
@@ -248,25 +217,16 @@ def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
     try:
         store = store_from_env(max_memory_entries=8)
     except (StoreError, OSError):
-        # an unusable tree (or unreachable server) degrades to a plain
-        # (un-resumable) run, same as the worker cache's storeless
-        # degradation
+        # an unusable tree degrades to a plain (un-resumable) run, same as
+        # the worker cache's storeless degradation
         store = None
-    if store is None or not store.persistent:
+    if store is None:
         return run_tasks(task_fn, tasks, jobs=jobs)
-    if store.root is not None:
-        manifest = RunManifest(store.root, identity)
-    else:
-        manifest = RemoteRunManifest(store.backend, identity)
+    manifest = RunManifest(store.root, identity)
     obs_metrics.counter("checkpoint.planned", len(tasks))
 
     results: List[object] = [_ABSENT] * len(tasks)
     digests = [store_digest(KIND_SHARD, key) for key in keys]
-    # a warm remote resume revives many units at once: coalesce their
-    # fetch into batch requests instead of one round trip per unit
-    store.prefetch(KIND_SHARD, [keys[index]
-                                for index, digest in enumerate(digests)
-                                if digest in manifest.done])
     pending: List[int] = []
     for index, digest in enumerate(digests):
         if digest in manifest.done:

@@ -34,10 +34,9 @@ from ..diffing.base import BinaryDiffer, DiffResult, PartialDiff
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
-from ..store.artifact_store import KIND_DIFF
 from ..store.diff_payloads import (diff_pair_key, load_roster, load_unit,
                                    load_whole, persist_roster, persist_unit,
-                                   persist_whole, unit_key)
+                                   persist_whole)
 from ..store.feature_payloads import persist_features, warm_features
 from ..toolchain import obfuscator_for
 from ..workloads.suites import WorkloadProgram
@@ -173,11 +172,6 @@ def _diff_shard_impl(shard: DiffShard, cache) -> DiffShardResult:
         return result
 
     mine = units[index::count]
-    if store is not None:
-        # a warm remote slice would otherwise pay one round trip per unit;
-        # coalesce them into batch fetches (no-op on local/storeless paths)
-        store.prefetch(KIND_DIFF, [unit_key(pair_key, unit)
-                                   for unit in mine])
     stored: Dict[str, Dict] = {}
     missing: List[str] = []
     for unit in mine:

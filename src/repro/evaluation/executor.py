@@ -31,11 +31,8 @@ in-process run builds through a cache of its own (:func:`call_cache`),
 sized by the caller and dropped when the run returns.  With
 ``REPRO_STORE_DIR`` set, both attach to the one shared on-disk
 :class:`~repro.store.artifact_store.ArtifactStore` tree — artifacts built by
-any process are read (not rebuilt) by all the others.  The deprecated
-``REPRO_VARIANT_CACHE_DIR`` is still honoured: pointing at a store tree it
-acts as an alias for ``REPRO_STORE_DIR``; pointing at a legacy
-``variants.pkl`` it seeds each worker's in-memory layer.  ``jobs`` defaults
-to ``REPRO_JOBS`` and, absent that, to 1.
+any process are read (not rebuilt) by all the others.  ``jobs`` defaults to
+``REPRO_JOBS`` and, absent that, to 1.
 """
 
 from __future__ import annotations
@@ -49,14 +46,13 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
-from ..core.variant_cache import VariantCache, cache_file_path
+from ..core.variant_cache import VariantCache
 from ..faults import active_injector
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..obs.collect import flush as flush_telemetry
 from ..store.artifact_store import (ArtifactStore, StoreError,
-                                    store_dir_from_env, store_from_env,
-                                    store_url_from_env)
+                                    store_dir_from_env)
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -208,11 +204,11 @@ class ExecutorTaskError(RuntimeError):
 
 _WORKER_CACHE: Optional[VariantCache] = None
 
-#: Operator-facing counters of worker-cache startup degradations: a corrupt
-#: legacy seed file or an unusable store tree is survivable (builds are
-#: deterministic) but must be *visible*, not silent — a worker that starts
-#: cold because the seed was corrupt looks identical to one that starts
-#: cold because there was no seed, unless these counters say otherwise.
+#: Operator-facing counters of worker-cache startup degradations: an
+#: unusable store tree is survivable (builds are deterministic) but must be
+#: *visible*, not silent — a worker that starts storeless because the tree
+#: was unusable looks identical to one that never had a tree, unless these
+#: counters say otherwise.
 #: Since the telemetry PR they live in the process-global metrics registry
 #: under this prefix; :func:`worker_cache_events` is a façade over it.
 _CACHE_EVENTS_PREFIX = "executor.cache"
@@ -240,20 +236,17 @@ def _worker_cache_bound() -> Optional[int]:
 def worker_cache() -> VariantCache:
     """The process-local :class:`VariantCache` used by executor tasks.
 
-    Created on first use in each worker.  With ``REPRO_STORE_DIR`` (or a
-    store tree behind the deprecated ``REPRO_VARIANT_CACHE_DIR`` alias) the
-    cache attaches to the shared on-disk artifact store; a legacy
-    ``variants.pkl`` under ``REPRO_VARIANT_CACHE_DIR`` additionally seeds
-    the in-memory layer.  A corrupt or incompatible tree/file is logged and
-    counted (:func:`worker_cache_events`), never fatal — builds are
-    deterministic, so starting cold only costs time.
+    Created on first use in each worker.  With ``REPRO_STORE_DIR`` the
+    cache attaches to the shared on-disk artifact store.  A corrupt or
+    incompatible tree is logged and counted (:func:`worker_cache_events`),
+    never fatal — builds are deterministic, so starting cold only costs
+    time.
     """
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
         bound = _worker_cache_bound()
         _WORKER_CACHE = VariantCache(max_entries=bound,
                                      store=_attach_store(bound))
-        _preload_legacy(_WORKER_CACHE)
     return _WORKER_CACHE
 
 
@@ -277,55 +270,32 @@ def call_cache(entries: int) -> VariantCache:
 def worker_cache_events() -> Dict[str, int]:
     """Counters of best-effort worker-cache startups that degraded.
 
-    ``preload_failures`` — legacy ``variants.pkl`` seed files that could not
-    be imported; ``store_attach_failures`` — shared store trees that could
-    not be attached.  Both also emit one ``WARNING`` log line with the
-    cause, so an operator can tell a corrupt seed file from a cold start.
-    (A façade over the :mod:`repro.obs` metrics registry; the dict shape
-    predates it.)
+    ``store_attach_failures`` — shared store trees that could not be
+    attached.  Each also emits one ``WARNING`` log line with the cause, so
+    an operator can tell an unusable tree from a cold start.  (A façade
+    over the :mod:`repro.obs` metrics registry; the dict shape predates
+    it.)
     """
     registry = obs_metrics.REGISTRY
-    return {"preload_failures":
-            int(registry.get(f"{_CACHE_EVENTS_PREFIX}.preload_failures")),
-            "store_attach_failures":
+    return {"store_attach_failures":
             int(registry.get(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures"))}
 
 
 def _attach_store(bound: Optional[int]) -> Optional[ArtifactStore]:
     """The store the environment names, or ``None`` (also when unusable)."""
-    target = store_url_from_env() or store_dir_from_env()
+    target = store_dir_from_env()
     if not target:
         return None
     try:
-        return store_from_env(max_memory_entries=bound)
+        return ArtifactStore.attach(target, max_memory_entries=bound)
     except (StoreError, OSError) as error:
-        # an unusable shared tree (or unreachable store server) must never
-        # kill a worker — but it must not silently cost a full rebuild
-        # either
+        # an unusable shared tree must never kill a worker — but it must
+        # not silently cost a full rebuild either
         obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures")
         logger.warning(
             "variant cache: cannot attach store %s (%s: %s); "
             "building storeless", target, type(error).__name__, error)
         return None
-
-
-def _preload_legacy(cache: VariantCache) -> None:
-    directory = os.environ.get("REPRO_VARIANT_CACHE_DIR")
-    path = cache_file_path(directory) if directory else None
-    if path is None or not os.path.exists(path):
-        return
-    try:
-        cache.import_legacy(path)
-    except Exception as error:
-        # best-effort preload: a corrupt, truncated or stale file
-        # (UnpicklingError, AttributeError on renamed classes, ...) must
-        # never kill a worker — builds are deterministic, so starting empty
-        # only costs time.  One warning + a counter so the degradation is
-        # diagnosable, not silent.
-        obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.preload_failures")
-        logger.warning(
-            "worker cache: preload from %s failed (%s: %s); "
-            "starting cold", path, type(error).__name__, error)
 
 
 def reset_worker_cache() -> None:
@@ -336,7 +306,7 @@ def reset_worker_cache() -> None:
 
 
 def rooted_store(cache) -> Optional[ArtifactStore]:
-    """The cache's persistent artifact store (local tree or remote), if any."""
+    """The cache's persistent artifact store (a rooted tree), if any."""
     store = getattr(cache, "store", None)
     return store if store is not None and store.persistent else None
 

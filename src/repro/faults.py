@@ -3,7 +3,7 @@
 The fault-tolerance layer — the supervised executor's retries and pool
 respawn, the store's corrupt-object quarantine, checkpoint/resume — is only
 trustworthy if it can be exercised under *reproducible* chaos.  This module
-injects three classes of fault at well-defined points:
+injects four kinds of fault at well-defined points:
 
 * ``worker_crash`` — the worker process hard-exits (``os._exit``) at task
   entry, breaking the whole process pool exactly like a segfaulting or
@@ -14,13 +14,7 @@ injects three classes of fault at well-defined points:
   exercising the bounded-retry path without killing the worker;
 * ``store_corrupt`` — the bytes of a store object are damaged as they are
   written (:meth:`FaultInjector.corrupt_payload`), exercising the store's
-  read-path corruption detection, quarantine and rebuild;
-* ``remote_fault`` — a remote-store HTTP request fails at the wire
-  (:meth:`FaultInjector.maybe_remote_fault` raises a
-  :class:`ConnectionResetError`), exercising the
-  :class:`~repro.store.backend.RemoteBackend` retry/backoff loop.  Retries
-  pass a fresh ``attempt`` and re-roll, so a bounded retry budget converges
-  for any ``p < 1``.
+  read-path corruption detection, quarantine and rebuild.
 
 The spec grammar (``REPRO_FAULTS``) is ``;``-separated rules::
 
@@ -55,8 +49,7 @@ from .obs import metrics as obs_metrics
 from .obs import tracing as obs_tracing
 
 #: The recognised fault kinds, in spec order.
-FAULT_KINDS = ("worker_crash", "task_hang", "task_error", "store_corrupt",
-               "remote_fault")
+FAULT_KINDS = ("worker_crash", "task_hang", "task_error", "store_corrupt")
 
 #: Exit status of an injected worker crash (distinguishable in pool logs
 #: from a Python-level failure, which would raise instead of exiting).
@@ -206,18 +199,6 @@ class FaultInjector:
                 f"injected task_error at {token!r} (attempt {attempt})")
 
     # -- store-side faults --------------------------------------------------------
-
-    def maybe_remote_fault(self, token: str, attempt: int = 0) -> None:
-        """Fail a remote-store request like a dropped connection would.
-
-        Raises :class:`ConnectionResetError` (an ``OSError``), which the
-        remote backend's retry loop treats exactly like a real network
-        failure: counted per-cause, retried with backoff, re-rolled per
-        attempt.
-        """
-        if self._decide("remote_fault", token, attempt):
-            raise ConnectionResetError(
-                f"injected remote_fault at {token!r} (attempt {attempt})")
 
     def corrupt_payload(self, token: str, data: bytes) -> bytes:
         """Damage an object's bytes on their way to disk — at most once per

@@ -65,13 +65,27 @@ def _retarget(function: Function, old: BasicBlock, new: BasicBlock) -> None:
         _retarget_terminator(block.terminator, old, new)
 
 
+def _legacy_from_env() -> bool:
+    """Does ``REPRO_SIMPLIFY_CFG`` select the legacy reference path?
+
+    Unset or empty selects the incremental path; any value but
+    ``incremental`` or ``legacy`` raises, so a typo in a reference run can
+    never quietly compare the fast path with itself.
+    """
+    value = os.environ.get("REPRO_SIMPLIFY_CFG", "")
+    if value not in ("", "incremental", "legacy"):
+        raise ValueError(f"REPRO_SIMPLIFY_CFG must be 'incremental' or "
+                         f"'legacy', got {value!r}")
+    return value == "legacy"
+
+
 class SimplifyCFG(FunctionPass):
     name = "simplify-cfg"
     preserves = ()  # restructures the block graph wholesale
 
     def __init__(self, legacy: Optional[bool] = None):
         if legacy is None:
-            legacy = os.environ.get("REPRO_SIMPLIFY_CFG", "") == "legacy"
+            legacy = _legacy_from_env()
         self.legacy = legacy
 
     def run_on_function(self, function: Function,

@@ -1,6 +1,6 @@
 """Shared artifact store: compute each build artifact once per machine.
 
-The subsystem has three pieces:
+The subsystem has these pieces:
 
 * :mod:`repro.store.keys` — freezes (workload profile, obfuscator config,
   opt options) triples into stable, value-based key tuples (re-exported by
@@ -9,6 +9,8 @@ The subsystem has three pieces:
   :class:`ArtifactStore`: in-process LRU over an atomic on-disk object tree
   that any number of executor workers attach to concurrently, validated
   cheaply through the :class:`GenerationLog` manifest;
+* :mod:`repro.store.backend` — :class:`LocalBackend`, the byte layer of
+  that tree (crash-durable atomic writes, quarantine moves, listing);
 * :mod:`repro.store.feature_payloads` — persistence for the diffing
   :class:`~repro.diffing.index.FeatureIndex` payloads keyed by the variant
   that produced the binary;
@@ -17,19 +19,15 @@ The subsystem has three pieces:
   obfuscated variant, source function) for the function-granularity diff
   sharding.
 
-``REPRO_STORE_DIR`` names the shared tree; the pre-store
-``REPRO_VARIANT_CACHE_DIR`` single-pickle layout is still honoured (and the
-variable doubles as a store-dir alias when it points at a store tree).
+``REPRO_STORE_DIR`` names the shared tree; unset, every run is storeless.
 """
 
 from .artifact_store import (CORRUPT_READ_ERRORS, KIND_BINARY, KIND_DIFF,
                              KIND_FEATURES, KIND_SHARD, KIND_VARIANT,
-                             OBJECTS_DIR, QUARANTINE_DIR, STORE_SCHEMA,
-                             ArtifactStore, StoreError, canonical_key,
-                             is_store_tree, store_digest, store_dir_from_env,
-                             store_from_env, store_url_from_env)
-from .backend import (LocalBackend, ObjectRef, RemoteBackend,
-                      RemoteStoreError, StoreBackend)
+                             STORE_SCHEMA, ArtifactStore, StoreError,
+                             canonical_key, is_store_tree, store_digest,
+                             store_dir_from_env, store_from_env)
+from .backend import OBJECTS_DIR, QUARANTINE_DIR, LocalBackend, ObjectRef
 from .diff_payloads import diff_pair_key
 from .feature_payloads import features_key, persist_features, warm_features
 from .generation_log import GENERATION_LOG_NAME, GenerationLog
@@ -37,13 +35,12 @@ from .keys import KEY_SCHEMA, config_cache_key, variant_key
 
 __all__ = [
     "ArtifactStore", "StoreError", "GenerationLog", "GENERATION_LOG_NAME",
-    "StoreBackend", "LocalBackend", "RemoteBackend", "RemoteStoreError",
-    "ObjectRef",
+    "LocalBackend", "ObjectRef",
     "KIND_VARIANT", "KIND_BINARY", "KIND_FEATURES", "KIND_DIFF", "KIND_SHARD",
     "OBJECTS_DIR", "QUARANTINE_DIR", "CORRUPT_READ_ERRORS",
     "STORE_SCHEMA", "KEY_SCHEMA", "canonical_key",
     "store_digest", "is_store_tree", "store_dir_from_env", "store_from_env",
-    "store_url_from_env", "config_cache_key",
+    "config_cache_key",
     "variant_key", "diff_pair_key", "features_key", "persist_features",
     "warm_features",
 ]

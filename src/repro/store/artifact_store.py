@@ -24,7 +24,11 @@ per *machine* rather than once per process:
   stamps the schema versions and ledgers the written digests, so a warm tree
   is validated with one JSON read instead of an object scan.
 
-``root=None`` degrades to a pure in-memory LRU — exactly the pre-store
+The tree under ``root`` (``REPRO_STORE_DIR`` for the evaluation drivers)
+is the store's one persistent backend
+(:class:`~repro.store.backend.LocalBackend`); ``ArtifactStore(root,
+max_memory_entries)`` is the whole constructor.  ``root=None`` degrades to
+a pure in-memory LRU — exactly the pre-store
 :class:`~repro.core.variant_cache.VariantCache` behaviour, which is now a
 façade over this class.
 """
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import os
 import pickle
 import time
@@ -43,8 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 from ..faults import active_injector
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from .backend import (OBJECTS_DIR, QUARANTINE_DIR, LocalBackend,
-                      RemoteBackend, RemoteStoreError, StoreBackend)
+from .backend import OBJECTS_DIR, LocalBackend
 from .generation_log import GenerationLog
 from .keys import KEY_SCHEMA as _KEY_SCHEMA
 
@@ -114,41 +116,18 @@ def is_store_tree(root: str) -> bool:
 
 
 def store_dir_from_env(environ=os.environ) -> Optional[str]:
-    """The shared store directory: ``REPRO_STORE_DIR``, with the deprecated
-    ``REPRO_VARIANT_CACHE_DIR`` honoured as an alias when it already holds a
-    store tree (a legacy ``variants.pkl``-only directory is not a store)."""
-    explicit = environ.get("REPRO_STORE_DIR")
-    if explicit:
-        return explicit
-    alias = environ.get("REPRO_VARIANT_CACHE_DIR")
-    if alias and is_store_tree(alias):
-        return alias
-    return None
-
-
-def store_url_from_env(environ=os.environ) -> Optional[str]:
-    """The remote store server URL (``REPRO_STORE_URL``), if any."""
-    url = environ.get("REPRO_STORE_URL", "").strip()
-    return url or None
+    """The shared store directory (``REPRO_STORE_DIR``), if any."""
+    return environ.get("REPRO_STORE_DIR") or None
 
 
 def store_from_env(max_memory_entries: Optional[int] = None,
                    environ=os.environ) -> Optional["ArtifactStore"]:
-    """The store the environment selects, or ``None`` for storeless runs.
+    """The store ``REPRO_STORE_DIR`` names, or ``None`` for storeless runs.
 
-    ``REPRO_STORE_URL`` wins (remote backend, with
-    ``REPRO_STORE_CACHE_DIR`` as its optional read-through cache tier);
-    otherwise ``REPRO_STORE_DIR`` (local tree); otherwise ``None``.
-    Raises :class:`StoreError` on schema mismatch and
-    :class:`~repro.store.backend.RemoteStoreError` (an ``OSError``) on an
-    unreachable server — callers that must degrade (the executor's worker
+    Raises :class:`StoreError` on schema mismatch and ``OSError`` on an
+    unusable directory — callers that must degrade (the executor's worker
     attach) catch both.
     """
-    url = store_url_from_env(environ)
-    if url:
-        return ArtifactStore.connect(
-            url, max_memory_entries=max_memory_entries,
-            cache_dir=environ.get("REPRO_STORE_CACHE_DIR", "").strip() or None)
     root = store_dir_from_env(environ)
     if root:
         return ArtifactStore.attach(root,
@@ -175,14 +154,9 @@ class ArtifactStore:
     bound_per_kind = False
 
     def __init__(self, root: Optional[str] = None,
-                 max_memory_entries: Optional[int] = None,
-                 backend: Optional[StoreBackend] = None,
-                 url: Optional[str] = None,
-                 cache_dir: Optional[str] = None):
+                 max_memory_entries: Optional[int] = None):
         if max_memory_entries is not None and max_memory_entries <= 0:
             raise ValueError("max_memory_entries must be positive or None")
-        if sum(1 for given in (root, backend, url) if given) > 1:
-            raise ValueError("give at most one of root, backend, url")
         self.root = os.path.abspath(root) if root else None
         self.max_memory_entries = max_memory_entries
         self._memory: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
@@ -195,20 +169,9 @@ class ArtifactStore:
         #: lands in :data:`repro.obs.metrics.REGISTRY` for telemetry.
         self.metrics = obs_metrics.MetricsRegistry(parent=obs_metrics.REGISTRY)
         self._log: Optional[GenerationLog] = None
-        self._backend: Optional[StoreBackend] = None
-        if url:
-            backend = RemoteBackend(url, cache_dir=cache_dir)
-        if backend is not None:
-            self._backend = backend
-            backend.bind_metrics(self.metrics)
-            if isinstance(backend, LocalBackend):
-                self.root = backend.root
-                self._attach_tree()
-            else:
-                self._attach_remote()
-        elif self.root is not None:
+        self._backend: Optional[LocalBackend] = None
+        if self.root is not None:
             self._backend = LocalBackend(self.root)
-            self._backend.bind_metrics(self.metrics)
             self._attach_tree()
 
     # -- attach / validation -----------------------------------------------------
@@ -222,18 +185,6 @@ class ArtifactStore:
         incompatible pipeline — a stale tree must never serve artifacts.
         """
         return cls(root=root, max_memory_entries=max_memory_entries)
-
-    @classmethod
-    def connect(cls, url: str, max_memory_entries: Optional[int] = None,
-                cache_dir: Optional[str] = None) -> "ArtifactStore":
-        """Attach to a remote store server (``scripts/store_server.py``).
-
-        Validates the server's schema stamps exactly like a local attach
-        validates ``generation.json`` — :class:`StoreError` on mismatch,
-        :class:`~repro.store.backend.RemoteStoreError` when unreachable.
-        """
-        return cls(url=url, max_memory_entries=max_memory_entries,
-                   cache_dir=cache_dir)
 
     def _attach_tree(self) -> None:
         assert self.root is not None
@@ -254,65 +205,29 @@ class ArtifactStore:
                 f"this pipeline needs {STORE_SCHEMA}/{_KEY_SCHEMA}")
         self._log = log
 
-    def _attach_remote(self) -> None:
-        assert self._backend is not None
-        manifest = self._backend.manifest()
-        self._remote_manifest = manifest
-        if (manifest.get("store_schema") != STORE_SCHEMA
-                or manifest.get("key_schema") != _KEY_SCHEMA):
-            raise StoreError(
-                f"incompatible remote store at {self._backend.describe()}: "
-                f"server has store_schema={manifest.get('store_schema')} "
-                f"key_schema={manifest.get('key_schema')}, this pipeline "
-                f"needs {STORE_SCHEMA}/{_KEY_SCHEMA}")
-        # the ledger lives (and is appended) server-side; self._log stays
-        # None and warm_entries() reports the manifest's advertised count
-
     @property
     def generation_log(self) -> Optional[GenerationLog]:
         return self._log
 
     @property
-    def backend(self) -> Optional[StoreBackend]:
-        return self._backend
-
-    @property
     def persistent(self) -> bool:
-        """Does this store outlive the process (local tree or remote)?"""
+        """Does this store outlive the process (is it backed by a tree)?"""
         return self._backend is not None
 
-    @property
-    def url(self) -> Optional[str]:
-        backend = self._backend
-        return backend.url if isinstance(backend, RemoteBackend) else None
-
     def warm_entries(self, kind: Optional[str] = None) -> int:
-        """Entries the manifest advertises — the cheap warm-start signal.
-
-        For a remote store this is the count the server advertised at
-        attach time (per-kind breakdown comes from the same snapshot)."""
-        if self._log is not None:
-            return self._log.count(kind)
-        manifest = getattr(self, "_remote_manifest", None)
-        if manifest is not None:
-            entries = manifest.get("entries")
-            if kind is None:
-                return int(entries) if isinstance(entries, int) else 0
-            kinds = manifest.get("kinds")
-            if isinstance(kinds, dict):
-                return int(kinds.get(kind, 0))
-        return 0
+        """Entries the manifest advertises — the cheap warm-start signal."""
+        return self._log.count(kind) if self._log is not None else 0
 
     # -- paths -------------------------------------------------------------------
 
     def object_path(self, kind: str, digest: str) -> str:
-        if not isinstance(self._backend, LocalBackend):
-            raise ValueError("store has no local object paths")
+        if self._backend is None:
+            raise ValueError("store has no object paths")
         return self._backend.object_path(kind, digest)
 
     def quarantine_path(self, kind: str, digest: str) -> str:
-        if not isinstance(self._backend, LocalBackend):
-            raise ValueError("store has no local quarantine")
+        if self._backend is None:
+            raise ValueError("store has no quarantine")
         return self._backend.quarantine_path(kind, digest)
 
     # -- the lookup protocol -----------------------------------------------------
@@ -393,60 +308,17 @@ class ArtifactStore:
         return len(digests)
 
     def prefetch(self, kind: str, keys: List[object]) -> int:
-        """Batch-fetch objects of ``kind`` into the memory layer.
+        """Load nothing ahead and return 0.
 
-        Only meaningful on batched (remote) backends — one coalesced
-        round trip instead of N; a no-op otherwise, so callers sprinkle
-        it without changing local-path behaviour or counters.  Returns
-        the number of objects loaded.  Prefetching is an optimisation:
-        an exhausted retry budget degrades to the per-object path (which
-        raises if the server is really gone) instead of failing here.
+        Nothing calls this: reads from the local tree are cheap one at a
+        time.  It stays because the paper benchmark's layer tracer wraps
+        ``ArtifactStore.prefetch`` by name and fails if it is missing.
         """
-        backend = self._backend
-        if backend is None or not backend.batched:
-            return 0
-        wanted: Dict[Tuple[str, str], object] = {}
-        for key in keys:
-            digest = store_digest(kind, key)
-            if (kind, digest) not in self._memory:
-                wanted[(kind, digest)] = key
-        if not wanted:
-            return 0
-        try:
-            with obs_tracing.span("store.prefetch", cat="store.remote",
-                                  kind=kind, count=len(wanted)):
-                blobs = backend.get_many(list(wanted))
-        except RemoteStoreError:
-            return 0  # every failed attempt is already counted per-cause
-        loaded = 0
-        for (ref_kind, ref_digest), data in blobs.items():
-            payload = self._decode_envelope(ref_kind, ref_digest,
-                                            wanted[(ref_kind, ref_digest)],
-                                            data)
-            if payload is not _MISSING:
-                self._remember((ref_kind, ref_digest),
-                               wanted[(ref_kind, ref_digest)], payload)
-                loaded += 1
-        self.metrics.counter("store.prefetched", loaded)
-        return loaded
+        return 0
 
     def keys(self, kind: str) -> List[object]:
         """The keys of ``kind`` held in the memory layer, LRU order."""
         return [self._keys[slot] for slot in self._memory if slot[0] == kind]
-
-    def memory_items(self, kind: str) -> List[Tuple[object, object]]:
-        """``(key, payload)`` pairs of the memory layer, LRU order."""
-        return [(self._keys[slot], payload)
-                for slot, payload in self._memory.items() if slot[0] == kind]
-
-    def preload(self, kind: str, key: object, payload: object) -> None:
-        """Seed the memory layer without touching disk or any counter.
-
-        Used to import artifacts from the legacy single-pickle cache format:
-        they become ordinary memory entries (subject to the LRU bound) but
-        are not re-persisted — the legacy file stays the owner of its copy.
-        """
-        self._remember((kind, store_digest(kind, key)), key, payload)
 
     # -- memory layer ------------------------------------------------------------
 
@@ -481,26 +353,9 @@ class ArtifactStore:
         try:
             with obs_tracing.span("store.read", cat="store", kind=kind):
                 data = self._backend.get(kind, digest)
-        except RemoteStoreError:
-            # every failed attempt was counted per-cause by the backend
-            # (``store.remote_errors.*``); a dead or misbehaving server is
-            # an error the caller must see, never a warm tree reading cold
-            raise
-        except CORRUPT_READ_ERRORS as error:
-            self._quarantine(kind, digest,
-                             f"{type(error).__name__}: {error}",
-                             cause=type(error).__name__)
-            return _MISSING
-        if data is None:
-            return _MISSING
-        self.metrics.counter("store.bytes_read", len(data))
-        return self._decode_envelope(kind, digest, key, data)
-
-    def _decode_envelope(self, kind: str, digest: str, key: object,
-                         data: bytes) -> object:
-        """Unpickle + validate one serialized envelope; quarantines and
-        returns :data:`_MISSING` on damage (shared by read and prefetch)."""
-        try:
+            if data is None:
+                return _MISSING
+            self.metrics.counter("store.bytes_read", len(data))
             envelope = pickle.loads(data)
         except CORRUPT_READ_ERRORS as error:
             # a damaged object is *evidence*, not just a miss: move it to
@@ -562,11 +417,11 @@ class ArtifactStore:
                     data = injector.corrupt_payload(f"{kind}:{digest}", data)
                 written = self._backend.put(kind, digest, data,
                                             overwrite=overwrite)
-        except (RemoteStoreError, OSError, pickle.PicklingError, TypeError,
+        except (OSError, pickle.PicklingError, TypeError,
                 AttributeError) as error:
             # persistence is an optimisation; never fail the build for an
-            # unwritable tree, an unreachable server or an unpicklable
-            # payload — but never silently either
+            # unwritable tree or an unpicklable payload — but never
+            # silently either
             self.metrics.counter(
                 f"store.put_failures.{type(error).__name__}")
             return
@@ -619,17 +474,6 @@ class ArtifactStore:
                 in self.metrics.prefixed("store.corrupt_reads").items()}
 
     @property
-    def remote_errors(self) -> Dict[str, int]:
-        """Failed remote-store request attempts by cause — HTTP status
-        (``"http_503"``), transport exception class
-        (``"ConnectionResetError"``, ``"TimeoutError"``) or
-        ``"_ChecksumMismatch"`` for transport-integrity failures.  Every
-        attempt counts, including the ones a retry then recovered — a
-        flaky server is visible even when the run succeeds."""
-        return {cause: int(count) for cause, count
-                in self.metrics.prefixed("store.remote_errors").items()}
-
-    @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
 
@@ -651,7 +495,6 @@ class ArtifactStore:
             "hit_rate": round(self.hit_rate, 4),
             "corrupt_reads": dict(self.corrupt_reads),
             "quarantined": self.quarantined,
-            "remote_errors": dict(self.remote_errors),
         }
 
 

@@ -1,54 +1,26 @@
-"""Store backends: where the artifact bytes live.
+"""The store's byte layer: the on-disk object tree.
 
 :class:`~repro.store.artifact_store.ArtifactStore` owns the *semantic*
 layer — key freezing, content addressing, the pickle envelope, the LRU,
-quarantine policy, counters.  A :class:`StoreBackend` owns the *byte*
-layer underneath it: opaque serialized envelopes addressed by
-``(kind, digest)``.  Two implementations:
+quarantine policy, counters.  :class:`LocalBackend` owns the *byte* layer
+underneath it: opaque serialized envelopes addressed by ``(kind, digest)``
+in an object tree (``objects/<kind>/<aa>/<digest>.pkl``) written with a
+single-writer atomic protocol that is crash-durable: the payload temp file
+is ``fsync``\\ ed before ``os.replace`` publishes it and the containing
+directory is ``fsync``\\ ed after, so a power loss can neither publish a
+torn object nor lose a published rename (``REPRO_STORE_FSYNC=off`` trades
+that durability back for speed on throwaway trees).
 
-* :class:`LocalBackend` — the original on-disk object tree
-  (``objects/<kind>/<aa>/<digest>.pkl``) with the single-writer atomic
-  protocol, now crash-durable: the payload temp file is ``fsync``\\ ed
-  before ``os.replace`` publishes it and the containing directory is
-  ``fsync``\\ ed after, so a power loss can neither publish a torn object
-  nor lose a published rename (``REPRO_STORE_FSYNC=off`` trades that
-  durability back for speed on throwaway trees);
-* :class:`RemoteBackend` — an HTTP client for ``scripts/store_server.py``
-  (``REPRO_STORE_URL``).  Single-object ``GET``/``PUT``/``HEAD`` plus
-  coalesced batch endpoints (``POST /batch/get`` fetches many objects in
-  one framed response, fanned out over a small thread pool), an optional
-  read-through :class:`LocalBackend` cache tier
-  (``REPRO_STORE_CACHE_DIR``), per-object SHA-256 verification on read,
-  and a seeded-chaos-aware retry/backoff loop: every failed attempt is
-  counted per-cause in ``store.remote_errors.<cause>`` and retried with
-  exponential backoff; exhausting the budget raises
-  :class:`RemoteStoreError` — a remote failure is never silently
-  downgraded to a miss (the same "never swallow" rule the quarantine
-  path follows).
-
-Backends are deliberately *dumb about payloads*: they move bytes, verify
-transport integrity, and report what happened.  Envelope validation,
-corruption quarantine and rebuild policy stay in ``ArtifactStore`` so the
-local and remote paths share one semantic implementation.
+The backend is deliberately *dumb about payloads*: it moves bytes and
+reports what happened.  Envelope validation, corruption quarantine and
+rebuild policy stay in ``ArtifactStore``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import json
 import os
-import socket
-import time
-import urllib.error
-import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..faults import active_injector
-from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
+from typing import Dict, List, Optional, Tuple
 
 #: A backend-level object address: ``(kind, digest)``.
 ObjectRef = Tuple[str, str]
@@ -58,13 +30,6 @@ OBJECTS_DIR = "objects"
 
 #: Subdirectory corrupt objects are moved into (with a reason record).
 QUARANTINE_DIR = "quarantine"
-
-#: Response/request header carrying the SHA-256 of the object bytes —
-#: transport integrity, independent of the (key-derived) content address.
-CHECKSUM_HEADER = "X-Repro-Sha256"
-
-#: Request header marking a last-writer-wins put.
-OVERWRITE_HEADER = "X-Repro-Overwrite"
 
 
 def _fsync_enabled(environ=os.environ) -> bool:
@@ -86,154 +51,17 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-class RemoteStoreError(ConnectionError):
-    """A remote-store request that failed for good (retry budget spent,
-    or a non-retryable client error).  Subclasses :class:`ConnectionError`
-    so the executor's attach-failure degradation (``except OSError``)
-    catches it, while the store read path re-raises it *before* its
-    corrupt-read handling — a dead server must never read as a miss."""
-
-    def __init__(self, message: str, cause: str = "error"):
-        super().__init__(message)
-        self.cause = cause
-
-
-class _ChecksumMismatch(Exception):
-    """Transport-integrity failure on a fetched object (retryable)."""
-
-
-#: One failed attempt of these classes is retried with backoff; anything
-#: else is a client-side bug and propagates immediately.
-RETRYABLE_ERRORS = (urllib.error.URLError, ConnectionError, TimeoutError,
-                    http.client.HTTPException, socket.timeout,
-                    _ChecksumMismatch)
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {raw!r}")
-    return value
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {raw!r}")
-    return value
-
-
-class StoreBackend:
-    """The byte-level store interface.
-
-    ``get``/``put``/``contains`` move single serialized envelopes;
-    ``get_many``/``put_many``/``contains_many`` are the batched forms a
-    network backend coalesces (the local backend just loops).
-    ``persistent`` distinguishes a real backend from the pure in-memory
-    LRU; ``batched`` marks backends whose ``*_many`` calls are cheaper
-    than N singles (the store only prefetches through those).
-    """
-
-    name = "abstract"
-    persistent = True
-    batched = False
-
-    def __init__(self) -> None:
-        self.metrics: obs_metrics.MetricsRegistry = obs_metrics.REGISTRY
-
-    def bind_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
-        """Attach this backend's counters to a store's instance registry."""
-        self.metrics = registry
-
-    # -- single-object protocol --------------------------------------------------
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def manifest(self) -> Dict[str, object]:
-        """The tree's schema stamps (``store_schema``/``key_schema``/...)."""
-        raise NotImplementedError
-
-    def get(self, kind: str, digest: str) -> Optional[bytes]:
-        """The object's bytes, or ``None`` when it does not exist."""
-        raise NotImplementedError
-
-    def put(self, kind: str, digest: str, data: bytes,
-            overwrite: bool = False) -> bool:
-        """Store the bytes; ``True`` if written, ``False`` if an existing
-        object was kept (first-writer-kept)."""
-        raise NotImplementedError
-
-    def contains(self, kind: str, digest: str) -> bool:
-        raise NotImplementedError
-
-    def delete(self, kind: str, digest: str) -> bool:
-        """Remove the object (GC sweep); ``True`` if something was removed."""
-        raise NotImplementedError
-
-    def quarantine(self, kind: str, digest: str,
-                   record: Dict[str, object]) -> bool:
-        """Move a corrupt object aside with ``record`` as the reason.
-        Best-effort; ``True`` only when the object was actually moved."""
-        raise NotImplementedError
-
-    def list_refs(self, kind: Optional[str] = None) -> List[ObjectRef]:
-        """Every stored ``(kind, digest)`` (of one kind, if given)."""
-        raise NotImplementedError
-
-    # -- batched protocol (default: loop over the single-object calls) -----------
-
-    def get_many(self, refs: Sequence[ObjectRef]) -> Dict[ObjectRef, bytes]:
-        found: Dict[ObjectRef, bytes] = {}
-        for kind, digest in refs:
-            data = self.get(kind, digest)
-            if data is not None:
-                found[(kind, digest)] = data
-        return found
-
-    def put_many(self, items: Sequence[Tuple[str, str, bytes]],
-                 overwrite: bool = False) -> int:
-        written = 0
-        for kind, digest, data in items:
-            if self.put(kind, digest, data, overwrite=overwrite):
-                written += 1
-        return written
-
-    def contains_many(self, refs: Sequence[ObjectRef]) -> Dict[ObjectRef, bool]:
-        return {(kind, digest): self.contains(kind, digest)
-                for kind, digest in refs}
-
-
-class LocalBackend(StoreBackend):
+class LocalBackend:
     """The on-disk object tree, with crash-durable atomic writes."""
 
-    name = "local"
-    batched = False
-
     def __init__(self, root: str, durable: Optional[bool] = None):
-        super().__init__()
         self.root = os.path.abspath(root)
         #: ``None`` re-reads ``REPRO_STORE_FSYNC`` per write (workers may
-        #: mutate their environment); a bool pins it (tests, cache tiers).
+        #: mutate their environment); a bool pins it (tests).
         self._durable = durable
 
     def describe(self) -> str:
         return f"local:{self.root}"
-
-    def ensure_tree(self) -> None:
-        os.makedirs(os.path.join(self.root, OBJECTS_DIR), exist_ok=True)
 
     def durable(self) -> bool:
         return self._durable if self._durable is not None else _fsync_enabled()
@@ -249,16 +77,8 @@ class LocalBackend(StoreBackend):
 
     # -- protocol ----------------------------------------------------------------
 
-    def manifest(self) -> Dict[str, object]:
-        from .generation_log import GenerationLog
-        log = GenerationLog.load(self.root)
-        if log is None:
-            return {}
-        return {"store_schema": log.store_schema,
-                "key_schema": log.key_schema,
-                "generation": log.generation}
-
     def get(self, kind: str, digest: str) -> Optional[bytes]:
+        """The object's bytes, or ``None`` when it does not exist."""
         try:
             with open(self.object_path(kind, digest), "rb") as fh:
                 return fh.read()
@@ -267,6 +87,8 @@ class LocalBackend(StoreBackend):
 
     def put(self, kind: str, digest: str, data: bytes,
             overwrite: bool = False) -> bool:
+        """Store the bytes; ``True`` if written, ``False`` if an existing
+        object was kept (first-writer-kept)."""
         path = self.object_path(kind, digest)
         if not overwrite and os.path.exists(path):
             return False  # first-writer-kept
@@ -299,6 +121,7 @@ class LocalBackend(StoreBackend):
         return os.path.exists(self.object_path(kind, digest))
 
     def delete(self, kind: str, digest: str) -> bool:
+        """Remove the object (GC sweep); ``True`` if something was removed."""
         path = self.object_path(kind, digest)
         try:
             os.unlink(path)
@@ -310,6 +133,8 @@ class LocalBackend(StoreBackend):
 
     def quarantine(self, kind: str, digest: str,
                    record: Dict[str, object]) -> bool:
+        """Move a corrupt object aside with ``record`` as the reason.
+        Best-effort; ``True`` only when the object was actually moved."""
         path = self.object_path(kind, digest)
         destination = self.quarantine_path(kind, digest)
         durable = self.durable()
@@ -333,6 +158,7 @@ class LocalBackend(StoreBackend):
         return True
 
     def list_refs(self, kind: Optional[str] = None) -> List[ObjectRef]:
+        """Every stored ``(kind, digest)`` (of one kind, if given)."""
         refs: List[ObjectRef] = []
         objects = os.path.join(self.root, OBJECTS_DIR)
         try:
@@ -351,379 +177,3 @@ class LocalBackend(StoreBackend):
                     if name.endswith(".pkl"):
                         refs.append((one_kind, name[:-len(".pkl")]))
         return refs
-
-
-class RemoteBackend(StoreBackend):
-    """HTTP client for a ``scripts/store_server.py`` tree.
-
-    Knobs (all env-overridable): ``REPRO_REMOTE_TIMEOUT`` (seconds per
-    request, default 10), ``REPRO_REMOTE_RETRIES`` (extra attempts after
-    the first, default 3), ``REPRO_REMOTE_BACKOFF`` (base sleep, doubled
-    per retry, default 0.05s), ``REPRO_REMOTE_BATCH`` (objects per batch
-    request, default 64), ``REPRO_REMOTE_PARALLEL`` (concurrent batch
-    requests, default 4).
-    """
-
-    name = "remote"
-    batched = True
-
-    def __init__(self, url: str, cache_dir: Optional[str] = None,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 backoff: Optional[float] = None,
-                 batch_size: Optional[int] = None,
-                 parallel: Optional[int] = None):
-        super().__init__()
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
-            raise ValueError(f"REPRO_STORE_URL must be an http(s) URL, "
-                             f"got {url!r}")
-        self.url = url.rstrip("/")
-        self.timeout = (timeout if timeout is not None
-                        else _env_float("REPRO_REMOTE_TIMEOUT", 10.0))
-        self.retries = (retries if retries is not None
-                        else _env_int("REPRO_REMOTE_RETRIES", 3))
-        self.backoff = (backoff if backoff is not None
-                        else _env_float("REPRO_REMOTE_BACKOFF", 0.05))
-        self.batch_size = (batch_size if batch_size is not None
-                           else _env_int("REPRO_REMOTE_BATCH", 64, minimum=1))
-        self.parallel = (parallel if parallel is not None
-                         else _env_int("REPRO_REMOTE_PARALLEL", 4, minimum=1))
-        #: Read-through cache tier: fetched objects land here so the next
-        #: process (or the next run) on this host skips the network.  The
-        #: cache holds verified bytes only and is itself content-addressed,
-        #: so sharing it between attached stores is safe.
-        self.cache: Optional[LocalBackend] = None
-        if cache_dir:
-            self.cache = LocalBackend(cache_dir)
-            self.cache.ensure_tree()
-
-    def describe(self) -> str:
-        if self.cache is not None:
-            return f"remote:{self.url} (cache {self.cache.root})"
-        return f"remote:{self.url}"
-
-    # -- request plumbing --------------------------------------------------------
-
-    def _count(self, name: str, value: int = 1) -> None:
-        self.metrics.counter(name, value)
-
-    def _with_retries(self, token: str, attempt_fn):
-        """Run one request attempt function under the retry/backoff loop.
-
-        ``attempt_fn`` performs a full attempt (request + response
-        validation) and may raise any :data:`RETRYABLE_ERRORS` member;
-        each failed attempt is counted per-cause, and the seeded
-        ``remote_fault`` injector fires *before* the attempt so chaos
-        tests exercise exactly this loop.
-        """
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            try:
-                injector = active_injector()
-                if injector is not None:
-                    injector.maybe_remote_fault(token, attempt)
-                self._count("store.remote.requests")
-                return attempt_fn()
-            except RemoteStoreError:
-                raise  # already classified as non-retryable
-            except RETRYABLE_ERRORS as error:
-                cause = type(error).__name__
-                if isinstance(error, urllib.error.HTTPError):
-                    cause = f"http_{error.code}"
-                self._count(f"store.remote_errors.{cause}")
-                obs_tracing.event("store.remote.error", cat="store.remote",
-                                  token=token, cause=cause, attempt=attempt)
-                last_error = error
-                if attempt < self.retries:
-                    self._count("store.remote.retries")
-                    time.sleep(self.backoff * (2 ** attempt))
-        cause = type(last_error).__name__ if last_error else "error"
-        raise RemoteStoreError(
-            f"remote store request {token!r} failed after "
-            f"{self.retries + 1} attempts: {last_error}", cause=cause)
-
-    def _open(self, method: str, path: str, body: Optional[bytes] = None,
-              headers: Optional[Dict[str, str]] = None):
-        request = urllib.request.Request(self.url + path, data=body,
-                                         method=method,
-                                         headers=dict(headers or {}))
-        return urllib.request.urlopen(request, timeout=self.timeout)
-
-    def _request(self, method: str, path: str, body: Optional[bytes] = None,
-                 headers: Optional[Dict[str, str]] = None,
-                 ok_missing: bool = False):
-        """One retried request; returns ``(status, headers, bytes)``.
-
-        404 returns ``(404, ..., b"")`` when ``ok_missing`` (a miss is an
-        answer, not an error); other 4xx raise :class:`RemoteStoreError`
-        immediately (a client bug will not improve with retries); 5xx and
-        transport errors go through the retry loop.
-        """
-        token = f"{method}:{path}"
-
-        def attempt():
-            try:
-                with obs_tracing.span("store.remote.request",
-                                      cat="store.remote", method=method,
-                                      path=path):
-                    with self._open(method, path, body, headers) as response:
-                        return (response.status, dict(response.headers),
-                                response.read())
-            except urllib.error.HTTPError as error:
-                if error.code == 404 and ok_missing:
-                    return (404, dict(error.headers or {}), b"")
-                if 400 <= error.code < 500:
-                    raise RemoteStoreError(
-                        f"remote store rejected {method} {path}: "
-                        f"{error.code} {error.reason}",
-                        cause=f"http_{error.code}")
-                raise
-
-        return self._with_retries(token, attempt)
-
-    @staticmethod
-    def _verify(data: bytes, expected: Optional[str], context: str) -> None:
-        if expected and hashlib.sha256(data).hexdigest() != expected:
-            raise _ChecksumMismatch(
-                f"checksum mismatch fetching {context}")
-
-    # -- protocol ----------------------------------------------------------------
-
-    def manifest(self) -> Dict[str, object]:
-        status, _, data = self._request("GET", "/manifest")
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise RemoteStoreError(f"malformed manifest from {self.url}",
-                                   cause="bad_manifest")
-        return payload
-
-    def get(self, kind: str, digest: str) -> Optional[bytes]:
-        if self.cache is not None:
-            cached = self.cache.get(kind, digest)
-            if cached is not None:
-                self._count("store.remote.cache_hits")
-                return cached
-        path = f"/objects/{kind}/{digest}"
-        token = f"GET:{path}"
-
-        def attempt():
-            try:
-                with obs_tracing.span("store.remote.request",
-                                      cat="store.remote", method="GET",
-                                      path=path):
-                    with self._open("GET", path) as response:
-                        data = response.read()
-                        self._verify(data,
-                                     response.headers.get(CHECKSUM_HEADER),
-                                     f"{kind}/{digest[:12]}")
-                        return data
-            except urllib.error.HTTPError as error:
-                if error.code == 404:
-                    return None
-                if 400 <= error.code < 500:
-                    raise RemoteStoreError(
-                        f"remote store rejected GET {path}: {error.code}",
-                        cause=f"http_{error.code}")
-                raise
-
-        data = self._with_retries(token, attempt)
-        if data is None:
-            return None
-        self._count("store.remote.objects_fetched")
-        self._count("store.remote.bytes_fetched", len(data))
-        self._cache_fill(kind, digest, data)
-        return data
-
-    def _cache_fill(self, kind: str, digest: str, data: bytes) -> None:
-        if self.cache is None:
-            return
-        try:
-            self.cache.put(kind, digest, data)
-        except OSError:
-            pass  # the cache tier is an optimisation, never a failure
-
-    def put(self, kind: str, digest: str, data: bytes,
-            overwrite: bool = False) -> bool:
-        headers = {CHECKSUM_HEADER: hashlib.sha256(data).hexdigest(),
-                   "Content-Type": "application/octet-stream"}
-        if overwrite:
-            headers[OVERWRITE_HEADER] = "1"
-        status, _, _ = self._request("PUT", f"/objects/{kind}/{digest}",
-                                     body=data, headers=headers)
-        self._count("store.remote.puts")
-        self._cache_fill(kind, digest, data)
-        return status == 201  # 200 = existing object kept
-
-    def contains(self, kind: str, digest: str) -> bool:
-        if self.cache is not None and self.cache.contains(kind, digest):
-            return True
-        status, _, _ = self._request("HEAD", f"/objects/{kind}/{digest}",
-                                     ok_missing=True)
-        return status == 200
-
-    def delete(self, kind: str, digest: str) -> bool:
-        status, _, _ = self._request("DELETE", f"/objects/{kind}/{digest}",
-                                     ok_missing=True)
-        if self.cache is not None:
-            self.cache.delete(kind, digest)
-        return status == 200
-
-    def quarantine(self, kind: str, digest: str,
-                   record: Dict[str, object]) -> bool:
-        """Ask the server to move the object aside (mirrors the local
-        semantics, so a post-quarantine rebuild publishes into a clean
-        slot server-side too) and drop any cached copy.  Best-effort:
-        failures are already counted per-cause by the retry loop."""
-        if self.cache is not None:
-            self.cache.delete(kind, digest)
-        body = json.dumps(record, sort_keys=True).encode("utf-8")
-        try:
-            status, _, _ = self._request(
-                "POST", f"/quarantine/{kind}/{digest}", body=body,
-                headers={"Content-Type": "application/json"},
-                ok_missing=True)
-        except RemoteStoreError:
-            return False
-        return status == 200
-
-    def list_refs(self, kind: Optional[str] = None) -> List[ObjectRef]:
-        path = "/list" if kind is None else f"/list?kind={kind}"
-        _, _, data = self._request("GET", path)
-        payload = json.loads(data.decode("utf-8"))
-        return [(str(k), str(d)) for k, d in payload.get("refs", [])]
-
-    # -- batched protocol --------------------------------------------------------
-
-    def get_many(self, refs: Sequence[ObjectRef]) -> Dict[ObjectRef, bytes]:
-        """Coalesced parallel fetch: cache first, then the misses in
-        ``batch_size`` chunks over ``parallel`` concurrent requests."""
-        found: Dict[ObjectRef, bytes] = {}
-        misses: List[ObjectRef] = []
-        for ref in refs:
-            if self.cache is not None:
-                cached = self.cache.get(*ref)
-                if cached is not None:
-                    self._count("store.remote.cache_hits")
-                    found[ref] = cached
-                    continue
-            misses.append(ref)
-        if not misses:
-            return found
-        chunks = [misses[i:i + self.batch_size]
-                  for i in range(0, len(misses), self.batch_size)]
-        if len(chunks) == 1:
-            results = [self._batch_get(chunks[0])]
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=min(self.parallel, len(chunks))) as pool:
-                results = list(pool.map(self._batch_get, chunks))
-        for chunk_found in results:
-            found.update(chunk_found)
-        return found
-
-    def _batch_get(self, refs: List[ObjectRef]) -> Dict[ObjectRef, bytes]:
-        body = json.dumps({"items": [[kind, digest] for kind, digest
-                                     in refs]}).encode("utf-8")
-        token = "POST:/batch/get"
-
-        def attempt():
-            with obs_tracing.span("store.remote.batch", cat="store.remote",
-                                  count=len(refs)):
-                with self._open("POST", "/batch/get", body,
-                                {"Content-Type": "application/json"}) \
-                        as response:
-                    raw = response.read()
-            newline = raw.index(b"\n")
-            index = json.loads(raw[:newline].decode("utf-8"))
-            blobs = raw[newline + 1:]
-            out: Dict[ObjectRef, bytes] = {}
-            offset = 0
-            position = 0
-            for ref, present in zip(refs, index["found"]):
-                if not present:
-                    continue
-                size = index["sizes"][position]
-                data = blobs[offset:offset + size]
-                self._verify(data, index["sha256"][position],
-                             f"{ref[0]}/{ref[1][:12]}")
-                out[ref] = data
-                offset += size
-                position += 1
-            if offset != len(blobs):
-                raise _ChecksumMismatch("batch framing mismatch")
-            return out
-
-        self._count("store.remote.batch_requests")
-        out = self._with_retries(token, attempt)
-        self._count("store.remote.objects_fetched", len(out))
-        self._count("store.remote.bytes_fetched",
-                    sum(len(data) for data in out.values()))
-        for (kind, digest), data in out.items():
-            self._cache_fill(kind, digest, data)
-        return out
-
-    def put_many(self, items: Sequence[Tuple[str, str, bytes]],
-                 overwrite: bool = False) -> int:
-        written = 0
-        chunks = [list(items[i:i + self.batch_size])
-                  for i in range(0, len(items), self.batch_size)]
-        for chunk in chunks:
-            written += self._batch_put(chunk, overwrite)
-        return written
-
-    def _batch_put(self, items: List[Tuple[str, str, bytes]],
-                   overwrite: bool) -> int:
-        index = {"items": [[kind, digest, len(data),
-                            hashlib.sha256(data).hexdigest()]
-                           for kind, digest, data in items],
-                 "overwrite": bool(overwrite)}
-        body = (json.dumps(index, sort_keys=True).encode("utf-8") + b"\n"
-                + b"".join(data for _, _, data in items))
-        self._count("store.remote.batch_requests")
-        _, _, response = self._request(
-            "POST", "/batch/put", body=body,
-            headers={"Content-Type": "application/octet-stream"})
-        payload = json.loads(response.decode("utf-8"))
-        for (kind, digest, data) in items:
-            self._cache_fill(kind, digest, data)
-        self._count("store.remote.puts", len(items))
-        return sum(1 for flag in payload.get("written", []) if flag)
-
-    def contains_many(self, refs: Sequence[ObjectRef]) -> Dict[ObjectRef, bool]:
-        out: Dict[ObjectRef, bool] = {}
-        remote: List[ObjectRef] = []
-        for ref in refs:
-            if self.cache is not None and self.cache.contains(*ref):
-                out[ref] = True
-            else:
-                remote.append(ref)
-        for i in range(0, len(remote), self.batch_size):
-            chunk = remote[i:i + self.batch_size]
-            body = json.dumps({"items": [[k, d] for k, d in chunk]}
-                              ).encode("utf-8")
-            self._count("store.remote.batch_requests")
-            _, _, data = self._request(
-                "POST", "/batch/head", body=body,
-                headers={"Content-Type": "application/json"})
-            payload = json.loads(data.decode("utf-8"))
-            for ref, present in zip(chunk, payload.get("found", [])):
-                out[ref] = bool(present)
-        return out
-
-    # -- run journals ------------------------------------------------------------
-    # The checkpoint layer's run journals must live next to the objects they
-    # reference (GC marks journal-reachable objects live), so a remote store
-    # also hosts the journals.
-
-    def fetch_run_journal(self, identity: str) -> str:
-        status, _, data = self._request("GET", f"/runs/{identity}",
-                                        ok_missing=True)
-        if status == 404:
-            return ""
-        return data.decode("utf-8")
-
-    def append_run_journal(self, identity: str, text: str) -> None:
-        self._request("POST", f"/runs/{identity}",
-                      body=text.encode("utf-8"),
-                      headers={"Content-Type": "text/plain"})

@@ -12,9 +12,9 @@ from repro.ir import (FunctionType, IRBuilder, Module, PointerType, Program,
 def tmp_store(tmp_path, monkeypatch):
     """A fresh shared-store root, exported and cleaned up.
 
-    Yields an empty directory path with ``REPRO_STORE_DIR`` pointing at it
-    and the deprecated ``REPRO_VARIANT_CACHE_DIR`` cleared, so executor
-    workers (and the in-process serial path) attach to exactly this tree.
+    Yields an empty directory path with ``REPRO_STORE_DIR`` pointing at it,
+    so executor workers (and the in-process serial path) attach to exactly
+    this tree.
     The process-local worker cache is reset on both sides of the test —
     store-backed scenarios must never leak an attached store into each
     other; ``monkeypatch`` restores the environment afterwards.
@@ -22,10 +22,6 @@ def tmp_store(tmp_path, monkeypatch):
     from repro.evaluation.executor import reset_worker_cache
     root = str(tmp_path / "store")
     monkeypatch.setenv("REPRO_STORE_DIR", root)
-    monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
-    # a leaked server URL would silently win over the local tree
-    monkeypatch.delenv("REPRO_STORE_URL", raising=False)
-    monkeypatch.delenv("REPRO_STORE_CACHE_DIR", raising=False)
     reset_worker_cache()
     yield root
     reset_worker_cache()

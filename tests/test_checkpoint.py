@@ -114,8 +114,7 @@ def _poisoned(value, cache=None):
 
 
 def _storeless(monkeypatch):
-    for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL",
-                 "REPRO_VARIANT_CACHE_DIR", "REPRO_JOBS"):
+    for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
         monkeypatch.delenv(name, raising=False)
     reset_worker_cache()
 
@@ -123,7 +122,6 @@ def _storeless(monkeypatch):
 class TestRunCheckpointed:
     def test_no_store_is_plain_pass_through(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         values = [1, 2, 3]
         with counted("checkpoint") as stats:
             out = run_checkpointed(_square, values, _keys(values),

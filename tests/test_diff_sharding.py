@@ -194,8 +194,7 @@ class TestPrecisionSharded:
         assert parallel.matrix() == serial.matrix()
 
     def test_unit_counters_add_up_in_the_parent_at_jobs2(self, monkeypatch):
-        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         with counted("diffshard") as stats:
             measure_precision(WORKLOADS[:1], labels=("fission",),
                               differs=[BinDiff(), DeepBinDiff()], jobs=2)

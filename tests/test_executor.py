@@ -103,9 +103,7 @@ class TestRunTasks:
 
 class TestCallCache:
     def test_bounded_private_and_never_the_worker_cache(self, monkeypatch):
-        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL",
-                     "REPRO_VARIANT_CACHE_DIR"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         reset_worker_cache()
         cache = executor.call_cache(2)
         assert cache is not executor.call_cache(2)     # one per run
@@ -242,28 +240,6 @@ class TestSupervisedFailureModes:
 class TestWorkerCacheDegradationCounters:
     """Best-effort cache startup must warn + count, never die silently."""
 
-    def test_corrupt_legacy_preload_warns_and_counts(self, tmp_path,
-                                                     monkeypatch, caplog):
-        from repro.core.variant_cache import cache_file_path
-        directory = str(tmp_path / "legacy")
-        os.makedirs(directory)
-        with open(cache_file_path(directory), "wb") as fh:
-            fh.write(b"not a pickle at all")
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", directory)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        reset_worker_cache()
-        try:
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.evaluation.executor"):
-                cache = worker_cache()
-            assert cache is not None  # degraded to a cold start, not dead
-            events = worker_cache_events()
-            assert events["preload_failures"] == 1
-            assert any("preload" in record.message
-                       for record in caplog.records)
-        finally:
-            reset_worker_cache()
-
     def test_unusable_store_tree_warns_and_counts(self, tmp_path,
                                                   monkeypatch, caplog):
         import json
@@ -273,7 +249,6 @@ class TestWorkerCacheDegradationCounters:
             json.dump({"store_schema": 1, "key_schema": 1, "generation": 1},
                       fh)
         monkeypatch.setenv("REPRO_STORE_DIR", root)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         reset_worker_cache()
         try:
             with caplog.at_level(logging.WARNING,
@@ -290,8 +265,7 @@ class TestWorkerCacheDegradationCounters:
 
     def test_counters_start_at_zero(self):
         reset_worker_cache()
-        assert worker_cache_events() == {"preload_failures": 0,
-                                         "store_attach_failures": 0}
+        assert worker_cache_events() == {"store_attach_failures": 0}
 
 
 class TestParallelExperimentsBitIdentical:
@@ -421,7 +395,7 @@ class TestInProcessMemory:
     ], ids=["overhead", "precision", "escape", "bintuner"])
     def test_jobs1_leaves_no_worker_cache_and_no_artifact(self, call,
                                                           monkeypatch):
-        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL", "REPRO_JOBS"):
+        for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
             monkeypatch.delenv(name, raising=False)
         built = []
         init = BuildArtifact.__init__
@@ -443,7 +417,7 @@ class TestInProcessMemory:
             self, call, entries, variants, monkeypatch):
         """The run's one cache holds exactly the variants a workload's
         units share, and no more is needed: no variant is built twice."""
-        for name in ("REPRO_STORE_DIR", "REPRO_STORE_URL", "REPRO_JOBS"):
+        for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
             monkeypatch.delenv(name, raising=False)
         made = _record_call_caches(monkeypatch)
         call()

@@ -51,6 +51,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("bad, match", [
         ("disk_full:p=0.5", "unknown fault kind"),
+        ("remote_fault:p=0.1", "unknown fault kind"),
         ("worker_crash:p=0.2;worker_crash:p=0.3", "duplicate"),
         ("worker_crash:p", "malformed parameter"),
         ("worker_crash:seed=3", "missing p="),

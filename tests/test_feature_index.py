@@ -12,7 +12,7 @@ import gc
 
 import pytest
 
-from repro.diffing import all_differs, clear_index_cache, feature_index
+from repro.diffing import BinDiff, all_differs, clear_index_cache, feature_index
 from repro.diffing.base import BinaryDiffer, use_indexed_features
 from repro.diffing.features import (EMBEDDING_DIM, NormalizedVector,
                                     block_tokens, cached_token_vector, cosine,
@@ -85,8 +85,22 @@ class TestDifferentialDiffResults:
         assert not use_indexed_features()
         monkeypatch.setenv("REPRO_DIFF_FEATURES", "indexed")
         assert use_indexed_features()
+        monkeypatch.setenv("REPRO_DIFF_FEATURES", "")
+        assert use_indexed_features()
         monkeypatch.delenv("REPRO_DIFF_FEATURES")
         assert use_indexed_features()
+
+    @pytest.mark.parametrize("value", [
+        "legcy", "fast", "Legacy", " legacy", "legacy ", "LEGACY",
+        "Indexed"])
+    def test_unknown_env_value_raises(self, monkeypatch, value, demo_variants):
+        """A typo in a reference run must not silently run the fast path."""
+        monkeypatch.setenv("REPRO_DIFF_FEATURES", value)
+        with pytest.raises(ValueError, match="REPRO_DIFF_FEATURES"):
+            use_indexed_features()
+        baseline, variants = demo_variants
+        with pytest.raises(ValueError, match="REPRO_DIFF_FEATURES"):
+            BinDiff().diff(baseline.binary, variants["sub"].binary)
 
 
 class TestIndexMemoisation:

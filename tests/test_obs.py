@@ -334,21 +334,24 @@ class TestFacades:
         assert batch.interpreters == 2
 
     def test_worker_cache_events(self, tmp_path, monkeypatch):
-        from repro.core.variant_cache import cache_file_path
         from repro.evaluation.executor import (reset_worker_cache,
                                                worker_cache,
                                                worker_cache_events)
 
-        legacy = str(tmp_path / "legacy")
-        os.makedirs(legacy)
-        with open(cache_file_path(legacy), "wb") as fh:
-            fh.write(b"not a pickle")
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", legacy)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        # a tree stamped by an incompatible pipeline cannot be attached
+        stale = str(tmp_path / "stale")
+        os.makedirs(os.path.join(stale, "objects"))
+        with open(os.path.join(stale, "generation.json"), "w") as fh:
+            json.dump({"store_schema": 1, "key_schema": 1,
+                       "generation": 1}, fh)
+        monkeypatch.setenv("REPRO_STORE_DIR", stale)
         reset_worker_cache()
         try:
             worker_cache()
-            assert worker_cache_events()["preload_failures"] == 1
+            assert worker_cache_events()["store_attach_failures"] == 1
+            # the façade reads the process-wide registry
+            assert obs_metrics.REGISTRY.get(
+                "executor.cache.store_attach_failures") == 1
         finally:
             reset_worker_cache()
 

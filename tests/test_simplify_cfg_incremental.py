@@ -160,6 +160,21 @@ class TestFlagAndDriver:
         monkeypatch.delenv("REPRO_SIMPLIFY_CFG")
         assert SimplifyCFG().legacy is False
 
+    @pytest.mark.parametrize("value, legacy", [
+        ("", False), ("incremental", False), ("legacy", True)])
+    def test_accepted_environment_values(self, monkeypatch, value, legacy):
+        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", value)
+        assert SimplifyCFG().legacy is legacy
+
+    @pytest.mark.parametrize("value", [
+        "legcy", "fast", "Legacy", " legacy", "legacy ", "LEGACY",
+        "Incremental"])
+    def test_unknown_environment_value_raises(self, monkeypatch, value):
+        """A typo in a reference run must not silently run the fast path."""
+        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", value)
+        with pytest.raises(ValueError, match="REPRO_SIMPLIFY_CFG"):
+            SimplifyCFG()
+
     def test_explicit_flag_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIMPLIFY_CFG", "legacy")
         assert SimplifyCFG(legacy=False).legacy is False

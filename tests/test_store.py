@@ -13,26 +13,37 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
   incompatible tree is rejected at attach;
 * ``FeatureIndex`` payloads round-trip through the store and warm-start a
   fresh index;
-* the deprecated ``REPRO_VARIANT_CACHE_DIR`` keeps working — as a legacy
-  ``variants.pkl`` import and as an alias for a store tree.
+* every figure's report from a warm tree equals the cold run's;
+* :class:`LocalBackend`, the byte layer under the tree, keeps the first
+  writer's object and honours the ``REPRO_STORE_FSYNC`` durability gate;
+* every store name the paper benchmark's layer tracer wraps still resolves.
 """
 
+import importlib.util
 import json
 import multiprocessing
 import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.variant_cache import VariantCache, variant_key
+from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
 from repro.diffing.index import clear_index_cache, feature_index
+from repro.evaluation.bintuner_compare import measure_bintuner
+from repro.evaluation.escape import measure_escape
 from repro.evaluation.overhead import build_variant, measure_overhead
+from repro.evaluation.precision import measure_precision
+from repro.obs.metrics import counted
 from repro.store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES, KIND_VARIANT,
                          QUARANTINE_DIR, ArtifactStore, GenerationLog,
                          StoreError, canonical_key, is_store_tree,
                          persist_features, store_digest, store_dir_from_env,
-                         warm_features)
-from repro.workloads.suites import spec2006_programs
+                         store_from_env, warm_features)
+from repro.store import backend as store_backend
+from repro.store.backend import LocalBackend, fsync_directory
+from repro.workloads.suites import embedded_programs, spec2006_programs
 
 WORKLOADS = spec2006_programs()[:2]
 LABELS = ("fission", "fufi.ori")
@@ -115,6 +126,19 @@ class TestMemoryLayer:
     def test_in_memory_store_has_no_object_paths(self):
         with pytest.raises(ValueError):
             ArtifactStore().object_path(KIND_VARIANT, "ab" * 32)
+
+    def test_stats_name_the_backend(self, tmp_path):
+        memory = ArtifactStore()
+        assert not memory.persistent
+        assert memory.stats()["backend"] == "memory"
+        root = str(tmp_path / "store")
+        rooted = ArtifactStore.attach(root)
+        assert rooted.persistent
+        stats = rooted.stats()
+        assert stats["backend"] == f"local:{os.path.abspath(root)}"
+        assert set(stats) == {
+            "root", "backend", "memory_entries", "memory_hits", "disk_hits",
+            "misses", "puts", "hit_rate", "corrupt_reads", "quarantined"}
 
 
 class TestDiskLayer:
@@ -309,25 +333,31 @@ class TestGenerationLog:
 
 
 class TestEnvResolution:
-    def test_repro_store_dir_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "s"))
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", str(tmp_path / "v"))
-        assert store_dir_from_env() == str(tmp_path / "s")
-
-    def test_alias_only_counts_when_it_is_a_store_tree(self, tmp_path,
-                                                       monkeypatch):
-        alias = str(tmp_path / "alias")
-        os.makedirs(alias)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", alias)
-        assert store_dir_from_env() is None        # legacy dir, not a store
-        ArtifactStore.attach(alias)
-        assert store_dir_from_env() == alias       # now it is one
+    def test_store_dir_attaches_the_named_tree(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "s")
+        monkeypatch.setenv("REPRO_STORE_DIR", root)
+        assert store_dir_from_env() == root
+        store = store_from_env(max_memory_entries=4)
+        assert store.persistent and store.root == os.path.abspath(root)
+        assert store.max_memory_entries == 4
+        assert is_store_tree(root)
 
     def test_unset_means_no_store(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         assert store_dir_from_env() is None
+
+    def test_no_env_no_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        assert store_from_env(max_memory_entries=4) is None
+
+    def test_incompatible_tree_raises_store_error(self, tmp_path,
+                                                  monkeypatch):
+        root = str(tmp_path / "stale")
+        os.makedirs(root)
+        GenerationLog(store_schema=1, key_schema=1).save(root)
+        monkeypatch.setenv("REPRO_STORE_DIR", root)
+        with pytest.raises(StoreError, match="incompatible"):
+            store_from_env(max_memory_entries=4)
 
 
 class TestVariantCacheFacade:
@@ -490,6 +520,204 @@ class TestConcurrentAccess:
         assert rows_a == rows_b
         expected = len(WORKLOADS[:1]) * (len(LABELS) + 1)
         assert ArtifactStore.attach(root).entry_count(KIND_VARIANT) == expected
+
+
+def _stress_writer(args):
+    """One writer process: put every key, report the payloads read back."""
+    root, writer_id, keys = args
+    store = ArtifactStore.attach(root, max_memory_entries=2)
+    seen = {}
+    for i in keys:
+        store.put(KIND_VARIANT, ("stress", i), {"writer": writer_id, "i": i})
+        seen[i] = store.get(KIND_VARIANT, ("stress", i))
+    return seen
+
+
+class TestConcurrentWriters:
+    def test_first_writer_kept_across_processes(self, tmp_path):
+        """N processes race the same keys; every key ends with exactly one
+        internally consistent object that all readers agree on."""
+        root = str(tmp_path / "store")
+        ArtifactStore.attach(root, max_memory_entries=2)  # stamp the tree
+        keys = list(range(16))
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            outcomes = list(pool.map(
+                _stress_writer,
+                [(root, writer, keys) for writer in range(4)]))
+        store = ArtifactStore.attach(root, max_memory_entries=2)
+        writer_ids = set(range(4))
+        for i in keys:
+            winner = store.get(KIND_VARIANT, ("stress", i))
+            # the published object is exactly ONE racing writer's payload,
+            # never torn or interleaved
+            assert isinstance(winner, dict) and winner["i"] == i
+            assert winner["writer"] in writer_ids
+            digest = store_digest(KIND_VARIANT, ("stress", i))
+            path = store.object_path(KIND_VARIANT, digest)
+            assert os.path.isfile(path)
+            # no torn leftovers from the race
+            assert not [name for name in os.listdir(os.path.dirname(path))
+                        if ".tmp." in name]
+        # every writer observed internally consistent payloads throughout
+        # (its own in-process memory layer or the disk winner — both are
+        # complete objects; real payloads are deterministic per key)
+        for seen in outcomes:
+            for i, payload in seen.items():
+                assert isinstance(payload, dict) and payload["i"] == i
+
+
+class TestLocalBackend:
+    def test_first_writer_kept(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        assert backend.put("variant", "ab" * 32, b"first") is True
+        assert backend.put("variant", "ab" * 32, b"second") is False
+        assert backend.get("variant", "ab" * 32) == b"first"
+
+    def test_overwrite_flag_wins(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        backend.put("variant", "cd" * 32, b"first")
+        assert backend.put("variant", "cd" * 32, b"second",
+                           overwrite=True) is True
+        assert backend.get("variant", "cd" * 32) == b"second"
+
+    def test_durability_gate(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_FSYNC", raising=False)
+        assert LocalBackend(str(tmp_path)).durable() is True
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "off")
+        assert LocalBackend(str(tmp_path)).durable() is False
+        # an explicit constructor pin beats the environment
+        assert LocalBackend(str(tmp_path), durable=True).durable() is True
+
+    def test_delete_and_list(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        backend.put("variant", "ef" * 32, b"x")
+        assert ("variant", "ef" * 32) in backend.list_refs()
+        assert backend.delete("variant", "ef" * 32) is True
+        assert backend.delete("variant", "ef" * 32) is False
+        assert backend.get("variant", "ef" * 32) is None
+
+    def test_fsync_directory_tolerates_missing(self, tmp_path):
+        fsync_directory(str(tmp_path / "nope"))  # must not raise
+
+    def test_contains_follows_put_and_delete(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        assert backend.contains("variant", "12" * 32) is False
+        backend.put("variant", "12" * 32, b"x")
+        assert backend.contains("variant", "12" * 32) is True
+        backend.delete("variant", "12" * 32)
+        assert backend.contains("variant", "12" * 32) is False
+
+    def test_list_refs_of_one_kind(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        backend.put("variant", "34" * 32, b"v")
+        backend.put("binary", "56" * 32, b"b")
+        assert backend.list_refs("variant") == [("variant", "34" * 32)]
+        assert backend.list_refs() == [("binary", "56" * 32),
+                                       ("variant", "34" * 32)]
+        assert backend.list_refs("features") == []
+
+    def test_quarantine_moves_the_object_with_its_reason(self, tmp_path):
+        backend = LocalBackend(str(tmp_path))
+        backend.put("variant", "78" * 32, b"damaged")
+        assert backend.quarantine("variant", "78" * 32,
+                                  {"cause": "test"}) is True
+        assert backend.get("variant", "78" * 32) is None
+        moved = backend.quarantine_path("variant", "78" * 32)
+        with open(moved, "rb") as fh:
+            assert fh.read() == b"damaged"
+        with open(moved[:-len(".pkl")] + ".reason.json") as fh:
+            assert json.load(fh) == {"cause": "test"}
+        # nothing left to move: reported, not raised
+        assert backend.quarantine("variant", "78" * 32, {}) is False
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        backend = LocalBackend(str(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_backend.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            backend.put("variant", "9a" * 32, b"payload")
+        monkeypatch.undo()
+        shard = os.path.dirname(backend.object_path("variant", "9a" * 32))
+        assert os.listdir(shard) == []
+        assert backend.get("variant", "9a" * 32) is None
+
+
+#: One small run of each figure 6–10 driver, at jobs=1 through the store.
+FIGURE_RUNS = {
+    "fig6": lambda: measure_overhead(WORKLOADS[:1], labels=LABELS),
+    "fig7": lambda: measure_overhead(WORKLOADS[:1],
+                                     labels=("sub", "bog", "fla")),
+    "fig8": lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
+                                      differs=[BinDiff(), DeepBinDiff()]),
+    "fig9": lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1),
+    "fig10": lambda: measure_escape(embedded_programs()[:1],
+                                    labels=("sub",), differs=[Asm2Vec()]),
+}
+
+
+class TestWarmReports:
+    @pytest.mark.parametrize("figure", sorted(FIGURE_RUNS))
+    def test_warm_store_report_equals_cold(self, figure, tmp_store,
+                                           monkeypatch):
+        """A report served from a warm tree is the cold run's report.
+
+        Checkpointing is off, so the warm run reads its variants, binaries,
+        feature and diff payloads from the tree instead of reviving whole
+        units from a run journal, and builds nothing.
+        """
+        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
+        run = FIGURE_RUNS[figure]
+        with counted("store") as cold_counts:
+            cold = run()
+        assert cold_counts["puts"] > 0
+        with counted("store") as warm_counts:
+            warm = run()
+        assert warm == cold
+        assert warm_counts["misses"] == 0 and warm_counts["puts"] == 0
+        assert warm_counts["disk_hits"] > 0
+
+
+def _paperbench_store_targets():
+    """The ``repro.store`` names in the paper benchmark's layer table."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "paperbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("paperbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return [(module, attribute) for module, attribute, *_ in layers.TARGETS
+            if module.startswith("repro.store")]
+
+
+PAPERBENCH_STORE_TARGETS = _paperbench_store_targets()
+
+
+class TestPaperbenchNames:
+    """``paperbench/layers.py`` wraps these names by looking them up
+    (``owner.__dict__[method]`` for methods), so renaming or deleting one
+    breaks ``paperbench/run.py --trace 1``."""
+
+    @pytest.mark.parametrize(
+        "module_name, attribute", PAPERBENCH_STORE_TARGETS,
+        ids=[f"{module.rsplit('.', 1)[-1]}.{attribute}"
+             for module, attribute in PAPERBENCH_STORE_TARGETS])
+    def test_wrapped_name_resolves(self, module_name, attribute):
+        module = importlib.import_module(module_name)
+        if "." in attribute:
+            class_name, method = attribute.split(".")
+            assert callable(getattr(module, class_name).__dict__[method])
+        else:
+            assert callable(getattr(module, attribute))
+
+    def test_prefetch_loads_nothing(self, tmp_path):
+        store = ArtifactStore.attach(str(tmp_path / "store"))
+        store.put(KIND_VARIANT, ("k",), 1)
+        store.clear_memory()
+        assert store.prefetch(KIND_VARIANT, [("k",)]) == 0
+        assert store.keys(KIND_VARIANT) == []
+        assert store.get(KIND_VARIANT, ("k",)) == 1
 
 
 def _build_matrix_process(root, results):

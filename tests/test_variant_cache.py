@@ -1,17 +1,12 @@
-"""Variant cache: keying, LRU behaviour, evaluation-driver wiring, disk persistence."""
-
-import pickle
+"""Variant cache: keying, LRU behaviour, evaluation-driver wiring."""
 
 import pytest
 
-from repro.core.variant_cache import (CACHE_FILE_VERSION, VariantCache,
-                                      cache_file_path, config_cache_key,
-                                      variant_key)
+from repro.core.variant_cache import VariantCache, config_cache_key, variant_key
 from repro.evaluation.overhead import build_variant, measure_overhead
 from repro.evaluation.precision import measure_precision
 from repro.opt.pass_manager import OptOptions
 from repro.toolchain import obfuscator_for
-from repro.vm.machine import run_program
 from repro.workloads.suites import spec2006_programs
 
 WORKLOADS = spec2006_programs()[:2]
@@ -150,98 +145,3 @@ class TestEvaluationWiring:
         assert cache.misses == len(WORKLOADS) * (len(LABELS) + 1)
         without = measure_precision(WORKLOADS, labels=LABELS)
         assert _precision_rows(with_cache) == _precision_rows(without)
-
-
-class TestDiskPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        cache = VariantCache()
-        wp = WORKLOADS[0]
-        built = build_variant(wp, "fission", cache=cache)
-        build_variant(wp, "baseline", cache=cache)
-        path = str(tmp_path / "variants.pkl")
-        cache.save(path)
-
-        loaded = VariantCache.load(path)
-        assert len(loaded) == len(cache) == 2
-        assert loaded.hits == 0 and loaded.misses == 0   # counters not persisted
-        restored = build_variant(wp, "fission", cache=loaded)
-        assert loaded.hits == 1 and loaded.misses == 0   # served from disk
-        # the restored artifact is semantically the built one
-        assert [f.name for f in restored.binary.functions] == \
-               [f.name for f in built.binary.functions]
-        assert run_program(restored.program).observable() == \
-               run_program(built.program).observable()
-
-    def test_loaded_variants_reproduce_reports(self, tmp_path):
-        cache = VariantCache()
-        reference = measure_overhead(WORKLOADS, labels=LABELS, cache=cache)
-        path = str(tmp_path / "variants.pkl")
-        cache.save(path)
-        loaded = VariantCache.load(path)
-        replay = measure_overhead(WORKLOADS, labels=LABELS, cache=loaded)
-        assert _overhead_rows(replay) == _overhead_rows(reference)
-        assert loaded.misses == 0  # every variant came from disk
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "variants.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump({"version": CACHE_FILE_VERSION + 1, "key_schema": 1,
-                         "entries": []}, fh)
-        with pytest.raises(ValueError):
-            VariantCache.load(str(path))
-
-    def test_load_rejects_wrong_key_schema(self, tmp_path):
-        path = tmp_path / "variants.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump({"version": CACHE_FILE_VERSION, "key_schema": -1,
-                         "entries": []}, fh)
-        with pytest.raises(ValueError):
-            VariantCache.load(str(path))
-
-    def test_load_rejects_unstamped_payload(self, tmp_path):
-        path = tmp_path / "variants.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(["not", "a", "cache"], fh)
-        with pytest.raises(ValueError):
-            VariantCache.load(str(path))
-
-    def test_save_creates_parent_directory(self, tmp_path):
-        cache = VariantCache()
-        cache.get_or_build(("k",), lambda: "v")
-        path = str(tmp_path / "nested" / "dir" / "variants.pkl")
-        cache.save(path)
-        assert len(VariantCache.load(path)) == 1
-
-    def test_load_respects_max_entries(self, tmp_path):
-        cache = VariantCache()
-        for i in range(4):
-            cache.get_or_build((f"k{i}",), lambda i=i: i)
-        path = str(tmp_path / "variants.pkl")
-        cache.save(path)
-        bounded = VariantCache.load(path, max_entries=2)
-        assert len(bounded) == 2
-        assert ("k3",) in bounded  # newest entries survive the LRU bound
-
-    def test_cache_file_path(self):
-        assert cache_file_path("/tmp/x").endswith("variants.pkl")
-
-    def test_executor_workers_preload_from_cache_dir(self, tmp_path,
-                                                     monkeypatch):
-        from repro.evaluation.executor import (reset_worker_cache,
-                                               worker_cache)
-        cache = VariantCache()
-        measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cache)
-        directory = str(tmp_path)
-        cache.save(cache_file_path(directory))
-
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", directory)
-        reset_worker_cache()
-        try:
-            preloaded = worker_cache()
-            assert len(preloaded) == len(cache)
-            # a parallel precision run with the cache dir set still matches
-            serial = measure_precision(WORKLOADS[:1], labels=LABELS)
-            parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
-            assert _precision_rows(serial) == _precision_rows(parallel)
-        finally:
-            reset_worker_cache()
