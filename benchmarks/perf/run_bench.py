@@ -25,7 +25,7 @@ can diff the perf trajectory.  Tracked metrics:
   figure-8-style precision run must hit it (nonzero ``fig8.hit_rate``);
 * **fig8_diff_phase** — the diffing phase of the figure-8 precision matrix
   against a warm variant cache: the ``FeatureIndex`` fast path vs the legacy
-  per-diff extraction (``REPRO_DIFF_FEATURES=legacy``) and the process
+  per-diff extraction (``BinaryDiffer.use_index = False``) and the process
   executor at ``jobs=2`` (its workers read the variants from a store tree
   warmed by one store-backed build and score every unit); both alternates
   are asserted row-identical to the indexed serial run;
@@ -84,6 +84,7 @@ from typing import Callable, Dict, List, Optional
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.variant_cache import VariantCache      # noqa: E402
+from repro.diffing.base import BinaryDiffer             # noqa: E402
 from repro.diffing.index import clear_index_cache       # noqa: E402
 from repro.evaluation.executor import reset_worker_cache  # noqa: E402
 from repro.evaluation.overhead import (build_variant,  # noqa: E402
@@ -286,21 +287,21 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
     """
     cache = VariantCache()
     labels = MEASURE_LABELS
-    # pin the feature path per measurement (and restore any ambient value at
+    # pin the feature path per measurement (and restore the previous one at
     # the end) so the legacy/indexed columns never mislabel each other
-    previous_features = os.environ.get("REPRO_DIFF_FEATURES")
+    previous_index = BinaryDiffer.use_index
 
-    def run_with(features: str):
-        os.environ["REPRO_DIFF_FEATURES"] = features
+    def run_with(indexed: bool):
+        BinaryDiffer.use_index = indexed
         return measure_precision(programs, labels=labels, cache=cache)
 
     try:
-        reference = run_with("indexed")
-        indexed_s = best_of(lambda: run_with("indexed"), reps)
-        legacy_report = run_with("legacy")
-        legacy_s = best_of(lambda: run_with("legacy"), max(1, reps // 2))
+        reference = run_with(True)
+        indexed_s = best_of(lambda: run_with(True), reps)
+        legacy_report = run_with(False)
+        legacy_s = best_of(lambda: run_with(False), max(1, reps // 2))
 
-        os.environ["REPRO_DIFF_FEATURES"] = "indexed"
+        BinaryDiffer.use_index = True
         # hand the executor workers the variants through a store tree warmed
         # by one store-backed build, so jobs2_s times the diff phase + pool
         # overhead like the other columns, not variant rebuilding; the tree
@@ -322,13 +323,10 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         # above amortises the index across reps, like the figure drivers do)
         clear_index_cache()
         cold_s = best_of(
-            lambda: (clear_index_cache(), run_with("indexed")),
+            lambda: (clear_index_cache(), run_with(True)),
             max(1, reps // 2))
     finally:
-        if previous_features is None:
-            os.environ.pop("REPRO_DIFF_FEATURES", None)
-        else:
-            os.environ["REPRO_DIFF_FEATURES"] = previous_features
+        BinaryDiffer.use_index = previous_index
 
     return {
         "programs": [wp.name for wp in programs],

@@ -1,6 +1,11 @@
 """Figure 8: Precision@1 of the five diffing tools under eight obfuscations."""
 
-from repro.evaluation import matrix_table
+import pytest
+
+from repro.diffing.base import BinaryDiffer
+from repro.evaluation import matrix_table, run_experiment
+from repro.opt.simplify_cfg import SimplifyCFG
+from tests import oracles
 
 from .conftest import assert_golden, emit, experiment
 
@@ -19,3 +24,31 @@ def test_figure8_precision(benchmark):
     assert report.average("BinDiff", "fufi.all") < report.average("BinDiff", "sub")
     for tool in report.tools():
         assert 0.0 <= report.average(tool, "fufi.all") <= 1.0
+
+
+def test_fixed_point_simplify_cfg_reproduces_the_golden(monkeypatch):
+    monkeypatch.setattr("repro.opt.pipelines.SimplifyCFG",
+                        oracles.FixedPointSimplifyCFG)
+    monkeypatch.setattr(SimplifyCFG, "run_on_function", _fast_path_ran)
+    _assert_quick_report_is_golden(monkeypatch)
+
+
+def test_per_diff_features_reproduce_the_golden(monkeypatch):
+    monkeypatch.setattr(BinaryDiffer, "use_index", False)
+    monkeypatch.setattr("repro.diffing.base.feature_index", _fast_path_ran)
+    _assert_quick_report_is_golden(monkeypatch)
+
+
+def _assert_quick_report_is_golden(monkeypatch) -> None:
+    """The quick report, computed in process, equals ``figure8.json``.
+
+    No store tree may serve variants that the fast path built, so the
+    reference under test builds every variant itself.
+    """
+    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert_golden("figure8", run_experiment("figure8", quick=True))
+
+
+def _fast_path_ran(*args):
+    pytest.fail("the fast path ran instead of the reference")

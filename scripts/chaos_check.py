@@ -107,7 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # chaos knobs must be in the environment before any worker spawns;
     # the reference run below explicitly clears them for itself
-    os.environ["REPRO_TASK_BACKOFF"] = "0.01"
     os.environ["REPRO_TASK_RETRIES"] = str(args.retries)
     # keep the pool path exercised: under a 20% crash rate the default
     # serial-degradation threshold trips early by design, which is correct

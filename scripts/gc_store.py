@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Generation-aware mark-and-sweep for an artifact-store tree.
 
-A store tree only ever grows: every matrix run appends variants, binaries,
-feature payloads, per-function diff payloads and journaled shard results,
+A store tree only ever grows: every matrix run appends variants, feature
+payloads, per-function diff payloads and journaled shard results,
 and nothing ever deletes them.  That is the right default — artifacts are
 deterministic and cheap to keep — but a long-lived tree accumulates
 objects no journal references any more: superseded matrices, abandoned
@@ -15,7 +15,7 @@ the same files resume reads — so *live* means journal-reachable:
 * each live shard object's envelope carries its value-based key, and the
   key prefix (``diffshard`` / ``fig9shard`` / ``fig67shard``) determines
   which other objects that shard's re-materialisation would read: the
-  baseline/variant pairs (kinds ``variant`` + ``binary``), their feature
+  baseline/variant pairs (kind ``variant``), their feature
   payloads, and — for diff shards — the pair's roster/whole/unit diff
   payloads (units enumerated from the stored roster, exactly the reads
   :mod:`repro.evaluation.diff_sharding` performs warm);
@@ -107,9 +107,12 @@ def _mark(live: Set[Tuple[str, str]], kind: str, key: object) -> None:
 
 
 def _mark_variant(live: Set[Tuple[str, str]], variant_key: Tuple) -> None:
-    """A built variant is three objects: artifact, lowered binary, features."""
+    """A built variant is two objects: the artifact and its features.
+
+    ``binary`` objects, which older trees wrote beside each variant, are
+    never live, so a sweep collects them once the grace window passes.
+    """
     _mark(live, KIND_VARIANT, variant_key)
-    _mark(live, KIND_BINARY, variant_key)
     _mark(live, KIND_FEATURES, features_key(variant_key))
 
 

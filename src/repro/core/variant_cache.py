@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ..store.artifact_store import KIND_BINARY, KIND_VARIANT, ArtifactStore
+from ..store.artifact_store import KIND_VARIANT, ArtifactStore
 from ..store.keys import config_cache_key, variant_key  # noqa: F401 (re-export)
 
 
@@ -79,13 +79,7 @@ class VariantCache:
         return self._store.contains(KIND_VARIANT, key)
 
     def get_or_build(self, key: Tuple, builder: Callable[[], object]):
-        """Return the cached artifact for ``key``, building it on first use.
-
-        With a rooted store, a freshly built variant's lowered binary also
-        rides along under kind ``"binary"`` and the same key, so diff-only
-        consumers can fetch binaries from the shared tree without unpickling
-        whole :class:`~repro.toolchain.BuildArtifact` objects.
-        """
+        """Return the cached artifact for ``key``, building it on first use."""
         built = False
 
         def tracked_builder():
@@ -96,10 +90,6 @@ class VariantCache:
         artifact = self._store.get_or_build(KIND_VARIANT, key, tracked_builder)
         if built:
             self.misses += 1
-            if self._store.persistent:
-                binary = getattr(artifact, "binary", None)
-                if binary is not None:
-                    self._store.put(KIND_BINARY, key, binary)
         else:
             self.hits += 1
         return artifact

@@ -4,7 +4,7 @@ from typing import Dict, List
 
 from .base import (MATCH_CHANNEL, BinaryDiffer, DiffResult, PartialDiff,
                    ToolInfo, escape_at_n, escape_ratio, precision_at_1,
-                   rank_of_correct, use_indexed_features)
+                   rank_of_correct)
 from .index import (FeatureIndex, clear_index_cache, feature_index,
                     index_cache_size)
 from .bindiff import BinDiff
@@ -34,7 +34,7 @@ def tool_table() -> List[Dict[str, str]]:
 __all__ = [
     "MATCH_CHANNEL", "BinaryDiffer", "DiffResult", "PartialDiff", "ToolInfo",
     "escape_at_n", "escape_ratio", "precision_at_1", "rank_of_correct",
-    "use_indexed_features", "FeatureIndex",
+    "FeatureIndex",
     "clear_index_cache", "feature_index", "index_cache_size",
     "BinDiff", "VulSeeker", "Asm2Vec", "Safe", "DeepBinDiff",
     "all_differs", "differ_by_name", "tool_table",

@@ -33,7 +33,6 @@ binary pair.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,23 +42,6 @@ from .index import FeatureIndex, feature_index
 
 
 RankedCandidates = List[Tuple[str, float]]
-
-
-def use_indexed_features() -> bool:
-    """False when ``REPRO_DIFF_FEATURES=legacy`` selects per-diff extraction.
-
-    The legacy path re-extracts every feature on every ``diff()`` call — it
-    is the differential reference for the :class:`~repro.diffing.index.FeatureIndex`
-    fast path and must produce bit-identical results.  Unset or empty
-    selects the indexed path; any value but ``indexed`` or ``legacy``
-    raises, so a typo in a reference run can never quietly compare the fast
-    path with itself.
-    """
-    value = os.environ.get("REPRO_DIFF_FEATURES", "")
-    if value not in ("", "indexed", "legacy"):
-        raise ValueError(f"REPRO_DIFF_FEATURES must be 'indexed' or "
-                         f"'legacy', got {value!r}")
-    return value != "legacy"
 
 
 @dataclass
@@ -163,15 +145,14 @@ class BinaryDiffer:
     ``diff()`` resolves the feature source and dispatches to ``_diff``: by
     default each binary's features come from its memoised
     :class:`~repro.diffing.index.FeatureIndex` (extracted once, reused across
-    every diff of that binary); setting ``use_index = False`` on an instance
-    — or ``REPRO_DIFF_FEATURES=legacy`` in the environment — re-extracts per
-    call, which is the differential reference path.
+    every diff of that binary); ``use_index = False`` re-extracts per call,
+    which is the differential reference path.
     """
 
     info: ToolInfo
 
-    #: Tri-state: None follows REPRO_DIFF_FEATURES, True/False force a path.
-    use_index: Optional[bool] = None
+    #: False re-extracts every feature per diff (the reference path).
+    use_index: bool = True
 
     #: "function" when :meth:`partial_diff` can score an arbitrary subset of
     #: source functions independently; "binary" when the tool only scores
@@ -192,12 +173,9 @@ class BinaryDiffer:
         """The feature source ``diff()`` *and* ``partial_diff()`` score from.
 
         One resolution point keeps the sharded path on exactly the feature
-        path of the serial reference (instance ``use_index`` tri-state, then
-        ``REPRO_DIFF_FEATURES``).
+        path of the serial reference.
         """
-        indexed = self.use_index if self.use_index is not None \
-            else use_indexed_features()
-        if indexed:
+        if self.use_index:
             return feature_index(original), feature_index(obfuscated)
         return None, None
 

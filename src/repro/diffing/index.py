@@ -18,7 +18,7 @@ is keyed on ``id(binary)`` and validated by a weak reference, so a recycled
 id can never serve stale features, and dropping the binary drops its index.
 Builds are deterministic, which is what makes the features pure functions of
 the binary; the pre-index extraction paths are kept in each tool as the
-differential reference (``REPRO_DIFF_FEATURES=legacy``) and are asserted
+differential reference (``BinaryDiffer.use_index = False``) and are asserted
 bit-identical by ``tests/test_feature_index.py``.
 """
 

@@ -201,7 +201,7 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
     identity = run_id(run_parts)
     # the telemetry run wraps even the checkpoint-off paths: the bench's
     # REPRO_CHECKPOINT=off arms still produce a merged trace.  open_run is
-    # a no-op without a store tree or with telemetry disabled, and nested
+    # a no-op without a store tree or with tracing off, and nested
     # opens defer to the outermost run.
     with open_run(root, identity):
         with obs_tracing.span("run", cat="coordinate", run_id=identity,

@@ -10,9 +10,10 @@ two ways, and the results are bit-identical either way:
   supervision, no fault injection;
 * ``jobs>1`` is the **supervised executor**.  Every task is an individual
   future carrying a configurable timeout (``REPRO_TASK_TIMEOUT``, seconds;
-  unset/0 disables) and a bounded retry budget with exponential backoff +
-  jitter (``REPRO_TASK_RETRIES``, default 2; ``REPRO_TASK_BACKOFF`` scales
-  the base delay).  A hung worker — one whose task exceeds the timeout — is
+  unset/0 disables) and a bounded retry budget (``REPRO_TASK_RETRIES``,
+  default 2); a failed attempt is resubmitted at once, because a task fails
+  either deterministically or by injection and no remote resource needs
+  time to recover.  A hung worker — one whose task exceeds the timeout — is
   killed together with its pool, the pool is respawned, the hung task
   retried and the innocent in-flight tasks resubmitted without burning a
   retry.  A crashed worker (``BrokenProcessPool``: segfault, OOM kill,
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import os
-import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -50,7 +50,7 @@ from ..core.variant_cache import VariantCache
 from ..faults import active_injector
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from ..obs.collect import flush as flush_telemetry
+from ..obs.collect import flush as flush_telemetry, telemetry_dir
 from ..store.artifact_store import (ArtifactStore, StoreError,
                                     store_dir_from_env)
 
@@ -66,23 +66,26 @@ logger = logging.getLogger(__name__)
 #: the pool path exercised under high crash rates).
 MAX_POOL_FAILURES = 3
 
-
-def _max_pool_failures() -> int:
-    raw = os.environ.get("REPRO_MAX_POOL_FAILURES", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return MAX_POOL_FAILURES
-
 #: Default retry budget per task (attempts = retries + 1).
 DEFAULT_TASK_RETRIES = 2
 
-#: Base of the exponential backoff between retry attempts, seconds.
-DEFAULT_TASK_BACKOFF = 0.05
+
+def _max_pool_failures() -> int:
+    """``REPRO_MAX_POOL_FAILURES``, else :data:`MAX_POOL_FAILURES`.
+
+    Anything but a positive integer raises :class:`ValueError`.
+    """
+    raw = os.environ.get("REPRO_MAX_POOL_FAILURES", "").strip()
+    if not raw:
+        return MAX_POOL_FAILURES
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(
+            f"REPRO_MAX_POOL_FAILURES must be a positive integer, got {raw!r}")
+    return value
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -167,18 +170,6 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
     return float(timeout)
 
 
-def _backoff_base() -> float:
-    raw = os.environ.get("REPRO_TASK_BACKOFF", "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_TASK_BACKOFF
-
-
 class ExecutorTaskError(RuntimeError):
     """A task failed every attempt; carries the task's identity.
 
@@ -213,24 +204,12 @@ _WORKER_CACHE: Optional[VariantCache] = None
 #: under this prefix; :func:`worker_cache_events` is a façade over it.
 _CACHE_EVENTS_PREFIX = "executor.cache"
 
-#: Default LRU bound of each worker's in-memory layer.  Shards keep a small
+#: LRU bound of each worker's in-memory layer.  Shards keep a small
 #: working set (one workload's baseline + variants at a time); an unbounded
 #: memo would instead pin every artifact a long-lived worker ever touches.
-#: Override with
-#: ``REPRO_WORKER_CACHE_ENTRIES``.  With a shared store attached the bound
-#: only limits *memory* — evicted artifacts remain one disk read away.
-DEFAULT_WORKER_CACHE_ENTRIES = 32
-
-
-def _worker_cache_bound() -> Optional[int]:
-    raw = os.environ.get("REPRO_WORKER_CACHE_ENTRIES", "").strip()
-    if raw:
-        try:
-            bound = int(raw)
-            return bound if bound > 0 else None  # <= 0 means unbounded
-        except ValueError:
-            pass
-    return DEFAULT_WORKER_CACHE_ENTRIES
+#: With a shared store attached the bound only limits *memory* — evicted
+#: artifacts remain one disk read away.
+WORKER_CACHE_ENTRIES = 32
 
 
 def worker_cache() -> VariantCache:
@@ -244,9 +223,9 @@ def worker_cache() -> VariantCache:
     """
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
-        bound = _worker_cache_bound()
-        _WORKER_CACHE = VariantCache(max_entries=bound,
-                                     store=_attach_store(bound))
+        _WORKER_CACHE = VariantCache(
+            max_entries=WORKER_CACHE_ENTRIES,
+            store=_attach_store(WORKER_CACHE_ENTRIES))
     return _WORKER_CACHE
 
 
@@ -258,8 +237,8 @@ def call_cache(entries: int) -> VariantCache:
     the run returns, so an in-process run never pins artifacts in the
     process-wide :func:`worker_cache`.  It attaches to the shared store
     exactly like a worker's cache does, bounding each kind separately: the
-    binary, feature and diff objects the units write never evict the
-    variants they share.
+    feature and diff objects the units write never evict the variants they
+    share.
     """
     store = _attach_store(entries)
     if store is not None:
@@ -281,7 +260,7 @@ def worker_cache_events() -> Dict[str, int]:
             int(registry.get(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures"))}
 
 
-def _attach_store(bound: Optional[int]) -> Optional[ArtifactStore]:
+def _attach_store(bound: int) -> Optional[ArtifactStore]:
     """The store the environment names, or ``None`` (also when unusable)."""
     target = store_dir_from_env()
     if not target:
@@ -324,11 +303,13 @@ def _supervised_entry(payload: Tuple) -> object:
 
     Also the telemetry task boundary: the task runs under a ``task`` span
     and the worker's buffered spans + metrics snapshot are flushed to its
-    per-pid shard file afterwards (a no-op without an active telemetry run),
-    so even a worker that is killed later has handed over everything up to
-    its last completed task.
+    per-pid shard file afterwards, so even a worker that is killed later has
+    handed over everything up to its last completed task.  The payload
+    carries the parent's telemetry run directory (``None`` without an
+    active run, which makes the flush a no-op), so a worker needs no state
+    inherited from the parent to find it.
     """
-    task_fn, task, index, attempt = payload
+    task_fn, task, index, attempt, run_dir = payload
     injector = active_injector()
     if injector is not None:
         token = f"task:{index}"
@@ -342,7 +323,7 @@ def _supervised_entry(payload: Tuple) -> object:
         obs_metrics.counter("executor.tasks_completed")
         return result
     finally:
-        flush_telemetry()
+        flush_telemetry(run_dir)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -367,8 +348,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     start — which is what makes the timeout meaningful without any
     cooperation from the task function.
     """
-    backoff = _backoff_base()
-    jitter = random.Random()  # timing only; results never depend on it
     total = len(tasks)
     results: Dict[int, Result] = {}
     pending = deque((index, 0) for index in range(total))
@@ -376,6 +355,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     pool: Optional[ProcessPoolExecutor] = None
     pool_failures = 0
     failure_limit = _max_pool_failures()
+    run_dir = telemetry_dir()
 
     def record(index: int, value: Result) -> None:
         results[index] = value
@@ -439,7 +419,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                 try:
                     future = pool.submit(
                         _supervised_entry, (task_fn, tasks[index], index,
-                                            attempt))
+                                            attempt, run_dir))
                 except (BrokenProcessPool, RuntimeError):
                     pending.appendleft((index, attempt))
                     broken = True
@@ -482,11 +462,8 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                     pool_broke = True
                     broken_tasks.append((index, attempt))
                 else:
-                    delay = backoff * (2 ** attempt)
                     requeue(index, attempt, burn_retry=True,
                             cause=f"{type(error).__name__}: {error}")
-                    if delay > 0:
-                        time.sleep(delay * (0.5 + jitter.random()))
             if pool_broke:
                 pool_failures += 1
                 recycle_pool()

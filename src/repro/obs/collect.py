@@ -1,20 +1,19 @@
 """Cross-process telemetry collection.
 
 The coordinator (``run_checkpointed``, or any driver) opens a *telemetry
-run*: a directory ``<store>/telemetry/<run_id>/`` whose path is handed to
-spawned workers through the ``REPRO_TELEMETRY_DIR`` environment variable
-(the supervised executor spawns workers after the coordinator has set it,
-so inheritance is free).  Each process — workers at task boundaries, the
-coordinator at run exit — appends its buffered spans plus a metrics
-snapshot to its own ``<pid>.jsonl``; nobody ever writes another process's
-file, so no locking is needed.  At run exit the coordinator merges every
-shard file with the stable order ``(ts, pid, seq)`` and writes the two
-exports (``trace.json`` Chrome trace-event JSON + ``metrics.json``).
+run*: a directory ``<store>/telemetry/<run_id>/`` that this module keeps as
+the process's active run (:func:`telemetry_dir`).  The supervised executor
+hands that path to its workers inside each task payload.  Each process —
+workers at task boundaries, the coordinator at run exit — appends its
+buffered spans plus a metrics snapshot to its own ``<pid>.jsonl``; nobody
+ever writes another process's file, so no locking is needed.  At run exit
+the coordinator merges every shard file with the stable order
+``(ts, pid, seq)`` and writes the two exports (``trace.json`` Chrome
+trace-event JSON + ``metrics.json``).
 
-A run only opens when telemetry is wanted (``REPRO_TRACE`` or
-``REPRO_METRICS`` truthy): the default pipeline writes no telemetry files
-at all.  Nested opens (a fig8 driver inside a bench inside a test) are
-no-ops — the outermost run owns the directory.
+A run only opens when tracing is on (``REPRO_TRACE``): the default pipeline
+writes no telemetry files at all.  Nested opens (a fig8 driver inside a
+bench inside a test) are no-ops — the outermost run owns the directory.
 """
 
 from __future__ import annotations
@@ -26,30 +25,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from . import tracing
 from .metrics import REGISTRY, merge_snapshots
 
-ENV_DIR = "REPRO_TELEMETRY_DIR"
-_TRUTHY_OFF = ("", "0", "off", "false", "no")
-
-
-def metrics_wanted() -> bool:
-    return (os.environ.get("REPRO_METRICS", "").strip().lower()
-            not in _TRUTHY_OFF)
-
-
-def telemetry_wanted() -> bool:
-    """Should a run directory be opened at all?"""
-    return tracing.active() or metrics_wanted()
+#: The directory of the telemetry run this process owns, while one is open.
+_run_dir: Optional[str] = None
 
 
 def telemetry_dir() -> Optional[str]:
     """The active run directory this process flushes into (or None)."""
-    return os.environ.get(ENV_DIR) or None
+    return _run_dir
 
 
-def flush(directory: Optional[str] = None) -> Optional[str]:
+def flush(directory: Optional[str]) -> Optional[str]:
     """Append this process's buffered spans + a metrics snapshot to its
-    ``<pid>.jsonl`` shard file.  Called by workers at task boundaries and
-    by the coordinator at run exit; a no-op without an active run."""
-    directory = directory or telemetry_dir()
+    ``<pid>.jsonl`` shard file in ``directory``.  Called by workers at task
+    boundaries and by the coordinator at run exit; a no-op for ``None``."""
     if directory is None:
         return None
     records = tracing.drain() if tracing.active() else []
@@ -75,18 +63,20 @@ class TelemetryRun:
     def __init__(self, directory: str, run_id: str) -> None:
         self.directory = directory
         self.run_id = run_id
-        self.owned = False          # outermost open owns merge + env
+        self.owned = False          # outermost open owns the merge
 
     def __enter__(self) -> "TelemetryRun":
-        if telemetry_dir() is not None:       # nested: outer run owns it
-            self.directory = telemetry_dir()
+        global _run_dir
+        if _run_dir is not None:              # nested: outer run owns it
+            self.directory = _run_dir
             return self
         os.makedirs(self.directory, exist_ok=True)
-        os.environ[ENV_DIR] = self.directory
+        _run_dir = self.directory
         self.owned = True
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        global _run_dir
         if not self.owned:
             return
         flush(self.directory)
@@ -94,7 +84,7 @@ class TelemetryRun:
             finalize_run(self.directory)
         except OSError:
             pass
-        os.environ.pop(ENV_DIR, None)
+        _run_dir = None
 
 
 class _NullRun:
@@ -111,10 +101,10 @@ class _NullRun:
 def open_run(store_root: Optional[str], run_id: str):
     """Open a telemetry run under ``<store_root>/telemetry/<run_id>/``.
 
-    Returns a no-op context when telemetry is disabled or there is no
-    store tree to put the run in.
+    Returns a no-op context when tracing is off or there is no store tree
+    to put the run in.
     """
-    if store_root is None or not telemetry_wanted():
+    if store_root is None or not tracing.active():
         return _NullRun()
     return TelemetryRun(os.path.join(str(store_root), "telemetry", run_id),
                         run_id)

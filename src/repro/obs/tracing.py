@@ -1,6 +1,8 @@
 """Span tracing: nested, attributed, ring-buffered, no-op when disabled.
 
-Enabled by ``REPRO_TRACE`` (any non-empty value other than ``0``/``off``).
+Enabled by ``REPRO_TRACE``: unset, empty, ``0``, ``off``, ``false`` or
+``no`` mean off; ``1``, ``on``, ``true`` or ``yes`` mean on (case and
+surrounding spaces ignored); any other value raises :class:`ValueError`.
 The disabled path is the one that must stay off the flame graph: ``span()``
 checks one module-level flag and returns a shared no-op singleton — no
 allocation, no clock read, no buffer append.  That keeps the pipeline's
@@ -8,7 +10,7 @@ instrumentation cheap enough to leave compiled in everywhere (the ≤2%
 disabled-overhead budget of the telemetry PR).
 
 Enabled, every finished span lands in a bounded per-process ring buffer
-(``REPRO_TRACE_BUFFER`` records, default 200k) as a plain dict:
+(:data:`BUFFER_RECORDS`) as a plain dict:
 
 ``{"type": "span", "name", "cat", "ts", "dur", "pid", "tid", "id",
    "parent", "seq", "args"}``
@@ -29,22 +31,23 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-_TRUTHY_OFF = ("", "0", "off", "false", "no")
+#: Span records each process buffers between flushes; older ones drop.
+BUFFER_RECORDS = 200_000
 
 
 def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TRACE", "").strip().lower() not in _TRUTHY_OFF
-
-
-def _buffer_size() -> int:
-    try:
-        return max(1024, int(os.environ.get("REPRO_TRACE_BUFFER", "200000")))
-    except ValueError:
-        return 200000
+    raw = os.environ.get("REPRO_TRACE", "")
+    value = raw.strip().lower()
+    if value in ("", "0", "off", "false", "no"):
+        return False
+    if value in ("1", "on", "true", "yes"):
+        return True
+    raise ValueError(f"REPRO_TRACE must be on (1/on/true/yes) or off "
+                     f"(0/off/false/no), got {raw!r}")
 
 
 _enabled = _env_enabled()
-_buffer: deque = deque(maxlen=_buffer_size())
+_buffer: deque = deque(maxlen=BUFFER_RECORDS)
 _seq = 0
 _local = threading.local()
 
@@ -61,14 +64,11 @@ def set_enabled(flag: bool) -> None:
 
 
 def refresh() -> None:
-    """Re-read ``REPRO_TRACE``/``REPRO_TRACE_BUFFER`` (spawned workers call
-    this implicitly by importing fresh; long-lived processes call it after
-    mutating the environment)."""
-    global _enabled, _buffer
+    """Re-read ``REPRO_TRACE`` (spawned workers call this implicitly by
+    importing fresh; long-lived processes call it after mutating the
+    environment)."""
+    global _enabled
     _enabled = _env_enabled()
-    size = _buffer_size()
-    if _buffer.maxlen != size:
-        _buffer = deque(_buffer, maxlen=size)
 
 
 def _now_us() -> int:

@@ -12,7 +12,7 @@ After Khaos restructures code these cleanups run again and produce block
 shapes that differ markedly from the original function — which is exactly the
 effect the paper relies on.
 
-The default implementation is *incremental*: it removes unreachable blocks
+The implementation is *incremental*: it removes unreachable blocks
 once up front (the other two rewrites never disconnect a block from the
 entry), then maintains local successor/predecessor edge lists — with
 multiplicity, exactly as :class:`~repro.analysis.cfg.ControlFlowGraph`
@@ -22,17 +22,15 @@ change; the driving :class:`~repro.opt.pass_manager.FunctionPass` invalidates
 once at the end iff the function changed.
 
 The previous fixed-point implementation — which re-fetched the CFG after
-every single rewrite — is kept as the reference semantics behind
-``SimplifyCFG(legacy=True)`` or ``REPRO_SIMPLIFY_CFG=legacy`` and is
-differential-tested against the incremental one
-(``tests/test_simplify_cfg_incremental.py``).  Merges take priority over
-skips in both implementations, so they reach the same normal form
-block-for-block.
+every single rewrite — is the reference semantics in ``tests/oracles.py``:
+it is differential-tested against this one
+(``tests/test_simplify_cfg_incremental.py``) and must reproduce the quick
+figure 8 golden.  Merges take priority over skips in both implementations,
+so they reach the same normal form block-for-block.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -60,44 +58,12 @@ def _retarget_terminator(term: Optional[Terminator], old: BasicBlock,
         term.cases = [(c, new if t is old else t) for c, t in term.cases]
 
 
-def _retarget(function: Function, old: BasicBlock, new: BasicBlock) -> None:
-    for block in function.blocks:
-        _retarget_terminator(block.terminator, old, new)
-
-
-def _legacy_from_env() -> bool:
-    """Does ``REPRO_SIMPLIFY_CFG`` select the legacy reference path?
-
-    Unset or empty selects the incremental path; any value but
-    ``incremental`` or ``legacy`` raises, so a typo in a reference run can
-    never quietly compare the fast path with itself.
-    """
-    value = os.environ.get("REPRO_SIMPLIFY_CFG", "")
-    if value not in ("", "incremental", "legacy"):
-        raise ValueError(f"REPRO_SIMPLIFY_CFG must be 'incremental' or "
-                         f"'legacy', got {value!r}")
-    return value == "legacy"
-
-
 class SimplifyCFG(FunctionPass):
     name = "simplify-cfg"
     preserves = ()  # restructures the block graph wholesale
 
-    def __init__(self, legacy: Optional[bool] = None):
-        if legacy is None:
-            legacy = _legacy_from_env()
-        self.legacy = legacy
-
     def run_on_function(self, function: Function,
                         analyses: Optional[AnalysisManager] = None) -> bool:
-        if self.legacy:
-            return self._run_legacy(function, analyses)
-        return self._run_incremental(function)
-
-    # -- incremental implementation ------------------------------------------------
-
-    @staticmethod
-    def _run_incremental(function: Function) -> bool:
         blocks = function.blocks
         if not blocks:
             return False
@@ -128,7 +94,7 @@ class SimplifyCFG(FunctionPass):
                 preds[succ].append(block)
 
         # two worklists so merges keep global priority over skips, mirroring
-        # the legacy fixed point (merge wherever possible, then one skip,
+        # the fixed-point reference (merge wherever possible, then one skip,
         # then re-check merges)
         merge_q = deque(function.blocks)
         merge_set = set(merge_q)
@@ -218,73 +184,3 @@ class SimplifyCFG(FunctionPass):
                 break  # give merges priority again after every skip
 
         return changed
-
-    # -- legacy fixed-point implementation (reference semantics) -------------------
-
-    def _run_legacy(self, function: Function,
-                    analyses: Optional[AnalysisManager] = None) -> bool:
-        analyses = analyses if analyses is not None else AnalysisManager()
-        changed = False
-        while True:
-            local = (self._remove_unreachable(function, analyses)
-                     or self._merge_straight_line(function, analyses)
-                     or self._skip_forwarding_blocks(function, analyses))
-            if not local:
-                break
-            changed = True
-        return changed
-
-    @staticmethod
-    def _remove_unreachable(function: Function,
-                            analyses: AnalysisManager) -> bool:
-        cfg = analyses.cfg(function)
-        dead = cfg.unreachable_blocks()
-        for block in dead:
-            function.remove_block(block)
-        if dead:
-            analyses.invalidate(function)
-        return bool(dead)
-
-    @staticmethod
-    def _merge_straight_line(function: Function,
-                             analyses: AnalysisManager) -> bool:
-        cfg = analyses.cfg(function)
-        for block in function.blocks:
-            succs = cfg.successors.get(block, [])
-            if len(succs) != 1:
-                continue
-            succ = succs[0]
-            if succ is function.entry_block or succ is block:
-                continue
-            if len(cfg.predecessors.get(succ, [])) != 1:
-                continue
-            # merge succ into block
-            term = block.terminator
-            block.remove(term)
-            for inst in list(succ.instructions):
-                succ.remove(inst)
-                block.append(inst)
-            function.remove_block(succ)
-            analyses.invalidate(function)
-            return True
-        return False
-
-    @staticmethod
-    def _skip_forwarding_blocks(function: Function,
-                                analyses: AnalysisManager) -> bool:
-        for block in function.blocks:
-            if block is function.entry_block:
-                continue
-            if len(block.instructions) != 1:
-                continue
-            term = block.terminator
-            if not isinstance(term, Branch):
-                continue
-            target = term.target
-            if target is block:
-                continue
-            _retarget(function, block, target)
-            function.remove_block(block)
-            analyses.invalidate(function)
-            return True
-        return False

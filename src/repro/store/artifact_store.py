@@ -1,8 +1,8 @@
 """Content-addressed artifact store shared by every experiment process.
 
 The evaluation pipeline's artifacts — built variants
-(:class:`~repro.toolchain.BuildArtifact`), lowered
-:class:`~repro.backend.binary.Binary` objects, memoised
+(:class:`~repro.toolchain.BuildArtifact`, lowered
+:class:`~repro.backend.binary.Binary` included), memoised
 :class:`~repro.diffing.index.FeatureIndex` payloads — are pure functions of
 their configuration: workload synthesis is profile-seeded, every obfuscator
 advertises a seeded ``cache_key()``, and the optimizer is deterministic.
@@ -12,7 +12,7 @@ per *machine* rather than once per process:
 * keys are the frozen tuples of :func:`~repro.core.variant_cache.variant_key`
   (workload profile × obfuscator ``cache_key()`` × ``OptOptions``), hashed
   into a stable content address (:func:`store_digest`) under a *kind*
-  namespace (``"variant"``, ``"binary"``, ``"features"``);
+  namespace (``"variant"``, ``"features"``, ``"diff"``, ``"shard"``);
 * an in-process LRU layer serves repeated lookups without touching disk;
 * the on-disk tree (``objects/<kind>/<aa>/<digest>.pkl``) is written with a
   single-writer atomic protocol — temp file + ``os.replace`` — so any number
@@ -62,7 +62,9 @@ T = TypeVar("T")
 #: repopulating it only costs time.
 STORE_SCHEMA = 2
 
-#: The artifact kinds the evaluation pipeline persists.
+#: The artifact kinds the evaluation pipeline persists.  Nothing writes
+#: ``binary`` any more (a variant carries its binary); the kind stays so
+#: ``scripts/gc_store.py`` sweeps the objects older trees hold.
 KIND_VARIANT = "variant"
 KIND_BINARY = "binary"
 KIND_FEATURES = "features"
@@ -149,8 +151,8 @@ class ArtifactStore:
 
     #: Does ``max_memory_entries`` bound each kind's entries separately
     #: instead of all kinds together?  A store sized to a working set of
-    #: variants turns this on, so the binary, feature and diff objects
-    #: written alongside the variants never evict them.
+    #: variants turns this on, so the feature and diff objects written
+    #: alongside the variants never evict them.
     bound_per_kind = False
 
     def __init__(self, root: Optional[str] = None,

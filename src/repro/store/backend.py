@@ -8,8 +8,9 @@ in an object tree (``objects/<kind>/<aa>/<digest>.pkl``) written with a
 single-writer atomic protocol that is crash-durable: the payload temp file
 is ``fsync``\\ ed before ``os.replace`` publishes it and the containing
 directory is ``fsync``\\ ed after, so a power loss can neither publish a
-torn object nor lose a published rename (``REPRO_STORE_FSYNC=off`` trades
-that durability back for speed on throwaway trees).
+torn object nor lose a published rename.  Deletes and quarantine moves
+``fsync`` the directories they change, and a quarantine reason record is
+``fsync``\\ ed before it is published.
 
 The backend is deliberately *dumb about payloads*: it moves bytes and
 reports what happened.  Envelope validation, corruption quarantine and
@@ -32,11 +33,6 @@ OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
 
 
-def _fsync_enabled(environ=os.environ) -> bool:
-    return environ.get("REPRO_STORE_FSYNC", "").strip().lower() not in (
-        "0", "off", "no", "false")
-
-
 def fsync_directory(path: str) -> None:
     """Best-effort directory fsync — makes a completed rename durable."""
     try:
@@ -54,17 +50,11 @@ def fsync_directory(path: str) -> None:
 class LocalBackend:
     """The on-disk object tree, with crash-durable atomic writes."""
 
-    def __init__(self, root: str, durable: Optional[bool] = None):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        #: ``None`` re-reads ``REPRO_STORE_FSYNC`` per write (workers may
-        #: mutate their environment); a bool pins it (tests).
-        self._durable = durable
 
     def describe(self) -> str:
         return f"local:{self.root}"
-
-    def durable(self) -> bool:
-        return self._durable if self._durable is not None else _fsync_enabled()
 
     # -- paths -------------------------------------------------------------------
 
@@ -95,17 +85,15 @@ class LocalBackend:
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
         tmp_path = f"{path}.tmp.{os.getpid()}"
-        durable = self.durable()
         try:
             with open(tmp_path, "wb") as fh:
                 fh.write(data)
-                if durable:
-                    # make the payload durable *before* the rename publishes
-                    # it — otherwise a power loss can keep the rename (in the
-                    # journaled directory) while dropping the data, i.e. a
-                    # torn object that only surfaces later as a quarantine
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                # make the payload durable *before* the rename publishes it
+                # — otherwise a power loss can keep the rename (in the
+                # journaled directory) while dropping the data, i.e. a torn
+                # object that only surfaces later as a quarantine
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp_path, path)
         except OSError:
             try:
@@ -113,8 +101,7 @@ class LocalBackend:
             except OSError:
                 pass
             raise
-        if durable:
-            fsync_directory(parent)
+        fsync_directory(parent)
         return True
 
     def contains(self, kind: str, digest: str) -> bool:
@@ -127,8 +114,7 @@ class LocalBackend:
             os.unlink(path)
         except FileNotFoundError:
             return False
-        if self.durable():
-            fsync_directory(os.path.dirname(path))
+        fsync_directory(os.path.dirname(path))
         return True
 
     def quarantine(self, kind: str, digest: str,
@@ -137,24 +123,21 @@ class LocalBackend:
         Best-effort; ``True`` only when the object was actually moved."""
         path = self.object_path(kind, digest)
         destination = self.quarantine_path(kind, digest)
-        durable = self.durable()
         try:
             os.makedirs(os.path.dirname(destination), exist_ok=True)
             os.replace(path, destination)
             tmp = f"{destination}.reason.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, sort_keys=True)
-                if durable:
-                    # the reason record is the evidence trail for the damage;
-                    # persist it as carefully as the object it explains
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                # the reason record is the evidence trail for the damage;
+                # persist it as carefully as the object it explains
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, f"{destination[:-len('.pkl')]}.reason.json")
         except OSError:
             return False
-        if durable:
-            fsync_directory(os.path.dirname(destination))
-            fsync_directory(os.path.dirname(path))
+        fsync_directory(os.path.dirname(destination))
+        fsync_directory(os.path.dirname(path))
         return True
 
     def list_refs(self, kind: Optional[str] = None) -> List[ObjectRef]:

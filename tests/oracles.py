@@ -1,16 +1,20 @@
-"""Reference implementations of the figure 6–10 cells, for differential tests.
+"""Reference implementations for differential tests.
 
-Each oracle computes a report cell by cell the plain way — build, execute
-or diff the whole binary pair, read the answer — with no units, no cache,
-no executor and no store, so it is unaffected by ``REPRO_STORE_DIR``,
-``REPRO_JOBS`` or a journal.  The ``measure_*`` drivers must reproduce
-these reports row for row.
+Each figure 6–10 oracle computes a report cell by cell the plain way —
+build, execute or diff the whole binary pair, read the answer — with no
+units, no cache, no executor and no store, so it is unaffected by
+``REPRO_STORE_DIR``, ``REPRO_JOBS`` or a journal.  The ``measure_*`` drivers
+must reproduce these reports row for row.
+
+:class:`FixedPointSimplifyCFG` is the reference semantics of the
+incremental :class:`~repro.opt.simplify_cfg.SimplifyCFG`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.analysis.manager import AnalysisManager
 from repro.baselines.bintuner import BinTuner
 from repro.diffing import all_differs, precision_at_1
 from repro.diffing.bindiff import BinDiff
@@ -19,8 +23,10 @@ from repro.evaluation.bintuner_compare import (OPT_LEVELS, BinTunerReport,
 from repro.evaluation.escape import EscapeReport, EscapeRow, escape_differs
 from repro.evaluation.overhead import OverheadReport, OverheadRow, build_variant
 from repro.evaluation.precision import PrecisionReport, PrecisionRow
+from repro.ir.instructions import Branch
 from repro.opt.pass_manager import OptOptions
 from repro.opt.pipelines import optimize_program
+from repro.opt.simplify_cfg import SimplifyCFG, _retarget_terminator
 from repro.utils import geometric_mean
 from repro.vm.machine import run_program
 
@@ -112,3 +118,69 @@ def bintuner(workloads, tuner_iterations: int) -> BinTunerReport:
         overheads.append((tuned_cycles - base) / base)
     report.bintuner_overhead_percent = geometric_mean(overheads) * 100.0
     return report
+
+
+class FixedPointSimplifyCFG(SimplifyCFG):
+    """SimplifyCFG the plain way: re-fetch the CFG after every rewrite.
+
+    Each round removes unreachable blocks, else merges one straight-line
+    pair, else skips one forwarding block, invalidating the analyses after
+    every change, until a round changes nothing.  The incremental pass must
+    reach the same normal form block for block.
+    """
+
+    def run_on_function(self, function, analyses=None) -> bool:
+        analyses = analyses if analyses is not None else AnalysisManager()
+        changed = False
+        while (self._remove_unreachable(function, analyses)
+               or self._merge_straight_line(function, analyses)
+               or self._skip_forwarding_block(function, analyses)):
+            changed = True
+        return changed
+
+    @staticmethod
+    def _remove_unreachable(function, analyses) -> bool:
+        dead = analyses.cfg(function).unreachable_blocks()
+        for block in dead:
+            function.remove_block(block)
+        if dead:
+            analyses.invalidate(function)
+        return bool(dead)
+
+    @staticmethod
+    def _merge_straight_line(function, analyses) -> bool:
+        cfg = analyses.cfg(function)
+        for block in function.blocks:
+            succs = cfg.successors.get(block, [])
+            if len(succs) != 1:
+                continue
+            succ = succs[0]
+            if succ is function.entry_block or succ is block:
+                continue
+            if len(cfg.predecessors.get(succ, [])) != 1:
+                continue
+            block.remove(block.terminator)
+            for inst in list(succ.instructions):
+                succ.remove(inst)
+                block.append(inst)
+            function.remove_block(succ)
+            analyses.invalidate(function)
+            return True
+        return False
+
+    @staticmethod
+    def _skip_forwarding_block(function, analyses) -> bool:
+        for block in function.blocks:
+            if block is function.entry_block:
+                continue
+            if len(block.instructions) != 1:
+                continue
+            term = block.terminator
+            if not isinstance(term, Branch) or term.target is block:
+                continue
+            for other in function.blocks:
+                _retarget_terminator(other.terminator, block, term.target)
+            function.remove_block(block)
+            analyses.invalidate(function)
+            return True
+        return False

@@ -12,8 +12,7 @@ import os
 
 import pytest
 
-from repro.diffing import (BinDiff, DeepBinDiff, all_differs,
-                           use_indexed_features)
+from repro.diffing import BinDiff, DeepBinDiff, all_differs
 from repro.diffing.base import PartialDiff
 from repro.evaluation import (figure8, measure_bintuner, measure_escape,
                               measure_precision)
@@ -212,10 +211,7 @@ class TestSharedStoreReuse:
             cold = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         assert _precision_rows(cold) == _precision_rows(reference)
         assert cold_stats["units_scored"] == cold_stats["units_total"] > 0
-        if use_indexed_features():
-            # the legacy path extracts per diff and memoises nothing, so
-            # only the indexed path has feature payloads to persist
-            assert cold_stats["features_persisted"] > 0
+        assert cold_stats["features_persisted"] > 0
         assert cold_stats["diff_payloads_persisted"] > 0
 
         reset_worker_cache()

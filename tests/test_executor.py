@@ -183,13 +183,18 @@ class TestSupervisorKnobs:
         with pytest.raises(ValueError, match="retries"):
             resolve_task_retries(2.5)
 
+    @pytest.mark.parametrize("value", ["many", "0", "-3", "1.5", "2x"])
+    def test_max_pool_failures_rejects_junk(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", value)
+        with pytest.raises(ValueError, match="REPRO_MAX_POOL_FAILURES"):
+            run_tasks(_square, [1, 2], jobs=2)
+
 
 class TestSupervisedFailureModes:
     """The failure modes the supervised scheduler exists for."""
 
     @pytest.fixture(autouse=True)
-    def _fast_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
+    def _no_faults(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
     def test_broken_pool_mid_matrix_recovers(self, tmp_path, monkeypatch):

@@ -139,21 +139,18 @@ class TestFaultsInTheExecutor:
         assert run_tasks(_identity, [1, 2, 3], jobs=1) == [1, 2, 3]
 
     def test_injected_task_errors_are_retried_to_success(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.setenv("REPRO_FAULTS", "task_error:p=0.4,seed=5")
         reset_injector()
         values = list(range(8))
         assert run_tasks(_identity, values, jobs=2, retries=6) == values
 
     def test_injected_crashes_recover_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash:p=0.3,seed=7")
         reset_injector()
         values = list(range(8))
         assert run_tasks(_identity, values, jobs=2, retries=10) == values
 
     def test_injected_hang_trips_timeout_then_succeeds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         # fire-pattern: deterministic; p=0.4 over 4 tasks × attempts hangs
         # at least one task's first attempt with seed 1
         monkeypatch.setenv("REPRO_FAULTS",
@@ -177,7 +174,6 @@ class TestChaosDifferential:
         from repro.diffing import all_differs
         differs = all_differs()[:1]
         reference = self._rows(oracles.precision(WORKLOADS, LABELS, differs))
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "10")
         monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", "10")
         monkeypatch.setenv("REPRO_FAULTS",

@@ -12,8 +12,8 @@ import gc
 
 import pytest
 
-from repro.diffing import BinDiff, all_differs, clear_index_cache, feature_index
-from repro.diffing.base import BinaryDiffer, use_indexed_features
+from repro.diffing import all_differs, clear_index_cache, feature_index
+from repro.diffing.base import BinaryDiffer
 from repro.diffing.features import (EMBEDDING_DIM, NormalizedVector,
                                     block_tokens, cached_token_vector, cosine,
                                     embed_block, embed_tokens,
@@ -79,28 +79,6 @@ class TestDifferentialDiffResults:
             slow = _diff_with(differ, baseline.binary, variant.binary, False)
             assert fast.matches == slow.matches, differ.name
             assert fast.similarity_score == slow.similarity_score, differ.name
-
-    def test_env_var_selects_legacy_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIFF_FEATURES", "legacy")
-        assert not use_indexed_features()
-        monkeypatch.setenv("REPRO_DIFF_FEATURES", "indexed")
-        assert use_indexed_features()
-        monkeypatch.setenv("REPRO_DIFF_FEATURES", "")
-        assert use_indexed_features()
-        monkeypatch.delenv("REPRO_DIFF_FEATURES")
-        assert use_indexed_features()
-
-    @pytest.mark.parametrize("value", [
-        "legcy", "fast", "Legacy", " legacy", "legacy ", "LEGACY",
-        "Indexed"])
-    def test_unknown_env_value_raises(self, monkeypatch, value, demo_variants):
-        """A typo in a reference run must not silently run the fast path."""
-        monkeypatch.setenv("REPRO_DIFF_FEATURES", value)
-        with pytest.raises(ValueError, match="REPRO_DIFF_FEATURES"):
-            use_indexed_features()
-        baseline, variants = demo_variants
-        with pytest.raises(ValueError, match="REPRO_DIFF_FEATURES"):
-            BinDiff().diff(baseline.binary, variants["sub"].binary)
 
 
 class TestIndexMemoisation:

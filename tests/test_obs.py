@@ -24,7 +24,7 @@ from repro.faults import FaultRule
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.collect import (finalize_run, flush, merge_records, open_run,
-                               read_shards)
+                               read_shards, telemetry_dir)
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.metrics import Histogram, MetricsRegistry, merge_snapshots
 
@@ -178,6 +178,27 @@ class TestTracing:
         finally:
             tracing.refresh()
 
+    @pytest.mark.parametrize("value, enabled", [
+        ("", False), ("0", False), ("off", False), ("false", False),
+        ("no", False), ("FALSE", False), ("1", True), ("on", True),
+        ("true", True), ("yes", True), (" On ", True)])
+    def test_documented_values_switch_tracing(self, monkeypatch, value,
+                                              enabled):
+        monkeypatch.setenv("REPRO_TRACE", value)
+        try:
+            tracing.refresh()
+            assert tracing.active() is enabled
+        finally:
+            monkeypatch.undo()
+            tracing.refresh()
+
+    @pytest.mark.parametrize("value", ["flase", "2", "enabled", "onn", "y",
+                                       "-1"])
+    def test_junk_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRACE", value)
+        with pytest.raises(ValueError, match="REPRO_TRACE"):
+            tracing.refresh()
+
     def test_disabled_overhead_within_budget(self, demo_program):
         """Analytic ≤2% bound: instrumentation cost per VM run vs run time.
 
@@ -258,7 +279,6 @@ class TestCollect:
 
     def test_open_run_disabled_is_noop(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.setenv("REPRO_METRICS", "off")
         with open_run(str(tmp_path), "runid") as run:
             assert run.directory is None
         assert not os.path.exists(str(tmp_path / "telemetry"))
@@ -266,15 +286,14 @@ class TestCollect:
     def test_open_run_nested_defers_to_outer(self, tmp_path, monkeypatch,
                                              traced_mode):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
         with open_run(str(tmp_path), "outer") as outer_run:
             outer_dir = outer_run.directory
-            assert os.environ["REPRO_TELEMETRY_DIR"] == outer_dir
+            assert telemetry_dir() == outer_dir
             with open_run(str(tmp_path), "inner") as inner_run:
                 assert inner_run.directory == outer_dir
             # inner exit must not tear down the outer run
-            assert os.environ["REPRO_TELEMETRY_DIR"] == outer_dir
-        assert "REPRO_TELEMETRY_DIR" not in os.environ
+            assert telemetry_dir() == outer_dir
+        assert telemetry_dir() is None
         assert os.path.exists(os.path.join(outer_dir, "trace.json"))
 
     def test_chrome_trace_shapes(self):
@@ -446,7 +465,6 @@ class TestEndToEnd:
         monkeypatch.setenv("REPRO_FAULTS",
                            f"task_error:p=0.4,seed={seed}")
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         tracing.refresh()
         reset_injector()
         reset_worker_cache()
@@ -482,7 +500,6 @@ class TestEndToEnd:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"task_hang:p=0.5,seed={seed},seconds=5")
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         tracing.refresh()
         reset_injector()
         reset_worker_cache()
@@ -505,6 +522,38 @@ class TestEndToEnd:
         assert "executor.timeout" in events
         assert "executor.pool_respawn" in events
 
+    def test_workers_flush_without_the_environment(self, tmp_store,
+                                                   monkeypatch):
+        """Each task's payload carries the run directory: the run adds no
+        variable to any worker task's environment, yet every worker's spans
+        land in the merged trace."""
+        from repro.evaluation.executor import run_tasks
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        tracing.refresh()
+        before = _repro_env(None)[1]
+        try:
+            with open_run(tmp_store, "envfree"):
+                seen = run_tasks(_repro_env, list(range(4)), jobs=2)
+        finally:
+            monkeypatch.delenv("REPRO_TRACE")
+            tracing.refresh()
+            tracing.drain()
+
+        assert [keys for _pid, keys in seen] == [before] * 4
+        workers = {pid for pid, _keys in seen}
+        assert os.getpid() not in workers
+        with open(os.path.join(tmp_store, "telemetry", "envfree",
+                               "trace.json"), encoding="utf-8") as fh:
+            events = json.load(fh)["traceEvents"]
+        task_pids = {ev["pid"] for ev in events if ev["name"] == "task"}
+        assert workers <= task_pids
+
 
 def _double(x: int) -> int:
     return x * 2
+
+
+def _repro_env(_task):
+    return os.getpid(), sorted(key for key in os.environ
+                               if key.startswith("REPRO_"))

@@ -1,10 +1,10 @@
-"""Incremental SimplifyCFG vs the legacy fixed-point reference.
+"""Incremental SimplifyCFG vs the fixed-point reference.
 
 The incremental implementation maintains local successor/predecessor maps and
-must reach exactly the same normal form as the legacy implementation, which
-re-fetched the CFG after every single rewrite.  The differential test runs
-both over every obfuscated workload variant and compares the printed IR
-block for block.
+must reach exactly the same normal form as the fixed-point reference
+(:class:`tests.oracles.FixedPointSimplifyCFG`), which re-fetches the CFG
+after every single rewrite.  The differential test runs both over every
+obfuscated workload variant and compares the printed IR block for block.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.toolchain import obfuscator_for
 from repro.vm import run_program
 from repro.workloads.suites import (coreutils_programs, spec2006_programs,
                                     spec2017_programs)
+from tests.oracles import FixedPointSimplifyCFG
 
 
 def make_program(module):
@@ -40,23 +41,23 @@ class TestDifferential:
     def test_block_for_block_identical_on_obfuscated_workloads(
             self, workload, label):
         obfuscated = obfuscator_for(label).obfuscate(workload.build()).program
-        legacy_copy = obfuscated.clone()
+        reference_copy = obfuscated.clone()
         incremental_copy = obfuscated.clone()
 
-        legacy_changed = SimplifyCFG(legacy=True).run(legacy_copy)
-        incremental_changed = SimplifyCFG(legacy=False).run(incremental_copy)
+        reference_changed = FixedPointSimplifyCFG().run(reference_copy)
+        incremental_changed = SimplifyCFG().run(incremental_copy)
 
-        assert legacy_changed == incremental_changed
-        assert _printed(legacy_copy) == _printed(incremental_copy)
+        assert reference_changed == incremental_changed
+        assert _printed(reference_copy) == _printed(incremental_copy)
         assert_valid(incremental_copy)
 
     def test_differential_on_raw_workloads(self):
         for workload in DIFFERENTIAL_WORKLOADS:
             program = workload.build()
-            legacy_copy, incremental_copy = program.clone(), program.clone()
-            assert (SimplifyCFG(legacy=True).run(legacy_copy)
-                    == SimplifyCFG(legacy=False).run(incremental_copy))
-            assert _printed(legacy_copy) == _printed(incremental_copy)
+            reference_copy, incremental_copy = program.clone(), program.clone()
+            assert (FixedPointSimplifyCFG().run(reference_copy)
+                    == SimplifyCFG().run(incremental_copy))
+            assert _printed(reference_copy) == _printed(incremental_copy)
 
 
 class TestIncrementalShapes:
@@ -88,13 +89,13 @@ class TestIncrementalShapes:
         IRBuilder(hop2).br(done)
         IRBuilder(left).ret(1)
         IRBuilder(done).ret(2)
-        legacy = make_program(module).clone()
+        reference = make_program(module).clone()
         SimplifyCFG().run(make_program(module))
-        SimplifyCFG(legacy=True).run(legacy)
+        FixedPointSimplifyCFG().run(reference)
         # merges take priority: hop1 absorbs hop2 then done, ending in `ret 2`
         assert {blk.name for blk in f.blocks} == {"entry", "left", "hop1"}
         assert f.get_block("hop1").instructions[-1].opcode == "ret"
-        assert ({blk.name for blk in legacy.modules[0].get_function("main").blocks}
+        assert ({blk.name for blk in reference.modules[0].get_function("main").blocks}
                 == {blk.name for blk in f.blocks})
         assert_valid(f)
 
@@ -119,9 +120,9 @@ class TestIncrementalShapes:
         b.cond_br(b.icmp("slt", f.args[0], 0), join, join)
         jb = IRBuilder(join)
         jb.ret(7)
-        legacy = make_program(module).clone()
-        assert (SimplifyCFG(legacy=False).run(make_program(module))
-                == SimplifyCFG(legacy=True).run(legacy))
+        reference = make_program(module).clone()
+        assert (SimplifyCFG().run(make_program(module))
+                == FixedPointSimplifyCFG().run(reference))
         assert f.block_count() == 2
 
     def test_entry_forwarding_block_stays(self):
@@ -153,41 +154,16 @@ class TestIncrementalShapes:
         assert {blk.name for blk in f.blocks} >= {"spin", "out"}
 
 
-class TestFlagAndDriver:
-    def test_legacy_flag_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", "legacy")
-        assert SimplifyCFG().legacy is True
-        monkeypatch.delenv("REPRO_SIMPLIFY_CFG")
-        assert SimplifyCFG().legacy is False
-
-    @pytest.mark.parametrize("value, legacy", [
-        ("", False), ("incremental", False), ("legacy", True)])
-    def test_accepted_environment_values(self, monkeypatch, value, legacy):
-        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", value)
-        assert SimplifyCFG().legacy is legacy
-
-    @pytest.mark.parametrize("value", [
-        "legcy", "fast", "Legacy", " legacy", "legacy ", "LEGACY",
-        "Incremental"])
-    def test_unknown_environment_value_raises(self, monkeypatch, value):
-        """A typo in a reference run must not silently run the fast path."""
-        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", value)
-        with pytest.raises(ValueError, match="REPRO_SIMPLIFY_CFG"):
-            SimplifyCFG()
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMPLIFY_CFG", "legacy")
-        assert SimplifyCFG(legacy=False).legacy is False
-
-    @pytest.mark.parametrize("legacy", (False, True))
-    def test_verify_invalidation_clean(self, legacy):
+class TestDriver:
+    @pytest.mark.parametrize("simplify", (SimplifyCFG, FixedPointSimplifyCFG))
+    def test_verify_invalidation_clean(self, simplify):
         """Neither path may mutate a function without invalidating analyses."""
         workload = spec2006_programs()[0]
         program = workload.build().link()
         analyses = AnalysisManager(verify_invalidation=True)
         function = program.modules[0].get_function("main")
         analyses.cfg(function)  # prime the cache
-        manager = PassManager([SimplifyCFG(legacy=legacy)], analyses=analyses)
+        manager = PassManager([simplify()], analyses=analyses)
         manager.run(program)
         # fetching again after the pass must not raise StaleAnalysisError
         for f in program.modules[0].defined_functions():

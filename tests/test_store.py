@@ -15,7 +15,7 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
   fresh index;
 * every figure's report from a warm tree equals the cold run's;
 * :class:`LocalBackend`, the byte layer under the tree, keeps the first
-  writer's object and honours the ``REPRO_STORE_FSYNC`` durability gate;
+  writer's object and fsyncs each payload and its directory;
 * every store name the paper benchmark's layer tracer wraps still resolves.
 """
 
@@ -185,17 +185,15 @@ class TestDiskLayer:
         other = build_variant(WORKLOADS[0], "fufi.ori")
         assert other.binary.content_digest() != artifact.binary.content_digest()
 
-    def test_built_variants_persist_their_binary_alongside(self, tmp_path):
-        """A store-backed build writes the lowered binary under kind
-        ``binary`` too, for diff-only consumers of the shared tree."""
-        from repro.toolchain import obfuscator_for
+    def test_built_variants_write_no_binary_object(self, tmp_path):
+        """A store-backed build persists the variant, which carries its
+        binary, and no separate ``binary`` object."""
         root = str(tmp_path / "store")
         cache = VariantCache(store=ArtifactStore.attach(root))
-        artifact = build_variant(WORKLOADS[0], "fission", cache=cache)
-        key = variant_key(WORKLOADS[0], obfuscator_for("fission"))
-        restored = ArtifactStore.attach(root).get(KIND_BINARY, key)
-        assert restored is not None
-        assert restored.content_digest() == artifact.binary.content_digest()
+        build_variant(WORKLOADS[0], "fission", cache=cache)
+        backend = LocalBackend(root)
+        assert backend.list_refs(KIND_VARIANT) != []
+        assert backend.list_refs(KIND_BINARY) == []
 
     def test_first_writer_kept(self, tmp_path):
         root = str(tmp_path / "store")
@@ -580,13 +578,18 @@ class TestLocalBackend:
                            overwrite=True) is True
         assert backend.get("variant", "cd" * 32) == b"second"
 
-    def test_durability_gate(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_FSYNC", raising=False)
-        assert LocalBackend(str(tmp_path)).durable() is True
-        monkeypatch.setenv("REPRO_STORE_FSYNC", "off")
-        assert LocalBackend(str(tmp_path)).durable() is False
-        # an explicit constructor pin beats the environment
-        assert LocalBackend(str(tmp_path), durable=True).durable() is True
+    def test_put_fsyncs_the_payload_and_its_directory(self, tmp_path,
+                                                      monkeypatch):
+        synced = []
+        monkeypatch.setattr(store_backend.os, "fsync",
+                            lambda fd: synced.append(os.fstat(fd).st_ino))
+        backend = LocalBackend(str(tmp_path))
+        assert backend.put("variant", "bc" * 32, b"payload") is True
+        path = backend.object_path("variant", "bc" * 32)
+        assert synced == [os.stat(path).st_ino,
+                          os.stat(os.path.dirname(path)).st_ino]
+        assert backend.put("variant", "bc" * 32, b"again") is False
+        assert len(synced) == 2  # a kept object is not rewritten
 
     def test_delete_and_list(self, tmp_path):
         backend = LocalBackend(str(tmp_path))
@@ -664,8 +667,8 @@ class TestWarmReports:
                                            monkeypatch):
         """A report served from a warm tree is the cold run's report.
 
-        Checkpointing is off, so the warm run reads its variants, binaries,
-        feature and diff payloads from the tree instead of reviving whole
+        Checkpointing is off, so the warm run reads its variants, feature
+        and diff payloads from the tree instead of reviving whole
         units from a run journal, and builds nothing.
         """
         monkeypatch.setenv("REPRO_CHECKPOINT", "off")
