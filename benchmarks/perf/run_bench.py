@@ -27,8 +27,9 @@ can diff the perf trajectory.  Tracked metrics:
   against a warm variant cache: the ``FeatureIndex`` fast path vs the legacy
   per-diff extraction (``BinaryDiffer.use_index = False``) and the process
   executor at ``jobs=2`` (its workers read the variants from a store tree
-  warmed by one store-backed build and score every unit); both alternates
-  are asserted row-identical to the indexed serial run;
+  warmed by one store-backed build and score every cell of their
+  per-workload units); both alternates are asserted row-identical to the
+  indexed serial run;
 * **fig67_sharded** — the figure-6/7 overhead matrix over the shared
   artifact store (``REPRO_STORE_DIR``): ``jobs=1`` vs ``jobs=2``
   row-identity, cold vs warm-attach timings, and the store's hit/miss/put
@@ -40,14 +41,13 @@ can diff the perf trajectory.  Tracked metrics:
   every function is a ``verify:full`` cache hit, the regime
   ``PassManager(verify_each=...)`` re-verification runs in), reported
   against the uncached build phase (acceptance: warm < 10% of build);
-* **fig8_function_sharded** — the figure-8 precision matrix through its
-  *function-granularity* units (:mod:`repro.evaluation.diff_sharding`)
-  over a shared store: storeless reference vs cold run vs ``jobs=2`` vs
-  warm re-attach timings, all asserted row-identical; a cold run must keep
-  its variants in memory (adopt **zero** ``FeatureIndex`` payloads back
-  from the tree), and a warm run must adopt every per-function diff
-  payload from the tree, re-score **zero** units and rebuild **zero**
-  ``FeatureIndex`` payloads;
+* **fig8_workload_units** — the figure-8 precision matrix through its
+  per-workload units (:mod:`repro.evaluation.diff_sharding`) over a shared
+  store: storeless reference vs cold run vs ``jobs=2`` vs warm re-attach
+  timings, all asserted row-identical; a cold run must read **zero**
+  objects back from the tree (its variants stay in memory), and the
+  ``jobs=2`` and warm runs must revive every unit from its stored rows and
+  execute **zero** units;
 * **telemetry_overhead** — what :mod:`repro.obs` costs: VM steady-state
   steps/s with tracing enabled vs disabled, and the warm fig8 matrix at
   ``jobs=2`` (checkpointing off, so neither arm resumes from the journal)
@@ -105,7 +105,7 @@ MEASURE_LABELS = ("fission", "fufi.ori")
 REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
                  "fig6_end_to_end", "pipeline", "variant_cache",
                  "fig8_diff_phase", "fig67_sharded",
-                 "fig8_function_sharded", "verify_overhead",
+                 "fig8_workload_units", "verify_overhead",
                  "telemetry_overhead")
 
 #: Where the store-backed sections create their trees: ``REPRO_STORE_DIR``
@@ -305,8 +305,8 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         # hand the executor workers the variants through a store tree warmed
         # by one store-backed build, so jobs2_s times the diff phase + pool
         # overhead like the other columns, not variant rebuilding; the tree
-        # holds no diff payloads and checkpointing is off, so the timed run
-        # scores every unit
+        # holds no unit rows and checkpointing is off, so the timed run
+        # scores every cell
         with store_tree("fig8-diff-phase", REPRO_CHECKPOINT="off") as root:
             seeded = VariantCache(store=ArtifactStore.attach(root))
             for wp in programs:
@@ -314,7 +314,7 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
                     build_variant(wp, label, cache=seeded)
             gc.collect()
             start = time.perf_counter()
-            with counted("diffshard") as jobs2_units:
+            with counted("diffunit") as jobs2_units:
                 parallel_report = measure_precision(programs, labels=labels,
                                                     jobs=2)
             jobs2_s = time.perf_counter() - start
@@ -336,8 +336,9 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         "indexed_s": round(indexed_s, 4),
         "indexed_cold_s": round(cold_s, 4),
         "jobs2_s": round(jobs2_s, 4),
-        "jobs2_units": {"scored": jobs2_units["units_scored"],
-                        "total": jobs2_units["units_total"]},
+        "jobs2_units": {"units": jobs2_units["units"],
+                        "cells_scored": jobs2_units["cells_scored"],
+                        "cells": len(parallel_report.rows)},
         "speedup": round(legacy_s / indexed_s, 2) if indexed_s else None,
         "identical": {
             "legacy": legacy_report.rows == reference.rows,
@@ -421,15 +422,14 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
     }
 
 
-def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
-    """Figure 8 through its function-granularity units + the store.
+def bench_fig8_workload_units(programs, reps: int) -> Dict[str, object]:
+    """Figure 8 through its per-workload units + the store.
 
     Times the storeless ``jobs=1`` reference, a cold run against a fresh
-    store tree (every unit scored and persisted under its per-function
-    key), a ``jobs=2`` run over the now-warm tree, and a warm in-process
-    re-attach — which must adopt every diff payload, re-score zero units
-    and rebuild zero ``FeatureIndex`` payloads (asserted structurally by
-    --smoke).
+    store tree (every unit executed and its rows persisted), a ``jobs=2``
+    run over the now-warm tree and a warm in-process re-attach — both of
+    which must revive every unit and execute none (asserted structurally
+    by --smoke).  ``cold_vs_serial`` is what the store costs a cold run.
     """
     labels = MEASURE_LABELS
     reference = measure_precision(programs, labels=labels, jobs=1)
@@ -440,11 +440,15 @@ def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
         reset_worker_cache()
         gc.collect()
         start = time.perf_counter()
-        with counted("diffshard") as stats:
+        with counted("diffunit") as units, counted("checkpoint") as run, \
+                counted("store") as store:
             report = measure_precision(programs, labels=labels, jobs=jobs)
-        return report, time.perf_counter() - start, dict(stats)
+        stats = {"units": units["units"], "cells_scored": units["cells_scored"],
+                 "executed": run["executed"], "resumed": run["resumed"],
+                 "disk_hits": store["disk_hits"], "puts": store["puts"]}
+        return report, time.perf_counter() - start, stats
 
-    with store_tree("fig8"):
+    with store_tree("fig8-units"):
         cold, cold_s, cold_stats = timed_run(1)
         jobs2, jobs2_s, jobs2_stats = timed_run(2)
         warm, warm_s, warm_stats = timed_run(1)
@@ -454,11 +458,11 @@ def bench_fig8_function_sharded(programs, reps: int) -> Dict[str, object]:
         "labels": list(labels),
         "rows": len(reference.rows),
         "serial_s": round(serial_s, 4),
-        "cold_shard_s": round(cold_s, 4),
+        "cold_s": round(cold_s, 4),
+        "cold_vs_serial": round(cold_s / serial_s, 3) if serial_s else None,
         "jobs2_s": round(jobs2_s, 4),
-        "warm_shard_s": round(warm_s, 4),
-        "warm_shard_speedup": round(cold_s / warm_s, 2) if warm_s else None,
-        "warm_feature_rebuilds": warm_stats.get("features_persisted", 0),
+        "warm_s": round(warm_s, 4),
+        "warm_speedup": round(cold_s / warm_s, 2) if warm_s else None,
         "stats": {"cold": cold_stats, "jobs2": jobs2_stats,
                   "warm": warm_stats},
         "identical": {
@@ -477,7 +481,7 @@ def bench_telemetry_overhead(programs, reps: int) -> Dict[str, object]:
     the delta isolates the tracing flag checks and buffer appends.
     **fig8_jobs2**: the warm fig8 function-sharded matrix at ``jobs=2``
     over one store tree (checkpointing off, so neither arm resumes from
-    the journal), with ``REPRO_TRACE=1`` vs unset: the traced arm
+    a stored unit), with ``REPRO_TRACE=1`` vs unset: the traced arm
     additionally pays per-task worker flushes and the run-exit
     merge/export, and both arms must stay row-identical to the storeless
     reference.  The traced run's merged telemetry is summarised back into
@@ -673,9 +677,10 @@ def check_results(results: Dict[str, object]) -> List[str]:
         if not identical.get("jobs2", False):
             problems.append("jobs=2 executor diverged from the serial run")
         units = diff_phase.get("jobs2_units", {})
-        if not 0 < units.get("scored", 0) == units.get("total", -1):
-            problems.append("the jobs=2 diff phase adopted stored diff "
-                            "payloads instead of scoring every unit")
+        if units.get("units") != len(diff_phase.get("programs", [])) or \
+                not 0 < units.get("cells_scored", 0) == units.get("cells"):
+            problems.append("the jobs=2 diff phase did not run one unit per "
+                            "workload scoring every cell")
     sharded = results.get("fig67_sharded", {})
     if sharded:
         identical = sharded.get("identical", {})
@@ -695,27 +700,29 @@ def check_results(results: Dict[str, object]) -> List[str]:
             problems.append("warm store attach served no disk hits")
         if store.get("cold", {}).get("puts", 0) <= 0:
             problems.append("cold store run persisted no artifacts")
-    fig8_sharded = results.get("fig8_function_sharded", {})
-    if fig8_sharded:
-        identical = fig8_sharded.get("identical", {})
+    fig8_units = results.get("fig8_workload_units", {})
+    if fig8_units:
+        identical = fig8_units.get("identical", {})
         for name in ("cold", "jobs2", "warm"):
             if not identical.get(name, False):
-                problems.append(f"fig8 function-sharded {name} run diverged "
-                                f"from the serial reference")
-        if fig8_sharded.get("warm_feature_rebuilds", -1) != 0:
-            problems.append("a warm fig8 shard run rebuilt FeatureIndex payloads")
-        warm = fig8_sharded.get("stats", {}).get("warm", {})
-        if warm.get("units_scored", -1) != 0:
-            problems.append("a warm fig8 shard run re-scored units the store "
-                            "already held")
-        if warm.get("units_from_store", 0) <= 0:
-            problems.append("warm fig8 shard run adopted no stored diff payloads")
-        cold = fig8_sharded.get("stats", {}).get("cold", {})
-        if cold.get("diff_payloads_persisted", 0) <= 0:
-            problems.append("cold fig8 shard run persisted no diff payloads")
-        if cold.get("features_adopted", -1) != 0:
-            problems.append("a cold fig8 shard run read its own variants "
-                            "back from the store")
+                problems.append(f"fig8 {name} unit run diverged from the "
+                                f"serial reference")
+        stats = fig8_units.get("stats", {})
+        programs = len(fig8_units.get("programs", []))
+        cold = stats.get("cold", {})
+        if cold.get("executed", -1) != programs:
+            problems.append("a cold fig8 run did not execute one unit per "
+                            "workload")
+        if cold.get("disk_hits", -1) != 0:
+            problems.append("a cold fig8 run read its own objects back from "
+                            "the store")
+        for name in ("jobs2", "warm"):
+            run = stats.get(name, {})
+            if run.get("executed", -1) != 0 or run.get("cells_scored", -1):
+                problems.append(f"a {name} fig8 run over a warm tree executed "
+                                f"units the store already held")
+            if run.get("resumed", 0) != programs:
+                problems.append(f"a {name} fig8 run revived no stored unit")
     overhead = results.get("verify_overhead", {})
     if overhead and overhead.get("errors", -1) != 0:
         problems.append("full-tier verification found errors on the fig6 "
@@ -763,7 +770,7 @@ def main(argv=None) -> int:
         reps = 5
 
     results = {
-        "schema": 13,
+        "schema": 14,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "python": sys.version.split()[0],
                    "store_dir": STORE_BASE},
@@ -778,7 +785,7 @@ def main(argv=None) -> int:
                                                  max(1, reps // 2)),
         "fig67_sharded": bench_fig67_sharded(loop_programs,
                                              max(1, reps // 2)),
-        "fig8_function_sharded": bench_fig8_function_sharded(
+        "fig8_workload_units": bench_fig8_workload_units(
             loop_programs, max(1, reps // 2)),
         "verify_overhead": bench_verify_overhead(loop_programs,
                                                  max(1, reps // 2)),
@@ -812,12 +819,12 @@ def main(argv=None) -> int:
           f"({fs['warm_attach_speedup']}x, {fs['warm_attach_rebuilds']} "
           f"rebuilds), jobs=2 {fs['jobs2_s']}s, "
           f"identical={fs['identical']}")
-    f8 = results["fig8_function_sharded"]
-    print(f"fig8 fn-sharded:   serial {f8['serial_s']}s, cold shards "
-          f"{f8['cold_shard_s']}s, jobs=2 {f8['jobs2_s']}s -> warm "
-          f"{f8['warm_shard_s']}s ({f8['warm_shard_speedup']}x, "
-          f"{f8['warm_feature_rebuilds']} feature rebuilds, "
-          f"identical={f8['identical']})")
+    f8 = results["fig8_workload_units"]
+    print(f"fig8 units:        serial {f8['serial_s']}s, cold "
+          f"{f8['cold_s']}s ({f8['cold_vs_serial']}x serial), jobs=2 "
+          f"{f8['jobs2_s']}s -> warm {f8['warm_s']}s "
+          f"({f8['warm_speedup']}x, {f8['stats']['warm']['executed']} "
+          f"units executed, identical={f8['identical']})")
     vo = results["verify_overhead"]
     print(f"verify overhead:   cold full {vo['cold_full_s']}s -> warm "
           f"{vo['warm_full_s']}s ({vo['warm_speedup']}x; structural "

@@ -8,14 +8,13 @@
 # timing-sensitive assertions, and the tracked results file is not touched.
 # The smoke run also exercises the parallel experiment executor (the harness
 # re-runs the figure-8 diff phase at jobs=2 over a warmed store tree and
-# asserts row-identity and that every unit was scored), the shared artifact
+# asserts row-identity and that every cell was scored), the shared artifact
 # store (REPRO_STORE_DIR: the fig67_sharded section must leave a store tree
 # with an objects/ dir and a generation.json manifest, warm attaches must
-# rebuild zero variants) and the
-# function-granularity diff sharding (fig8_function_sharded: serial vs
-# jobs=2 vs warm-store row identity, warm runs adopt every per-function
-# diff payload and rebuild zero FeatureIndex payloads, and the fig8 store
-# tree must hold objects/diff), and the deep static-analysis subsystem
+# rebuild zero variants), the per-workload fig8 units (fig8_workload_units:
+# serial vs jobs=2 vs warm-store row identity, warm runs revive every unit
+# and execute none, and the fig8 store tree must hold objects/shard), and
+# the deep static-analysis subsystem
 # (verify_overhead section, schema 7: the fig6 variant set must verify
 # error-free at the full tier, cold vs AnalysisManager-warm timings vs the
 # uncached build phase).
@@ -41,14 +40,14 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "smoke: artifact store tree (objects/ + generation.json) was not produced" >&2
     exit 1
   fi
-  fig8_tree=("$REPRO_STORE_DIR"/fig8-*)
-  if [[ ! -d "${fig8_tree[0]}/objects/diff" || ! -s "${fig8_tree[0]}/generation.json" ]]; then
-    echo "smoke: fig8 function-sharded store tree (objects/diff + generation.json) was not produced" >&2
+  fig8_tree=("$REPRO_STORE_DIR"/fig8-units-*)
+  if [[ ! -d "${fig8_tree[0]}/objects/shard" || ! -s "${fig8_tree[0]}/generation.json" ]]; then
+    echo "smoke: fig8 unit store tree (objects/shard + generation.json) was not produced" >&2
     exit 1
   fi
   echo "smoke: benchmark harness produced BENCH_results.json"
   echo "smoke: artifact store tree persisted (objects/ + generation.json)"
-  echo "smoke: fig8 function-sharded round trip verified (objects/diff persisted, serial == jobs=2 == warm)"
+  echo "smoke: fig8 unit round trip verified (objects/shard persisted, serial == jobs=2 == warm)"
   exit 0
 fi
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Seeded chaos check: the fig8 matrix under injected faults, bit-identical.
 
-The CI chaos job's driver.  Runs the figure-8 function-sharded matrix three
-times and requires all of them to agree with the fault-free in-process
-run:
+The CI chaos job's driver.  Runs the figure-8 matrix (one unit per
+workload) three times and requires all of them to agree with the
+fault-free in-process run:
 
 1. **reference** — ``measure_precision`` at ``jobs=1``: in-process, no
    store, no faults;
@@ -14,8 +14,8 @@ run:
    store must quarantine + rebuild through the corruption, and the merged
    report must still be **bit-identical** to the reference;
 3. **resume** — the same matrix again over the same tree with faults off:
-   every shard must revive from the run journal (zero executed), proving
-   the checkpoint layer journaled through the chaos.
+   every unit must revive from its stored rows and no cell may be scored
+   again, proving the checkpoint layer persisted through the chaos.
 
 Finally ``fsck_store.py --repair`` must leave the tree clean (exit 0) —
 corrupt objects the run never re-read get quarantined offline, and the
@@ -27,12 +27,13 @@ fault / quarantine counters from the run's merged telemetry
 (``REPRO_TRACE`` is forced on so the counters exist), and the telemetry
 run directory for ``trace_report.py``.
 
-Exit status 0 only if every phase holds.  Runs in minutes on two
-workloads × two labels × two tools; scale with the flags.
+Exit status 0 only if every phase holds.  Runs in seconds on six
+workloads × two labels × two tools — six units, enough for the default
+seed to crash a worker and corrupt an object; scale with the flags.
 
 Usage:
     PYTHONPATH=src python scripts/chaos_check.py
-    PYTHONPATH=src python scripts/chaos_check.py --workloads 3 --jobs 4
+    PYTHONPATH=src python scripts/chaos_check.py --workloads 8 --jobs 4
     PYTHONPATH=src python scripts/chaos_check.py --json > chaos.json
 """
 
@@ -81,7 +82,7 @@ def _merged_counters(tree: str) -> Dict[str, Any]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description="seeded fig8 chaos check")
-    parser.add_argument("--workloads", type=int, default=2)
+    parser.add_argument("--workloads", type=int, default=6)
     parser.add_argument("--labels", default="fission,fufi.ori")
     parser.add_argument("--tools", type=int, default=2,
                         help="how many diffing tools to include")
@@ -148,10 +149,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     telemetry: Dict[str, Any] = {}
 
     def run(jobs: int):
-        """One fig8 run: its rows and the checkpoint.* / diffshard.*
+        """One fig8 run: its rows and the checkpoint.* / diffunit.*
         counters it bumped."""
         with counted("checkpoint") as run_counts, \
-                counted("diffshard") as unit_counts:
+                counted("diffunit") as unit_counts:
             report = rows(measure_precision(workloads, labels, differs,
                                             jobs=jobs))
         return report, run_counts, unit_counts
@@ -177,43 +178,38 @@ def main(argv: Optional[List[str]] = None) -> int:
         identical = chaos == reference
         phases["chaos"] = {"seconds": time.monotonic() - started,
                            "rows": len(chaos), "ok": identical,
-                           "shards_executed": chaos_run["executed"],
-                           "units_scored": stats["units_scored"]}
+                           "units_executed": chaos_run["executed"],
+                           "cells_scored": stats["cells_scored"]}
         telemetry["chaos_counters"] = _merged_counters(tree)
         if identical:
             say(f"  chaos run: bit-identical "
-                f"({chaos_run['executed']} shards executed, "
-                f"{stats['units_scored']} units scored)")
+                f"({chaos_run['executed']} units executed, "
+                f"{stats['cells_scored']} cells scored)")
         else:
             say("  chaos run: REPORT DIVERGED FROM THE REFERENCE")
             failures += 1
 
-        # 3. resume over the same tree, faults off: every journaled unit is
-        # served from the store, zero units re-scored.  (A shard whose
-        # *journal object* was itself a corruption victim re-executes as
-        # pure store reads — the manifest is advisory, the store is the
-        # truth — so the strict assertion is on scored units, not shards.)
+        # 3. resume over the same tree, faults off: every unit revives from
+        # its stored rows, zero cells re-scored
         os.environ.pop("REPRO_FAULTS", None)
         reset_worker_cache()
         reset_injector()
         started = time.monotonic()
         resumed, resume_run, resumed_stats = run(jobs=args.jobs)
-        ok = (resumed == reference and resumed_stats["units_scored"] == 0)
+        ok = (resumed == reference and resumed_stats["cells_scored"] == 0)
         phases["resume"] = {"seconds": time.monotonic() - started,
                             "rows": len(resumed), "ok": ok,
-                            "shards_resumed": resume_run["resumed"],
-                            "shards_planned": resume_run["planned"],
-                            "shards_executed": resume_run["executed"],
-                            "units_scored": resumed_stats["units_scored"]}
+                            "units_resumed": resume_run["resumed"],
+                            "units_planned": resume_run["planned"],
+                            "units_executed": resume_run["executed"],
+                            "cells_scored": resumed_stats["cells_scored"]}
         if ok:
             say(f"  resume: {resume_run['resumed']}/{resume_run['planned']} "
-                f"shards revived from the journal "
-                f"({resume_run['executed']} re-read from store), "
-                f"zero units re-scored")
+                f"units revived from the store, zero cells re-scored")
         else:
             say(f"  resume: FAILED (executed={resume_run['executed']}, "
                 f"resumed={resume_run['resumed']}/{resume_run['planned']}, "
-                f"units_scored={resumed_stats['units_scored']}, "
+                f"cells_scored={resumed_stats['cells_scored']}, "
                 f"identical={resumed == reference})")
             failures += 1
 

@@ -10,7 +10,8 @@ the runtime would eventually discover, so an operator can audit a tree
 Checks, per object file under ``objects/<kind>/<aa>/<digest>.pkl``:
 
 * the envelope unpickles and carries the pipeline's ``STORE_SCHEMA`` /
-  ``KEY_SCHEMA`` stamps and a matching ``kind``;
+  ``KEY_SCHEMA`` stamps and a matching ``kind`` (a payload class an older
+  pipeline wrote and this one retired is no damage);
 * the file's digest re-derives from the envelope's key
   (``store_digest(kind, key)``) and matches its file name and shard
   directory — a renamed or cross-linked object is corruption even when its
@@ -44,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.store import (CORRUPT_READ_ERRORS, OBJECTS_DIR, QUARANTINE_DIR,
                          STORE_SCHEMA, GenerationLog, KEY_SCHEMA,
                          store_digest)
+from repro.store.artifact_store import load_envelope
 from repro.evaluation.checkpoint import RUNS_DIR
 
 
@@ -75,7 +76,7 @@ def _check_object(path: str, kind: str, shard: str,
     """Validate one object file; returns (key, finding)."""
     try:
         with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
+            envelope = load_envelope(fh.read())
     except CORRUPT_READ_ERRORS as error:
         return None, Finding("corrupt_object", path,
                              f"{type(error).__name__}: {error}")

@@ -1,24 +1,26 @@
 #!/usr/bin/env python
 """Generation-aware mark-and-sweep for an artifact-store tree.
 
-A store tree only ever grows: every matrix run appends variants, feature
-payloads, per-function diff payloads and journaled shard results,
-and nothing ever deletes them.  That is the right default — artifacts are
-deterministic and cheap to keep — but a long-lived tree accumulates
-objects no journal references any more: superseded matrices, abandoned
-label sets, chaos-test leftovers.  ``gc_store`` reclaims exactly those.
+A store tree only ever grows: every matrix run appends variants and
+journaled unit results, and nothing ever deletes them.  That is the right
+default — artifacts are deterministic and cheap to keep — but a
+long-lived tree accumulates objects no journal references any more:
+superseded matrices, abandoned label sets, chaos-test leftovers, the
+retired kinds of older pipelines.  ``gc_store`` reclaims exactly those.
 
-**Mark.**  The roots are the run journals under ``runs/<run_id>.jsonl`` —
-the same files resume reads — so *live* means journal-reachable:
+**Mark.**  The roots are the run journals under ``runs/<run_id>.jsonl``,
+which list every unit a run completed or revived, so *live* means
+journal-reachable:
 
 * every journaled shard digest marks its ``shard`` object live;
 * each live shard object's envelope carries its value-based key, and the
-  key prefix (``diffshard`` / ``fig9shard`` / ``fig67shard``) determines
-  which other objects that shard's re-materialisation would read: the
-  baseline/variant pairs (kind ``variant``), their feature
-  payloads, and — for diff shards — the pair's roster/whole/unit diff
-  payloads (units enumerated from the stored roster, exactly the reads
-  :mod:`repro.evaluation.diff_sharding` performs warm);
+  key prefix determines which variants (kind ``variant``) that unit reads:
+  ``fig67shard`` and ``diffunit`` (figs 8/10) units read the baseline and
+  every label's variant, ``fig9unit`` units the baseline, its opt-level
+  references and the Khaos build;
+* the retired ``diffshard`` and ``fig9shard`` prefixes of older trees mark
+  only their own ``shard`` object, so the variants, ``features`` and
+  ``diff`` objects only they reached are swept;
 * an unreadable shard envelope or an unknown key prefix flips the sweep
   **conservative**: only unreferenced ``shard`` objects are collected and
   every other kind is kept, because reachability can no longer be derived.
@@ -54,10 +56,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.evaluation.bintuner_compare import OPT_LEVELS
 from repro.evaluation.checkpoint import RUNS_DIR, _parse_journal
@@ -65,17 +66,21 @@ from repro.opt.pass_manager import OptOptions
 from repro.store import (CORRUPT_READ_ERRORS, KEY_SCHEMA, OBJECTS_DIR,
                          STORE_SCHEMA, GenerationLog, store_digest)
 from repro.store.artifact_store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES,
-                                        KIND_SHARD, KIND_VARIANT)
+                                        KIND_SHARD, KIND_VARIANT,
+                                        load_envelope)
 from repro.store.backend import LocalBackend
-from repro.store.diff_payloads import roster_key, unit_key, whole_key
-from repro.store.feature_payloads import features_key
-from repro.store.keys import config_cache_key
+from repro.store.keys import _freeze, config_cache_key
 from repro.toolchain import obfuscator_for
 
-#: The kinds this tool understands and may sweep.  Anything else in the
-#: tree was written by a newer pipeline and is left strictly alone.
+#: The kinds this tool understands and may sweep, the retired ``binary``,
+#: ``features`` and ``diff`` included.  Anything else in the tree was
+#: written by a newer pipeline and is left strictly alone.
 KNOWN_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF,
                KIND_SHARD)
+
+#: Shard key prefixes of retired unit shapes (function-sliced figs 8/10,
+#: per-protection fig 9), which older trees still journal.
+RETIRED_PREFIXES = ("diffshard", "fig9shard")
 
 #: Default grace window (seconds): objects younger than this are never
 #: collected, so a concurrent run's not-yet-journaled writes survive.
@@ -90,7 +95,7 @@ def _decode_envelope(data: bytes, kind: str) -> Optional[object]:
     conservative.
     """
     try:
-        envelope = pickle.loads(data)
+        envelope = load_envelope(data)
     except CORRUPT_READ_ERRORS:
         return None
     if (not isinstance(envelope, dict)
@@ -106,16 +111,6 @@ def _mark(live: Set[Tuple[str, str]], kind: str, key: object) -> None:
     live.add((kind, store_digest(kind, key)))
 
 
-def _mark_variant(live: Set[Tuple[str, str]], variant_key: Tuple) -> None:
-    """A built variant is two objects: the artifact and its features.
-
-    ``binary`` objects, which older trees wrote beside each variant, are
-    never live, so a sweep collects them once the grace window passes.
-    """
-    _mark(live, KIND_VARIANT, variant_key)
-    _mark(live, KIND_FEATURES, features_key(variant_key))
-
-
 def _with_config(variant_key: Tuple, config: object) -> Tuple:
     """``variant_key`` with its configuration component replaced."""
     return variant_key[:4] + (config,) + variant_key[5:]
@@ -126,32 +121,9 @@ def _with_options(variant_key: Tuple, frozen_options: object) -> Tuple:
     return variant_key[:5] + (frozen_options,)
 
 
-def _freeze_options(options: OptOptions) -> object:
-    from repro.store.keys import _freeze
-    return _freeze(options)
-
-
-def _roster_units(backend: LocalBackend, pair_key: Tuple) -> Iterable[str]:
-    """The unit roster of one diff pair, read straight off the tree."""
-    digest = store_digest(KIND_DIFF, roster_key(pair_key))
-    data = backend.get(KIND_DIFF, digest)
-    if data is None:
-        return ()
-    envelope = _decode_envelope(data, KIND_DIFF)
-    if envelope is None:
-        return ()
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        return ()
-    units = payload.get("units")
-    if not isinstance(units, tuple):
-        return ()
-    return [unit for unit in units if isinstance(unit, str)]
-
-
-def _derive_from_shard_key(backend: LocalBackend, shard_key: object,
+def _derive_from_shard_key(shard_key: object,
                            live: Set[Tuple[str, str]]) -> bool:
-    """Mark everything one journaled shard's warm re-materialisation reads.
+    """Mark every variant one journaled unit reads.
 
     Returns ``False`` when the key shape is unknown — the caller then
     degrades the whole sweep to conservative mode.
@@ -160,36 +132,35 @@ def _derive_from_shard_key(backend: LocalBackend, shard_key: object,
         return False
     prefix = shard_key[0]
 
-    if prefix == "diffshard" and len(shard_key) == 6:
-        _tag, differ_key, base_vk, label_vk, _index, _count = shard_key
-        _mark_variant(live, tuple(base_vk))
-        _mark_variant(live, tuple(label_vk))
-        pair_key = (KIND_DIFF, tuple(differ_key),
-                    tuple(base_vk), tuple(label_vk))
-        _mark(live, KIND_DIFF, roster_key(pair_key))
-        _mark(live, KIND_DIFF, whole_key(pair_key))
-        for unit in _roster_units(backend, pair_key):
-            _mark(live, KIND_DIFF, unit_key(pair_key, unit))
+    if prefix in RETIRED_PREFIXES:
+        return True  # the shard object itself is the only thing it roots
+
+    if prefix == "diffunit" and len(shard_key) == 4:
+        _tag, base_vk, label_configs, _differ_keys = shard_key
+        if not isinstance(label_configs, tuple):
+            return False
+        base_vk = tuple(base_vk)
+        _mark(live, KIND_VARIANT, base_vk)
+        for config in label_configs:
+            _mark(live, KIND_VARIANT, _with_config(base_vk, config))
         return True
 
-    if prefix == "fig9shard" and len(shard_key) == 4:
-        _tag, base_vk, _protection, _iterations = shard_key
+    if prefix == "fig9unit" and len(shard_key) == 4:
+        _tag, base_vk, khaos_config, _iterations = shard_key
         base_vk = tuple(base_vk)
-        # the shard reads the four opt-level references, the O2 baseline
-        # (for the overhead run) and the Khaos fufi.all build
-        _mark_variant(live, base_vk)
+        # the four opt-level references, the O2 baseline (for the overhead
+        # run) and the Khaos build
+        _mark(live, KIND_VARIANT, base_vk)
         for level in OPT_LEVELS:
             options = OptOptions(level=level, lto=level >= 2)
-            _mark_variant(live, _with_options(base_vk,
-                                              _freeze_options(options)))
-        _mark_variant(live, _with_config(
-            base_vk, config_cache_key(obfuscator_for("fufi.all"))))
+            _mark(live, KIND_VARIANT, _with_options(base_vk, _freeze(options)))
+        _mark(live, KIND_VARIANT, _with_config(base_vk, khaos_config))
         return True
 
     if prefix == "fig67shard" and len(shard_key) == 3:
         _tag, base_vk, labels = shard_key
         base_vk = tuple(base_vk)
-        _mark_variant(live, base_vk)
+        _mark(live, KIND_VARIANT, base_vk)
         if not isinstance(labels, tuple):
             return False
         for label in labels:
@@ -197,7 +168,7 @@ def _derive_from_shard_key(backend: LocalBackend, shard_key: object,
                 return False
             if label == "baseline":
                 continue
-            _mark_variant(live, _with_config(
+            _mark(live, KIND_VARIANT, _with_config(
                 base_vk, config_cache_key(obfuscator_for(label))))
         return True
 
@@ -284,7 +255,7 @@ def collect(root: str, dry_run: bool = False, grace: float = DEFAULT_GRACE,
         if envelope is None:
             conservative_causes.append(f"unreadable shard {digest[:12]}")
             continue
-        if not _derive_from_shard_key(backend, envelope["key"], live):
+        if not _derive_from_shard_key(envelope["key"], live):
             conservative_causes.append(
                 f"unknown shard key shape in {digest[:12]}")
     conservative = bool(conservative_causes)

@@ -13,21 +13,16 @@ binary.  The evaluation then applies the paper's metrics:
 * a whole-binary **similarity score** in [0, 1] (used for the BinDiff /
   BinTuner comparison of Figure 9).
 
-Besides the monolithic ``diff()`` entry point, every tool implements a
-*partial-result contract* so the evaluation matrices can shard one binary
-pair below whole-diff granularity (see :mod:`repro.evaluation.diff_sharding`):
-:meth:`BinaryDiffer.shard_units` names the stable per-function shard keys of
-a pair, :meth:`BinaryDiffer.partial_diff` scores an arbitrary subset of those
-units into a mergeable :class:`PartialDiff`, and
-:meth:`BinaryDiffer.merge_partials` deterministically reassembles a
-:class:`DiffResult` bit-identical to the serial ``diff()``.  Tools whose
-scoring is pairwise-decomposable (one source function's candidate ranking
-depends only on per-function features of the two binaries) declare
-``shard_granularity = "function"``; tools that match below function
-granularity (DeepBinDiff scores *basic blocks*, so a function's ranking
-emerges from cross-granularity block votes) fall back to
-``shard_granularity = "binary"`` — their only shardable unit is the whole
-binary pair.
+The evaluation diffs whole binaries (``diff()``).  Every tool also keeps a
+*partial-result contract*: :meth:`BinaryDiffer.shard_units` names a pair's
+per-function units, :meth:`BinaryDiffer.partial_diff` scores any subset of
+them into a mergeable :class:`PartialDiff`, and
+:meth:`BinaryDiffer.merge_partials` reassembles a :class:`DiffResult`
+bit-identical to ``diff()`` for any partition.  No evaluation path splits a
+pair any more; the contract stays because the paper benchmark's tracer
+wraps ``partial_diff`` and ``merge_partials``.  DeepBinDiff scores *basic
+blocks*, so it declares ``shard_granularity = "binary"``: its only unit is
+the whole pair.
 """
 
 from __future__ import annotations
@@ -113,18 +108,14 @@ MATCH_CHANNEL = "matches"
 class PartialDiff:
     """Mergeable outcome of scoring a subset of one binary pair's functions.
 
-    The unit of the function-granularity diff sharding: ``sources`` names the
-    source functions this partial scored (a subset of ``units``, the full
-    roster of the pair in rank order), ``matches``/``channels`` hold their
-    ranked candidate lists, and the function counts carry the denominators
-    the whole-binary score needs — so :meth:`BinaryDiffer.merge_partials`
-    can reassemble the exact serial :class:`DiffResult` without ever seeing
-    the binaries.  Everything inside is plain strings/floats/ints, so a
-    partial pickles across process (and machine) boundaries unchanged.
-
-    Whole-pair partials (the ``shard_granularity == "binary"`` fallback)
-    cover every unit at once and carry the final ``similarity_score``
-    directly.
+    ``sources`` names the source functions this partial scored (a subset of
+    ``units``, every unit of the pair in rank order), ``matches``/``channels``
+    hold their ranked candidate lists, and the function counts carry the
+    denominators the whole-binary score needs — so
+    :meth:`BinaryDiffer.merge_partials` reassembles the exact
+    :class:`DiffResult` without the binaries.  Whole-pair partials
+    (``shard_granularity == "binary"``) cover every unit at once and carry
+    the final ``similarity_score``.
     """
 
     tool: str
@@ -172,8 +163,8 @@ class BinaryDiffer:
                                     Optional[FeatureIndex]]:
         """The feature source ``diff()`` *and* ``partial_diff()`` score from.
 
-        One resolution point keeps the sharded path on exactly the feature
-        path of the serial reference.
+        One resolution point keeps the partial path on exactly the feature
+        path of the whole diff.
         """
         if self.use_index:
             return feature_index(original), feature_index(obfuscated)
@@ -186,10 +177,9 @@ class BinaryDiffer:
 
         Ranks every channel of :meth:`_pair_scorers` for every source
         function and finalizes the whole-binary score — exactly the merged
-        outcome of :meth:`partial_diff` over any partition of the sources,
-        which is what makes the function-granularity sharding bit-identical
-        by construction.  Tools that score below function granularity
-        (DeepBinDiff) override this wholesale.
+        outcome of :meth:`partial_diff` over any partition of the sources.
+        Tools that score below function granularity (DeepBinDiff) override
+        this wholesale.
         """
         scorers = self._pair_scorers(original, obfuscated,
                                      original_index, obfuscated_index)
@@ -210,9 +200,9 @@ class BinaryDiffer:
         """Stable, value-based key of this tool's configuration.
 
         Two instances with the same knobs produce identical keys across
-        processes and disk round trips (the ``diff`` store kind addresses
-        partial results under it); differently-tuned instances never
-        collide.  Concrete tools override with their explicit knob tuple.
+        processes and disk round trips (a fig 8/10 unit's store key holds
+        it); differently-tuned instances never collide.  Concrete tools
+        override with their explicit knob tuple.
         """
         config = tuple(sorted(
             (name, value) for name, value in vars(self).items()

@@ -40,8 +40,8 @@ class DeepBinDiff(BinaryDiffer):
 
     #: DeepBinDiff matches *basic blocks*; a function's candidate ranking
     #: emerges from cross-granularity block votes rather than from a
-    #: per-function-pair similarity, so the diff sharding falls back to
-    #: whole binary pairs for it (the only non-pairwise-decomposable tool).
+    #: per-function-pair similarity, so its partials cover whole binary
+    #: pairs (the only non-pairwise-decomposable tool).
     shard_granularity = "binary"
 
     def __init__(self, dim: int = EMBEDDING_DIM, max_block_candidates: int = 3,

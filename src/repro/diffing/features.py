@@ -124,6 +124,18 @@ def add_scaled(target: List[float], source: Sequence[float], scale: float) -> No
         target[:] = [t + scale * s for t, s in zip(target, source)]
 
 
+def instruction_shape(inst: MachineInstruction) -> Tuple:
+    """What :func:`instruction_tokens` depends on: the opcode, the operand
+    *shapes* and whether the instruction is a direct call.
+
+    Instructions of one shape share their token embeddings, so the caches
+    of those embeddings key on it ("$5" and "$7" share one entry), and a
+    handful of distinct shapes cover a whole binary.
+    """
+    return (inst.opcode, tuple(operand_shape(op) for op in inst.operands),
+            inst.call_target is not None)
+
+
 _INSTRUCTION_BAG_CACHE: Dict[Tuple, Tuple[float, ...]] = {}
 
 
@@ -131,14 +143,9 @@ def instruction_bag(inst: MachineInstruction,
                     dim: int = EMBEDDING_DIM) -> Tuple[float, ...]:
     """The bag-of-tokens embedding of one instruction, cached by shape.
 
-    :func:`instruction_tokens` depends only on the opcode, the operand
-    *shapes* and whether the instruction is a direct call — so the cache is
-    keyed on shapes, not operand text ("$5" and "$7" share one entry), and a
-    handful of distinct shapes cover a whole binary.  Values are immutable
-    tuples, like the token-vector cache above.
+    Values are immutable tuples, like the token-vector cache above.
     """
-    key = (inst.opcode, tuple(operand_shape(op) for op in inst.operands),
-           inst.call_target is not None, dim)
+    key = (instruction_shape(inst), dim)
     bag = _INSTRUCTION_BAG_CACHE.get(key)
     if bag is None:
         bag = tuple(embed_tokens(instruction_tokens(inst), dim))

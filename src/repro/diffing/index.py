@@ -114,36 +114,6 @@ class FeatureIndex:
                     for f in self.binary.functions}
         return self.memo("callees", build)
 
-    # -- payload export / adoption (artifact-store persistence) --------------------
-
-    def export_payload(self) -> Dict[object, object]:
-        """A picklable snapshot of every memoised feature of this index.
-
-        Feature values are plain containers of floats/strings (or
-        :class:`NormalizedVector`, which pickles exactly), and memo keys are
-        value tuples, so the snapshot round-trips through
-        :class:`~repro.store.artifact_store.ArtifactStore` unchanged.  The
-        snapshot shares the feature objects with the live index — treat it
-        as immutable, like every stored artifact.
-        """
-        return dict(self._memo)
-
-    def adopt_payload(self, payload: Dict[object, object]) -> int:
-        """Warm-start this index from an exported snapshot.
-
-        Features are pure functions of the binary, so adopting a snapshot
-        keyed to the *same build configuration* can never change a result —
-        it only skips re-extraction.  Entries already computed locally are
-        kept (they are identical by construction); returns the number of
-        entries actually adopted.
-        """
-        adopted = 0
-        for key, value in payload.items():
-            if key not in self._memo:
-                self._memo[key] = value
-                adopted += 1
-        return adopted
-
     def function_embeddings(self, key: object,
                             embed: Callable[[BinaryFunction], List[float]]
                             ) -> Dict[str, NormalizedVector]:

@@ -16,14 +16,33 @@ is re-extracted per diff — the legacy reference path.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..backend.binary import Binary, BinaryFunction
 from .base import MATCH_CHANNEL, BinaryDiffer, ToolInfo
 from .features import (EMBEDDING_DIM, NormalizedVector, add_scaled,
                        cached_token_vector, instruction_bag,
-                       vector_similarity)
+                       instruction_shape, vector_similarity)
 from .index import FeatureIndex
+
+#: (instruction shape, previous opcode, dim) -> the instruction's combined
+#: vector.  The attention weight scales whole instructions, so an
+#: instruction's content depends only on this key and is combined once per
+#: process for every binary.
+_COMBINED_CACHE: Dict[Tuple, Tuple[float, ...]] = {}
+
+
+def _combined_vector(inst, previous_opcode: str,
+                     dim: int) -> Tuple[float, ...]:
+    """``instruction_bag(inst) + 0.5 × bigram(previous_opcode, opcode)``."""
+    key = (instruction_shape(inst), previous_opcode, dim)
+    vector = _COMBINED_CACHE.get(key)
+    if vector is None:
+        bigram = cached_token_vector(f"{previous_opcode}->{inst.opcode}", dim)
+        vector = tuple(b + 0.5 * g
+                       for b, g in zip(instruction_bag(inst, dim), bigram))
+        _COMBINED_CACHE[key] = vector
+    return vector
 
 
 class Safe(BinaryDiffer):
@@ -42,36 +61,22 @@ class Safe(BinaryDiffer):
         phase = position / (length - 1)
         return 0.5 + 0.5 * math.sin(math.pi * phase)
 
-    def _instruction_vectors(self, function: BinaryFunction,
-                             index: Optional[FeatureIndex]) -> List[List[float]]:
+    def _instruction_vectors(self, function: BinaryFunction
+                             ) -> List[Tuple[float, ...]]:
         """One combined vector per instruction: token bag + 0.5 × bigram.
 
-        The attention weight scales whole instructions, so each instruction's
-        content can be pre-combined once (and cached on the index).  Only the
-        first ``max_instructions`` are embedded — like the original
-        sequence-truncating implementation — so the truncation bound is part
-        of the memo key.
+        Only the first ``max_instructions`` are embedded — like the
+        original sequence-truncating implementation.
         """
-        def build() -> List[List[float]]:
-            vectors: List[List[float]] = []
-            previous_opcode = "<s>"
-            for inst in function.instructions()[:self.max_instructions]:
-                bag = instruction_bag(inst, self.dim)
-                bigram = f"{previous_opcode}->{inst.opcode}"
-                bigram_vector = cached_token_vector(bigram, self.dim)
-                vectors.append([b + 0.5 * g
-                                for b, g in zip(bag, bigram_vector)])
-                previous_opcode = inst.opcode
-            return vectors
+        vectors = []
+        previous_opcode = "<s>"
+        for inst in function.instructions()[:self.max_instructions]:
+            vectors.append(_combined_vector(inst, previous_opcode, self.dim))
+            previous_opcode = inst.opcode
+        return vectors
 
-        if index is not None:
-            return index.memo(("safe_inst_vectors", function.name, self.dim,
-                               self.max_instructions), build)
-        return build()
-
-    def _function_embedding(self, function: BinaryFunction,
-                            index: Optional[FeatureIndex]) -> List[float]:
-        vectors = self._instruction_vectors(function, index)
+    def _function_embedding(self, function: BinaryFunction) -> List[float]:
+        vectors = self._instruction_vectors(function)
         embedding = [0.0] * self.dim
         length = len(vectors)
         for position, combined in enumerate(vectors):
@@ -84,8 +89,8 @@ class Safe(BinaryDiffer):
         if index is not None:
             return index.function_embeddings(
                 ("safe", self.dim, self.max_instructions),
-                lambda f: self._function_embedding(f, index))
-        return {f.name: NormalizedVector(self._function_embedding(f, None))
+                self._function_embedding)
+        return {f.name: NormalizedVector(self._function_embedding(f))
                 for f in binary.functions}
 
     def cache_key(self) -> tuple:

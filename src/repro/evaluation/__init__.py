@@ -4,7 +4,7 @@ from .overhead import (OverheadReport, OverheadRow, ShardBatch, figure6,
                        figure7, measure_overhead, shard_overhead_matrix)
 from .precision import PrecisionReport, PrecisionRow, figure8, measure_precision
 from .escape import (ESCAPE_LABELS, ESCAPE_RANKS, EscapeReport, EscapeRow,
-                     figure10, measure_escape)
+                     MissingVulnerableFunction, figure10, measure_escape)
 from .bintuner_compare import BinTunerReport, SimilarityRow, figure9, measure_bintuner
 from .opcode_distance import DistanceReport, figure11, measure_opcode_distance
 from .internals import InternalsReport, InternalsRow, measure_internals, table2
@@ -21,7 +21,8 @@ __all__ = [
     "OverheadReport", "OverheadRow", "figure6", "figure7", "measure_overhead",
     "PrecisionReport", "PrecisionRow", "figure8", "measure_precision",
     "ESCAPE_LABELS", "ESCAPE_RANKS", "EscapeReport", "EscapeRow", "figure10",
-    "measure_escape", "BinTunerReport", "SimilarityRow", "figure9",
+    "measure_escape", "MissingVulnerableFunction", "BinTunerReport",
+    "SimilarityRow", "figure9",
     "measure_bintuner", "DistanceReport", "figure11", "measure_opcode_distance",
     "InternalsReport", "InternalsRow", "measure_internals", "table2",
     "format_table", "matrix_table", "overhead_table", "EXPERIMENTS",

@@ -6,9 +6,9 @@ standard O2 + LTO build, and both resulting binaries are compared by BinDiff
 against the program compiled at O0, O1, O2 and O3.  The paper additionally
 reports BinTuner's runtime overhead against the O2 + LTO baseline (30.35%).
 
-The unit is the binary pair, one per (workload, protection): its row value
-is the whole-binary similarity score, and its dominant cost is the BinTuner
-option search rather than any single diff.
+The unit is one workload: it builds the four opt-level references once,
+diffs the BinTuner and the Khaos binary against each, and its dominant
+cost is the BinTuner option search rather than any single diff.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from ..diffing.bindiff import BinDiff
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..opt.pipelines import optimize_program
+from ..store.keys import config_cache_key
+from ..toolchain import obfuscator_for
 from ..utils import geometric_mean
 from ..vm.machine import run_program
 from ..workloads.suites import (SPECINT_2006, SPECSPEED_2017, WorkloadProgram,
@@ -31,6 +33,8 @@ from .executor import worker_cache
 from .overhead import build_variant
 
 OPT_LEVELS = (0, 1, 2, 3)
+#: The Khaos variant compared with BinTuner (section 4.2).
+KHAOS_LABEL = "fufi.all"
 
 
 @dataclass
@@ -66,59 +70,58 @@ def default_programs() -> List[WorkloadProgram]:
     return [find_program(name) for name in names]
 
 
-#: One figure-9 unit: a workload's binary under one protection scheme,
-#: diffed against every opt-level reference.
-BinTunerShard = Tuple[WorkloadProgram, str, int]
+#: One figure-9 unit: a workload and its BinTuner iteration budget.
+BinTunerShard = Tuple[WorkloadProgram, int]
 
 
 def shard_bintuner_matrix(workloads: Sequence[WorkloadProgram],
                           tuner_iterations: int) -> List[BinTunerShard]:
-    """One unit per (workload, protection), bintuner before khaos."""
-    return [(workload, protection, tuner_iterations)
-            for workload in workloads
-            for protection in ("bintuner", "khaos")]
+    """One unit per workload, in the caller's workload order."""
+    return [(workload, tuner_iterations) for workload in workloads]
 
 
 def _bintuner_shard(shard: BinTunerShard, cache=None
-                    ) -> Tuple[List[float], Optional[float]]:
-    """Diff one protection scheme's binary against every opt-level reference.
+                    ) -> Tuple[List[float], List[float], float]:
+    """Diff both protections' binaries against every opt-level reference.
 
-    The opt-level references and the Khaos build are store-keyed variants;
-    the BinTuner search is seeded, so the tuned binary is deterministic per
-    (workload, iterations).  Returns the four similarity scores in
-    :data:`OPT_LEVELS` order plus, for the ``bintuner`` unit, the
-    runtime-overhead factor against the O2 + LTO baseline.
+    The opt-level references and the Khaos build are store-keyed variants,
+    built once and shared by both protections; the BinTuner search is
+    seeded, so the tuned binary is deterministic per (workload,
+    iterations).  Returns the BinTuner and the Khaos similarity scores in
+    :data:`OPT_LEVELS` order, plus BinTuner's runtime-overhead factor
+    against the O2 + LTO baseline.
     """
-    workload, protection, tuner_iterations = shard
+    workload, tuner_iterations = shard
     cache = cache if cache is not None else worker_cache()
-    with obs_tracing.span("shard.fig9", cat="diff", workload=workload.name,
-                          protection=protection):
+    with obs_tracing.span("shard.fig9", cat="diff", workload=workload.name):
         references = [build_variant(workload, "baseline",
                                     OptOptions(level=level, lto=level >= 2),
                                     cache).binary
                       for level in OPT_LEVELS]
-        overhead: Optional[float] = None
-        if protection == "bintuner":
-            tuned = BinTuner(iterations=tuner_iterations).tune(workload.build())
-            target = tuned.best_binary
-            baseline_run = run_program(
-                build_variant(workload, "baseline", None, cache).program)
-            tuned_run = run_program(optimize_program(workload.build(),
-                                                     tuned.best_options))
-            base = baseline_run.cycles or 1
-            overhead = (tuned_run.cycles - base) / base
-        else:
-            target = build_variant(workload, "fufi.all", None, cache).binary
+        tuned = BinTuner(iterations=tuner_iterations).tune(workload.build())
+        baseline_run = run_program(
+            build_variant(workload, "baseline", None, cache).program)
+        tuned_run = run_program(optimize_program(workload.build(),
+                                                 tuned.best_options))
+        base = baseline_run.cycles or 1
+        khaos = build_variant(workload, KHAOS_LABEL, None, cache).binary
         differ = BinDiff()
-        return ([differ.diff(reference, target).similarity_score
-                 for reference in references], overhead)
+        return ([differ.diff(reference, tuned.best_binary).similarity_score
+                 for reference in references],
+                [differ.diff(reference, khaos).similarity_score
+                 for reference in references],
+                (tuned_run.cycles - base) / base)
 
 
 def bintuner_shard_key(shard: BinTunerShard) -> Tuple:
-    """The value-based checkpoint identity of one figure-9 unit."""
-    workload, protection, iterations = shard
-    return ("fig9shard", variant_key(workload, "baseline", None),
-            protection, iterations)
+    """The value-based store key of one figure-9 unit's rows.
+
+    ``scripts/gc_store.py`` derives the unit's variants from it: the
+    baseline, its opt-level references and the Khaos build.
+    """
+    workload, iterations = shard
+    return ("fig9unit", variant_key(workload, "baseline", None),
+            config_cache_key(obfuscator_for(KHAOS_LABEL)), iterations)
 
 
 def measure_bintuner(workloads: Sequence[WorkloadProgram],
@@ -126,22 +129,21 @@ def measure_bintuner(workloads: Sequence[WorkloadProgram],
                      jobs: Optional[int] = None) -> BinTunerReport:
     """Figure 9's measurement loop.
 
-    An in-process run holds one workload's six variants at a time (the
-    four opt-level references, the O2 + LTO baseline and the Khaos build).
-    ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across worker
-    processes.  Rows come back per workload and opt level, bintuner before
-    khaos, and the overhead geomean is taken in workload order, so the
-    report is identical either way.
+    One unit per workload; an in-process run holds that workload's four
+    opt-level references while it builds the O2 + LTO baseline and the
+    Khaos build.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
+    worker processes.  Rows come back per workload and opt level, bintuner
+    before khaos, and the overhead geomean is taken in workload order, so
+    the report is identical either way.
     """
     shards = shard_bintuner_matrix(workloads, tuner_iterations)
     keys = [bintuner_shard_key(shard) for shard in shards]
     results = run_matrix(_bintuner_shard, shards, keys, ("fig9", tuple(keys)),
-                         jobs, None, 6)
+                         jobs, None, 1)
     report = BinTunerReport()
     overheads: List[float] = []
-    for position, workload in enumerate(workloads):
-        bintuner_sims, overhead = results[2 * position]
-        khaos_sims, _ = results[2 * position + 1]
+    for workload, (bintuner_sims, khaos_sims, overhead) in zip(workloads,
+                                                               results):
         for level, bintuner_sim, khaos_sim in zip(OPT_LEVELS, bintuner_sims,
                                                   khaos_sims):
             report.rows.append(SimilarityRow(

@@ -7,34 +7,30 @@ cache of the caller's size, ``jobs>1`` fans them across the supervised pool
 (:mod:`repro.evaluation.executor`), and the caller reduces the results in
 unit order — so a serial and a parallel run agree by construction.
 
-Whenever a store is attached, an *interrupted* run (a ``kill -9``, a power
-loss, an aborted chaos test) never throws completed work away:
+Whenever a store is attached, no finished unit is computed twice — not
+after an interrupted run (a ``kill -9``, a power loss, an aborted chaos
+test), and not by a later run of another matrix that contains the unit:
 
 * each unit's finished result is persisted in the shared
   :class:`~repro.store.artifact_store.ArtifactStore` under kind
   :data:`~repro.store.artifact_store.KIND_SHARD`, keyed by the unit's
-  value-based identity (tool config × variant keys × slice) — the same
-  key discipline as every other store object, so two different runs that
-  contain the same unit share its result;
-* a :class:`RunManifest` under ``<store root>/runs/<run_id>.jsonl`` journals
-  the digests of the units *this run* completed — one ``O_APPEND`` JSON
-  line per unit, appended from :func:`run_checkpointed`'s ``on_result``
-  hook as results arrive, so the journal is current the instant a unit
-  finishes, not when the run ends.  ``run_id`` hashes the run's full unit
-  key list: a restart with the same matrix resolves to the same manifest,
-  while any change to the matrix (labels, tools, partitioning) starts a
-  fresh journal;
-* on start, :func:`run_checkpointed` loads the manifest, revives every
-  journaled unit's result from the store (``normalize`` rewrites its
-  counters so revived units report as store reads, not fresh scores) and
-  hands only the remainder to
-  :func:`~repro.evaluation.executor.run_tasks`.
+  value-based identity (variant keys × labels × tool configs) — the same
+  key discipline as every other store object;
+* on start, :func:`run_checkpointed` revives every unit whose result
+  object exists under its key (``normalize`` rewrites its counters so
+  revived units report as store reads, not fresh work) and hands only the
+  remainder to :func:`~repro.evaluation.executor.run_tasks`;
+* a :class:`RunManifest` under ``<store root>/runs/<run_id>.jsonl``
+  journals the digests of the units the run completed or revived — one
+  ``O_APPEND`` JSON line per unit, appended the moment the unit lands.
+  The journals are the roots ``scripts/gc_store.py`` marks from; resume
+  never needs them.  ``run_id`` hashes the run's full unit key list, so a
+  restart of one matrix appends to one journal.
 
-Without ``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) journaling is
-a transparent pass-through.  A journaled digest whose object was lost or
-quarantined is simply re-executed: the manifest is advisory, the store is
-the truth, exactly like the
-:class:`~repro.store.generation_log.GenerationLog` ledger.
+Without ``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) checkpointing
+is a transparent pass-through.  A result object that was lost or
+quarantined is simply re-executed: the store is the truth, exactly like
+the :class:`~repro.store.generation_log.GenerationLog` ledger.
 """
 
 from __future__ import annotations
@@ -102,10 +98,10 @@ class RunManifest:
     """The append-only journal of one run's completed unit digests.
 
     Lives at ``<root>/runs/<run_id>.jsonl``; one JSON line per completed
-    unit, appended with a single ``O_APPEND`` write (atomic under POSIX),
-    so concurrent runs of one matrix may share a journal and a torn
-    trailing line from a killed process at worst under-reports one unit —
-    which is then re-executed, never mis-resumed.
+    or revived unit, appended with a single ``O_APPEND`` write (atomic
+    under POSIX), so concurrent runs of one matrix may share a journal and
+    a torn trailing line from a killed process at worst leaves one unit
+    unrooted for GC's grace window.
     """
 
     def __init__(self, root: str, identity: str):
@@ -180,17 +176,17 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
                      jobs: Optional[int] = None,
                      normalize: Optional[Callable[[Result], Result]] = None
                      ) -> List[Result]:
-    """:func:`run_tasks` with journaled, resumable unit results.
+    """:func:`run_tasks` with persisted, revivable unit results.
 
     ``task_keys[i]`` is the value-based store key of ``tasks[i]``'s result;
-    ``run_parts`` identifies the run (normally the full key tuple).  Results
-    come back in task order, exactly like :func:`run_tasks`: journaled
-    units are revived from the store (and passed through ``normalize``, so
-    their counters report as store reads), the remainder execute through the
-    scheduler and are persisted + journaled the moment each completes — an
-    abort mid-run keeps everything already finished.  The ``checkpoint.*``
-    registry counters record the run's planned, resumed, executed and
-    journaled units.
+    ``run_parts`` identifies the run's journal (normally the full key
+    tuple).  Results come back in task order, exactly like
+    :func:`run_tasks`: units whose result is in the store are revived (and
+    passed through ``normalize``, so their counters report as store reads),
+    the remainder execute through the scheduler and are persisted +
+    journaled the moment each completes — an abort mid-run keeps
+    everything already finished.  The ``checkpoint.*`` registry counters
+    record the run's planned, resumed, executed and journaled units.
     """
     tasks = list(tasks)
     keys = list(task_keys)
@@ -228,15 +224,16 @@ def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
     results: List[object] = [_ABSENT] * len(tasks)
     digests = [store_digest(KIND_SHARD, key) for key in keys]
     pending: List[int] = []
-    for index, digest in enumerate(digests):
-        if digest in manifest.done:
-            payload = store.get(KIND_SHARD, keys[index], _ABSENT)
-            if payload is not _ABSENT:
-                results[index] = normalize(payload) if normalize else payload
-                obs_metrics.counter("checkpoint.resumed")
-                continue
-            # journaled but lost/quarantined: the store is the truth
-        pending.append(index)
+    for index, key in enumerate(keys):
+        payload = store.get(KIND_SHARD, key, _ABSENT)
+        if payload is _ABSENT:
+            pending.append(index)
+            continue
+        results[index] = normalize(payload) if normalize else payload
+        obs_metrics.counter("checkpoint.resumed")
+        if digests[index] not in manifest.done:
+            # root the revived object under this run's journal too
+            manifest.mark_done(digests[index])
     if len(pending) < len(tasks):
         obs_tracing.event("checkpoint.resume", cat="coordinate",
                           run_id=identity,

@@ -58,6 +58,11 @@ class EscapeReport:
                 for tool in tools}
 
 
+class MissingVulnerableFunction(LookupError):
+    """A workload's Table 3 function is not in its baseline binary (escape
+    ratios would silently average over fewer functions)."""
+
+
 def escape_differs() -> List[BinaryDiffer]:
     return [VulSeeker(), Asm2Vec(), Safe()]
 
@@ -72,19 +77,23 @@ def measure_escape(workloads: Sequence[WorkloadProgram],
 
     Runs the figure-8 units of the vulnerable workloads; ``jobs > 1`` (or
     ``REPRO_JOBS``) fans them across worker processes, and rows are
-    identical either way.
+    identical either way.  Raises :class:`MissingVulnerableFunction` when
+    a vulnerable function is absent from its workload's baseline.
     """
     differs = list(differs) if differs is not None else escape_differs()
     vulnerable_workloads = [w for w in workloads if w.vulnerable_functions]
     report = EscapeReport()
-    for workload, label, differ, units, _merged, ranks in diff_cells(
+    for workload, label, differ, functions, cell in diff_cells(
             vulnerable_workloads, labels, differs, options, jobs, cache):
         for function_name in workload.vulnerable_functions:
-            if function_name in units:
-                report.rows.append(EscapeRow(
-                    program=workload.name, function=function_name,
-                    tool=differ.name, label=label,
-                    rank_of_correct=ranks[function_name]))
+            if function_name not in functions:
+                raise MissingVulnerableFunction(
+                    f"workload {workload.name!r} has no function "
+                    f"{function_name!r} in its baseline binary")
+            report.rows.append(EscapeRow(
+                program=workload.name, function=function_name,
+                tool=differ.name, label=label,
+                rank_of_correct=cell.ranks[functions.index(function_name)]))
     return report
 
 

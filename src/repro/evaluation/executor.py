@@ -204,12 +204,13 @@ _WORKER_CACHE: Optional[VariantCache] = None
 #: under this prefix; :func:`worker_cache_events` is a façade over it.
 _CACHE_EVENTS_PREFIX = "executor.cache"
 
-#: LRU bound of each worker's in-memory layer.  Shards keep a small
-#: working set (one workload's baseline + variants at a time); an unbounded
-#: memo would instead pin every artifact a long-lived worker ever touches.
-#: With a shared store attached the bound only limits *memory* — evicted
-#: artifacts remain one disk read away.
-WORKER_CACHE_ENTRIES = 32
+#: LRU bound of each worker's in-memory layer: the most any unit needs at
+#: once (a fig 6/7 unit's baseline and the label it measures; figs 8–10
+#: units hold their baseline themselves).  Units are whole workloads and
+#: share no variant, so a larger bound would only pin finished units'
+#: variants — and their features — in memory.  With a shared store
+#: attached, evicted artifacts remain one disk read away.
+WORKER_CACHE_ENTRIES = 2
 
 
 def worker_cache() -> VariantCache:
@@ -236,14 +237,9 @@ def call_cache(entries: int) -> VariantCache:
     The caller sizes it to the variants its units share and drops it when
     the run returns, so an in-process run never pins artifacts in the
     process-wide :func:`worker_cache`.  It attaches to the shared store
-    exactly like a worker's cache does, bounding each kind separately: the
-    feature and diff objects the units write never evict the variants they
-    share.
+    exactly like a worker's cache does.
     """
-    store = _attach_store(entries)
-    if store is not None:
-        store.bound_per_kind = True
-    return VariantCache(max_entries=entries, store=store)
+    return VariantCache(max_entries=entries, store=_attach_store(entries))
 
 
 def worker_cache_events() -> Dict[str, int]:
@@ -282,12 +278,6 @@ def reset_worker_cache() -> None:
     global _WORKER_CACHE
     _WORKER_CACHE = None
     obs_metrics.REGISTRY.reset(_CACHE_EVENTS_PREFIX)
-
-
-def rooted_store(cache) -> Optional[ArtifactStore]:
-    """The cache's persistent artifact store (a rooted tree), if any."""
-    store = getattr(cache, "store", None)
-    return store if store is not None and store.persistent else None
 
 
 # -- the supervised map primitive -----------------------------------------------------

@@ -5,10 +5,10 @@ diffed against each obfuscated build by each of the five tools; Precision@1 is
 computed with the relaxed pairing rule (provenance-based).  Figure 8 reports
 the average per (tool, obfuscation) pair over T-I and T-II.
 
-The matrix runs at *function* granularity through
+The matrix runs as one unit per workload through
 :func:`~repro.evaluation.diff_sharding.diff_cells`: Precision@1 is the
-fraction of a cell's source functions whose correct match ranks first, and
-the similarity score comes from the tool's deterministic merge.
+fraction of the baseline's functions whose correct match ranks first in
+the tool's whole-binary ``diff()``, beside that diff's similarity score.
 """
 
 from __future__ import annotations
@@ -76,18 +76,19 @@ def measure_precision(workloads: Sequence[WorkloadProgram],
 
     A shared :class:`~repro.core.variant_cache.VariantCache` lets this reuse
     the variants the overhead experiments already built (and vice versa).
-    ``jobs > 1`` (or ``REPRO_JOBS``) fans the function-granularity units
-    across worker processes; rows are identical either way.
+    ``jobs > 1`` (or ``REPRO_JOBS``) fans the per-workload units across
+    worker processes; rows are identical either way.
     """
     differs = list(differs) if differs is not None else all_differs()
     report = PrecisionReport()
-    for workload, label, differ, units, merged, ranks in diff_cells(
+    for workload, label, differ, functions, cell in diff_cells(
             workloads, labels, differs, options, jobs, cache):
-        correct = sum(1 for unit in units if ranks.get(unit) == 1)
         report.rows.append(PrecisionRow(
             program=workload.name, suite=workload.suite, tool=differ.name,
-            label=label, precision=correct / len(units) if units else 0.0,
-            similarity_score=merged.similarity_score))
+            label=label,
+            precision=cell.ranks.count(1) / len(functions) if functions
+            else 0.0,
+            similarity_score=cell.similarity_score))
     return report
 
 

@@ -11,13 +11,8 @@ The subsystem has these pieces:
   cheaply through the :class:`GenerationLog` manifest;
 * :mod:`repro.store.backend` — :class:`LocalBackend`, the byte layer of
   that tree (crash-durable atomic writes, quarantine moves, listing);
-* :mod:`repro.store.feature_payloads` — persistence for the diffing
-  :class:`~repro.diffing.index.FeatureIndex` payloads keyed by the variant
-  that produced the binary;
-* :mod:`repro.store.diff_payloads` — persistence for per-function partial
-  diff results (kind ``"diff"``), keyed by (tool config, baseline variant,
-  obfuscated variant, source function) for the function-granularity diff
-  sharding.
+* :mod:`repro.store.feature_payloads` and :mod:`repro.store.diff_payloads`
+  — the retired ``features`` and ``diff`` kinds, kept as no-ops.
 
 ``REPRO_STORE_DIR`` names the shared tree; unset, every run is storeless.
 """
@@ -28,8 +23,6 @@ from .artifact_store import (CORRUPT_READ_ERRORS, KIND_BINARY, KIND_DIFF,
                              canonical_key, is_store_tree, store_digest,
                              store_dir_from_env, store_from_env)
 from .backend import OBJECTS_DIR, QUARANTINE_DIR, LocalBackend, ObjectRef
-from .diff_payloads import diff_pair_key
-from .feature_payloads import features_key, persist_features, warm_features
 from .generation_log import GENERATION_LOG_NAME, GenerationLog
 from .keys import KEY_SCHEMA, config_cache_key, variant_key
 
@@ -40,7 +33,5 @@ __all__ = [
     "OBJECTS_DIR", "QUARANTINE_DIR", "CORRUPT_READ_ERRORS",
     "STORE_SCHEMA", "KEY_SCHEMA", "canonical_key",
     "store_digest", "is_store_tree", "store_dir_from_env", "store_from_env",
-    "config_cache_key",
-    "variant_key", "diff_pair_key", "features_key", "persist_features",
-    "warm_features",
+    "config_cache_key", "variant_key",
 ]

@@ -2,17 +2,17 @@
 
 The evaluation pipeline's artifacts — built variants
 (:class:`~repro.toolchain.BuildArtifact`, lowered
-:class:`~repro.backend.binary.Binary` included), memoised
-:class:`~repro.diffing.index.FeatureIndex` payloads — are pure functions of
-their configuration: workload synthesis is profile-seeded, every obfuscator
-advertises a seeded ``cache_key()``, and the optimizer is deterministic.
+:class:`~repro.backend.binary.Binary` included) and the reduced rows of
+each figure unit — are pure functions of their configuration: workload
+synthesis is profile-seeded, every obfuscator advertises a seeded
+``cache_key()``, and the optimizer is deterministic.
 :class:`ArtifactStore` exploits that purity to compute each artifact once
 per *machine* rather than once per process:
 
 * keys are the frozen tuples of :func:`~repro.core.variant_cache.variant_key`
   (workload profile × obfuscator ``cache_key()`` × ``OptOptions``), hashed
   into a stable content address (:func:`store_digest`) under a *kind*
-  namespace (``"variant"``, ``"features"``, ``"diff"``, ``"shard"``);
+  namespace (``"variant"``, ``"shard"``);
 * an in-process LRU layer serves repeated lookups without touching disk;
 * the on-disk tree (``objects/<kind>/<aa>/<digest>.pkl``) is written with a
   single-writer atomic protocol — temp file + ``os.replace`` — so any number
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import os
 import pickle
 import time
@@ -62,16 +63,17 @@ T = TypeVar("T")
 #: repopulating it only costs time.
 STORE_SCHEMA = 2
 
-#: The artifact kinds the evaluation pipeline persists.  Nothing writes
-#: ``binary`` any more (a variant carries its binary); the kind stays so
-#: ``scripts/gc_store.py`` sweeps the objects older trees hold.
+#: The artifact kinds the evaluation pipeline persists: built variants and
+#: the results of completed figure units (the checkpoint layer revives a
+#: unit from its ``shard`` object instead of executing it again).
 KIND_VARIANT = "variant"
+KIND_SHARD = "shard"
+#: Retired kinds nothing writes any more: a variant carries its binary,
+#: and a unit's rows replaced the feature and per-function diff payloads.
+#: They stay so ``scripts/gc_store.py`` sweeps the objects older trees hold.
 KIND_BINARY = "binary"
 KIND_FEATURES = "features"
 KIND_DIFF = "diff"
-#: Completed shard-unit results journaled by the checkpoint layer (PR 8):
-#: a resumed matrix run loads these instead of re-executing the shard.
-KIND_SHARD = "shard"
 
 #: The concrete exception classes a damaged object file can raise on read:
 #: I/O failures, torn/truncated pickles, and unpickling payloads whose
@@ -80,6 +82,35 @@ KIND_SHARD = "shard"
 CORRUPT_READ_ERRORS = (OSError, pickle.UnpicklingError, EOFError,
                        ValueError, TypeError, AttributeError, ImportError,
                        IndexError, KeyError)
+
+
+class RetiredPayload:
+    """Stand-in for a payload class this pipeline no longer defines."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _EnvelopeUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError):
+            return RetiredPayload
+
+
+def load_envelope(data: bytes) -> object:
+    """Unpickle one object file for the offline tools (GC, fsck).
+
+    Older trees hold results whose payload classes a later pipeline
+    retired; those unpickle as :class:`RetiredPayload`, because the tools
+    read only the envelope's stamps, kind and key.  Damaged bytes still
+    raise one of :data:`CORRUPT_READ_ERRORS`.
+    """
+    return _EnvelopeUnpickler(io.BytesIO(data)).load()
 
 
 def canonical_key(key: object) -> str:
@@ -148,12 +179,6 @@ class ArtifactStore:
     ``root``.  All lookups go memory → disk → build; every build is persisted
     before it is returned, so sibling workers observe it on their next miss.
     """
-
-    #: Does ``max_memory_entries`` bound each kind's entries separately
-    #: instead of all kinds together?  A store sized to a working set of
-    #: variants turns this on, so the feature and diff objects written
-    #: alongside the variants never evict them.
-    bound_per_kind = False
 
     def __init__(self, root: Optional[str] = None,
                  max_memory_entries: Optional[int] = None):
@@ -285,8 +310,7 @@ class ArtifactStore:
         By default first-writer-kept: an object already on disk is left
         untouched (deterministic artifacts make both copies identical
         anyway).  ``overwrite=True`` replaces it atomically —
-        last-writer-wins, used for payloads that grow over time (e.g. merged
-        feature snapshots); a reader still only ever sees a complete file.
+        last-writer-wins; a reader still only ever sees a complete file.
         """
         digest = store_digest(kind, key)
         self._remember((kind, digest), key, payload)
@@ -329,12 +353,9 @@ class ArtifactStore:
         self._memory[slot] = payload
         self._memory.move_to_end(slot)
         self._keys[slot] = key
-        if self.max_memory_entries is None:
-            return
-        held = ([other for other in self._memory if other[0] == slot[0]]
-                if self.bound_per_kind else self._memory)
-        if len(held) > self.max_memory_entries:
-            evicted = next(iter(held))
+        if (self.max_memory_entries is not None
+                and len(self._memory) > self.max_memory_entries):
+            evicted = next(iter(self._memory))
             del self._memory[evicted]
             self._keys.pop(evicted, None)
 

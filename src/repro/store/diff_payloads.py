@@ -1,120 +1,31 @@
-"""Persisting partial diff results in the store (kind ``"diff"``).
+"""Retired: per-function diff payloads (store kind ``"diff"``).
 
-The function-granularity diff sharding (:mod:`repro.evaluation.diff_sharding`)
-scores one binary pair as many independent per-function units.  Every unit's
-outcome — its ranked candidate list per channel plus the provenance rank of
-its correct match — is a pure function of (tool configuration, baseline
-variant, obfuscated variant, source function), so it persists under a stable
-key and any later shard, process or machine attached to the same store tree
-adopts it instead of re-scoring.
-
-Three payload shapes live under the ``diff`` kind, all addressed below one
-*pair key* (:func:`diff_pair_key` — the tool's ``cache_key()`` plus the two
-variant keys):
-
-* the **roster** (:func:`persist_roster`): the pair's unit list in rank
-  order plus the function counts the whole-binary score needs — a fully-warm
-  shard plans and merges without ever unpickling a binary;
-* one **unit** payload per source function (:func:`persist_unit`): ranked
-  candidates per channel plus ``rank`` (the 1-based provenance rank of the
-  first correct candidate, or ``None``);
-* a **whole** payload (:func:`persist_whole`) for binary-granularity tools:
-  the complete match dict, the final similarity score and every unit's rank.
-
-Every loader validates shape and degrades to ``None`` (a miss) on anything
-unexpected — scoring is deterministic, so re-scoring only costs time.
+A fig 8/10 unit is one workload whose reduced rows are its only persisted
+form (:mod:`repro.evaluation.diff_sharding`), so nothing calls these.  They
+stay as no-ops because the paper benchmark's layer tracer wraps each one
+by name.
 """
 
-from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-from .artifact_store import KIND_DIFF, ArtifactStore
+def persist_roster(*_args, **_kwargs) -> None:
+    """Write nothing."""
 
 
-def diff_pair_key(differ, baseline_key: Sequence, variant_key: Sequence) -> Tuple:
-    """The store-key prefix of one (tool, baseline, variant) diff pair."""
-    return ("diff", tuple(differ.cache_key()),
-            tuple(baseline_key), tuple(variant_key))
+def load_roster(*_args, **_kwargs) -> None:
+    """Always a miss."""
 
 
-def roster_key(pair_key: Tuple) -> Tuple:
-    return pair_key + ("roster",)
+def persist_unit(*_args, **_kwargs) -> None:
+    """Write nothing."""
 
 
-def unit_key(pair_key: Tuple, unit: str) -> Tuple:
-    """The stable per-function shard key of one scored source function."""
-    return pair_key + ("unit", unit)
+def load_unit(*_args, **_kwargs) -> None:
+    """Always a miss."""
 
 
-def whole_key(pair_key: Tuple) -> Tuple:
-    return pair_key + ("whole",)
+def persist_whole(*_args, **_kwargs) -> None:
+    """Write nothing."""
 
 
-def _ranked_list(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
-        for item in value)
-
-
-def persist_roster(store: ArtifactStore, pair_key: Tuple, units: Sequence[str],
-                   original: str, obfuscated: str,
-                   original_functions: int, obfuscated_functions: int) -> str:
-    return store.put(KIND_DIFF, roster_key(pair_key), {
-        "units": tuple(units), "original": original, "obfuscated": obfuscated,
-        "original_functions": original_functions,
-        "obfuscated_functions": obfuscated_functions,
-    })
-
-
-def load_roster(store: ArtifactStore, pair_key: Tuple) -> Optional[Dict]:
-    payload = store.get(KIND_DIFF, roster_key(pair_key))
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("units"), tuple)
-            or not all(isinstance(u, str) for u in payload["units"])
-            or not isinstance(payload.get("original"), str)
-            or not isinstance(payload.get("obfuscated"), str)
-            or not isinstance(payload.get("original_functions"), int)
-            or not isinstance(payload.get("obfuscated_functions"), int)):
-        return None
-    return payload
-
-
-def persist_unit(store: ArtifactStore, pair_key: Tuple, unit: str,
-                 ranked, channels: Dict[str, list],
-                 rank: Optional[int]) -> str:
-    return store.put(KIND_DIFF, unit_key(pair_key, unit), {
-        "ranked": ranked, "channels": dict(channels), "rank": rank,
-    })
-
-
-def load_unit(store: ArtifactStore, pair_key: Tuple,
-              unit: str) -> Optional[Dict]:
-    payload = store.get(KIND_DIFF, unit_key(pair_key, unit))
-    if (not isinstance(payload, dict)
-            or not _ranked_list(payload.get("ranked"))
-            or not isinstance(payload.get("channels"), dict)
-            or not all(_ranked_list(v) for v in payload["channels"].values())
-            or not isinstance(payload.get("rank"), (int, type(None)))):
-        return None
-    return payload
-
-
-def persist_whole(store: ArtifactStore, pair_key: Tuple, matches: Dict,
-                  similarity_score: float,
-                  ranks: Dict[str, Optional[int]]) -> str:
-    return store.put(KIND_DIFF, whole_key(pair_key), {
-        "matches": dict(matches), "similarity_score": similarity_score,
-        "ranks": dict(ranks),
-    })
-
-
-def load_whole(store: ArtifactStore, pair_key: Tuple) -> Optional[Dict]:
-    payload = store.get(KIND_DIFF, whole_key(pair_key))
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("matches"), dict)
-            or not all(_ranked_list(v) for v in payload["matches"].values())
-            or not isinstance(payload.get("similarity_score"), float)
-            or not isinstance(payload.get("ranks"), dict)):
-        return None
-    return payload
+def load_whole(*_args, **_kwargs) -> None:
+    """Always a miss."""

@@ -1,62 +1,15 @@
-"""Persisting :class:`~repro.diffing.index.FeatureIndex` payloads in the store.
+"""Retired: persisted feature payloads (store kind ``"features"``).
 
-The diffing index memoises per-binary features in memory, keyed by binary
-*object* — which is exactly right inside one process, and exactly wrong
-across processes: every executor worker re-extracts the same deterministic
-features from the same deterministic binaries.  These helpers bridge the two
-worlds: a worker that built (or fetched) a variant under a stable store key
-can persist the features it extracted under the same key (kind
-``"features"``) and warm-start the next process's index from them.
-
-Both directions are no-ops on an in-memory store with nothing persisted, and
-adoption never overrides locally computed entries, so wiring these in can
-only skip work — never change a diffing result.
+No run ever read one back: a fig 8/10 unit builds and featurises each of
+its workload's variants once, in one process.  These stay as no-ops
+because the paper benchmark's layer tracer wraps them by name.
 """
 
-from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ..diffing.index import feature_index
-from .artifact_store import KIND_FEATURES, ArtifactStore
+def persist_features(*_args, **_kwargs) -> None:
+    """Write nothing."""
 
 
-def features_key(variant_key: Tuple) -> Tuple:
-    """The store key for the feature payload of one built variant.
-
-    Derived from the variant's own key (workload profile × obfuscator config
-    × opt options): the binary is a pure function of that triple and the
-    features are a pure function of the binary.
-    """
-    return ("features",) + tuple(variant_key)
-
-
-def persist_features(store: ArtifactStore, variant_key: Tuple,
-                     binary) -> Optional[str]:
-    """Save ``binary``'s memoised features under the variant's key.
-
-    Merges with any payload already stored (earlier cells may have memoised
-    a different tool's features), so the stored payload only ever grows.
-    Returns the digest written, or ``None`` when there was nothing new.
-    """
-    index = feature_index(binary)
-    payload = index.export_payload()
-    if not payload:
-        return None
-    key = features_key(variant_key)
-    existing = store.get(KIND_FEATURES, key)
-    if isinstance(existing, dict):
-        merged = dict(existing)
-        merged.update(payload)
-        if merged.keys() == existing.keys():
-            return None  # nothing the store does not already hold
-        payload = merged
-    return store.put(KIND_FEATURES, key, payload, overwrite=True)
-
-
-def warm_features(store: ArtifactStore, variant_key: Tuple, binary) -> int:
-    """Warm ``binary``'s index from the store; returns entries adopted."""
-    payload = store.get(KIND_FEATURES, features_key(variant_key))
-    if not isinstance(payload, dict) or not payload:
-        return 0
-    return feature_index(binary).adopt_payload(payload)
+def warm_features(*_args, **_kwargs) -> int:
+    """Adopt nothing."""
+    return 0

@@ -1,9 +1,10 @@
-"""Checkpoint/resume: run manifests, journaled shards, strict resume.
+"""Checkpoint/resume: persisted unit results, run manifests, strict resume.
 
 The acceptance criterion this file pins down: a matrix run killed partway
 and restarted against the same store tree re-executes *only* the unfinished
-shard units — journaled units revive from the store with zero re-executes.
-Also covered: the manifest's torn-line tolerance, the advisory-manifest /
+units — finished units revive from the store by key with zero re-executes,
+whichever run wrote them.  Also covered: the manifest's torn-line
+tolerance, journals as the roots of every completed or revived unit, the
 store-is-truth rule, and the pass-through contract when no store tree (or
 ``REPRO_CHECKPOINT=off``) is in play.
 """
@@ -203,16 +204,35 @@ class TestRunCheckpointed:
                                normalize=lambda r: -r)
         assert out == [-1, -4]
 
-    def test_run_parts_partition_journals(self, tmp_store):
-        """Two different matrices over one tree keep separate journals:
-        a fresh run identity resumes nothing, even when the store already
-        holds every shard object from another run."""
+    def test_another_run_revives_by_key_into_its_own_journal(
+            self, tmp_store):
+        """Two different matrices over one tree keep separate journals, but
+        a unit's result is found by its key: a fresh run identity revives
+        every unit another run stored, and roots them in its own journal."""
         values = [2, 3]
         keys = _keys(values)
         run_checkpointed(_square, values, keys, ("matrix", "A"), jobs=1)
         with counted("checkpoint") as stats:
-            run_checkpointed(_square, values, keys, ("matrix", "C"), jobs=1)
-        assert stats["resumed"] == 0 and stats["executed"] == 2
+            out = run_checkpointed(_FailAt(2), values, keys, ("matrix", "C"),
+                                   jobs=1)
+        assert out == [4, 9]
+        assert stats["resumed"] == 2 and stats["executed"] == 0
+        journal = RunManifest(tmp_store, run_id(("matrix", "C")))
+        assert journal.done == {store_digest(KIND_SHARD, key)
+                                for key in keys}
+
+    def test_revival_needs_no_journal(self, tmp_store):
+        values = [1, 2, 3]
+        keys = _keys(values)
+        run_checkpointed(_square, values, keys, ("t", 8), jobs=1)
+        runs = os.path.join(tmp_store, RUNS_DIR)
+        for name in os.listdir(runs):
+            os.unlink(os.path.join(runs, name))
+        with counted("checkpoint") as stats:
+            out = run_checkpointed(_FailAt(1), values, keys, ("t", 8), jobs=1)
+        assert out == [1, 4, 9]
+        assert stats["resumed"] == 3 and stats["executed"] == 0
+        assert len(RunManifest(tmp_store, run_id(("t", 8))).done) == 3
 
 
 class TestRunMatrix:
@@ -297,13 +317,13 @@ class TestRunMatrix:
 #: The journal each figure driver writes for one tiny matrix: its run
 #: identity and its unit count.  The identity hashes the run's whole
 #: unit-key list, so an unchanged name means unchanged units and keys — and
-#: store trees and journals written by earlier versions keep resuming with
-#: nothing re-executed.
+#: store trees written by earlier versions keep reviving with nothing
+#: re-executed.  Every figure runs one unit per workload.
 PINNED_RUNS = {
     "fig67": ("d444d4555a09f068", 1),
-    "fig8": ("76f40b3a865710fe", 3),
-    "fig10": ("f6f71da0d7e23586", 2),
-    "fig9": ("5af1b31d74124efd", 2),
+    "fig8": ("4c064177dd0897d1", 1),
+    "fig10": ("081d9fe166760da5", 1),
+    "fig9": ("90d9ea4f38a79b13", 1),
 }
 
 
@@ -346,13 +366,14 @@ class TestMatrixResume:
         assert first["executed"] == first["planned"] > 0
 
         reset_worker_cache()
-        with counted("checkpoint") as second, counted("diffshard") as diff:
+        with counted("checkpoint") as second, counted("diffunit") as diff:
             resumed = self._rows(measure_precision(
                 WORKLOADS, labels=LABELS, differs=differs, jobs=1))
         assert resumed == reference
         assert second["executed"] == 0
         assert second["resumed"] == second["planned"] == first["planned"]
-        assert diff["units_scored"] == 0
+        assert diff["units"] == len(WORKLOADS)
+        assert diff["cells_scored"] == 0
 
     def test_fig67_completed_restart_revives_every_shard(self, tmp_store):
         reset_worker_cache()

@@ -1,30 +1,34 @@
-"""Function-granularity diff units: contract, merge identity, store reuse.
+"""Per-workload diff units: contract, identity, builds and reuse by key.
 
-The diff matrices of figures 8 and 10 run as modular slices of each cell
-(:mod:`repro.evaluation.diff_sharding`) and merge through the tools'
-partial-result contract.  The reports must equal the plain whole-binary
-``diff()`` oracle bit for bit, in process or across processes, cold or over
-a warm shared store — and a warm store must serve every unit without
-scoring a pair or rebuilding a single ``FeatureIndex`` payload.
+The diff matrices of figures 8 and 10 (and figure 9's) run as one unit per
+workload (:mod:`repro.evaluation.diff_sharding`,
+:mod:`repro.evaluation.bintuner_compare`).  The reports must equal the
+plain whole-binary ``diff()`` oracle bit for bit, in process or across
+processes; every distinct variant is built once per run at any ``jobs``;
+and a unit whose rows are in the store is revived by key, journal or not.
+The tools' partial-result contract, which the paper benchmark's tracer
+still wraps, keeps its own tests here.
 """
 
 import os
 
 import pytest
 
-from repro.diffing import BinDiff, DeepBinDiff, all_differs
+from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff, all_differs
 from repro.diffing.base import PartialDiff
-from repro.evaluation import (figure8, measure_bintuner, measure_escape,
-                              measure_precision)
+from repro.evaluation import (MissingVulnerableFunction, figure8, figure9,
+                              measure_bintuner, measure_escape,
+                              measure_precision, overhead)
 from repro.evaluation.checkpoint import RUNS_DIR
 from repro.evaluation.bintuner_compare import (bintuner_shard_key,
                                                shard_bintuner_matrix)
-from repro.evaluation.diff_sharding import (SHARDS_PER_CELL, diff_shard_key,
-                                            shard_diff_matrix)
+from repro.evaluation.diff_sharding import diff_unit_key, shard_diff_matrix
 from repro.evaluation.executor import reset_worker_cache
-from repro.store import KIND_FEATURES, ArtifactStore
+from repro.store import KIND_VARIANT, ArtifactStore, canonical_key
+from repro.store.keys import _freeze, config_cache_key
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
-from repro.workloads.suites import embedded_programs, spec2006_programs
+from repro.workloads.suites import (WorkloadProgram, embedded_programs,
+                                    spec2006_programs)
 from tests import oracles
 from repro.obs.metrics import counted
 from tests.conftest import build_demo_program
@@ -38,6 +42,45 @@ def demo_pair():
     baseline = build_baseline(build_demo_program())
     variant = build_obfuscated(build_demo_program(), obfuscator_for("fufi.all"))
     return baseline.binary, variant.binary
+
+
+@pytest.fixture
+def build_log(tmp_path, monkeypatch):
+    """Every fresh variant build, from this process and its workers.
+
+    Each build appends its program, configuration and options to one file,
+    cached or not; pool workers are forked after the patch, so they log
+    too.  Storeless, so nothing is read back from a tree.
+    """
+    for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
+        monkeypatch.delenv(name, raising=False)
+    reset_worker_cache()
+    path = tmp_path / "builds.log"
+
+    def logged(build, config):
+        def wrapper(program, *args):
+            options = args[-1] if args else None
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(canonical_key((program.name, config(*args),
+                                        _freeze(options))) + "\n")
+            return build(program, *args)
+        return wrapper
+
+    monkeypatch.setattr(overhead, "build_baseline", logged(
+        overhead.build_baseline, lambda *args: "baseline"))
+    monkeypatch.setattr(overhead, "build_obfuscated", logged(
+        overhead.build_obfuscated, lambda obfuscator, *_: repr(
+            config_cache_key(obfuscator))))
+
+    def builds():
+        if not path.exists():
+            return []
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.unlink()
+        return lines
+
+    yield builds
+    reset_worker_cache()
 
 
 def _precision_rows(report):
@@ -147,28 +190,28 @@ class TestShardPlanning:
         assert shard_diff_matrix(WORKLOADS, LABELS, differs) == \
             shard_diff_matrix(WORKLOADS, LABELS, differs)
 
-    def test_function_tools_split_binary_tools_do_not(self):
-        shards = shard_diff_matrix(WORKLOADS[:1], ("fission",),
-                                   [BinDiff(), DeepBinDiff()])
-        counts = {}
-        for _w, _label, differ, _opts, _index, count in shards:
-            counts[differ.name] = count
-        assert counts == {"BinDiff": SHARDS_PER_CELL, "DeepBinDiff": 1}
-        assert len(shards) == SHARDS_PER_CELL + 1
+    def test_one_unit_per_workload_with_every_label_and_tool(self):
+        differs = [BinDiff(), DeepBinDiff()]
+        units = shard_diff_matrix(WORKLOADS, LABELS, differs)
+        assert [unit[0].name for unit in units] == \
+            [workload.name for workload in WORKLOADS]
+        assert all(unit[1] == LABELS and unit[2] == tuple(differs)
+                   for unit in units)
 
-    def test_unit_keys_are_value_based_and_name_the_slice(self):
-        def keys(workloads):
-            return [diff_shard_key(shard) for shard in shard_diff_matrix(
-                workloads, ("fission",), [BinDiff(), DeepBinDiff()])]
+    def test_unit_keys_are_value_based(self):
+        def keys(workloads, labels=("fission",), differs=(BinDiff(),)):
+            return [diff_unit_key(unit) for unit in shard_diff_matrix(
+                workloads, labels, differs)]
 
-        planned = keys(WORKLOADS[:1])
+        planned = keys(WORKLOADS)
         assert len(set(planned)) == len(planned)
-        assert all(key[0] == "diffshard" for key in planned)
-        assert [key[-2:] for key in planned] == \
-            [(index, SHARDS_PER_CELL) for index in range(SHARDS_PER_CELL)] \
-            + [(0, 1)]
-        # fresh workload objects plan the same keys: value, not identity
-        assert keys(spec2006_programs()[:1]) == planned
+        assert all(key[0] == "diffunit" for key in planned)
+        # fresh workload and tool objects plan the same keys: value, not
+        # identity
+        assert keys(spec2006_programs()[:2], differs=(BinDiff(),)) == planned
+        # and every ingredient of the rows is in the key
+        assert keys(WORKLOADS, labels=("fufi.ori",)) != planned
+        assert keys(WORKLOADS, differs=(Asm2Vec(),)) != planned
 
 
 class TestPrecisionSharded:
@@ -183,9 +226,9 @@ class TestPrecisionSharded:
         assert _precision_rows(parallel) == _precision_rows(reference)
         assert parallel.matrix() == reference.matrix()
 
-    def test_figure8_jobs2_through_function_shards_is_bit_identical(self):
-        """figure8(jobs=2) fans function-granularity units across workers
-        and still equals the in-process run."""
+    def test_figure8_jobs2_is_bit_identical(self):
+        """figure8(jobs=2) fans the workload units across workers and still
+        equals the in-process run."""
         kwargs = dict(limit_spec=1, limit_coreutils=1, labels=LABELS)
         serial = figure8(**kwargs)
         parallel = figure8(jobs=2, **kwargs)
@@ -194,71 +237,99 @@ class TestPrecisionSharded:
 
     def test_unit_counters_add_up_in_the_parent_at_jobs2(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        with counted("diffshard") as stats:
-            measure_precision(WORKLOADS[:1], labels=("fission",),
+        with counted("diffunit") as stats:
+            measure_precision(WORKLOADS, labels=("fission",),
                               differs=[BinDiff(), DeepBinDiff()], jobs=2)
-        assert stats["shards"] == SHARDS_PER_CELL + 1
-        assert stats["units_scored"] == stats["units_total"] > 0
-        assert stats["units_from_store"] == 0
-        assert stats["diff_payloads_persisted"] == 0      # storeless
+        assert stats["units"] == len(WORKLOADS)
+        assert stats["cells_scored"] == len(WORKLOADS) * 2
+
+
+class TestBuildsOncePerVariant:
+    """Counted across the parent and every worker: one figure run builds
+    each distinct variant exactly once, at any ``jobs``."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quick_figure8(self, build_log, jobs):
+        figure8(limit_spec=2, limit_coreutils=2, jobs=jobs)
+        builds = build_log()
+        assert len(builds) == len(set(builds)) == 4 * (1 + 8)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quick_figure9(self, build_log, jobs):
+        figure9(limit=2, jobs=jobs)
+        builds = build_log()
+        # four opt-level references, the O2 + LTO baseline and FuFi.all
+        assert len(builds) == len(set(builds)) == 2 * 6
 
 
 class TestSharedStoreReuse:
-    def test_warm_store_serves_every_unit_and_rebuilds_no_features(
+    def test_warm_store_revives_every_unit_and_builds_nothing(
             self, tmp_store):
         reference = oracles.precision(WORKLOADS[:1], LABELS)
-        with counted("diffshard") as cold_stats:
+        with counted("diffunit") as cold_stats:
             cold = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         assert _precision_rows(cold) == _precision_rows(reference)
-        assert cold_stats["units_scored"] == cold_stats["units_total"] > 0
-        assert cold_stats["features_persisted"] > 0
-        assert cold_stats["diff_payloads_persisted"] > 0
+        assert cold_stats["cells_scored"] == len(LABELS) * 5
 
         reset_worker_cache()
-        with counted("diffshard") as warm_stats:
+        with counted("diffunit") as warm_stats, \
+                counted("checkpoint") as run, counted("store") as store:
             warm = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
         assert _precision_rows(warm) == _precision_rows(reference)
-        # every unit adopted, zero pairs scored, zero feature rebuilds
-        assert warm_stats["units_from_store"] == warm_stats["units_total"]
-        assert warm_stats["units_scored"] == 0
-        assert warm_stats["features_persisted"] == 0
-        assert warm_stats["diff_payloads_persisted"] == 0
-        # ...and the tree gained no feature objects on the warm pass
-        features_after = ArtifactStore.attach(tmp_store).entry_count(
-            KIND_FEATURES)
-        reset_worker_cache()
-        with counted("diffshard") as rerun_stats:
-            measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
-        assert ArtifactStore.attach(tmp_store).entry_count(KIND_FEATURES) \
-            == features_after
-        assert rerun_stats["features_persisted"] == 0
+        assert warm_stats["units"] == 1 and warm_stats["cells_scored"] == 0
+        assert run["resumed"] == run["planned"] == 1
+        assert store["misses"] == 0 and store["puts"] == 0
 
     def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store,
                                                         monkeypatch):
-        reference = oracles.precision(WORKLOADS[:1], LABELS)
-        measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
+        reference = oracles.precision(WORKLOADS, LABELS)
+        measure_precision(WORKLOADS, labels=LABELS, jobs=1)
+        variants = ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT)
         reset_worker_cache()
-        # no journal: the workers must really run, over the warm payloads
+        # no revival: the workers must really score, over the warm variants
         monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        with counted("diffshard") as warm_stats:
-            parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
+        with counted("diffunit") as warm_stats:
+            parallel = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
         assert _precision_rows(parallel) == _precision_rows(reference)
-        assert warm_stats["units_from_store"] == warm_stats["units_total"] > 0
-        assert warm_stats["units_scored"] == 0
+        assert warm_stats["cells_scored"] == len(WORKLOADS) * len(LABELS) * 5
+        assert ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT) \
+            == variants
 
     def test_stored_units_outlive_the_journal(self, tmp_store):
-        """Per-function payloads are independent of the run journal: with
-        the journals gone, a rerun adopts every unit a previous run
-        persisted and scores nothing."""
+        """Units revive by key: with the journals gone, a rerun reads every
+        unit's rows back and scores no cell."""
         measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
         for name in os.listdir(os.path.join(tmp_store, RUNS_DIR)):
             os.unlink(os.path.join(tmp_store, RUNS_DIR, name))
         reset_worker_cache()
-        with counted("diffshard") as stats, counted("checkpoint") as run:
+        with counted("diffunit") as stats, counted("checkpoint") as run:
             measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
-        assert run["resumed"] == 0 and run["executed"] > 0
-        assert stats["units_from_store"] == stats["units_total"]
-        assert stats["units_scored"] == 0
+        assert run["resumed"] == run["planned"] == 1
+        assert run["executed"] == 0
+        assert stats["cells_scored"] == 0
+        # the revived unit is rooted in the rerun's own journal
+        assert len(os.listdir(os.path.join(tmp_store, RUNS_DIR))) == 1
+
+    def test_overlapping_matrix_executes_only_its_new_unit(self, tmp_store):
+        workloads = spec2006_programs()[:3]
+        kwargs = dict(labels=("fission",), differs=[BinDiff()], jobs=1)
+        first = measure_precision(workloads[:2], **kwargs)
+        reset_worker_cache()
+        with counted("checkpoint") as run, counted("diffunit") as stats:
+            wider = measure_precision(workloads, **kwargs)
+        assert run["executed"] == 1 and run["resumed"] == 2
+        assert stats["cells_scored"] == 1
+        assert wider.rows[:len(first.rows)] == first.rows
+        assert _precision_rows(wider) == _precision_rows(
+            oracles.precision(workloads, ("fission",), [BinDiff()]))
+
+
+class _PhantomVulnerable(WorkloadProgram):
+    """A workload naming a vulnerable function its program does not have."""
+
+    @property
+    def vulnerable_functions(self):
+        return super().vulnerable_functions + ["no_such_function"]
 
 
 class TestEscapeSharded:
@@ -273,17 +344,26 @@ class TestEscapeSharded:
         for n in (1, 10, 50):
             assert parallel.matrix(n) == reference.matrix(n)
 
+    def test_missing_vulnerable_function_raises(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        real = embedded_programs()[0]
+        phantom = _PhantomVulnerable(real.name, real.suite, real.profile)
+        with pytest.raises(MissingVulnerableFunction) as raised:
+            measure_escape([phantom], labels=("sub",), differs=[Asm2Vec()],
+                           jobs=1)
+        assert repr(real.name) in str(raised.value)
+        assert "'no_such_function'" in str(raised.value)
+
 
 class TestBinTunerSharded:
-    def test_units_pair_each_workload_bintuner_before_khaos(self):
+    def test_one_unit_per_workload(self):
         shards = shard_bintuner_matrix(WORKLOADS, 3)
-        assert [(workload.name, protection)
-                for workload, protection, _iterations in shards] == \
-            [(workload.name, protection) for workload in WORKLOADS
-             for protection in ("bintuner", "khaos")]
+        assert [(workload.name, iterations)
+                for workload, iterations in shards] == \
+            [(workload.name, 3) for workload in WORKLOADS]
         keys = [bintuner_shard_key(shard) for shard in shards]
         assert len(set(keys)) == len(keys)
-        assert all(key[0] == "fig9shard" and key[-1] == 3 for key in keys)
+        assert all(key[0] == "fig9unit" and key[-1] == 3 for key in keys)
 
     def test_sharded_bintuner_equals_the_reference(self):
         reference = oracles.bintuner(WORKLOADS[:1], tuner_iterations=1)

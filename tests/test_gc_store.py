@@ -11,6 +11,9 @@ The contracts this file pins down:
   otherwise-collectable objects;
 * an unreadable or unrecognised journaled shard degrades the sweep to
   conservative mode (only unreferenced ``shard`` objects go);
+* a tree the function-sliced pipeline wrote attaches without a rebuild,
+  and its retired ``features``/``diff`` objects are swept while fsck keeps
+  calling it clean;
 * the CLI refuses non-store trees with exit status 2.
 """
 
@@ -20,12 +23,18 @@ import sys
 
 import pytest
 
-from repro.evaluation.checkpoint import RUNS_DIR
+from repro.core.variant_cache import VariantCache, variant_key
+from repro.diffing import BinDiff
+from repro.evaluation import diff_sharding
+from repro.evaluation.checkpoint import RUNS_DIR, RunManifest
 from repro.evaluation.executor import reset_worker_cache
+from repro.evaluation.overhead import build_variant
 from repro.evaluation.precision import measure_precision
 from repro.store import ArtifactStore, store_digest
-from repro.store.artifact_store import KIND_SHARD, KIND_VARIANT
+from repro.store.artifact_store import (KIND_DIFF, KIND_FEATURES, KIND_SHARD,
+                                        KIND_VARIANT)
 from repro.store.backend import LocalBackend
+from repro.toolchain import obfuscator_for
 from repro.workloads.suites import spec2006_programs
 from repro.obs.metrics import counted
 
@@ -33,6 +42,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
 sys.path.insert(0, SCRIPTS)
 
+import fsck_store  # noqa: E402
 import gc_store  # noqa: E402
 
 WORKLOADS = spec2006_programs()[:1]
@@ -71,6 +81,16 @@ class TestSweepSafety:
         assert report["counts"]["swept"] == 0
         assert not report["conservative"]
         assert report["counts"]["live"] > 0
+
+    def test_fig9_units_root_all_six_variants(self, tmp_store):
+        from repro.evaluation.bintuner_compare import measure_bintuner
+        measure_bintuner(WORKLOADS, tuner_iterations=1, jobs=1)
+        report = gc_store.collect(tmp_store, grace=0)
+        assert report["counts"]["swept"] == 0
+        assert not report["conservative"]
+        # four opt-level references, the O2 + LTO baseline, FuFi.all and
+        # the unit's rows
+        assert report["counts"]["live"] == 6 + 1
 
     def test_sweeps_exactly_the_unreferenced(self, populated):
         root, cold_report = populated
@@ -190,6 +210,89 @@ class TestConservativeMode:
         assert report["conservative"] is True
         assert report["swept_by_kind"].get(KIND_SHARD, 0) >= 1
         assert not object_exists(root, KIND_SHARD, orphan)
+
+
+class DiffShardResult:
+    """Pickles like the function-sliced pipeline's unit result, a class
+    this pipeline no longer defines."""
+
+    def __init__(self, index):
+        self.shard_index = index
+
+
+def plant_sliced_fig8(root, monkeypatch):
+    """The objects the function-sliced pipeline wrote for one figure-8 run
+    of ``WORKLOADS`` × ``LABELS`` × BinDiff: the variants (keyed as today),
+    one ``features`` payload per variant, each pair's roster and
+    per-function ``diff`` payloads, and two journaled ``diffshard`` slices
+    per cell whose results pickle a retired class.  Returns the number of
+    ``features`` and ``diff`` objects."""
+    store = ArtifactStore.attach(root)
+    cache = VariantCache(store=store)
+    differ = BinDiff()
+    workload = WORKLOADS[0]
+    baseline = build_variant(workload, "baseline", None, cache)
+    base_vk = variant_key(workload, "baseline")
+    functions = tuple(f.name for f in baseline.binary.functions)
+    journal = RunManifest(root, "sliced")
+    planted = {KIND_FEATURES: 0, KIND_DIFF: 0}
+
+    def put(kind, key, payload):
+        store.put(kind, key, payload)
+        planted[kind] = planted.get(kind, 0) + 1
+
+    put(KIND_FEATURES, ("features",) + base_vk, {"structural": {}})
+    with monkeypatch.context() as patch:
+        DiffShardResult.__module__ = diff_sharding.__name__
+        patch.setattr(diff_sharding, "DiffShardResult", DiffShardResult,
+                      raising=False)
+        for label in LABELS:
+            build_variant(workload, label, None, cache)
+            label_vk = variant_key(workload, obfuscator_for(label))
+            put(KIND_FEATURES, ("features",) + label_vk, {"structural": {}})
+            pair = ("diff", differ.cache_key(), base_vk, label_vk)
+            put(KIND_DIFF, pair + ("roster",), {"units": functions})
+            for name in functions:
+                put(KIND_DIFF, pair + ("unit", name),
+                    {"ranked": [], "channels": {}, "rank": None})
+            for index in range(2):
+                key = ("diffshard", differ.cache_key(), base_vk, label_vk,
+                       index, 2)
+                put(KIND_SHARD, key, DiffShardResult(index))
+                journal.mark_done(store_digest(KIND_SHARD, key))
+    reset_worker_cache()
+    return planted
+
+
+class TestOlderTrees:
+    def test_sliced_tree_attaches_then_sweeps_its_retired_kinds(
+            self, tmp_store, monkeypatch):
+        planted = plant_sliced_fig8(tmp_store, monkeypatch)
+        with counted("build") as builds:
+            report = measure_precision(WORKLOADS, labels=LABELS,
+                                       differs=[BinDiff()], jobs=1)
+        assert builds["variants"] == 0
+        assert len(report.rows) == len(LABELS)
+
+        swept = gc_store.collect(tmp_store, grace=0)
+        assert not swept["conservative"]
+        assert swept["swept_by_kind"] == {KIND_DIFF: planted[KIND_DIFF],
+                                          KIND_FEATURES:
+                                              planted[KIND_FEATURES]}
+        # the retired slices stay rooted by their journal, beside the new
+        # unit; nothing else they once reached does
+        backend = LocalBackend(tmp_store)
+        assert len(backend.list_refs(KIND_SHARD)) == planted[KIND_SHARD] + 1
+        assert len(backend.list_refs(KIND_VARIANT)) == 1 + len(LABELS)
+        assert fsck_store.fsck(tmp_store)["clean"]
+
+        # and the swept tree still serves the new unit without scoring
+        reset_worker_cache()
+        with counted("checkpoint") as run:
+            again = measure_precision(WORKLOADS, labels=LABELS,
+                                      differs=[BinDiff()], jobs=1)
+        assert again.rows == report.rows
+        assert run["executed"] == 0
 
 
 class TestCli:

@@ -411,7 +411,8 @@ class TestEndToEnd:
         from repro.workloads.suites import spec2006_programs
         from tests import oracles
 
-        workloads = spec2006_programs()[:1]
+        # two workloads, so the two units run in the pool's workers
+        workloads = spec2006_programs()[:2]
         labels = ("fission",)
         differs = all_differs()[:1]
 

@@ -11,12 +11,11 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
   intact when both race through ``os.replace``);
 * the :class:`GenerationLog` manifest validates warm starts cheaply and an
   incompatible tree is rejected at attach;
-* ``FeatureIndex`` payloads round-trip through the store and warm-start a
-  fresh index;
+* the retired ``features``/``diff`` payload helpers are no-ops;
 * every figure's report from a warm tree equals the cold run's;
 * :class:`LocalBackend`, the byte layer under the tree, keeps the first
   writer's object and fsyncs each payload and its directory;
-* every store name the paper benchmark's layer tracer wraps still resolves.
+* every name the paper benchmark's layer tracer wraps still resolves.
 """
 
 import importlib.util
@@ -30,17 +29,17 @@ import pytest
 
 from repro.core.variant_cache import VariantCache, variant_key
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
-from repro.diffing.index import clear_index_cache, feature_index
 from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.escape import measure_escape
 from repro.evaluation.overhead import build_variant, measure_overhead
 from repro.evaluation.precision import measure_precision
 from repro.obs.metrics import counted
-from repro.store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES, KIND_VARIANT,
-                         QUARANTINE_DIR, ArtifactStore, GenerationLog,
-                         StoreError, canonical_key, is_store_tree,
-                         persist_features, store_digest, store_dir_from_env,
-                         store_from_env, warm_features)
+from repro.store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES, KIND_SHARD,
+                         KIND_VARIANT, QUARANTINE_DIR, ArtifactStore,
+                         GenerationLog, StoreError, canonical_key,
+                         is_store_tree, store_digest, store_dir_from_env,
+                         store_from_env)
+from repro.store import diff_payloads, feature_payloads
 from repro.store import backend as store_backend
 from repro.store.backend import LocalBackend, fsync_directory
 from repro.workloads.suites import embedded_programs, spec2006_programs
@@ -107,17 +106,13 @@ class TestMemoryLayer:
         assert store.contains(KIND_VARIANT, ("c",))
         assert store.entry_count(KIND_VARIANT) == 2
 
-    def test_bound_per_kind_keeps_other_kinds_from_evicting(self):
+    def test_bound_spans_every_kind(self):
         store = ArtifactStore(max_memory_entries=2)
-        store.bound_per_kind = True
         for name in ("a", "b"):
             store.put(KIND_VARIANT, (name,), name)
-        for name in ("x", "y", "z"):
-            store.put(KIND_DIFF, (name,), name)
-        assert store.keys(KIND_VARIANT) == [("a",), ("b",)]
-        assert store.keys(KIND_DIFF) == [("y",), ("z",)]
-        store.put(KIND_VARIANT, ("c",), "c")
-        assert store.keys(KIND_VARIANT) == [("b",), ("c",)]
+        store.put(KIND_SHARD, ("x",), "x")
+        assert store.keys(KIND_VARIANT) == [("b",)]
+        assert store.keys(KIND_SHARD) == [("x",)]
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -212,9 +207,10 @@ class TestDiskLayer:
         assert ArtifactStore.attach(root).get(KIND_VARIANT, ("k",)) == "v2"
 
 
-#: Every artifact kind the pipeline persists — damage to any of them must
-#: degrade to a cache miss (builds are deterministic), never to an exception.
-ALL_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF)
+#: Every kind a tree may hold, the retired ones included — damage to any
+#: of them must degrade to a cache miss (builds are deterministic), never
+#: to an exception.
+ALL_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF, KIND_SHARD)
 
 
 class TestCorruptObjectDegradation:
@@ -266,21 +262,6 @@ class TestCorruptObjectDegradation:
             pickle.dump(envelope, fh)
         fresh = ArtifactStore.attach(tmp_store)
         assert fresh.get(kind, ("k", kind), default="absent") == "absent"
-
-    def test_damaged_diff_payloads_degrade_through_the_loaders(self, tmp_store):
-        """The typed diff-payload loaders reject shape damage as a miss."""
-        from repro.store.diff_payloads import (load_roster, load_unit,
-                                               load_whole, roster_key,
-                                               unit_key, whole_key)
-        from repro.store import KIND_DIFF as kind
-        store = ArtifactStore.attach(tmp_store)
-        pair_key = ("diff", ("tool", 1), ("base",), ("var",))
-        store.put(kind, roster_key(pair_key), {"units": "not-a-tuple"})
-        store.put(kind, unit_key(pair_key, "f"), {"ranked": "garbage"})
-        store.put(kind, whole_key(pair_key), {"matches": None})
-        assert load_roster(store, pair_key) is None
-        assert load_unit(store, pair_key, "f") is None
-        assert load_whole(store, pair_key) is None
 
 
 class TestGenerationLog:
@@ -402,44 +383,30 @@ class TestVariantCacheFacade:
         assert cache.get_or_build(("k",), lambda: "rebuilt") == "v"
 
 
-class TestFeaturePayloads:
-    def test_features_round_trip_and_warm_start(self, tmp_store):
-        root = tmp_store
-        store = ArtifactStore.attach(root)
-        workload = WORKLOADS[0]
-        artifact = build_variant(workload, "baseline")
-        key = variant_key(workload, "baseline")
+class TestRetiredPayloads:
+    """The ``features`` and ``diff`` helpers stay only as names the paper
+    benchmark's tracer wraps: they write nothing and always miss."""
 
-        index = feature_index(artifact.binary)
-        structural = index.structural_features()
-        callees = index.callees()
-        assert persist_features(store, key, artifact.binary) is not None
-        assert persist_features(store, key, artifact.binary) is None  # no-op
-
-        clear_index_cache()
-        fresh_artifact = build_variant(workload, "baseline")
-        fresh_store = ArtifactStore.attach(root)
-        adopted = warm_features(fresh_store, key, fresh_artifact.binary)
-        assert adopted >= 2
-        fresh_index = feature_index(fresh_artifact.binary)
-        # adopted features are served from the memo, not recomputed
-        boom = lambda: (_ for _ in ()).throw(AssertionError("recomputed"))
-        assert fresh_index.memo("structural", boom) == structural
-        assert fresh_index.memo("callees", boom) == callees
-
-    def test_adopt_never_overrides_local_entries(self):
-        artifact = build_variant(WORKLOADS[0], "baseline")
-        index = feature_index(artifact.binary)
-        local = index.structural_features()
-        adopted = index.adopt_payload({"structural": "bogus"})
-        assert adopted == 0
-        assert index.structural_features() == local
-
-    def test_warm_features_without_payload_is_noop(self, tmp_store):
+    def test_feature_payload_helpers_are_noops(self, tmp_store):
         store = ArtifactStore.attach(tmp_store)
         artifact = build_variant(WORKLOADS[0], "baseline")
-        assert warm_features(store, variant_key(WORKLOADS[0], "baseline"),
-                             artifact.binary) == 0
+        key = variant_key(WORKLOADS[0], "baseline")
+        assert feature_payloads.persist_features(store, key,
+                                                 artifact.binary) is None
+        assert feature_payloads.warm_features(store, key,
+                                              artifact.binary) == 0
+        assert store.entry_count(KIND_FEATURES) == 0
+
+    def test_diff_payload_helpers_are_noops(self, tmp_store):
+        store = ArtifactStore.attach(tmp_store)
+        pair = ("diff", ("tool", 1), ("base",), ("var",))
+        diff_payloads.persist_roster(store, pair, ("f",), "a", "b", 1, 1)
+        diff_payloads.persist_unit(store, pair, "f", [("g", 1.0)], {}, 1)
+        diff_payloads.persist_whole(store, pair, {"f": []}, 0.5, {"f": 1})
+        assert diff_payloads.load_roster(store, pair) is None
+        assert diff_payloads.load_unit(store, pair, "f") is None
+        assert diff_payloads.load_whole(store, pair) is None
+        assert store.entry_count(KIND_DIFF) == 0
 
 
 # -- concurrent access (two processes, one tree) --------------------------------------
@@ -667,9 +634,8 @@ class TestWarmReports:
                                            monkeypatch):
         """A report served from a warm tree is the cold run's report.
 
-        Checkpointing is off, so the warm run reads its variants, feature
-        and diff payloads from the tree instead of reviving whole
-        units from a run journal, and builds nothing.
+        Checkpointing is off, so the warm run reads its variants from the
+        tree instead of reviving whole units, and builds nothing.
         """
         monkeypatch.setenv("REPRO_CHECKPOINT", "off")
         run = FIGURE_RUNS[figure]
@@ -683,18 +649,18 @@ class TestWarmReports:
         assert warm_counts["disk_hits"] > 0
 
 
-def _paperbench_store_targets():
-    """The ``repro.store`` names in the paper benchmark's layer table."""
+def _paperbench_targets():
+    """The (module, attribute) of every entry in the paper benchmark's
+    layer table."""
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "paperbench", "layers.py")
     spec = importlib.util.spec_from_file_location("paperbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return [(module, attribute) for module, attribute, *_ in layers.TARGETS
-            if module.startswith("repro.store")]
+    return [(module, attribute) for module, attribute, *_ in layers.TARGETS]
 
 
-PAPERBENCH_STORE_TARGETS = _paperbench_store_targets()
+PAPERBENCH_TARGETS = _paperbench_targets()
 
 
 class TestPaperbenchNames:
@@ -703,9 +669,9 @@ class TestPaperbenchNames:
     breaks ``paperbench/run.py --trace 1``."""
 
     @pytest.mark.parametrize(
-        "module_name, attribute", PAPERBENCH_STORE_TARGETS,
+        "module_name, attribute", PAPERBENCH_TARGETS,
         ids=[f"{module.rsplit('.', 1)[-1]}.{attribute}"
-             for module, attribute in PAPERBENCH_STORE_TARGETS])
+             for module, attribute in PAPERBENCH_TARGETS])
     def test_wrapped_name_resolves(self, module_name, attribute):
         module = importlib.import_module(module_name)
         if "." in attribute:
