@@ -62,6 +62,12 @@ can diff the perf trajectory.  Tracked metrics:
 (a fresh subtree each); unset, temp directories are used.  It is taken out
 of the environment at start-up, so every reference run is storeless.
 
+Every ``measure_overhead`` call goes through :func:`overhead_run`, which
+first empties the process-wide variant-facts memo: otherwise every call
+after the first would read the cycles an earlier one measured, and the
+sections would time memo lookups instead of builds, cache hits and store
+reads.
+
 All workloads are deterministic (profile-seeded), so the only
 run-to-run variance is machine noise; every timing is a best-of-``reps``.
 ``--smoke`` is for CI: one rep, fewest programs, and a schema check on the
@@ -88,6 +94,7 @@ from repro.diffing.base import BinaryDiffer             # noqa: E402
 from repro.diffing.index import clear_index_cache       # noqa: E402
 from repro.evaluation.executor import reset_worker_cache  # noqa: E402
 from repro.evaluation.overhead import (build_variant,  # noqa: E402
+                                       clear_variant_facts,
                                        measure_overhead)
 from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
@@ -150,6 +157,14 @@ def best_of(fn: Callable[[], object], reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def overhead_run(programs, **kwargs):
+    """``measure_overhead`` with an empty facts memo, so every call builds
+    (or fetches) and runs its variants instead of reading the cycles an
+    earlier call of this process measured."""
+    clear_variant_facts()
+    return measure_overhead(programs, **kwargs)
 
 
 def bench_vm(programs, reps: int) -> Dict[str, object]:
@@ -216,7 +231,7 @@ def bench_fig6_end_to_end(programs, reps: int) -> Dict[str, object]:
     def loop(dispatch: str):
         os.environ["REPRO_VM_DISPATCH"] = dispatch
         try:
-            measure_overhead(programs, labels=MEASURE_LABELS, cache=cache)
+            overhead_run(programs, labels=MEASURE_LABELS, cache=cache)
         finally:
             os.environ.pop("REPRO_VM_DISPATCH", None)
 
@@ -246,10 +261,10 @@ def bench_variant_cache(programs, reps: int) -> Dict[str, object]:
     cache = VariantCache()
     gc.collect()
     start = time.perf_counter()
-    measure_overhead(programs, labels=MEASURE_LABELS, cache=cache)
+    overhead_run(programs, labels=MEASURE_LABELS, cache=cache)
     cold_s = time.perf_counter() - start
     warm_s = best_of(
-        lambda: measure_overhead(programs, labels=MEASURE_LABELS, cache=cache),
+        lambda: overhead_run(programs, labels=MEASURE_LABELS, cache=cache),
         reps)
 
     # figure-8 style: precision over the same workload/label matrix must
@@ -357,16 +372,16 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
     run resumes from another's journal.
     """
     labels = MEASURE_LABELS
-    reference = measure_overhead(programs, labels=labels, jobs=1)
+    reference = overhead_run(programs, labels=labels, jobs=1)
     serial_s = best_of(
-        lambda: measure_overhead(programs, labels=labels, jobs=1), reps)
+        lambda: overhead_run(programs, labels=labels, jobs=1), reps)
 
     with store_tree("fig67", REPRO_CHECKPOINT="off") as store_root:
         cold_cache = VariantCache(store=ArtifactStore.attach(store_root))
         gc.collect()
         start = time.perf_counter()
-        cold_report = measure_overhead(programs, labels=labels,
-                                       cache=cold_cache)
+        cold_report = overhead_run(programs, labels=labels,
+                                   cache=cold_cache)
         cold_attach_s = time.perf_counter() - start
         cold_stats = cold_cache.store_stats()
 
@@ -374,8 +389,7 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
         warm_rows: List = []
 
         def warm_run():
-            report = measure_overhead(programs, labels=labels,
-                                      cache=warm_cache)
+            report = overhead_run(programs, labels=labels, cache=warm_cache)
             if not warm_rows:
                 # the first warm run is the one whose artifacts crossed the
                 # disk-unpickle read path; its rows feed the identity check
@@ -391,7 +405,7 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
         reset_worker_cache()
         gc.collect()
         start = time.perf_counter()
-        sharded = measure_overhead(programs, labels=labels, jobs=2)
+        sharded = overhead_run(programs, labels=labels, jobs=2)
         jobs2_s = time.perf_counter() - start
         objects_after = ArtifactStore.attach(store_root).entry_count(
             KIND_VARIANT)

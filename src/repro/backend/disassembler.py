@@ -2,9 +2,10 @@
 
 The paper disassembles every binary, builds a per-binary histogram of opcodes
 and reports the (normalised) vector distance between the original and the
-obfuscated binary.  :func:`opcode_histogram` and
-:func:`opcode_histogram_distance` reproduce that computation over
-:class:`~repro.backend.binary.Binary` objects.
+obfuscated binary.  :func:`opcode_histogram` builds a histogram from a
+:class:`~repro.backend.binary.Binary`; :func:`opcode_histogram_distance`
+compares two binaries and :func:`normalised_distances` normalises the
+distances of several histograms to one original's.
 """
 
 from __future__ import annotations
@@ -31,24 +32,31 @@ def function_opcode_histogram(function: BinaryFunction) -> Dict[str, int]:
     return dict(counter)
 
 
-def opcode_histogram_distance(a: Binary, b: Binary) -> float:
-    """Euclidean distance between the two opcode histograms."""
-    hist_a = opcode_histogram(a)
-    hist_b = opcode_histogram(b)
+def _histogram_distance(hist_a: Dict[str, int],
+                        hist_b: Dict[str, int]) -> float:
+    """Euclidean distance between two opcode histograms."""
     keys = set(hist_a) | set(hist_b)
     return math.sqrt(sum((hist_a.get(k, 0) - hist_b.get(k, 0)) ** 2
                          for k in keys))
 
 
-def normalised_distances(original: Binary,
-                         obfuscated: Dict[str, Binary]) -> Dict[str, float]:
-    """Distance of each obfuscated binary to the original, normalised by the max.
+def opcode_histogram_distance(a: Binary, b: Binary) -> float:
+    """Euclidean distance between the two binaries' opcode histograms."""
+    return _histogram_distance(opcode_histogram(a), opcode_histogram(b))
 
-    Mirrors the paper's normalisation: "we used the max distance of all
-    obfuscated programs as the baseline to normalize these distances".
+
+def normalised_distances(original: Dict[str, int],
+                         obfuscated: Dict[str, Dict[str, int]]
+                         ) -> Dict[str, float]:
+    """Distance of each obfuscated histogram to the original's, normalised
+    by the max.
+
+    Takes :func:`opcode_histogram` results.  Mirrors the paper's
+    normalisation: "we used the max distance of all obfuscated programs as
+    the baseline to normalize these distances".
     """
-    raw = {label: opcode_histogram_distance(original, binary)
-           for label, binary in obfuscated.items()}
+    raw = {label: _histogram_distance(original, histogram)
+           for label, histogram in obfuscated.items()}
     maximum = max(raw.values()) if raw else 0.0
     if maximum <= 0.0:
         return {label: 0.0 for label in raw}

@@ -1,7 +1,8 @@
 """Experiment drivers: one per table / figure of the paper's evaluation."""
 
-from .overhead import (OverheadReport, OverheadRow, ShardBatch, figure6,
-                       figure7, measure_overhead, shard_overhead_matrix)
+from .overhead import (OverheadReport, OverheadRow, SemanticsMismatch,
+                       clear_variant_facts, figure6, figure7,
+                       measure_overhead, shard_overhead_matrix)
 from .precision import PrecisionReport, PrecisionRow, figure8, measure_precision
 from .escape import (ESCAPE_LABELS, ESCAPE_RANKS, EscapeReport, EscapeRow,
                      MissingVulnerableFunction, figure10, measure_escape)
@@ -19,6 +20,7 @@ from .diff_sharding import shard_diff_matrix
 
 __all__ = [
     "OverheadReport", "OverheadRow", "figure6", "figure7", "measure_overhead",
+    "SemanticsMismatch", "clear_variant_facts",
     "PrecisionReport", "PrecisionRow", "figure8", "measure_precision",
     "ESCAPE_LABELS", "ESCAPE_RANKS", "EscapeReport", "EscapeRow", "figure10",
     "measure_escape", "MissingVulnerableFunction", "BinTunerReport",
@@ -31,5 +33,5 @@ __all__ = [
     "resolve_task_retries", "resolve_task_timeout", "run_tasks",
     "worker_cache", "worker_cache_events",
     "RunManifest", "checkpoint_enabled", "run_checkpointed", "run_id",
-    "ShardBatch", "shard_overhead_matrix", "shard_diff_matrix",
+    "shard_overhead_matrix", "shard_diff_matrix",
 ]

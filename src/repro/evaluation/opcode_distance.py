@@ -5,6 +5,13 @@ reports, per program, the vector distance between the original and each
 obfuscated binary, normalised by the largest distance observed for that
 program.  FuFi.all is expected to have the largest distance, followed by
 FuFi.sep and FuFi.ori.
+
+The histograms of the baseline and of every label but BinTuner come from
+the facts memo of :mod:`repro.evaluation.overhead`, which builds each
+variant through :func:`~repro.evaluation.overhead.build_variant` only when
+no earlier experiment in this process (figures 6 and 7 share the variants)
+has built it.  BinTuner's label is a tuning result, not a variant key: it is
+tuned afresh on every call.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..backend.disassembler import normalised_distances
+from ..backend.disassembler import normalised_distances, opcode_histogram
 from ..baselines.bintuner import BinTuner
 from ..opt.pass_manager import OptOptions
-from ..toolchain import build_baseline, build_obfuscated, obfuscator_for
 from ..workloads.suites import WorkloadProgram, spec2006_programs, spec2017_programs
+from .overhead import _variant_facts
 
 DISTANCE_LABELS = ("sub", "bog", "fla-10", "bintuner", "fission", "fusion",
                    "fufi.sep", "fufi.ori", "fufi.all")
@@ -49,17 +56,18 @@ def measure_opcode_distance(workloads: Sequence[WorkloadProgram],
                             tuner_iterations: int = 4) -> DistanceReport:
     report = DistanceReport()
     for workload in workloads:
-        baseline = build_baseline(workload.build(), options)
+        baseline = _variant_facts(workload, "baseline", options).histogram
         obfuscated = {}
         for label in labels:
             if label == "bintuner":
                 tuner = BinTuner(iterations=tuner_iterations)
-                obfuscated[label] = tuner.tune(workload.build()).best_binary
+                obfuscated[label] = opcode_histogram(
+                    tuner.tune(workload.build()).best_binary)
             else:
-                obfuscated[label] = build_obfuscated(
-                    workload.build(), obfuscator_for(label), options).binary
+                obfuscated[label] = _variant_facts(workload, label,
+                                                   options).histogram
         report.distances[workload.name] = normalised_distances(
-            baseline.binary, obfuscated)
+            baseline, obfuscated)
     return report
 
 

@@ -6,17 +6,27 @@ the O-LLVM baselines (Sub, Bog, Fla, Fla-10).  Here "runtime" is the dynamic
 cycle count of the interpreter (see DESIGN.md for the substitution), so the
 columns are directly comparable between baseline and obfuscated builds.
 
-The matrix runs as one unit per workload (:func:`shard_overhead_matrix`),
-each unit measuring its baseline and every label through a
-:class:`ShardBatch`, on the engine every figure shares
-(:func:`~repro.evaluation.checkpoint.run_matrix`).
+The matrix runs as one unit per workload (:func:`shard_overhead_matrix`) on
+the engine every figure shares (:func:`~repro.evaluation.checkpoint.run_matrix`).
+A unit reads its baseline's and every label's cycles through the process-wide
+*facts memo*: for each :func:`~repro.core.variant_cache.variant_key` it keeps
+what the figures read off that variant — its opcode histogram and, once it
+has run, its cycles and observable output — but never its IR or binary.  A
+unit builds a variant (through its cache) and runs it in the VM only when
+the memo lacks it or holds only its histogram, so figures 6, 7 and 11 in one
+process build and run each distinct variant once.  The memo grows only with
+the number of distinct keys, forked children start with it empty, and
+:func:`clear_variant_facts` empties it.  Every unit checks that each label
+prints what its baseline prints (:class:`SemanticsMismatch`).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..backend.disassembler import opcode_histogram
 from ..core.variant_cache import VariantCache, variant_key
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -25,7 +35,6 @@ from ..toolchain import (KHAOS_LABELS, build_baseline, build_obfuscated,
                          obfuscator_for)
 from ..utils import geometric_mean
 from ..vm.batch import VMBatch
-from ..vm.machine import ExecutionResult
 from ..workloads.suites import WorkloadProgram, spec2006_programs, spec2017_programs
 from .checkpoint import run_matrix
 from .executor import worker_cache
@@ -75,16 +84,29 @@ class OverheadReport:
         return geometric_mean(values) * 100.0
 
 
-def build_variant(workload: WorkloadProgram, label: str,
-                  options: Optional[OptOptions] = None,
-                  cache: Optional[VariantCache] = None):
-    """Build one variant of ``workload``, through ``cache`` when given.
+class SemanticsMismatch(RuntimeError):
+    """A variant's observable output differs from its baseline's: the
+    obfuscation changed what the program computes, so its overhead would
+    measure a different program."""
 
-    ``label`` is either ``"baseline"`` or an obfuscation label understood by
-    :func:`~repro.toolchain.obfuscator_for`.  Builds are deterministic, so a
-    cached artifact is bit-identical to a fresh build; cached artifacts are
-    shared and must not be mutated (execute / diff / read only).
-    """
+    def __init__(self, workload: str, label: str, baseline: object,
+                 variant: object):
+        super().__init__(f"{workload}: the {label!r} variant prints "
+                         f"{variant!r}, its baseline {baseline!r}")
+        self.workload = workload
+        self.label = label
+        self.baseline = baseline
+        self.variant = variant
+
+    def __reduce__(self):
+        # rebuilt from the fields, not ``args``, when a worker raises it
+        return (type(self),
+                (self.workload, self.label, self.baseline, self.variant))
+
+
+def _recipe(workload: WorkloadProgram, label: str,
+            options: Optional[OptOptions]) -> Tuple[Tuple, Callable[[], object]]:
+    """The variant key of ``(workload, label, options)`` and its builder."""
     if label == "baseline":
         key_source = "baseline"
         builder = lambda: build_baseline(workload.build(), options)  # noqa: E731
@@ -102,10 +124,74 @@ def build_variant(workload: WorkloadProgram, label: str,
         obs_metrics.counter("build.variants")
         return artifact
 
+    return variant_key(workload, key_source, options), traced_builder
+
+
+def build_variant(workload: WorkloadProgram, label: str,
+                  options: Optional[OptOptions] = None,
+                  cache: Optional[VariantCache] = None):
+    """Build one variant of ``workload``, through ``cache`` when given.
+
+    ``label`` is either ``"baseline"`` or an obfuscation label understood by
+    :func:`~repro.toolchain.obfuscator_for`.  Builds are deterministic, so a
+    cached artifact is bit-identical to a fresh build; cached artifacts are
+    shared and must not be mutated (execute / diff / read only).
+    """
+    key, builder = _recipe(workload, label, options)
     if cache is None:
-        return traced_builder()
-    return cache.get_or_build(variant_key(workload, key_source, options),
-                              traced_builder)
+        return builder()
+    return cache.get_or_build(key, builder)
+
+
+@dataclass
+class _Facts:
+    """What the figures read off one variant: never its IR or binary."""
+
+    histogram: Dict[str, int]
+    cycles: Optional[int] = None
+    observable: Optional[Tuple] = None
+
+
+#: Variant key -> facts, for every variant this process has built.
+_FACTS: Dict[Tuple, _Facts] = {}
+
+
+def clear_variant_facts() -> None:
+    """Forget every variant's facts, so the next figure builds (and runs)
+    its variants again — for tests and benchmarks that exercise a cache or
+    a store, or time builds."""
+    _FACTS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    # a pool worker measures its units itself, never from its parent's memo
+    os.register_at_fork(after_in_child=clear_variant_facts)
+
+
+def _variant_facts(workload: WorkloadProgram, label: str,
+                   options: Optional[OptOptions] = None,
+                   cache: Optional[VariantCache] = None,
+                   run: bool = False) -> _Facts:
+    """The memoised facts of one variant; with ``run``, its cycles too.
+
+    Builds the variant (through ``cache`` when given) only when the memo
+    lacks it or, with ``run``, holds only its histogram; the memo keeps
+    nothing of the artifact itself.
+    """
+    key, builder = _recipe(workload, label, options)
+    facts = _FACTS.get(key)
+    if facts is not None and (not run or facts.cycles is not None):
+        return facts
+    artifact = builder() if cache is None else cache.get_or_build(key, builder)
+    if facts is None:
+        facts = _FACTS[key] = _Facts(opcode_histogram(artifact.binary))
+    if run:
+        with obs_tracing.span("vm.measure", cat="measure",
+                              workload=workload.name, label=label):
+            result = VMBatch().run(artifact.program)
+        facts.cycles = result.cycles
+        facts.observable = result.observable()
+    return facts
 
 
 #: One unit of the matrix: a workload with its full label row.
@@ -125,46 +211,26 @@ def shard_overhead_matrix(workloads: Sequence[WorkloadProgram],
     return [(workload, tuple(labels), options) for workload in workloads]
 
 
-class ShardBatch:
-    """One unit's VM measurements against one cache.
-
-    Builds go through ``cache`` and every execution routes through
-    :meth:`VMBatch.run_many`: one interpreter per variant, one run with no
-    inputs — what the figures measure.
-    """
-
-    def __init__(self, workload: WorkloadProgram,
-                 options: Optional[OptOptions], cache):
-        self.workload = workload
-        self.options = options
-        self.cache = cache
-        self.vm = VMBatch()
-
-    def execute(self, label: str) -> ExecutionResult:
-        """Build (or fetch) the ``label`` variant and run it once."""
-        artifact = build_variant(self.workload, label, self.options,
-                                 self.cache)
-        with obs_tracing.span("vm.measure", cat="measure",
-                              workload=self.workload.name, label=label):
-            return self.vm.run(artifact.program)
-
-    def rows(self, labels: Sequence[str]) -> List[OverheadRow]:
-        baseline_cycles = self.execute("baseline").cycles
-        return [OverheadRow(program=self.workload.name,
-                            suite=self.workload.suite, label=label,
-                            baseline_cycles=baseline_cycles,
-                            cycles=self.execute(label).cycles)
-                for label in labels]
-
-
 def _overhead_shard(shard: OverheadShard, cache=None) -> List[OverheadRow]:
     """One workload's rows (the engine's unit function)."""
     workload, labels, options = shard
+    if cache is None:
+        cache = worker_cache()
     with obs_tracing.span("shard.fig67", cat="measure",
                           workload=workload.name, labels=len(labels)):
-        batch = ShardBatch(workload, options,
-                           cache if cache is not None else worker_cache())
-        return batch.rows(labels)
+        baseline = _variant_facts(workload, "baseline", options, cache,
+                                  run=True)
+        rows = []
+        for label in labels:
+            facts = _variant_facts(workload, label, options, cache, run=True)
+            if facts.observable != baseline.observable:
+                raise SemanticsMismatch(workload.name, label,
+                                        baseline.observable,
+                                        facts.observable)
+            rows.append(OverheadRow(
+                program=workload.name, suite=workload.suite, label=label,
+                baseline_cycles=baseline.cycles, cycles=facts.cycles))
+        return rows
 
 
 def measure_overhead(workloads: Sequence[WorkloadProgram],
@@ -174,13 +240,18 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
                      jobs: Optional[int] = None) -> OverheadReport:
     """Run every workload under the baseline and each obfuscation label.
 
-    Passing a :class:`~repro.core.variant_cache.VariantCache` skips the build
-    phase (obfuscate → optimize → lower) for variants already built by an
-    earlier experiment; the VM measurement still executes every variant.
-    Without one, an in-process run holds at most two variants (the baseline
-    and the label being measured).  ``jobs > 1`` (or ``REPRO_JOBS``) fans
-    the units across worker processes; rows are identical either way (see
-    :func:`~repro.evaluation.checkpoint.run_matrix`).
+    A variant whose cycles this process already measured (figures 6 and 7
+    share theirs) is neither built nor run again: its row comes from the
+    facts memo (module docstring).  Every other variant is built — through
+    ``cache`` when given, so variants built by an earlier experiment skip
+    obfuscate → optimize → lower — and executed once.  Without a cache, an
+    in-process run holds at most two variants (the baseline and the label
+    being measured).  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units
+    across worker processes, which start with an empty memo; rows are
+    identical either way (see
+    :func:`~repro.evaluation.checkpoint.run_matrix`).  Raises
+    :class:`SemanticsMismatch` when a variant prints something other than
+    its baseline.
     """
     shards = shard_overhead_matrix(workloads, labels, options)
     keys = [("fig67shard", variant_key(workload, "baseline", options),

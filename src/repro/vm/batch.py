@@ -1,14 +1,14 @@
 """Batched VM measurement: one interpreter per program per input batch.
 
 The overhead experiments (Figures 6/7) execute every built variant in the
-interpreter to collect dynamic cycle counts.  :class:`VMBatch` is the
-measurement unit the figure-6/7 matrix (:mod:`repro.evaluation.overhead`)
-hands each of its units.  Every execution goes through
-:meth:`VMBatch.run_many`: one :class:`~repro.vm.machine.Interpreter` drives
-all of a program's input vectors through one compiled-block cache,
-resetting per input — so interpreter setup and block compilation are
-amortised across the whole batch instead of paid per run.  Nothing is kept
-between calls: a unit executes each of its variants exactly once, so the
+interpreter to collect dynamic cycle counts.  The figure-6/7 units
+(:mod:`repro.evaluation.overhead`) run each variant whose cycles their
+process has not measured yet through a :class:`VMBatch`.  Every execution
+goes through :meth:`VMBatch.run_many`: one
+:class:`~repro.vm.machine.Interpreter` drives all of a program's input
+vectors through one compiled-block cache, resetting per input — so
+interpreter setup and block compilation are amortised across the whole
+batch instead of paid per run.  Nothing is kept between calls, so the
 batch holds no program longer than its run.
 """
 

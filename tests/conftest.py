@@ -1,4 +1,5 @@
-"""Shared fixtures: small hand-built programs and a fresh shared store."""
+"""Shared fixtures: small hand-built programs, a fresh shared store and an
+empty variant-facts memo around every test."""
 
 from __future__ import annotations
 
@@ -6,6 +7,20 @@ import pytest
 
 from repro.ir import (FunctionType, IRBuilder, Module, PointerType, Program,
                       assert_valid, create_function, I64)
+
+
+@pytest.fixture(autouse=True)
+def fresh_variant_facts():
+    """Every test starts and ends with an empty variant-facts memo.
+
+    The memo is process-wide, so without this a test would read the cycles
+    and histograms an earlier test measured and never build or run a
+    variant — just as ``tmp_store`` resets the worker cache.
+    """
+    from repro.evaluation import clear_variant_facts
+    clear_variant_facts()
+    yield
+    clear_variant_facts()
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Reference implementations for differential tests.
 
-Each figure 6–10 oracle computes a report cell by cell the plain way —
+Each figure 6–11 oracle computes a report cell by cell the plain way —
 build, execute or diff the whole binary pair, read the answer — with no
-units, no cache, no executor and no store, so it is unaffected by
-``REPRO_STORE_DIR``, ``REPRO_JOBS`` or a journal.  The ``measure_*`` drivers
-must reproduce these reports row for row.
+units, no cache, no facts memo, no executor and no store, so it is
+unaffected by ``REPRO_STORE_DIR``, ``REPRO_JOBS``, a journal or what an
+earlier experiment measured.  The ``measure_*`` drivers must reproduce
+these reports row for row.
 
 :class:`FixedPointSimplifyCFG` is the reference semantics of the
 incremental :class:`~repro.opt.simplify_cfg.SimplifyCFG`.
@@ -15,18 +16,21 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.manager import AnalysisManager
+from repro.backend.disassembler import normalised_distances, opcode_histogram
 from repro.baselines.bintuner import BinTuner
 from repro.diffing import all_differs, precision_at_1
 from repro.diffing.bindiff import BinDiff
 from repro.evaluation.bintuner_compare import (OPT_LEVELS, BinTunerReport,
                                                SimilarityRow)
 from repro.evaluation.escape import EscapeReport, EscapeRow, escape_differs
+from repro.evaluation.opcode_distance import DISTANCE_LABELS, DistanceReport
 from repro.evaluation.overhead import OverheadReport, OverheadRow, build_variant
 from repro.evaluation.precision import PrecisionReport, PrecisionRow
 from repro.ir.instructions import Branch
 from repro.opt.pass_manager import OptOptions
 from repro.opt.pipelines import optimize_program
 from repro.opt.simplify_cfg import SimplifyCFG, _retarget_terminator
+from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
 from repro.utils import geometric_mean
 from repro.vm.machine import run_program
 
@@ -117,6 +121,29 @@ def bintuner(workloads, tuner_iterations: int) -> BinTunerReport:
             workload.build(), tuned.best_options)).cycles
         overheads.append((tuned_cycles - base) / base)
     report.bintuner_overhead_percent = geometric_mean(overheads) * 100.0
+    return report
+
+
+def opcode_distance(workloads, labels: Sequence[str] = DISTANCE_LABELS,
+                    options: Optional[OptOptions] = None,
+                    tuner_iterations: int = 4) -> DistanceReport:
+    """Figure 11: every binary built afresh, its opcode histogram's distance
+    to the baseline's, normalised per program."""
+    report = DistanceReport()
+    for workload in workloads:
+        baseline = build_baseline(workload.build(), options)
+        obfuscated = {}
+        for label in labels:
+            if label == "bintuner":
+                tuner = BinTuner(iterations=tuner_iterations)
+                binary = tuner.tune(workload.build()).best_binary
+            else:
+                binary = build_obfuscated(workload.build(),
+                                          obfuscator_for(label),
+                                          options).binary
+            obfuscated[label] = opcode_histogram(binary)
+        report.distances[workload.name] = normalised_distances(
+            opcode_histogram(baseline.binary), obfuscated)
     return report
 
 

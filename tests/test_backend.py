@@ -114,7 +114,9 @@ class TestHistograms:
     def test_normalised_distances_max_is_one(self, demo_program):
         o0 = lower_program(demo_program)
         o2 = lower_program(optimize_program(demo_program))
-        distances = normalised_distances(o0, {"same": o0, "opt": o2})
+        distances = normalised_distances(
+            opcode_histogram(o0), {"same": opcode_histogram(o0),
+                                   "opt": opcode_histogram(o2)})
         assert distances["opt"] == pytest.approx(1.0)
         assert distances["same"] == pytest.approx(0.0)
 

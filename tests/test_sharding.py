@@ -4,12 +4,14 @@ The overhead matrices are pure functions of seeded inputs; running their
 units across processes must reproduce the in-process reports exactly (same
 rows, same order, same cycle counts), both must equal the plain per-cell
 oracle, and workers attached to a warm shared store must rebuild nothing.
+A rerun in one process reads the facts memo, so the tests that rerun a
+matrix in process to exercise a path clear it first.
 """
 
 
 from repro.core.variant_cache import VariantCache
-from repro.evaluation import (ShardBatch, figure6, figure7, measure_overhead,
-                              shard_overhead_matrix)
+from repro.evaluation import (clear_variant_facts, figure6, figure7,
+                              measure_overhead, shard_overhead_matrix)
 from repro.obs.metrics import counted
 from repro.store import KIND_VARIANT, ArtifactStore
 from repro.workloads.suites import spec2006_programs
@@ -36,21 +38,18 @@ class TestDeterministicPartitioning:
                 == shard_overhead_matrix(WORKLOADS, LABELS))
 
 
-class TestShardBatch:
+class TestUnitExecutions:
     def test_one_vm_execution_per_distinct_variant(self):
-        batch = ShardBatch(WORKLOADS[0], None, VariantCache())
-        rows = batch.rows(LABELS)
-        assert len(rows) == len(LABELS)
+        with counted("vmbatch") as first:
+            report = measure_overhead(WORKLOADS[:1], labels=LABELS)
+        assert len(report.rows) == len(LABELS)
         # one VM execution per variant: baseline + each label
-        assert batch.vm.executions == len(LABELS) + 1
-        # nothing is memoised: measuring a label again executes it again
-        batch.execute(LABELS[0])
-        assert batch.vm.executions == len(LABELS) + 2
-
-    def test_rows_match_serial_driver(self):
-        batch = ShardBatch(WORKLOADS[0], None, VariantCache())
-        assert batch.rows(LABELS) == \
-            oracles.overhead(WORKLOADS[:1], LABELS).rows
+        assert first["executions"] == len(LABELS) + 1
+        # the facts memo holds every cycle count: a second call runs nothing
+        with counted("vmbatch") as second:
+            again = measure_overhead(WORKLOADS[:1], labels=LABELS)
+        assert second["executions"] == 0
+        assert again.rows == report.rows
 
 
 class TestShardedBitIdentity:
@@ -75,11 +74,14 @@ class TestShardedBitIdentity:
 
     def test_figure7_jobs2_equals_serial(self):
         serial = figure7(limit=1)
+        # one unit runs in process even at jobs=2: measure it again
+        clear_variant_facts()
         parallel = figure7(limit=1, jobs=2)
         assert serial.rows == parallel.rows
 
     def test_overhead_respects_repro_jobs_env(self, monkeypatch):
         serial = measure_overhead(WORKLOADS[:1], labels=LABELS)
+        clear_variant_facts()
         monkeypatch.setenv("REPRO_JOBS", "2")
         parallel = measure_overhead(WORKLOADS[:1], labels=LABELS)
         assert serial.rows == parallel.rows
@@ -91,8 +93,22 @@ class TestShardedBitIdentity:
         measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cache)
         assert cache.misses > 0           # the explicit cache was used
         hits_before = cache.hits
+        clear_variant_facts()             # or the rerun never reaches it
         measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cache)
         assert cache.hits > hits_before   # ...and hit on the rerun
+
+    def test_jobs2_workers_rebuild_what_the_parent_measured(
+            self, tmp_store, monkeypatch):
+        """Forked workers start with an empty facts memo: after a serial
+        run has measured every variant in this process, a jobs=2 run still
+        builds (and persists to a fresh tree) every variant of its units."""
+        monkeypatch.delenv("REPRO_STORE_DIR")
+        serial = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
+        monkeypatch.setenv("REPRO_STORE_DIR", tmp_store)
+        parallel = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
+        assert parallel.rows == serial.rows
+        assert ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT) \
+            == len(WORKLOADS) * (len(LABELS) + 1)
 
 
 class TestSharedStoreReuse:

@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.variant_cache import VariantCache, variant_key
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
+from repro.evaluation import clear_variant_facts
 from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.escape import measure_escape
 from repro.evaluation.overhead import build_variant, measure_overhead
@@ -352,6 +353,7 @@ class TestVariantCacheFacade:
         assert built == len(WORKLOADS) * (len(LABELS) + 1)
 
         warm = VariantCache(store=ArtifactStore.attach(root))
+        clear_variant_facts()           # or the replay never reaches the tree
         replay = measure_overhead(WORKLOADS, labels=LABELS, cache=warm)
         assert warm.misses == 0                      # zero rebuilds
         assert warm.hits == built
@@ -642,6 +644,7 @@ class TestWarmReports:
         with counted("store") as cold_counts:
             cold = run()
         assert cold_counts["puts"] > 0
+        clear_variant_facts()  # figs 6/7 would answer from the memo
         with counted("store") as warm_counts:
             warm = run()
         assert warm == cold

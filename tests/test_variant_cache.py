@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.variant_cache import VariantCache, config_cache_key, variant_key
-from repro.evaluation.overhead import build_variant, measure_overhead
+from repro.evaluation.overhead import (build_variant, clear_variant_facts,
+                                       measure_overhead)
 from repro.evaluation.precision import measure_precision
 from repro.opt.pass_manager import OptOptions
 from repro.toolchain import obfuscator_for
@@ -126,11 +127,14 @@ class TestEvaluationWiring:
     def test_measure_overhead_report_identical_with_cache(self):
         cache = VariantCache()
         with_cache = measure_overhead(WORKLOADS, labels=LABELS, cache=cache)
+        # each rerun would otherwise answer from the facts memo
+        clear_variant_facts()
         without = measure_overhead(WORKLOADS, labels=LABELS)
         assert _overhead_rows(with_cache) == _overhead_rows(without)
         assert cache.misses == len(WORKLOADS) * (len(LABELS) + 1)
         assert cache.hits == 0
 
+        clear_variant_facts()
         rerun = measure_overhead(WORKLOADS, labels=LABELS, cache=cache)
         assert _overhead_rows(rerun) == _overhead_rows(without)
         assert cache.hits == len(WORKLOADS) * (len(LABELS) + 1)
