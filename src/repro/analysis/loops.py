@@ -82,7 +82,7 @@ class LoopInfo:
                           if other is not loop and loop.header in other.blocks
                           and loop.blocks <= other.blocks]
             if candidates:
-                parent = min(candidates, key=lambda l: len(l.blocks))
+                parent = min(candidates, key=lambda other: len(other.blocks))
                 loop.parent = parent
                 parent.children.append(loop)
 
@@ -96,7 +96,7 @@ class LoopInfo:
         loops = self._block_to_loops.get(block)
         if not loops:
             return None
-        return min(loops, key=lambda l: len(l.blocks))
+        return min(loops, key=lambda loop: len(loop.blocks))
 
     def loop_depth(self, block: BasicBlock) -> int:
         loop = self.innermost_loop(block)
@@ -106,4 +106,4 @@ class LoopInfo:
         return bool(self._block_to_loops.get(block))
 
     def top_level_loops(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
+        return [loop for loop in self.loops if loop.parent is None]

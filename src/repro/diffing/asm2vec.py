@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 from ..backend.binary import Binary, BinaryFunction
 from ..utils import stable_hash
 from .base import MATCH_CHANNEL, BinaryDiffer, ToolInfo
-from .features import (EMBEDDING_DIM, NormalizedVector, add_scaled,
-                       embed_block, vector_similarity)
+from .features import (EMBEDDING_DIM, NormalizedVector, embed_block,
+                       vector_similarity, weighted_sum)
 from .index import FeatureIndex
 
 
@@ -64,17 +64,19 @@ class Asm2Vec(BinaryDiffer):
                     for block in function.blocks}
         rng = random.Random(stable_hash("asm2vec", function.name,
                                         function.instruction_count))
-        embedding = [0.0] * self.dim
         # lexical term: every block contributes once
-        for block in function.blocks:
-            add_scaled(embedding, bags[block.label], 1.0)
+        vectors = [bags[block.label] for block in function.blocks]
+        lexical = len(vectors)
         # random-walk term: emphasises tokens on frequently-walked paths
         # (accumulated from the per-block bags rather than re-embedding the
         # walked token stream — the walked blocks' tokens all land at 0.5)
         for _ in range(self.walks):
-            for label in self._random_walk_labels(function, rng):
-                add_scaled(embedding, bags[label], 0.5)
-        return embedding
+            vectors.extend(bags[label]
+                           for label in self._random_walk_labels(function, rng))
+        if not vectors:
+            return [0.0] * self.dim
+        return weighted_sum(vectors, [1.0] * lexical
+                            + [0.5] * (len(vectors) - lexical))
 
     def _embeddings(self, binary: Binary,
                     index: Optional[FeatureIndex]) -> Dict[str, NormalizedVector]:

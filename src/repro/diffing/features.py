@@ -8,16 +8,23 @@ embeddings with program-wide context (DeepBinDiff).  This module provides the
 shared building blocks: token streams, hashed embedding vectors (deterministic
 random projections — no training required), per-block numeric features and
 neighbourhood aggregation over the CFG.
+
+Weighted vector sums go through :func:`weighted_sum`, which is bit-identical
+to adding one scaled vector at a time but sums long lists column by column
+inside ``sum()``.  Operand shapes are derived once per distinct operand
+tuple (:func:`operand_shapes`), and the embedding caches key on instruction
+shapes, so one cached vector serves every instruction of a shape.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from operator import add, mul
+from itertools import repeat
+from operator import mul, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..backend.binary import Binary, BinaryFunction
+from ..backend.binary import BinaryFunction
 from ..backend.isa import MachineBlock, MachineInstruction, instruction_category
 from ..utils import stable_hash
 
@@ -38,6 +45,21 @@ def operand_shape(operand: str) -> str:
     return "reg"
 
 
+#: operand tuple -> its operand shapes.  A binary repeats a few hundred
+#: distinct operand tuples over tens of thousands of instructions, so each
+#: tuple's shapes are derived once per process, not once per instruction
+#: for every cache that keys on them.
+_OPERAND_SHAPES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+def operand_shapes(operands: Tuple[str, ...]) -> Tuple[str, ...]:
+    """:func:`operand_shape` of every operand, interned by operand tuple."""
+    shapes = _OPERAND_SHAPES.get(operands)
+    if shapes is None:
+        shapes = _OPERAND_SHAPES[operands] = tuple(map(operand_shape, operands))
+    return shapes
+
+
 def instruction_tokens(inst: MachineInstruction) -> List[str]:
     """Tokens for one instruction.
 
@@ -49,7 +71,7 @@ def instruction_tokens(inst: MachineInstruction) -> List[str]:
     """
     category = instruction_category(inst.opcode)
     tokens = [category, f"op.{inst.opcode}"]
-    tokens.extend(f"{category}.{operand_shape(op)}" for op in inst.operands)
+    tokens.extend(f"{category}.{shape}" for shape in operand_shapes(inst.operands))
     if inst.call_target is not None:
         tokens.append("call.direct")
     return tokens
@@ -112,16 +134,39 @@ def embed_tokens(tokens: Sequence[str], dim: int = EMBEDDING_DIM,
     return [sum(components) for components in zip(*vectors)]
 
 
-def add_scaled(target: List[float], source: Sequence[float], scale: float) -> None:
-    if len(target) != len(source):
-        # zip/map would silently stop at the shorter operand and shrink the
-        # target; a dimension mismatch must fail loudly instead
-        raise ValueError(f"dimension mismatch: {len(target)} vs {len(source)}")
-    if scale == 1.0:
-        # t + 1.0 * s == t + s bitwise; map(add, ...) runs at C speed
-        target[:] = map(add, target, source)
-    else:
-        target[:] = [t + scale * s for t, s in zip(target, source)]
+#: From this many vectors on, column sums beat folding row by row.
+_COLUMN_SUM_MIN = 8
+
+
+def weighted_sum(vectors: Sequence[Sequence[float]], weights: Sequence[float],
+                 start: Optional[Sequence[float]] = None) -> List[float]:
+    """``start + Σ weights[i] · vectors[i]``, bit-identical to a plain fold.
+
+    The fold adds ``w·s`` into a zero vector (or a copy of ``start``) one
+    vector at a time.  From :data:`_COLUMN_SUM_MIN` vectors on, each
+    component is instead one ``sum()`` over its column's products in vector
+    order: the additions run in C and in the fold's order, ``sum()`` starts
+    from 0 as the fold starts from ``0.0``, and a ``start`` component is its
+    column's first addend, so its ``-0.0`` survives.  ``1.0·s == s``
+    bitwise, so unit weights need no special case.  Without vectors the
+    result is a copy of ``start`` (empty without one).
+    """
+    if len(weights) != len(vectors):
+        raise ValueError(f"{len(weights)} weights for {len(vectors)} vectors")
+    if len(vectors) < _COLUMN_SUM_MIN:
+        total = list(start) if start is not None else (
+            [0.0] * len(vectors[0]) if vectors else [])
+        for vector, weight in zip(vectors, weights):
+            if len(vector) != len(total):
+                raise ValueError(f"dimension mismatch: {len(total)} vs {len(vector)}")
+            total = [t + weight * s for t, s in zip(total, vector)]
+        return total
+    # strict: a short vector must fail loudly, not shrink every column
+    columns = zip(*vectors, strict=True)
+    if start is None:
+        return [sum(map(mul, weights, column)) for column in columns]
+    return [sum(map(mul, weights, column), base)
+            for base, column in zip(start, columns, strict=True)]
 
 
 def instruction_shape(inst: MachineInstruction) -> Tuple:
@@ -132,7 +177,7 @@ def instruction_shape(inst: MachineInstruction) -> Tuple:
     of those embeddings key on it ("$5" and "$7" share one entry), and a
     handful of distinct shapes cover a whole binary.
     """
-    return (inst.opcode, tuple(operand_shape(op) for op in inst.operands),
+    return (inst.opcode, operand_shapes(inst.operands),
             inst.call_target is not None)
 
 
@@ -188,12 +233,12 @@ class NormalizedVector:
     __slots__ = ("values", "norm")
 
     def __init__(self, values: Sequence[float]):
-        norm = math.sqrt(sum(x * x for x in values))
+        norm = math.sqrt(sum(map(mul, values, values)))
         self.norm = norm
         if norm == 0.0:
             self.values = array("d", values)
         else:
-            self.values = array("d", [x / norm for x in values])
+            self.values = array("d", map(truediv, values, repeat(norm)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -237,10 +282,10 @@ def block_numeric_features(block: MachineBlock) -> List[float]:
             counts[category] += 1.0
         else:
             counts["other"] += 1.0
-        counts["immediates"] += sum(1.0 for op in inst.operands
-                                    if op.startswith("$"))
-        counts["memory_refs"] += sum(1.0 for op in inst.operands
-                                     if op.startswith("["))
+        # the counts are small integers, so adding them is exact in any order
+        shapes = operand_shapes(inst.operands)
+        counts["immediates"] += shapes.count("imm")
+        counts["memory_refs"] += shapes.count("mem")
     return [counts[name] for name in BLOCK_FEATURE_NAMES]
 
 
@@ -287,18 +332,17 @@ def propagate_over_cfg(function: BinaryFunction,
     for _ in range(iterations):
         updated: Dict[str, List[float]] = {}
         for block in function.blocks:
-            base = list(block_vectors[block.label])
             neighbours = list(block.successors) + predecessors.get(block.label, [])
-            for neighbour in neighbours:
-                if neighbour in current:
-                    add_scaled(base, current[neighbour], damping / max(1, len(neighbours)))
-            updated[block.label] = base
+            present = [current[n] for n in neighbours if n in current]
+            weight = damping / max(1, len(neighbours))
+            updated[block.label] = weighted_sum(present, [weight] * len(present),
+                                                start=block_vectors[block.label])
         current = updated
     return current
 
 
 def aggregate(vectors: Iterable[Sequence[float]], dim: int) -> List[float]:
-    total = [0.0] * dim
-    for vector in vectors:
-        add_scaled(total, vector, 1.0)
-    return total
+    vectors = list(vectors)
+    if not vectors:
+        return [0.0] * dim
+    return weighted_sum(vectors, [1.0] * len(vectors))

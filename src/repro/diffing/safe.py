@@ -8,9 +8,14 @@ attention profile that emphasises the middle of the function over the
 prologue/epilogue boilerplate.  No CFG, call-graph or symbol information is
 used (Table 1).
 
-Per-function embeddings are pre-normalized and memoised on each binary's
-:class:`~repro.diffing.index.FeatureIndex`; without an index every embedding
-is re-extracted per diff — the legacy reference path.
+An instruction's combined vector (token bag + 0.5 × bigram) comes from a
+process-wide table keyed by its shape and the previous opcode, and the
+attention-weighted sum runs column by column inside ``sum()``
+(:func:`~repro.diffing.features.weighted_sum`), bit-identical to adding one
+instruction at a time.  Per-function embeddings are pre-normalized and
+memoised on each binary's :class:`~repro.diffing.index.FeatureIndex`;
+without an index every embedding is re-extracted per diff — the legacy
+reference path.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..backend.binary import Binary, BinaryFunction
 from .base import MATCH_CHANNEL, BinaryDiffer, ToolInfo
-from .features import (EMBEDDING_DIM, NormalizedVector, add_scaled,
-                       cached_token_vector, instruction_bag,
-                       instruction_shape, vector_similarity)
+from .features import (EMBEDDING_DIM, NormalizedVector, cached_token_vector,
+                       instruction_bag, instruction_shape, vector_similarity,
+                       weighted_sum)
 from .index import FeatureIndex
 
 #: (instruction shape, previous opcode, dim) -> the instruction's combined
@@ -76,13 +81,13 @@ class Safe(BinaryDiffer):
         return vectors
 
     def _function_embedding(self, function: BinaryFunction) -> List[float]:
+        """The attention-weighted sum of the instruction vectors."""
         vectors = self._instruction_vectors(function)
-        embedding = [0.0] * self.dim
+        if not vectors:
+            return [0.0] * self.dim
         length = len(vectors)
-        for position, combined in enumerate(vectors):
-            add_scaled(embedding, combined,
-                       self._attention_weight(position, length))
-        return embedding
+        return weighted_sum(vectors, [self._attention_weight(position, length)
+                                      for position in range(length)])
 
     def _embeddings(self, binary: Binary,
                     index: Optional[FeatureIndex]) -> Dict[str, NormalizedVector]:

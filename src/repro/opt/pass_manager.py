@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple, Union
 
-from ..analysis.manager import AnalysisManager, PRESERVE_ALL
+from ..analysis.manager import AnalysisManager
 from ..ir.function import Function
 from ..ir.module import Module, Program
 from ..ir.verifier import assert_valid

@@ -148,14 +148,17 @@ class BlockCompiler:
 
         if op[0] == "f":
             if op == "fadd":
-                apply = lambda a, b: float(a) + float(b)
+                def apply(a, b):
+                    return float(a) + float(b)
             elif op == "fsub":
-                apply = lambda a, b: float(a) - float(b)
+                def apply(a, b):
+                    return float(a) - float(b)
             elif op == "fmul":
-                apply = lambda a, b: float(a) * float(b)
+                def apply(a, b):
+                    return float(a) * float(b)
             elif op == "fdiv":
-                apply = lambda a, b: (float(a) / float(b)
-                                      if float(b) != 0.0 else 0.0)
+                def apply(a, b):
+                    return float(a) / float(b) if float(b) != 0.0 else 0.0
             else:
                 raise error(f"unknown float op {op}")
         else:
@@ -228,35 +231,41 @@ class BlockCompiler:
                             return a.moved(-int(b))
                         raise
             elif op == "mul":
-                apply = lambda a, b: ((int(a) * int(b) + half) & mask) - half
+                def apply(a, b):
+                    return ((int(a) * int(b) + half) & mask) - half
             elif op == "sdiv":
-                apply = lambda a, b: ((trunc_div(int(a), int(b)) + half)
-                                      & mask) - half
+                def apply(a, b):
+                    return ((trunc_div(int(a), int(b)) + half) & mask) - half
             elif op == "srem":
                 def apply(a, b):
                     a, b = int(a), int(b)
                     r = a - trunc_div(a, b) * b if b != 0 else 0
                     return ((r + half) & mask) - half
             elif op == "and":
-                apply = lambda a, b: ((int(a) & int(b)) + half & mask) - half
+                def apply(a, b):
+                    return ((int(a) & int(b)) + half & mask) - half
             elif op == "or":
-                apply = lambda a, b: ((int(a) | int(b)) + half & mask) - half
+                def apply(a, b):
+                    return ((int(a) | int(b)) + half & mask) - half
             elif op == "xor":
-                apply = lambda a, b: ((int(a) ^ int(b)) + half & mask) - half
+                def apply(a, b):
+                    return ((int(a) ^ int(b)) + half & mask) - half
             elif op == "shl":
-                apply = lambda a, b: ((int(a) << (int(b) & 63)) + half
-                                      & mask) - half
+                def apply(a, b):
+                    return ((int(a) << (int(b) & 63)) + half & mask) - half
             elif op == "ashr":
-                apply = lambda a, b: ((int(a) >> (int(b) & 63)) + half
-                                      & mask) - half
+                def apply(a, b):
+                    return ((int(a) >> (int(b) & 63)) + half & mask) - half
             else:
                 raise self._ExecutionError(f"unknown integer op {op}")
             return apply
 
         if bits == 1:
-            fix = lambda v: v & 1
+            def fix(v):
+                return v & 1
         else:
-            fix = lambda v: v
+            def fix(v):
+                return v
         if op == "add":
             def apply(a, b):
                 if isinstance(a, Pointer):
@@ -268,23 +277,30 @@ class BlockCompiler:
                     return a.moved(-int(b))
                 return fix(int(a) - int(b))
         elif op == "mul":
-            apply = lambda a, b: fix(int(a) * int(b))
+            def apply(a, b):
+                return fix(int(a) * int(b))
         elif op == "sdiv":
-            apply = lambda a, b: fix(trunc_div(int(a), int(b)))
+            def apply(a, b):
+                return fix(trunc_div(int(a), int(b)))
         elif op == "srem":
             def apply(a, b):
                 a, b = int(a), int(b)
                 return fix(a - trunc_div(a, b) * b if b != 0 else 0)
         elif op == "and":
-            apply = lambda a, b: fix(int(a) & int(b))
+            def apply(a, b):
+                return fix(int(a) & int(b))
         elif op == "or":
-            apply = lambda a, b: fix(int(a) | int(b))
+            def apply(a, b):
+                return fix(int(a) | int(b))
         elif op == "xor":
-            apply = lambda a, b: fix(int(a) ^ int(b))
+            def apply(a, b):
+                return fix(int(a) ^ int(b))
         elif op == "shl":
-            apply = lambda a, b: fix(int(a) << (int(b) & 63))
+            def apply(a, b):
+                return fix(int(a) << (int(b) & 63))
         elif op == "ashr":
-            apply = lambda a, b: fix(int(a) >> (int(b) & 63))
+            def apply(a, b):
+                return fix(int(a) >> (int(b) & 63))
         else:
             raise self._ExecutionError(f"unknown integer op {op}")
         return apply
@@ -510,17 +526,22 @@ class BlockCompiler:
         error = self._ExecutionError
 
         if kind in ("bitcast", "inttoptr", "ptrtoint"):
-            apply = lambda v: v
+            def apply(v):
+                return v
         elif kind in ("trunc", "zext", "sext"):
             if isinstance(to_type, IntType):
                 wrap = to_type.wrap
-                apply = lambda v: wrap(int(v))
+                def apply(v):
+                    return wrap(int(v))
             else:
-                apply = lambda v: int(v)
+                def apply(v):
+                    return int(v)
         elif kind == "fptosi":
-            apply = lambda v: int(v)
+            def apply(v):
+                return int(v)
         elif kind in ("sitofp", "fpext", "fptrunc"):
-            apply = lambda v: float(v)
+            def apply(v):
+                return float(v)
         else:
             raise error(f"unknown cast kind {kind}")
 

@@ -8,18 +8,26 @@ earlier experiment measured.  The ``measure_*`` drivers must reproduce
 these reports row for row.
 
 :class:`FixedPointSimplifyCFG` is the reference semantics of the
-incremental :class:`~repro.opt.simplify_cfg.SimplifyCFG`.
+incremental :class:`~repro.opt.simplify_cfg.SimplifyCFG`,
+:func:`deepbindiff` the all-pairs block vote that DeepBinDiff's pruned
+vote must reproduce, and :func:`add_scaled_fold` the vector-at-a-time sum
+that :func:`~repro.diffing.features.weighted_sum` must reproduce.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import heapq
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
 from repro.analysis.manager import AnalysisManager
 from repro.backend.disassembler import normalised_distances, opcode_histogram
 from repro.baselines.bintuner import BinTuner
 from repro.diffing import all_differs, precision_at_1
+from repro.diffing.base import DiffResult
 from repro.diffing.bindiff import BinDiff
+from repro.diffing.deepbindiff import DeepBinDiff
+from repro.diffing.features import vector_similarity
 from repro.evaluation.bintuner_compare import (OPT_LEVELS, BinTunerReport,
                                                SimilarityRow)
 from repro.evaluation.escape import EscapeReport, EscapeRow, escape_differs
@@ -145,6 +153,52 @@ def opcode_distance(workloads, labels: Sequence[str] = DISTANCE_LABELS,
         report.distances[workload.name] = normalised_distances(
             opcode_histogram(baseline.binary), obfuscated)
     return report
+
+
+def deepbindiff_top(source_vector, target_items, k: int):
+    """One source block's top k ``(score, target function)``: every target
+    block scored with ``vector_similarity``, picked by a stable
+    ``heapq.nlargest`` over ``target_items`` (``((function, label),
+    vector)`` in block order), so ties go to the earlier target."""
+    return heapq.nlargest(
+        k, ((vector_similarity(source_vector, target_vector), target_function)
+            for (target_function, _label), target_vector in target_items),
+        key=itemgetter(0))
+
+
+def deepbindiff_votes(source_blocks, target_blocks, k: int, sharpness: int):
+    """DeepBinDiff's all-pairs block vote over two block-embedding maps."""
+    target_items = list(target_blocks.items())
+    votes = {}
+    for (source_function, _label), source_vector in source_blocks.items():
+        bucket = votes.setdefault(source_function, {})
+        for score, target_function in deepbindiff_top(source_vector,
+                                                      target_items, k):
+            bucket[target_function] = (bucket.get(target_function, 0.0)
+                                       + score ** sharpness)
+    return votes
+
+
+def deepbindiff(differ: DeepBinDiff, original, obfuscated) -> DiffResult:
+    """DeepBinDiff's ``diff()`` with the all-pairs vote over per-diff
+    block embeddings."""
+    votes = deepbindiff_votes(differ.block_embeddings(original, None),
+                              differ.block_embeddings(obfuscated, None),
+                              differ.max_block_candidates,
+                              differ.vote_sharpness)
+    return differ.rank_votes(votes, original, obfuscated)
+
+
+def add_scaled_fold(vectors, weights, start=None) -> List[float]:
+    """Add each ``weight · vector`` into a zero vector (or a copy of
+    ``start``) one vector at a time, as ``t + s`` when the weight is 1.0."""
+    total = list(start) if start is not None else [0.0] * len(vectors[0])
+    for vector, weight in zip(vectors, weights):
+        if weight == 1.0:
+            total = [t + s for t, s in zip(total, vector)]
+        else:
+            total = [t + weight * s for t, s in zip(total, vector)]
+    return total
 
 
 class FixedPointSimplifyCFG(SimplifyCFG):

@@ -216,8 +216,8 @@ class TestDifferential:
                 assert cached_dom.idom == fresh_dom.idom
 
                 fresh_loops = LoopInfo(function)
-                assert ({l.header for l in cached_loops.loops}
-                        == {l.header for l in fresh_loops.loops})
+                assert ({loop.header for loop in cached_loops.loops}
+                        == {loop.header for loop in fresh_loops.loops})
                 for block in function.blocks:
                     assert (cached_loops.loop_depth(block)
                             == fresh_loops.loop_depth(block))

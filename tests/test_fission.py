@@ -5,7 +5,7 @@ data-flow and control-flow rebuild, side conditions and statistics."""
 from repro.analysis import CallGraph
 from repro.core import Fission, FissionConfig, ProvenanceMap, RegionIdentifier
 from repro.core.stats import FissionStats
-from repro.ir import (Call, FunctionType, IRBuilder, Module, PointerType,
+from repro.ir import (FunctionType, IRBuilder, Module, PointerType,
                       assert_valid, create_function, I64)
 from repro.vm import run_program
 from tests.conftest import build_demo_program

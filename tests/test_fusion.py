@@ -5,7 +5,7 @@ ctrl dispatch, tagged pointers, trampolines, deep fusion and statistics."""
 from repro.core import Fusion, FusionConfig, ProvenanceMap
 from repro.core.fusion import TAG_FUSED_A, TAG_FUSED_B
 from repro.core.stats import FusionStats
-from repro.ir import (Call, Function, IRBuilder, Linkage, Module, Program,
+from repro.ir import (Function, IRBuilder, Linkage, Module, Program,
                       assert_valid, create_function, I64, F64)
 from repro.vm import run_program
 from tests.conftest import build_demo_program

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.ir import (BasicBlock, BinaryOp, Branch, Call, Compare, CondBranch,
-                      Constant, Function, FunctionType, IRBuilder, Linkage,
+from repro.ir import (BasicBlock, BinaryOp, Call, Compare, CondBranch,
+                      Constant, FunctionType, IRBuilder, Linkage,
                       Load, Module, Program, Ret, Switch, VerificationError,
                       assert_valid, create_function, instruction_to_str,
                       int_const, module_to_str, verify_function, I64, VOID)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Khaos, KhaosConfig, Mode, obfuscate
+from repro.core import KhaosConfig, Mode, obfuscate
 from repro.opt import optimize_program
 from repro.toolchain import (ALL_LABELS, KhaosVariant, build_all_variants,
                              build_baseline, build_obfuscated, obfuscator_for,

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ProvenanceMap, obfuscate, Mode
