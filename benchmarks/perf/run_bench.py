@@ -18,8 +18,8 @@ can diff the perf trajectory.  Tracked metrics:
   :class:`~repro.core.variant_cache.VariantCache` exactly as the figure
   drivers do; reports the cache stats alongside the timings;
 * **pipeline** — wall time of the *uncached* build phases alone (the raw
-  cost of obfuscate → optimize → lower, i.e. incremental simplify-cfg and
-  one-pass clone/link);
+  cost of synthesize → obfuscate → optimize → lower as the figures build:
+  one synthesis per program, each obfuscated copy optimized in place);
 * **variant_cache** — cold-vs-warm build comparison plus the figure-8 reuse
   check: after the overhead loop has populated the cache, a
   figure-8-style precision run must hit it (nonzero ``fig8.hit_rate``);
@@ -194,15 +194,18 @@ def bench_vm(programs, reps: int) -> Dict[str, object]:
 
 
 def _build_variants(programs) -> List:
-    """The build phase of the fig6/fig7 loop: every variant of every program."""
+    """The build phase of the fig6/fig7 loop: every variant of every program,
+    built as the figures build them — one synthesis per program, and each
+    obfuscator's private copy optimized in place."""
     variants = []
     for wp in programs:
-        baseline = optimize_program(wp.build())
+        source = wp.build()
+        baseline = optimize_program(source)
         lower_program(baseline)
         variants.append(baseline)
         for label in MEASURE_LABELS:
-            result = obfuscate(wp.build(), mode=label)
-            optimized = optimize_program(result.program)
+            result = obfuscate(source, mode=label)
+            optimized = optimize_program(result.program, in_place=True)
             lower_program(optimized)
             variants.append(optimized)
     return variants

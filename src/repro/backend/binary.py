@@ -106,6 +106,16 @@ class Binary:
         return {callee for caller, callee in self.call_graph_edges()
                 if caller == name}
 
+    def callee_map(self) -> Dict[str, Set[str]]:
+        """:meth:`callees_of` every function, from one pass over the edges.
+
+        Each set is filled in edge order, as :meth:`callees_of` fills it.
+        """
+        callees: Dict[str, Set[str]] = {f.name: set() for f in self.functions}
+        for caller, callee in self.call_graph_edges():
+            callees[caller].add(callee)
+        return callees
+
     def content_digest(self) -> str:
         """A stable SHA-256 fingerprint of the machine code.
 

@@ -31,6 +31,8 @@ _ITERATION_COUNTS = (1, 2, 3)
 @dataclass
 class BinTunerResult:
     best_options: OptOptions
+    #: The optimized program ``best_binary`` was lowered from.
+    best_program: Program
     best_binary: Binary
     best_score: float
     history: List[Tuple[str, float]] = field(default_factory=list)
@@ -74,22 +76,27 @@ class BinTuner:
         self.seed = seed
         self.objective = objective or opcode_histogram_distance
 
-    def compile(self, program: Program, options: OptOptions) -> Binary:
-        return lower_program(optimize_program(program, options))
+    def compile(self, program: Program,
+                options: OptOptions) -> Tuple[Program, Binary]:
+        """``program`` optimized under ``options`` (a copy) and its binary."""
+        optimized = optimize_program(program, options)
+        return optimized, lower_program(optimized)
 
     def tune(self, program: Program,
              baseline_options: Optional[OptOptions] = None) -> BinTunerResult:
         """Search for options maximising the difference to the baseline build.
 
         Following the paper's setup, the baseline is the O0 binary unless the
-        caller supplies something else.
+        caller supplies something else.  ``program`` is only read (every
+        candidate compiles a copy); the result keeps the best candidate's
+        optimized program, so a caller can run it without compiling again.
         """
         rng = random.Random(self.seed)
         baseline_options = baseline_options or OptOptions(level=0, lto=False)
-        baseline_binary = self.compile(program, baseline_options)
+        baseline_binary = self.compile(program, baseline_options)[1]
 
         best_options = OptOptions(level=3, lto=True)
-        best_binary = self.compile(program, best_options)
+        best_program, best_binary = self.compile(program, best_options)
         best_score = self.objective(baseline_binary, best_binary)
         history: List[Tuple[str, float]] = [(best_options.label(), best_score)]
 
@@ -98,10 +105,13 @@ class BinTuner:
                 candidate = _random_options(rng)
             else:
                 candidate = _mutate(best_options, rng)
-            binary = self.compile(program, candidate)
+            optimized, binary = self.compile(program, candidate)
             score = self.objective(baseline_binary, binary)
             history.append((candidate.label(), score))
             if score > best_score:
-                best_options, best_binary, best_score = candidate, binary, score
-        return BinTunerResult(best_options=best_options, best_binary=best_binary,
-                              best_score=best_score, history=history)
+                best_options, best_score = candidate, score
+                best_program, best_binary = optimized, binary
+        return BinTunerResult(best_options=best_options,
+                              best_program=best_program,
+                              best_binary=best_binary, best_score=best_score,
+                              history=history)

@@ -25,7 +25,11 @@ of the cache.
 Cached artifacts are shared between callers (and, through a rooted store,
 between processes), so consumers must treat them as immutable: run the
 program, diff the binary, read the provenance — never mutate the IR in
-place.  (The evaluation drivers only ever execute and diff.)
+place.  (The evaluation drivers only ever execute and diff.)  The same
+holds for the synthesized program a unit builds all its variants from:
+the builders only read it (:mod:`repro.toolchain`), so a variant built
+from that shared source equals one built from a fresh synthesis, and the
+two share one key.
 """
 
 from __future__ import annotations

@@ -39,8 +39,7 @@ class BinDiff(BinaryDiffer):
             return index.structural_features(), index.callees()
         structural = {f.name: function_numeric_features(f)
                       for f in binary.functions}
-        callees = {f.name: binary.callees_of(f.name) for f in binary.functions}
-        return structural, callees
+        return structural, binary.callee_map()
 
     def cache_key(self) -> tuple:
         return ("bindiff", self.name_weight, self.callgraph_weight)

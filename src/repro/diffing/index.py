@@ -109,10 +109,7 @@ class FeatureIndex:
 
     def callees(self) -> Dict[str, Set[str]]:
         """Call-graph successors of every function (BinDiff's neighbourhood)."""
-        def build() -> Dict[str, Set[str]]:
-            return {f.name: self.binary.callees_of(f.name)
-                    for f in self.binary.functions}
-        return self.memo("callees", build)
+        return self.memo("callees", self.binary.callee_map)
 
     def function_embeddings(self, key: object,
                             embed: Callable[[BinaryFunction], List[float]]

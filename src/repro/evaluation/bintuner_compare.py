@@ -13,6 +13,7 @@ cost is the BinTuner option search rather than any single diff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,7 +22,6 @@ from ..core.variant_cache import variant_key
 from ..diffing.bindiff import BinDiff
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
-from ..opt.pipelines import optimize_program
 from ..store.keys import config_cache_key
 from ..toolchain import obfuscator_for
 from ..utils import geometric_mean
@@ -87,24 +87,27 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
     The opt-level references and the Khaos build are store-keyed variants,
     built once and shared by both protections; the BinTuner search is
     seeded, so the tuned binary is deterministic per (workload,
-    iterations).  Returns the BinTuner and the Khaos similarity scores in
+    iterations), and its overhead is measured on the program the search
+    compiled.  Every build and the search start from one synthesis of the
+    workload.  Returns the BinTuner and the Khaos similarity scores in
     :data:`OPT_LEVELS` order, plus BinTuner's runtime-overhead factor
     against the O2 + LTO baseline.
     """
     workload, tuner_iterations = shard
     cache = cache if cache is not None else worker_cache()
+    source = functools.cache(workload.build)
     with obs_tracing.span("shard.fig9", cat="diff", workload=workload.name):
         references = [build_variant(workload, "baseline",
                                     OptOptions(level=level, lto=level >= 2),
-                                    cache).binary
+                                    cache, source).binary
                       for level in OPT_LEVELS]
-        tuned = BinTuner(iterations=tuner_iterations).tune(workload.build())
+        tuned = BinTuner(iterations=tuner_iterations).tune(source())
         baseline_run = run_program(
-            build_variant(workload, "baseline", None, cache).program)
-        tuned_run = run_program(optimize_program(workload.build(),
-                                                 tuned.best_options))
+            build_variant(workload, "baseline", None, cache, source).program)
+        tuned_run = run_program(tuned.best_program)
         base = baseline_run.cycles or 1
-        khaos = build_variant(workload, KHAOS_LABEL, None, cache).binary
+        khaos = build_variant(workload, KHAOS_LABEL, None, cache,
+                              source).binary
         differ = BinDiff()
         return ([differ.diff(reference, tuned.best_binary).similarity_score
                  for reference in references],

@@ -5,8 +5,9 @@ the shape the fig 6/7 units already have:
 
 * :func:`shard_diff_matrix` plans one unit per workload;
 * :func:`_diff_unit` builds the workload's baseline and each label once
-  through one cache, scores every (label, tool) cell with the tool's
-  whole-binary ``diff()`` and returns only the reduced rows
+  through one cache, from one synthesis of the workload, scores every
+  (label, tool) cell with the tool's whole-binary ``diff()`` and returns
+  only the reduced rows
   (:class:`DiffUnitResult`): the baseline's function names and, per cell,
   the similarity score and each function's provenance rank;
 * :func:`diff_cells` runs the units on the shared engine
@@ -20,6 +21,7 @@ holds nothing but rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -81,13 +83,15 @@ def _diff_unit(unit: DiffUnit, cache=None) -> DiffUnitResult:
     """Score one workload's cells (the engine's unit function)."""
     workload, labels, differs, options = unit
     cache = cache if cache is not None else worker_cache()
+    source = functools.cache(workload.build)
     with obs_tracing.span("shard.diff", cat="diff", workload=workload.name,
                           labels=len(labels), tools=len(differs)):
-        baseline = build_variant(workload, "baseline", options, cache).binary
+        baseline = build_variant(workload, "baseline", options, cache,
+                                 source).binary
         functions = tuple(function.name for function in baseline.functions)
         cells = []
         for label in labels:
-            variant = build_variant(workload, label, options, cache)
+            variant = build_variant(workload, label, options, cache, source)
             for differ in differs:
                 result = differ.diff(baseline, variant.binary)
                 cells.append(DiffCell(result.similarity_score, tuple(

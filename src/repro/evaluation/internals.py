@@ -63,10 +63,12 @@ def measure_internals(workloads_by_suite: Dict[str, Sequence[WorkloadProgram]],
         innocuous: List[float] = []
 
         for workload in workloads:
+            # each obfuscation links its own copy of the one synthesis
+            program = workload.build()
             fission = Khaos(KhaosConfig(mode=Mode.FISSION, seed=seed)).obfuscate(
-                workload.build())
+                program)
             fusion = Khaos(KhaosConfig(mode=Mode.FUSION, seed=seed)).obfuscate(
-                workload.build())
+                program)
             fission_ratios.append(fission.stats.fission.ratio)
             sepfunc_blocks.append(fission.stats.fission.avg_sepfunc_blocks)
             reductions.append(fission.stats.fission.reduction_ratio)

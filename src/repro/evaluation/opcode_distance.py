@@ -11,11 +11,13 @@ the facts memo of :mod:`repro.evaluation.overhead`, which builds each
 variant through :func:`~repro.evaluation.overhead.build_variant` only when
 no earlier experiment in this process (figures 6 and 7 share the variants)
 has built it.  BinTuner's label is a tuning result, not a variant key: it is
-tuned afresh on every call.
+tuned afresh on every call.  Each workload is synthesized at most once per
+call, for every build and the tuning alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -56,16 +58,18 @@ def measure_opcode_distance(workloads: Sequence[WorkloadProgram],
                             tuner_iterations: int = 4) -> DistanceReport:
     report = DistanceReport()
     for workload in workloads:
-        baseline = _variant_facts(workload, "baseline", options).histogram
+        source = functools.cache(workload.build)
+        baseline = _variant_facts(workload, "baseline", options,
+                                  source=source).histogram
         obfuscated = {}
         for label in labels:
             if label == "bintuner":
                 tuner = BinTuner(iterations=tuner_iterations)
                 obfuscated[label] = opcode_histogram(
-                    tuner.tune(workload.build()).best_binary)
+                    tuner.tune(source()).best_binary)
             else:
-                obfuscated[label] = _variant_facts(workload, label,
-                                                   options).histogram
+                obfuscated[label] = _variant_facts(workload, label, options,
+                                                   source=source).histogram
         report.distances[workload.name] = normalised_distances(
             baseline, obfuscated)
     return report

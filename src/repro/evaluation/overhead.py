@@ -18,16 +18,24 @@ process build and run each distinct variant once.  The memo grows only with
 the number of distinct keys, forked children start with it empty, and
 :func:`clear_variant_facts` empties it.  Every unit checks that each label
 prints what its baseline prints (:class:`SemanticsMismatch`).
+
+A unit builds all its variants from one *source*, ``functools.cache(
+workload.build)``: the workload is synthesized on the unit's first build
+and never when every variant comes from the memo, the cache or the store.
+The source lives as long as its unit (a worker synthesizes its own), and
+no build writes it (:mod:`repro.toolchain`).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.disassembler import opcode_histogram
 from ..core.variant_cache import VariantCache, variant_key
+from ..ir.module import Program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
@@ -104,16 +112,23 @@ class SemanticsMismatch(RuntimeError):
                 (self.workload, self.label, self.baseline, self.variant))
 
 
+#: A workload's program on demand; the builds only read what it returns.
+Source = Callable[[], Program]
+
+
 def _recipe(workload: WorkloadProgram, label: str,
-            options: Optional[OptOptions]) -> Tuple[Tuple, Callable[[], object]]:
-    """The variant key of ``(workload, label, options)`` and its builder."""
+            options: Optional[OptOptions], source: Optional[Source] = None
+            ) -> Tuple[Tuple, Callable[[], object]]:
+    """The variant key of ``(workload, label, options)`` and its builder,
+    which builds from ``source()`` (default: a fresh synthesis)."""
+    source = source or workload.build
     if label == "baseline":
         key_source = "baseline"
-        builder = lambda: build_baseline(workload.build(), options)  # noqa: E731
+        builder = lambda: build_baseline(source(), options)  # noqa: E731
     else:
         key_source = obfuscator_for(label)
         builder = lambda: build_obfuscated(  # noqa: E731
-            workload.build(), key_source, options)
+            source(), key_source, options)
 
     def traced_builder():
         # the span covers only *fresh* builds — cache/store hits are already
@@ -129,15 +144,19 @@ def _recipe(workload: WorkloadProgram, label: str,
 
 def build_variant(workload: WorkloadProgram, label: str,
                   options: Optional[OptOptions] = None,
-                  cache: Optional[VariantCache] = None):
+                  cache: Optional[VariantCache] = None,
+                  source: Optional[Source] = None):
     """Build one variant of ``workload``, through ``cache`` when given.
 
     ``label`` is either ``"baseline"`` or an obfuscation label understood by
-    :func:`~repro.toolchain.obfuscator_for`.  Builds are deterministic, so a
-    cached artifact is bit-identical to a fresh build; cached artifacts are
-    shared and must not be mutated (execute / diff / read only).
+    :func:`~repro.toolchain.obfuscator_for`.  A fresh build starts from
+    ``source()`` — a unit passes one memoised source to all its builds
+    (module docstring) — or, without one, from a fresh synthesis.  Builds
+    are deterministic, so a cached artifact is bit-identical to a fresh
+    build either way; cached artifacts are shared and must not be mutated
+    (execute / diff / read only).
     """
-    key, builder = _recipe(workload, label, options)
+    key, builder = _recipe(workload, label, options, source)
     if cache is None:
         return builder()
     return cache.get_or_build(key, builder)
@@ -171,14 +190,15 @@ if hasattr(os, "register_at_fork"):
 def _variant_facts(workload: WorkloadProgram, label: str,
                    options: Optional[OptOptions] = None,
                    cache: Optional[VariantCache] = None,
-                   run: bool = False) -> _Facts:
+                   run: bool = False,
+                   source: Optional[Source] = None) -> _Facts:
     """The memoised facts of one variant; with ``run``, its cycles too.
 
-    Builds the variant (through ``cache`` when given) only when the memo
-    lacks it or, with ``run``, holds only its histogram; the memo keeps
-    nothing of the artifact itself.
+    Builds the variant (through ``cache`` when given, from ``source``) only
+    when the memo lacks it or, with ``run``, holds only its histogram; the
+    memo keeps nothing of the artifact itself.
     """
-    key, builder = _recipe(workload, label, options)
+    key, builder = _recipe(workload, label, options, source)
     facts = _FACTS.get(key)
     if facts is not None and (not run or facts.cycles is not None):
         return facts
@@ -216,13 +236,15 @@ def _overhead_shard(shard: OverheadShard, cache=None) -> List[OverheadRow]:
     workload, labels, options = shard
     if cache is None:
         cache = worker_cache()
+    source = functools.cache(workload.build)
     with obs_tracing.span("shard.fig67", cat="measure",
                           workload=workload.name, labels=len(labels)):
         baseline = _variant_facts(workload, "baseline", options, cache,
-                                  run=True)
+                                  run=True, source=source)
         rows = []
         for label in labels:
-            facts = _variant_facts(workload, label, options, cache, run=True)
+            facts = _variant_facts(workload, label, options, cache, run=True,
+                                   source=source)
             if facts.observable != baseline.observable:
                 raise SemanticsMismatch(workload.name, label,
                                         baseline.observable,
@@ -246,9 +268,9 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
     ``cache`` when given, so variants built by an earlier experiment skip
     obfuscate → optimize → lower — and executed once.  Without a cache, an
     in-process run holds at most two variants (the baseline and the label
-    being measured).  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units
-    across worker processes, which start with an empty memo; rows are
-    identical either way (see
+    being measured) and the unit's source program.  ``jobs > 1`` (or
+    ``REPRO_JOBS``) fans the units across worker processes, which start
+    with an empty memo; rows are identical either way (see
     :func:`~repro.evaluation.checkpoint.run_matrix`).  Raises
     :class:`SemanticsMismatch` when a variant prints something other than
     its baseline.

@@ -251,7 +251,18 @@ class Program:
         cloned.metadata = dict(self.metadata)
         return cloned
 
-    def link(self) -> "Program":
+    def restart_name_counters(self) -> "Program":
+        """Restart every function's block-name counter; returns the program.
+
+        The counter is the one piece of state :meth:`clone` does not carry
+        over, so a program its owner transforms in place, after this call,
+        names new blocks exactly as its clone would.
+        """
+        for function in self.all_functions():
+            function._name_counter = 0
+        return self
+
+    def link(self, in_place: bool = False) -> "Program":
         """Merge every module into a single linked module (LTO-style).
 
         Symbol resolution follows the usual linker rules:
@@ -272,9 +283,16 @@ class Program:
         apply its cross-module trampoline rule.  Like :meth:`clone`, linking
         is one pass over the IR: a shared ``value_map`` carries every
         resolution, so no post-hoc by-name operand rewriting is needed.
+
+        A program of at most one module is linked as a clone of itself;
+        with ``in_place`` (for a caller that owns the program and reads it
+        no more) it is linked as itself, in the state its clone would have
+        (:meth:`restart_name_counters`).  A multi-module program is always
+        merged into a new one.
         """
         if len(self.modules) <= 1:
-            linked_single = self.clone()
+            linked_single = (self.restart_name_counters() if in_place
+                             else self.clone())
             for module in linked_single.modules:
                 for f in module.functions.values():
                     f.attributes.setdefault("origin_module", module.name)

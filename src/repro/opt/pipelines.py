@@ -48,14 +48,23 @@ def build_pipeline(options: OptOptions, entry: str = "main") -> List[Pass]:
 
 
 def optimize_program(program: Program, options: Optional[OptOptions] = None,
-                     verify_each: bool = False) -> Program:
-    """Link (when LTO is requested), optimize and return a new program.
+                     verify_each: bool = False,
+                     in_place: bool = False) -> Program:
+    """Link (when LTO is requested), optimize and return the program.
 
-    The input program is never mutated: it is linked/cloned first, mirroring
-    the way a compiler consumes source and produces a separate artifact.
+    By default the input is never mutated: it is linked/cloned first,
+    mirroring the way a compiler consumes source and produces a separate
+    artifact.  A caller that owns ``program`` and reads it no more (an
+    obfuscator's private copy) passes ``in_place`` to skip that copy: the
+    program is then linked and optimized as itself (see
+    :meth:`~repro.ir.module.Program.link`), with the same result as a copy.
     """
     options = options or OptOptions()
-    working = program.link() if options.lto else program.clone()
+    if options.lto:
+        working = program.link(in_place=in_place)
+    else:
+        working = (program.restart_name_counters() if in_place
+                   else program.clone())
     manager = PassManager(build_pipeline(options, entry=working.entry),
                           verify_each=verify_each)
     manager.run(working)

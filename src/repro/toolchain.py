@@ -4,6 +4,13 @@ The evaluation drivers all follow the same build recipe the paper uses:
 obfuscate at the IR level (Khaos middle-end passes or an O-LLVM baseline),
 optimize "under O2 with link-time optimization", lower to a binary, and —
 for the performance experiments — execute the program to count cycles.
+
+The builders only read the program they are given, so one synthesized
+program is the source of every variant of its workload: the baseline's
+optimizer copies it, and each obfuscator links a private copy, which
+:func:`build_obfuscated` then optimizes in place.  Every variant thus
+costs one IR copy, and a variant built from a shared source is
+bit-identical to one built from a fresh synthesis.
 """
 
 from __future__ import annotations
@@ -93,9 +100,13 @@ def build_baseline(program: Program, options: Optional[OptOptions] = None,
 def build_obfuscated(program: Program, obfuscator,
                      options: Optional[OptOptions] = None,
                      run: bool = False) -> BuildArtifact:
-    """Obfuscate at the IR level, then compile like the baseline."""
+    """Obfuscate at the IR level, then compile like the baseline.
+
+    ``program`` is only read: the obfuscator links its own copy, which no
+    one else holds, so the optimizer works on that copy in place.
+    """
     result = obfuscator.obfuscate(program)
-    optimized = optimize_program(result.program, options)
+    optimized = optimize_program(result.program, options, in_place=True)
     artifact = BuildArtifact(label=result.label, program=optimized,
                              binary=lower_program(optimized),
                              provenance=result.provenance,
@@ -110,13 +121,13 @@ def build_all_variants(program_factory, labels: Sequence[str] = ALL_LABELS,
                        run: bool = False) -> Dict[str, BuildArtifact]:
     """Build the baseline plus every requested obfuscated variant.
 
-    ``program_factory`` is called once per variant so each obfuscator starts
-    from a fresh, un-aliased program (the workload builders are deterministic).
+    ``program_factory`` is called once: every variant is built from the one
+    program it returns, which no build mutates (module docstring).
     """
-    artifacts = {"baseline": build_baseline(program_factory(), options, run=run)}
+    program = program_factory()
+    artifacts = {"baseline": build_baseline(program, options, run=run)}
     for label in labels:
-        obfuscator = obfuscator_for(label)
-        artifacts[label] = build_obfuscated(program_factory(), obfuscator,
+        artifacts[label] = build_obfuscated(program, obfuscator_for(label),
                                             options, run=run)
     return artifacts
 

@@ -20,7 +20,8 @@ from repro.diffing.features import (EMBEDDING_DIM, NormalizedVector,
                                     instruction_bag, instruction_tokens,
                                     normalised_similarity, vector_similarity)
 from repro.diffing.index import index_cache_size
-from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
+from repro.toolchain import (ALL_LABELS, build_all_variants, build_baseline,
+                             build_obfuscated, obfuscator_for)
 from repro.workloads.suites import find_program
 from tests.conftest import build_demo_program
 
@@ -108,6 +109,21 @@ class TestIndexMemoisation:
         second = index.memo(("test", 1), lambda: calls.append(2) or "other")
         assert first == second == "value"
         assert calls == [1]
+
+    def test_callee_map_equals_callees_of_in_order(self):
+        # a quick figure 8 program's baseline and its eight labels
+        workload = find_program("400.perlbench")
+        variants = build_all_variants(workload.build)
+        assert len(variants) == 1 + len(ALL_LABELS)
+        for label, artifact in variants.items():
+            binary = artifact.binary
+            callees = binary.callee_map()
+            assert list(callees) == [f.name for f in binary.functions]
+            for function in binary.functions:
+                assert list(callees[function.name]) == \
+                    list(binary.callees_of(function.name)), \
+                    (label, function.name)
+            assert feature_index(binary).callees() == callees
 
 
 class TestSimilarityKernel:
