@@ -48,15 +48,11 @@ can diff the perf trajectory.  Tracked metrics:
   objects back from the tree (its variants stay in memory), and the
   ``jobs=2`` and warm runs must revive every unit from its stored rows and
   execute **zero** units;
-* **telemetry_overhead** — what :mod:`repro.obs` costs: VM steady-state
-  steps/s with tracing enabled vs disabled, and the warm fig8 matrix at
-  ``jobs=2`` (checkpointing off, so neither arm resumes from the journal)
-  with ``REPRO_TRACE=1`` vs unset — the traced arm pays span recording,
-  per-task flushes and the run-exit merge, and must stay row-identical to
-  the untraced arm and the storeless reference (acceptance: ≤2%
-  disabled-mode overhead — informational here); the traced run's merged
-  telemetry is folded back in as a per-phase self-time summary
-  (``scripts/trace_report.py`` is the interactive view).
+* **layer_totals** — where the warm fig8 matrix at ``jobs=2`` spends its
+  time: the :func:`repro.obs.measure` totals of the run (checkpointing off,
+  so no unit is revived from the tree), per-layer self time and calls of the
+  parent and its workers, and the share of the time the layers cover
+  (``--smoke`` wants ≥ 0.95); the rows must equal the storeless reference.
 
 ``REPRO_STORE_DIR`` is where the store-backed sections create their trees
 (a fresh subtree each); unset, temp directories are used.  It is taken out
@@ -97,12 +93,13 @@ from repro.evaluation.overhead import (build_variant,  # noqa: E402
                                        clear_variant_facts,
                                        measure_overhead)
 from repro.evaluation.precision import measure_precision  # noqa: E402
+from repro.obs import measure                           # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
 from repro.store import KIND_VARIANT, ArtifactStore     # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
-from repro.vm.machine import Interpreter, run_program  # noqa: E402
+from repro.vm.machine import run_program                # noqa: E402
 from repro.workloads.suites import (spec2006_programs,  # noqa: E402
                                     spec2017_programs)
 
@@ -113,7 +110,7 @@ REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
                  "fig6_end_to_end", "pipeline", "variant_cache",
                  "fig8_diff_phase", "fig67_sharded",
                  "fig8_workload_units", "verify_overhead",
-                 "telemetry_overhead")
+                 "layer_totals")
 
 #: Where the store-backed sections create their trees: ``REPRO_STORE_DIR``
 #: at start-up, or ``None`` for temp directories (see :func:`store_tree`).
@@ -490,137 +487,42 @@ def bench_fig8_workload_units(programs, reps: int) -> Dict[str, object]:
     }
 
 
-def bench_telemetry_overhead(programs, reps: int) -> Dict[str, object]:
-    """What the telemetry layer costs, on and off.
+def bench_layer_totals(programs, reps: int) -> Dict[str, object]:
+    """Where the warm fig8 matrix at ``jobs=2`` spends its time.
 
-    Two arms.  **vm_steady**: steps/s of warmed interpreters with span
-    tracing enabled vs disabled — the registry façades are always on, so
-    the delta isolates the tracing flag checks and buffer appends.
-    **fig8_jobs2**: the warm fig8 function-sharded matrix at ``jobs=2``
-    over one store tree (checkpointing off, so neither arm resumes from
-    a stored unit), with ``REPRO_TRACE=1`` vs unset: the traced arm
-    additionally pays per-task worker flushes and the run-exit
-    merge/export, and both arms must stay row-identical to the storeless
-    reference.  The traced run's merged telemetry is summarised back into
-    the results as per-phase self-time shares plus the attribution
-    coverage (the fig8 acceptance wants ≥95% of busy time in named
-    phases).
+    The matrix runs over one store tree that already holds its variants,
+    with checkpointing off so no unit is revived from the tree, inside
+    :func:`repro.obs.measure`; the fastest of ``reps`` runs is reported:
+    per-layer self time and calls of the parent and its workers, and the
+    share of the run's time the layers cover.  Every run's rows must equal
+    the storeless serial reference.
     """
-    from repro.obs import tracing
-
     labels = MEASURE_LABELS
     reference = measure_precision(programs, labels=labels, jobs=1)
-
-    # -- arm 1: VM steady state, tracing flag on vs off -------------------
-    built = [wp.build() for wp in programs]
-    steps = sum(run_program(p).steps for p in built)
-    warm_sets = tuple(() for _ in range(8))
-    timed_sets = tuple(() for _ in range(8))
-
-    def steady(trace_on: bool) -> float:
-        tracing.set_enabled(trace_on)
-        try:
-            interpreters = [Interpreter(program) for program in built]
-            for interpreter in interpreters:
-                interpreter.run_many(warm_sets)
-            return best_of(
-                lambda: [vm.run_many(timed_sets) for vm in interpreters],
-                reps)
-        finally:
-            tracing.refresh()
-            tracing.drain()
-
-    vm_off_s = steady(False)
-    vm_on_s = steady(True)
-
-    # -- arm 2: warm fig8 jobs=2, REPRO_TRACE=1 vs unset ------------------
-    def timed(trace_on: bool):
-        _set_env({"REPRO_TRACE": "1" if trace_on else None})
-        tracing.refresh()
-        reset_worker_cache()
-        gc.collect()
-        start = time.perf_counter()
-        report = measure_precision(programs, labels=labels, jobs=2)
-        return report, time.perf_counter() - start
-
-    try:
-        with store_tree("telemetry", REPRO_CHECKPOINT="off",
-                        REPRO_FAULTS=None, REPRO_TRACE=None) as store_root:
-            tracing.refresh()
-            # warm the tree once so both arms time scheduling + store reads
-            measure_precision(programs, labels=labels, jobs=1)
-            off_report, off_s = timed(False)
-            on_report, on_s = timed(True)
-            for _ in range(max(0, reps - 1)):
-                off_s = min(off_s, timed(False)[1])
-                on_s = min(on_s, timed(True)[1])
-            trace_summary = _fold_trace_summary(store_root)
-    finally:
-        tracing.refresh()
-        tracing.drain()
-
+    best = None
+    identical = True
+    with store_tree("layers", REPRO_CHECKPOINT="off", REPRO_FAULTS=None):
+        # warm the tree once so every run times scheduling + store reads
+        measure_precision(programs, labels=labels, jobs=1)
+        for _ in range(reps):
+            reset_worker_cache()
+            gc.collect()
+            with measure() as run:
+                report = measure_precision(programs, labels=labels, jobs=2)
+            identical = identical and report.rows == reference.rows
+            if best is None or run.wall_s < best.wall_s:
+                best = run
     return {
         "programs": [wp.name for wp in programs],
         "labels": list(labels),
         "rows": len(reference.rows),
-        "vm_steady": {
-            "steps": steps,
-            "off_s": round(vm_off_s, 4),
-            "on_s": round(vm_on_s, 4),
-            "steps_per_sec_off": int(steps * len(timed_sets) / vm_off_s),
-            "steps_per_sec_on": int(steps * len(timed_sets) / vm_on_s),
-            "overhead_pct": (round((vm_on_s - vm_off_s) / vm_off_s * 100, 2)
-                             if vm_off_s else None),
-        },
-        "fig8_jobs2": {
-            "off_s": round(off_s, 4),
-            "on_s": round(on_s, 4),
-            "overhead_pct": (round((on_s - off_s) / off_s * 100, 2)
-                             if off_s else None),
-        },
-        "trace": trace_summary,
-        "identical": {
-            "untraced": off_report.rows == reference.rows,
-            "traced": on_report.rows == reference.rows,
-        },
-    }
-
-
-def _fold_trace_summary(store_root: str) -> Dict[str, object]:
-    """The traced arm's per-phase summary, via ``trace_report.py --json``."""
-    import subprocess
-
-    telemetry = os.path.join(store_root, "telemetry")
-    try:
-        runs = [os.path.join(telemetry, name)
-                for name in os.listdir(telemetry)]
-    except OSError:
-        return {"valid": False, "error": "no telemetry directory"}
-    runs = [run for run in runs if os.path.isdir(run)]
-    if not runs:
-        return {"valid": False, "error": "no telemetry run"}
-    run_dir = max(runs, key=os.path.getmtime)
-    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "..", "..", "scripts", "trace_report.py")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.abspath(
-        __file__)), "..", "..", "src")
-    result = subprocess.run(
-        [sys.executable, script, "--validate", "--json", run_dir],
-        capture_output=True, text=True, env=env)
-    if result.returncode != 0:
-        return {"valid": False, "error": result.stderr.strip()[:500]}
-    try:
-        report = json.loads(result.stdout[result.stdout.index("{"):])
-    except ValueError:
-        return {"valid": False, "error": "unparsable trace_report output"}
-    return {
-        "valid": True,
-        "wall_seconds": report.get("wall_seconds"),
-        "busy_seconds": report.get("busy_seconds"),
-        "coverage": report.get("coverage"),
-        "phases": report.get("phases"),
-        "processes": len(report.get("processes", [])),
+        "wall_s": round(best.wall_s, 4),
+        "worker_s": round(best.worker_s, 4),
+        "coverage": round(best.coverage, 4),
+        "self_s": {name: round(seconds, 4)
+                   for name, seconds in sorted(best.self_s.items())},
+        "calls": dict(sorted(best.calls.items())),
+        "identical": identical,
     }
 
 
@@ -744,19 +646,15 @@ def check_results(results: Dict[str, object]) -> List[str]:
     if overhead and overhead.get("errors", -1) != 0:
         problems.append("full-tier verification found errors on the fig6 "
                         "variant set")
-    telemetry = results.get("telemetry_overhead", {})
-    if telemetry:
-        for name in ("untraced", "traced"):
-            if not telemetry.get("identical", {}).get(name, False):
-                problems.append(f"telemetry_overhead {name} run diverged "
-                                f"from the serial reference")
-        trace = telemetry.get("trace", {})
-        if not trace.get("valid", False):
-            problems.append("traced run produced no valid merged trace")
-        elif (trace.get("coverage") or 0) < 0.95:
-            problems.append(f"trace attributed only "
-                            f"{trace.get('coverage')} of busy time to "
-                            f"named phases (want >= 0.95)")
+    totals = results.get("layer_totals", {})
+    if totals:
+        if not totals.get("identical", False):
+            problems.append("the measured fig8 jobs=2 run diverged from the "
+                            "serial reference")
+        if (totals.get("coverage") or 0) < 0.95:
+            problems.append(f"named layers cover only "
+                            f"{totals.get('coverage')} of the fig8 jobs=2 "
+                            f"run (want >= 0.95)")
     return problems
 
 
@@ -787,7 +685,7 @@ def main(argv=None) -> int:
         reps = 5
 
     results = {
-        "schema": 14,
+        "schema": 15,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "python": sys.version.split()[0],
                    "store_dir": STORE_BASE},
@@ -806,8 +704,8 @@ def main(argv=None) -> int:
             loop_programs, max(1, reps // 2)),
         "verify_overhead": bench_verify_overhead(loop_programs,
                                                  max(1, reps // 2)),
-        "telemetry_overhead": bench_telemetry_overhead(loop_programs,
-                                                       max(1, reps // 2)),
+        "layer_totals": bench_layer_totals(loop_programs,
+                                           max(1, reps // 2)),
     }
 
     with open(args.out, "w") as fh:
@@ -847,13 +745,14 @@ def main(argv=None) -> int:
           f"{vo['warm_full_s']}s ({vo['warm_speedup']}x; structural "
           f"{vo['structural_s']}s); warm = {vo['warm_vs_build_pct']}% of "
           f"the {vo['build_s']}s build phase")
-    to = results["telemetry_overhead"]
-    print(f"telemetry:         vm steady {to['vm_steady']['overhead_pct']}% "
-          f"({to['vm_steady']['steps_per_sec_on']:,} steps/s traced); fig8 "
-          f"jobs=2 {to['fig8_jobs2']['overhead_pct']}% "
-          f"(off {to['fig8_jobs2']['off_s']}s -> on "
-          f"{to['fig8_jobs2']['on_s']}s); trace coverage "
-          f"{to['trace'].get('coverage')}, identical={to['identical']}")
+    lt = results["layer_totals"]
+    top = sorted(((name, seconds) for name, seconds in lt["self_s"].items()
+                  if not name.startswith("evaluation.")),
+                 key=lambda item: -item[1])[:3]
+    print(f"layer totals:      fig8 jobs=2 {lt['wall_s']}s, coverage "
+          f"{lt['coverage']}, top "
+          f"{', '.join(f'{name} {seconds}s' for name, seconds in top)}, "
+          f"identical={lt['identical']}")
     print(f"wrote {args.out}")
 
     if args.smoke:

@@ -22,10 +22,11 @@ corrupt objects the run never re-read get quarantined offline, and the
 ledger/journals reconcile.
 
 ``--json`` emits a machine-readable report on stdout (the human narration
-moves to stderr): per-phase wall times and row counts, the supervision /
-fault / quarantine counters from the run's merged telemetry
-(``REPRO_TRACE`` is forced on so the counters exist), and the telemetry
-run directory for ``trace_report.py``.
+moves to stderr): per phase, its wall time, row count and the
+:func:`repro.obs.measure` totals of its process and workers — the share of
+its time in named layers (``coverage``) and the supervision / fault /
+quarantine / checkpoint counters — plus those counters summed over the
+phases and, with ``--keep-tree``, the store tree's path.
 
 Exit status 0 only if every phase holds.  Runs in seconds on six
 workloads × two labels × two tools — six units, enough for the default
@@ -49,35 +50,9 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
-#: Telemetry counter prefixes worth surfacing in the ``--json`` report.
+#: Counter prefixes worth surfacing in the ``--json`` report.
 COUNTER_PREFIXES = ("executor.", "faults.", "checkpoint.",
                     "store.corrupt_reads", "store.quarantined")
-
-
-def _latest_run_dir(tree: str) -> Optional[str]:
-    telemetry = os.path.join(tree, "telemetry")
-    try:
-        runs = [os.path.join(telemetry, name)
-                for name in os.listdir(telemetry)]
-    except OSError:
-        return None
-    runs = [run for run in runs if os.path.isdir(run)]
-    return max(runs, key=os.path.getmtime) if runs else None
-
-
-def _merged_counters(tree: str) -> Dict[str, Any]:
-    run_dir = _latest_run_dir(tree)
-    if run_dir is None:
-        return {}
-    try:
-        with open(os.path.join(run_dir, "metrics.json"),
-                  encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    counters = (payload.get("merged") or {}).get("counters") or {}
-    return {name: value for name, value in sorted(counters.items())
-            if name.startswith(COUNTER_PREFIXES)}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -98,7 +73,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print and keep the store tree for inspection")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="structured report on stdout, narration on "
-                             "stderr; forces REPRO_TRACE=1")
+                             "stderr")
     args = parser.parse_args(argv)
 
     out = sys.stderr if args.as_json else sys.stdout
@@ -116,21 +91,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     os.environ.pop("REPRO_JOBS", None)
     os.environ.pop("REPRO_STORE_DIR", None)
     os.environ.pop("REPRO_FAULTS", None)
-    if args.as_json:
-        # the structured report reads retry/quarantine/fault counters out
-        # of the run's merged telemetry, so the run must produce one
-        os.environ["REPRO_TRACE"] = "1"
 
     from repro.diffing import all_differs
     from repro.evaluation import measure_precision
     from repro.evaluation.executor import reset_worker_cache
     from repro.faults import reset_injector
-    from repro.obs import tracing
-    from repro.obs.metrics import counted
+    from repro.obs import measure
     from repro.workloads.suites import spec2006_programs
-
-    if args.as_json:
-        tracing.refresh()
 
     workloads = spec2006_programs()[:args.workloads]
     labels = tuple(label.strip() for label in args.labels.split(",")
@@ -146,24 +113,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"faults={args.faults!r}")
 
     phases: Dict[str, Dict[str, Any]] = {}
-    telemetry: Dict[str, Any] = {}
+    counters: Dict[str, float] = {}
 
-    def run(jobs: int):
-        """One fig8 run: its rows and the checkpoint.* / diffunit.*
-        counters it bumped."""
-        with counted("checkpoint") as run_counts, \
-                counted("diffunit") as unit_counts:
+    def run(name: str, jobs: int):
+        """One fig8 run as phase ``name``: its rows and its counters.
+
+        Records the phase's seconds, rows, layer coverage and surfaced
+        counters in ``phases``.
+        """
+        with measure() as totals:
             report = rows(measure_precision(workloads, labels, differs,
                                             jobs=jobs))
-        return report, run_counts, unit_counts
+        surfaced = {key: value for key, value in sorted(totals.counters.items())
+                    if key.startswith(COUNTER_PREFIXES)}
+        for key, value in surfaced.items():
+            counters[key] = counters.get(key, 0) + value
+        phases[name] = {"seconds": totals.wall_s, "rows": len(report),
+                        "coverage": totals.coverage, "counters": surfaced}
+        return report, totals.counters
 
     # 1. fault-free in-process reference (no store, no workers)
     reset_worker_cache()
-    started = time.monotonic()
-    reference, _, _ = run(jobs=1)
-    phases["reference"] = {"seconds": time.monotonic() - started,
-                           "rows": len(reference), "ok": True}
-    say(f"  reference: {len(reference)} rows")
+    reference, _ = run("reference", jobs=1)
+    phases["reference"]["ok"] = True
+    say(f"  reference: {len(reference)} rows, "
+        f"{phases['reference']['coverage']:.1%} of the time in named layers")
 
     tree = tempfile.mkdtemp(prefix="chaos-store-")
     failures = 0
@@ -173,18 +147,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_FAULTS"] = args.faults
         reset_worker_cache()
         reset_injector()
-        started = time.monotonic()
-        chaos, chaos_run, stats = run(jobs=args.jobs)
+        chaos, chaos_run = run("chaos", jobs=args.jobs)
         identical = chaos == reference
-        phases["chaos"] = {"seconds": time.monotonic() - started,
-                           "rows": len(chaos), "ok": identical,
-                           "units_executed": chaos_run["executed"],
-                           "cells_scored": stats["cells_scored"]}
-        telemetry["chaos_counters"] = _merged_counters(tree)
+        executed = chaos_run.get("checkpoint.executed", 0)
+        scored = chaos_run.get("diffunit.cells_scored", 0)
+        phases["chaos"].update(ok=identical, units_executed=executed,
+                               cells_scored=scored)
         if identical:
-            say(f"  chaos run: bit-identical "
-                f"({chaos_run['executed']} units executed, "
-                f"{stats['cells_scored']} cells scored)")
+            say(f"  chaos run: bit-identical ({executed} units executed, "
+                f"{scored} cells scored)")
         else:
             say("  chaos run: REPORT DIVERGED FROM THE REFERENCE")
             failures += 1
@@ -194,22 +165,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ.pop("REPRO_FAULTS", None)
         reset_worker_cache()
         reset_injector()
-        started = time.monotonic()
-        resumed, resume_run, resumed_stats = run(jobs=args.jobs)
-        ok = (resumed == reference and resumed_stats["cells_scored"] == 0)
-        phases["resume"] = {"seconds": time.monotonic() - started,
-                            "rows": len(resumed), "ok": ok,
-                            "units_resumed": resume_run["resumed"],
-                            "units_planned": resume_run["planned"],
-                            "units_executed": resume_run["executed"],
-                            "cells_scored": resumed_stats["cells_scored"]}
+        resumed, resume_run = run("resume", jobs=args.jobs)
+        stats = {name: resume_run.get(f"checkpoint.{name}", 0)
+                 for name in ("resumed", "planned", "executed")}
+        stats["cells_scored"] = resume_run.get("diffunit.cells_scored", 0)
+        ok = resumed == reference and stats["cells_scored"] == 0
+        phases["resume"].update(
+            ok=ok, units_resumed=stats["resumed"],
+            units_planned=stats["planned"], units_executed=stats["executed"],
+            cells_scored=stats["cells_scored"])
         if ok:
-            say(f"  resume: {resume_run['resumed']}/{resume_run['planned']} "
+            say(f"  resume: {stats['resumed']}/{stats['planned']} "
                 f"units revived from the store, zero cells re-scored")
         else:
-            say(f"  resume: FAILED (executed={resume_run['executed']}, "
-                f"resumed={resume_run['resumed']}/{resume_run['planned']}, "
-                f"cells_scored={resumed_stats['cells_scored']}, "
+            say(f"  resume: FAILED (executed={stats['executed']}, "
+                f"resumed={stats['resumed']}/{stats['planned']}, "
+                f"cells_scored={stats['cells_scored']}, "
                 f"identical={resumed == reference})")
             failures += 1
 
@@ -229,9 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             failures += 1
         else:
             say("  fsck: clean")
-
-        telemetry["counters"] = _merged_counters(tree)
-        telemetry["run_dir"] = _latest_run_dir(tree)
     finally:
         os.environ.pop("REPRO_STORE_DIR", None)
         os.environ.pop("REPRO_FAULTS", None)
@@ -239,18 +207,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             say(f"  store tree kept at {tree}")
         else:
             shutil.rmtree(tree, ignore_errors=True)
-            telemetry.pop("run_dir", None)
 
     say("chaos_check: OK" if not failures
         else f"chaos_check: {failures} phase(s) FAILED")
     if args.as_json:
-        json.dump({"schema": 1, "ok": not failures, "failures": failures,
+        json.dump({"schema": 2, "ok": not failures, "failures": failures,
                    "config": {"workloads": len(workloads),
                               "labels": list(labels),
                               "tools": [d.name for d in differs],
                               "jobs": args.jobs, "faults": args.faults,
                               "retries": args.retries},
-                   "phases": phases, "telemetry": telemetry},
+                   "phases": phases, "counters": counters,
+                   "tree": tree if args.keep_tree else None},
                   sys.stdout, indent=2, sort_keys=True)
         print()
     return 1 if failures else 0

@@ -12,9 +12,8 @@ Public surface:
 * :func:`~repro.analysis.static.costcheck.check_program` — cost-model
   consistency of the compiled tier's precomputed block totals.
 
-``repro.ir.verifier`` remains the compatibility façade used across the
-code base (``assert_valid``, string-valued ``verify_*``); it delegates
-here.
+``repro.ir.verifier.assert_valid``, which the passes and the tests call,
+raises on the errors this package finds.
 """
 
 from .costcheck import COST_CODES, check_interpreter, check_program

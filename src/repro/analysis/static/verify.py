@@ -35,7 +35,6 @@ from typing import List, Optional, Union
 from ...ir.function import Function
 from ...ir.module import Module, Program
 from ...obs import metrics as obs_metrics
-from ...obs import tracing as obs_tracing
 from ..manager import AnalysisManager
 from . import dominance, lints, structural, typecheck
 from .diagnostics import Diagnostic, errors_only
@@ -71,13 +70,6 @@ def verify_function(function: Function, tier: Union[None, bool, str] = None,
 def _verify_function_uncached(function: Function, tier: str,
                               analyses: Optional[AnalysisManager]
                               ) -> List[Diagnostic]:
-    with obs_tracing.span("verify.function", cat="verify",
-                          function=function.name, tier=tier):
-        return _verify_tiers(function, tier, analyses)
-
-
-def _verify_tiers(function: Function, tier: str,
-                  analyses: Optional[AnalysisManager]) -> List[Diagnostic]:
     diagnostics = structural.check_function(function)
     if tier == "structural" or any(d.is_error for d in diagnostics):
         return diagnostics

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from typing import Dict, List
 
+from ..obs import layer
 from .binary import Binary, BinaryFunction
 
 
@@ -40,11 +41,13 @@ def _histogram_distance(hist_a: Dict[str, int],
                          for k in keys))
 
 
+@layer("backend.disasm")
 def opcode_histogram_distance(a: Binary, b: Binary) -> float:
     """Euclidean distance between the two binaries' opcode histograms."""
     return _histogram_distance(opcode_histogram(a), opcode_histogram(b))
 
 
+@layer("backend.disasm")
 def normalised_distances(original: Dict[str, int],
                          obfuscated: Dict[str, Dict[str, int]]
                          ) -> Dict[str, float]:

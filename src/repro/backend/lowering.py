@@ -25,6 +25,7 @@ from ..ir.module import Module, Program
 from ..ir.types import FloatType
 from ..ir.values import (Constant, GlobalVariable, NullPointer, UndefValue,
                          Value)
+from ..obs import layer
 from .binary import Binary, BinaryFunction
 from .isa import ARG_REGISTERS, MachineBlock, RETURN_REGISTER
 
@@ -313,6 +314,7 @@ def lower_module(module: Module, name: Optional[str] = None) -> Binary:
     return binary
 
 
+@layer("backend.lower")
 def lower_program(program: Program) -> Binary:
     linked = program if len(program.modules) == 1 else program.link()
     binary = lower_module(linked.modules[0], name=program.name)

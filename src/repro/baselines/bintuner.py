@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..backend.binary import Binary
 from ..backend.disassembler import opcode_histogram_distance
 from ..backend.lowering import lower_program
 from ..ir.module import Program
+from ..obs import layer
 from ..opt.pass_manager import OptOptions
 from ..opt.pipelines import optimize_program
 
 Objective = Callable[[Binary, Binary], float]
+#: One build of a program: its options, optimized program and binary.
+Build = Tuple[OptOptions, Program, Binary]
 
 _LEVELS = (0, 1, 2, 3)
 _INLINE_THRESHOLDS = (0, 10, 30, 60, 120)
@@ -82,21 +85,32 @@ class BinTuner:
         optimized = optimize_program(program, options)
         return optimized, lower_program(optimized)
 
+    @layer("baselines.bintuner")
     def tune(self, program: Program,
-             baseline_options: Optional[OptOptions] = None) -> BinTunerResult:
+             baseline_options: Optional[OptOptions] = None,
+             references: Sequence[Build] = ()) -> BinTunerResult:
         """Search for options maximising the difference to the baseline build.
 
         Following the paper's setup, the baseline is the O0 binary unless the
         caller supplies something else.  ``program`` is only read (every
         candidate compiles a copy); the result keeps the best candidate's
         optimized program, so a caller can run it without compiling again.
+        ``references`` are builds of ``program`` the caller already holds:
+        options equal to one of theirs reuse that build instead of compiling
+        it again (builds are deterministic, so the search is unchanged).
         """
+        def built(options: OptOptions) -> Tuple[Program, Binary]:
+            for held, optimized, binary in references:
+                if held == options:
+                    return optimized, binary
+            return self.compile(program, options)
+
         rng = random.Random(self.seed)
         baseline_options = baseline_options or OptOptions(level=0, lto=False)
-        baseline_binary = self.compile(program, baseline_options)[1]
+        baseline_binary = built(baseline_options)[1]
 
         best_options = OptOptions(level=3, lto=True)
-        best_program, best_binary = self.compile(program, best_options)
+        best_program, best_binary = built(best_options)
         best_score = self.objective(baseline_binary, best_binary)
         history: List[Tuple[str, float]] = [(best_options.label(), best_score)]
 
@@ -105,7 +119,7 @@ class BinTuner:
                 candidate = _random_options(rng)
             else:
                 candidate = _mutate(best_options, rng)
-            optimized, binary = self.compile(program, candidate)
+            optimized, binary = built(candidate)
             score = self.objective(baseline_binary, binary)
             history.append((candidate.label(), score))
             if score > best_score:

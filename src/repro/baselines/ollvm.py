@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.manager import AnalysisManager
-from ..core.obfuscator import ObfuscationResult
+from ..core.obfuscator import ObfuscationResult, assert_valid
 from ..core.provenance import ProvenanceMap
 from ..core.stats import KhaosStats
 from ..ir.module import Program
-from ..ir.verifier import assert_valid
+from ..obs import layer
 from ..opt.pass_manager import Pass
 from .bogus_cfg import BogusControlFlow
 from .flattening import ControlFlowFlattening
@@ -38,6 +38,7 @@ class OLLVMObfuscator:
              getattr(pass_, "seed", None))
             for pass_ in self.passes))
 
+    @layer("baselines.ollvm")
     def obfuscate(self, program: Program, verify: bool = True) -> ObfuscationResult:
         working = program.link()
         module = working.modules[0]

@@ -21,12 +21,18 @@ from typing import Callable, Optional
 from ..analysis.manager import AnalysisManager
 from ..ir.function import Function
 from ..ir.module import Program
-from ..ir.verifier import assert_valid
+from ..ir.verifier import assert_valid as _assert_valid
+from ..obs import layer
 from .config import KhaosConfig, Mode
 from .fission import Fission
 from .fusion import Fusion
 from .provenance import ProvenanceMap
 from .stats import KhaosStats
+
+#: The obfuscators check their output through this binding, which charges
+#: the check to the ``analysis.verify`` layer; other callers' checks are
+#: part of their own layer.
+assert_valid = layer("analysis.verify")(_assert_valid)
 
 
 @dataclass
@@ -64,6 +70,7 @@ class Khaos:
         """Identity of this obfuscator for :class:`~repro.core.variant_cache.VariantCache`."""
         return self.config.cache_key()
 
+    @layer("core.obfuscate")
     def obfuscate(self, program: Program, verify: bool = True) -> ObfuscationResult:
         working = program.link()
         module = working.modules[0]

@@ -2,9 +2,8 @@
 
 from typing import Dict, List
 
-from .base import (MATCH_CHANNEL, BinaryDiffer, DiffResult, PartialDiff,
-                   ToolInfo, escape_at_n, escape_ratio, precision_at_1,
-                   rank_of_correct)
+from .base import (MATCH_CHANNEL, BinaryDiffer, DiffResult, ToolInfo,
+                   escape_at_n, escape_ratio, precision_at_1, rank_of_correct)
 from .index import (FeatureIndex, clear_index_cache, feature_index,
                     index_cache_size)
 from .bindiff import BinDiff
@@ -32,7 +31,7 @@ def tool_table() -> List[Dict[str, str]]:
 
 
 __all__ = [
-    "MATCH_CHANNEL", "BinaryDiffer", "DiffResult", "PartialDiff", "ToolInfo",
+    "MATCH_CHANNEL", "BinaryDiffer", "DiffResult", "ToolInfo",
     "escape_at_n", "escape_ratio", "precision_at_1", "rank_of_correct",
     "FeatureIndex",
     "clear_index_cache", "feature_index", "index_cache_size",

@@ -13,16 +13,8 @@ binary.  The evaluation then applies the paper's metrics:
 * a whole-binary **similarity score** in [0, 1] (used for the BinDiff /
   BinTuner comparison of Figure 9).
 
-The evaluation diffs whole binaries (``diff()``).  Every tool also keeps a
-*partial-result contract*: :meth:`BinaryDiffer.shard_units` names a pair's
-per-function units, :meth:`BinaryDiffer.partial_diff` scores any subset of
-them into a mergeable :class:`PartialDiff`, and
-:meth:`BinaryDiffer.merge_partials` reassembles a :class:`DiffResult`
-bit-identical to ``diff()`` for any partition.  No evaluation path splits a
-pair any more; the contract stays because the paper benchmark's tracer
-wraps ``partial_diff`` and ``merge_partials``.  DeepBinDiff scores *basic
-blocks*, so it declares ``shard_granularity = "binary"``: its only unit is
-the whole pair.
+The evaluation diffs whole binaries (``diff()``); each tool's diffs are a
+layer of their own (``diffing.<tool>.diff``, :mod:`repro.obs.layers`).
 """
 
 from __future__ import annotations
@@ -33,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.binary import Binary, BinaryFunction
 from ..core.provenance import ProvenanceMap
+from ..obs import layer
 from .index import FeatureIndex, feature_index
 
 
@@ -98,36 +91,13 @@ def rank_of_correct(ranked: RankedCandidates, function_name: str,
 #: The ranking channel every tool produces: the candidate lists that become
 #: ``DiffResult.matches``.  Tools may score extra channels per source
 #: function (BinDiff ranks a symbol-free "structural" channel that its
-#: whole-binary score is computed from); channels travel inside
-#: :class:`PartialDiff` so the merge can finalize the score without
-#: re-extracting any feature.
+#: whole-binary score is computed from).
 MATCH_CHANNEL = "matches"
 
 
-@dataclass
-class PartialDiff:
-    """Mergeable outcome of scoring a subset of one binary pair's functions.
-
-    ``sources`` names the source functions this partial scored (a subset of
-    ``units``, every unit of the pair in rank order), ``matches``/``channels``
-    hold their ranked candidate lists, and the function counts carry the
-    denominators the whole-binary score needs — so
-    :meth:`BinaryDiffer.merge_partials` reassembles the exact
-    :class:`DiffResult` without the binaries.  Whole-pair partials
-    (``shard_granularity == "binary"``) cover every unit at once and carry
-    the final ``similarity_score``.
-    """
-
-    tool: str
-    original: str
-    obfuscated: str
-    units: Tuple[str, ...]
-    sources: Tuple[str, ...]
-    matches: Dict[str, RankedCandidates]
-    channels: Dict[str, Dict[str, RankedCandidates]] = field(default_factory=dict)
-    original_functions: int = 0
-    obfuscated_functions: int = 0
-    similarity_score: Optional[float] = None
+def _diff_layer(args: tuple) -> str:
+    """The layer of one ``diff()`` call: ``diffing.<tool>.diff``."""
+    return f"diffing.{args[0].name.lower()}.diff"
 
 
 class BinaryDiffer:
@@ -145,30 +115,21 @@ class BinaryDiffer:
     #: False re-extracts every feature per diff (the reference path).
     use_index: bool = True
 
-    #: "function" when :meth:`partial_diff` can score an arbitrary subset of
-    #: source functions independently; "binary" when the tool only scores
-    #: whole pairs (the sharding fallback).
-    shard_granularity: str = "function"
+    #: Every tool scores whole pairs (the paper benchmark's tracer reads
+    #: this to count a :meth:`partial_diff` as one diff).
+    shard_granularity: str = "binary"
 
     @property
     def name(self) -> str:
         return self.info.name
 
+    @layer(_diff_layer)
     def diff(self, original: Binary, obfuscated: Binary) -> DiffResult:
-        return self._diff(original, obfuscated,
-                          *self._resolve_indexes(original, obfuscated))
-
-    def _resolve_indexes(self, original: Binary, obfuscated: Binary
-                         ) -> Tuple[Optional[FeatureIndex],
-                                    Optional[FeatureIndex]]:
-        """The feature source ``diff()`` *and* ``partial_diff()`` score from.
-
-        One resolution point keeps the partial path on exactly the feature
-        path of the whole diff.
-        """
         if self.use_index:
-            return feature_index(original), feature_index(obfuscated)
-        return None, None
+            indexes = feature_index(original), feature_index(obfuscated)
+        else:
+            indexes = None, None
+        return self._diff(original, obfuscated, *indexes)
 
     def _diff(self, original: Binary, obfuscated: Binary,
               original_index: Optional[FeatureIndex],
@@ -176,10 +137,8 @@ class BinaryDiffer:
         """Default whole-pair diff of the pairwise-decomposable tools.
 
         Ranks every channel of :meth:`_pair_scorers` for every source
-        function and finalizes the whole-binary score — exactly the merged
-        outcome of :meth:`partial_diff` over any partition of the sources.
-        Tools that score below function granularity (DeepBinDiff) override
-        this wholesale.
+        function and finalizes the whole-binary score.  Tools that score
+        below function granularity (DeepBinDiff) override this wholesale.
         """
         scorers = self._pair_scorers(original, obfuscated,
                                      original_index, obfuscated_index)
@@ -193,8 +152,6 @@ class BinaryDiffer:
         return DiffResult(tool=self.name, original=original.name,
                           obfuscated=obfuscated.name, matches=matches,
                           similarity_score=score)
-
-    # -- the partial-result / sharding contract ------------------------------------
 
     def cache_key(self) -> Tuple:
         """Stable, value-based key of this tool's configuration.
@@ -210,14 +167,6 @@ class BinaryDiffer:
             and isinstance(value, (str, bytes, int, float, bool, type(None)))))
         return (type(self).__name__.lower(), config)
 
-    def shard_units(self, original: Binary) -> List[str]:
-        """The stable per-function shard keys of a pair, in rank order.
-
-        One unit per source (original) function; the order is the order
-        ``diff()`` ranks them in, which is what the merge layer reassembles.
-        """
-        return [f.name for f in original.functions]
-
     def _pair_scorers(self, original: Binary, obfuscated: Binary,
                       original_index: Optional[FeatureIndex],
                       obfuscated_index: Optional[FeatureIndex]
@@ -227,7 +176,7 @@ class BinaryDiffer:
         Must contain :data:`MATCH_CHANNEL`; extra channels are ranked
         alongside and fed to :meth:`_finalize_score`.  Building the scorers
         is where feature extraction happens (through the indexes when
-        given), so one call amortises across every pair a shard scores.
+        given), so one call amortises across every pair of the diff.
         """
         raise NotImplementedError
 
@@ -235,105 +184,24 @@ class BinaryDiffer:
                         channels: Dict[str, Dict[str, RankedCandidates]],
                         original_functions: int,
                         obfuscated_functions: int) -> float:
-        """The whole-binary similarity from complete ranking channels.
-
-        Runs identically over freshly-ranked channels (``_diff``) and over
-        merged partial channels (``merge_partials``) — the score is a pure
-        function of the assembled rankings plus the function counts.
-        """
+        """The whole-binary similarity from complete ranking channels: a
+        pure function of the rankings plus the function counts."""
         return self.assignment_score(matches, original_functions,
                                      obfuscated_functions)
 
-    def partial_diff(self, original: Binary, obfuscated: Binary,
-                     sources: Optional[Sequence[str]] = None) -> PartialDiff:
-        """Score ``sources`` (default: every unit) into a mergeable partial.
+    def partial_diff(self, original: Binary,
+                     obfuscated: Binary) -> DiffResult:
+        """The pair's whole :meth:`diff`.
 
-        Function-granularity tools rank exactly the requested source
-        functions against every obfuscated function — the shard's pair set
-        — through the same scorers ``diff()`` uses.  Binary-granularity
-        tools ignore ``sources`` and wrap a whole ``diff()`` (their partial
-        covers every unit and carries the final score).
+        This and :meth:`merge_partials` remain only because the paper
+        benchmark's tracer wraps both names; no evaluation path calls them.
         """
-        units = tuple(self.shard_units(original))
-        if self.shard_granularity != "function":
-            result = self.diff(original, obfuscated)
-            return PartialDiff(
-                tool=self.name, original=original.name,
-                obfuscated=obfuscated.name, units=units, sources=units,
-                matches=result.matches,
-                original_functions=len(original.functions),
-                obfuscated_functions=len(obfuscated.functions),
-                similarity_score=result.similarity_score)
-        sources = units if sources is None else tuple(sources)
-        unknown = sorted(set(sources) - set(units))
-        if unknown:
-            raise ValueError(
-                f"{self.name}: unknown source functions {unknown}")
-        scorers = self._pair_scorers(
-            original, obfuscated, *self._resolve_indexes(original, obfuscated))
-        by_name = {f.name: f for f in original.functions}
-        targets = obfuscated.functions
-        matches: Dict[str, RankedCandidates] = {}
-        channels: Dict[str, Dict[str, RankedCandidates]] = {
-            name: {} for name in scorers if name != MATCH_CHANNEL}
-        for source_name in sources:
-            source = by_name[source_name]
-            matches[source_name] = self.rank_candidates(
-                source, targets, scorers[MATCH_CHANNEL])
-            for channel_name in channels:
-                channels[channel_name][source_name] = self.rank_candidates(
-                    source, targets, scorers[channel_name])
-        return PartialDiff(
-            tool=self.name, original=original.name, obfuscated=obfuscated.name,
-            units=units, sources=sources, matches=matches, channels=channels,
-            original_functions=len(original.functions),
-            obfuscated_functions=len(obfuscated.functions))
+        return self.diff(original, obfuscated)
 
-    def merge_partials(self, partials: Sequence[PartialDiff]) -> DiffResult:
-        """Deterministically reassemble a serial-identical :class:`DiffResult`.
-
-        The partials must cover every unit of the pair exactly once (any
-        partition, in any order — the unit roster fixes the assembly).  A
-        single whole-pair partial short-circuits with its carried score;
-        otherwise the score is finalized from the merged channels, exactly
-        as ``diff()`` finalizes it from fresh ones.
-        """
-        if not partials:
-            raise ValueError("merge_partials needs at least one partial")
-        first = partials[0]
-        identity = (first.tool, first.original, first.obfuscated, first.units)
-        for partial in partials[1:]:
-            other = (partial.tool, partial.original, partial.obfuscated,
-                     partial.units)
-            if other != identity:
-                raise ValueError(
-                    f"cannot merge partials of different pairs: "
-                    f"{other!r} vs {identity!r}")
-        by_source: Dict[str, PartialDiff] = {}
-        for partial in partials:
-            for source in partial.sources:
-                if source in by_source:
-                    raise ValueError(f"unit {source!r} scored by two partials")
-                by_source[source] = partial
-        missing = [unit for unit in first.units if unit not in by_source]
-        if missing:
-            raise ValueError(f"partials cover no score for units {missing}")
-        matches = {unit: by_source[unit].matches[unit] for unit in first.units}
-        if len(partials) == 1 and first.similarity_score is not None:
-            return DiffResult(tool=first.tool, original=first.original,
-                              obfuscated=first.obfuscated, matches=matches,
-                              similarity_score=first.similarity_score)
-        channel_names = sorted({name for partial in partials
-                                for name in partial.channels})
-        channels = {name: {unit: by_source[unit].channels[name][unit]
-                           for unit in first.units}
-                    for name in channel_names}
-        score = self._finalize_score(matches, channels,
-                                     first.original_functions,
-                                     first.obfuscated_functions)
-        return DiffResult(tool=first.tool, original=first.original,
-                          obfuscated=first.obfuscated, matches=matches,
-                          similarity_score=score)
+    def merge_partials(self, partials: Sequence[DiffResult]) -> DiffResult:
+        """The one whole-pair result :meth:`partial_diff` returned."""
+        (result,) = partials
+        return result
 
     # -- helpers shared by the concrete tools --------------------------------------
 
@@ -347,8 +215,7 @@ class BinaryDiffer:
         Top-k selection via a heap instead of a full sort; ``nsmallest`` on
         the ``(-score, name)`` key is documented to equal
         ``sorted(...)[:k]``, so the candidate lists are bit-identical to the
-        previous full-sort implementation — and identical no matter which
-        shard ranks the source.
+        previous full-sort implementation.
         """
         key = lambda pair: (-pair[1], pair[0])  # noqa: E731
         scored = [(target.name, similarity(source, target))
@@ -371,8 +238,8 @@ class BinaryDiffer:
                          obfuscated_functions: int) -> float:
         """Greedy one-to-one assignment score, normalised to [0, 1].
 
-        Takes the function counts instead of the binaries so the merge
-        layer can finalize scores from partial results alone.
+        Takes the function counts instead of the binaries, so
+        :meth:`_finalize_score` needs only the rankings.
         """
         pairs: List[Tuple[float, str, str]] = []
         for source_name, ranked in matches.items():

@@ -159,12 +159,6 @@ class DeepBinDiff(BinaryDiffer):
                     symbol_relying=False, time_consuming=True,
                     memory_consuming=True, callgraph_lacking=False)
 
-    #: DeepBinDiff matches *basic blocks*; a function's candidate ranking
-    #: emerges from cross-granularity block votes rather than from a
-    #: per-function-pair similarity, so its partials cover whole binary
-    #: pairs (the only non-pairwise-decomposable tool).
-    shard_granularity = "binary"
-
     def __init__(self, dim: int = EMBEDDING_DIM, max_block_candidates: int = 3,
                  vote_sharpness: int = 3):
         self.dim = dim

@@ -28,6 +28,7 @@ import weakref
 from typing import Callable, Dict, List, Set, Tuple, TypeVar
 
 from ..backend.binary import Binary, BinaryFunction
+from ..obs import layer
 from .features import (NormalizedVector, block_numeric_features, embed_block,
                        function_numeric_features, propagate_over_cfg)
 
@@ -58,6 +59,7 @@ class FeatureIndex:
 
     # -- generic memoisation -------------------------------------------------------
 
+    @layer("diffing.features")
     def memo(self, key: object, builder: Callable[[], T]) -> T:
         """Return the cached value for ``key``, building it on first use.
 

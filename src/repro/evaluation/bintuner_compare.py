@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..baselines.bintuner import BinTuner
 from ..core.variant_cache import variant_key
 from ..diffing.bindiff import BinDiff
-from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..store.keys import config_cache_key
 from ..toolchain import obfuscator_for
@@ -87,33 +86,34 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
     The opt-level references and the Khaos build are store-keyed variants,
     built once and shared by both protections; the BinTuner search is
     seeded, so the tuned binary is deterministic per (workload,
-    iterations), and its overhead is measured on the program the search
-    compiled.  Every build and the search start from one synthesis of the
-    workload.  Returns the BinTuner and the Khaos similarity scores in
-    :data:`OPT_LEVELS` order, plus BinTuner's runtime-overhead factor
-    against the O2 + LTO baseline.
+    iterations), it takes its O0 baseline and O3 + LTO start from the
+    references instead of compiling them again, and its overhead is
+    measured on the program the search compiled.  Every build and the
+    search start from one synthesis of the workload.  Returns the BinTuner
+    and the Khaos similarity scores in :data:`OPT_LEVELS` order, plus
+    BinTuner's runtime-overhead factor against the O2 + LTO baseline.
     """
     workload, tuner_iterations = shard
     cache = cache if cache is not None else worker_cache()
     source = functools.cache(workload.build)
-    with obs_tracing.span("shard.fig9", cat="diff", workload=workload.name):
-        references = [build_variant(workload, "baseline",
-                                    OptOptions(level=level, lto=level >= 2),
-                                    cache, source).binary
-                      for level in OPT_LEVELS]
-        tuned = BinTuner(iterations=tuner_iterations).tune(source())
-        baseline_run = run_program(
-            build_variant(workload, "baseline", None, cache, source).program)
-        tuned_run = run_program(tuned.best_program)
-        base = baseline_run.cycles or 1
-        khaos = build_variant(workload, KHAOS_LABEL, None, cache,
-                              source).binary
-        differ = BinDiff()
-        return ([differ.diff(reference, tuned.best_binary).similarity_score
-                 for reference in references],
-                [differ.diff(reference, khaos).similarity_score
-                 for reference in references],
-                (tuned_run.cycles - base) / base)
+    references = []
+    for level in OPT_LEVELS:
+        options = OptOptions(level=level, lto=level >= 2)
+        built = build_variant(workload, "baseline", options, cache, source)
+        references.append((options, built.program, built.binary))
+    tuned = BinTuner(iterations=tuner_iterations).tune(
+        source(), references=references)
+    baseline_run = run_program(
+        build_variant(workload, "baseline", None, cache, source).program)
+    tuned_run = run_program(tuned.best_program)
+    base = baseline_run.cycles or 1
+    khaos = build_variant(workload, KHAOS_LABEL, None, cache, source).binary
+    differ = BinDiff()
+    return ([differ.diff(binary, tuned.best_binary).similarity_score
+             for _options, _program, binary in references],
+            [differ.diff(binary, khaos).similarity_score
+             for _options, _program, binary in references],
+            (tuned_run.cycles - base) / base)
 
 
 def bintuner_shard_key(shard: BinTunerShard) -> Tuple:

@@ -41,10 +41,8 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Set, TypeVar
 
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
-from ..obs.collect import open_run
 from ..store.artifact_store import (KIND_SHARD, StoreError, store_digest,
-                                    store_dir_from_env, store_from_env)
+                                    store_from_env)
 from .executor import call_cache, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
@@ -58,9 +56,9 @@ def checkpoint_enabled(environ=os.environ) -> bool:
     """Checkpointing is on by default; ``REPRO_CHECKPOINT=off`` disables it.
 
     The off switch exists for measurements that must not short-circuit
-    (e.g. the ``telemetry_overhead`` bench re-runs one matrix twice on one
-    tree) and for tests that specifically exercise the executor rather than
-    the resume path.
+    (e.g. the ``layer_totals`` bench times one matrix over a tree that
+    already holds its units) and for tests that specifically exercise the
+    executor rather than the resume path.
     """
     value = environ.get("REPRO_CHECKPOINT", "").strip().lower()
     if value in ("", "on", "1", "true"):
@@ -193,21 +191,6 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
     if len(tasks) != len(keys):
         raise ValueError(
             f"run_checkpointed: {len(tasks)} tasks but {len(keys)} keys")
-    root = store_dir_from_env()
-    identity = run_id(run_parts)
-    # the telemetry run wraps even the checkpoint-off paths: the bench's
-    # REPRO_CHECKPOINT=off arms still produce a merged trace.  open_run is
-    # a no-op without a store tree or with tracing off, and nested
-    # opens defer to the outermost run.
-    with open_run(root, identity):
-        with obs_tracing.span("run", cat="coordinate", run_id=identity,
-                              tasks=len(tasks)):
-            return _run_checkpointed(task_fn, tasks, keys, identity, jobs,
-                                     normalize)
-
-
-def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
-                      normalize) -> List[Result]:
     if not checkpoint_enabled():
         return run_tasks(task_fn, tasks, jobs=jobs)
     try:
@@ -218,7 +201,7 @@ def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
         store = None
     if store is None:
         return run_tasks(task_fn, tasks, jobs=jobs)
-    manifest = RunManifest(store.root, identity)
+    manifest = RunManifest(store.root, run_id(run_parts))
     obs_metrics.counter("checkpoint.planned", len(tasks))
 
     results: List[object] = [_ABSENT] * len(tasks)
@@ -234,11 +217,6 @@ def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
         if digests[index] not in manifest.done:
             # root the revived object under this run's journal too
             manifest.mark_done(digests[index])
-    if len(pending) < len(tasks):
-        obs_tracing.event("checkpoint.resume", cat="coordinate",
-                          run_id=identity,
-                          resumed=len(tasks) - len(pending),
-                          pending=len(pending))
 
     if pending:
         def journal(position: int, value: Result) -> None:
@@ -247,8 +225,6 @@ def _run_checkpointed(task_fn, tasks, keys, identity, jobs,
             store.put(KIND_SHARD, keys[index], value)
             manifest.mark_done(digests[index])
             obs_metrics.counter("checkpoint.journaled")
-            obs_tracing.event("checkpoint.journal", cat="coordinate",
-                              shard=digests[index][:12])
 
         run_tasks(task_fn, [tasks[index] for index in pending], jobs=jobs,
                   on_result=journal)

@@ -29,7 +29,6 @@ from ..core.variant_cache import VariantCache, variant_key
 from ..diffing import rank_of_correct
 from ..diffing.base import BinaryDiffer
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..store.keys import config_cache_key
 from ..toolchain import obfuscator_for
@@ -84,21 +83,19 @@ def _diff_unit(unit: DiffUnit, cache=None) -> DiffUnitResult:
     workload, labels, differs, options = unit
     cache = cache if cache is not None else worker_cache()
     source = functools.cache(workload.build)
-    with obs_tracing.span("shard.diff", cat="diff", workload=workload.name,
-                          labels=len(labels), tools=len(differs)):
-        baseline = build_variant(workload, "baseline", options, cache,
-                                 source).binary
-        functions = tuple(function.name for function in baseline.functions)
-        cells = []
-        for label in labels:
-            variant = build_variant(workload, label, options, cache, source)
-            for differ in differs:
-                result = differ.diff(baseline, variant.binary)
-                cells.append(DiffCell(result.similarity_score, tuple(
-                    rank_of_correct(result.matches.get(name, []), name,
-                                    variant.provenance)
-                    for name in functions)))
-        return DiffUnitResult(functions, tuple(cells), scored=len(cells))
+    baseline = build_variant(workload, "baseline", options, cache,
+                             source).binary
+    functions = tuple(function.name for function in baseline.functions)
+    cells = []
+    for label in labels:
+        variant = build_variant(workload, label, options, cache, source)
+        for differ in differs:
+            result = differ.diff(baseline, variant.binary)
+            cells.append(DiffCell(result.similarity_score, tuple(
+                rank_of_correct(result.matches.get(name, []), name,
+                                variant.provenance)
+                for name in functions)))
+    return DiffUnitResult(functions, tuple(cells), scored=len(cells))
 
 
 def diff_unit_key(unit: DiffUnit) -> Tuple:

@@ -24,7 +24,9 @@ two ways, and the results are bit-identical either way:
   that fails every attempt aborts the run with :class:`ExecutorTaskError`
   carrying the task's identity.  The worker-side task wrapper is where
   seeded chaos (:mod:`repro.faults`, ``REPRO_FAULTS``) injects crashes,
-  hangs and task errors.
+  hangs and task errors, and it returns each result with the counters
+  the worker recorded since its previous one, which the parent keeps
+  apart from its own (:mod:`repro.obs.layers`).
 
 Each worker process builds through one process-wide
 :class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); an
@@ -48,9 +50,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..core.variant_cache import VariantCache
 from ..faults import active_injector
+from ..obs import layer
+from ..obs import layers as obs_layers
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
-from ..obs.collect import flush as flush_telemetry, telemetry_dir
 from ..store.artifact_store import (ArtifactStore, StoreError,
                                     store_dir_from_env)
 
@@ -200,8 +202,8 @@ _WORKER_CACHE: Optional[VariantCache] = None
 #: *visible*, not silent — a worker that starts storeless because the tree
 #: was unusable looks identical to one that never had a tree, unless these
 #: counters say otherwise.
-#: Since the telemetry PR they live in the process-global metrics registry
-#: under this prefix; :func:`worker_cache_events` is a façade over it.
+#: They live in the process-global metrics registry under this prefix;
+#: :func:`worker_cache_events` is a façade over it.
 _CACHE_EVENTS_PREFIX = "executor.cache"
 
 #: LRU bound of each worker's in-memory layer: the most any unit needs at
@@ -283,7 +285,7 @@ def reset_worker_cache() -> None:
 # -- the supervised map primitive -----------------------------------------------------
 
 
-def _supervised_entry(payload: Tuple) -> object:
+def _supervised_entry(payload: Tuple) -> Tuple[object, Dict[str, float]]:
     """Worker-side task wrapper: the chaos injection point.
 
     Runs in the worker process.  With ``REPRO_FAULTS`` set (workers inherit
@@ -291,29 +293,26 @@ def _supervised_entry(payload: Tuple) -> object:
     raise before the real task function runs; the firing decision is a pure
     function of (seed, task index, attempt), so chaos runs are reproducible.
 
-    Also the telemetry task boundary: the task runs under a ``task`` span
-    and the worker's buffered spans + metrics snapshot are flushed to its
-    per-pid shard file afterwards, so even a worker that is killed later has
-    handed over everything up to its last completed task.  The payload
-    carries the parent's telemetry run directory (``None`` without an
-    active run, which makes the flush a no-op), so a worker needs no state
-    inherited from the parent to find it.
+    Returns the task's result together with the counters the worker
+    recorded since its previous result (:func:`repro.obs.layers.hand_back`),
+    so the parent's totals cover its workers with no file or environment
+    variable between them.
     """
-    task_fn, task, index, attempt, run_dir = payload
+    return _run_task(*payload), obs_layers.hand_back()
+
+
+@layer(obs_layers.TASK)
+def _run_task(task_fn: Callable[[Task], Result], task: Task, index: int,
+              attempt: int) -> Result:
     injector = active_injector()
     if injector is not None:
         token = f"task:{index}"
         injector.maybe_crash(token, attempt)
         injector.maybe_hang(token, attempt)
         injector.maybe_error(token, attempt)
-    try:
-        with obs_tracing.span("task", cat="task", index=index,
-                              attempt=attempt):
-            result = task_fn(task)
-        obs_metrics.counter("executor.tasks_completed")
-        return result
-    finally:
-        flush_telemetry(run_dir)
+    result = task_fn(task)
+    obs_metrics.counter("executor.tasks_completed")
+    return result
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -327,6 +326,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+@layer(obs_layers.WAIT)
 def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                     workers: int, timeout: Optional[float], retries: int,
                     on_result: Optional[Callable[[int, Result], None]]
@@ -345,7 +345,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     pool: Optional[ProcessPoolExecutor] = None
     pool_failures = 0
     failure_limit = _max_pool_failures()
-    run_dir = telemetry_dir()
 
     def record(index: int, value: Result) -> None:
         results[index] = value
@@ -356,8 +355,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
         nonlocal pool
         if pool is not None:
             obs_metrics.counter("executor.pool_respawns")
-            obs_tracing.event("executor.pool_respawn", cat="coordinate",
-                              consecutive_failures=pool_failures)
             _kill_pool(pool)
             pool = None
 
@@ -367,8 +364,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
         next_attempt = attempt + 1 if burn_retry else attempt
         if burn_retry:
             obs_metrics.counter("executor.retries")
-            obs_tracing.event("executor.retry", cat="task", index=index,
-                              attempt=attempt, cause=cause)
         if next_attempt > retries:
             recycle_pool()
             raise ExecutorTaskError(index, tasks[index], attempt + 1, cause)
@@ -377,8 +372,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     def run_serially() -> None:
         """Graceful degradation: finish the remaining tasks in-process."""
         obs_metrics.counter("executor.serial_degradations")
-        obs_tracing.event("executor.serial_degradation", cat="coordinate",
-                          remaining=len(pending) + len(inflight))
         logger.warning(
             "executor: %d consecutive pool failures; finishing %d task(s) "
             "serially in-process", pool_failures,
@@ -409,7 +402,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                 try:
                     future = pool.submit(
                         _supervised_entry, (task_fn, tasks[index], index,
-                                            attempt, run_dir))
+                                            attempt))
                 except (BrokenProcessPool, RuntimeError):
                     pending.appendleft((index, attempt))
                     broken = True
@@ -441,7 +434,9 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                 index, attempt, _started = inflight.pop(future)
                 error = future.exception()
                 if error is None:
-                    record(index, future.result())
+                    value, counters = future.result()
+                    obs_layers.absorb(counters)
+                    record(index, value)
                     pool_failures = 0
                 elif isinstance(error, BrokenProcessPool):
                     # the worker died (crash, OOM, kill); which in-flight
@@ -478,9 +473,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                     for future, (index, attempt, _started) in inflight.items():
                         if future in hung:
                             obs_metrics.counter("executor.timeouts")
-                            obs_tracing.event(
-                                "executor.timeout", cat="task", index=index,
-                                attempt=attempt, timeout=timeout)
                             logger.warning(
                                 "executor: task %d exceeded %.3gs timeout "
                                 "(attempt %d); killing worker and retrying",

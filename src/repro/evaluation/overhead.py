@@ -37,7 +37,6 @@ from ..backend.disassembler import opcode_histogram
 from ..core.variant_cache import VariantCache, variant_key
 from ..ir.module import Program
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..toolchain import (KHAOS_LABELS, build_baseline, build_obfuscated,
                          obfuscator_for)
@@ -130,16 +129,13 @@ def _recipe(workload: WorkloadProgram, label: str,
         builder = lambda: build_obfuscated(  # noqa: E731
             source(), key_source, options)
 
-    def traced_builder():
-        # the span covers only *fresh* builds — cache/store hits are already
-        # visible as store.read spans and store.*_hits counters
-        with obs_tracing.span("build.variant", cat="build",
-                              workload=workload.name, label=label):
-            artifact = builder()
+    def counted_builder():
+        # counts only *fresh* builds: cache and store hits have their own
+        # store.* counters
         obs_metrics.counter("build.variants")
-        return artifact
+        return builder()
 
-    return variant_key(workload, key_source, options), traced_builder
+    return variant_key(workload, key_source, options), counted_builder
 
 
 def build_variant(workload: WorkloadProgram, label: str,
@@ -206,9 +202,7 @@ def _variant_facts(workload: WorkloadProgram, label: str,
     if facts is None:
         facts = _FACTS[key] = _Facts(opcode_histogram(artifact.binary))
     if run:
-        with obs_tracing.span("vm.measure", cat="measure",
-                              workload=workload.name, label=label):
-            result = VMBatch().run(artifact.program)
+        result = VMBatch().run(artifact.program)
         facts.cycles = result.cycles
         facts.observable = result.observable()
     return facts
@@ -237,22 +231,19 @@ def _overhead_shard(shard: OverheadShard, cache=None) -> List[OverheadRow]:
     if cache is None:
         cache = worker_cache()
     source = functools.cache(workload.build)
-    with obs_tracing.span("shard.fig67", cat="measure",
-                          workload=workload.name, labels=len(labels)):
-        baseline = _variant_facts(workload, "baseline", options, cache,
-                                  run=True, source=source)
-        rows = []
-        for label in labels:
-            facts = _variant_facts(workload, label, options, cache, run=True,
-                                   source=source)
-            if facts.observable != baseline.observable:
-                raise SemanticsMismatch(workload.name, label,
-                                        baseline.observable,
-                                        facts.observable)
-            rows.append(OverheadRow(
-                program=workload.name, suite=workload.suite, label=label,
-                baseline_cycles=baseline.cycles, cycles=facts.cycles))
-        return rows
+    baseline = _variant_facts(workload, "baseline", options, cache,
+                              run=True, source=source)
+    rows = []
+    for label in labels:
+        facts = _variant_facts(workload, label, options, cache, run=True,
+                               source=source)
+        if facts.observable != baseline.observable:
+            raise SemanticsMismatch(workload.name, label,
+                                    baseline.observable, facts.observable)
+        rows.append(OverheadRow(
+            program=workload.name, suite=workload.suite, label=label,
+            baseline_cycles=baseline.cycles, cycles=facts.cycles))
+    return rows
 
 
 def measure_overhead(workloads: Sequence[WorkloadProgram],

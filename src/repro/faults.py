@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from .obs import metrics as obs_metrics
-from .obs import tracing as obs_tracing
 
 #: The recognised fault kinds, in spec order.
 FAULT_KINDS = ("worker_crash", "task_hang", "task_error", "store_corrupt")
@@ -172,12 +171,10 @@ class FaultInjector:
         if rule is None or not rule.fires(token, attempt):
             return False
         self.fired[kind] += 1
-        # mirror into telemetry so merged chaos traces show injections;
-        # a worker_crash event is lost with the process (never flushed),
-        # but the coordinator's pool_respawn event still marks it
+        # a worker's count reaches its parent with the worker's next task
+        # result; a worker_crash count dies with the process, but the
+        # parent's executor.pool_respawns still marks it
         obs_metrics.counter(f"faults.injected.{kind}")
-        obs_tracing.event("fault.injected", cat="task", kind=kind,
-                          token=token, attempt=attempt)
         return True
 
     # -- worker-side faults (applied by the supervised executor wrapper) ----------

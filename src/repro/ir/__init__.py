@@ -21,8 +21,7 @@ from .function import Function, Linkage
 from .module import Module, Program, clone_function_body
 from .builder import IRBuilder, create_function
 from .printer import function_to_str, instruction_to_str, module_to_str
-from .verifier import (VerificationError, assert_valid, verify_function,
-                       verify_module, verify_program)
+from .verifier import VerificationError, assert_valid
 
 __all__ = [
     "ArrayType", "FloatType", "FunctionType", "IntType", "PointerType", "Type",
@@ -36,6 +35,5 @@ __all__ = [
     "BasicBlock", "Function", "Linkage", "Module", "Program",
     "clone_function_body", "IRBuilder", "create_function",
     "function_to_str", "instruction_to_str", "module_to_str",
-    "VerificationError", "assert_valid", "verify_function", "verify_module",
-    "verify_program",
+    "VerificationError", "assert_valid",
 ]

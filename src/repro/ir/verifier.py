@@ -1,25 +1,21 @@
-"""Compatibility façade over the :mod:`repro.analysis.static` verifier.
+"""``assert_valid``: raise on IR that fails the :mod:`repro.analysis.static`
+verifier.
 
-Historically this module *was* the verifier — a flat structural check.  The
-real implementation now lives in :mod:`repro.analysis.static` with tiered
-depth (``structural`` / ``typed`` / ``full``, selectable per call or via
+The verifier itself lives in :mod:`repro.analysis.static`, with tiered depth
+(``structural`` / ``typed`` / ``full``, selectable per call or via
 ``REPRO_VERIFY_IR``), structured diagnostics, dominance-based def-before-use
-and dataflow lints.  This façade keeps the historical API stable for the
-passes and tests: the ``verify_*`` functions return rendered error strings,
-``assert_valid`` raises :class:`VerificationError`.
+and dataflow lints; read its diagnostics there.  The passes, the obfuscators
+and the tests check IR through :func:`assert_valid`, which raises
+:class:`VerificationError` with the rendered errors.
 
-The analysis package is imported lazily inside each function:
-``repro.ir.__init__`` imports this module at package-load time, and
-``repro.analysis`` imports ``repro.ir`` — a module-level import here would
-cycle.
+The analysis package is imported lazily: ``repro.ir.__init__`` imports this
+module at package-load time, and ``repro.analysis`` imports ``repro.ir`` — a
+module-level import here would cycle.
 """
 
 from __future__ import annotations
 
 from typing import List, Union
-
-from .function import Function
-from .module import Module, Program
 
 
 class VerificationError(Exception):
@@ -28,33 +24,6 @@ class VerificationError(Exception):
     def __init__(self, errors: List[str]):
         super().__init__("\n".join(errors))
         self.errors = errors
-
-
-def verify_function(function: Function,
-                    tier: Union[None, bool, str] = None,
-                    analyses=None) -> List[str]:
-    """Error messages (empty when valid) of ``function`` at ``tier``."""
-    from ..analysis import static
-    return [d.render()
-            for d in static.verification_errors(function, tier, analyses)]
-
-
-def verify_module(module: Module, tier: Union[None, bool, str] = None,
-                  analyses=None) -> List[str]:
-    from ..analysis import static
-    return [d.render()
-            for d in static.verification_errors(module, tier, analyses)]
-
-
-def verify_program(program: Program, raise_on_error: bool = True,
-                   tier: Union[None, bool, str] = None,
-                   analyses=None) -> List[str]:
-    from ..analysis import static
-    errors = [d.render()
-              for d in static.verification_errors(program, tier, analyses)]
-    if errors and raise_on_error:
-        raise VerificationError(errors)
-    return errors
 
 
 def assert_valid(obj, tier: Union[None, bool, str] = None,

@@ -1,26 +1,16 @@
-"""Unified telemetry: metrics registry, span tracing, cross-process
-collection and trace export.
+"""Telemetry: process-wide counters and always-on per-layer time totals.
 
-Quick map:
-
-- :mod:`.metrics` — process-global :data:`~repro.obs.metrics.REGISTRY`
-  of counters/gauges/histograms; always on (a handful of dict ops), the
-  backing store for every legacy ``stats()`` façade;
-- :mod:`.tracing` — ``span()``/``event()``/``traced`` guarded by the
-  ``REPRO_TRACE`` module flag; no-op singleton when off;
-- :mod:`.collect` — per-process ``<pid>.jsonl`` flushes into
-  ``<store>/telemetry/<run_id>/`` and the deterministic merge;
-- :mod:`.export` — Chrome trace-event JSON + flat metrics JSON.
-
-``scripts/trace_report.py`` is the human front end.
+- :mod:`.metrics` — the process-global :data:`~repro.obs.metrics.REGISTRY`
+  of counters, the backing store of every legacy ``stats()`` façade;
+- :mod:`.layers` — :func:`layer` charges an entry point's self time and
+  calls to a named layer, and :func:`measure` reads the totals of this
+  process and of its pool workers around any block of code.
 """
 
-from .metrics import REGISTRY, MetricsRegistry, counter, gauge, observe
-from .tracing import active, event, span, traced
-from .collect import flush, open_run, telemetry_dir
+from .metrics import REGISTRY, MetricsRegistry, counted, counter
+from .layers import Measurement, layer, measure
 
 __all__ = [
-    "REGISTRY", "MetricsRegistry", "counter", "gauge", "observe",
-    "active", "event", "span", "traced",
-    "flush", "open_run", "telemetry_dir",
+    "REGISTRY", "MetricsRegistry", "counted", "counter",
+    "Measurement", "layer", "measure",
 ]

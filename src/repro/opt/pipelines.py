@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir.module import Program
+from ..obs import layer
 from .constant_fold import ConstantFolding
 from .dce import DeadCodeElimination, DeadFunctionElimination
 from .inline import Inliner
@@ -47,6 +48,7 @@ def build_pipeline(options: OptOptions, entry: str = "main") -> List[Pass]:
     return passes
 
 
+@layer("opt.optimize")
 def optimize_program(program: Program, options: Optional[OptOptions] = None,
                      verify_each: bool = False,
                      in_place: bool = False) -> Program:

@@ -45,8 +45,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..faults import active_injector
+from ..obs import layer
 from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
 from .backend import OBJECTS_DIR, LocalBackend
 from .generation_log import GenerationLog
 from .keys import KEY_SCHEMA as _KEY_SCHEMA
@@ -259,6 +259,7 @@ class ArtifactStore:
 
     # -- the lookup protocol -----------------------------------------------------
 
+    @layer("store.read")
     def get_or_build(self, kind: str, key: object,
                      builder: Callable[[], T]) -> T:
         """The artifact for ``(kind, key)``: memory, then disk, then build.
@@ -288,6 +289,7 @@ class ArtifactStore:
         self._write_object(kind, digest, key, payload)
         return payload
 
+    @layer("store.read")
     def get(self, kind: str, key: object, default: object = None) -> object:
         """The stored artifact, or ``default`` — never builds."""
         digest = store_digest(kind, key)
@@ -303,6 +305,7 @@ class ArtifactStore:
         self._remember(slot, key, payload)
         return payload
 
+    @layer("store.write")
     def put(self, kind: str, key: object, payload: object,
             overwrite: bool = False) -> str:
         """Store ``payload`` under ``(kind, key)``; returns its digest.
@@ -317,6 +320,7 @@ class ArtifactStore:
         self._write_object(kind, digest, key, payload, overwrite=overwrite)
         return digest
 
+    @layer("store.read")
     def contains(self, kind: str, key: object) -> bool:
         digest = store_digest(kind, key)
         if (kind, digest) in self._memory:
@@ -370,12 +374,12 @@ class ArtifactStore:
 
     # -- disk layer --------------------------------------------------------------
 
+    @layer("store.read")
     def _read_object(self, kind: str, digest: str, key: object) -> object:
         if self._backend is None:
             return _MISSING
         try:
-            with obs_tracing.span("store.read", cat="store", kind=kind):
-                data = self._backend.get(kind, digest)
+            data = self._backend.get(kind, digest)
             if data is None:
                 return _MISSING
             self.metrics.counter("store.bytes_read", len(data))
@@ -410,8 +414,6 @@ class ArtifactStore:
         impossible either way.
         """
         self.metrics.counter(f"store.corrupt_reads.{cause}")
-        obs_tracing.event("store.quarantine", cat="store", kind=kind,
-                          digest=digest[:12], cause=cause)
         if self._backend is None:
             return
         record = {"kind": kind, "digest": digest, "reason": reason,
@@ -420,6 +422,7 @@ class ArtifactStore:
         if self._backend.quarantine(kind, digest, record):
             self.metrics.counter("store.quarantined")
 
+    @layer("store.write")
     def _write_object(self, kind: str, digest: str, key: object,
                       payload: object, overwrite: bool = False) -> None:
         if self._backend is None:
@@ -429,17 +432,15 @@ class ArtifactStore:
         try:
             if not overwrite and self._backend.contains(kind, digest):
                 return  # first-writer-kept (the backend re-checks under race)
-            with obs_tracing.span("store.write", cat="store", kind=kind):
-                data = pickle.dumps(envelope,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                injector = active_injector()
-                if injector is not None:
-                    # seeded chaos (REPRO_FAULTS store_corrupt): damage the
-                    # bytes on their way to disk, at most once per object
-                    # per process
-                    data = injector.corrupt_payload(f"{kind}:{digest}", data)
-                written = self._backend.put(kind, digest, data,
-                                            overwrite=overwrite)
+            data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+            injector = active_injector()
+            if injector is not None:
+                # seeded chaos (REPRO_FAULTS store_corrupt): damage the
+                # bytes on their way to disk, at most once per object per
+                # process
+                data = injector.corrupt_payload(f"{kind}:{digest}", data)
+            written = self._backend.put(kind, digest, data,
+                                        overwrite=overwrite)
         except (OSError, pickle.PicklingError, TypeError,
                 AttributeError) as error:
             # persistence is an optimisation; never fail the build for an

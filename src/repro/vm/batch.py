@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..ir.module import Program
+from ..obs import layer
 from ..obs import metrics as obs_metrics
 from .costs import CostModel
 from .machine import ExecutionResult, Interpreter
@@ -40,11 +41,12 @@ class VMBatch:
         self.max_steps = max_steps
         #: Per-batch counter view chained to the process-global registry:
         #: the ``executions``/``interpreters`` attributes keep their
-        #: per-instance semantics while every increment also feeds the
-        #: telemetry flush (``vmbatch.*`` counters).
+        #: per-instance semantics while every increment also lands in the
+        #: process-wide registry (``vmbatch.*`` counters).
         self.metrics = obs_metrics.MetricsRegistry(
             parent=obs_metrics.REGISTRY)
 
+    @layer("vm.run")
     def run_many(self, program: Program,
                  input_sets: Sequence[Sequence[int]],
                  binary=None) -> List[ExecutionResult]:

@@ -19,7 +19,6 @@ runtime meaning.
 from __future__ import annotations
 
 import os
-import time
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from ..ir.module import Program
 from ..ir.types import IntType
 from ..ir.values import (Constant, GlobalVariable, NullPointer, UndefValue,
                          Value)
+from ..obs import layer
 from ..obs import metrics as obs_metrics
 from .costs import CostModel, DEFAULT_COST_MODEL
 
@@ -276,13 +276,13 @@ class Interpreter:
 
     # -- public API ---------------------------------------------------------------
 
+    @layer("vm.run")
     def run(self, args: Optional[Sequence[object]] = None) -> ExecutionResult:
         entry = self.program.find_function(self.program.entry)
         if entry is None or entry.is_declaration:
             raise ExecutionError(
                 f"program {self.program.name} has no entry function "
                 f"{self.program.entry!r}")
-        started = time.perf_counter()
         try:
             exit_value = self.call_function(entry, list(args or []))
         except _ProgramExit as stop:
@@ -295,21 +295,12 @@ class Interpreter:
             call_count=self.call_count,
             steps=self.steps,
         )
-        # per-run telemetry only (never per instruction): a handful of dict
-        # increments + two clock reads, well inside the ≤2% disabled budget
-        elapsed = time.perf_counter() - started
-        self._metrics_run(result, elapsed)
+        # per-run counters only, never per instruction
+        obs_metrics.counter("vm.runs." + self.dispatch)
+        obs_metrics.counter("vm.steps", result.steps)
         return result
 
-    def _metrics_run(self, result: ExecutionResult, elapsed: float) -> None:
-        counter = obs_metrics.REGISTRY.counter
-        counter("vm.runs." + self.dispatch)
-        counter("vm.steps", result.steps)
-        if elapsed > 0:
-            obs_metrics.REGISTRY.gauge("vm.steps_per_s",
-                                       result.steps / elapsed)
-            obs_metrics.REGISTRY.observe("vm.run_seconds", elapsed)
-
+    @layer("vm.run")
     def run_many(self, input_sets: Sequence[Sequence[int]],
                  args: Optional[Sequence[object]] = None
                  ) -> List[ExecutionResult]:
@@ -719,6 +710,7 @@ class _ProgramExit(Exception):
         self.code = code
 
 
+@layer("vm.run")
 def run_program(program: Program, inputs: Optional[Sequence[int]] = None,
                 args: Optional[Sequence[object]] = None,
                 max_steps: int = 5_000_000,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..ir.module import Program
+from ..obs import layer
 from ..utils import stable_hash
 from .synth import ProgramProfile, VulnerableFunctionSpec, synthesize_program
 
@@ -103,6 +104,7 @@ class WorkloadProgram:
     suite: str
     profile: ProgramProfile
 
+    @layer("workloads.build")
     def build(self) -> Program:
         return synthesize_program(self.profile)
 

@@ -20,8 +20,10 @@ from repro.core.config import KhaosConfig, Mode
 from repro.core.obfuscator import Khaos
 from repro.core.variant_cache import VariantCache
 from repro.diffing.bindiff import BinDiff
-from repro.evaluation import (clear_variant_facts, measure_overhead,
-                              measure_precision, run_experiment)
+from repro.evaluation import (clear_variant_facts, measure_bintuner,
+                              measure_overhead, measure_precision,
+                              run_experiment)
+from repro.evaluation.bintuner_compare import default_programs
 from repro.evaluation.diff_sharding import _diff_unit
 from repro.ir import (FunctionType, GlobalVariable, IRBuilder, Linkage,
                       Module, Program, VerificationError, create_function,
@@ -29,6 +31,7 @@ from repro.ir import (FunctionType, GlobalVariable, IRBuilder, Linkage,
 from repro.ir.instructions import BinaryOp
 from repro.ir.printer import module_to_str
 from repro.ir.values import Constant
+from repro.obs import measure
 from repro.opt.pass_manager import OptOptions
 from repro.opt.pipelines import optimize_program
 from repro.toolchain import (ALL_LABELS, build_all_variants, build_baseline,
@@ -207,6 +210,19 @@ class TestSynthesisCount:
         variants = build_all_variants(factory, labels=("sub", "fission"))
         assert list(variants) == ["baseline", "sub", "fission"]
         assert calls == [1]
+
+
+def test_a_figure9_unit_compiles_no_reference_twice(monkeypatch):
+    """The four opt-level references, the O2 + LTO baseline, the Khaos
+    build and one compile per BinTuner candidate: the search takes its O0
+    baseline and its O3 + LTO start from the unit's references."""
+    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    iterations = 2
+    with measure() as run:
+        measure_bintuner(default_programs()[:1], tuner_iterations=iterations,
+                         jobs=1)
+    assert run.calls["opt.optimize"] == 4 + 1 + 1 + iterations
+    assert run.calls["backend.lower"] == run.calls["opt.optimize"]
 
 
 # -- hand-built programs ----------------------------------------------------------

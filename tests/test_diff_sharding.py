@@ -6,8 +6,8 @@ workload (:mod:`repro.evaluation.diff_sharding`,
 plain whole-binary ``diff()`` oracle bit for bit, in process or across
 processes; every distinct variant is built once per run at any ``jobs``;
 and a unit whose rows are in the store is revived by key, journal or not.
-The tools' partial-result contract, which the paper benchmark's tracer
-still wraps, keeps its own tests here.
+The tools' ``partial_diff``/``merge_partials`` wrappers, which the paper
+benchmark's tracer still wraps, keep a test here.
 """
 
 import os
@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff, all_differs
-from repro.diffing.base import PartialDiff
 from repro.evaluation import (MissingVulnerableFunction, figure8, figure9,
                               measure_bintuner, measure_escape,
                               measure_precision, overhead)
@@ -95,84 +94,17 @@ def _escape_rows(report):
 
 class TestPartialContract:
     @pytest.mark.parametrize("differ", all_differs(), ids=lambda d: d.name)
-    def test_merge_partials_reassembles_the_serial_diff(self, differ,
-                                                        demo_pair):
+    def test_partial_wrappers_equal_diff(self, differ, demo_pair):
+        """``partial_diff``/``merge_partials`` stay for the paper
+        benchmark's tracer and hand back the pair's whole ``diff()``."""
         original, obfuscated = demo_pair
         reference = differ.diff(original, obfuscated)
-        units = differ.shard_units(original)
-        if differ.shard_granularity == "function":
-            partials = [differ.partial_diff(original, obfuscated, units[k::3])
-                        for k in range(3)]
-        else:
-            partials = [differ.partial_diff(original, obfuscated)]
-        merged = differ.merge_partials(partials)
+        merged = differ.merge_partials(
+            [differ.partial_diff(original, obfuscated)])
         assert merged.matches == reference.matches
         assert merged.similarity_score == reference.similarity_score
         assert (merged.tool, merged.original, merged.obfuscated) == \
             (reference.tool, reference.original, reference.obfuscated)
-
-    @pytest.mark.parametrize("differ", all_differs(), ids=lambda d: d.name)
-    def test_partition_choice_cannot_change_the_merge(self, differ, demo_pair):
-        """Any partition (including reversed shard order) merges identically."""
-        original, obfuscated = demo_pair
-        if differ.shard_granularity != "function":
-            pytest.skip("whole-pair tools have a single partition")
-        units = differ.shard_units(original)
-        by_threes = [differ.partial_diff(original, obfuscated, units[k::3])
-                     for k in range(3)]
-        one_by_one = [differ.partial_diff(original, obfuscated, [unit])
-                      for unit in units]
-        merged_a = differ.merge_partials(list(reversed(by_threes)))
-        merged_b = differ.merge_partials(one_by_one)
-        assert merged_a.matches == merged_b.matches
-        assert merged_a.similarity_score == merged_b.similarity_score
-
-    def test_shard_units_are_source_functions_in_rank_order(self, demo_pair):
-        original, _obfuscated = demo_pair
-        differ = BinDiff()
-        assert differ.shard_units(original) == \
-            [f.name for f in original.functions]
-
-    def test_deepbindiff_falls_back_to_binary_granularity(self, demo_pair):
-        original, obfuscated = demo_pair
-        differ = DeepBinDiff()
-        assert differ.shard_granularity == "binary"
-        partial = differ.partial_diff(original, obfuscated, ["ignored"])
-        assert partial.sources == tuple(differ.shard_units(original))
-        assert partial.similarity_score is not None
-
-    def test_partial_diff_rejects_unknown_sources(self, demo_pair):
-        original, obfuscated = demo_pair
-        with pytest.raises(ValueError, match="unknown source"):
-            BinDiff().partial_diff(original, obfuscated, ["no_such_function"])
-
-    def test_merge_rejects_uncovered_units(self, demo_pair):
-        original, obfuscated = demo_pair
-        differ = BinDiff()
-        units = differ.shard_units(original)
-        partial = differ.partial_diff(original, obfuscated, units[1:])
-        with pytest.raises(ValueError, match="no score"):
-            differ.merge_partials([partial])
-
-    def test_merge_rejects_double_covered_units(self, demo_pair):
-        original, obfuscated = demo_pair
-        differ = BinDiff()
-        units = differ.shard_units(original)
-        whole = differ.partial_diff(original, obfuscated, units)
-        extra = differ.partial_diff(original, obfuscated, units[:1])
-        with pytest.raises(ValueError, match="two partials"):
-            differ.merge_partials([whole, extra])
-
-    def test_merge_rejects_mismatched_pairs(self, demo_pair):
-        original, obfuscated = demo_pair
-        differ = BinDiff()
-        partial = differ.partial_diff(original, obfuscated)
-        other = PartialDiff(tool=differ.name, original="other",
-                            obfuscated=partial.obfuscated,
-                            units=partial.units, sources=(),
-                            matches={})
-        with pytest.raises(ValueError, match="different pairs"):
-            differ.merge_partials([partial, other])
 
     def test_cache_keys_are_stable_and_config_sensitive(self):
         from repro.diffing import Asm2Vec

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.analysis.static import verification_errors
 from repro.ir import (BasicBlock, BinaryOp, Call, Compare, CondBranch,
                       Constant, FunctionType, IRBuilder, Linkage,
                       Load, Module, Program, Ret, Switch, VerificationError,
                       assert_valid, create_function, instruction_to_str,
-                      int_const, module_to_str, verify_function, I64, VOID)
+                      int_const, module_to_str, I64, VOID)
 from repro.vm import run_program
+
+
+def verify_function(function):
+    """The rendered error diagnostics of ``function``."""
+    return [d.render() for d in verification_errors(function)]
 
 
 class TestValuesAndInstructions:
