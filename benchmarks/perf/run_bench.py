@@ -501,7 +501,7 @@ def bench_layer_totals(programs, reps: int) -> Dict[str, object]:
     reference = measure_precision(programs, labels=labels, jobs=1)
     best = None
     identical = True
-    with store_tree("layers", REPRO_CHECKPOINT="off", REPRO_FAULTS=None):
+    with store_tree("layers", REPRO_CHECKPOINT="off"):
         # warm the tree once so every run times scheduling + store reads
         measure_precision(programs, labels=labels, jobs=1)
         for _ in range(reps):

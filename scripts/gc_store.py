@@ -5,7 +5,7 @@ A store tree only ever grows: every matrix run appends variants and
 journaled unit results, and nothing ever deletes them.  That is the right
 default — artifacts are deterministic and cheap to keep — but a
 long-lived tree accumulates objects no journal references any more:
-superseded matrices, abandoned label sets, chaos-test leftovers, the
+superseded matrices, abandoned label sets, interrupted runs' leftovers, the
 retired kinds of older pipelines.  ``gc_store`` reclaims exactly those.
 
 **Mark.**  The roots are the run journals under ``runs/<run_id>.jsonl``,

@@ -12,8 +12,8 @@ from .internals import InternalsReport, InternalsRow, measure_internals, table2
 from .reporting import format_table, matrix_table, overhead_table
 from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experiment
 from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
-                       resolve_task_retries, resolve_task_timeout, run_tasks,
-                       worker_cache, worker_cache_events)
+                       resolve_task_timeout, run_tasks, worker_cache,
+                       worker_cache_events)
 from .checkpoint import (RunManifest, checkpoint_enabled, run_checkpointed,
                          run_id)
 from .diff_sharding import shard_diff_matrix
@@ -30,7 +30,7 @@ __all__ = [
     "format_table", "matrix_table", "overhead_table", "EXPERIMENTS",
     "Experiment", "experiment_names", "run_experiment",
     "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
-    "resolve_task_retries", "resolve_task_timeout", "run_tasks",
+    "resolve_task_timeout", "run_tasks",
     "worker_cache", "worker_cache_events",
     "RunManifest", "checkpoint_enabled", "run_checkpointed", "run_id",
     "shard_overhead_matrix", "shard_diff_matrix",

@@ -3,13 +3,14 @@
 A fig6–10 matrix run is a deterministic list of value-keyed units, each a
 pure function of its store key.  :func:`run_matrix` is the one path every
 ``measure_*`` driver takes: ``jobs=1`` runs the units in-process through a
-cache of the caller's size, ``jobs>1`` fans them across the supervised pool
+cache of the caller's size, ``jobs>1`` fans them across the fail-fast pool
 (:mod:`repro.evaluation.executor`), and the caller reduces the results in
 unit order — so a serial and a parallel run agree by construction.
 
 Whenever a store is attached, no finished unit is computed twice — not
-after an interrupted run (a ``kill -9``, a power loss, an aborted chaos
-test), and not by a later run of another matrix that contains the unit:
+after an interrupted or failed run (a ``kill -9``, a power loss, a unit
+that raised), and not by a later run of another matrix that contains the
+unit:
 
 * each unit's finished result is persisted in the shared
   :class:`~repro.store.artifact_store.ArtifactStore` under kind
@@ -154,7 +155,7 @@ def run_matrix(unit_fn: Callable[..., Result], units: Sequence[Task],
     ``cache`` or, without one, through a fresh
     :func:`~repro.evaluation.executor.call_cache` of ``cache_entries`` —
     the working set the units share, released when the run returns.  At
-    ``jobs>1`` the units fan out across the supervised pool, each worker
+    ``jobs>1`` the units fan out across the fail-fast pool, each worker
     building through its own cache.  An explicit ``cache`` is never
     overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
     argument engages the pool then).  Either way the run is journaled

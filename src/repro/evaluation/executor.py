@@ -6,27 +6,23 @@ and the optimizer are all seeded, so a unit computes the same result no
 matter where or when it runs.  :func:`run_tasks` runs such a list in one of
 two ways, and the results are bit-identical either way:
 
-* ``jobs=1`` (the default) is a plain in-process loop — no pickling, no
-  supervision, no fault injection;
-* ``jobs>1`` is the **supervised executor**.  Every task is an individual
-  future carrying a configurable timeout (``REPRO_TASK_TIMEOUT``, seconds;
-  unset/0 disables) and a bounded retry budget (``REPRO_TASK_RETRIES``,
-  default 2); a failed attempt is resubmitted at once, because a task fails
-  either deterministically or by injection and no remote resource needs
-  time to recover.  A hung worker — one whose task exceeds the timeout — is
-  killed together with its pool, the pool is respawned, the hung task
-  retried and the innocent in-flight tasks resubmitted without burning a
-  retry.  A crashed worker (``BrokenProcessPool``: segfault, OOM kill,
-  injected ``worker_crash``) likewise respawns the pool; after
-  :data:`MAX_POOL_FAILURES` consecutive pool deaths with no completed task
-  in between the run degrades to serial in-process execution instead of
-  thrashing.  Results are collected **by submission index**, and a task
-  that fails every attempt aborts the run with :class:`ExecutorTaskError`
-  carrying the task's identity.  The worker-side task wrapper is where
-  seeded chaos (:mod:`repro.faults`, ``REPRO_FAULTS``) injects crashes,
-  hangs and task errors, and it returns each result with the counters
-  the worker recorded since its previous one, which the parent keeps
-  apart from its own (:mod:`repro.obs.layers`).
+* ``jobs=1`` (the default) is a plain in-process loop — no pickling, and a
+  task's exception propagates unchanged;
+* ``jobs>1`` maps the tasks over one ``ProcessPoolExecutor`` and **fails
+  fast**.  At most one task per worker is in flight, so a task's time since
+  submission is its running time, which ``REPRO_TASK_TIMEOUT`` (seconds;
+  unset/0 disables) bounds.  Results are collected by submission index.
+  The first task exception, broken pool (a worker died: segfault, OOM kill,
+  ``os._exit``) or timeout kills the pool's workers and raises
+  :class:`ExecutorTaskError` naming the unit; every result that came back
+  before it has already reached ``on_result``.
+
+Nothing is retried: a unit that raised once raises again.  The rerun is
+the retry — with a store attached, :mod:`~repro.evaluation.checkpoint` has
+persisted every finished unit, and a rerun executes only the others.  Each
+task returns its result with the counters its worker recorded since its
+previous one, which the parent keeps apart from its own
+(:mod:`repro.obs.layers`).
 
 Each worker process builds through one process-wide
 :class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); an
@@ -43,13 +39,14 @@ from __future__ import annotations
 import logging
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
+from threading import TIMEOUT_MAX
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..core.variant_cache import VariantCache
-from ..faults import active_injector
 from ..obs import layer
 from ..obs import layers as obs_layers
 from ..obs import metrics as obs_metrics
@@ -60,34 +57,6 @@ Task = TypeVar("Task")
 Result = TypeVar("Result")
 
 logger = logging.getLogger(__name__)
-
-#: Consecutive pool deaths (no task completed in between) before the
-#: supervisor stops respawning pools and finishes the run serially
-#: in-process.  Pool deaths separated by progress reset the count.
-#: Override with ``REPRO_MAX_POOL_FAILURES`` (chaos runs raise it to keep
-#: the pool path exercised under high crash rates).
-MAX_POOL_FAILURES = 3
-
-#: Default retry budget per task (attempts = retries + 1).
-DEFAULT_TASK_RETRIES = 2
-
-
-def _max_pool_failures() -> int:
-    """``REPRO_MAX_POOL_FAILURES``, else :data:`MAX_POOL_FAILURES`.
-
-    Anything but a positive integer raises :class:`ValueError`.
-    """
-    raw = os.environ.get("REPRO_MAX_POOL_FAILURES", "").strip()
-    if not raw:
-        return MAX_POOL_FAILURES
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_MAX_POOL_FAILURES must be a positive integer, got {raw!r}")
-    return value
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -117,40 +86,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_task_retries(retries: Optional[int] = None) -> int:
-    """Retry budget per task: explicit, else ``REPRO_TASK_RETRIES``, else 2.
-
-    ``0`` is valid (fail fast on the first error); negatives and
-    non-integers raise :class:`ValueError` at entry.
-    """
-    if retries is None:
-        raw = os.environ.get("REPRO_TASK_RETRIES", "").strip()
-        if not raw:
-            return DEFAULT_TASK_RETRIES
-        try:
-            retries = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_TASK_RETRIES must be a non-negative integer, "
-                f"got {raw!r}")
-        if retries < 0:
-            raise ValueError(
-                f"REPRO_TASK_RETRIES must be a non-negative integer, "
-                f"got {raw!r}")
-        return retries
-    if (isinstance(retries, bool) or not isinstance(retries, int)
-            or retries < 0):
-        raise ValueError(
-            f"retries must be a non-negative integer, got {retries!r}")
-    return retries
-
-
 def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
     """Per-task timeout in seconds: explicit, else ``REPRO_TASK_TIMEOUT``.
 
-    ``None`` (and an env value of ``0``) disables timeout supervision — a
-    hung worker then stalls the run, exactly like the pre-supervision
-    executor.  Negative or unparsable values raise :class:`ValueError`.
+    ``None`` (and an env value of ``0``) disables the timeout — a hung
+    worker then stalls the run.  Negative, unparsable or ``nan`` values,
+    and any above ``threading.TIMEOUT_MAX`` (``inf`` too), raise
+    :class:`ValueError`: ``nan`` never expires, and the others overflow the
+    pool's wait.
     """
     if timeout is None:
         raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
@@ -161,36 +104,36 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
         except ValueError:
             raise ValueError(
                 f"REPRO_TASK_TIMEOUT must be a number of seconds, got {raw!r}")
-        if timeout < 0:
+        if not 0 <= timeout <= TIMEOUT_MAX:  # also rejects nan
             raise ValueError(
-                f"REPRO_TASK_TIMEOUT must be non-negative, got {raw!r}")
+                f"REPRO_TASK_TIMEOUT must be 0 to {TIMEOUT_MAX:g}, got {raw!r}")
         return timeout or None
     if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
-            or timeout <= 0:
+            or not 0 < timeout <= TIMEOUT_MAX:
         raise ValueError(
-            f"timeout must be a positive number of seconds, got {timeout!r}")
+            f"timeout must be in (0, {TIMEOUT_MAX:g}] seconds, got {timeout!r}")
     return float(timeout)
 
 
 class ExecutorTaskError(RuntimeError):
-    """A task failed every attempt; carries the task's identity.
+    """A task failed, so the run stopped; names the task.
 
-    ``index`` is the task's submission position, ``task`` a truncated
-    ``repr`` of the task payload — enough to re-run the failing cell by
-    hand — and ``attempts`` how many times it was tried.
+    ``index`` is the task's submission position and ``task_repr`` a
+    truncated ``repr`` of its payload — enough to rerun the unit by hand.
+    A broken pool cannot tell which task killed its worker: ``index`` is
+    then the first task in flight and the message names every one.
     """
 
-    def __init__(self, index: int, task: object, attempts: int,
-                 cause: str):
-        text = repr(task)
-        if len(text) > 200:
-            text = text[:197] + "..."
+    def __init__(self, index: int, task: object, cause: str):
         self.index = index
-        self.task_repr = text
-        self.attempts = attempts
+        self.task_repr = _brief(task)
         super().__init__(
-            f"task {index} failed after {attempts} attempt(s): {cause} "
-            f"[task: {text}]")
+            f"task {index} failed: {cause} [task: {self.task_repr}]")
+
+
+def _brief(task: object) -> str:
+    text = repr(task)
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 # -- per-worker variant cache ---------------------------------------------------------
@@ -282,16 +225,11 @@ def reset_worker_cache() -> None:
     obs_metrics.REGISTRY.reset(_CACHE_EVENTS_PREFIX)
 
 
-# -- the supervised map primitive -----------------------------------------------------
+# -- the fail-fast map ------------------------------------------------------------------
 
 
 def _supervised_entry(payload: Tuple) -> Tuple[object, Dict[str, float]]:
-    """Worker-side task wrapper: the chaos injection point.
-
-    Runs in the worker process.  With ``REPRO_FAULTS`` set (workers inherit
-    the environment) the injector may crash the process, stall the task or
-    raise before the real task function runs; the firing decision is a pure
-    function of (seed, task index, attempt), so chaos runs are reproducible.
+    """Worker-side task wrapper: runs one ``(task_fn, task)`` payload.
 
     Returns the task's result together with the counters the worker
     recorded since its previous result (:func:`repro.obs.layers.hand_back`),
@@ -302,215 +240,118 @@ def _supervised_entry(payload: Tuple) -> Tuple[object, Dict[str, float]]:
 
 
 @layer(obs_layers.TASK)
-def _run_task(task_fn: Callable[[Task], Result], task: Task, index: int,
-              attempt: int) -> Result:
-    injector = active_injector()
-    if injector is not None:
-        token = f"task:{index}"
-        injector.maybe_crash(token, attempt)
-        injector.maybe_hang(token, attempt)
-        injector.maybe_error(token, attempt)
+def _run_task(task_fn: Callable[[Task], Result], task: Task) -> Result:
     result = task_fn(task)
     obs_metrics.counter("executor.tasks_completed")
     return result
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, killing workers that will never finish."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):  # already gone
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+    """Tear a pool down *now*: kill its workers and wait until they are
+    reaped."""
+    for process in list(pool._processes.values()):
+        process.kill()  # a no-op on a worker already reaped
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 @layer(obs_layers.WAIT)
 def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
-                    workers: int, timeout: Optional[float], retries: int,
+                    workers: int, timeout: Optional[float],
                     on_result: Optional[Callable[[int, Result], None]]
                     ) -> List[Result]:
-    """The supervision loop: per-task futures, retry, kill, respawn.
+    """The fail-fast map: one task per worker in flight, results by index.
 
-    In-flight futures are capped at the worker count, so every in-flight
-    task is actually *running* and its submission timestamp approximates its
-    start — which is what makes the timeout meaningful without any
-    cooperation from the task function.
+    Keeping at most one task per worker in flight makes a task's time since
+    its submission its running time, which is what ``timeout`` bounds with
+    no help from the task.  The first failure kills the pool's workers and
+    raises :class:`ExecutorTaskError`.
     """
-    total = len(tasks)
-    results: Dict[int, Result] = {}
-    pending = deque((index, 0) for index in range(total))
-    inflight: Dict[object, Tuple[int, int, float]] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    pool_failures = 0
-    failure_limit = _max_pool_failures()
-
-    def record(index: int, value: Result) -> None:
-        results[index] = value
-        if on_result is not None:
-            on_result(index, value)
-
-    def recycle_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            obs_metrics.counter("executor.pool_respawns")
-            _kill_pool(pool)
-            pool = None
-
-    def requeue(index: int, attempt: int, burn_retry: bool,
-                cause: str) -> None:
-        """Put a task back on the queue, aborting if its budget is spent."""
-        next_attempt = attempt + 1 if burn_retry else attempt
-        if burn_retry:
-            obs_metrics.counter("executor.retries")
-        if next_attempt > retries:
-            recycle_pool()
-            raise ExecutorTaskError(index, tasks[index], attempt + 1, cause)
-        pending.append((index, next_attempt))
-
-    def run_serially() -> None:
-        """Graceful degradation: finish the remaining tasks in-process."""
-        obs_metrics.counter("executor.serial_degradations")
-        logger.warning(
-            "executor: %d consecutive pool failures; finishing %d task(s) "
-            "serially in-process", pool_failures,
-            len(pending) + len(inflight))
-        for future, (index, _attempt, _started) in list(inflight.items()):
-            pending.append((index, 0))
-        inflight.clear()
-        for index, _attempt in sorted(pending):
-            if index not in results:
-                record(index, task_fn(tasks[index]))
-        pending.clear()
-
+    results: List[Result] = [None] * len(tasks)  # type: ignore[list-item]
+    upcoming = iter(range(len(tasks)))
+    running: Dict[Future, Tuple[int, float]] = {}  # -> (index, submitted)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        while pending or inflight:
-            if pool_failures >= failure_limit:
-                recycle_pool()
-                run_serially()
-                break
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            # keep at most one running task per worker, so submission time
-            # approximates start time for the timeout below
-            broken = False
-            while pending and len(inflight) < workers:
-                index, attempt = pending.popleft()
-                if index in results:  # already satisfied by a racing retry
-                    continue
+        while True:
+            for index in islice(upcoming, workers - len(running)):
                 try:
-                    future = pool.submit(
-                        _supervised_entry, (task_fn, tasks[index], index,
-                                            attempt))
-                except (BrokenProcessPool, RuntimeError):
-                    pending.appendleft((index, attempt))
-                    broken = True
-                    break
-                inflight[future] = (index, attempt, time.monotonic())
-            if broken:
-                pool_failures += 1
-                recycle_pool()
-                for future, (index, attempt, _started) in inflight.items():
-                    requeue(index, attempt, burn_retry=True,
-                            cause="process pool broke")
-                inflight.clear()
-                continue
-            if not inflight:
-                continue
-
+                    future = pool.submit(_supervised_entry,
+                                         (task_fn, tasks[index]))
+                except BrokenProcessPool:
+                    if not running:
+                        raise ExecutorTaskError(
+                            index, tasks[index],
+                            "the process pool broke before it started")
+                    break  # the tasks in flight fail with the pool below
+                running[future] = (index, time.monotonic())
+            if not running:
+                break
             tick = None
             if timeout is not None:
-                now = time.monotonic()
-                tick = max(0.0,
-                           min(started + timeout for (_i, _a, started)
-                               in inflight.values()) - now)
-            done, _not_done = wait(set(inflight), timeout=tick,
-                                   return_when=FIRST_COMPLETED)
-
-            pool_broke = False
-            broken_tasks: List[Tuple[int, int]] = []
-            for future in done:
-                index, attempt, _started = inflight.pop(future)
+                first = min(started for _index, started in running.values())
+                tick = max(0.0, first + timeout - time.monotonic())
+            done, _ = wait(running, timeout=tick, return_when=FIRST_COMPLETED)
+            broken = False
+            # results first, so that a failure loses no finished unit
+            for future in sorted(done, key=lambda f: (
+                    f.exception() is not None, running[f][0])):
                 error = future.exception()
-                if error is None:
-                    value, counters = future.result()
-                    obs_layers.absorb(counters)
-                    record(index, value)
-                    pool_failures = 0
-                elif isinstance(error, BrokenProcessPool):
-                    # the worker died (crash, OOM, kill); which in-flight
-                    # task was the culprit is unknowable, so all of them
-                    # burn a retry below — and every requeue advances the
-                    # attempt, so a crash decision keyed on (task, attempt)
-                    # re-rolls instead of firing forever
-                    pool_broke = True
-                    broken_tasks.append((index, attempt))
-                else:
-                    requeue(index, attempt, burn_retry=True,
-                            cause=f"{type(error).__name__}: {error}")
-            if pool_broke:
-                pool_failures += 1
-                recycle_pool()
-                for index, attempt in broken_tasks:
-                    requeue(index, attempt, burn_retry=True,
-                            cause="process pool broke")
-                for future, (index, attempt, _started) in inflight.items():
-                    requeue(index, attempt, burn_retry=True,
-                            cause="process pool broke")
-                inflight.clear()
-                continue
-
-            if timeout is not None and inflight:
+                if isinstance(error, BrokenProcessPool):
+                    broken = True
+                    continue
+                index, _started = running.pop(future)
+                if error is not None:
+                    raise ExecutorTaskError(
+                        index, tasks[index],
+                        f"{type(error).__name__}: {error}") from error
+                value, counters = future.result()
+                obs_layers.absorb(counters)
+                results[index] = value
+                if on_result is not None:
+                    on_result(index, value)
+            if broken:
+                # no task in flight can succeed any more, and which one
+                # killed its worker is unknowable: name them all
+                lost = sorted(index for index, _started in running.values())
+                named = ", ".join(f"{index} [task: {_brief(tasks[index])}]"
+                                  for index in lost)
+                raise ExecutorTaskError(
+                    lost[0], tasks[lost[0]],
+                    "the process pool broke: a worker died running one of "
+                    f"the tasks in flight, {named}")
+            if timeout is not None:
                 now = time.monotonic()
-                hung = {future: entry for future, entry in inflight.items()
-                        if now - entry[2] > timeout}
-                if hung:
-                    # a hung worker can only be stopped by killing it, and
-                    # killing it takes the pool down: respawn, retry the hung
-                    # task(s), resubmit the innocent in-flight ones for free
-                    recycle_pool()
-                    for future, (index, attempt, _started) in inflight.items():
-                        if future in hung:
-                            obs_metrics.counter("executor.timeouts")
-                            logger.warning(
-                                "executor: task %d exceeded %.3gs timeout "
-                                "(attempt %d); killing worker and retrying",
-                                index, timeout, attempt + 1)
-                            requeue(index, attempt, burn_retry=True,
-                                    cause=f"timed out after {timeout}s")
-                        else:
-                            requeue(index, attempt, burn_retry=False,
-                                    cause="")
-                    inflight.clear()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-    return [results[index] for index in range(total)]
+                for index, started in sorted(running.values()):
+                    if now - started >= timeout:
+                        raise ExecutorTaskError(
+                            index, tasks[index],
+                            f"timed out after {timeout:g}s")
+    except BaseException:
+        _kill_pool(pool)
+        raise
+    pool.shutdown(wait=False, cancel_futures=True)
+    return results
 
 
 def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
               jobs: Optional[int] = None, timeout: Optional[float] = None,
-              retries: Optional[int] = None,
               on_result: Optional[Callable[[int, Result], None]] = None
               ) -> List[Result]:
     """Apply ``task_fn`` to every task, preserving task order in the results.
 
     With ``jobs <= 1`` (or a single task) this is a plain in-process loop:
-    no pickling, no supervision, no fault injection.  With more, tasks and
-    results cross process boundaries, so both must be picklable and
-    ``task_fn`` must be a module-level callable; the supervised scheduler
-    adds per-task timeout, bounded retry, pool respawn and serial
-    degradation (module docstring).
+    no pickling, and a task's exception propagates unchanged.  With more,
+    tasks and results cross process boundaries, so both must be picklable
+    and ``task_fn`` must be a module-level callable; the first failure
+    stops the run with :class:`ExecutorTaskError` (module docstring).
 
     ``on_result(index, result)`` is invoked in the *calling* process as each
     task's result is accepted (completion order, not submission order) —
-    the checkpoint layer journals completed units through it.
+    the checkpoint layer persists finished units through it, so a failed
+    run keeps them.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     effective_timeout = resolve_task_timeout(timeout)
-    effective_retries = resolve_task_retries(retries)
     if jobs <= 1 or len(tasks) <= 1:
         results = []
         for index, task in enumerate(tasks):
@@ -520,4 +361,4 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
             results.append(value)
         return results
     return _run_supervised(task_fn, tasks, min(jobs, len(tasks)),
-                           effective_timeout, effective_retries, on_result)
+                           effective_timeout, on_result)

@@ -11,11 +11,12 @@ layers are never counted twice — and one call to two counters of
 seconds makes a few thousand (``tests/test_obs.py`` holds the 2% budget).
 
 Pool workers are forked and start from zero: the registry and the call
-stack are cleared in the child.  A supervised task returns, with its
-result, the counters its worker recorded since its previous result
-(:func:`hand_back`; a failed attempt's counters ride with the next one),
-and the parent adds them to :data:`WORKERS` (:func:`absorb`) — a book of
-its own, so the parent's registry keeps this process's counts only.
+stack are cleared in the child.  A pool task returns, with its result,
+the counters its worker recorded since its previous result
+(:func:`hand_back`; a failed task's counters die with its worker, which
+the failed run kills), and the parent adds them to :data:`WORKERS`
+(:func:`absorb`) — a book of its own, so the parent's registry keeps this
+process's counts only.
 
 :func:`measure` reads both books around any block: per-layer self time and
 calls, every other counter, and the share of the block's time the layers

@@ -44,7 +44,6 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-from ..faults import active_injector
 from ..obs import layer
 from ..obs import metrics as obs_metrics
 from .backend import OBJECTS_DIR, LocalBackend
@@ -433,12 +432,6 @@ class ArtifactStore:
             if not overwrite and self._backend.contains(kind, digest):
                 return  # first-writer-kept (the backend re-checks under race)
             data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-            injector = active_injector()
-            if injector is not None:
-                # seeded chaos (REPRO_FAULTS store_corrupt): damage the
-                # bytes on their way to disk, at most once per object per
-                # process
-                data = injector.corrupt_payload(f"{kind}:{digest}", data)
             written = self._backend.put(kind, digest, data,
                                         overwrite=overwrite)
         except (OSError, pickle.PicklingError, TypeError,

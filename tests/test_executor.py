@@ -3,15 +3,21 @@
 The (program × label × tool) matrices of figures 8, 9 and 10 are pure
 functions of seeded inputs; fanning them across processes must reproduce the
 in-process reports exactly (same rows, same order, same floats).  Also
-covers ``resolve_jobs`` / ``REPRO_JOBS`` resolution, the supervised
-scheduler's failure modes (crashed workers, exhausted retries, timeouts),
-the worker-cache degradation counters, what an in-process run leaves alive,
-and the reworked ``escape_ratio`` signature.
+covers ``REPRO_JOBS`` / ``REPRO_TASK_TIMEOUT`` resolution, the fail-fast
+pool (a raising task, a crashed worker, a timeout, an unpicklable task or
+result and a failing ``on_result`` each stop the run, name the unit and
+leave no worker alive; a failed run keeps its finished units and its rerun
+is bit-identical), the worker-cache degradation counters, what an
+in-process run leaves alive, and the reworked ``escape_ratio`` signature.
 """
 
 import gc
 import logging
+import math
+import multiprocessing
 import os
+import re
+import threading
 import time
 import weakref
 
@@ -21,12 +27,16 @@ from repro.diffing import Asm2Vec, BinDiff, escape_ratio
 from repro.evaluation import (executor, figure9, measure_bintuner,
                               measure_escape, measure_overhead,
                               measure_precision, resolve_jobs, run_tasks)
-from repro.evaluation import checkpoint
+from repro.evaluation import (bintuner_compare, checkpoint, diff_sharding,
+                              overhead)
+from repro.evaluation.checkpoint import run_checkpointed
 from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
-                                       resolve_task_retries,
                                        resolve_task_timeout, worker_cache,
                                        worker_cache_events)
-from repro.store import KIND_VARIANT, ArtifactStore
+from repro.obs import measure
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import counted
+from repro.store import KIND_SHARD, KIND_VARIANT, ArtifactStore
 from repro.toolchain import BuildArtifact
 from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
@@ -81,6 +91,13 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "  ")
         assert resolve_jobs() == 1
 
+    @pytest.mark.parametrize("bad", ["1.5", "2x", "0x2", "1e3", "3 workers"])
+    def test_non_integer_env_var_raises(self, bad, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", bad)
+        with pytest.raises(ValueError,
+                           match="REPRO_JOBS must be a positive integer"):
+            resolve_jobs()
+
 
 class TestRunTasks:
     def test_serial_preserves_order(self):
@@ -98,6 +115,37 @@ class TestRunTasks:
     def test_worker_cache_is_process_local_singleton(self):
         reset_worker_cache()
         assert worker_cache() is worker_cache()
+
+    def test_on_result_fires_for_every_task(self):
+        seen_serial = []
+        run_tasks(_square, [1, 2, 3], jobs=1,
+                  on_result=lambda i, r: seen_serial.append((i, r)))
+        assert seen_serial == [(0, 1), (1, 4), (2, 9)]
+        seen_parallel = []
+        run_tasks(_square, [1, 2, 3, 4], jobs=2,
+                  on_result=lambda i, r: seen_parallel.append((i, r)))
+        assert sorted(seen_parallel) == [(0, 1), (1, 4), (2, 9), (3, 16)]
+
+    def test_serial_raises_the_tasks_own_exception(self, tmp_path):
+        seen = []
+        tasks = [(value, str(tmp_path), 3) for value in range(6)]
+        with pytest.raises(RuntimeError, match="poisoned input 3"):
+            run_tasks(_square_unless_poisoned, tasks, jobs=1,
+                      on_result=lambda i, r: seen.append((i, r)))
+        assert seen == [(0, 0), (1, 1), (2, 4)]
+        # nothing after the failed unit starts
+        assert sorted(os.listdir(tmp_path)) == ["0", "1", "2", "3"]
+
+    def test_a_single_task_raises_its_own_exception(self, tmp_path):
+        with pytest.raises(RuntimeError, match="poisoned input 7"):
+            run_tasks(_square_unless_poisoned, [(7, str(tmp_path), 7)],
+                      jobs=4)
+
+    def test_the_timeout_bounds_running_time_not_waiting_time(self):
+        """Eight 0.3 s tasks on two workers take 1.2 s, past the 1 s
+        timeout, but none runs for 1 s: with one task per worker in
+        flight, none times out."""
+        assert run_tasks(_nap, [0.3] * 8, jobs=2, timeout=1.0) == [0.3] * 8
 
 
 class TestCallCache:
@@ -124,28 +172,102 @@ def _square(value):
     return value * value
 
 
-def _crash_once_then_square(value):
-    """Hard-exits the worker the first time it sees value 3 (marker-gated)."""
-    marker = os.environ["REPRO_TEST_CRASH_MARKER"]
-    if value == 3 and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(1)
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _started(task):
+    """Marks the start of ``(index, folder)`` in its folder; the index."""
+    index, folder = task
+    open(os.path.join(folder, str(index)), "w").close()
+    return index
+
+
+def _raise_on_one(task):
+    """Unit 1 raises at once; the others outlast any scheduling delay and
+    die with the failed run's pool."""
+    if _started(task) == 1:
+        raise ValueError("synthetic failure of unit 1")
+    time.sleep(5)
+
+
+def _exit_on_one(task):
+    """Unit 1 kills its worker at once; the others as in _raise_on_one."""
+    if _started(task) == 1:
+        os._exit(3)
+    time.sleep(5)
+
+
+def _hang_on_one(task):
+    if _started(task) == 1:
+        time.sleep(60)
+
+
+def _square_unless_poisoned(task):
+    """Squares ``value`` of ``(value, folder, poison)``, marking its start."""
+    value, folder, poison = task
+    _started((value, folder))
+    if value == poison:
+        raise RuntimeError(f"poisoned input {value}")
     return value * value
 
 
-def _raise_on_two(value):
-    if value == 2:
-        raise ValueError(f"synthetic failure for {value}")
-    return value
+def _square_unless_exiting(task):
+    """_square_unless_poisoned, except that the poison kills the worker."""
+    value, folder, poison = task
+    _started((value, folder))
+    if value == poison:
+        os._exit(3)
+    return value * value
 
 
-def _hang_once_then_negate(value):
-    """Sleeps far past the test timeout the first time it sees value 1."""
-    marker = os.environ["REPRO_TEST_HANG_MARKER"]
-    if value == 1 and not os.path.exists(marker):
-        open(marker, "w").close()
-        time.sleep(60)
-    return -value
+def _unpicklable_on_two(task):
+    """Unit 2's result cannot cross back to the parent."""
+    if _started(task) == 2:
+        return lambda: None
+    return task[0]
+
+
+FAILING_WORKLOADS = spec2006_programs()[:4]
+
+#: matrix -> (the module of its unit function, the function's name, its
+#: driver at a given ``jobs``, the storeless serial oracle, what must match)
+RESUMABLE = {
+    "fig67": (overhead, "_overhead_shard",
+              lambda jobs: measure_overhead(FAILING_WORKLOADS,
+                                            labels=LABELS[:1], jobs=jobs),
+              lambda: oracles.overhead(FAILING_WORKLOADS, LABELS[:1]),
+              lambda report: report.rows),
+    "fig8": (diff_sharding, "_diff_unit",
+             lambda jobs: measure_precision(FAILING_WORKLOADS,
+                                            labels=LABELS[:1],
+                                            differs=[BinDiff()], jobs=jobs),
+             lambda: oracles.precision(FAILING_WORKLOADS, LABELS[:1],
+                                       [BinDiff()]),
+             lambda report: report.rows),
+    "fig9": (bintuner_compare, "_bintuner_shard",
+             lambda jobs: measure_bintuner(FAILING_WORKLOADS,
+                                           tuner_iterations=1, jobs=jobs),
+             lambda: oracles.bintuner(FAILING_WORKLOADS, tuner_iterations=1),
+             lambda report: (report.rows, report.bintuner_overhead_percent)),
+}
+_REAL_UNITS = {matrix: getattr(module, name)
+               for matrix, (module, name, *_rest) in RESUMABLE.items()}
+
+
+class _FailOnLastWorkload:
+    """A matrix's unit function, except that the last workload's unit
+    raises (picklable, so forked workers run it too)."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __call__(self, unit, cache=None):
+        workload = unit[0]
+        if workload.name == FAILING_WORKLOADS[-1].name:
+            raise RuntimeError(f"poisoned workload {workload.name}")
+        return _REAL_UNITS[self.matrix](unit, cache)
 
 
 class TestSupervisorKnobs:
@@ -169,75 +291,206 @@ class TestSupervisorKnobs:
         with pytest.raises(ValueError, match="timeout"):
             resolve_task_timeout(0)
 
-    def test_retries_default_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-        assert resolve_task_retries() == 2
-        assert resolve_task_retries(0) == 0
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        assert resolve_task_retries() == 5
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_TASK_RETRIES"):
-            resolve_task_retries()
-        with pytest.raises(ValueError, match="retries"):
-            resolve_task_retries(2.5)
+    @pytest.mark.parametrize("bad", ["2x", "nan", "inf", "-inf", "1e300"])
+    def test_timeout_env_rejects_junk(self, bad, monkeypatch):
+        """``nan`` would never expire, and ``inf`` or anything above
+        ``threading.TIMEOUT_MAX`` overflows the pool's wait."""
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", bad)
+        with pytest.raises(ValueError, match="REPRO_TASK_TIMEOUT"):
+            resolve_task_timeout()
 
-    @pytest.mark.parametrize("value", ["many", "0", "-3", "1.5", "2x"])
-    def test_max_pool_failures_rejects_junk(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", value)
-        with pytest.raises(ValueError, match="REPRO_MAX_POOL_FAILURES"):
-            run_tasks(_square, [1, 2], jobs=2)
+    @pytest.mark.parametrize("bad", [-1.5, True, "3", math.nan, math.inf,
+                                     1e300])
+    def test_explicit_timeout_rejects_junk(self, bad):
+        with pytest.raises(ValueError, match="timeout must be"):
+            resolve_task_timeout(bad)
+
+    def test_the_largest_timeout_still_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", repr(threading.TIMEOUT_MAX))
+        assert resolve_task_timeout() == threading.TIMEOUT_MAX
+        assert run_tasks(_square, [1, 2, 3], jobs=2) == [1, 4, 9]
+
+    def test_a_junk_timeout_is_rejected_before_any_task_starts(self,
+                                                               tmp_path):
+        tasks = [(index, str(tmp_path)) for index in range(4)]
+        with pytest.raises(ValueError, match="timeout must be"):
+            run_tasks(_started, tasks, jobs=2, timeout=math.inf)
+        assert os.listdir(tmp_path) == []
 
 
-class TestSupervisedFailureModes:
-    """The failure modes the supervised scheduler exists for."""
+class TestFailFast:
+    """At jobs=2 the first failure stops the run, names the unit and leaves
+    no worker alive; the units that finished before it are kept."""
 
     @pytest.fixture(autouse=True)
-    def _no_faults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    def _no_workers_before(self):
+        # earlier runs shut their pools down without waiting for them
+        for child in multiprocessing.active_children():
+            child.join(timeout=10)
 
-    def test_broken_pool_mid_matrix_recovers(self, tmp_path, monkeypatch):
-        """A worker hard-exit (BrokenProcessPool) respawns the pool and the
-        run still returns every result in submission order."""
-        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
-                           str(tmp_path / "crashed"))
-        values = list(range(6))
-        results = run_tasks(_crash_once_then_square, values, jobs=2,
-                            retries=2)
-        assert results == [v * v for v in values]
-        assert (tmp_path / "crashed").exists()  # the crash really happened
-
-    def test_task_failing_every_retry_surfaces_identity(self):
-        """A task that raises on every attempt aborts the run cleanly with
-        an error naming the task and its attempt count."""
+    def _fail(self, task_fn, folder, **kwargs):
+        tasks = [(index, str(folder)) for index in range(8)]
         with pytest.raises(ExecutorTaskError) as excinfo:
-            run_tasks(_raise_on_two, list(range(4)), jobs=2, retries=1)
-        error = excinfo.value
-        assert error.index == 2
-        assert error.attempts == 2  # 1 try + 1 retry
-        assert "synthetic failure for 2" in str(error)
-        assert "[task: 2]" in str(error)
+            run_tasks(task_fn, tasks, jobs=2, **kwargs)
+        assert multiprocessing.active_children() == []
+        return excinfo.value
 
-    def test_timeout_retry_succeeds_on_second_attempt(self, tmp_path,
-                                                      monkeypatch):
-        """A hung worker is killed at the timeout and the retry completes."""
-        monkeypatch.setenv("REPRO_TEST_HANG_MARKER", str(tmp_path / "hung"))
+    def test_a_raising_task_stops_the_run(self, tmp_path):
+        error = self._fail(_raise_on_one, tmp_path)
+        assert error.index == 1
+        assert isinstance(error.__cause__, ValueError)
+        assert "ValueError: synthetic failure of unit 1" in str(error)
+        assert f"[task: {(1, str(tmp_path))!r}]" in str(error)
+        # one task per worker in flight, and none starts after the failure
+        assert len(os.listdir(tmp_path)) <= 2
+
+    def test_a_crashed_worker_names_its_unit(self, tmp_path):
+        error = self._fail(_exit_on_one, tmp_path)
+        assert "process pool broke" in str(error)
+        # the culprit is unknowable, so every unit in flight is named
+        assert f"1 [task: {(1, str(tmp_path))!r}]" in str(error)
+
+    def test_a_hung_task_times_out(self, tmp_path):
         start = time.monotonic()
-        results = run_tasks(_hang_once_then_negate, [0, 1, 2], jobs=2,
-                            timeout=1.0, retries=2)
-        elapsed = time.monotonic() - start
-        assert results == [0, -1, -2]
-        assert (tmp_path / "hung").exists()
-        assert elapsed < 30  # killed at ~1s, nowhere near the 60s sleep
+        error = self._fail(_hang_on_one, tmp_path, timeout=1.0)
+        assert time.monotonic() - start < 30  # nowhere near the 60 s hang
+        assert error.index == 1
+        assert "timed out after 1s" in str(error)
 
-    def test_on_result_fires_for_every_task(self):
-        seen_serial = []
-        run_tasks(_square, [1, 2, 3], jobs=1,
-                  on_result=lambda i, r: seen_serial.append((i, r)))
-        assert seen_serial == [(0, 1), (1, 4), (2, 9)]
-        seen_parallel = []
-        run_tasks(_square, [1, 2, 3, 4], jobs=2,
-                  on_result=lambda i, r: seen_parallel.append((i, r)))
-        assert sorted(seen_parallel) == [(0, 1), (1, 4), (2, 9), (3, 16)]
+    def test_the_env_timeout_stops_a_hung_task(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1")
+        error = self._fail(_hang_on_one, tmp_path)
+        assert error.index == 1
+        assert "timed out after 1s" in str(error)
+
+    @pytest.mark.parametrize("poison", [0, 3, 7])
+    def test_the_raising_unit_is_named_wherever_it_runs(self, poison,
+                                                        tmp_path):
+        seen = {}
+        tasks = [(value, str(tmp_path), poison) for value in range(8)]
+        with pytest.raises(ExecutorTaskError) as excinfo:
+            run_tasks(_square_unless_poisoned, tasks, jobs=2,
+                      on_result=seen.__setitem__)
+        assert multiprocessing.active_children() == []
+        assert excinfo.value.index == poison
+        assert f"poisoned input {poison}" in str(excinfo.value)
+        assert seen == {index: index * index for index in seen}
+        assert poison not in seen
+        # the failed unit was submitted with at most one earlier unit
+        # still in flight: every other earlier result reached on_result
+        assert len(set(range(poison)) - set(seen)) <= 1
+
+    @pytest.mark.parametrize("poison", [0, 3, 7])
+    def test_a_crashed_worker_is_named_wherever_it_runs(self, poison,
+                                                        tmp_path):
+        tasks = [(value, str(tmp_path), poison) for value in range(8)]
+        with pytest.raises(ExecutorTaskError) as excinfo:
+            run_tasks(_square_unless_exiting, tasks, jobs=2)
+        assert multiprocessing.active_children() == []
+        message = str(excinfo.value)
+        assert f"{poison} [task: {tasks[poison]!r}]" in message
+        named = [int(index) for index in re.findall(
+            r"(\d+) \[task: ", message.split("in flight, ", 1)[1])]
+        assert poison in named and len(named) <= 2  # one per worker
+        assert excinfo.value.index == min(named)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_on_result_error_stops_the_pool(self, error):
+        """A store write that fails in the parent, or a Ctrl-C, propagates
+        unchanged and leaves no worker alive."""
+        seen = []
+
+        def on_result(index, value):
+            seen.append(index)
+            if len(seen) == 3:
+                raise error("stop after three results")
+
+        with pytest.raises(error, match="stop after three results"):
+            run_tasks(_nap, [0.05] * 8, jobs=2, on_result=on_result)
+        assert multiprocessing.active_children() == []
+        assert len(seen) == 3
+
+    def test_an_unpicklable_task_names_its_unit(self):
+        tasks = [1, 2, lambda: 3, 4, 5]
+        with pytest.raises(ExecutorTaskError,
+                           match="task 2 failed: .*Can't pickle"):
+            run_tasks(_square, tasks, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_an_unpicklable_result_names_its_unit(self, tmp_path):
+        error = self._fail(_unpicklable_on_two, tmp_path)
+        assert error.index == 2
+        assert "pickle" in str(error)
+
+    @pytest.mark.parametrize("poison", [1, 3, 5])
+    def test_a_failed_run_keeps_its_finished_units(self, poison, tmp_store,
+                                                   tmp_path):
+        """The jobs=2 twin of test_interrupted_run_resumes_only_unfinished:
+        the rerun executes only the units the failed run did not finish."""
+        values = [1, 2, 3, 4, 5]
+        keys = [("fail-fast", value) for value in values]
+        parts = ("fail-fast", len(values))
+        failed, rerun = tmp_path / "failed", tmp_path / "rerun"
+        failed.mkdir()
+        rerun.mkdir()
+        with pytest.raises(ExecutorTaskError,
+                           match=f"poisoned input {poison}"):
+            run_checkpointed(_square_unless_poisoned,
+                             [(v, str(failed), poison) for v in values],
+                             keys, parts, jobs=2)
+        store = ArtifactStore.attach(tmp_store)
+        kept = {value for value, key in zip(values, keys)
+                if store.contains(KIND_SHARD, key)}
+        # the poisoned unit is submitted only once all but one of the
+        # units before it have come back
+        earlier = set(range(1, poison))
+        assert poison not in kept
+        assert len(kept & earlier) >= len(earlier) - 1
+        with counted("checkpoint") as stats:
+            out = run_checkpointed(_square_unless_poisoned,
+                                   [(v, str(rerun), None) for v in values],
+                                   keys, parts, jobs=2)
+        assert out == [value * value for value in values]
+        executed = {int(name) for name in os.listdir(rerun)}
+        assert executed == set(values) - kept
+        assert stats["resumed"] == len(kept)
+        assert stats["executed"] == len(values) - len(kept)
+
+    def test_workers_hand_back_their_counts(self):
+        """The parent's totals cover every task its workers ran, and its
+        own registry, which the paper benchmark sums with every worker's,
+        gains none of them."""
+        parent = obs_metrics.REGISTRY.get("executor.tasks_completed")
+        with measure() as run:
+            results = run_tasks(_square, list(range(8)), jobs=2)
+        assert results == [value * value for value in range(8)]
+        assert run.counters["executor.tasks_completed"] == 8
+        assert obs_metrics.REGISTRY.get("executor.tasks_completed") == parent
+
+    @pytest.mark.parametrize("matrix", sorted(RESUMABLE))
+    def test_a_failed_run_resumes_bit_identical(self, matrix, tmp_store,
+                                                monkeypatch):
+        """A jobs=2 matrix run stopped by a raising unit keeps the units
+        that finished; the rerun revives them, executes the others and
+        equals the storeless serial oracle."""
+        module, name, driver, oracle, compared = RESUMABLE[matrix]
+        reference = oracle()
+        # the pool forks after the patch, so its workers run the patched unit
+        monkeypatch.setattr(module, name, _FailOnLastWorkload(matrix))
+        with measure() as failed, \
+                pytest.raises(ExecutorTaskError, match="poisoned workload"):
+            driver(2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(module, name, _REAL_UNITS[matrix])
+        kept = failed.counters.get("checkpoint.journaled", 0)
+        # the last unit is submitted once two of the three before it are in
+        assert 2 <= kept <= 3
+        with measure() as run:
+            resumed = driver(2)
+        assert compared(resumed) == compared(reference)
+        assert run.counters["checkpoint.resumed"] == kept
+        assert (run.counters["checkpoint.executed"]
+                == len(FAILING_WORKLOADS) - kept)
 
 
 class TestWorkerCacheDegradationCounters:

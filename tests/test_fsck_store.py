@@ -194,7 +194,7 @@ class TestCli:
         assert report["clean"] and report["counts"]["objects_scanned"] == 3
 
     def test_subprocess_invocation(self, tree):
-        """The CI chaos job calls the script as a subprocess; make sure the
+        """The CI resume job calls the script as a subprocess; make sure the
         entry point works outside pytest's import context too."""
         script = os.path.join(SCRIPTS, "fsck_store.py")
         env = dict(os.environ, PYTHONPATH=os.path.join(

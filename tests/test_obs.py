@@ -29,8 +29,7 @@ from repro.core import obfuscator
 from repro.core.config import KhaosConfig
 from repro.diffing import all_differs
 from repro.diffing.index import feature_index
-from repro.evaluation.executor import run_tasks
-from repro.faults import FaultRule
+from repro.evaluation.executor import ExecutorTaskError, run_tasks
 from repro.obs import layers as obs_layers
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -499,78 +498,7 @@ class TestQuickFigure8:
 # -- the executor's hand-back -----------------------------------------------------------
 
 
-def _find_seed(kind, probability, tokens, retries, early=4):
-    """A seed where one of the first ``early`` tokens fires at attempt 0
-    yet every token succeeds within ``retries``.
-
-    ``FaultRule.fires`` is a pure hash of (kind, seed, token, attempt), so
-    the search is exact.  An early failure leaves its worker many later
-    tasks to hand its counters back with.
-    """
-    best = None
-    for seed in range(500):
-        rule = FaultRule(kind=kind, probability=probability, seed=seed)
-        if not any(rule.fires(token, 0) for token in tokens[:early]):
-            continue
-        if not all(any(not rule.fires(token, attempt)
-                       for attempt in range(retries + 1))
-                   for token in tokens):
-            continue
-        total = sum(rule.fires(token, attempt) for token in tokens
-                    for attempt in range(retries + 1))
-        if best is None or total < best[0]:
-            best = (total, seed)       # fewest firings = fastest test
-    if best is None:
-        raise AssertionError("no suitable fault seed in range")
-    return best[1]
-
-
-@pytest.fixture
-def faults(monkeypatch):
-    """Set ``REPRO_FAULTS`` for the test, with fresh injector and cache."""
-    from repro.evaluation.executor import reset_worker_cache
-    from repro.faults import reset_injector
-
-    def arm(spec):
-        monkeypatch.setenv("REPRO_FAULTS", spec)
-        reset_injector()
-        reset_worker_cache()
-
-    yield arm
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    reset_injector()
-    reset_worker_cache()
-
-
 class TestHandBack:
-    def test_retries_and_injected_faults_reach_the_parent(self, faults):
-        tasks = list(range(20))
-        seed = _find_seed("task_error", 0.3,
-                          [f"task:{i}" for i in tasks], retries=5)
-        faults(f"task_error:p=0.3,seed={seed}")
-        parent_completed = obs.REGISTRY.get("executor.tasks_completed")
-        with obs.measure() as run:
-            results = run_tasks(_double, tasks, jobs=2, retries=5)
-        assert results == [i * 2 for i in tasks]
-        assert run.counters["executor.retries"] >= 1
-        assert run.counters["faults.injected.task_error"] >= 1
-        assert run.counters["executor.tasks_completed"] == len(tasks)
-        # worker counts stay out of the parent's own registry, which the
-        # paper benchmark sums with every worker's
-        assert obs.REGISTRY.get("executor.tasks_completed") == \
-            parent_completed
-
-    def test_timeouts_and_respawns_are_counted(self, faults):
-        seed = _find_seed("task_hang", 0.5, ["task:0", "task:1"], retries=3,
-                          early=2)
-        faults(f"task_hang:p=0.5,seed={seed},seconds=5")
-        with obs.measure() as run:
-            results = run_tasks(_double, [0, 1], jobs=2, retries=3,
-                                timeout=0.5)
-        assert results == [0, 2]
-        assert run.counters["executor.timeouts"] >= 1
-        assert run.counters["executor.pool_respawns"] >= 1
-
     def test_a_forked_worker_hands_back_only_its_own_counts(self):
         """Workers start from zero and need no environment variable: what
         the parent counted before the pool started never comes back."""
@@ -589,8 +517,28 @@ class TestHandBack:
         assert "test.before_pool" not in run.calls
         assert run.calls[obs_layers.TASK] == 4
 
+    def test_a_failed_runs_finished_units_hand_back_their_counts(self):
+        """A run that fails fast still accounts for every unit whose result
+        came back, and the parent's own registry gains none of it."""
+        parent = obs.REGISTRY.get("executor.tasks_completed")
+        seen = {}
+        with obs.measure() as run:
+            with pytest.raises(ExecutorTaskError, match="task 5 failed"):
+                run_tasks(_double_unless_five, list(range(8)), jobs=2,
+                          on_result=seen.__setitem__)
+        assert len(seen) >= 4 and 5 not in seen
+        assert run.counters["executor.tasks_completed"] == len(seen)
+        assert run.calls[obs_layers.TASK] >= len(seen)
+        assert obs.REGISTRY.get("executor.tasks_completed") == parent
+
 
 def _double(x: int) -> int:
+    return x * 2
+
+
+def _double_unless_five(x: int) -> int:
+    if x == 5:
+        raise ValueError("unit 5 fails")
     return x * 2
 
 
