@@ -369,7 +369,7 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
     variant built and persisted), a warm re-attach (zero rebuilds — asserted
     structurally by --smoke) and a ``jobs=2`` run whose workers attach to
     the same tree; all rows must be identical.  Checkpointing is off, so no
-    run resumes from another's journal.
+    run revives another's stored units.
     """
     labels = MEASURE_LABELS
     reference = overhead_run(programs, labels=labels, jobs=1)

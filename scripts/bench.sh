@@ -10,10 +10,10 @@
 # re-runs the figure-8 diff phase at jobs=2 over a warmed store tree and
 # asserts row-identity and that every cell was scored), the shared artifact
 # store (REPRO_STORE_DIR: the fig67_sharded section must leave a store tree
-# with an objects/ dir and a generation.json manifest, warm attaches must
-# rebuild zero variants), the per-workload fig8 units (fig8_workload_units:
-# serial vs jobs=2 vs warm-store row identity, warm runs revive every unit
-# and execute none, and the fig8 store tree must hold objects/shard), and
+# holding objects/<generation>/variant, warm attaches must rebuild zero
+# variants), the per-workload fig8 units (fig8_workload_units: serial vs
+# jobs=2 vs warm-store row identity, warm runs revive every unit and execute
+# none, and the fig8 store tree must hold objects/<generation>/shard), and
 # the deep static-analysis subsystem
 # (verify_overhead section, schema 7: the fig6 variant set must verify
 # error-free at the full tier, cold vs AnalysisManager-warm timings vs the
@@ -35,19 +35,20 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "smoke: $out was not produced" >&2
     exit 1
   fi
+  generation="$(python -c 'from repro.store import code_fingerprint; print(code_fingerprint())')"
   store_tree=("$REPRO_STORE_DIR"/fig67-*)
-  if [[ ! -d "${store_tree[0]}/objects" || ! -s "${store_tree[0]}/generation.json" ]]; then
-    echo "smoke: artifact store tree (objects/ + generation.json) was not produced" >&2
+  if [[ ! -d "${store_tree[0]}/objects/$generation/variant" ]]; then
+    echo "smoke: artifact store tree (objects/$generation/variant) was not produced" >&2
     exit 1
   fi
   fig8_tree=("$REPRO_STORE_DIR"/fig8-units-*)
-  if [[ ! -d "${fig8_tree[0]}/objects/shard" || ! -s "${fig8_tree[0]}/generation.json" ]]; then
-    echo "smoke: fig8 unit store tree (objects/shard + generation.json) was not produced" >&2
+  if [[ ! -d "${fig8_tree[0]}/objects/$generation/shard" ]]; then
+    echo "smoke: fig8 unit store tree (objects/$generation/shard) was not produced" >&2
     exit 1
   fi
   echo "smoke: benchmark harness produced BENCH_results.json"
-  echo "smoke: artifact store tree persisted (objects/ + generation.json)"
-  echo "smoke: fig8 unit round trip verified (objects/shard persisted, serial == jobs=2 == warm)"
+  echo "smoke: artifact store tree persisted (objects/$generation/variant)"
+  echo "smoke: fig8 unit round trip verified (objects/$generation/shard persisted, serial == jobs=2 == warm)"
   exit 0
 fi
 

@@ -7,11 +7,12 @@ offline complement: it walks the whole tree at once and reports everything
 the runtime would eventually discover, so an operator can audit a tree
 *before* pointing a matrix run at it.
 
-Checks, per object file under ``objects/<kind>/<aa>/<digest>.pkl``:
+It checks the current generation, the one the code running it reads and
+writes (:func:`repro.store.keys.code_fingerprint`).  Per object file under
+``objects/<generation>/<kind>/<aa>/<digest>.pkl``:
 
-* the envelope unpickles and carries the pipeline's ``STORE_SCHEMA`` /
-  ``KEY_SCHEMA`` stamps and a matching ``kind`` (a payload class an older
-  pipeline wrote and this one retired is no damage);
+* the envelope unpickles and carries a matching ``kind``, a ``key`` and a
+  ``payload``;
 * the file's digest re-derives from the envelope's key
   (``store_digest(kind, key)``) and matches its file name and shard
   directory — a renamed or cross-linked object is corruption even when its
@@ -19,18 +20,12 @@ Checks, per object file under ``objects/<kind>/<aa>/<digest>.pkl``:
 * stray files (wrong extension, temp leftovers from killed writers) are
   reported.
 
-Ledger reconciliation against the :class:`GenerationLog`:
-
-* ledger entries whose object file is missing (``ledger_orphans``) and
-  object files the ledger never heard of (``unledgered``) are drift, not
-  damage — the ledger is advisory — but both are reported and repairable.
+Other generations, written by other code, are listed as advisory and never
+fail the check: nothing reads them, and ``gc_store.py`` sweeps them.
 
 ``--repair`` quarantines every damaged object (same layout the runtime
-uses: ``quarantine/<kind>/<digest>.pkl`` + ``.reason.json``), deletes stale
-temp files, and rewrites the ledger to match the surviving objects.  The
-run manifests under ``runs/`` are checked for journaled shard digests whose
-store object is gone (``manifest_orphans``): harmless for resume (the shard
-just re-executes) but repaired by dropping the stale journal lines.
+uses: ``quarantine/<generation>/<kind>/<digest>.pkl`` + ``.reason.json``)
+and deletes stale temp and stray files.
 
 Exit status: 0 when the tree is clean (after repairs, with ``--repair``),
 1 when problems remain, 2 when the tree cannot be checked at all.
@@ -45,83 +40,63 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.store import (CORRUPT_READ_ERRORS, OBJECTS_DIR, QUARANTINE_DIR,
-                         STORE_SCHEMA, GenerationLog, KEY_SCHEMA,
+from repro.store import (CORRUPT_READ_ERRORS, LocalBackend, code_fingerprint,
                          store_digest)
-from repro.store.artifact_store import load_envelope
-from repro.evaluation.checkpoint import RUNS_DIR
+from repro.store.backend import generations
 
 
 class Finding:
     """One problem found in the tree."""
 
-    def __init__(self, code: str, path: str, detail: str,
-                 repairable: bool = True):
+    def __init__(self, code: str, path: str, detail: str):
         self.code = code
         self.path = path
         self.detail = detail
-        self.repairable = repairable
 
     def as_dict(self) -> Dict[str, object]:
-        return {"code": self.code, "path": self.path, "detail": self.detail,
-                "repairable": self.repairable}
+        return {"code": self.code, "path": self.path, "detail": self.detail}
 
 
 def _check_object(path: str, kind: str, shard: str,
-                  digest: str) -> Tuple[Optional[object], Optional[Finding]]:
-    """Validate one object file; returns (key, finding)."""
+                  digest: str) -> Optional[Finding]:
+    """Validate one object file; returns its finding, if any."""
     try:
         with open(path, "rb") as fh:
-            envelope = load_envelope(fh.read())
+            envelope = pickle.loads(fh.read())
     except CORRUPT_READ_ERRORS as error:
-        return None, Finding("corrupt_object", path,
-                             f"{type(error).__name__}: {error}")
+        return Finding("corrupt_object", path,
+                       f"{type(error).__name__}: {error}")
     if (not isinstance(envelope, dict)
-            or envelope.get("store_schema") != STORE_SCHEMA
-            or envelope.get("key_schema") != KEY_SCHEMA
             or envelope.get("kind") != kind
             or "payload" not in envelope or "key" not in envelope):
-        return None, Finding("envelope_mismatch", path,
-                             "envelope failed schema/kind validation")
-    key = envelope["key"]
+        return Finding("envelope_mismatch", path,
+                       "envelope failed kind validation")
     try:
-        derived = store_digest(kind, key)
+        derived = store_digest(kind, envelope["key"])
     except TypeError as error:
-        return None, Finding("bad_key", path, str(error))
+        return Finding("bad_key", path, str(error))
     if derived != digest or digest[:2] != shard:
-        return key, Finding(
+        return Finding(
             "digest_mismatch", path,
             f"file named {digest} in shard {shard} but key derives {derived}")
-    return key, None
+    return None
 
 
 def fsck(root: str, repair: bool = False) -> Dict[str, object]:
-    """Scan ``root``; returns the report dict (see ``counts``)."""
+    """Scan ``root``'s current generation; returns the report dict."""
+    backend = LocalBackend(root, code_fingerprint())
     findings: List[Finding] = []
-    objects: Dict[str, str] = {}  # digest -> kind, for ledger reconciliation
+    objects_ok = 0
     scanned = 0
 
-    log: Optional[GenerationLog] = None
-    try:
-        log = GenerationLog.load(root)
-    except ValueError as error:
-        findings.append(Finding("bad_manifest", GenerationLog.path_for(root),
-                                str(error), repairable=False))
-    if log is not None and (log.store_schema != STORE_SCHEMA
-                            or log.key_schema != KEY_SCHEMA):
-        findings.append(Finding(
-            "schema_mismatch", GenerationLog.path_for(root),
-            f"tree stamped {log.store_schema}/{log.key_schema}, pipeline "
-            f"speaks {STORE_SCHEMA}/{KEY_SCHEMA}", repairable=False))
-
-    objects_root = os.path.join(root, OBJECTS_DIR)
-    for kind in sorted(os.listdir(objects_root)) \
-            if os.path.isdir(objects_root) else []:
-        kind_dir = os.path.join(objects_root, kind)
+    for kind in sorted(os.listdir(backend.objects)) \
+            if os.path.isdir(backend.objects) else []:
+        kind_dir = os.path.join(backend.objects, kind)
         if not os.path.isdir(kind_dir):
             findings.append(Finding("stray_file", kind_dir,
                                     "file where a kind directory belongs"))
@@ -143,164 +118,74 @@ def fsck(root: str, repair: bool = False) -> Dict[str, object]:
                                             "not an object file"))
                     continue
                 scanned += 1
-                digest = name[:-len(".pkl")]
-                _key, finding = _check_object(path, kind, shard, digest)
+                finding = _check_object(path, kind, shard,
+                                        name[:-len(".pkl")])
                 if finding is None:
-                    objects[digest] = kind
+                    objects_ok += 1
                 else:
                     findings.append(finding)
 
-    ledger_orphans: List[str] = []
-    unledgered = 0
-    if log is not None:
-        for digest, entry in sorted(log.entries.items()):
-            if digest not in objects:
-                ledger_orphans.append(digest)
-        unledgered = sum(1 for digest in objects if digest not in log.entries)
-
-    manifest_orphans: Dict[str, List[str]] = {}
-    runs_dir = os.path.join(root, RUNS_DIR)
-    if os.path.isdir(runs_dir):
-        for name in sorted(os.listdir(runs_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(runs_dir, name)
-            stale: List[str] = []
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    lines = fh.readlines()
-            except OSError:
-                continue
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail: resume already tolerates it
-                digest = entry.get("digest") \
-                    if isinstance(entry, dict) else None
-                if isinstance(digest, str) and digest not in objects:
-                    stale.append(digest)
-            if stale:
-                manifest_orphans[name] = stale
-
     repaired = 0
     remaining: List[Finding] = []
-    if repair:
-        for finding in findings:
+    for finding in findings:
+        if not repair:
             fixed = False
-            if finding.code in ("corrupt_object", "envelope_mismatch",
-                                "bad_key", "digest_mismatch"):
-                fixed = bool(_quarantine(root, finding))
-            elif finding.code in ("stale_temp", "stray_file") \
-                    and os.path.isfile(finding.path):
-                try:
-                    os.unlink(finding.path)
-                    fixed = True
-                except OSError:
-                    fixed = False
-            if fixed:
-                repaired += 1
-            else:
-                remaining.append(finding)
-        if log is not None and (ledger_orphans or unledgered):
-            # rebuild the ledger from the surviving objects: drop orphans,
-            # adopt unledgered objects with an fsck note
-            for digest in ledger_orphans:
-                log.entries.pop(digest, None)
-            for digest, kind in objects.items():
-                if digest not in log.entries:
-                    log.entries[digest] = {"kind": kind,
-                                           "note": "adopted by fsck"}
-            log.rewrite_entries(root)
-            repaired += len(ledger_orphans) + unledgered
-            ledger_orphans = []
-            unledgered = 0
-        for name, stale in list(manifest_orphans.items()):
-            path = os.path.join(runs_dir, name)
-            _drop_manifest_lines(path, set(stale))
-            repaired += len(stale)
-        manifest_orphans = {}
-    else:
-        remaining = list(findings)
+        elif finding.code in ("stale_temp", "stray_file"):
+            fixed = _unlink(finding.path)
+        else:
+            fixed = _quarantine(backend, finding)
+        if fixed:
+            repaired += 1
+        else:
+            remaining.append(finding)
 
-    # drift (ledger/journal entries out of sync with the objects) is
-    # advisory by design — reported, repairable, but never a failure;
-    # *damage* still on disk is
-    clean = not remaining
+    others = sorted(set(generations(root)) - {backend.generation})
     return {
         "root": os.path.abspath(root),
-        "clean": bool(clean),
+        "generation": backend.generation,
+        "clean": not remaining,
         "counts": {
             "objects_scanned": scanned,
-            "objects_ok": len(objects),
+            "objects_ok": objects_ok,
             "problems": len(findings),
-            "ledger_orphans": len(ledger_orphans),
-            "unledgered": unledgered,
-            "manifest_orphans": sum(len(v)
-                                    for v in manifest_orphans.values()),
             "repaired": repaired,
+            "other_generations": len(others),
         },
         "findings": [f.as_dict() for f in findings],
-        "ledger_orphans": ledger_orphans,
-        "manifest_orphans": manifest_orphans,
+        "other_generations": others,
     }
 
 
-def _quarantine(root: str, finding: Finding) -> int:
-    """Move one damaged object into quarantine/ with a reason record."""
+def _unlink(path: str) -> bool:
+    if not os.path.isfile(path):
+        return False
+    try:
+        os.unlink(path)
+    except OSError:
+        return False
+    return True
+
+
+def _quarantine(backend: LocalBackend, finding: Finding) -> bool:
+    """Move one damaged object into the generation's quarantine with a
+    reason record."""
     path = finding.path
-    rel = os.path.relpath(path, os.path.join(root, OBJECTS_DIR))
-    parts = rel.split(os.sep)
-    kind = parts[0] if len(parts) >= 1 else "unknown"
-    name = os.path.basename(path)
-    destination = os.path.join(root, QUARANTINE_DIR, kind, name)
+    kind = os.path.relpath(path, backend.objects).split(os.sep)[0]
+    digest = os.path.basename(path)[:-len(".pkl")]
+    destination = backend.quarantine_path(kind, digest)
     try:
         os.makedirs(os.path.dirname(destination), exist_ok=True)
         os.replace(path, destination)
-        record = {"kind": kind, "digest": name[:-len(".pkl")]
-                  if name.endswith(".pkl") else name,
+        record = {"kind": kind, "digest": digest,
                   "reason": finding.detail, "cause": finding.code,
                   "pid": os.getpid(), "quarantined_at": time.time(),
                   "by": "fsck_store"}
-        reason_path = destination[:-len(".pkl")] + ".reason.json" \
-            if destination.endswith(".pkl") else destination + ".reason.json"
-        with open(reason_path, "w", encoding="utf-8") as fh:
+        with open(destination[:-len(".pkl")] + ".reason.json", "w",
+                  encoding="utf-8") as fh:
             json.dump(record, fh, sort_keys=True)
     except OSError:
-        return 0
-    return 1
-
-
-def _drop_manifest_lines(path: str, stale: set) -> None:
-    """Rewrite one run journal without the stale digests."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return
-    kept: List[str] = []
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            entry = json.loads(text)
-        except json.JSONDecodeError:
-            continue
-        digest = entry.get("digest") if isinstance(entry, dict) else None
-        if isinstance(digest, str) and digest in stale:
-            continue
-        kept.append(text + "\n")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(kept)
-        os.replace(tmp, path)
-    except OSError:
-        pass
+        return False
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -308,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="verify/repair an artifact-store tree")
     parser.add_argument("root", help="store tree root (REPRO_STORE_DIR)")
     parser.add_argument("--repair", action="store_true",
-                        help="quarantine damage, reconcile ledger + journals")
+                        help="quarantine damage, delete temp and stray files")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the full report as JSON")
     args = parser.parse_args(argv)
@@ -321,18 +206,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
         counts = report["counts"]
-        print(f"fsck_store: {report['root']}")
+        print(f"fsck_store: {report['root']} "
+              f"(generation {report['generation']})")
         print(f"  objects scanned: {counts['objects_scanned']}, "
               f"ok: {counts['objects_ok']}")
         for finding in report["findings"]:
             print(f"  [{finding['code']}] {finding['path']}: "
                   f"{finding['detail']}")
-        if counts["ledger_orphans"]:
-            print(f"  ledger orphans: {counts['ledger_orphans']}")
-        if counts["unledgered"]:
-            print(f"  unledgered objects: {counts['unledgered']}")
-        if counts["manifest_orphans"]:
-            print(f"  run-journal orphans: {counts['manifest_orphans']}")
+        if report["other_generations"]:
+            print("  other generations (advisory; gc_store.py sweeps them): "
+                  + ", ".join(report["other_generations"]))
         if counts["repaired"]:
             print(f"  repaired: {counts['repaired']}")
         print("  clean" if report["clean"] else "  PROBLEMS FOUND")

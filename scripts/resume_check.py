@@ -73,9 +73,11 @@ def _rows(jobs: int):
 
 
 def _shards(tree: str) -> List[str]:
-    """The unit objects of ``tree``, published ones only (no temp files)."""
-    return sorted(glob.glob(os.path.join(tree, "objects", "shard", "*",
-                                         "*.pkl")))
+    """The unit objects of ``tree``'s current generation, published ones
+    only (no temp files)."""
+    from repro.store import code_fingerprint
+    return sorted(glob.glob(os.path.join(tree, "objects", code_fingerprint(),
+                                         "shard", "*", "*.pkl")))
 
 
 def _group_gone(pgid: int) -> bool:

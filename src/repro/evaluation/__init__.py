@@ -14,8 +14,7 @@ from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experime
 from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
                        resolve_task_timeout, run_tasks, worker_cache,
                        worker_cache_events)
-from .checkpoint import (RunManifest, checkpoint_enabled, run_checkpointed,
-                         run_id)
+from .checkpoint import checkpoint_enabled, run_checkpointed
 from .diff_sharding import shard_diff_matrix
 
 __all__ = [
@@ -32,6 +31,6 @@ __all__ = [
     "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
     "resolve_task_timeout", "run_tasks",
     "worker_cache", "worker_cache_events",
-    "RunManifest", "checkpoint_enabled", "run_checkpointed", "run_id",
+    "checkpoint_enabled", "run_checkpointed",
     "shard_overhead_matrix", "shard_diff_matrix",
 ]

@@ -88,10 +88,11 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
     seeded, so the tuned binary is deterministic per (workload,
     iterations), it takes its O0 baseline and O3 + LTO start from the
     references instead of compiling them again, and its overhead is
-    measured on the program the search compiled.  Every build and the
-    search start from one synthesis of the workload.  Returns the BinTuner
-    and the Khaos similarity scores in :data:`OPT_LEVELS` order, plus
-    BinTuner's runtime-overhead factor against the O2 + LTO baseline.
+    measured on the program the search compiled, against the O2 + LTO
+    reference.  Every build and the search start from one synthesis of the
+    workload.  Returns the BinTuner and the Khaos similarity scores in
+    :data:`OPT_LEVELS` order, plus BinTuner's runtime-overhead factor
+    against the O2 + LTO baseline.
     """
     workload, tuner_iterations = shard
     cache = cache if cache is not None else worker_cache()
@@ -103,8 +104,9 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
         references.append((options, built.program, built.binary))
     tuned = BinTuner(iterations=tuner_iterations).tune(
         source(), references=references)
-    baseline_run = run_program(
-        build_variant(workload, "baseline", None, cache, source).program)
+    # O2 + LTO is OptOptions(): that reference is the baseline variant
+    _options, baseline, _binary = references[OPT_LEVELS.index(2)]
+    baseline_run = run_program(baseline)
     tuned_run = run_program(tuned.best_program)
     base = baseline_run.cycles or 1
     khaos = build_variant(workload, KHAOS_LABEL, None, cache, source).binary
@@ -117,11 +119,9 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
 
 
 def bintuner_shard_key(shard: BinTunerShard) -> Tuple:
-    """The value-based store key of one figure-9 unit's rows.
-
-    ``scripts/gc_store.py`` derives the unit's variants from it: the
-    baseline, its opt-level references and the Khaos build.
-    """
+    """The value-based store key of one figure-9 unit's rows: the
+    workload's baseline variant key, the Khaos configuration and the
+    BinTuner budget."""
     workload, iterations = shard
     return ("fig9unit", variant_key(workload, "baseline", None),
             config_cache_key(obfuscator_for(KHAOS_LABEL)), iterations)
@@ -133,16 +133,15 @@ def measure_bintuner(workloads: Sequence[WorkloadProgram],
     """Figure 9's measurement loop.
 
     One unit per workload; an in-process run holds that workload's four
-    opt-level references while it builds the O2 + LTO baseline and the
-    Khaos build.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
+    opt-level references, the O2 + LTO one doubling as the baseline, while
+    it builds the Khaos build.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
     worker processes.  Rows come back per workload and opt level, bintuner
     before khaos, and the overhead geomean is taken in workload order, so
     the report is identical either way.
     """
     shards = shard_bintuner_matrix(workloads, tuner_iterations)
     keys = [bintuner_shard_key(shard) for shard in shards]
-    results = run_matrix(_bintuner_shard, shards, keys, ("fig9", tuple(keys)),
-                         jobs, None, 1)
+    results = run_matrix(_bintuner_shard, shards, keys, jobs, None, 1)
     report = BinTunerReport()
     overheads: List[float] = []
     for workload, (bintuner_sims, khaos_sims, overhead) in zip(workloads,

@@ -1,4 +1,4 @@
-"""The matrix engine of Figures 6–10: one run path, journaled and resumable.
+"""The matrix engine of Figures 6–10: one run path, resumable.
 
 A fig6–10 matrix run is a deterministic list of value-keyed units, each a
 pure function of its store key.  :func:`run_matrix` is the one path every
@@ -16,41 +16,31 @@ unit:
   :class:`~repro.store.artifact_store.ArtifactStore` under kind
   :data:`~repro.store.artifact_store.KIND_SHARD`, keyed by the unit's
   value-based identity (variant keys × labels × tool configs) — the same
-  key discipline as every other store object;
+  key discipline as every other store object — the moment it lands;
 * on start, :func:`run_checkpointed` revives every unit whose result
   object exists under its key (``normalize`` rewrites its counters so
   revived units report as store reads, not fresh work) and hands only the
-  remainder to :func:`~repro.evaluation.executor.run_tasks`;
-* a :class:`RunManifest` under ``<store root>/runs/<run_id>.jsonl``
-  journals the digests of the units the run completed or revived — one
-  ``O_APPEND`` JSON line per unit, appended the moment the unit lands.
-  The journals are the roots ``scripts/gc_store.py`` marks from; resume
-  never needs them.  ``run_id`` hashes the run's full unit key list, so a
-  restart of one matrix appends to one journal.
+  remainder to :func:`~repro.evaluation.executor.run_tasks`.
 
-Without ``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) checkpointing
-is a transparent pass-through.  A result object that was lost or
-quarantined is simply re-executed: the store is the truth, exactly like
-the :class:`~repro.store.generation_log.GenerationLog` ledger.
+The store reads and writes only the generation of the code that runs, so
+a unit is never revived from rows other code computed.  Without
+``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) checkpointing is a
+transparent pass-through.  A result object that was lost or quarantined is
+simply re-executed: the store is the truth.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Set, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..obs import metrics as obs_metrics
-from ..store.artifact_store import (KIND_SHARD, StoreError, store_digest,
-                                    store_from_env)
-from .executor import call_cache, resolve_jobs, run_tasks
+from ..store.artifact_store import KIND_SHARD, store_from_env
+from .executor import ExecutorTaskError, call_cache, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
-
-#: Subdirectory of the store root holding one journal file per run identity.
-RUNS_DIR = "runs"
 
 
 def checkpoint_enabled(environ=os.environ) -> bool:
@@ -70,70 +60,6 @@ def checkpoint_enabled(environ=os.environ) -> bool:
         f"REPRO_CHECKPOINT must be 'on' or 'off', got {value!r}")
 
 
-def run_id(run_parts: object) -> str:
-    """The stable identity of one matrix run's unit list (hex, 16 chars)."""
-    return store_digest("run", run_parts)[:16]
-
-
-def _parse_journal(text: str) -> Set[str]:
-    """The completed-unit digests of one journal's lines — tolerant of
-    torn trailing lines (``scripts/gc_store.py`` marks its roots with it)."""
-    done: Set[str] = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn trailing line from a killed writer
-        digest = entry.get("digest") if isinstance(entry, dict) else None
-        if isinstance(digest, str):
-            done.add(digest)
-    return done
-
-
-class RunManifest:
-    """The append-only journal of one run's completed unit digests.
-
-    Lives at ``<root>/runs/<run_id>.jsonl``; one JSON line per completed
-    or revived unit, appended with a single ``O_APPEND`` write (atomic
-    under POSIX), so concurrent runs of one matrix may share a journal and
-    a torn trailing line from a killed process at worst leaves one unit
-    unrooted for GC's grace window.
-    """
-
-    def __init__(self, root: str, identity: str):
-        self.root = root
-        self.identity = identity
-        self.path = os.path.join(root, RUNS_DIR, f"{identity}.jsonl")
-        self.done: Set[str] = set()
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            return
-        self.done |= _parse_journal(text)
-
-    def mark_done(self, digest: str) -> None:
-        """Journal one completed unit — O(1), durable before returning."""
-        self.done.add(digest)
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        line = json.dumps({"digest": digest}) + "\n"
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-            # the journal line is the promise "this unit will not re-run";
-            # fsync before returning so a crash cannot retract it
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-
 class _Sentinel:
     __slots__ = ()
 
@@ -142,8 +68,8 @@ _ABSENT = _Sentinel()
 
 
 def run_matrix(unit_fn: Callable[..., Result], units: Sequence[Task],
-               unit_keys: Sequence[object], run_parts: object,
-               jobs: Optional[int], cache, cache_entries: int,
+               unit_keys: Sequence[object], jobs: Optional[int], cache,
+               cache_entries: int,
                normalize: Optional[Callable[[Result], Result]] = None
                ) -> List[Result]:
     """Run one figure's unit list; results come back in unit order.
@@ -158,34 +84,33 @@ def run_matrix(unit_fn: Callable[..., Result], units: Sequence[Task],
     ``jobs>1`` the units fan out across the fail-fast pool, each worker
     building through its own cache.  An explicit ``cache`` is never
     overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
-    argument engages the pool then).  Either way the run is journaled
-    whenever a store is attached (:func:`run_checkpointed`).
+    argument engages the pool then).  Either way every finished unit is
+    stored whenever a store is attached (:func:`run_checkpointed`).
     """
     if cache is not None and jobs is None:
         jobs = 1
     if resolve_jobs(jobs) == 1:
         unit_fn = partial(unit_fn, cache=cache if cache is not None
                           else call_cache(cache_entries))
-    return run_checkpointed(unit_fn, units, unit_keys, run_parts, jobs=jobs,
+    return run_checkpointed(unit_fn, units, unit_keys, jobs=jobs,
                             normalize=normalize)
 
 
 def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
-                     task_keys: Sequence[object], run_parts: object,
-                     jobs: Optional[int] = None,
+                     task_keys: Sequence[object], jobs: Optional[int] = None,
                      normalize: Optional[Callable[[Result], Result]] = None
                      ) -> List[Result]:
     """:func:`run_tasks` with persisted, revivable unit results.
 
-    ``task_keys[i]`` is the value-based store key of ``tasks[i]``'s result;
-    ``run_parts`` identifies the run's journal (normally the full key
-    tuple).  Results come back in task order, exactly like
-    :func:`run_tasks`: units whose result is in the store are revived (and
-    passed through ``normalize``, so their counters report as store reads),
-    the remainder execute through the scheduler and are persisted +
-    journaled the moment each completes — an abort mid-run keeps
-    everything already finished.  The ``checkpoint.*`` registry counters
-    record the run's planned, resumed, executed and journaled units.
+    ``task_keys[i]`` is the value-based store key of ``tasks[i]``'s result.
+    Results come back in task order, exactly like :func:`run_tasks`: units
+    whose result is in the store are revived (and passed through
+    ``normalize``, so their counters report as store reads), the remainder
+    execute through the scheduler and are stored the moment each
+    completes — an abort mid-run keeps everything already finished.  An
+    :class:`~repro.evaluation.executor.ExecutorTaskError` names the failed
+    unit by its position in ``tasks``.  The ``checkpoint.*`` registry
+    counters record the run's planned, resumed, executed and stored units.
     """
     tasks = list(tasks)
     keys = list(task_keys)
@@ -196,17 +121,15 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
         return run_tasks(task_fn, tasks, jobs=jobs)
     try:
         store = store_from_env(max_memory_entries=8)
-    except (StoreError, OSError):
+    except OSError:
         # an unusable tree degrades to a plain (un-resumable) run, same as
         # the worker cache's storeless degradation
         store = None
     if store is None:
         return run_tasks(task_fn, tasks, jobs=jobs)
-    manifest = RunManifest(store.root, run_id(run_parts))
     obs_metrics.counter("checkpoint.planned", len(tasks))
 
     results: List[object] = [_ABSENT] * len(tasks)
-    digests = [store_digest(KIND_SHARD, key) for key in keys]
     pending: List[int] = []
     for index, key in enumerate(keys):
         payload = store.get(KIND_SHARD, key, _ABSENT)
@@ -215,19 +138,18 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
             continue
         results[index] = normalize(payload) if normalize else payload
         obs_metrics.counter("checkpoint.resumed")
-        if digests[index] not in manifest.done:
-            # root the revived object under this run's journal too
-            manifest.mark_done(digests[index])
 
     if pending:
-        def journal(position: int, value: Result) -> None:
+        def persist(position: int, value: Result) -> None:
             index = pending[position]
             results[index] = value
             store.put(KIND_SHARD, keys[index], value)
-            manifest.mark_done(digests[index])
-            obs_metrics.counter("checkpoint.journaled")
+            obs_metrics.counter("checkpoint.stored")
 
-        run_tasks(task_fn, [tasks[index] for index in pending], jobs=jobs,
-                  on_result=journal)
+        try:
+            run_tasks(task_fn, [tasks[index] for index in pending],
+                      jobs=jobs, on_result=persist)
+        except ExecutorTaskError as error:
+            raise error.renumbered(pending) from error.__cause__
         obs_metrics.counter("checkpoint.executed", len(pending))
     return results  # type: ignore[return-value]

@@ -102,9 +102,9 @@ def diff_unit_key(unit: DiffUnit) -> Tuple:
     """The value-based store key of one unit's rows.
 
     The baseline's variant key, each label's obfuscator configuration and
-    each tool's ``cache_key()``: ``scripts/gc_store.py`` derives every
-    variant the unit reads from it, and any run whose unit has the same
-    ingredients revives the stored rows instead of scoring them again.
+    each tool's ``cache_key()``: any run of the same code whose unit has
+    the same ingredients revives the stored rows instead of scoring them
+    again.
     """
     workload, labels, differs, options = unit
     return ("diffunit", variant_key(workload, "baseline", options),
@@ -134,8 +134,8 @@ def diff_cells(workloads: Sequence[WorkloadProgram], labels: Sequence[str],
     """
     units = shard_diff_matrix(workloads, labels, differs, options)
     keys = [diff_unit_key(unit) for unit in units]
-    results = run_matrix(_diff_unit, units, keys, ("fig8-10", tuple(keys)),
-                         jobs, cache, 1, normalize=_revived)
+    results = run_matrix(_diff_unit, units, keys, jobs, cache, 1,
+                         normalize=_revived)
     cells: List[Cell] = []
     for workload, result in zip(workloads, results):
         obs_metrics.counter("diffunit.units")

@@ -44,14 +44,14 @@ from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
 from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
 from threading import TIMEOUT_MAX
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from ..core.variant_cache import VariantCache
 from ..obs import layer
 from ..obs import layers as obs_layers
 from ..obs import metrics as obs_metrics
-from ..store.artifact_store import (ArtifactStore, StoreError,
-                                    store_dir_from_env)
+from ..store.artifact_store import ArtifactStore, store_dir_from_env
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -121,14 +121,28 @@ class ExecutorTaskError(RuntimeError):
     ``index`` is the task's submission position and ``task_repr`` a
     truncated ``repr`` of its payload — enough to rerun the unit by hand.
     A broken pool cannot tell which task killed its worker: ``index`` is
-    then the first task in flight and the message names every one.
+    then the first task in flight, and ``in_flight`` lists every one as
+    ``(index, task)`` pairs, which the message names.
     """
 
-    def __init__(self, index: int, task: object, cause: str):
+    def __init__(self, index: int, task: object, cause: str,
+                 in_flight: Sequence[Tuple[int, object]] = ()):
         self.index = index
+        self.task = task
         self.task_repr = _brief(task)
+        self.cause = cause
+        self.in_flight = tuple(in_flight)
+        named = "".join(f", {position} [task: {_brief(lost)}]"
+                        for position, lost in self.in_flight)
         super().__init__(
-            f"task {index} failed: {cause} [task: {self.task_repr}]")
+            f"task {index} failed: {cause}{named} [task: {self.task_repr}]")
+
+    def renumbered(self, positions: Sequence[int]) -> "ExecutorTaskError":
+        """The same failure of a run over ``tasks[positions[i]]`` for each
+        ``i``, naming each task by its position in ``tasks``."""
+        return ExecutorTaskError(
+            positions[self.index], self.task, self.cause,
+            [(positions[index], task) for index, task in self.in_flight])
 
 
 def _brief(task: object) -> str:
@@ -208,7 +222,7 @@ def _attach_store(bound: int) -> Optional[ArtifactStore]:
         return None
     try:
         return ArtifactStore.attach(target, max_memory_entries=bound)
-    except (StoreError, OSError) as error:
+    except OSError as error:
         # an unusable shared tree must never kill a worker — but it must
         # not silently cost a full rebuild either
         obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures")
@@ -312,12 +326,11 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                 # no task in flight can succeed any more, and which one
                 # killed its worker is unknowable: name them all
                 lost = sorted(index for index, _started in running.values())
-                named = ", ".join(f"{index} [task: {_brief(tasks[index])}]"
-                                  for index in lost)
                 raise ExecutorTaskError(
                     lost[0], tasks[lost[0]],
                     "the process pool broke: a worker died running one of "
-                    f"the tasks in flight, {named}")
+                    "the tasks in flight",
+                    [(index, tasks[index]) for index in lost])
             if timeout is not None:
                 now = time.monotonic()
                 for index, started in sorted(running.values()):

@@ -270,8 +270,7 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
     keys = [("fig67shard", variant_key(workload, "baseline", options),
              tuple(labels)) for workload in workloads]
     report = OverheadReport()
-    for rows in run_matrix(_overhead_shard, shards, keys,
-                           ("fig67", tuple(keys)), jobs, cache, 2):
+    for rows in run_matrix(_overhead_shard, shards, keys, jobs, cache, 2):
         report.rows.extend(rows)
     return report
 

@@ -14,15 +14,18 @@ per *machine* rather than once per process:
   into a stable content address (:func:`store_digest`) under a *kind*
   namespace (``"variant"``, ``"shard"``);
 * an in-process LRU layer serves repeated lookups without touching disk;
-* the on-disk tree (``objects/<kind>/<aa>/<digest>.pkl``) is written with a
-  single-writer atomic protocol — temp file + ``os.replace`` — so any number
-  of concurrent executor workers can attach to one tree: a reader never sees
-  a half-written object, racing writers of one deterministic artifact simply
-  last-write an identical file, and a writer never clobbers an object that
-  already exists (first-writer-kept at the API level);
-* a :class:`~repro.store.generation_log.GenerationLog` manifest at the root
-  stamps the schema versions and ledgers the written digests, so a warm tree
-  is validated with one JSON read instead of an object scan.
+* the on-disk tree (``objects/<generation>/<kind>/<aa>/<digest>.pkl``) is
+  written with a single-writer atomic protocol — temp file + ``os.replace``
+  — so any number of concurrent executor workers can attach to one tree: a
+  reader never sees a half-written object, racing writers of one
+  deterministic artifact simply last-write an identical file, and a writer
+  never clobbers an object that already exists (first-writer-kept at the
+  API level);
+* a process reads and writes only its own *generation*, the fingerprint of
+  the code it runs (:func:`~repro.store.keys.code_fingerprint`): a tree
+  written by other code attaches and rebuilds, never serves a stale
+  object, and ``scripts/gc_store.py`` deletes the generations of other
+  code.
 
 The tree under ``root`` (``REPRO_STORE_DIR`` for the evaluation drivers)
 is the store's one persistent backend
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import io
 import os
 import pickle
 import time
@@ -47,69 +49,23 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 from ..obs import layer
 from ..obs import metrics as obs_metrics
 from .backend import OBJECTS_DIR, LocalBackend
-from .generation_log import GenerationLog
-from .keys import KEY_SCHEMA as _KEY_SCHEMA
+from .keys import code_fingerprint
 
 T = TypeVar("T")
-
-#: Bump when the object file layout or payload envelope changes incompatibly.
-#: 2: the ``diff`` kind landed (persisted per-function partial diff results).
-#: (The ``shard`` kind and the quarantine subtree are backward-compatible
-#: additions — old trees stay attachable, so no bump.)
-#: Attaching refuses a tree stamped with an older schema (StoreError; the
-#: executor then degrades to storeless builds) — delete or repoint
-#: ``REPRO_STORE_DIR`` to get a fresh tree; artifacts are deterministic, so
-#: repopulating it only costs time.
-STORE_SCHEMA = 2
 
 #: The artifact kinds the evaluation pipeline persists: built variants and
 #: the results of completed figure units (the checkpoint layer revives a
 #: unit from its ``shard`` object instead of executing it again).
 KIND_VARIANT = "variant"
 KIND_SHARD = "shard"
-#: Retired kinds nothing writes any more: a variant carries its binary,
-#: and a unit's rows replaced the feature and per-function diff payloads.
-#: They stay so ``scripts/gc_store.py`` sweeps the objects older trees hold.
-KIND_BINARY = "binary"
-KIND_FEATURES = "features"
-KIND_DIFF = "diff"
 
 #: The concrete exception classes a damaged object file can raise on read:
-#: I/O failures, torn/truncated pickles, and unpickling payloads whose
-#: classes moved or changed shape between pipeline versions.  Anything
-#: outside this tuple is a bug and propagates.
+#: I/O failures, torn/truncated pickles, and pickles whose bytes name
+#: classes or fields that do not exist.  Anything outside this tuple is a
+#: bug and propagates.
 CORRUPT_READ_ERRORS = (OSError, pickle.UnpicklingError, EOFError,
                        ValueError, TypeError, AttributeError, ImportError,
                        IndexError, KeyError)
-
-
-class RetiredPayload:
-    """Stand-in for a payload class this pipeline no longer defines."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __setstate__(self, state) -> None:
-        pass
-
-
-class _EnvelopeUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str):
-        try:
-            return super().find_class(module, name)
-        except (AttributeError, ImportError):
-            return RetiredPayload
-
-
-def load_envelope(data: bytes) -> object:
-    """Unpickle one object file for the offline tools (GC, fsck).
-
-    Older trees hold results whose payload classes a later pipeline
-    retired; those unpickle as :class:`RetiredPayload`, because the tools
-    read only the envelope's stamps, kind and key.  Damaged bytes still
-    raise one of :data:`CORRUPT_READ_ERRORS`.
-    """
-    return _EnvelopeUnpickler(io.BytesIO(data)).load()
 
 
 def canonical_key(key: object) -> str:
@@ -143,8 +99,7 @@ def store_digest(kind: str, key: object) -> str:
 
 def is_store_tree(root: str) -> bool:
     """Does ``root`` look like an :class:`ArtifactStore` tree?"""
-    return (os.path.isdir(os.path.join(root, OBJECTS_DIR))
-            or os.path.exists(GenerationLog.path_for(root)))
+    return os.path.isdir(os.path.join(root, OBJECTS_DIR))
 
 
 def store_dir_from_env(environ=os.environ) -> Optional[str]:
@@ -156,19 +111,14 @@ def store_from_env(max_memory_entries: Optional[int] = None,
                    environ=os.environ) -> Optional["ArtifactStore"]:
     """The store ``REPRO_STORE_DIR`` names, or ``None`` for storeless runs.
 
-    Raises :class:`StoreError` on schema mismatch and ``OSError`` on an
-    unusable directory — callers that must degrade (the executor's worker
-    attach) catch both.
+    Raises ``OSError`` on an unusable directory — callers that must degrade
+    (the executor's worker attach) catch it.
     """
     root = store_dir_from_env(environ)
     if root:
         return ArtifactStore.attach(root,
                                     max_memory_entries=max_memory_entries)
     return None
-
-
-class StoreError(ValueError):
-    """An on-disk tree that cannot be used (schema mismatch, damaged manifest)."""
 
 
 class ArtifactStore:
@@ -194,55 +144,22 @@ class ArtifactStore:
         #: object — the shape the tests assert), while every increment also
         #: lands in :data:`repro.obs.metrics.REGISTRY` for telemetry.
         self.metrics = obs_metrics.MetricsRegistry(parent=obs_metrics.REGISTRY)
-        self._log: Optional[GenerationLog] = None
         self._backend: Optional[LocalBackend] = None
         if self.root is not None:
-            self._backend = LocalBackend(self.root)
-            self._attach_tree()
-
-    # -- attach / validation -----------------------------------------------------
+            self._backend = LocalBackend(self.root, code_fingerprint())
+            os.makedirs(self._backend.objects, exist_ok=True)
 
     @classmethod
     def attach(cls, root: str,
                max_memory_entries: Optional[int] = None) -> "ArtifactStore":
-        """Attach to (creating if needed) the store tree at ``root``.
-
-        Raises :class:`StoreError` when the tree was written by an
-        incompatible pipeline — a stale tree must never serve artifacts.
-        """
+        """Attach to (creating if needed) this code's generation of the
+        store tree at ``root``; raises ``OSError`` on an unusable path."""
         return cls(root=root, max_memory_entries=max_memory_entries)
-
-    def _attach_tree(self) -> None:
-        assert self.root is not None
-        os.makedirs(os.path.join(self.root, OBJECTS_DIR), exist_ok=True)
-        try:
-            log = GenerationLog.load(self.root)
-        except ValueError as error:
-            raise StoreError(f"cannot attach store at {self.root!r}: {error}")
-        if log is None:
-            log = GenerationLog(store_schema=STORE_SCHEMA,
-                                key_schema=_KEY_SCHEMA)
-            log.save(self.root)
-        elif (log.store_schema != STORE_SCHEMA
-                or log.key_schema != _KEY_SCHEMA):
-            raise StoreError(
-                f"incompatible store at {self.root!r}: tree has "
-                f"store_schema={log.store_schema} key_schema={log.key_schema}, "
-                f"this pipeline needs {STORE_SCHEMA}/{_KEY_SCHEMA}")
-        self._log = log
-
-    @property
-    def generation_log(self) -> Optional[GenerationLog]:
-        return self._log
 
     @property
     def persistent(self) -> bool:
         """Does this store outlive the process (is it backed by a tree)?"""
         return self._backend is not None
-
-    def warm_entries(self, kind: Optional[str] = None) -> int:
-        """Entries the manifest advertises — the cheap warm-start signal."""
-        return self._log.count(kind) if self._log is not None else 0
 
     # -- paths -------------------------------------------------------------------
 
@@ -392,13 +309,11 @@ class ArtifactStore:
                              cause=type(error).__name__)
             return _MISSING
         if (not isinstance(envelope, dict)
-                or envelope.get("store_schema") != STORE_SCHEMA
-                or envelope.get("key_schema") != _KEY_SCHEMA
                 or envelope.get("kind") != kind
                 or envelope.get("key") != key
                 or "payload" not in envelope):
             self._quarantine(kind, digest,
-                             "envelope failed schema/kind/key validation",
+                             "envelope failed kind/key validation",
                              cause="envelope_mismatch")
             return _MISSING
         return envelope["payload"]
@@ -426,8 +341,7 @@ class ArtifactStore:
                       payload: object, overwrite: bool = False) -> None:
         if self._backend is None:
             return
-        envelope = {"store_schema": STORE_SCHEMA, "key_schema": _KEY_SCHEMA,
-                    "kind": kind, "key": key, "payload": payload}
+        envelope = {"kind": kind, "key": key, "payload": payload}
         try:
             if not overwrite and self._backend.contains(kind, digest):
                 return  # first-writer-kept (the backend re-checks under race)
@@ -446,14 +360,6 @@ class ArtifactStore:
             return  # a racing writer got there first; its copy is kept
         self.metrics.counter("store.puts")
         self.metrics.counter("store.bytes_written", len(data))
-        if self._log is not None:
-            try:
-                self._log.append_entry(self.root, digest, kind,
-                                       note=_key_note(key))
-            except OSError:
-                # the ledger is advisory; losing a line only dims the
-                # warm-start signal, never the artifacts
-                self._log.record(digest, kind, note=_key_note(key))
 
     # -- reporting ---------------------------------------------------------------
     # The counter attributes of the pre-telemetry store are now read-only
@@ -485,8 +391,8 @@ class ArtifactStore:
     def corrupt_reads(self) -> Dict[str, int]:
         """Corrupt object reads by cause — concrete exception class name
         (``"UnpicklingError"``, ``"EOFError"``, ...) or
-        ``"envelope_mismatch"`` for files that unpickle but fail schema /
-        kind / key validation."""
+        ``"envelope_mismatch"`` for files that unpickle but fail kind / key
+        validation."""
         return {cause: int(count) for cause, count
                 in self.metrics.prefixed("store.corrupt_reads").items()}
 
@@ -523,12 +429,3 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-
-def _key_note(key: object, limit: int = 120) -> str:
-    """A short human-readable summary of a key for the generation log."""
-    try:
-        text = canonical_key(key)
-    except TypeError:
-        text = repr(key)
-    return text if len(text) <= limit else text[:limit - 3] + "..."

@@ -4,7 +4,9 @@
 layer — key freezing, content addressing, the pickle envelope, the LRU,
 quarantine policy, counters.  :class:`LocalBackend` owns the *byte* layer
 underneath it: opaque serialized envelopes addressed by ``(kind, digest)``
-in an object tree (``objects/<kind>/<aa>/<digest>.pkl``) written with a
+in one generation's object tree
+(``objects/<generation>/<kind>/<aa>/<digest>.pkl``, the generation being
+:func:`~repro.store.keys.code_fingerprint`) written with a
 single-writer atomic protocol that is crash-durable: the payload temp file
 is ``fsync``\\ ed before ``os.replace`` publishes it and the containing
 directory is ``fsync``\\ ed after, so a power loss can neither publish a
@@ -33,6 +35,23 @@ OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
 
 
+def generations(root: str) -> Dict[str, List[str]]:
+    """Every generation of the tree at ``root``, with its directories under
+    ``objects/`` and ``quarantine/``.  A tree written before objects
+    carried their generation holds ``objects/<kind>/`` directories, which
+    list as generations named after their kind."""
+    found: Dict[str, List[str]] = {}
+    for area in (OBJECTS_DIR, QUARANTINE_DIR):
+        folder = os.path.join(root, area)
+        if not os.path.isdir(folder):
+            continue
+        for name in sorted(os.listdir(folder)):
+            path = os.path.join(folder, name)
+            if os.path.isdir(path):
+                found.setdefault(name, []).append(path)
+    return found
+
+
 def fsync_directory(path: str) -> None:
     """Best-effort directory fsync — makes a completed rename durable."""
     try:
@@ -48,10 +67,14 @@ def fsync_directory(path: str) -> None:
 
 
 class LocalBackend:
-    """The on-disk object tree, with crash-durable atomic writes."""
+    """One generation of the on-disk object tree, with crash-durable
+    atomic writes."""
 
-    def __init__(self, root: str):
+    def __init__(self, root: str, generation: str):
         self.root = os.path.abspath(root)
+        self.generation = generation
+        #: This generation's object directory.
+        self.objects = os.path.join(self.root, OBJECTS_DIR, generation)
 
     def describe(self) -> str:
         return f"local:{self.root}"
@@ -59,11 +82,11 @@ class LocalBackend:
     # -- paths -------------------------------------------------------------------
 
     def object_path(self, kind: str, digest: str) -> str:
-        return os.path.join(self.root, OBJECTS_DIR, kind, digest[:2],
-                            f"{digest}.pkl")
+        return os.path.join(self.objects, kind, digest[:2], f"{digest}.pkl")
 
     def quarantine_path(self, kind: str, digest: str) -> str:
-        return os.path.join(self.root, QUARANTINE_DIR, kind, f"{digest}.pkl")
+        return os.path.join(self.root, QUARANTINE_DIR, self.generation, kind,
+                            f"{digest}.pkl")
 
     # -- protocol ----------------------------------------------------------------
 
@@ -143,13 +166,13 @@ class LocalBackend:
     def list_refs(self, kind: Optional[str] = None) -> List[ObjectRef]:
         """Every stored ``(kind, digest)`` (of one kind, if given)."""
         refs: List[ObjectRef] = []
-        objects = os.path.join(self.root, OBJECTS_DIR)
         try:
-            kinds = [kind] if kind is not None else sorted(os.listdir(objects))
+            kinds = ([kind] if kind is not None
+                     else sorted(os.listdir(self.objects)))
         except OSError:
             return refs
         for one_kind in kinds:
-            kind_dir = os.path.join(objects, one_kind)
+            kind_dir = os.path.join(self.objects, one_kind)
             if not os.path.isdir(kind_dir):
                 continue
             for shard in sorted(os.listdir(kind_dir)):

@@ -1,4 +1,4 @@
-"""Stable artifact keys: workload profile × obfuscator config × opt options.
+"""Stable artifact keys, and the code fingerprint that names a generation.
 
 The paper's pipeline compiles every workload "under O2 with LTO" once per
 obfuscation configuration, and workload synthesis plus every obfuscator are
@@ -12,19 +12,49 @@ the frozen tuples, see :func:`~repro.store.artifact_store.store_digest`).
 Obfuscators advertise their configuration through a ``cache_key()`` method
 (see :meth:`repro.core.config.KhaosConfig.cache_key`), so two obfuscators
 with the same label but different knobs never collide.
+
+What a key cannot say is which code built the artifact.  The on-disk store
+says it with the path instead: every object lives under its *generation*,
+:func:`code_fingerprint`, so a process never reads what other code wrote.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import os
+import sys
 from typing import Tuple
 
-#: Bump when the build pipeline changes incompatibly (key schema version).
-#: 2: container kinds are tagged in the frozen form — an empty dict and an
-#: empty list used to both freeze to ``()`` (and ``{"a": 1}`` collided with
-#: ``[("a", 1)]``), so structurally different configurations could share a
-#: digest; ``tests/test_store_keys_properties.py`` pins collision-freedom.
-KEY_SCHEMA = 2
+#: The ``repro`` package directory, whose sources :func:`code_fingerprint`
+#: covers.
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """The store generation this process reads and writes.
+
+    16 hex digits of a sha256 over the interpreter's bytecode tag
+    (``sys.implementation.cache_tag``) and every ``*.py`` file under
+    :data:`PACKAGE_DIR` — each file's relative path and bytes, in sorted
+    path order, ``__pycache__`` skipped — so any edit to the package starts
+    a new generation.  Computed once per process; forked workers inherit
+    it.
+    """
+    sources = []
+    for folder, subfolders, names in os.walk(PACKAGE_DIR):
+        subfolders[:] = [name for name in subfolders if name != "__pycache__"]
+        sources.extend(os.path.relpath(os.path.join(folder, name), PACKAGE_DIR)
+                       for name in names if name.endswith(".py"))
+    digest = hashlib.sha256(f"{sys.implementation.cache_tag}\0".encode())
+    for relative in sorted(sources):
+        with open(os.path.join(PACKAGE_DIR, relative), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()[:16]
 
 
 def _freeze(value) -> object:
@@ -92,6 +122,13 @@ def config_cache_key(obfuscator_or_label) -> object:
             tuple(config))
 
 
+@functools.cache
+def _default_options():
+    # imported on first use: the store sits below the optimizer
+    from ..opt.pass_manager import OptOptions
+    return OptOptions()
+
+
 def variant_key(workload, obfuscator_or_label, options=None) -> Tuple:
     """Cache key for one built variant.
 
@@ -99,11 +136,13 @@ def variant_key(workload, obfuscator_or_label, options=None) -> Tuple:
     *whole* profile pins the synthesised IR — every knob, not just the seed);
     ``obfuscator_or_label`` identifies the obfuscation configuration incl.
     its seed; ``options`` the :class:`~repro.opt.pass_manager.OptOptions` of
-    the O2+LTO pipeline.
+    the O2+LTO pipeline.  ``None`` builds with ``OptOptions()``, so options
+    equal to the default share its key.
     """
     profile = getattr(workload, "profile", None)
-    return (KEY_SCHEMA,
-            workload.suite, workload.name,
+    if options is not None and options == _default_options():
+        options = None
+    return (workload.suite, workload.name,
             _freeze(profile) if profile is not None else None,
             config_cache_key(obfuscator_or_label),
             _freeze(options) if options is not None else None)

@@ -5,12 +5,10 @@ workload (:mod:`repro.evaluation.diff_sharding`,
 :mod:`repro.evaluation.bintuner_compare`).  The reports must equal the
 plain whole-binary ``diff()`` oracle bit for bit, in process or across
 processes; every distinct variant is built once per run at any ``jobs``;
-and a unit whose rows are in the store is revived by key, journal or not.
+and a unit whose rows this code stored is revived by key.
 The tools' ``partial_diff``/``merge_partials`` wrappers, which the paper
 benchmark's tracer still wraps, keep a test here.
 """
-
-import os
 
 import pytest
 
@@ -18,12 +16,11 @@ from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff, all_differs
 from repro.evaluation import (MissingVulnerableFunction, figure8, figure9,
                               measure_bintuner, measure_escape,
                               measure_precision, overhead)
-from repro.evaluation.checkpoint import RUNS_DIR
 from repro.evaluation.bintuner_compare import (bintuner_shard_key,
                                                shard_bintuner_matrix)
 from repro.evaluation.diff_sharding import diff_unit_key, shard_diff_matrix
 from repro.evaluation.executor import reset_worker_cache
-from repro.store import KIND_VARIANT, ArtifactStore, canonical_key
+from repro.store import KIND_VARIANT, ArtifactStore, artifact_store, canonical_key
 from repro.store.keys import _freeze, config_cache_key
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
 from repro.workloads.suites import (WorkloadProgram, embedded_programs,
@@ -190,8 +187,9 @@ class TestBuildsOncePerVariant:
     def test_quick_figure9(self, build_log, jobs):
         figure9(limit=2, jobs=jobs)
         builds = build_log()
-        # four opt-level references, the O2 + LTO baseline and FuFi.all
-        assert len(builds) == len(set(builds)) == 2 * 6
+        # four opt-level references (O2 + LTO doubling as the baseline)
+        # and FuFi.all
+        assert len(builds) == len(set(builds)) == 2 * 5
 
 
 class TestSharedStoreReuse:
@@ -227,20 +225,20 @@ class TestSharedStoreReuse:
         assert ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT) \
             == variants
 
-    def test_stored_units_outlive_the_journal(self, tmp_store):
-        """Units revive by key: with the journals gone, a rerun reads every
-        unit's rows back and scores no cell."""
-        measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
-        for name in os.listdir(os.path.join(tmp_store, RUNS_DIR)):
-            os.unlink(os.path.join(tmp_store, RUNS_DIR, name))
+    def test_units_of_other_code_are_scored_again(self, tmp_store,
+                                                  monkeypatch):
+        """Rows stored by other code never revive: under a new generation
+        a rerun scores every cell again, and equals the first run."""
+        first = measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
         reset_worker_cache()
+        monkeypatch.setattr(artifact_store, "code_fingerprint",
+                            lambda: "d" * 16)
         with counted("diffunit") as stats, counted("checkpoint") as run:
-            measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
-        assert run["resumed"] == run["planned"] == 1
-        assert run["executed"] == 0
-        assert stats["cells_scored"] == 0
-        # the revived unit is rooted in the rerun's own journal
-        assert len(os.listdir(os.path.join(tmp_store, RUNS_DIR))) == 1
+            again = measure_precision(WORKLOADS[:1], labels=("fission",),
+                                      jobs=1)
+        assert _precision_rows(again) == _precision_rows(first)
+        assert run["resumed"] == 0 and run["executed"] == run["planned"] == 1
+        assert stats["cells_scored"] == 5
 
     def test_overlapping_matrix_executes_only_its_new_unit(self, tmp_store):
         workloads = spec2006_programs()[:3]

@@ -429,7 +429,6 @@ class TestFailFast:
         the rerun executes only the units the failed run did not finish."""
         values = [1, 2, 3, 4, 5]
         keys = [("fail-fast", value) for value in values]
-        parts = ("fail-fast", len(values))
         failed, rerun = tmp_path / "failed", tmp_path / "rerun"
         failed.mkdir()
         rerun.mkdir()
@@ -437,7 +436,7 @@ class TestFailFast:
                            match=f"poisoned input {poison}"):
             run_checkpointed(_square_unless_poisoned,
                              [(v, str(failed), poison) for v in values],
-                             keys, parts, jobs=2)
+                             keys, jobs=2)
         store = ArtifactStore.attach(tmp_store)
         kept = {value for value, key in zip(values, keys)
                 if store.contains(KIND_SHARD, key)}
@@ -449,7 +448,7 @@ class TestFailFast:
         with counted("checkpoint") as stats:
             out = run_checkpointed(_square_unless_poisoned,
                                    [(v, str(rerun), None) for v in values],
-                                   keys, parts, jobs=2)
+                                   keys, jobs=2)
         assert out == [value * value for value in values]
         executed = {int(name) for name in os.listdir(rerun)}
         assert executed == set(values) - kept
@@ -482,7 +481,7 @@ class TestFailFast:
             driver(2)
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(module, name, _REAL_UNITS[matrix])
-        kept = failed.counters.get("checkpoint.journaled", 0)
+        kept = failed.counters.get("checkpoint.stored", 0)
         # the last unit is submitted once two of the three before it are in
         assert 2 <= kept <= 3
         with measure() as run:
@@ -498,13 +497,10 @@ class TestWorkerCacheDegradationCounters:
 
     def test_unusable_store_tree_warns_and_counts(self, tmp_path,
                                                   monkeypatch, caplog):
-        import json
-        root = str(tmp_path / "badstore")
-        os.makedirs(os.path.join(root, "objects"))
-        with open(os.path.join(root, "generation.json"), "w") as fh:
-            json.dump({"store_schema": 1, "key_schema": 1, "generation": 1},
-                      fh)
-        monkeypatch.setenv("REPRO_STORE_DIR", root)
+        # a regular file where the tree belongs: attaching raises OSError
+        root = tmp_path / "badstore"
+        root.write_text("not a directory")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(root))
         reset_worker_cache()
         try:
             with caplog.at_level(logging.WARNING,
@@ -620,7 +616,7 @@ SIZED_CALLS = [
     (lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
                             differs=[Asm2Vec()], jobs=1), 1, 2),
     (lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
-     1, 6),
+     1, 5),
 ]
 SIZED_IDS = ["overhead", "precision", "escape", "bintuner"]
 

@@ -1,10 +1,10 @@
 """Offline store verification: ``scripts/fsck_store.py`` scan and repair.
 
-The runtime read path heals one object at a time; fsck walks the whole tree.
-These tests pin down the triage rules: *damage* (corrupt objects, renamed
-digests, stale temps) fails the check until repaired into quarantine,
-*drift* (ledger/journal entries out of sync with the objects) is advisory
-and never fails, and an unusable manifest is unrepairable (exit 1).
+The runtime read path heals one object at a time; fsck walks the current
+generation of the tree.  These tests pin down the triage rules: *damage*
+(corrupt objects, renamed digests, stale temps) fails the check until
+repaired into the generation's quarantine, and other generations, which
+no process of this code reads, are listed as advisory and never fail it.
 """
 
 import json
@@ -15,9 +15,9 @@ import sys
 
 import pytest
 
-from repro.evaluation.checkpoint import RUNS_DIR
-from repro.store import (KIND_BINARY, KIND_VARIANT, QUARANTINE_DIR,
-                         ArtifactStore, GenerationLog, store_digest)
+from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR,
+                         QUARANTINE_DIR, ArtifactStore, code_fingerprint,
+                         store_digest)
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
@@ -32,13 +32,26 @@ def tree(tmp_path):
     store = ArtifactStore.attach(root)
     store.put(KIND_VARIANT, ("a",), 1)
     store.put(KIND_VARIANT, ("b",), 2)
-    store.put(KIND_BINARY, ("c",), b"\x00\x01")
+    store.put(KIND_SHARD, ("c",), b"\x00\x01")
     return root
+
+
+def plant_generation(root, name, area=OBJECTS_DIR):
+    """Generation ``name`` holding one file that is no valid object."""
+    folder = os.path.join(root, area, name, KIND_VARIANT, "00")
+    os.makedirs(folder)
+    with open(os.path.join(folder, "garbage.pkl"), "wb") as fh:
+        fh.write(b"not a pickle")
 
 
 def _object_path(root, kind, key):
     return ArtifactStore.attach(root).object_path(
         kind, store_digest(kind, key))
+
+
+class _Retired:
+    """A payload class whose pickled name is then changed to one that
+    does not exist."""
 
 
 class TestScan:
@@ -60,7 +73,7 @@ class TestScan:
         path = _object_path(tree, KIND_VARIANT, ("a",))
         with open(path, "rb") as fh:
             envelope = pickle.load(fh)
-        envelope["store_schema"] = 99
+        envelope["kind"] = KIND_SHARD
         with open(path, "wb") as fh:
             pickle.dump(envelope, fh)
         report = fsck(tree)
@@ -86,37 +99,42 @@ class TestScan:
         codes = sorted(f["code"] for f in fsck(tree)["findings"])
         assert codes == ["stale_temp", "stray_file"]
 
-    def test_ledger_drift_is_advisory(self, tree):
-        # orphan: ledger entry without an object
-        log = GenerationLog.load(tree)
-        log.append_entry(tree, "f" * 64, KIND_VARIANT)
-        # unledgered: object the ledger never heard of (simulate by
-        # deleting the ledger line via rewrite of a reduced map)
-        victim = store_digest(KIND_VARIANT, ("b",))
-        del log.entries[victim]
-        log.entries["f" * 64] = {"kind": KIND_VARIANT, "note": ""}
-        log.rewrite_entries(tree)
+    def test_a_file_where_a_kind_belongs_is_stray(self, tree):
+        stray = os.path.join(tree, OBJECTS_DIR, code_fingerprint(), "notes")
+        with open(stray, "w") as fh:
+            fh.write("hello")
         report = fsck(tree)
-        assert report["clean"]  # drift never fails
-        assert report["counts"]["ledger_orphans"] == 1
-        assert report["counts"]["unledgered"] == 1
+        assert [f["code"] for f in report["findings"]] == ["stray_file"]
+        assert fsck(tree, repair=True)["clean"]
+        assert not os.path.exists(stray)
 
-    def test_journaled_digest_without_object_is_advisory(self, tree):
-        runs = os.path.join(tree, RUNS_DIR)
-        os.makedirs(runs)
-        with open(os.path.join(runs, "deadbeef.jsonl"), "w") as fh:
-            fh.write(json.dumps({"digest": "a" * 64}) + "\n")
+    def test_a_payload_of_a_missing_class_is_damage(self, tree):
+        """The current generation was written by this code, so a pickle
+        naming a class it does not define is damage, not history."""
+        path = _object_path(tree, KIND_SHARD, ("c",))
+        data = pickle.dumps({"kind": KIND_SHARD, "key": ("c",),
+                             "payload": _Retired()})
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"_Retired", b"_Missing"))
+        codes = [f["code"] for f in fsck(tree)["findings"]]
+        assert codes == ["corrupt_object"]
+
+    def test_other_generations_are_advisory(self, tree):
+        plant_generation(tree, "old")
+        plant_generation(tree, "older", area=QUARANTINE_DIR)
         report = fsck(tree)
-        assert report["clean"]
-        assert report["counts"]["manifest_orphans"] == 1
+        assert report["clean"] and report["findings"] == []
+        assert report["generation"] == code_fingerprint()
+        assert report["other_generations"] == ["old", "older"]
+        assert report["counts"]["other_generations"] == 2
+        assert report["counts"]["objects_scanned"] == 3
 
-    def test_unrepairable_manifest_fails(self, tree):
-        with open(GenerationLog.path_for(tree), "w") as fh:
-            fh.write("{not json")
-        report = fsck(tree, repair=True)
-        assert not report["clean"]
-        assert report["findings"][0]["code"] == "bad_manifest"
-        assert not report["findings"][0]["repairable"]
+    def test_a_tree_without_the_current_generation_is_clean(self, tmp_path):
+        root = str(tmp_path / "store")
+        plant_generation(root, "old")
+        report = fsck(root)
+        assert report["clean"] and report["counts"]["objects_scanned"] == 0
+        assert report["other_generations"] == ["old"]
 
 
 class TestRepair:
@@ -126,22 +144,24 @@ class TestRepair:
             fh.write(b"garbage")
         report = fsck(tree, repair=True)
         assert report["clean"]
-        assert report["counts"]["repaired"] >= 1
-        # the damaged object moved into quarantine with an fsck reason
+        assert report["counts"]["repaired"] == 1
+        # the damaged object moved into the generation's quarantine with an
+        # fsck reason
         digest = store_digest(KIND_VARIANT, ("a",))
-        moved = os.path.join(tree, QUARANTINE_DIR, KIND_VARIANT,
-                             f"{digest}.pkl")
+        moved = os.path.join(tree, QUARANTINE_DIR, code_fingerprint(),
+                             KIND_VARIANT, f"{digest}.pkl")
         assert os.path.exists(moved) and not os.path.exists(victim)
         with open(os.path.join(os.path.dirname(moved),
                                f"{digest}.reason.json")) as fh:
             record = json.load(fh)
         assert record["by"] == "fsck_store"
         assert record["cause"] == "corrupt_object"
-        # the ledger no longer lists the quarantined object...
-        assert digest not in GenerationLog.load(tree).entries
-        # ...and a second pass finds nothing left to do
+        assert record["kind"] == KIND_VARIANT and record["digest"] == digest
+        # a second pass finds nothing left to do, and the quarantine is
+        # not another generation
         again = fsck(tree)
         assert again["clean"] and again["counts"]["problems"] == 0
+        assert again["other_generations"] == []
 
     def test_repair_unlinks_temps_and_strays(self, tree):
         shard_dir = os.path.dirname(_object_path(tree, KIND_VARIANT, ("a",)))
@@ -153,34 +173,22 @@ class TestRepair:
         assert fsck(tree, repair=True)["clean"]
         assert not os.path.exists(temp) and not os.path.exists(stray)
 
-    def test_repair_adopts_unledgered_objects(self, tree):
-        log = GenerationLog.load(tree)
-        victim = store_digest(KIND_VARIANT, ("b",))
-        del log.entries[victim]
-        log.rewrite_entries(tree)
-        fsck(tree, repair=True)
-        entry = GenerationLog.load(tree).entries[victim]
-        assert entry["kind"] == KIND_VARIANT
-        assert entry["note"] == "adopted by fsck"
-
-    def test_repair_drops_stale_journal_lines(self, tree):
-        runs = os.path.join(tree, RUNS_DIR)
-        os.makedirs(runs)
-        keep = store_digest(KIND_VARIANT, ("a",))
-        path = os.path.join(runs, "deadbeef.jsonl")
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"digest": keep}) + "\n")
-            fh.write(json.dumps({"digest": "a" * 64}) + "\n")
-        fsck(tree, repair=True)
-        with open(path) as fh:
-            digests = [json.loads(line)["digest"] for line in fh]
-        assert digests == [keep]
+    def test_repair_leaves_other_generations_alone(self, tree):
+        plant_generation(tree, "old")
+        garbage = os.path.join(tree, OBJECTS_DIR, "old", KIND_VARIANT, "00",
+                               "garbage.pkl")
+        report = fsck(tree, repair=True)
+        assert report["clean"] and report["counts"]["repaired"] == 0
+        assert os.path.exists(garbage)
+        assert not os.path.exists(os.path.join(tree, QUARANTINE_DIR))
 
 
 class TestCli:
     def test_exit_codes(self, tree, capsys):
+        plant_generation(tree, "old")
         assert main([tree]) == 0
-        assert "clean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "clean" in out and "other generations" in out and "old" in out
         with open(_object_path(tree, KIND_VARIANT, ("a",)), "wb") as fh:
             fh.write(b"garbage")
         assert main([tree]) == 1

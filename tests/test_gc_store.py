@@ -1,42 +1,43 @@
-"""GC safety: the sweep never collects journal-reachable state.
+"""GC by generation: whole generations of other code are swept, never the
+current one.
 
 The contracts this file pins down:
 
-* on a freshly journaled tree, ``collect`` sweeps **nothing** — every
-  object a warm rerun would read is derived live from the run journals;
-* unreferenced objects are swept exactly, and a warm rerun after the
-  sweep still re-scores zero units (the ISSUE's acceptance);
-* ``--dry-run`` reports the same sweep without deleting anything;
-* the grace window and ``--keep-generations`` each independently protect
-  otherwise-collectable objects;
-* an unreadable or unrecognised journaled shard degrades the sweep to
-  conservative mode (only unreferenced ``shard`` objects go);
-* a tree the function-sliced pipeline wrote attaches without a rebuild,
-  and its retired ``features``/``diff`` objects are swept while fsck keeps
-  calling it clean;
-* the CLI refuses non-store trees with exit status 2.
+* a tree written by other code (generation A) attaches under new code
+  (generation B) and rebuilds every variant and unit, leaving A's files
+  untouched; GC then sweeps exactly A, a warm rerun under B rebuilds
+  nothing, and fsck passes;
+* a tree in the layout from before objects carried their generation
+  (``objects/<kind>/``, ``runs/`` journals, a ``generation.json`` stamp)
+  attaches and rebuilds, and GC sweeps its ``objects/<kind>/``
+  directories like any stale generation;
+* ``--grace`` keeps a young stale generation, ``--keep-generations N``
+  keeps the newest N, ``--dry-run`` deletes nothing and a second sweep
+  sweeps nothing;
+* the CLI reports as JSON or text and refuses non-store trees with exit
+  status 2.
 """
 
 import json
 import os
+import pickle
+import subprocess
 import sys
+import time
 
 import pytest
 
-from repro.core.variant_cache import VariantCache, variant_key
+from repro.core.variant_cache import variant_key
 from repro.diffing import BinDiff
-from repro.evaluation import diff_sharding
-from repro.evaluation.checkpoint import RUNS_DIR, RunManifest
+from repro.evaluation.diff_sharding import diff_unit_key
 from repro.evaluation.executor import reset_worker_cache
-from repro.evaluation.overhead import build_variant
 from repro.evaluation.precision import measure_precision
-from repro.store import ArtifactStore, store_digest
-from repro.store.artifact_store import (KIND_DIFF, KIND_FEATURES, KIND_SHARD,
-                                        KIND_VARIANT)
-from repro.store.backend import LocalBackend
-from repro.toolchain import obfuscator_for
-from repro.workloads.suites import spec2006_programs
 from repro.obs.metrics import counted
+from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR, QUARANTINE_DIR,
+                         ArtifactStore, artifact_store, code_fingerprint,
+                         store_digest)
+from repro.workloads.suites import spec2006_programs
+from tests import oracles
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
@@ -47,272 +48,265 @@ import gc_store  # noqa: E402
 
 WORKLOADS = spec2006_programs()[:1]
 LABELS = ("fission",)
+OLD, NEW = "a" * 16, "b" * 16
+
+
+def run_as(monkeypatch, generation):
+    """Make this process, GC and fsck the code whose fingerprint is
+    ``generation``."""
+    for module in (artifact_store, gc_store, fsck_store):
+        monkeypatch.setattr(module, "code_fingerprint", lambda: generation)
+
+
+def fig8():
+    """One small figure-8 run; returns its rows and counters."""
+    reset_worker_cache()
+    with counted("build") as builds, counted("checkpoint") as units:
+        report = measure_precision(WORKLOADS, labels=LABELS,
+                                   differs=[BinDiff()], jobs=1)
+    return report.rows, builds, units
+
+
+def files_of(folder):
+    """Every file under ``folder`` with its bytes and mtime."""
+    found = {}
+    for parent, _subfolders, names in os.walk(folder):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, folder)] = (
+                    fh.read(), os.stat(path).st_mtime_ns)
+    return found
+
+
+class TestOtherCodesTree:
+    """Generation A is written, then the same tree is used as B."""
+
+    @pytest.fixture
+    def switched(self, tmp_store, monkeypatch):
+        run_as(monkeypatch, OLD)
+        cold = fig8()
+        old_files = files_of(os.path.join(tmp_store, OBJECTS_DIR, OLD))
+        run_as(monkeypatch, NEW)
+        return tmp_store, cold, old_files, fig8()
+
+    def test_every_variant_and_unit_rebuilds(self, switched):
+        root, (rows, builds, units), old_files, rebuilt = switched
+        new_rows, new_builds, new_units = rebuilt
+        assert new_rows == rows
+        assert new_builds["variants"] == builds["variants"] == 1 + len(LABELS)
+        assert new_units["resumed"] == 0
+        assert new_units["executed"] == new_units["planned"] == len(WORKLOADS)
+        # A's objects are untouched: same files, same bytes, same mtimes
+        assert files_of(os.path.join(root, OBJECTS_DIR, OLD)) == old_files
+        assert len(old_files) == 1 + len(LABELS) + len(WORKLOADS)
+
+    def test_gc_sweeps_exactly_the_old_generation(self, switched):
+        root, _cold, old_files, _rebuilt = switched
+        report = gc_store.collect(root, grace=0)
+        assert report["generation"] == NEW
+        assert report["kept"] == {NEW: "current"}
+        assert report["swept"] == [OLD]
+        assert report["counts"]["files_swept"] == len(old_files)
+        assert os.listdir(os.path.join(root, OBJECTS_DIR)) == [NEW]
+
+    def test_a_warm_rerun_after_gc_rebuilds_nothing(self, switched):
+        root, _cold, _old, (rows, _builds, _units) = switched
+        gc_store.collect(root, grace=0)
+        warm_rows, builds, units = fig8()
+        assert warm_rows == rows
+        assert builds["variants"] == 0
+        assert units["resumed"] == units["planned"] == len(WORKLOADS)
+        assert units["executed"] == 0
+
+    def test_fsck_passes_before_and_after_gc(self, switched, capsys):
+        root = switched[0]
+        report = fsck_store.fsck(root)
+        assert report["clean"] and report["other_generations"] == [OLD]
+        assert report["counts"]["objects_ok"] == 1 + len(LABELS) + 1
+        gc_store.collect(root, grace=0)
+        assert fsck_store.main([root]) == 0
+        assert "other generations" not in capsys.readouterr().out
+
+
+def plant_pre_generation_tree(root):
+    """A tree as written before objects carried their generation: the
+    objects of this very matrix in ``objects/<kind>/<aa>/``, with stale
+    payloads in envelopes stamped schema 2/2, a run journal and the
+    ``generation.json`` stamp.  Returns the kind directories planted."""
+    planted = {
+        KIND_VARIANT: variant_key(WORKLOADS[0], "baseline"),
+        KIND_SHARD: diff_unit_key((WORKLOADS[0], LABELS, (BinDiff(),), None)),
+    }
+    for kind, key in planted.items():
+        digest = store_digest(kind, key)
+        path = os.path.join(root, OBJECTS_DIR, kind, digest[:2],
+                            f"{digest}.pkl")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            pickle.dump({"store_schema": 2, "key_schema": 2, "kind": kind,
+                         "key": key, "payload": "stale"}, fh)
+    os.makedirs(os.path.join(root, "runs"))
+    with open(os.path.join(root, "runs", "0123456789abcdef.jsonl"),
+              "w") as fh:
+        fh.write(json.dumps({"digest": store_digest(
+            KIND_SHARD, planted[KIND_SHARD])}) + "\n")
+    with open(os.path.join(root, "generation.json"), "w") as fh:
+        json.dump({"store_schema": 2, "key_schema": 2, "generation": 1}, fh)
+    return sorted(planted)
+
+
+class TestPreGenerationTree:
+    def test_attaches_and_rebuilds(self, tmp_store):
+        plant_pre_generation_tree(tmp_store)
+        rows, builds, units = fig8()
+        assert builds["variants"] == 1 + len(LABELS)
+        assert units["resumed"] == 0
+        assert units["executed"] == units["planned"] == len(WORKLOADS)
+        assert rows == oracles.precision(WORKLOADS, LABELS, [BinDiff()]).rows
+
+    def test_gc_sweeps_its_kind_directories(self, tmp_store):
+        legacy = plant_pre_generation_tree(tmp_store)
+        fig8()
+        report = gc_store.collect(tmp_store, grace=0)
+        assert report["swept"] == legacy == [KIND_SHARD, KIND_VARIANT]
+        assert report["kept"] == {code_fingerprint(): "current"}
+        assert os.listdir(os.path.join(tmp_store, OBJECTS_DIR)) == \
+            [code_fingerprint()]
+        # the journals and the stamp are inert; GC leaves them alone
+        assert sorted(os.listdir(tmp_store)) == \
+            ["generation.json", OBJECTS_DIR, "runs"]
+        _rows, builds, units = fig8()
+        assert builds["variants"] == 0 and units["executed"] == 0
+
+    def test_fsck_lists_them_as_advisory(self, tmp_store):
+        legacy = plant_pre_generation_tree(tmp_store)
+        report = fsck_store.fsck(tmp_store)
+        assert report["clean"]
+        assert report["counts"]["objects_scanned"] == 0
+        assert report["other_generations"] == legacy
+
+
+def plant_generation(root, name, age=0.0, area=OBJECTS_DIR, files=2):
+    """Generation ``name`` under ``area`` with ``files`` objects whose
+    mtime is ``age`` seconds ago."""
+    stamp = time.time() - age
+    for index in range(files):
+        digest = f"{index:064x}"
+        path = os.path.join(root, area, name, KIND_VARIANT, digest[:2],
+                            f"{digest}.pkl")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(b"0123456789")
+        os.utime(path, (stamp, stamp))
 
 
 @pytest.fixture
-def populated(tmp_store):
-    """A store tree after one cold journaled figure-8 run."""
-    with counted("checkpoint") as stats:
-        report = measure_precision(WORKLOADS, labels=LABELS, jobs=1)
-    assert stats["executed"] == stats["planned"] > 0
-    reset_worker_cache()
-    return tmp_store, report
+def tree(tmp_path):
+    """A store tree holding one object of the current generation."""
+    root = str(tmp_path / "store")
+    ArtifactStore.attach(root).put(KIND_VARIANT, ("current",), 1)
+    return root
 
 
-def plant_garbage(root, count=4):
-    """Objects no journal references — GC's only legitimate prey."""
-    store = ArtifactStore(root)
-    refs = []
-    for i in range(count):
-        key = ("garbage", i)
-        store.put(KIND_VARIANT, key, {"junk": i})
-        refs.append((KIND_VARIANT, store_digest(KIND_VARIANT, key)))
-    return refs
+def generation_dirs(root, area=OBJECTS_DIR):
+    return sorted(os.listdir(os.path.join(root, area)))
 
 
-def object_exists(root, kind, digest):
-    return os.path.exists(LocalBackend(root).object_path(kind, digest))
+class TestProtections:
+    def test_the_current_generation_is_always_kept(self, tree):
+        plant_generation(tree, code_fingerprint(), age=7200)
+        report = gc_store.collect(tree, grace=0)
+        assert report["kept"] == {code_fingerprint(): "current"}
+        assert report["swept"] == []
+        assert generation_dirs(tree) == [code_fingerprint()]
 
+    def test_grace_keeps_a_young_stale_generation(self, tree):
+        plant_generation(tree, "young", age=60)
+        plant_generation(tree, "old", age=7200)
+        report = gc_store.collect(tree, grace=3600)
+        assert report["kept"]["young"] == "grace"
+        assert report["swept"] == ["old"]
+        assert generation_dirs(tree) == sorted([code_fingerprint(), "young"])
 
-class TestSweepSafety:
-    def test_clean_tree_sweeps_nothing(self, populated):
-        root, _ = populated
-        report = gc_store.collect(root, grace=0)
-        assert report["counts"]["swept"] == 0
-        assert not report["conservative"]
-        assert report["counts"]["live"] > 0
+    def test_grace_reads_the_newest_file(self, tree):
+        plant_generation(tree, "mixed", age=7200)
+        plant_generation(tree, "mixed", age=60, area=QUARANTINE_DIR, files=1)
+        report = gc_store.collect(tree, grace=3600)
+        assert report["kept"]["mixed"] == "grace" and report["swept"] == []
 
-    def test_fig9_units_root_all_six_variants(self, tmp_store):
-        from repro.evaluation.bintuner_compare import measure_bintuner
-        measure_bintuner(WORKLOADS, tuner_iterations=1, jobs=1)
-        report = gc_store.collect(tmp_store, grace=0)
-        assert report["counts"]["swept"] == 0
-        assert not report["conservative"]
-        # four opt-level references, the O2 + LTO baseline, FuFi.all and
-        # the unit's rows
-        assert report["counts"]["live"] == 6 + 1
+    def test_keep_generations_keeps_the_newest_stale_ones(self, tree):
+        for name, age in (("newer", 100), ("older", 200), ("oldest", 300)):
+            plant_generation(tree, name, age=age)
+        report = gc_store.collect(tree, grace=0, keep_generations=1)
+        assert report["kept"] == {code_fingerprint(): "current",
+                                  "newer": "newest"}
+        assert report["swept"] == ["older", "oldest"]
+        again = gc_store.collect(tree, grace=0, keep_generations=2)
+        assert again["kept"]["newer"] == "newest" and again["swept"] == []
 
-    def test_sweeps_exactly_the_unreferenced(self, populated):
-        root, cold_report = populated
-        garbage = plant_garbage(root)
-        report = gc_store.collect(root, grace=0)
-        assert report["counts"]["swept"] == len(garbage)
-        assert report["swept_by_kind"] == {KIND_VARIANT: len(garbage)}
-        assert report["bytes_reclaimed"] > 0
-        assert report["counts"]["ledger_dropped"] == len(garbage)
-        for kind, digest in garbage:
-            assert not object_exists(root, kind, digest)
-
-        # the acceptance: a warm rerun over the swept tree rebuilds nothing
-        with counted("checkpoint") as warm_stats:
-            warm = measure_precision(WORKLOADS, labels=LABELS, jobs=1)
-        assert warm.rows == cold_report.rows
-        assert warm_stats["executed"] == 0
-        assert warm_stats["resumed"] == warm_stats["planned"]
-
-    def test_idempotent(self, populated):
-        root, _ = populated
-        plant_garbage(root)
-        assert gc_store.collect(root, grace=0)["counts"]["swept"] > 0
-        again = gc_store.collect(root, grace=0)
-        assert again["counts"]["swept"] == 0
-
-    def test_dry_run_deletes_nothing(self, populated):
-        root, _ = populated
-        garbage = plant_garbage(root)
-        report = gc_store.collect(root, dry_run=True, grace=0)
-        assert report["dry_run"] is True
-        assert report["counts"]["swept"] == len(garbage)
-        assert report["counts"]["ledger_dropped"] == 0
-        for kind, digest in garbage:
-            assert object_exists(root, kind, digest)
+    def test_dry_run_deletes_nothing(self, tree):
+        plant_generation(tree, "old", age=7200)
+        before = files_of(tree)
+        report = gc_store.collect(tree, dry_run=True, grace=0)
+        assert report["dry_run"] is True and report["swept"] == ["old"]
+        assert files_of(tree) == before
         # and the real sweep afterwards agrees with the rehearsal
-        real = gc_store.collect(root, grace=0)
-        assert real["counts"]["swept"] == len(garbage)
+        assert gc_store.collect(tree, grace=0)["swept"] == ["old"]
 
+    def test_a_second_sweep_sweeps_nothing(self, tree):
+        plant_generation(tree, "old", age=7200)
+        assert gc_store.collect(tree, grace=0)["counts"]["swept"] == 1
+        again = gc_store.collect(tree, grace=0)
+        assert again["counts"]["swept"] == 0 and again["swept"] == []
 
-class TestProtectionWindows:
-    def test_grace_protects_fresh_writes(self, populated):
-        root, _ = populated
-        garbage = plant_garbage(root)
-        report = gc_store.collect(root, grace=gc_store.DEFAULT_GRACE)
-        assert report["counts"]["swept"] == 0
-        assert report["counts"]["kept_grace"] >= len(garbage)
-        for kind, digest in garbage:
-            assert object_exists(root, kind, digest)
-
-    def test_keep_generations_protects_ledgered_writes(self, populated):
-        root, _ = populated
-        garbage = plant_garbage(root)
-        report = gc_store.collect(root, grace=0, keep_generations=1)
-        assert report["counts"]["swept"] == 0
-        assert report["counts"]["kept_generation"] >= len(garbage)
-        for kind, digest in garbage:
-            assert object_exists(root, kind, digest)
-
-
-class TestConservativeMode:
-    def _journaled_shard_digests(self, root):
-        digests = set()
-        runs_dir = os.path.join(root, RUNS_DIR)
-        for name in os.listdir(runs_dir):
-            with open(os.path.join(runs_dir, name), encoding="utf-8") as fh:
-                for line in fh:
-                    digests.add(json.loads(line)["digest"])
-        return digests
-
-    def test_corrupt_journaled_shard_degrades_to_conservative(
-            self, populated):
-        root, _ = populated
-        digest = sorted(self._journaled_shard_digests(root))[0]
-        path = LocalBackend(root).object_path(KIND_SHARD, digest)
-        with open(path, "wb") as fh:
-            fh.write(b"\x80garbage that does not unpickle")
-        garbage = plant_garbage(root)
-
-        report = gc_store.collect(root, grace=0)
-        assert report["conservative"] is True
-        assert report["conservative_causes"]
-        # non-shard garbage survives a conservative sweep...
-        assert report["counts"]["kept_conservative"] >= len(garbage)
-        for kind, digest in garbage:
-            assert object_exists(root, kind, digest)
-
-    def test_unknown_shard_key_degrades_to_conservative(self, populated):
-        root, _ = populated
-        # a journaled shard written by a newer pipeline: unknown key shape
-        store = ArtifactStore(root)
-        key = ("mystery-shard", 1)
-        store.put(KIND_SHARD, key, {"payload": "?"})
-        digest = store_digest(KIND_SHARD, key)
-        journal = os.path.join(root, RUNS_DIR, "mystery.jsonl")
-        with open(journal, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"digest": digest}) + "\n")
-
-        report = gc_store.collect(root, grace=0)
-        assert report["conservative"] is True
-        assert any("unknown shard key" in cause
-                   for cause in report["conservative_causes"])
-        # the journaled mystery shard itself is a root: never swept
-        assert object_exists(root, KIND_SHARD, digest)
-
-    def test_unreferenced_shards_still_swept_conservatively(self, populated):
-        root, _ = populated
-        store = ArtifactStore(root)
-        store.put(KIND_SHARD, ("orphan-shard", 9), {"payload": "?"})
-        orphan = store_digest(KIND_SHARD, ("orphan-shard", 9))
-        digest = sorted(self._journaled_shard_digests(root))[0]
-        path = LocalBackend(root).object_path(KIND_SHARD, digest)
-        with open(path, "wb") as fh:
-            fh.write(b"not a pickle")
-
-        report = gc_store.collect(root, grace=0)
-        assert report["conservative"] is True
-        assert report["swept_by_kind"].get(KIND_SHARD, 0) >= 1
-        assert not object_exists(root, KIND_SHARD, orphan)
-
-
-class DiffShardResult:
-    """Pickles like the function-sliced pipeline's unit result, a class
-    this pipeline no longer defines."""
-
-    def __init__(self, index):
-        self.shard_index = index
-
-
-def plant_sliced_fig8(root, monkeypatch):
-    """The objects the function-sliced pipeline wrote for one figure-8 run
-    of ``WORKLOADS`` × ``LABELS`` × BinDiff: the variants (keyed as today),
-    one ``features`` payload per variant, each pair's roster and
-    per-function ``diff`` payloads, and two journaled ``diffshard`` slices
-    per cell whose results pickle a retired class.  Returns the number of
-    ``features`` and ``diff`` objects."""
-    store = ArtifactStore.attach(root)
-    cache = VariantCache(store=store)
-    differ = BinDiff()
-    workload = WORKLOADS[0]
-    baseline = build_variant(workload, "baseline", None, cache)
-    base_vk = variant_key(workload, "baseline")
-    functions = tuple(f.name for f in baseline.binary.functions)
-    journal = RunManifest(root, "sliced")
-    planted = {KIND_FEATURES: 0, KIND_DIFF: 0}
-
-    def put(kind, key, payload):
-        store.put(kind, key, payload)
-        planted[kind] = planted.get(kind, 0) + 1
-
-    put(KIND_FEATURES, ("features",) + base_vk, {"structural": {}})
-    with monkeypatch.context() as patch:
-        DiffShardResult.__module__ = diff_sharding.__name__
-        patch.setattr(diff_sharding, "DiffShardResult", DiffShardResult,
-                      raising=False)
-        for label in LABELS:
-            build_variant(workload, label, None, cache)
-            label_vk = variant_key(workload, obfuscator_for(label))
-            put(KIND_FEATURES, ("features",) + label_vk, {"structural": {}})
-            pair = ("diff", differ.cache_key(), base_vk, label_vk)
-            put(KIND_DIFF, pair + ("roster",), {"units": functions})
-            for name in functions:
-                put(KIND_DIFF, pair + ("unit", name),
-                    {"ranked": [], "channels": {}, "rank": None})
-            for index in range(2):
-                key = ("diffshard", differ.cache_key(), base_vk, label_vk,
-                       index, 2)
-                put(KIND_SHARD, key, DiffShardResult(index))
-                journal.mark_done(store_digest(KIND_SHARD, key))
-    reset_worker_cache()
-    return planted
-
-
-class TestOlderTrees:
-    def test_sliced_tree_attaches_then_sweeps_its_retired_kinds(
-            self, tmp_store, monkeypatch):
-        planted = plant_sliced_fig8(tmp_store, monkeypatch)
-        with counted("build") as builds:
-            report = measure_precision(WORKLOADS, labels=LABELS,
-                                       differs=[BinDiff()], jobs=1)
-        assert builds["variants"] == 0
-        assert len(report.rows) == len(LABELS)
-
-        swept = gc_store.collect(tmp_store, grace=0)
-        assert not swept["conservative"]
-        assert swept["swept_by_kind"] == {KIND_DIFF: planted[KIND_DIFF],
-                                          KIND_FEATURES:
-                                              planted[KIND_FEATURES]}
-        # the retired slices stay rooted by their journal, beside the new
-        # unit; nothing else they once reached does
-        backend = LocalBackend(tmp_store)
-        assert len(backend.list_refs(KIND_SHARD)) == planted[KIND_SHARD] + 1
-        assert len(backend.list_refs(KIND_VARIANT)) == 1 + len(LABELS)
-        assert fsck_store.fsck(tmp_store)["clean"]
-
-        # and the swept tree still serves the new unit without scoring
-        reset_worker_cache()
-        with counted("checkpoint") as run:
-            again = measure_precision(WORKLOADS, labels=LABELS,
-                                      differs=[BinDiff()], jobs=1)
-        assert again.rows == report.rows
-        assert run["executed"] == 0
+    def test_quarantined_objects_go_with_their_generation(self, tree):
+        plant_generation(tree, "old", age=7200)
+        plant_generation(tree, "old", age=7200, area=QUARANTINE_DIR)
+        plant_generation(tree, code_fingerprint(), age=7200,
+                         area=QUARANTINE_DIR)
+        report = gc_store.collect(tree, grace=0)
+        assert report["swept"] == ["old"]
+        assert report["counts"]["files_swept"] == 4
+        assert report["bytes_reclaimed"] == 40
+        assert generation_dirs(tree, QUARANTINE_DIR) == [code_fingerprint()]
 
 
 class TestCli:
-    def test_json_report(self, populated, capsys):
-        root, _ = populated
-        plant_garbage(root, count=2)
-        assert gc_store.main([root, "--dry-run", "--grace", "0",
+    def test_json_report(self, tree, capsys):
+        plant_generation(tree, "old", age=7200)
+        assert gc_store.main([tree, "--dry-run", "--grace", "0",
                               "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["counts"]["swept"] == 2
+        assert report["swept"] == ["old"]
+        assert report["counts"] == {"generations": 2, "kept": 1, "swept": 1,
+                                    "files_swept": 2}
 
-    def test_human_report(self, populated, capsys):
-        root, _ = populated
-        assert gc_store.main([root, "--grace", "0"]) == 0
+    def test_human_report(self, tree, capsys):
+        plant_generation(tree, "old", age=7200)
+        assert gc_store.main([tree, "--grace", "0"]) == 0
         out = capsys.readouterr().out
-        assert "swept: 0 objects" in out
+        assert f"kept {code_fingerprint()} (current)" in out
+        assert "swept: 1 generations, 2 files (20 bytes) — old" in out
+        assert gc_store.main([tree, "--grace", "0"]) == 0
+        assert "swept: 0 generations" in capsys.readouterr().out
 
     def test_refuses_non_store_tree(self, tmp_path, capsys):
         empty = tmp_path / "not-a-store"
         empty.mkdir()
         assert gc_store.main([str(empty)]) == 2
-        assert "no generation log" in capsys.readouterr().err
+        assert "not a store tree" in capsys.readouterr().err
         assert gc_store.main([str(tmp_path / "missing")]) == 2
+        assert os.listdir(empty) == []
+
+    def test_subprocess_invocation(self, tree):
+        """CI calls the script as a subprocess; the entry point must work
+        outside pytest's import context too."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(SCRIPTS), "src"))
+        result = subprocess.run(
+            [sys.executable, os.path.join(SCRIPTS, "gc_store.py"), tree,
+             "--json"], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["kept"] == \
+            {code_fingerprint(): "current"}

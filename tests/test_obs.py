@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import json
 import os
 import time
 
@@ -590,13 +589,10 @@ class TestFacades:
                                                worker_cache,
                                                worker_cache_events)
 
-        # a tree stamped by an incompatible pipeline cannot be attached
-        stale = str(tmp_path / "stale")
-        os.makedirs(os.path.join(stale, "objects"))
-        with open(os.path.join(stale, "generation.json"), "w") as fh:
-            json.dump({"store_schema": 1, "key_schema": 1,
-                       "generation": 1}, fh)
-        monkeypatch.setenv("REPRO_STORE_DIR", stale)
+        # a regular file where the tree belongs cannot be attached
+        occupied = tmp_path / "occupied"
+        occupied.write_text("not a directory")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(occupied))
         reset_worker_cache()
         try:
             worker_cache()

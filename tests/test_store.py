@@ -9,8 +9,8 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
 * concurrent processes writing/reading the same artifact key cannot corrupt
   the tree (atomic rename; first-writer-kept at the API level, last-writer
   intact when both race through ``os.replace``);
-* the :class:`GenerationLog` manifest validates warm starts cheaply and an
-  incompatible tree is rejected at attach;
+* every object lives under its generation, the fingerprint of the code
+  that wrote it, so a tree written by other code is never read;
 * the retired ``features``/``diff`` payload helpers are no-ops;
 * every figure's report from a warm tree equals the cold run's;
 * :class:`LocalBackend`, the byte layer under the tree, keeps the first
@@ -23,25 +23,28 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
+import shutil
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.variant_cache import VariantCache, variant_key
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
-from repro.evaluation import clear_variant_facts
+from repro.evaluation import clear_variant_facts, run_tasks
 from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.escape import measure_escape
 from repro.evaluation.overhead import build_variant, measure_overhead
 from repro.evaluation.precision import measure_precision
 from repro.obs.metrics import counted
-from repro.store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES, KIND_SHARD,
-                         KIND_VARIANT, QUARANTINE_DIR, ArtifactStore,
-                         GenerationLog, StoreError, canonical_key,
-                         is_store_tree, store_digest, store_dir_from_env,
-                         store_from_env)
-from repro.store import diff_payloads, feature_payloads
+from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR,
+                         QUARANTINE_DIR, ArtifactStore, canonical_key,
+                         code_fingerprint, is_store_tree, store_digest,
+                         store_dir_from_env, store_from_env)
+from repro.store import artifact_store, diff_payloads, feature_payloads
 from repro.store import backend as store_backend
+from repro.store import keys as store_keys
 from repro.store.backend import LocalBackend, fsync_directory
 from repro.workloads.suites import embedded_programs, spec2006_programs
 
@@ -58,7 +61,7 @@ class TestContentAddressing:
 
     def test_kind_namespaces_are_disjoint(self):
         key = ("k", 1)
-        assert store_digest(KIND_VARIANT, key) != store_digest(KIND_BINARY, key)
+        assert store_digest(KIND_VARIANT, key) != store_digest(KIND_SHARD, key)
 
     def test_different_keys_different_digests(self):
         a = variant_key(WORKLOADS[0], "baseline")
@@ -164,7 +167,7 @@ class TestDiskLayer:
         assert store.disk_hits == 1
 
     def test_lowered_binary_round_trips_bit_identically(self, tmp_path):
-        """Kind ``binary``: a lowered Binary survives the pickle → disk →
+        """A stored variant's lowered Binary survives the pickle → disk →
         unpickle trip with its machine code exactly preserved (content
         digest over functions, blocks, instructions and CFG edges)."""
         from repro.toolchain import obfuscator_for
@@ -172,24 +175,23 @@ class TestDiskLayer:
         store = ArtifactStore.attach(root)
         artifact = build_variant(WORKLOADS[0], "fission")
         key = variant_key(WORKLOADS[0], obfuscator_for("fission"))
-        store.put(KIND_BINARY, key, artifact.binary)
+        store.put(KIND_VARIANT, key, artifact)
 
-        restored = ArtifactStore.attach(root).get(KIND_BINARY, key)
+        restored = ArtifactStore.attach(root).get(KIND_VARIANT, key).binary
         assert restored is not artifact.binary
         assert restored.content_digest() == artifact.binary.content_digest()
         # and the digest is sensitive to actual code differences
         other = build_variant(WORKLOADS[0], "fufi.ori")
         assert other.binary.content_digest() != artifact.binary.content_digest()
 
-    def test_built_variants_write_no_binary_object(self, tmp_path):
+    def test_built_variants_write_only_variant_objects(self, tmp_path):
         """A store-backed build persists the variant, which carries its
-        binary, and no separate ``binary`` object."""
+        binary, and no object of any other kind."""
         root = str(tmp_path / "store")
         cache = VariantCache(store=ArtifactStore.attach(root))
         build_variant(WORKLOADS[0], "fission", cache=cache)
-        backend = LocalBackend(root)
-        assert backend.list_refs(KIND_VARIANT) != []
-        assert backend.list_refs(KIND_BINARY) == []
+        refs = LocalBackend(root, code_fingerprint()).list_refs()
+        assert {kind for kind, _digest in refs} == {KIND_VARIANT}
 
     def test_first_writer_kept(self, tmp_path):
         root = str(tmp_path / "store")
@@ -207,11 +209,23 @@ class TestDiskLayer:
         store.put(KIND_VARIANT, ("k",), "v2", overwrite=True)
         assert ArtifactStore.attach(root).get(KIND_VARIANT, ("k",)) == "v2"
 
+    def test_two_writers_keep_every_object(self, tmp_path):
+        root = str(tmp_path / "store")
+        a = ArtifactStore.attach(root)
+        b = ArtifactStore.attach(root)
+        for index in range(10):
+            a.put(KIND_VARIANT, ("a", index), index)
+            b.put(KIND_VARIANT, ("b", index), index)
+        assert ArtifactStore.attach(root).entry_count(KIND_VARIANT) == 20
 
-#: Every kind a tree may hold, the retired ones included — damage to any
-#: of them must degrade to a cache miss (builds are deterministic), never
-#: to an exception.
-ALL_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF, KIND_SHARD)
+
+#: Every kind a tree holds — damage to either must degrade to a cache miss
+#: (builds are deterministic), never to an exception.
+ALL_KINDS = (KIND_VARIANT, KIND_SHARD)
+
+
+class _Renamed:
+    """A payload class whose pickled name is then changed to a missing one."""
 
 
 class TestCorruptObjectDegradation:
@@ -241,15 +255,30 @@ class TestCorruptObjectDegradation:
         assert fresh.get(kind, ("k", kind), default="absent") == "absent"
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_wrong_schema_envelope_is_a_miss(self, kind, tmp_store):
+    def test_wrong_kind_envelope_is_a_miss(self, kind, tmp_store):
         path = self._stored(tmp_store, kind)
         with open(path, "rb") as fh:
             envelope = pickle.load(fh)
-        envelope["store_schema"] = envelope["store_schema"] + 1
+        envelope["kind"] = "other"
         with open(path, "wb") as fh:
             pickle.dump(envelope, fh)
         fresh = ArtifactStore.attach(tmp_store)
         assert fresh.get(kind, ("k", kind), default="absent") == "absent"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_payload_of_a_missing_class_is_a_quarantined_miss(self, kind,
+                                                             tmp_store):
+        """A generation holds only what this code wrote, so a pickle naming
+        a class the code does not define is damage."""
+        path = self._stored(tmp_store, kind)
+        data = pickle.dumps({"kind": kind, "key": ("k", kind),
+                             "payload": _Renamed()})
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"_Renamed", b"_Missing"))
+        fresh = ArtifactStore.attach(tmp_store)
+        assert fresh.get(kind, ("k", kind), default="absent") == "absent"
+        assert fresh.corrupt_reads == {"AttributeError": 1}
+        assert fresh.quarantined == 1
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_wrong_key_envelope_is_a_miss(self, kind, tmp_store):
@@ -265,45 +294,123 @@ class TestCorruptObjectDegradation:
         assert fresh.get(kind, ("k", kind), default="absent") == "absent"
 
 
-class TestGenerationLog:
-    def test_manifest_written_and_counts(self, tmp_path):
+def _fingerprints_computed(_task):
+    """How often this worker computed the fingerprint, after using it."""
+    code_fingerprint()
+    return store_keys.code_fingerprint.cache_info().misses
+
+
+#: The interpreter tag the package fingerprints below are taken under.
+TAG = sys.implementation.cache_tag
+
+
+class TestCodeFingerprint:
+    """The generation is a digest of the ``repro`` sources and the
+    interpreter tag; edits to a copy of the package show what moves it."""
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        """A copy of the package that ``code_fingerprint`` reads instead."""
+        copy = str(tmp_path / "repro")
+        shutil.copytree(store_keys.PACKAGE_DIR, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(store_keys, "PACKAGE_DIR", copy)
+        return copy
+
+    @staticmethod
+    def fingerprint():
+        """``code_fingerprint`` computed afresh, past the per-process cache."""
+        return store_keys.code_fingerprint.__wrapped__()
+
+    def test_is_sixteen_hex_digits(self):
+        assert re.fullmatch(r"[0-9a-f]{16}", code_fingerprint())
+
+    def test_a_copy_of_the_package_has_the_same_fingerprint(self, package):
+        assert self.fingerprint() == code_fingerprint()
+
+    def test_editing_one_module_changes_it(self, package):
+        before = self.fingerprint()
+        with open(os.path.join(package, "opt", "dce.py"), "a") as fh:
+            fh.write("# edited\n")
+        assert self.fingerprint() != before
+
+    def test_renaming_one_module_changes_it(self, package):
+        before = self.fingerprint()
+        os.rename(os.path.join(package, "opt", "dce.py"),
+                  os.path.join(package, "opt", "dce2.py"))
+        assert self.fingerprint() != before
+
+    def test_the_interpreter_tag_changes_it(self, package, monkeypatch):
+        before = self.fingerprint()
+        monkeypatch.setattr(sys.implementation, "cache_tag", "cpython-399")
+        assert self.fingerprint() != before
+
+    def test_bytecode_caches_and_other_files_do_not_change_it(self, package):
+        before = self.fingerprint()
+        cache = os.path.join(package, "opt", "__pycache__")
+        os.makedirs(cache)
+        with open(os.path.join(cache, "dce.py"), "w") as fh:
+            fh.write("stale = True\n")
+        with open(os.path.join(cache, f"dce.{TAG}.pyc"), "wb") as fh:
+            fh.write(b"\x00" * 16)
+        with open(os.path.join(package, "NOTES.txt"), "w") as fh:
+            fh.write("not a module\n")
+        assert self.fingerprint() == before
+
+    def test_forked_workers_inherit_it(self):
+        code_fingerprint()
+        computed = store_keys.code_fingerprint.cache_info().misses
+        assert run_tasks(_fingerprints_computed, [0, 1], jobs=2) == \
+            [computed, computed]
+
+    def test_computed_once_per_process(self, package):
+        first = code_fingerprint()
+        with open(os.path.join(package, "opt", "dce.py"), "a") as fh:
+            fh.write("# edited\n")
+        assert code_fingerprint() == first != self.fingerprint()
+
+
+class TestGenerations:
+    def test_objects_live_under_the_code_generation(self, tmp_path):
         root = str(tmp_path / "store")
         store = ArtifactStore.attach(root)
-        store.put(KIND_VARIANT, ("a",), 1)
-        store.put(KIND_BINARY, ("b",), 2)
-        fresh = ArtifactStore.attach(root)
-        assert fresh.warm_entries() == 2
-        assert fresh.warm_entries(KIND_VARIANT) == 1
-        assert fresh.warm_entries(KIND_BINARY) == 1
+        digest = store.put(KIND_VARIANT, ("a",), 1)
+        assert store.object_path(KIND_VARIANT, digest) == os.path.join(
+            os.path.abspath(root), OBJECTS_DIR, code_fingerprint(),
+            KIND_VARIANT, digest[:2], f"{digest}.pkl")
 
-    def test_incompatible_schema_rejected_at_attach(self, tmp_path):
+    def test_attach_writes_nothing_but_the_generation_directory(
+            self, tmp_path):
         root = str(tmp_path / "store")
         ArtifactStore.attach(root)
-        log = GenerationLog.load(root)
-        log.store_schema += 1
-        path = GenerationLog.path_for(root)
-        with open(path, "w") as fh:
-            json.dump({"store_schema": log.store_schema,
-                       "key_schema": log.key_schema,
-                       "generation": 1, "entries": {}}, fh)
-        with pytest.raises(StoreError):
-            ArtifactStore.attach(root)
+        assert os.listdir(root) == [OBJECTS_DIR]
+        assert os.listdir(os.path.join(root, OBJECTS_DIR)) == \
+            [code_fingerprint()]
 
-    def test_damaged_manifest_rejected_at_attach(self, tmp_path):
-        root = str(tmp_path / "store")
-        ArtifactStore.attach(root)
-        with open(GenerationLog.path_for(root), "w") as fh:
-            fh.write("{not json")
-        with pytest.raises(StoreError):
-            ArtifactStore.attach(root)
+    def test_envelope_holds_kind_key_and_payload_only(self, tmp_path):
+        store = ArtifactStore.attach(str(tmp_path / "store"))
+        digest = store.put(KIND_SHARD, ("s",), [1])
+        with open(store.object_path(KIND_SHARD, digest), "rb") as fh:
+            envelope = pickle.load(fh)
+        assert envelope == {"kind": KIND_SHARD, "key": ("s",),
+                            "payload": [1]}
 
-    def test_merge_keeps_both_writers_entries(self, tmp_path):
+    def test_other_code_neither_reads_nor_touches_a_generation(
+            self, tmp_path, monkeypatch):
         root = str(tmp_path / "store")
-        a = ArtifactStore.attach(root)
-        b = ArtifactStore.attach(root)
-        a.put(KIND_VARIANT, ("a",), 1)
-        b.put(KIND_VARIANT, ("b",), 2)
-        assert ArtifactStore.attach(root).warm_entries(KIND_VARIANT) == 2
+        old = ArtifactStore.attach(root)
+        path = old.object_path(KIND_VARIANT, old.put(KIND_VARIANT, ("k",), 1))
+        with open(path, "rb") as fh:
+            written = fh.read()
+        monkeypatch.setattr(artifact_store, "code_fingerprint",
+                            lambda: "f" * 16)
+        new = ArtifactStore.attach(root)
+        assert new.get_or_build(KIND_VARIANT, ("k",), lambda: 2) == 2
+        assert new.misses == 1 and new.disk_hits == 0
+        with open(path, "rb") as fh:
+            assert fh.read() == written
+        assert sorted(os.listdir(os.path.join(root, OBJECTS_DIR))) == \
+            sorted([code_fingerprint(), "f" * 16])
 
     def test_is_store_tree(self, tmp_path):
         root = str(tmp_path / "store")
@@ -330,13 +437,12 @@ class TestEnvResolution:
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         assert store_from_env(max_memory_entries=4) is None
 
-    def test_incompatible_tree_raises_store_error(self, tmp_path,
-                                                  monkeypatch):
-        root = str(tmp_path / "stale")
-        os.makedirs(root)
-        GenerationLog(store_schema=1, key_schema=1).save(root)
-        monkeypatch.setenv("REPRO_STORE_DIR", root)
-        with pytest.raises(StoreError, match="incompatible"):
+    def test_unusable_store_dir_raises_os_error(self, tmp_path,
+                                                monkeypatch):
+        occupied = tmp_path / "a-file"
+        occupied.write_text("not a directory")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(occupied))
+        with pytest.raises(OSError):
             store_from_env(max_memory_entries=4)
 
 
@@ -385,7 +491,7 @@ class TestVariantCacheFacade:
         assert cache.get_or_build(("k",), lambda: "rebuilt") == "v"
 
 
-class TestRetiredPayloads:
+class TestNoOpPayloadHelpers:
     """The ``features`` and ``diff`` helpers stay only as names the paper
     benchmark's tracer wraps: they write nothing and always miss."""
 
@@ -397,7 +503,7 @@ class TestRetiredPayloads:
                                                  artifact.binary) is None
         assert feature_payloads.warm_features(store, key,
                                               artifact.binary) == 0
-        assert store.entry_count(KIND_FEATURES) == 0
+        assert LocalBackend(tmp_store, code_fingerprint()).list_refs() == []
 
     def test_diff_payload_helpers_are_noops(self, tmp_store):
         store = ArtifactStore.attach(tmp_store)
@@ -408,7 +514,7 @@ class TestRetiredPayloads:
         assert diff_payloads.load_roster(store, pair) is None
         assert diff_payloads.load_unit(store, pair, "f") is None
         assert diff_payloads.load_whole(store, pair) is None
-        assert store.entry_count(KIND_DIFF) == 0
+        assert LocalBackend(tmp_store, code_fingerprint()).list_refs() == []
 
 
 # -- concurrent access (two processes, one tree) --------------------------------------
@@ -535,13 +641,13 @@ class TestConcurrentWriters:
 
 class TestLocalBackend:
     def test_first_writer_kept(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         assert backend.put("variant", "ab" * 32, b"first") is True
         assert backend.put("variant", "ab" * 32, b"second") is False
         assert backend.get("variant", "ab" * 32) == b"first"
 
     def test_overwrite_flag_wins(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         backend.put("variant", "cd" * 32, b"first")
         assert backend.put("variant", "cd" * 32, b"second",
                            overwrite=True) is True
@@ -552,7 +658,7 @@ class TestLocalBackend:
         synced = []
         monkeypatch.setattr(store_backend.os, "fsync",
                             lambda fd: synced.append(os.fstat(fd).st_ino))
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         assert backend.put("variant", "bc" * 32, b"payload") is True
         path = backend.object_path("variant", "bc" * 32)
         assert synced == [os.stat(path).st_ino,
@@ -561,7 +667,7 @@ class TestLocalBackend:
         assert len(synced) == 2  # a kept object is not rewritten
 
     def test_delete_and_list(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         backend.put("variant", "ef" * 32, b"x")
         assert ("variant", "ef" * 32) in backend.list_refs()
         assert backend.delete("variant", "ef" * 32) is True
@@ -572,7 +678,7 @@ class TestLocalBackend:
         fsync_directory(str(tmp_path / "nope"))  # must not raise
 
     def test_contains_follows_put_and_delete(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         assert backend.contains("variant", "12" * 32) is False
         backend.put("variant", "12" * 32, b"x")
         assert backend.contains("variant", "12" * 32) is True
@@ -580,7 +686,7 @@ class TestLocalBackend:
         assert backend.contains("variant", "12" * 32) is False
 
     def test_list_refs_of_one_kind(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         backend.put("variant", "34" * 32, b"v")
         backend.put("binary", "56" * 32, b"b")
         assert backend.list_refs("variant") == [("variant", "34" * 32)]
@@ -588,13 +694,28 @@ class TestLocalBackend:
                                        ("variant", "34" * 32)]
         assert backend.list_refs("features") == []
 
+    def test_generations_are_disjoint(self, tmp_path):
+        old = LocalBackend(str(tmp_path), "old")
+        new = LocalBackend(str(tmp_path), "new")
+        old.put("variant", "ab" * 32, b"old")
+        assert new.get("variant", "ab" * 32) is None
+        assert not new.contains("variant", "ab" * 32)
+        assert new.list_refs() == []
+        assert new.put("variant", "ab" * 32, b"new") is True
+        assert old.get("variant", "ab" * 32) == b"old"
+        assert old.object_path("variant", "ab" * 32) == os.path.join(
+            str(tmp_path), OBJECTS_DIR, "old", "variant", "ab",
+            "ab" * 32 + ".pkl")
+
     def test_quarantine_moves_the_object_with_its_reason(self, tmp_path):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
         backend.put("variant", "78" * 32, b"damaged")
         assert backend.quarantine("variant", "78" * 32,
                                   {"cause": "test"}) is True
         assert backend.get("variant", "78" * 32) is None
         moved = backend.quarantine_path("variant", "78" * 32)
+        assert moved == os.path.join(str(tmp_path), QUARANTINE_DIR, "g",
+                                     "variant", "78" * 32 + ".pkl")
         with open(moved, "rb") as fh:
             assert fh.read() == b"damaged"
         with open(moved[:-len(".pkl")] + ".reason.json") as fh:
@@ -603,7 +724,7 @@ class TestLocalBackend:
         assert backend.quarantine("variant", "78" * 32, {}) is False
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        backend = LocalBackend(str(tmp_path))
+        backend = LocalBackend(str(tmp_path), "g")
 
         def refuse(src, dst):
             raise OSError("disk full")
@@ -720,11 +841,13 @@ class TestQuarantine:
             fh.write(b"\x80corrupt")
         fresh = ArtifactStore.attach(tmp_store)
         assert fresh.get(KIND_VARIANT, ("q",), default="absent") == "absent"
-        # the damaged file moved into quarantine/<kind>/<digest>.pkl ...
+        # the damaged file moved into
+        # quarantine/<generation>/<kind>/<digest>.pkl ...
         assert not os.path.exists(path)
         moved = fresh.quarantine_path(KIND_VARIANT, digest)
         assert os.path.exists(moved)
-        assert moved == os.path.join(tmp_store, QUARANTINE_DIR, KIND_VARIANT,
+        assert moved == os.path.join(tmp_store, QUARANTINE_DIR,
+                                     code_fingerprint(), KIND_VARIANT,
                                      f"{digest}.pkl")
         # ... with a machine-readable reason record alongside
         with open(os.path.join(os.path.dirname(moved),
@@ -796,66 +919,3 @@ class TestQuarantine:
         assert fresh.corrupt_reads
         fresh.reset_counters()
         assert fresh.corrupt_reads == {} and fresh.quarantined == 0
-
-
-# -- generation log durability under concurrent writers --------------------------------
-
-
-def _log_saver_process(root, barrier, rounds):
-    log = GenerationLog.load(root)
-    barrier.wait(timeout=30)
-    for _ in range(rounds):
-        log.save(root)
-
-
-class TestGenerationLogDurability:
-    def test_concurrent_savers_keep_manifest_valid(self, tmp_path):
-        """Two processes saving the stamp concurrently (merge-on-save):
-        the manifest must stay parseable, schema-compatible, and its
-        generation must reflect every save that landed last."""
-        root = str(tmp_path / "store")
-        ArtifactStore.attach(root)
-        before = GenerationLog.load(root)
-        ctx = multiprocessing.get_context("spawn")
-        barrier = ctx.Barrier(2)
-        rounds = 10
-        procs = [ctx.Process(target=_log_saver_process,
-                             args=(root, barrier, rounds)) for _ in range(2)]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join(timeout=120)
-            assert proc.exitcode == 0
-        after = GenerationLog.load(root)
-        assert after is not None and after.compatible_with(before)
-        # merge-on-save makes the counter monotonic across writers: the
-        # last save to land re-read the other writer's progress first, so
-        # the surviving stamp is at least one writer's full round count
-        assert after.generation >= before.generation + rounds
-        # and the tree still warm-attaches
-        ArtifactStore.attach(root)
-
-    def test_concurrent_ledger_appends_keep_every_entry(self, tmp_path):
-        root = str(tmp_path / "store")
-        a = ArtifactStore.attach(root)
-        b = ArtifactStore.attach(root)
-        for index in range(10):
-            a.put(KIND_VARIANT, ("a", index), index)
-            b.put(KIND_VARIANT, ("b", index), index)
-        merged = ArtifactStore.attach(root)
-        assert merged.warm_entries(KIND_VARIANT) == 20
-
-    def test_rewrite_entries_round_trip(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ArtifactStore.attach(root)
-        store.put(KIND_VARIANT, ("keep",), 1)
-        store.put(KIND_BINARY, ("drop",), 2)
-        log = GenerationLog.load(root)
-        victim = store_digest(KIND_BINARY, ("drop",))
-        del log.entries[victim]
-        log.rewrite_entries(root)
-        reloaded = GenerationLog.load(root)
-        assert victim not in reloaded.entries
-        assert store_digest(KIND_VARIANT, ("keep",)) in reloaded.entries
-        assert reloaded.count(KIND_VARIANT) == 1
-        assert reloaded.count(KIND_BINARY) == 0

@@ -77,6 +77,31 @@ class TestKeys:
         assert (variant_key(wp, "baseline", OptOptions())
                 != variant_key(wp, "baseline", OptOptions(level=3)))
 
+    def test_default_options_share_one_key(self):
+        """``None`` builds with ``OptOptions()``, so the two — and any
+        options equal to the default, fig 9's O2 + LTO reference among
+        them — name one variant."""
+        wp = WORKLOADS[0]
+        default = variant_key(wp, "baseline")
+        assert variant_key(wp, "baseline", OptOptions()) == default
+        assert variant_key(wp, "baseline",
+                           OptOptions(level=2, lto=True)) == default
+        assert variant_key(wp, obfuscator_for("fufi.all"), OptOptions()) \
+            == variant_key(wp, obfuscator_for("fufi.all"))
+        for options in (OptOptions(lto=False), OptOptions(iterations=3),
+                        OptOptions(enable_dce=False)):
+            assert variant_key(wp, "baseline", options) != default
+
+    def test_default_options_build_what_none_builds(self):
+        wp = WORKLOADS[0]
+        cache = VariantCache()
+        implicit = build_variant(wp, "baseline", None, cache)
+        explicit = build_variant(wp, "baseline", OptOptions(), cache)
+        assert explicit is implicit and cache.misses == 1
+        fresh = build_variant(wp, "baseline", OptOptions())
+        assert fresh.binary.content_digest() == \
+            implicit.binary.content_digest()
+
     def test_profile_knobs_are_part_of_the_key(self):
         """Same (suite, name, seed) but different profile knobs must not collide."""
         import dataclasses
