@@ -25,15 +25,17 @@ can diff the perf trajectory.  Tracked metrics:
   figure-8-style precision run must hit it (nonzero ``fig8.hit_rate``);
 * **fig8_diff_phase** — the diffing phase of the figure-8 precision matrix
   against a warm variant cache: the ``FeatureIndex`` fast path vs the legacy
-  per-diff extraction (``BinaryDiffer.use_index = False``) and the process
-  executor at ``jobs=2`` (its workers read the variants from a store tree
-  warmed by one store-backed build and score every cell of their
-  per-workload units); both alternates are asserted row-identical to the
-  indexed serial run;
-* **fig67_sharded** — the figure-6/7 overhead matrix over the shared
-  artifact store (``REPRO_STORE_DIR``): ``jobs=1`` vs ``jobs=2``
-  row-identity, cold vs warm-attach timings, and the store's hit/miss/put
-  counters — a warm attach must rebuild **zero** variants;
+  per-diff extraction (``BinaryDiffer.use_index = False``), plus a
+  storeless run through the process executor at ``jobs=2`` (its workers
+  build their own variants and score every cell of their per-workload
+  units); both alternates are asserted row-identical to the indexed
+  serial run;
+* **fig67_sharded** — the figure-6/7 overhead matrix through a
+  ``VariantCache`` given a rooted store explicitly
+  (``VariantCache(store=ArtifactStore.attach(dir))``, the one way to
+  persist variants): cold vs warm-attach timings and the store's
+  hit/miss/put counters — a warm attach must rebuild **zero** variants —
+  and ``jobs=1`` vs storeless ``jobs=2`` row-identity;
 * **verify_overhead** — full-tier IR verification (structural + types +
   dominance + dataflow lints, :mod:`repro.analysis.static`) over the fig6
   variant set: structural-tier baseline, cold full tier (fresh
@@ -48,15 +50,16 @@ can diff the perf trajectory.  Tracked metrics:
   objects back from the tree (its variants stay in memory), and the
   ``jobs=2`` and warm runs must revive every unit from its stored rows and
   execute **zero** units;
-* **layer_totals** — where the warm fig8 matrix at ``jobs=2`` spends its
-  time: the :func:`repro.obs.measure` totals of the run (checkpointing off,
-  so no unit is revived from the tree), per-layer self time and calls of the
-  parent and its workers, and the share of the time the layers cover
-  (``--smoke`` wants ≥ 0.95); the rows must equal the storeless reference.
+* **layer_totals** — where a storeless fig8 matrix at ``jobs=2`` spends
+  its time: the :func:`repro.obs.measure` totals of the run, per-layer self
+  time and calls of the parent and its workers, and the share of the time
+  the layers cover (``--smoke`` wants ≥ 0.95); the rows must equal the
+  serial reference.
 
-``REPRO_STORE_DIR`` is where the store-backed sections create their trees
-(a fresh subtree each); unset, temp directories are used.  It is taken out
-of the environment at start-up, so every reference run is storeless.
+``REPRO_STORE_DIR`` is where the store-backed sections (``fig67_sharded``,
+``fig8_workload_units``) create their trees (a fresh subtree each); unset,
+temp directories are used.  It is taken out of the environment at
+start-up, so every other run is storeless.
 
 Every ``measure_overhead`` call goes through :func:`overhead_run`, which
 first empties the process-wide variant-facts memo: otherwise every call
@@ -88,15 +91,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 from repro.core.variant_cache import VariantCache      # noqa: E402
 from repro.diffing.base import BinaryDiffer             # noqa: E402
 from repro.diffing.index import clear_index_cache       # noqa: E402
-from repro.evaluation.executor import reset_worker_cache  # noqa: E402
-from repro.evaluation.overhead import (build_variant,  # noqa: E402
-                                       clear_variant_facts,
+from repro.evaluation.overhead import (clear_variant_facts,  # noqa: E402
                                        measure_overhead)
 from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.obs import measure                           # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
-from repro.store import KIND_VARIANT, ArtifactStore     # noqa: E402
+from repro.store import ArtifactStore                   # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
 from repro.vm.machine import run_program                # noqa: E402
@@ -126,21 +127,19 @@ def _set_env(values: Dict[str, Optional[str]]) -> None:
 
 
 @contextmanager
-def store_tree(prefix: str, **env: Optional[str]):
-    """A fresh store tree, exported as ``REPRO_STORE_DIR`` for the block,
-    with ``env`` set (``None`` unsets).  Trees under :data:`STORE_BASE` are
-    kept; temp trees are removed afterwards."""
+def store_tree(prefix: str, export: bool = True):
+    """A fresh store tree, exported as ``REPRO_STORE_DIR`` for the block
+    unless ``export`` is false.  Trees under :data:`STORE_BASE` are kept;
+    temp trees are removed afterwards."""
     if STORE_BASE:
         os.makedirs(STORE_BASE, exist_ok=True)
     root = tempfile.mkdtemp(prefix=f"{prefix}-", dir=STORE_BASE)
-    env = {"REPRO_STORE_DIR": root, **env}
+    env = {"REPRO_STORE_DIR": root} if export else {}
     saved = {name: os.environ.get(name) for name in env}
     _set_env(env)
-    reset_worker_cache()
     try:
         yield root
     finally:
-        reset_worker_cache()
         _set_env(saved)
         if not STORE_BASE:
             shutil.rmtree(root, ignore_errors=True)
@@ -317,22 +316,15 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         legacy_s = best_of(lambda: run_with(False), max(1, reps // 2))
 
         BinaryDiffer.use_index = True
-        # hand the executor workers the variants through a store tree warmed
-        # by one store-backed build, so jobs2_s times the diff phase + pool
-        # overhead like the other columns, not variant rebuilding; the tree
-        # holds no unit rows and checkpointing is off, so the timed run
-        # scores every cell
-        with store_tree("fig8-diff-phase", REPRO_CHECKPOINT="off") as root:
-            seeded = VariantCache(store=ArtifactStore.attach(root))
-            for wp in programs:
-                for label in ("baseline",) + labels:
-                    build_variant(wp, label, cache=seeded)
-            gc.collect()
-            start = time.perf_counter()
-            with counted("diffunit") as jobs2_units:
-                parallel_report = measure_precision(programs, labels=labels,
-                                                    jobs=2)
-            jobs2_s = time.perf_counter() - start
+        # storeless: the workers build their units' variants themselves, so
+        # jobs2_s times builds + diffs + pool overhead, and every cell is
+        # scored
+        gc.collect()
+        start = time.perf_counter()
+        with counted("diffunit") as jobs2_units:
+            parallel_report = measure_precision(programs, labels=labels,
+                                                jobs=2)
+        jobs2_s = time.perf_counter() - start
 
         # a cold run re-featurizes every binary once (the indexed timing
         # above amortises the index across reps, like the figure drivers do)
@@ -363,20 +355,20 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
-    """Figures 6/7 over the shared store, in process and at ``jobs=2``.
+    """Figures 6/7 through an explicit variant store, and at ``jobs=2``.
 
-    Times the storeless ``jobs=1`` reference, a cold store-backed run (every
-    variant built and persisted), a warm re-attach (zero rebuilds — asserted
-    structurally by --smoke) and a ``jobs=2`` run whose workers attach to
-    the same tree; all rows must be identical.  Checkpointing is off, so no
-    run revives another's stored units.
+    Times the storeless ``jobs=1`` reference, a cold run through a
+    ``VariantCache`` over a fresh tree (every variant built and persisted),
+    a warm re-attach (zero rebuilds — asserted structurally by --smoke) and
+    a storeless ``jobs=2`` run; all rows must be identical.  The tree is
+    not ``REPRO_STORE_DIR``, so no run stores or revives a unit.
     """
     labels = MEASURE_LABELS
     reference = overhead_run(programs, labels=labels, jobs=1)
     serial_s = best_of(
         lambda: overhead_run(programs, labels=labels, jobs=1), reps)
 
-    with store_tree("fig67", REPRO_CHECKPOINT="off") as store_root:
+    with store_tree("fig67", export=False) as store_root:
         cold_cache = VariantCache(store=ArtifactStore.attach(store_root))
         gc.collect()
         start = time.perf_counter()
@@ -401,14 +393,10 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
         # the first warm run answers "how many variants were rebuilt?"
         warm_rebuilds = warm_stats["misses"]
 
-        objects_before = warm_cache.store.entry_count(KIND_VARIANT)
-        reset_worker_cache()
-        gc.collect()
-        start = time.perf_counter()
-        sharded = overhead_run(programs, labels=labels, jobs=2)
-        jobs2_s = time.perf_counter() - start
-        objects_after = ArtifactStore.attach(store_root).entry_count(
-            KIND_VARIANT)
+    gc.collect()
+    start = time.perf_counter()
+    sharded = overhead_run(programs, labels=labels, jobs=2)
+    jobs2_s = time.perf_counter() - start
 
     # the store tree lives in a per-run temp directory; its random path
     # would be pure noise in the tracked results file
@@ -425,13 +413,11 @@ def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
         "warm_attach_speedup": (round(cold_attach_s / warm_attach_s, 2)
                                 if warm_attach_s else None),
         "warm_attach_rebuilds": warm_rebuilds,
-        "store": {"cold": cold_stats, "warm": warm_stats,
-                  "objects": objects_after},
+        "store": {"cold": cold_stats, "warm": warm_stats},
         "identical": {
             "cold_attach": cold_report.rows == reference.rows,
             "warm_attach": warm_rows == reference.rows,
             "jobs2": sharded.rows == reference.rows,
-            "jobs2_no_new_objects": objects_after == objects_before,
         },
     }
 
@@ -451,7 +437,6 @@ def bench_fig8_workload_units(programs, reps: int) -> Dict[str, object]:
         lambda: measure_precision(programs, labels=labels, jobs=1), reps)
 
     def timed_run(jobs):
-        reset_worker_cache()
         gc.collect()
         start = time.perf_counter()
         with counted("diffunit") as units, counted("checkpoint") as run, \
@@ -488,30 +473,25 @@ def bench_fig8_workload_units(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_layer_totals(programs, reps: int) -> Dict[str, object]:
-    """Where the warm fig8 matrix at ``jobs=2`` spends its time.
+    """Where a storeless fig8 matrix at ``jobs=2`` spends its time.
 
-    The matrix runs over one store tree that already holds its variants,
-    with checkpointing off so no unit is revived from the tree, inside
-    :func:`repro.obs.measure`; the fastest of ``reps`` runs is reported:
+    The matrix runs inside :func:`repro.obs.measure`, its workers building
+    and scoring every unit; the fastest of ``reps`` runs is reported:
     per-layer self time and calls of the parent and its workers, and the
     share of the run's time the layers cover.  Every run's rows must equal
-    the storeless serial reference.
+    the serial reference.
     """
     labels = MEASURE_LABELS
     reference = measure_precision(programs, labels=labels, jobs=1)
     best = None
     identical = True
-    with store_tree("layers", REPRO_CHECKPOINT="off"):
-        # warm the tree once so every run times scheduling + store reads
-        measure_precision(programs, labels=labels, jobs=1)
-        for _ in range(reps):
-            reset_worker_cache()
-            gc.collect()
-            with measure() as run:
-                report = measure_precision(programs, labels=labels, jobs=2)
-            identical = identical and report.rows == reference.rows
-            if best is None or run.wall_s < best.wall_s:
-                best = run
+    for _ in range(reps):
+        gc.collect()
+        with measure() as run:
+            report = measure_precision(programs, labels=labels, jobs=2)
+        identical = identical and report.rows == reference.rows
+        if best is None or run.wall_s < best.wall_s:
+            best = run
     return {
         "programs": [wp.name for wp in programs],
         "labels": list(labels),
@@ -610,8 +590,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
                             "from the serial run")
         if not identical.get("jobs2", False):
             problems.append("sharded jobs=2 fig6/7 run diverged from the serial run")
-        if not identical.get("jobs2_no_new_objects", False):
-            problems.append("jobs=2 workers rebuilt variants a warm store already had")
         if sharded.get("warm_attach_rebuilds", -1) != 0:
             problems.append("a warm ArtifactStore attach rebuilt variants")
         store = sharded.get("store", {})
@@ -685,7 +663,7 @@ def main(argv=None) -> int:
         reps = 5
 
     results = {
-        "schema": 15,
+        "schema": 16,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "python": sys.version.split()[0],
                    "store_dir": STORE_BASE},

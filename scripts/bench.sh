@@ -7,14 +7,15 @@
 # the harness still produces a structurally valid BENCH_results.json — no
 # timing-sensitive assertions, and the tracked results file is not touched.
 # The smoke run also exercises the parallel experiment executor (the harness
-# re-runs the figure-8 diff phase at jobs=2 over a warmed store tree and
-# asserts row-identity and that every cell was scored), the shared artifact
-# store (REPRO_STORE_DIR: the fig67_sharded section must leave a store tree
-# holding objects/<generation>/variant, warm attaches must rebuild zero
-# variants), the per-workload fig8 units (fig8_workload_units: serial vs
-# jobs=2 vs warm-store row identity, warm runs revive every unit and execute
-# none, and the fig8 store tree must hold objects/<generation>/shard), and
-# the deep static-analysis subsystem
+# re-runs the figure-8 diff phase at jobs=2, storeless, and asserts
+# row-identity and that every cell was scored), the explicit variant store
+# (the fig67_sharded section's VariantCache must leave a tree holding
+# objects/<generation>/variant, warm attaches must rebuild zero variants),
+# the per-workload fig8 units over REPRO_STORE_DIR (fig8_workload_units:
+# serial vs jobs=2 vs warm-store row identity, warm runs revive every unit
+# and execute none, and the fig8 store tree must hold
+# objects/<generation>/shard and no variant: a run stores unit rows only),
+# and the deep static-analysis subsystem
 # (verify_overhead section, schema 7: the fig6 variant set must verify
 # error-free at the full tier, cold vs AnalysisManager-warm timings vs the
 # uncached build phase).
@@ -46,9 +47,13 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "smoke: fig8 unit store tree (objects/$generation/shard) was not produced" >&2
     exit 1
   fi
+  if [[ -e "${fig8_tree[0]}/objects/$generation/variant" ]]; then
+    echo "smoke: a store-backed fig8 run stored variants (objects/$generation/variant)" >&2
+    exit 1
+  fi
   echo "smoke: benchmark harness produced BENCH_results.json"
-  echo "smoke: artifact store tree persisted (objects/$generation/variant)"
-  echo "smoke: fig8 unit round trip verified (objects/$generation/shard persisted, serial == jobs=2 == warm)"
+  echo "smoke: explicit variant store tree persisted (objects/$generation/variant)"
+  echo "smoke: fig8 unit round trip verified (objects/$generation/shard persisted and no variant, serial == jobs=2 == warm)"
   exit 0
 fi
 

@@ -23,9 +23,10 @@ writes (:func:`repro.store.keys.code_fingerprint`).  Per object file under
 Other generations, written by other code, are listed as advisory and never
 fail the check: nothing reads them, and ``gc_store.py`` sweeps them.
 
-``--repair`` quarantines every damaged object (same layout the runtime
-uses: ``quarantine/<generation>/<kind>/<digest>.pkl`` + ``.reason.json``)
-and deletes stale temp and stray files.
+``--repair`` quarantines every damaged object through the runtime's own
+move (:meth:`repro.store.backend.LocalBackend.quarantine`: same layout,
+``quarantine/<generation>/<kind>/<digest>.pkl`` + ``.reason.json``, and
+the same fsyncs) and deletes stale temp and stray files.
 
 Exit status: 0 when the tree is clean (after repairs, with ``--repair``),
 1 when problems remain, 2 when the tree cannot be checked at all.
@@ -168,24 +169,15 @@ def _unlink(path: str) -> bool:
 
 def _quarantine(backend: LocalBackend, finding: Finding) -> bool:
     """Move one damaged object into the generation's quarantine with a
-    reason record."""
+    reason record, exactly as durably as the runtime does."""
     path = finding.path
     kind = os.path.relpath(path, backend.objects).split(os.sep)[0]
     digest = os.path.basename(path)[:-len(".pkl")]
-    destination = backend.quarantine_path(kind, digest)
-    try:
-        os.makedirs(os.path.dirname(destination), exist_ok=True)
-        os.replace(path, destination)
-        record = {"kind": kind, "digest": digest,
-                  "reason": finding.detail, "cause": finding.code,
-                  "pid": os.getpid(), "quarantined_at": time.time(),
-                  "by": "fsck_store"}
-        with open(destination[:-len(".pkl")] + ".reason.json", "w",
-                  encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-    except OSError:
-        return False
-    return True
+    record = {"kind": kind, "digest": digest,
+              "reason": finding.detail, "cause": finding.code,
+              "pid": os.getpid(), "quarantined_at": time.time(),
+              "by": "fsck_store"}
+    return backend.quarantine(kind, digest, record, path=path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -98,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "stderr")
     parser.add_argument("--child", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    for name in ("REPRO_JOBS", "REPRO_STORE_DIR", "REPRO_CHECKPOINT"):
+    for name in ("REPRO_JOBS", "REPRO_STORE_DIR"):
         os.environ.pop(name, None)
 
     if args.child:  # the run to interrupt
@@ -111,7 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     def say(text: str) -> None:
         print(text, file=out)
 
-    from repro.evaluation.executor import reset_worker_cache
     from repro.obs import measure
 
     say(f"resume_check: {WORKLOADS} workloads x {LABELS} x {TOOLS} tools, "
@@ -128,7 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return rows, totals.counters
 
     # 1. storeless in-process reference
-    reset_worker_cache()
     reference, _ = measured("reference", jobs=1)
     phases["reference"]["ok"] = True
     say(f"  reference: {len(reference)} rows, "
@@ -175,7 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         # 4. resume over the damaged tree, in-process
         os.environ["REPRO_STORE_DIR"] = tree
-        reset_worker_cache()
         resumed, counters = measured("resume", jobs=JOBS)
         counts = {name: int(counters.get(f"checkpoint.{name}", 0))
                   for name in ("planned", "resumed", "executed")}

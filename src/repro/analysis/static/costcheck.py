@@ -112,9 +112,12 @@ def check_program(program, cost_model=None) -> List[Diagnostic]:
                               dispatch="compiled")
     from ...vm.compiler import BlockCompiler
     compiler = BlockCompiler(interpreter)
-    for function in program.defined_functions():
-        for block in function.blocks:
-            if block not in interpreter._compiled_blocks:
-                interpreter._compiled_blocks[block] = \
-                    compiler.compile_block(function, block)
-    return check_interpreter(interpreter)
+    try:
+        for function in program.defined_functions():
+            for block in function.blocks:
+                if block not in interpreter._compiled_blocks:
+                    interpreter._compiled_blocks[block] = \
+                        compiler.compile_block(function, block)
+        return check_interpreter(interpreter)
+    finally:
+        interpreter.release()

@@ -14,13 +14,16 @@ obfuscators advertise their configuration through a ``cache_key()`` method
 (see :meth:`repro.core.config.KhaosConfig.cache_key`), so two obfuscators
 with the same label but different knobs never collide.
 
-Since the artifact-store subsystem landed, ``VariantCache`` is a thin façade
-over :class:`repro.store.artifact_store.ArtifactStore`: the default
-construction wraps a pure in-memory store (the historical LRU behaviour),
-and passing ``store=ArtifactStore.attach(dir)`` makes every lookup fall
-through the in-process LRU to a shared on-disk object tree that any number
-of concurrent workers use together.  That tree is the only persistent form
-of the cache.
+``VariantCache`` is a thin façade over
+:class:`repro.store.artifact_store.ArtifactStore`: the default construction
+wraps a pure in-memory store (the historical LRU behaviour), and passing
+``store=ArtifactStore.attach(dir)`` makes every lookup fall through the
+in-process LRU to a shared on-disk object tree, which is the only persistent
+form of the cache.  Only such an explicit store persists variants: the
+evaluation drivers' own caches
+(:func:`~repro.evaluation.executor.worker_cache`,
+:func:`~repro.evaluation.executor.call_cache`) are in-memory even in a
+store-backed run, which stores only each finished unit's rows.
 
 Cached artifacts are shared between callers (and, through a rooted store,
 between processes), so consumers must treat them as immutable: run the

@@ -12,9 +12,8 @@ from .internals import InternalsReport, InternalsRow, measure_internals, table2
 from .reporting import format_table, matrix_table, overhead_table
 from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experiment
 from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
-                       resolve_task_timeout, run_tasks, worker_cache,
-                       worker_cache_events)
-from .checkpoint import checkpoint_enabled, run_checkpointed
+                       resolve_task_timeout, run_tasks, worker_cache)
+from .checkpoint import run_checkpointed
 from .diff_sharding import shard_diff_matrix
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Experiment", "experiment_names", "run_experiment",
     "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
     "resolve_task_timeout", "run_tasks",
-    "worker_cache", "worker_cache_events",
-    "checkpoint_enabled", "run_checkpointed",
+    "worker_cache", "run_checkpointed",
     "shard_overhead_matrix", "shard_diff_matrix",
 ]

@@ -7,57 +7,45 @@ cache of the caller's size, ``jobs>1`` fans them across the fail-fast pool
 (:mod:`repro.evaluation.executor`), and the caller reduces the results in
 unit order — so a serial and a parallel run agree by construction.
 
-Whenever a store is attached, no finished unit is computed twice — not
-after an interrupted or failed run (a ``kill -9``, a power loss, a unit
-that raised), and not by a later run of another matrix that contains the
-unit:
+Whenever a store is attached (``REPRO_STORE_DIR``), no finished unit is
+computed twice — not after an interrupted or failed run (a ``kill -9``, a
+power loss, a unit that raised), and not by a later run of another matrix
+that contains the unit:
 
 * each unit's finished result is persisted in the shared
   :class:`~repro.store.artifact_store.ArtifactStore` under kind
   :data:`~repro.store.artifact_store.KIND_SHARD`, keyed by the unit's
-  value-based identity (variant keys × labels × tool configs) — the same
-  key discipline as every other store object — the moment it lands;
+  value-based identity (variant keys × labels × tool configs), the moment
+  it lands;
 * on start, :func:`run_checkpointed` revives every unit whose result
   object exists under its key (``normalize`` rewrites its counters so
   revived units report as store reads, not fresh work) and hands only the
   remainder to :func:`~repro.evaluation.executor.run_tasks`.
 
-The store reads and writes only the generation of the code that runs, so
-a unit is never revived from rows other code computed.  Without
-``REPRO_STORE_DIR`` (or with ``REPRO_CHECKPOINT=off``) checkpointing is a
-transparent pass-through.  A result object that was lost or quarantined is
-simply re-executed: the store is the truth.
+These unit rows are all a run stores: the units build their variants
+through in-memory caches, so a unit that did not finish builds them again
+on the rerun.  The store reads and writes only the generation of the code
+that runs, so a unit is never revived from rows other code computed.
+Without ``REPRO_STORE_DIR`` checkpointing is a transparent pass-through,
+and so is an unusable tree, with a ``WARNING`` and the
+``checkpoint.store_attach_failures`` counter.  A result object that was
+lost or quarantined is simply re-executed: the store is the truth.
 """
 
 from __future__ import annotations
 
-import os
+import logging
 from functools import partial
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..obs import metrics as obs_metrics
-from ..store.artifact_store import KIND_SHARD, store_from_env
+from ..store.artifact_store import KIND_SHARD, store_dir_from_env, store_from_env
 from .executor import ExecutorTaskError, call_cache, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
 
-
-def checkpoint_enabled(environ=os.environ) -> bool:
-    """Checkpointing is on by default; ``REPRO_CHECKPOINT=off`` disables it.
-
-    The off switch exists for measurements that must not short-circuit
-    (e.g. the ``layer_totals`` bench times one matrix over a tree that
-    already holds its units) and for tests that specifically exercise the
-    executor rather than the resume path.
-    """
-    value = environ.get("REPRO_CHECKPOINT", "").strip().lower()
-    if value in ("", "on", "1", "true"):
-        return True
-    if value in ("off", "0", "false"):
-        return False
-    raise ValueError(
-        f"REPRO_CHECKPOINT must be 'on' or 'off', got {value!r}")
+logger = logging.getLogger(__name__)
 
 
 class _Sentinel:
@@ -117,13 +105,15 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
     if len(tasks) != len(keys):
         raise ValueError(
             f"run_checkpointed: {len(tasks)} tasks but {len(keys)} keys")
-    if not checkpoint_enabled():
-        return run_tasks(task_fn, tasks, jobs=jobs)
     try:
         store = store_from_env(max_memory_entries=8)
-    except OSError:
-        # an unusable tree degrades to a plain (un-resumable) run, same as
-        # the worker cache's storeless degradation
+    except OSError as error:
+        # units are deterministic, so an unusable tree must not stop the
+        # run — but it must not silently make it un-resumable either
+        obs_metrics.counter("checkpoint.store_attach_failures")
+        logger.warning(
+            "checkpoint: cannot attach store %s (%s: %s); running storeless",
+            store_dir_from_env(), type(error).__name__, error)
         store = None
     if store is None:
         return run_tasks(task_fn, tasks, jobs=jobs)

@@ -24,20 +24,20 @@ task returns its result with the counters its worker recorded since its
 previous one, which the parent keeps apart from its own
 (:mod:`repro.obs.layers`).
 
-Each worker process builds through one process-wide
+Each worker process builds through one process-wide in-memory
 :class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); an
 in-process run builds through a cache of its own (:func:`call_cache`),
-sized by the caller and dropped when the run returns.  With
-``REPRO_STORE_DIR`` set, both attach to the one shared on-disk
-:class:`~repro.store.artifact_store.ArtifactStore` tree — artifacts built by
-any process are read (not rebuilt) by all the others.  ``jobs`` defaults to
-``REPRO_JOBS`` and, absent that, to 1.
+sized by the caller and dropped when the run returns.  Neither attaches a
+store: a store-backed run (``REPRO_STORE_DIR``) persists each finished
+unit's rows through the checkpoint layer and never a built variant, which
+no run would read back.  ``jobs`` defaults to ``REPRO_JOBS`` and, absent
+that, to 1.
 """
 
 from __future__ import annotations
 
-import logging
 import os
+import pickle
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
@@ -51,12 +51,9 @@ from ..core.variant_cache import VariantCache
 from ..obs import layer
 from ..obs import layers as obs_layers
 from ..obs import metrics as obs_metrics
-from ..store.artifact_store import ArtifactStore, store_dir_from_env
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
-
-logger = logging.getLogger(__name__)
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -154,89 +151,38 @@ def _brief(task: object) -> str:
 
 _WORKER_CACHE: Optional[VariantCache] = None
 
-#: Operator-facing counters of worker-cache startup degradations: an
-#: unusable store tree is survivable (builds are deterministic) but must be
-#: *visible*, not silent — a worker that starts storeless because the tree
-#: was unusable looks identical to one that never had a tree, unless these
-#: counters say otherwise.
-#: They live in the process-global metrics registry under this prefix;
-#: :func:`worker_cache_events` is a façade over it.
-_CACHE_EVENTS_PREFIX = "executor.cache"
-
-#: LRU bound of each worker's in-memory layer: the most any unit needs at
-#: once (a fig 6/7 unit's baseline and the label it measures; figs 8–10
-#: units hold their baseline themselves).  Units are whole workloads and
-#: share no variant, so a larger bound would only pin finished units'
-#: variants — and their features — in memory.  With a shared store
-#: attached, evicted artifacts remain one disk read away.
+#: LRU bound of each worker's cache: the most any unit needs at once (a
+#: fig 6/7 unit's baseline and the label it measures; figs 8–10 units hold
+#: their baseline themselves).  Units are whole workloads and share no
+#: variant, so a larger bound would only pin finished units' variants — and
+#: their features — in memory.
 WORKER_CACHE_ENTRIES = 2
 
 
 def worker_cache() -> VariantCache:
-    """The process-local :class:`VariantCache` used by executor tasks.
-
-    Created on first use in each worker.  With ``REPRO_STORE_DIR`` the
-    cache attaches to the shared on-disk artifact store.  A corrupt or
-    incompatible tree is logged and counted (:func:`worker_cache_events`),
-    never fatal — builds are deterministic, so starting cold only costs
-    time.
-    """
+    """The process-local in-memory :class:`VariantCache` of executor tasks,
+    created on first use in each worker."""
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
-        _WORKER_CACHE = VariantCache(
-            max_entries=WORKER_CACHE_ENTRIES,
-            store=_attach_store(WORKER_CACHE_ENTRIES))
+        _WORKER_CACHE = VariantCache(max_entries=WORKER_CACHE_ENTRIES)
     return _WORKER_CACHE
 
 
 def call_cache(entries: int) -> VariantCache:
-    """The cache of one in-process matrix run: at most ``entries`` variants
-    in memory.
+    """The in-memory cache of one in-process matrix run: at most
+    ``entries`` variants.
 
     The caller sizes it to the variants its units share and drops it when
     the run returns, so an in-process run never pins artifacts in the
-    process-wide :func:`worker_cache`.  It attaches to the shared store
-    exactly like a worker's cache does.
+    process-wide :func:`worker_cache`.
     """
-    return VariantCache(max_entries=entries, store=_attach_store(entries))
-
-
-def worker_cache_events() -> Dict[str, int]:
-    """Counters of best-effort worker-cache startups that degraded.
-
-    ``store_attach_failures`` — shared store trees that could not be
-    attached.  Each also emits one ``WARNING`` log line with the cause, so
-    an operator can tell an unusable tree from a cold start.  (A façade
-    over the :mod:`repro.obs` metrics registry; the dict shape predates
-    it.)
-    """
-    registry = obs_metrics.REGISTRY
-    return {"store_attach_failures":
-            int(registry.get(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures"))}
-
-
-def _attach_store(bound: int) -> Optional[ArtifactStore]:
-    """The store the environment names, or ``None`` (also when unusable)."""
-    target = store_dir_from_env()
-    if not target:
-        return None
-    try:
-        return ArtifactStore.attach(target, max_memory_entries=bound)
-    except OSError as error:
-        # an unusable shared tree must never kill a worker — but it must
-        # not silently cost a full rebuild either
-        obs_metrics.counter(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures")
-        logger.warning(
-            "variant cache: cannot attach store %s (%s: %s); "
-            "building storeless", target, type(error).__name__, error)
-        return None
+    return VariantCache(max_entries=entries)
 
 
 def reset_worker_cache() -> None:
     """Drop the process-local cache (tests use this to isolate scenarios)."""
     global _WORKER_CACHE
     _WORKER_CACHE = None
-    obs_metrics.REGISTRY.reset(_CACHE_EVENTS_PREFIX)
 
 
 # -- the fail-fast map ------------------------------------------------------------------
@@ -278,8 +224,15 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     Keeping at most one task per worker in flight makes a task's time since
     its submission its running time, which is what ``timeout`` bounds with
     no help from the task.  The first failure kills the pool's workers and
-    raises :class:`ExecutorTaskError`.
+    raises :class:`ExecutorTaskError`.  A ``task_fn`` that cannot be pickled
+    fails the first task before any pool starts: inside the pool it would
+    fail every submission in the pool's own threads.
     """
+    try:
+        pickle.dumps(task_fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        raise ExecutorTaskError(0, tasks[0],
+                                f"{type(error).__name__}: {error}") from error
     results: List[Result] = [None] * len(tasks)  # type: ignore[list-item]
     upcoming = iter(range(len(tasks)))
     running: Dict[Future, Tuple[int, float]] = {}  # -> (index, submitted)

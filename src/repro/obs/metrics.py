@@ -2,8 +2,8 @@
 
 The registry is the single home for every runtime counter in the pipeline,
 the per-layer time totals of :mod:`.layers` included; the older ad-hoc
-surfaces (``ArtifactStore.stats()``, the ``VMBatch`` attributes,
-``worker_cache_events()``) are façades over it.  An increment is one dict
+surfaces (``ArtifactStore.stats()``, the ``VMBatch`` attributes) are
+façades over it.  An increment is one dict
 ``get`` + add on a plain ``dict``, with no locks (CPython dict ops are
 atomic enough for the single-threaded processes this pipeline runs), so the
 counters are always on.

@@ -8,14 +8,15 @@ The subsystem has these pieces:
   fingerprints the code that names a store generation;
 * :mod:`repro.store.artifact_store` — the content-addressed
   :class:`ArtifactStore`: in-process LRU over an atomic on-disk object tree
-  that any number of executor workers attach to concurrently, each reading
-  and writing only its code's generation;
+  that any number of processes attach to concurrently, each reading and
+  writing only its code's generation;
 * :mod:`repro.store.backend` — :class:`LocalBackend`, the byte layer of
   that tree (crash-durable atomic writes, quarantine moves, listing);
 * :mod:`repro.store.feature_payloads` and :mod:`repro.store.diff_payloads`
   — the retired ``features`` and ``diff`` kinds, kept as no-ops.
 
-``REPRO_STORE_DIR`` names the shared tree; unset, every run is storeless.
+``REPRO_STORE_DIR`` names the shared tree, in which a figure run stores
+each finished unit's rows and nothing else; unset, every run is storeless.
 """
 
 from .artifact_store import (CORRUPT_READ_ERRORS, KIND_SHARD, KIND_VARIANT,

@@ -1,13 +1,12 @@
 """Content-addressed artifact store shared by every experiment process.
 
-The evaluation pipeline's artifacts — built variants
-(:class:`~repro.toolchain.BuildArtifact`, lowered
-:class:`~repro.backend.binary.Binary` included) and the reduced rows of
-each figure unit — are pure functions of their configuration: workload
-synthesis is profile-seeded, every obfuscator advertises a seeded
-``cache_key()``, and the optimizer is deterministic.
-:class:`ArtifactStore` exploits that purity to compute each artifact once
-per *machine* rather than once per process:
+The evaluation pipeline's artifacts — the reduced rows of each figure
+unit and built variants (:class:`~repro.toolchain.BuildArtifact`, lowered
+:class:`~repro.backend.binary.Binary` included) — are pure functions of
+their configuration: workload synthesis is profile-seeded, every
+obfuscator advertises a seeded ``cache_key()``, and the optimizer is
+deterministic.  :class:`ArtifactStore` exploits that purity to compute each
+artifact once per *machine* rather than once per process:
 
 * keys are the frozen tuples of :func:`~repro.core.variant_cache.variant_key`
   (workload profile × obfuscator ``cache_key()`` × ``OptOptions``), hashed
@@ -16,7 +15,7 @@ per *machine* rather than once per process:
 * an in-process LRU layer serves repeated lookups without touching disk;
 * the on-disk tree (``objects/<generation>/<kind>/<aa>/<digest>.pkl``) is
   written with a single-writer atomic protocol — temp file + ``os.replace``
-  — so any number of concurrent executor workers can attach to one tree: a
+  — so any number of concurrent processes can attach to one tree: a
   reader never sees a half-written object, racing writers of one
   deterministic artifact simply last-write an identical file, and a writer
   never clobbers an object that already exists (first-writer-kept at the
@@ -27,13 +26,18 @@ per *machine* rather than once per process:
   object, and ``scripts/gc_store.py`` deletes the generations of other
   code.
 
-The tree under ``root`` (``REPRO_STORE_DIR`` for the evaluation drivers)
-is the store's one persistent backend
+The tree under ``root`` is the store's one persistent backend
 (:class:`~repro.store.backend.LocalBackend`); ``ArtifactStore(root,
 max_memory_entries)`` is the whole constructor.  ``root=None`` degrades to
 a pure in-memory LRU — exactly the pre-store
 :class:`~repro.core.variant_cache.VariantCache` behaviour, which is now a
-façade over this class.
+façade over this class.  The evaluation drivers attach ``REPRO_STORE_DIR``
+in one place, the checkpoint layer
+(:func:`~repro.evaluation.checkpoint.run_checkpointed`), and store only
+``shard`` objects, one per finished figure unit; their variant caches are
+in-memory.  A ``variant`` object is written only through a
+:class:`~repro.core.variant_cache.VariantCache` given a rooted store
+explicitly.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ from .keys import code_fingerprint
 
 T = TypeVar("T")
 
-#: The artifact kinds the evaluation pipeline persists: built variants and
-#: the results of completed figure units (the checkpoint layer revives a
-#: unit from its ``shard`` object instead of executing it again).
+#: The artifact kinds: built variants (persisted only through an explicitly
+#: rooted :class:`~repro.core.variant_cache.VariantCache`) and the results
+#: of completed figure units (the checkpoint layer revives a unit from its
+#: ``shard`` object instead of executing it again).
 KIND_VARIANT = "variant"
 KIND_SHARD = "shard"
 
@@ -112,7 +117,7 @@ def store_from_env(max_memory_entries: Optional[int] = None,
     """The store ``REPRO_STORE_DIR`` names, or ``None`` for storeless runs.
 
     Raises ``OSError`` on an unusable directory — callers that must degrade
-    (the executor's worker attach) catch it.
+    (the checkpoint layer) catch it.
     """
     root = store_dir_from_env(environ)
     if root:
@@ -126,7 +131,7 @@ class ArtifactStore:
 
     One instance per process; any number of processes may attach to the same
     ``root``.  All lookups go memory → disk → build; every build is persisted
-    before it is returned, so sibling workers observe it on their next miss.
+    before it is returned, so other processes observe it on their next miss.
     """
 
     def __init__(self, root: Optional[str] = None,

@@ -140,11 +140,14 @@ class LocalBackend:
         fsync_directory(os.path.dirname(path))
         return True
 
-    def quarantine(self, kind: str, digest: str,
-                   record: Dict[str, object]) -> bool:
+    def quarantine(self, kind: str, digest: str, record: Dict[str, object],
+                   path: Optional[str] = None) -> bool:
         """Move a corrupt object aside with ``record`` as the reason.
+
+        ``path`` is the damaged file, by default the object's own; an
+        offline check passes a misplaced file's path (``fsck_store.py``).
         Best-effort; ``True`` only when the object was actually moved."""
-        path = self.object_path(kind, digest)
+        path = path or self.object_path(kind, digest)
         destination = self.quarantine_path(kind, digest)
         try:
             os.makedirs(os.path.dirname(destination), exist_ok=True)

@@ -8,8 +8,10 @@ goes through :meth:`VMBatch.run_many`: one
 :class:`~repro.vm.machine.Interpreter` drives all of a program's input
 vectors through one compiled-block cache, resetting per input — so
 interpreter setup and block compilation are amortised across the whole
-batch instead of paid per run.  Nothing is kept between calls, so the
-batch holds no program longer than its run.
+batch instead of paid per run.  Nothing is kept between calls, and the
+interpreter is released when its batch returns (:meth:`Interpreter.release`),
+so reference counting frees it and the batch holds no program longer than
+its run.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ class VMBatch:
         self.metrics.counter("vmbatch.executions", len(sets))
         interpreter = Interpreter(program, cost_model=self.cost_model,
                                   max_steps=self.max_steps)
-        return interpreter.run_many(sets)
+        try:
+            return interpreter.run_many(sets)
+        finally:
+            interpreter.release()
 
     def run(self, program: Program) -> ExecutionResult:
         """Execute ``program`` once."""

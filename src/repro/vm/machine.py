@@ -444,6 +444,19 @@ class Interpreter:
                 return outcome
         return None
 
+    def release(self) -> None:
+        """Drop the compiled blocks, the block compiler and the intrinsic
+        table; the interpreter cannot run again.
+
+        Each of the three refers back to the interpreter, so until they are
+        dropped an interpreter, with every closure, cell and step tuple it
+        compiled, is a reference cycle that waits for a full cyclic
+        collection; after this, reference counting frees it.
+        """
+        self._compiled_blocks.clear()
+        self._compiler = None
+        self._intrinsics.clear()
+
     def invalidate_compiled(self, function: Optional[Function] = None) -> None:
         """Drop compiled blocks after IR mutation.
 
@@ -720,4 +733,7 @@ def run_program(program: Program, inputs: Optional[Sequence[int]] = None,
     interpreter = Interpreter(program, cost_model=cost_model,
                               max_steps=max_steps, inputs=inputs,
                               dispatch=dispatch)
-    return interpreter.run(args=args)
+    try:
+        return interpreter.run(args=args)
+    finally:
+        interpreter.release()

@@ -28,11 +28,10 @@ def tmp_store(tmp_path, monkeypatch):
     """A fresh shared-store root, exported and cleaned up.
 
     Yields an empty directory path with ``REPRO_STORE_DIR`` pointing at it,
-    so executor workers (and the in-process serial path) attach to exactly
-    this tree.
-    The process-local worker cache is reset on both sides of the test —
-    store-backed scenarios must never leak an attached store into each
-    other; ``monkeypatch`` restores the environment afterwards.
+    so a matrix run stores and revives its units in exactly this tree.
+    The process-local worker cache is reset on both sides of the test, so
+    no scenario sees variants an earlier one built; ``monkeypatch``
+    restores the environment afterwards.
     """
     from repro.evaluation.executor import reset_worker_cache
     root = str(tmp_path / "store")

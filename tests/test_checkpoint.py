@@ -5,8 +5,9 @@ and restarted against the same store tree re-executes *only* the unfinished
 units — finished units revive from the store by key with zero re-executes,
 whichever run of the same code wrote them.  Also covered: the
 store-is-truth rule, units of other code never reviving, failed units
-named by their matrix position, and the pass-through contract when no
-store tree (or ``REPRO_CHECKPOINT=off``) is in play.
+named by their matrix position, a store-backed figure run storing its
+units and nothing else, and the pass-through contract when no store tree
+is in play.
 """
 
 import gc
@@ -19,12 +20,12 @@ from repro.core.variant_cache import VariantCache
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
 from repro.evaluation import executor
 from repro.evaluation.bintuner_compare import measure_bintuner
-from repro.evaluation.checkpoint import (checkpoint_enabled, run_checkpointed,
-                                         run_matrix)
+from repro.evaluation.checkpoint import run_checkpointed, run_matrix
 from repro.evaluation.escape import measure_escape
 from repro.evaluation.executor import ExecutorTaskError, reset_worker_cache
-from repro.evaluation.overhead import measure_overhead
+from repro.evaluation.overhead import clear_variant_facts, measure_overhead
 from repro.evaluation.precision import measure_precision
+from repro.obs import measure
 from repro.store import (KIND_SHARD, OBJECTS_DIR, ArtifactStore,
                          artifact_store, code_fingerprint, store_digest)
 from repro.workloads.suites import embedded_programs, spec2006_programs
@@ -33,25 +34,6 @@ from repro.obs.metrics import counted
 
 WORKLOADS = spec2006_programs()[:1]
 LABELS = ("fission",)
-
-
-class TestCheckpointEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
-        assert checkpoint_enabled()
-
-    @pytest.mark.parametrize("value, expected", [
-        ("on", True), ("1", True), ("true", True), ("", True),
-        ("off", False), ("0", False), ("false", False), ("OFF", False),
-    ])
-    def test_explicit_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_CHECKPOINT", value)
-        assert checkpoint_enabled() is expected
-
-    def test_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT", "maybe")
-        with pytest.raises(ValueError, match="REPRO_CHECKPOINT"):
-            checkpoint_enabled()
 
 
 def _square(value):
@@ -112,13 +94,6 @@ class TestRunCheckpointed:
             out = run_checkpointed(_square, values, _keys(values), jobs=1)
         assert out == [1, 4, 9]
         assert stats["planned"] == 0  # layer never engaged
-
-    def test_checkpoint_off_is_pass_through(self, tmp_store, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        values = [1, 2, 3]
-        out = run_checkpointed(_square, values, _keys(values), jobs=1)
-        assert out == [1, 4, 9]
-        assert not os.path.exists(tmp_store)  # the tree was never attached
 
     def test_mismatched_keys_raise(self, tmp_store):
         with pytest.raises(ValueError, match="2 tasks but 1 keys"):
@@ -334,28 +309,50 @@ class TestRunMatrix:
         assert _stored(tmp_store, _keys(values)) == 4
 
 
-class TestStoredUnits:
-    """Each figure driver stores one ``shard`` object per unit (one unit
-    per workload), in the current generation, and nothing else at the
-    tree's root."""
+#: figure -> its driver at a given ``jobs``, over two workloads: two units.
+STORE_BACKED_RUNS = {
+    "fig67": lambda jobs: measure_overhead(
+        spec2006_programs()[:2], labels=LABELS, jobs=jobs),
+    "fig8": lambda jobs: measure_precision(
+        spec2006_programs()[:2], labels=LABELS,
+        differs=[BinDiff(), DeepBinDiff()], jobs=jobs),
+    "fig9": lambda jobs: measure_bintuner(
+        spec2006_programs()[:2], tuner_iterations=1, jobs=jobs),
+    "fig10": lambda jobs: measure_escape(
+        embedded_programs()[:2], labels=("sub",), differs=[Asm2Vec()],
+        jobs=jobs),
+}
 
-    @pytest.mark.parametrize("figure, call", [
-        ("fig67", lambda: measure_overhead(WORKLOADS, labels=LABELS, jobs=1)),
-        ("fig8", lambda: measure_precision(
-            WORKLOADS, labels=LABELS, differs=[BinDiff(), DeepBinDiff()],
-            jobs=1)),
-        ("fig10", lambda: measure_escape(
-            embedded_programs()[:1], labels=("sub",), differs=[Asm2Vec()],
-            jobs=1)),
-        ("fig9", lambda: measure_bintuner(WORKLOADS, tuner_iterations=1,
-                                          jobs=1)),
-    ], ids=["fig67", "fig8", "fig10", "fig9"])
-    def test_each_unit_is_one_shard_object(self, tmp_store, figure, call):
-        call()
-        assert ArtifactStore.attach(tmp_store).entry_count(KIND_SHARD) == 1
+
+class TestStoredUnits:
+    """A store-backed figure run stores one ``shard`` object per unit (one
+    unit per workload) in the current generation, and nothing else: its
+    variants live only in its in-memory caches."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("figure", sorted(STORE_BACKED_RUNS))
+    def test_a_run_stores_its_units_and_no_variant(self, figure, jobs,
+                                                   tmp_store, monkeypatch):
+        run = STORE_BACKED_RUNS[figure]
+        monkeypatch.delenv("REPRO_STORE_DIR")
+        reference = run(1)
+        clear_variant_facts()  # fig 6/7 would answer from the memo
+        monkeypatch.setenv("REPRO_STORE_DIR", tmp_store)
+        cold = run(jobs)
+        assert ArtifactStore.attach(tmp_store).entry_count(KIND_SHARD) == 2
         assert os.listdir(tmp_store) == [OBJECTS_DIR]
         assert os.listdir(os.path.join(tmp_store, OBJECTS_DIR)) == \
             [code_fingerprint()]
+        assert os.listdir(os.path.join(tmp_store, OBJECTS_DIR,
+                                       code_fingerprint())) == [KIND_SHARD]
+        clear_variant_facts()
+        with measure() as rerun:
+            warm = run(jobs)
+        assert rerun.counters.get("checkpoint.executed", 0) == 0
+        assert rerun.counters["checkpoint.resumed"] == 2
+        assert "workloads.build" not in rerun.calls
+        assert "build.variants" not in rerun.counters
+        assert cold == reference and warm == reference
 
 
 class TestMatrixResume:

@@ -20,7 +20,8 @@ from repro.evaluation.bintuner_compare import (bintuner_shard_key,
                                                shard_bintuner_matrix)
 from repro.evaluation.diff_sharding import diff_unit_key, shard_diff_matrix
 from repro.evaluation.executor import reset_worker_cache
-from repro.store import KIND_VARIANT, ArtifactStore, artifact_store, canonical_key
+from repro.store import (KIND_SHARD, LocalBackend, artifact_store,
+                         canonical_key, code_fingerprint)
 from repro.store.keys import _freeze, config_cache_key
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
 from repro.workloads.suites import (WorkloadProgram, embedded_programs,
@@ -210,20 +211,21 @@ class TestSharedStoreReuse:
         assert run["resumed"] == run["planned"] == 1
         assert store["misses"] == 0 and store["puts"] == 0
 
-    def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store,
-                                                        monkeypatch):
+    def test_jobs2_over_warm_store_equals_the_reference(self, tmp_store):
+        """Units a serial run stored revive in a jobs=2 run: no cell is
+        scored again and the tree gains nothing, variants least of all."""
         reference = oracles.precision(WORKLOADS, LABELS)
         measure_precision(WORKLOADS, labels=LABELS, jobs=1)
-        variants = ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT)
+        tree = LocalBackend(tmp_store, code_fingerprint())
+        objects = tree.list_refs()
+        assert {kind for kind, _digest in objects} == {KIND_SHARD}
         reset_worker_cache()
-        # no revival: the workers must really score, over the warm variants
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        with counted("diffunit") as warm_stats:
+        with counted("diffunit") as warm_stats, counted("checkpoint") as run:
             parallel = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
         assert _precision_rows(parallel) == _precision_rows(reference)
-        assert warm_stats["cells_scored"] == len(WORKLOADS) * len(LABELS) * 5
-        assert ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT) \
-            == variants
+        assert warm_stats["cells_scored"] == 0
+        assert run["resumed"] == run["planned"] == len(WORKLOADS)
+        assert tree.list_refs() == objects
 
     def test_units_of_other_code_are_scored_again(self, tmp_store,
                                                   monkeypatch):

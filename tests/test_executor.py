@@ -6,9 +6,11 @@ in-process reports exactly (same rows, same order, same floats).  Also
 covers ``REPRO_JOBS`` / ``REPRO_TASK_TIMEOUT`` resolution, the fail-fast
 pool (a raising task, a crashed worker, a timeout, an unpicklable task or
 result and a failing ``on_result`` each stop the run, name the unit and
-leave no worker alive; a failed run keeps its finished units and its rerun
-is bit-identical), the worker-cache degradation counters, what an
-in-process run leaves alive, and the reworked ``escape_ratio`` signature.
+leave no worker alive; an unpicklable task function fails before any pool
+starts; a failed run keeps its finished units and its rerun is
+bit-identical), storeless caches and the unusable-tree degradation, what
+an in-process run leaves alive, and the reworked ``escape_ratio``
+signature.
 """
 
 import gc
@@ -31,8 +33,7 @@ from repro.evaluation import (bintuner_compare, checkpoint, diff_sharding,
                               overhead)
 from repro.evaluation.checkpoint import run_checkpointed
 from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
-                                       resolve_task_timeout, worker_cache,
-                                       worker_cache_events)
+                                       resolve_task_timeout, worker_cache)
 from repro.obs import measure
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import counted
@@ -160,12 +161,15 @@ class TestCallCache:
             cache.get_or_build(("call-cache-test", index), object)
         assert cache.max_entries == 2 and len(cache) == 2
 
-    def test_attaches_the_shared_store_under_the_same_bound(self, tmp_store):
+    def test_never_attaches_the_store(self, tmp_store):
+        """A store-backed run stores units, never the variants its caches
+        build: neither cache attaches ``REPRO_STORE_DIR``."""
         cache = executor.call_cache(3)
-        store = cache.store
-        assert store.persistent and store.root == os.path.abspath(tmp_store)
-        assert cache.max_entries == store.max_memory_entries == 3
+        assert not cache.store.persistent and cache.max_entries == 3
         assert executor._WORKER_CACHE is None
+        assert not worker_cache().store.persistent
+        cache.get_or_build(("call-cache-test",), object)
+        assert not os.path.exists(tmp_store)
 
 
 def _square(value):
@@ -417,6 +421,30 @@ class TestFailFast:
             run_tasks(_square, tasks, jobs=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_an_unpicklable_task_function_fails_before_any_pool(
+            self, monkeypatch):
+        """Inside a pool, every submission of a lambda fails in the pool's
+        own threads, and killing the pool could leave its manager thread
+        dying with an unhandled exception.  Pickled once up front, it fails
+        the first task with no pool started, every time."""
+        pools = []
+        real = executor.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", recording)
+        for _ in range(20):
+            with pytest.raises(ExecutorTaskError,
+                               match="task 0 failed: .*pickle") as excinfo:
+                run_tasks(lambda value: value, [1, 2, 3], jobs=2)
+            assert excinfo.value.task == 1
+        assert pools == []
+        assert multiprocessing.active_children() == []
+
     def test_an_unpicklable_result_names_its_unit(self, tmp_path):
         error = self._fail(_unpicklable_on_two, tmp_path)
         assert error.index == 2
@@ -492,31 +520,31 @@ class TestFailFast:
                 == len(FAILING_WORKLOADS) - kept)
 
 
-class TestWorkerCacheDegradationCounters:
-    """Best-effort cache startup must warn + count, never die silently."""
+class TestUnusableStoreTree:
+    """An unusable tree must warn and count, never stop the run or
+    degrade silently."""
 
-    def test_unusable_store_tree_warns_and_counts(self, tmp_path,
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unusable_store_tree_warns_and_counts(self, jobs, tmp_path,
                                                   monkeypatch, caplog):
+        """Only the parent attaches the tree, so a run warns and counts
+        once at any ``jobs``, and its report is the storeless one."""
+        reference = oracles.overhead(WORKLOADS, LABELS[:1])
         # a regular file where the tree belongs: attaching raises OSError
         root = tmp_path / "badstore"
         root.write_text("not a directory")
         monkeypatch.setenv("REPRO_STORE_DIR", str(root))
-        reset_worker_cache()
-        try:
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.evaluation.executor"):
-                cache = worker_cache()
-            assert not cache.store.persistent  # storeless degradation
-            events = worker_cache_events()
-            assert events["store_attach_failures"] == 1
-            assert any("attach" in record.message
-                       for record in caplog.records)
-        finally:
-            reset_worker_cache()
-
-    def test_counters_start_at_zero(self):
-        reset_worker_cache()
-        assert worker_cache_events() == {"store_attach_failures": 0}
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.evaluation.checkpoint"), \
+                measure() as run:
+            report = measure_overhead(WORKLOADS, labels=LABELS[:1],
+                                      jobs=jobs)
+        assert report.rows == reference.rows
+        assert run.counters["checkpoint.store_attach_failures"] == 1
+        assert "checkpoint.planned" not in run.counters  # ran storeless
+        warnings = [record.message for record in caplog.records
+                    if "cannot attach store" in record.message]
+        assert len(warnings) == 1 and str(root) in warnings[0]
 
 
 class TestParallelExperimentsBitIdentical:
@@ -565,38 +593,41 @@ class TestParallelExperimentsBitIdentical:
 
 
 class TestWarmStoreParallelDiffing:
-    """Figures 9/10 at jobs=2 over a warm shared store vs the oracle.
+    """Figures 9/10: units a serial run stored revive in a jobs=2 run.
 
-    A parallel run whose workers adopt persisted artifacts (variants,
-    feature payloads, per-function diff payloads) must stay row-identical
-    to the storeless oracle.  The journal is switched off for the warm run,
-    so the workers really execute over the warm tree.
+    The unit keys do not depend on ``jobs``, so a parallel rerun over the
+    tree a serial run filled revives every unit, starts no pool, builds
+    nothing and stays row-identical to the storeless oracle.
     """
 
-    def test_escape_jobs2_over_warm_store_equals_serial(self, tmp_store,
-                                                        monkeypatch):
+    def _warm_jobs2(self, driver):
+        cold = driver(jobs=1)
+        with measure() as warm_run:
+            warm = driver(jobs=2)
+        assert warm_run.counters.get("checkpoint.executed", 0) == 0
+        assert warm_run.counters["checkpoint.resumed"] \
+            == warm_run.counters["checkpoint.planned"] > 0
+        assert "workloads.build" not in warm_run.calls
+        assert "executor.tasks_completed" not in warm_run.counters
+        return cold, warm
+
+    def test_escape_jobs2_over_warm_store_equals_serial(self, tmp_store):
         workloads = embedded_programs()[:1]
         labels = ("sub", "fufi.all")
         reference = oracles.escape(workloads, labels)
-        # populate the tree (in-process pass through the store)...
-        cold = measure_escape(workloads, labels=labels, jobs=1)
-        reset_worker_cache()
-        # ...then fan out over the warm tree
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        warm = measure_escape(workloads, labels=labels, jobs=2)
+        cold, warm = self._warm_jobs2(
+            lambda jobs: measure_escape(workloads, labels=labels, jobs=jobs))
         assert cold.rows == reference.rows
         assert warm.rows == reference.rows
         for n in (1, 10, 50):
             assert warm.matrix(n) == reference.matrix(n)
 
-    def test_bintuner_jobs2_over_warm_store_equals_serial(self, tmp_store,
-                                                          monkeypatch):
+    def test_bintuner_jobs2_over_warm_store_equals_serial(self, tmp_store):
         workloads = spec2006_programs()[:2]
         reference = oracles.bintuner(workloads, tuner_iterations=1)
-        cold = measure_bintuner(workloads, tuner_iterations=1, jobs=1)
-        reset_worker_cache()
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        warm = measure_bintuner(workloads, tuner_iterations=1, jobs=2)
+        cold, warm = self._warm_jobs2(
+            lambda jobs: measure_bintuner(workloads, tuner_iterations=1,
+                                          jobs=jobs))
         assert cold.rows == reference.rows
         assert warm.rows == reference.rows
         assert (warm.bintuner_overhead_percent
@@ -682,24 +713,21 @@ class TestInProcessMemory:
                              ids=SIZED_IDS)
     def test_store_backed_jobs1_reads_no_variant_back(
             self, call, entries, variants, tmp_store, monkeypatch):
-        """With a store attached, a cold run looks each variant up in the
-        tree once (the miss that builds it) and reads none back."""
+        """With a store attached, a cold run builds through the same
+        in-memory cache, stores its one unit and neither reads nor writes
+        a variant object."""
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         made = _record_call_caches(monkeypatch)
-        lookups = []
-        read = ArtifactStore._read_object
-
-        def recording_read(store, kind, digest, key):
-            if kind == KIND_VARIANT:
-                lookups.append(digest)
-            return read(store, kind, digest, key)
-
-        monkeypatch.setattr(ArtifactStore, "_read_object", recording_read)
-        call()
+        with counted("store") as store:
+            call()
         assert [cache.max_entries for cache in made] == [entries]
+        assert not made[0].store.persistent
         assert made[0].misses == variants
-        assert len(lookups) == len(set(lookups)) == variants
         assert len(made[0].store.keys(KIND_VARIANT)) <= entries
+        assert store["puts"] == 1 and store["disk_hits"] == 0
+        tree = ArtifactStore.attach(tmp_store)
+        assert tree.entry_count(KIND_SHARD) == 1
+        assert tree.entry_count(KIND_VARIANT) == 0
 
 
 class TestEscapeRatioPairs:

@@ -18,6 +18,7 @@ import pytest
 from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR,
                          QUARANTINE_DIR, ArtifactStore, code_fingerprint,
                          store_digest)
+from repro.store import backend as store_backend
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts")
@@ -162,6 +163,38 @@ class TestRepair:
         again = fsck(tree)
         assert again["clean"] and again["counts"]["problems"] == 0
         assert again["other_generations"] == []
+
+    @pytest.mark.parametrize("damage", ["corrupt", "misplaced"])
+    def test_a_repair_is_as_durable_as_a_runtime_quarantine(
+            self, damage, tree, monkeypatch):
+        """A repair moves damage through the runtime's quarantine: it
+        fsyncs the reason record, the quarantine directory and the
+        directory the object left — also for a misplaced object, whose
+        path is not the one its name derives."""
+        path = _object_path(tree, KIND_VARIANT, ("a",))
+        if damage == "corrupt":
+            with open(path, "wb") as fh:
+                fh.write(b"garbage")
+            digest = store_digest(KIND_VARIANT, ("a",))
+        else:
+            digest = store_digest(KIND_VARIANT, ("elsewhere",))
+            misplaced = os.path.join(os.path.dirname(os.path.dirname(path)),
+                                     "zz", f"{digest}.pkl")
+            os.makedirs(os.path.dirname(misplaced))
+            os.rename(path, misplaced)
+            path = misplaced
+        synced = []
+        monkeypatch.setattr(store_backend.os, "fsync",
+                            lambda fd: synced.append(os.fstat(fd).st_ino))
+        report = fsck(tree, repair=True)
+        assert report["clean"] and report["counts"]["repaired"] == 1
+        moved = os.path.join(tree, QUARANTINE_DIR, code_fingerprint(),
+                             KIND_VARIANT, f"{digest}.pkl")
+        assert os.path.exists(moved) and not os.path.exists(path)
+        reason = os.path.join(os.path.dirname(moved), f"{digest}.reason.json")
+        assert synced == [os.stat(reason).st_ino,
+                          os.stat(os.path.dirname(moved)).st_ino,
+                          os.stat(os.path.dirname(path)).st_ino]
 
     def test_repair_unlinks_temps_and_strays(self, tree):
         shard_dir = os.path.dirname(_object_path(tree, KIND_VARIANT, ("a",)))

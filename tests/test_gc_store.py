@@ -99,7 +99,7 @@ class TestOtherCodesTree:
         assert new_units["executed"] == new_units["planned"] == len(WORKLOADS)
         # A's objects are untouched: same files, same bytes, same mtimes
         assert files_of(os.path.join(root, OBJECTS_DIR, OLD)) == old_files
-        assert len(old_files) == 1 + len(LABELS) + len(WORKLOADS)
+        assert len(old_files) == len(WORKLOADS)  # one unit each, no variant
 
     def test_gc_sweeps_exactly_the_old_generation(self, switched):
         root, _cold, old_files, _rebuilt = switched
@@ -123,7 +123,7 @@ class TestOtherCodesTree:
         root = switched[0]
         report = fsck_store.fsck(root)
         assert report["clean"] and report["other_generations"] == [OLD]
-        assert report["counts"]["objects_ok"] == 1 + len(LABELS) + 1
+        assert report["counts"]["objects_ok"] == len(WORKLOADS)
         gc_store.collect(root, grace=0)
         assert fsck_store.main([root]) == 0
         assert "other generations" not in capsys.readouterr().out

@@ -584,21 +584,14 @@ class TestFacades:
         assert batch.executions == 3
         assert batch.interpreters == 2
 
-    def test_worker_cache_events(self, tmp_path, monkeypatch):
-        from repro.evaluation.executor import (reset_worker_cache,
-                                               worker_cache,
-                                               worker_cache_events)
+    def test_store_attach_failures(self, tmp_path, monkeypatch):
+        from repro.evaluation.checkpoint import run_checkpointed
 
         # a regular file where the tree belongs cannot be attached
         occupied = tmp_path / "occupied"
         occupied.write_text("not a directory")
         monkeypatch.setenv("REPRO_STORE_DIR", str(occupied))
-        reset_worker_cache()
-        try:
-            worker_cache()
-            assert worker_cache_events()["store_attach_failures"] == 1
-            # the façade reads the process-wide registry
-            assert obs_metrics.REGISTRY.get(
-                "executor.cache.store_attach_failures") == 1
-        finally:
-            reset_worker_cache()
+        with obs.measure() as run:
+            assert run_checkpointed(abs, [-1, 2], [("k", 1), ("k", 2)],
+                                    jobs=1) == [1, 2]
+        assert run.counters["checkpoint.store_attach_failures"] == 1

@@ -3,17 +3,19 @@
 The overhead matrices are pure functions of seeded inputs; running their
 units across processes must reproduce the in-process reports exactly (same
 rows, same order, same cycle counts), both must equal the plain per-cell
-oracle, and workers attached to a warm shared store must rebuild nothing.
-A rerun in one process reads the facts memo, so the tests that rerun a
-matrix in process to exercise a path clear it first.
+oracle, and a warm shared store must revive every unit and rebuild
+nothing, while variants persist only through an explicitly rooted
+``VariantCache``.  A rerun in one process reads the facts memo, so the
+tests that rerun a matrix in process to exercise a path clear it first.
 """
 
 
 from repro.core.variant_cache import VariantCache
 from repro.evaluation import (clear_variant_facts, figure6, figure7,
                               measure_overhead, shard_overhead_matrix)
+from repro.obs import measure
 from repro.obs.metrics import counted
-from repro.store import KIND_VARIANT, ArtifactStore
+from repro.store import KIND_SHARD, KIND_VARIANT, ArtifactStore
 from repro.workloads.suites import spec2006_programs
 from tests import oracles
 
@@ -101,55 +103,63 @@ class TestShardedBitIdentity:
             self, tmp_store, monkeypatch):
         """Forked workers start with an empty facts memo: after a serial
         run has measured every variant in this process, a jobs=2 run still
-        builds (and persists to a fresh tree) every variant of its units."""
+        builds every variant of its units (and stores only the units)."""
         monkeypatch.delenv("REPRO_STORE_DIR")
         serial = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
         monkeypatch.setenv("REPRO_STORE_DIR", tmp_store)
-        parallel = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
+        with measure() as run:
+            parallel = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
         assert parallel.rows == serial.rows
-        assert ArtifactStore.attach(tmp_store).entry_count(KIND_VARIANT) \
+        assert run.counters["build.variants"] \
             == len(WORKLOADS) * (len(LABELS) + 1)
+        store = ArtifactStore.attach(tmp_store)
+        assert store.entry_count(KIND_SHARD) == len(WORKLOADS)
+        assert store.entry_count(KIND_VARIANT) == 0
 
 
 class TestSharedStoreReuse:
-    def test_workers_attach_to_warm_tree_and_rebuild_nothing(
-            self, tmp_store, monkeypatch):
-        """After a cold in-process populate, a jobs=2 run through the shared
-        store must add zero objects to the tree and reproduce the rows."""
-        cold = VariantCache(store=ArtifactStore.attach(tmp_store))
-        reference = measure_overhead(WORKLOADS, labels=LABELS, cache=cold)
-        objects_before = cold.store.entry_count(KIND_VARIANT)
-        assert objects_before == len(WORKLOADS) * (len(LABELS) + 1)
+    def test_a_warm_jobs2_run_revives_every_unit_and_builds_nothing(
+            self, tmp_store):
+        """After a cold jobs=2 run, a jobs=2 rerun over the same tree
+        revives every unit, starts no worker and reproduces the rows."""
+        reference = oracles.overhead(WORKLOADS, LABELS)
+        cold = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
+        with measure() as run:
+            warm = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
+        assert _rows(cold) == _rows(warm) == _rows(reference)
+        assert run.counters["checkpoint.resumed"] == len(WORKLOADS)
+        assert run.counters.get("checkpoint.executed", 0) == 0
+        assert "build.variants" not in run.counters
+        assert "executor.tasks_completed" not in run.counters
 
-        # no journal: the workers must really run, over the warm variants
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
-        parallel = measure_overhead(WORKLOADS, labels=LABELS, jobs=2)
-        assert _rows(parallel) == _rows(reference)
-        after = ArtifactStore.attach(tmp_store)
-        assert after.entry_count(KIND_VARIANT) == objects_before  # no rebuilds
-
-    def test_cold_parallel_run_populates_the_tree(self, tmp_store):
+    def test_cold_parallel_run_stores_only_its_units(self, tmp_store):
         reference = oracles.overhead(WORKLOADS[:1], LABELS)
         parallel = measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=2)
         assert _rows(parallel) == _rows(reference)
         store = ArtifactStore.attach(tmp_store)
-        assert store.entry_count(KIND_VARIANT) == len(LABELS) + 1
+        assert store.entry_count(KIND_SHARD) == 1
+        assert store.entry_count(KIND_VARIANT) == 0
 
-    def test_precision_workers_share_the_overhead_tree(self, tmp_store):
-        """Cross-experiment reuse through the store: figure-8 units must
-        fetch the variants the figure-6/7 run persisted."""
+    def test_an_explicit_variant_store_serves_figure8(self, tmp_path,
+                                                      monkeypatch):
+        """Cross-experiment reuse of variants is explicit: figure-8 units
+        given a rooted ``VariantCache`` read the variants a figure-6/7 run
+        stored through one, and build none."""
         from repro.evaluation import measure_precision
-        cold = VariantCache(store=ArtifactStore.attach(tmp_store))
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        root = str(tmp_path / "variants")
+        cold = VariantCache(store=ArtifactStore.attach(root))
         measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cold)
-        objects_before = cold.store.entry_count(KIND_VARIANT)
+        stored = cold.store.entry_count(KIND_VARIANT)
+        assert stored == len(LABELS) + 1
 
         reference = oracles.precision(WORKLOADS[:1], LABELS)
-        with counted("checkpoint") as units:
-            parallel = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=2)
-        # no journal to resume from: every unit ran in a worker
-        assert units["executed"] == units["planned"] > 0
+        warm = VariantCache(store=ArtifactStore.attach(root))
+        precision = measure_precision(WORKLOADS[:1], labels=LABELS,
+                                      cache=warm)
         assert [(r.program, r.tool, r.label, r.precision)
                 for r in reference.rows] \
-            == [(r.program, r.tool, r.label, r.precision) for r in parallel.rows]
-        after = ArtifactStore.attach(tmp_store)
-        assert after.entry_count(KIND_VARIANT) == objects_before
+            == [(r.program, r.tool, r.label, r.precision)
+                for r in precision.rows]
+        assert warm.misses == 0 and warm.hits == stored
+        assert ArtifactStore.attach(root).entry_count(KIND_VARIANT) == stored

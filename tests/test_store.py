@@ -12,7 +12,8 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
 * every object lives under its generation, the fingerprint of the code
   that wrote it, so a tree written by other code is never read;
 * the retired ``features``/``diff`` payload helpers are no-ops;
-* every figure's report from a warm tree equals the cold run's;
+* the report of every figure that takes a cache, built from an explicit
+  warm variant tree, equals the cold run's;
 * :class:`LocalBackend`, the byte layer under the tree, keeps the first
   writer's object and fsyncs each payload and its directory;
 * every name the paper benchmark's layer tracer wraps still resolves.
@@ -33,7 +34,6 @@ import pytest
 from repro.core.variant_cache import VariantCache, variant_key
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
 from repro.evaluation import clear_variant_facts, run_tasks
-from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.escape import measure_escape
 from repro.evaluation.overhead import build_variant, measure_overhead
 from repro.evaluation.precision import measure_precision
@@ -447,12 +447,12 @@ class TestEnvResolution:
 
 
 class TestVariantCacheFacade:
-    def test_warm_attach_rebuilds_zero_variants(self, tmp_store,
+    def test_warm_attach_rebuilds_zero_variants(self, tmp_path,
                                                 monkeypatch):
         """The acceptance criterion: a second attach builds nothing."""
-        root = tmp_store
-        # the façade is under test: no journal may serve the replay
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
+        root = str(tmp_path / "variants")
+        # the façade is under test: no stored unit may serve the replay
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         cold = VariantCache(store=ArtifactStore.attach(root))
         reference = measure_overhead(WORKLOADS, labels=LABELS, cache=cold)
         built = cold.misses
@@ -738,39 +738,44 @@ class TestLocalBackend:
         assert backend.get("variant", "9a" * 32) is None
 
 
-#: One small run of each figure 6–10 driver, at jobs=1 through the store.
+#: One small run of each driver that takes a cache (figures 6, 7, 8 and
+#: 10), at jobs=1 through the given ``VariantCache``.
 FIGURE_RUNS = {
-    "fig6": lambda: measure_overhead(WORKLOADS[:1], labels=LABELS),
-    "fig7": lambda: measure_overhead(WORKLOADS[:1],
-                                     labels=("sub", "bog", "fla")),
-    "fig8": lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
-                                      differs=[BinDiff(), DeepBinDiff()]),
-    "fig9": lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1),
-    "fig10": lambda: measure_escape(embedded_programs()[:1],
-                                    labels=("sub",), differs=[Asm2Vec()]),
+    "fig6": lambda cache: measure_overhead(WORKLOADS[:1], labels=LABELS,
+                                           cache=cache),
+    "fig7": lambda cache: measure_overhead(
+        WORKLOADS[:1], labels=("sub", "bog", "fla"), cache=cache),
+    "fig8": lambda cache: measure_precision(
+        WORKLOADS[:1], labels=LABELS, differs=[BinDiff(), DeepBinDiff()],
+        cache=cache),
+    "fig10": lambda cache: measure_escape(
+        embedded_programs()[:1], labels=("sub",), differs=[Asm2Vec()],
+        cache=cache),
 }
 
 
 class TestWarmReports:
     @pytest.mark.parametrize("figure", sorted(FIGURE_RUNS))
-    def test_warm_store_report_equals_cold(self, figure, tmp_store,
+    def test_warm_store_report_equals_cold(self, figure, tmp_path,
                                            monkeypatch):
-        """A report served from a warm tree is the cold run's report.
+        """A report built from an explicit warm variant tree is the cold
+        run's report, and builds nothing.
 
-        Checkpointing is off, so the warm run reads its variants from the
-        tree instead of reviving whole units, and builds nothing.
+        No ``REPRO_STORE_DIR``: no stored unit serves the warm run, so it
+        really reads its variants from the tree.
         """
-        monkeypatch.setenv("REPRO_CHECKPOINT", "off")
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        root = str(tmp_path / "variants")
         run = FIGURE_RUNS[figure]
         with counted("store") as cold_counts:
-            cold = run()
-        assert cold_counts["puts"] > 0
+            cold = run(VariantCache(store=ArtifactStore.attach(root)))
+        assert cold_counts["puts"] == cold_counts["misses"] > 0
         clear_variant_facts()  # figs 6/7 would answer from the memo
         with counted("store") as warm_counts:
-            warm = run()
+            warm = run(VariantCache(store=ArtifactStore.attach(root)))
         assert warm == cold
         assert warm_counts["misses"] == 0 and warm_counts["puts"] == 0
-        assert warm_counts["disk_hits"] > 0
+        assert warm_counts["disk_hits"] == cold_counts["puts"]
 
 
 def _paperbench_targets():

@@ -5,11 +5,17 @@ evaluation observes: exit value, output stream, cycle count, step count,
 instruction count and call count — across every workload of every suite
 (`workloads/suites.py`), across obfuscated/optimized and flattened variants,
 across batched ``run_many`` re-runs of one interpreter, and at the
-boundaries (step limit, mid-block aborts, ``exit()``).
+boundaries (step limit, mid-block aborts, ``exit()``).  Also: a finished
+run's interpreter is freed by reference counting, not left to the cyclic
+collector.
 """
+
+import gc
+import weakref
 
 import pytest
 
+from repro.analysis.static.costcheck import check_program
 from repro.baselines import ControlFlowFlattening
 from repro.core.obfuscator import obfuscate
 from repro.ir import (FunctionType, I64, IRBuilder, Module, Program,
@@ -214,6 +220,46 @@ class TestBatchedRunMany:
         assert [r.cycles for r in first] == [r.cycles for r in again]
         assert batch.interpreters == 2
         assert batch.executions == 2 * len(sets)
+
+
+#: Every call that makes a throwaway interpreter, on a program with calls,
+#: globals and output intrinsics.
+THROWAWAY_CALLS = {
+    "run_program": lambda program: run_program(program),
+    "VMBatch.run_many": lambda program: VMBatch().run_many(
+        program, ((1, 2), ())),
+    "check_program": check_program,
+}
+
+
+class TestFreedByReferenceCounting:
+    """Compiled blocks, the block compiler and the intrinsic table all
+    refer back to their interpreter; each call drops them once its run
+    returns, so with the cyclic collector off no interpreter outlives the
+    call that made it."""
+
+    @pytest.mark.parametrize("dispatch", DISPATCHES)
+    @pytest.mark.parametrize("call", sorted(THROWAWAY_CALLS))
+    def test_no_interpreter_outlives_its_call(self, call, dispatch,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_VM_DISPATCH", dispatch)
+        program = load_suite("spec2006")[0].build()
+        made = []
+        init = Interpreter.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(Interpreter, "__init__", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            THROWAWAY_CALLS[call](program)
+            alive = [ref for ref in made if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(made) == 1 and alive == []
 
 
 class TestEdgeSemantics:
