@@ -6,9 +6,11 @@ For every selected workload the tool builds the program, optionally applies
 an obfuscation scheme, and runs:
 
 * full-tier IR verification (structural + types + dominance + dataflow
-  lints) on the linked program, and
+  lints) on the linked program,
 * the cost-model consistency check (the compiled tier's precomputed block
-  totals vs a static recount from ``vm/costs.py``).
+  totals vs a static recount from ``vm/costs.py``), and
+* the same verification on the program's O2 + LTO build (the optimizer's
+  output, named ``<workload>/<scheme>/O2+LTO/<function>``).
 
 Diagnostics print as ``function:block: message [code]`` lines (or JSON with
 ``--json``).  A baseline file (``--baseline``) suppresses known findings by
@@ -32,6 +34,7 @@ from typing import List
 from repro.analysis.static import (Diagnostic, apply_baseline, check_program,
                                    diagnostics_to_json, load_baseline, verify,
                                    write_baseline)
+from repro.opt import OptOptions, optimize_program
 from repro.workloads import load_suite, suite_names
 
 #: scheme name -> obfuscator factory (None = the unobfuscated build)
@@ -66,11 +69,16 @@ def lint_corpus(suites: List[str], schemes: List[str], seed: int,
                 found = verify(program, tier=tier)
                 if with_costs:
                     found = found + check_program(program)
+                # the program is this loop's own copy: optimize it in place
+                optimized = optimize_program(program, in_place=True)
+                stages = ((scheme, found),
+                          (f"{scheme}/{OptOptions().label()}",
+                           verify(optimized, tier=tier)))
                 diagnostics.extend(
                     Diagnostic(d.severity, d.code, d.message,
-                               function=f"{workload.name}/{scheme}/{d.function}",
+                               function=f"{workload.name}/{stage}/{d.function}",
                                block=d.block)
-                    for d in found)
+                    for stage, stage_found in stages for d in stage_found)
     return diagnostics
 
 

@@ -16,6 +16,16 @@ Invalidation is explicit and per-function:
   cached analysis of the module's functions;
 * ``invalidate_all()`` empties the cache.
 
+Every invalidation also moves the function's *change stamp*
+(:meth:`AnalysisManager.stamp`): ``invalidate()`` moves it, ``PRESERVE_ALL``
+included, ``invalidate_module()`` moves it for every function of the
+module, and ``invalidate_all()`` for every function.  A pass that found
+nothing to change in a function records the stamp
+(:meth:`AnalysisManager.settle`); while the stamp has not moved since,
+:meth:`AnalysisManager.settled` tells the next run of that pass that the
+function is the one it already left unchanged, so
+:class:`~repro.opt.pass_manager.FunctionPass` skips it.
+
 A manager constructed with ``verify_invalidation=True`` snapshots a structural
 fingerprint of the function when an analysis is first built and re-checks it
 on every cache hit; a pass that mutated the function without invalidating is
@@ -59,6 +69,12 @@ class AnalysisManager:
         self._functions: Dict[Function, Dict[str, object]] = {}
         self._fingerprints: Dict[Function, Tuple] = {}
         self._callgraphs: Dict[Module, CallGraph] = {}
+        # change stamps: the last stamp handed out, each function's latest,
+        # and that of every function not invalidated since invalidate_all()
+        self._clock = 0
+        self._stamps: Dict[Function, int] = {}
+        self._floor = 0
+        self._settled: Dict[Tuple[object, Function], int] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -110,12 +126,34 @@ class AnalysisManager:
             self.hits += 1
         return graph
 
+    # -- change stamps ------------------------------------------------------------
+
+    def stamp(self, function: Function) -> int:
+        """``function``'s change stamp: it moves whenever ``function`` is
+        invalidated, and only then (module docstring)."""
+        return self._stamps.get(function, self._floor)
+
+    def settle(self, function: Function, key: object) -> None:
+        """Record that ``key`` (a pass class) left ``function`` unchanged."""
+        self._settled[key, function] = self.stamp(function)
+
+    def settled(self, function: Function, key: object) -> bool:
+        """True when ``key`` left ``function`` unchanged and nothing has
+        invalidated it since."""
+        return self._settled.get((key, function)) == self.stamp(function)
+
+    def _touch(self, function: Function) -> None:
+        self._clock += 1
+        self._stamps[function] = self._clock
+
     # -- invalidation -------------------------------------------------------------
 
     def invalidate(self, function: Function,
                    preserve: Union[str, Iterable[str]] = ()) -> None:
-        """Drop ``function``'s cached analyses, keeping those in ``preserve``."""
+        """Drop ``function``'s cached analyses, keeping those in ``preserve``;
+        either way its change stamp moves."""
         self.invalidations += 1
+        self._touch(function)
         if preserve == PRESERVE_ALL:
             # "everything is still valid" implies the structure did not
             # change, so the recorded fingerprint intentionally stays: a pass
@@ -141,17 +179,28 @@ class AnalysisManager:
 
         Functions already detached from their module (``module is None`` —
         e.g. removed by dead-function elimination or fusion just before this
-        call) are purged too, so their cached analyses cannot leak.
+        call) are purged too, so their cached analyses cannot leak.  Every
+        function of the module gets a new change stamp, cached or not.
         """
-        self._callgraphs.pop(module, None)
+        self.invalidate_callgraph(module)
         for function in list(self._functions):
             if function.module is module or function.module is None:
                 self.invalidate(function, preserve=preserve)
+        for function in module.functions.values():
+            self._touch(function)
+
+    def invalidate_callgraph(self, module: Module) -> None:
+        """Drop the module's call graph only: for a pass that changed some
+        functions' calls and invalidated those functions itself."""
+        self._callgraphs.pop(module, None)
 
     def invalidate_all(self) -> None:
         self._functions.clear()
         self._fingerprints.clear()
         self._callgraphs.clear()
+        self._stamps.clear()
+        self._clock += 1
+        self._floor = self._clock
         self.invalidations += 1
 
     # -- internals ----------------------------------------------------------------

@@ -8,18 +8,27 @@ The table reports, separately for SPEC CPU 2006, SPEC CPU 2017 and CoreUtils:
   compression (#RP) and innocuous blocks per fused function (#HBB).
 
 The statistics come from running the fission and fusion primitives
-individually (no combination), exactly as the paper describes.
+individually (no combination), exactly as the paper describes.  Those are
+the ``fission`` and ``fusion`` variants of figures 6 and 7, whose
+statistics the process-wide facts memo keeps
+(:mod:`repro.evaluation.overhead`): a workload whose variant this process
+already built is read off the memo, and only the others are obfuscated,
+from one synthesis per workload.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.config import KhaosConfig, Mode
-from ..core.obfuscator import Khaos
+from ..core.config import Mode
+from ..core.stats import KhaosStats
+from ..core.variant_cache import variant_key
+from ..toolchain import KhaosVariant
 from ..workloads.suites import (WorkloadProgram, coreutils_programs,
                                 spec2006_programs, spec2017_programs)
+from .overhead import _FACTS
 
 
 @dataclass
@@ -51,6 +60,18 @@ class InternalsReport:
         return {suite: row.as_dict() for suite, row in self.rows.items()}
 
 
+def _khaos_stats(workload: WorkloadProgram, mode: str, seed: int,
+                 source) -> KhaosStats:
+    """The statistics of ``workload`` obfuscated under ``mode``: off the
+    facts memo when this process built that variant, else obfuscated from
+    ``source()``."""
+    variant = KhaosVariant(mode, seed=seed)
+    facts = _FACTS.get(variant_key(workload, variant))
+    if facts is not None and facts.stats is not None:
+        return facts.stats
+    return variant.obfuscate(source()).stats
+
+
 def measure_internals(workloads_by_suite: Dict[str, Sequence[WorkloadProgram]],
                       seed: int = 0x5EED) -> InternalsReport:
     report = InternalsReport()
@@ -64,17 +85,15 @@ def measure_internals(workloads_by_suite: Dict[str, Sequence[WorkloadProgram]],
 
         for workload in workloads:
             # each obfuscation links its own copy of the one synthesis
-            program = workload.build()
-            fission = Khaos(KhaosConfig(mode=Mode.FISSION, seed=seed)).obfuscate(
-                program)
-            fusion = Khaos(KhaosConfig(mode=Mode.FUSION, seed=seed)).obfuscate(
-                program)
-            fission_ratios.append(fission.stats.fission.ratio)
-            sepfunc_blocks.append(fission.stats.fission.avg_sepfunc_blocks)
-            reductions.append(fission.stats.fission.reduction_ratio)
-            fusion_ratios.append(fusion.stats.fusion.ratio)
-            reduced_params.append(fusion.stats.fusion.avg_reduced_params)
-            innocuous.append(fusion.stats.fusion.avg_innocuous_blocks)
+            source = functools.cache(workload.build)
+            fission = _khaos_stats(workload, Mode.FISSION, seed, source).fission
+            fusion = _khaos_stats(workload, Mode.FUSION, seed, source).fusion
+            fission_ratios.append(fission.ratio)
+            sepfunc_blocks.append(fission.avg_sepfunc_blocks)
+            reductions.append(fission.reduction_ratio)
+            fusion_ratios.append(fusion.ratio)
+            reduced_params.append(fusion.avg_reduced_params)
+            innocuous.append(fusion.avg_innocuous_blocks)
 
         def mean(values: List[float]) -> float:
             return sum(values) / len(values) if values else 0.0

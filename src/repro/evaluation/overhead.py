@@ -10,8 +10,9 @@ The matrix runs as one unit per workload (:func:`shard_overhead_matrix`) on
 the engine every figure shares (:func:`~repro.evaluation.checkpoint.run_matrix`).
 A unit reads its baseline's and every label's cycles through the process-wide
 *facts memo*: for each :func:`~repro.core.variant_cache.variant_key` it keeps
-what the figures read off that variant — its opcode histogram and, once it
-has run, its cycles and observable output — but never its IR or binary.  A
+what the figures read off that variant — its opcode histogram, a Khaos
+variant's statistics (table 2's) and, once it has run, its cycles and
+observable output — but never its IR or binary.  A
 unit builds a variant (through its cache) and runs it in the VM only when
 the memo lacks it or holds only its histogram, so figures 6, 7 and 11 in one
 process build and run each distinct variant once.  The memo grows only with
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.disassembler import opcode_histogram
+from ..core.stats import KhaosStats
 from ..core.variant_cache import VariantCache, variant_key
 from ..ir.module import Program
 from ..obs import metrics as obs_metrics
@@ -165,6 +167,7 @@ class _Facts:
     histogram: Dict[str, int]
     cycles: Optional[int] = None
     observable: Optional[Tuple] = None
+    stats: Optional[KhaosStats] = None  # a Khaos variant's, for table 2
 
 
 #: Variant key -> facts, for every variant this process has built.
@@ -200,7 +203,8 @@ def _variant_facts(workload: WorkloadProgram, label: str,
         return facts
     artifact = builder() if cache is None else cache.get_or_build(key, builder)
     if facts is None:
-        facts = _FACTS[key] = _Facts(opcode_histogram(artifact.binary))
+        facts = _FACTS[key] = _Facts(opcode_histogram(artifact.binary),
+                                     stats=artifact.stats)
     if run:
         result = VMBatch().run(artifact.program)
         facts.cycles = result.cycles

@@ -111,6 +111,7 @@ def _fold_select(inst: Select) -> Optional[Value]:
 class ConstantFolding(FunctionPass):
     name = "constant-folding"
     preserves = ()  # may rewrite terminators (constant condbr/switch -> br)
+    skips_settled = True  # a function of the function's own IR
 
     def run_on_function(self, function: Function, analyses=None) -> bool:
         changed = False

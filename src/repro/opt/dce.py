@@ -9,21 +9,17 @@ the fused function.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..analysis.manager import AnalysisManager
 from ..ir.function import Function, Linkage
-from ..ir.instructions import Alloca, Call, Instruction, Store
+from ..ir.instructions import Alloca, Call, Instruction, Store, Terminator
 from ..ir.module import Module
 from .pass_manager import FunctionPass, ModulePass
 
 
-def _has_side_effects(inst: Instruction) -> bool:
-    if inst.is_terminator:
-        return True
-    if isinstance(inst, (Store, Call)):
-        return True
-    return False
+#: The instructions DCE never removes for being unused.
+_SIDE_EFFECTS = (Terminator, Store, Call)
 
 
 class DeadCodeElimination(FunctionPass):
@@ -31,25 +27,36 @@ class DeadCodeElimination(FunctionPass):
     # DCE only deletes non-terminator instructions, so the block graph and
     # everything derived from it stay valid; def-use chains do not.
     preserves = ("cfg", "domtree", "loops", "block_frequency")
+    skips_settled = True  # a function of the function's own IR
 
     def run_on_function(self, function: Function,
                         analyses: Optional[AnalysisManager] = None) -> bool:
-        """Worklist DCE over a single def-use build.
+        """Worklist DCE over one walk of the function.
 
         The fixed point of "remove side-effect-free instructions with no
-        uses, plus allocas that are only ever stored to" is unique, so
-        instead of rebuilding :class:`~repro.analysis.defuse.DefUse` every
-        sweep the pass threads a live user map through the removals: deleting
-        an instruction releases its operands, which may enqueue them in turn.
+        uses, plus allocas that are only ever stored to" is unique, so the
+        pass walks the function once, building a live user map of every
+        instruction (and collecting the allocas) on the way, and threads
+        that map through the removals: deleting an instruction releases its
+        operands, which may enqueue them in turn.
         """
-        analyses = analyses if analyses is not None else AnalysisManager()
-        defuse = analyses.defuse(function)
-        # live users per value id, updated as code dies
-        users = {key: list(lst) for key, lst in defuse.users.items()}
-        worklist = []
+        # live users per instruction id, updated as code dies
+        users: Dict[int, List[Instruction]] = {}
+        pure: List[Instruction] = []
+        allocas: List[Alloca] = []
+        for block in function.blocks:
+            for inst in block.instructions:
+                for op in inst.operands:
+                    if isinstance(op, Instruction):
+                        users.setdefault(id(op), []).append(inst)
+                if not isinstance(inst, _SIDE_EFFECTS):
+                    pure.append(inst)
+                    if isinstance(inst, Alloca):
+                        allocas.append(inst)
 
         def is_dead(inst: Instruction) -> bool:
-            return not _has_side_effects(inst) and not users.get(id(inst))
+            return (not isinstance(inst, _SIDE_EFFECTS)
+                    and not users.get(id(inst)))
 
         def release(inst: Instruction) -> None:
             """Unregister ``inst`` as a user of its operands; enqueue newly
@@ -63,11 +70,10 @@ class DeadCodeElimination(FunctionPass):
                 except ValueError:
                     continue
                 if not op_users and isinstance(op, Instruction) \
-                        and not _has_side_effects(op):
+                        and not isinstance(op, _SIDE_EFFECTS):
                     worklist.append(op)
 
-        worklist.extend(inst for inst in function.instructions()
-                        if is_dead(inst))
+        worklist = [inst for inst in pure if id(inst) not in users]
         removed = 0
         while True:
             while worklist:
@@ -80,26 +86,23 @@ class DeadCodeElimination(FunctionPass):
             # allocas only ever stored to (never loaded or escaped) die with
             # their stores; the released store operands may re-arm the loop
             progressed = False
-            for block in function.blocks:
-                for inst in list(block.instructions):
-                    if not isinstance(inst, Alloca) or inst.parent is None:
-                        continue
-                    uses = users.get(id(inst))
-                    if uses and all(isinstance(u, Store) and u.pointer is inst
-                                    for u in uses):
-                        for use in list(uses):
-                            if use.parent is not None:
-                                use.parent.remove(use)
-                                removed += 1
-                            release(use)
-                        users[id(inst)] = []
-                        block.remove(inst)
-                        removed += 1
-                        progressed = True
+            for alloca in allocas:
+                if alloca.parent is None:
+                    continue
+                uses = users.get(id(alloca))
+                if uses and all(isinstance(u, Store) and u.pointer is alloca
+                                for u in uses):
+                    for use in list(uses):
+                        if use.parent is not None:
+                            use.parent.remove(use)
+                            removed += 1
+                        release(use)
+                    users[id(alloca)] = []
+                    alloca.parent.remove(alloca)
+                    removed += 1
+                    progressed = True
             if not worklist and not progressed:
                 break
-        if removed:
-            analyses.invalidate(function, preserve=self.preserves)
         return bool(removed)
 
 

@@ -8,18 +8,26 @@ Inlining interacts with the Khaos primitives in two ways the paper calls out:
   overhead (e.g. 456.hmmer in Figure 6);
 * inlining is the classic inter-procedural transformation that binary diffing
   papers acknowledge hurts their accuracy, which motivates Khaos.
+
+A run decides :func:`can_inline` once per callee and decides again only for
+a function it has inlined into: inlining changes the caller alone, so every
+other answer stands.  For the same reason it invalidates only the callers it
+inlined into, plus the module's call graph, so a function the scalar passes
+left settled stays settled across it
+(:class:`~repro.opt.pass_manager.FunctionPass`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..analysis.manager import AnalysisManager
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Alloca, Branch, Call, Load, Ret, Store
-from ..ir.module import Module, clone_function_body
+from ..ir.module import Module, Program, clone_function_body
 from ..ir.values import Value
-from .pass_manager import ModulePass
+from .pass_manager import Pass
 
 
 def function_size(function: Function) -> int:
@@ -102,14 +110,36 @@ def inline_call(caller: Function, call: Call) -> bool:
     return True
 
 
-class Inliner(ModulePass):
+class Inliner(Pass):
+    """Inlines small callees module by module, invalidating only the callers
+    it changed (module docstring)."""
+
     name = "inline"
 
     def __init__(self, threshold: int = 30, max_rounds: int = 2):
         self.threshold = threshold
         self.max_rounds = max_rounds
 
-    def run_on_module(self, module: Module, analyses=None) -> bool:
+    def run(self, program: Program,
+            analyses: Optional[AnalysisManager] = None) -> bool:
+        analyses = analyses if analyses is not None else AnalysisManager()
+        changed = False
+        for module in program.modules:
+            changed |= self.run_on_module(module, analyses)
+        return changed
+
+    def run_on_module(self, module: Module,
+                      analyses: Optional[AnalysisManager] = None) -> bool:
+        analyses = analyses if analyses is not None else AnalysisManager()
+        inlinable: Dict[Function, bool] = {}
+
+        def may_inline(callee: Function) -> bool:
+            verdict = inlinable.get(callee)
+            if verdict is None:
+                verdict = inlinable[callee] = can_inline(callee,
+                                                         self.threshold)
+            return verdict
+
         changed = False
         for _ in range(self.max_rounds):
             round_changed = False
@@ -120,13 +150,21 @@ class Inliner(ModulePass):
                               if isinstance(inst, Call)
                               and isinstance(inst.callee, Function)
                               and inst.callee is not caller
-                              and can_inline(inst.callee, self.threshold)]
+                              and may_inline(inst.callee)]
+                caller_changed = False
                 for call in call_sites:
                     if call.parent is None:
                         continue
                     if inline_call(caller, call):
-                        round_changed = True
+                        caller_changed = True
+                if caller_changed:
+                    # its size and recursion moved; no other function's did
+                    inlinable.pop(caller, None)
+                    analyses.invalidate(caller)
+                    round_changed = True
             if not round_changed:
                 break
             changed = True
+        if changed:
+            analyses.invalidate_callgraph(module)
         return changed

@@ -4,6 +4,17 @@ The obfuscation passes and the classic optimizations all plug into the same
 :class:`PassManager`.  :class:`OptOptions` captures the knobs BinTuner-style
 iterative compilation searches over (optimization level, inline threshold,
 individual pass toggles, LTO).
+
+A :class:`FunctionPass` that declares ``skips_settled`` is not rerun on a
+function it last left unchanged while nothing has invalidated the function
+since (the manager's change stamp,
+:meth:`~repro.analysis.manager.AnalysisManager.stamp`): at O2 the scalar
+rounds after the inliner then revisit only the callers it inlined into and
+the functions an earlier pass of the round changed.  A skipped run is one
+that would have changed nothing, so the output is the same, and
+:attr:`PassManager.history` still records it as ``name:no-op``.  Each
+function pass adds its runs and skips to the ``opt.pass_runs`` and
+``opt.pass_skips`` counters.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from ..analysis.manager import AnalysisManager
 from ..ir.function import Function
 from ..ir.module import Module, Program
 from ..ir.verifier import assert_valid
+from ..obs.metrics import counter
 
 
 class Pass:
@@ -25,10 +37,17 @@ class Pass:
     trees or def-use chains ad hoc.  ``preserves`` names the analyses that
     remain valid when the pass reports a change (``PRESERVE_ALL`` for pure
     queries); everything else is invalidated by the driving :class:`Pass.run`.
+
+    ``skips_settled`` lets a :class:`FunctionPass` skip a function it last
+    left unchanged and that no one has invalidated since.  A pass may
+    declare it only when what it does to a function is a deterministic
+    function of that function's own IR (no RNG, no other function, no
+    configuration) and a run that reports no change changes nothing.
     """
 
     name = "pass"
     preserves: Union[str, Tuple[str, ...]] = ()
+    skips_settled = False
 
     def run(self, program: Program,
             analyses: Optional[AnalysisManager] = None) -> bool:
@@ -42,15 +61,24 @@ class FunctionPass(Pass):
     def run(self, program: Program,
             analyses: Optional[AnalysisManager] = None) -> bool:
         analyses = analyses if analyses is not None else AnalysisManager()
+        key = type(self) if self.skips_settled else None
         changed = False
+        runs = skips = 0
         for module in program.modules:
             for function in list(module.functions.values()):
                 if function.is_declaration:
                     continue
-                function_changed = bool(self.run_on_function(function, analyses))
-                if function_changed:
+                if key is not None and analyses.settled(function, key):
+                    skips += 1
+                    continue
+                runs += 1
+                if self.run_on_function(function, analyses):
                     analyses.invalidate(function, preserve=self.preserves)
-                changed |= function_changed
+                    changed = True
+                elif key is not None:
+                    analyses.settle(function, key)
+        counter("opt.pass_runs", runs)
+        counter("opt.pass_skips", skips)
         return changed
 
     def run_on_function(self, function: Function,

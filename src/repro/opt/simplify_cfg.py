@@ -61,6 +61,7 @@ def _retarget_terminator(term: Optional[Terminator], old: BasicBlock,
 class SimplifyCFG(FunctionPass):
     name = "simplify-cfg"
     preserves = ()  # restructures the block graph wholesale
+    skips_settled = True  # a function of the function's own IR
 
     def run_on_function(self, function: Function,
                         analyses: Optional[AnalysisManager] = None) -> bool:

@@ -6,6 +6,7 @@ from repro.analysis import (AnalysisManager, BlockFrequency, ControlFlowGraph,
                             DefUse, DominatorTree, LoopInfo, PRESERVE_ALL,
                             StaleAnalysisError)
 from repro.ir import IRBuilder, Module, Program, create_function, I64
+from repro.obs.metrics import counted
 from repro.opt import DeadCodeElimination, PassManager, SimplifyCFG
 from repro.opt.pass_manager import FunctionPass
 from repro.vm import run_program
@@ -82,6 +83,86 @@ class TestCaching:
         assert am.callgraph(module) is graph
         am.invalidate_module(module)
         assert am.callgraph(module) is not graph
+
+
+class TestChangeStamps:
+    def two_functions(self):
+        module, f = diamond_function()
+        g = create_function(module, "g", I64, [])
+        IRBuilder(g.entry_block).ret(0)
+        return module, f, g
+
+    @pytest.mark.parametrize("preserve", [(), ("cfg",), PRESERVE_ALL])
+    def test_every_invalidate_moves_only_its_functions_stamp(self, preserve):
+        _, f, g = self.two_functions()
+        am = AnalysisManager()
+        before = am.stamp(f), am.stamp(g)
+        am.invalidate(f, preserve=preserve)
+        assert am.stamp(f) != before[0]
+        assert am.stamp(g) == before[1]
+
+    def test_invalidate_module_moves_every_stamp_cached_or_not(self):
+        module, f, g = self.two_functions()
+        am = AnalysisManager()
+        am.cfg(f)  # f has cached analyses, g has none
+        before = am.stamp(f), am.stamp(g)
+        am.invalidate_module(module)
+        assert am.stamp(f) != before[0] and am.stamp(g) != before[1]
+
+    def test_invalidate_callgraph_moves_no_stamp(self):
+        module, f, g = self.two_functions()
+        am = AnalysisManager()
+        graph = am.callgraph(module)
+        before = am.stamp(f), am.stamp(g)
+        am.invalidate_callgraph(module)
+        assert am.callgraph(module) is not graph
+        assert (am.stamp(f), am.stamp(g)) == before
+
+    def test_settled_until_the_stamp_moves(self):
+        _, f, g = self.two_functions()
+        am = AnalysisManager()
+        assert not am.settled(f, SimplifyCFG)
+        am.settle(f, SimplifyCFG)
+        assert am.settled(f, SimplifyCFG)
+        assert not am.settled(f, DeadCodeElimination)  # per pass class
+        assert not am.settled(g, SimplifyCFG)          # per function
+        am.invalidate(g)
+        assert am.settled(f, SimplifyCFG)
+        am.invalidate(f, preserve=PRESERVE_ALL)
+        assert not am.settled(f, SimplifyCFG)
+
+    def test_invalidate_all_unsettles_every_function(self):
+        _, f, g = self.two_functions()
+        am = AnalysisManager()
+        am.invalidate(g)
+        am.settle(f, SimplifyCFG)
+        am.settle(g, SimplifyCFG)
+        am.invalidate_all()
+        assert not am.settled(f, SimplifyCFG)
+        assert not am.settled(g, SimplifyCFG)
+        am.settle(f, SimplifyCFG)
+        assert am.settled(f, SimplifyCFG)
+
+    def test_only_a_declaring_pass_skips_and_the_counters_show_it(self):
+        class Counting(FunctionPass):
+            name = "counting"
+            runs = 0
+
+            def run_on_function(self, function, analyses=None):
+                Counting.runs += 1
+                return False
+
+        module, _, _ = self.two_functions()
+        program = Program("p", [module])
+        am = AnalysisManager()
+        Counting().run(program, am)
+        Counting().run(program, am)
+        assert Counting.runs == 4
+        assert SimplifyCFG().run(program, am)  # merges the diamond's arms
+        assert not SimplifyCFG().run(program, am)
+        with counted("opt") as grown:
+            assert not SimplifyCFG().run(program, am)
+        assert grown == {"pass_runs": 0, "pass_skips": 2}
 
 
 class TestStaleDetection:

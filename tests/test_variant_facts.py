@@ -1,11 +1,13 @@
 """The variant-facts memo: figures 6, 7 and 11 build and run each variant once.
 
-Figures 6 and 7 read cycle counts, and figure 11 opcode histograms, off the
-same variants.  Through the memo of :mod:`repro.evaluation.overhead`, the
-``overhead`` calls of the paper benchmark build and run each distinct
-variant once per process, in either order, and every report still equals
-its plain oracle.  Figures 6/7 also refuse a variant that prints something
-other than its baseline (:class:`~repro.evaluation.SemanticsMismatch`).
+Figures 6 and 7 read cycle counts, figure 11 opcode histograms and table 2
+fission and fusion statistics off the same variants.  Through the memo of
+:mod:`repro.evaluation.overhead`, the ``overhead`` calls of the paper
+benchmark build and run each distinct variant once per process, in either
+order, and every report still equals its plain oracle; table 2 obfuscates
+only the programs no figure built.  Figures 6/7 also refuse a variant that
+prints something other than its baseline
+(:class:`~repro.evaluation.SemanticsMismatch`).
 """
 
 import pickle
@@ -15,7 +17,8 @@ import pytest
 from repro.core.provenance import ProvenanceMap
 from repro.core.stats import KhaosStats
 from repro.core.obfuscator import ObfuscationResult
-from repro.evaluation import (SemanticsMismatch, measure_opcode_distance,
+from repro.evaluation import (SemanticsMismatch, clear_variant_facts,
+                              measure_internals, measure_opcode_distance,
                               measure_overhead)
 from repro.evaluation import overhead
 from repro.ir.instructions import BinaryOp, Call
@@ -23,7 +26,8 @@ from repro.ir.types import I64
 from repro.ir.values import Constant
 from repro.obs.metrics import counted
 from repro.toolchain import KHAOS_LABELS, obfuscator_for
-from repro.workloads.suites import spec2006_programs, spec2017_programs
+from repro.workloads.suites import (find_program, spec2006_programs,
+                                    spec2017_programs)
 from tests import oracles
 
 #: Two of the cheapest SPEC programs to build and run.
@@ -126,3 +130,30 @@ class TestSemanticsCheck:
         assert (copy.workload, copy.label, copy.baseline, copy.variant) == \
             ("w", "broken", (0, (1,)), (0, (2,)))
         assert str(copy) == str(error)
+
+
+class TestTable2ReadsTheMemo:
+    """Table 2's fission and fusion statistics are those of the figure 6/7
+    ``fission``/``fusion`` builds (same configuration, same seed), so it
+    reads them off the memo and obfuscates only the programs no figure
+    built."""
+
+    def test_table2_after_figure6_equals_table2_alone(self):
+        from paperbench.workloads import canonical
+        coreutils = [find_program("arch")]
+        suites = {"SPEC CPU 2006": [w for w in SPEC if w.suite == "spec2006"],
+                  "SPEC CPU 2017": [w for w in SPEC if w.suite == "spec2017"],
+                  "CoreUtils": coreutils}
+        assert all(suites.values())
+        with counted("calls") as calls:
+            alone = canonical("table2", measure_internals(suites))
+        assert calls["core.obfuscate"] == 2 * (len(SPEC) + len(coreutils))
+        assert calls["workloads.build"] == len(SPEC) + len(coreutils)
+
+        clear_variant_facts()
+        CALLS["figure6"]()
+        with counted("calls") as calls:
+            after = canonical("table2", measure_internals(suites))
+        assert after == alone
+        assert calls["core.obfuscate"] == 2 * len(coreutils)
+        assert calls["workloads.build"] == len(coreutils)
