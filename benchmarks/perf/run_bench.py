@@ -14,9 +14,10 @@ can diff the perf trajectory.  Tracked metrics:
   executing every built variant in the VM to collect dynamic cycle counts,
   compiled vs. legacy dispatch;
 * **fig6_end_to_end** — the same loop including the build phases
-  (obfuscate, optimize, lower), run through a shared
-  :class:`~repro.core.variant_cache.VariantCache` exactly as the figure
-  drivers do; reports the cache stats alongside the timings;
+  (obfuscate, optimize, lower), run through an explicit
+  :class:`~repro.core.variant_cache.VariantCache` memo passed as the
+  figure drivers' ``cache=``; reports the memo's stats alongside the
+  timings;
 * **pipeline** — wall time of the *uncached* build phases alone (the raw
   cost of synthesize → obfuscate → optimize → lower as the figures build:
   one synthesis per program, each obfuscated copy optimized in place);
@@ -30,12 +31,9 @@ can diff the perf trajectory.  Tracked metrics:
   build their own variants and score every cell of their per-workload
   units); both alternates are asserted row-identical to the indexed
   serial run;
-* **fig67_sharded** — the figure-6/7 overhead matrix through a
-  ``VariantCache`` given a rooted store explicitly
-  (``VariantCache(store=ArtifactStore.attach(dir))``, the one way to
-  persist variants): cold vs warm-attach timings and the store's
-  hit/miss/put counters — a warm attach must rebuild **zero** variants —
-  and ``jobs=1`` vs storeless ``jobs=2`` row-identity;
+* **fig67_sharded** — the figure-6/7 overhead matrix, storeless, in
+  process (``serial_s``) and at ``jobs=2`` (``jobs2_s``, its workers
+  building their units' variants), asserted row-identical;
 * **verify_overhead** — full-tier IR verification (structural + types +
   dominance + dataflow lints, :mod:`repro.analysis.static`) over the fig6
   variant set: structural-tier baseline, cold full tier (fresh
@@ -56,16 +54,15 @@ can diff the perf trajectory.  Tracked metrics:
   the layers cover (``--smoke`` wants ≥ 0.95); the rows must equal the
   serial reference.
 
-``REPRO_STORE_DIR`` is where the store-backed sections (``fig67_sharded``,
-``fig8_workload_units``) create their trees (a fresh subtree each); unset,
-temp directories are used.  It is taken out of the environment at
-start-up, so every other run is storeless.
+``REPRO_STORE_DIR`` is where the store-backed section
+(``fig8_workload_units``) creates its tree (a fresh subtree); unset, a
+temp directory is used.  It is taken out of the environment at start-up,
+so every other run is storeless.
 
 Every ``measure_overhead`` call goes through :func:`overhead_run`, which
 first empties the process-wide variant-facts memo: otherwise every call
 after the first would read the cycles an earlier one measured, and the
-sections would time memo lookups instead of builds, cache hits and store
-reads.
+sections would time memo lookups instead of builds and cache hits.
 
 All workloads are deterministic (profile-seeded), so the only
 run-to-run variance is machine noise; every timing is a best-of-``reps``.
@@ -97,7 +94,6 @@ from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.obs import measure                           # noqa: E402
 from repro.obs.metrics import counted                   # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
-from repro.store import ArtifactStore                   # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
 from repro.vm.machine import run_program                # noqa: E402
@@ -113,8 +109,8 @@ REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
                  "fig8_workload_units", "verify_overhead",
                  "layer_totals")
 
-#: Where the store-backed sections create their trees: ``REPRO_STORE_DIR``
-#: at start-up, or ``None`` for temp directories (see :func:`store_tree`).
+#: Where the store-backed section creates its tree: ``REPRO_STORE_DIR``
+#: at start-up, or ``None`` for a temp directory (see :func:`store_tree`).
 STORE_BASE: Optional[str] = None
 
 
@@ -127,14 +123,14 @@ def _set_env(values: Dict[str, Optional[str]]) -> None:
 
 
 @contextmanager
-def store_tree(prefix: str, export: bool = True):
-    """A fresh store tree, exported as ``REPRO_STORE_DIR`` for the block
-    unless ``export`` is false.  Trees under :data:`STORE_BASE` are kept;
-    temp trees are removed afterwards."""
+def store_tree(prefix: str):
+    """A fresh store tree, exported as ``REPRO_STORE_DIR`` for the block.
+    Trees under :data:`STORE_BASE` are kept; temp trees are removed
+    afterwards."""
     if STORE_BASE:
         os.makedirs(STORE_BASE, exist_ok=True)
     root = tempfile.mkdtemp(prefix=f"{prefix}-", dir=STORE_BASE)
-    env = {"REPRO_STORE_DIR": root} if export else {}
+    env = {"REPRO_STORE_DIR": root}
     saved = {name: os.environ.get(name) for name in env}
     _set_env(env)
     try:
@@ -355,70 +351,27 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_fig67_sharded(programs, reps: int) -> Dict[str, object]:
-    """Figures 6/7 through an explicit variant store, and at ``jobs=2``.
+    """Figures 6/7 in process and at ``jobs=2``, storeless both.
 
-    Times the storeless ``jobs=1`` reference, a cold run through a
-    ``VariantCache`` over a fresh tree (every variant built and persisted),
-    a warm re-attach (zero rebuilds — asserted structurally by --smoke) and
-    a storeless ``jobs=2`` run; all rows must be identical.  The tree is
-    not ``REPRO_STORE_DIR``, so no run stores or revives a unit.
+    Times the ``jobs=1`` reference and a ``jobs=2`` run whose workers
+    build their units' variants; the rows must be identical.
     """
     labels = MEASURE_LABELS
     reference = overhead_run(programs, labels=labels, jobs=1)
     serial_s = best_of(
         lambda: overhead_run(programs, labels=labels, jobs=1), reps)
 
-    with store_tree("fig67", export=False) as store_root:
-        cold_cache = VariantCache(store=ArtifactStore.attach(store_root))
-        gc.collect()
-        start = time.perf_counter()
-        cold_report = overhead_run(programs, labels=labels,
-                                   cache=cold_cache)
-        cold_attach_s = time.perf_counter() - start
-        cold_stats = cold_cache.store_stats()
-
-        warm_cache = VariantCache(store=ArtifactStore.attach(store_root))
-        warm_rows: List = []
-
-        def warm_run():
-            report = overhead_run(programs, labels=labels, cache=warm_cache)
-            if not warm_rows:
-                # the first warm run is the one whose artifacts crossed the
-                # disk-unpickle read path; its rows feed the identity check
-                warm_rows.extend(report.rows)
-            return report
-
-        warm_attach_s = best_of(warm_run, reps)
-        warm_stats = warm_cache.store_stats()
-        # the first warm run answers "how many variants were rebuilt?"
-        warm_rebuilds = warm_stats["misses"]
-
     gc.collect()
     start = time.perf_counter()
     sharded = overhead_run(programs, labels=labels, jobs=2)
     jobs2_s = time.perf_counter() - start
-
-    # the store tree lives in a per-run temp directory; its random path
-    # would be pure noise in the tracked results file
-    for stats in (cold_stats, warm_stats):
-        stats.pop("root", None)
     return {
         "programs": [wp.name for wp in programs],
         "labels": list(labels),
         "rows": len(reference.rows),
         "serial_s": round(serial_s, 4),
-        "cold_attach_s": round(cold_attach_s, 4),
-        "warm_attach_s": round(warm_attach_s, 4),
         "jobs2_s": round(jobs2_s, 4),
-        "warm_attach_speedup": (round(cold_attach_s / warm_attach_s, 2)
-                                if warm_attach_s else None),
-        "warm_attach_rebuilds": warm_rebuilds,
-        "store": {"cold": cold_stats, "warm": warm_stats},
-        "identical": {
-            "cold_attach": cold_report.rows == reference.rows,
-            "warm_attach": warm_rows == reference.rows,
-            "jobs2": sharded.rows == reference.rows,
-        },
+        "identical": {"jobs2": sharded.rows == reference.rows},
     }
 
 
@@ -581,22 +534,8 @@ def check_results(results: Dict[str, object]) -> List[str]:
             problems.append("the jobs=2 diff phase did not run one unit per "
                             "workload scoring every cell")
     sharded = results.get("fig67_sharded", {})
-    if sharded:
-        identical = sharded.get("identical", {})
-        if not identical.get("cold_attach", False):
-            problems.append("store-backed fig6/7 run diverged from the serial run")
-        if not identical.get("warm_attach", False):
-            problems.append("warm store attach (disk-read path) diverged "
-                            "from the serial run")
-        if not identical.get("jobs2", False):
-            problems.append("sharded jobs=2 fig6/7 run diverged from the serial run")
-        if sharded.get("warm_attach_rebuilds", -1) != 0:
-            problems.append("a warm ArtifactStore attach rebuilt variants")
-        store = sharded.get("store", {})
-        if store.get("warm", {}).get("disk_hits", 0) <= 0:
-            problems.append("warm store attach served no disk hits")
-        if store.get("cold", {}).get("puts", 0) <= 0:
-            problems.append("cold store run persisted no artifacts")
+    if sharded and not sharded.get("identical", {}).get("jobs2", False):
+        problems.append("sharded jobs=2 fig6/7 run diverged from the serial run")
     fig8_units = results.get("fig8_workload_units", {})
     if fig8_units:
         identical = fig8_units.get("identical", {})
@@ -663,7 +602,7 @@ def main(argv=None) -> int:
         reps = 5
 
     results = {
-        "schema": 16,
+        "schema": 17,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
                    "python": sys.version.split()[0],
                    "store_dir": STORE_BASE},
@@ -707,11 +646,8 @@ def main(argv=None) -> int:
           f"{dp['indexed_s']}s ({dp['speedup']}x, cold {dp['indexed_cold_s']}s, "
           f"jobs=2 {dp['jobs2_s']}s, identical={dp['identical']})")
     fs = results["fig67_sharded"]
-    print(f"fig67 sharded:     serial {fs['serial_s']}s, cold attach "
-          f"{fs['cold_attach_s']}s -> warm attach {fs['warm_attach_s']}s "
-          f"({fs['warm_attach_speedup']}x, {fs['warm_attach_rebuilds']} "
-          f"rebuilds), jobs=2 {fs['jobs2_s']}s, "
-          f"identical={fs['identical']}")
+    print(f"fig67 sharded:     serial {fs['serial_s']}s, jobs=2 "
+          f"{fs['jobs2_s']}s, identical={fs['identical']}")
     f8 = results["fig8_workload_units"]
     print(f"fig8 units:        serial {f8['serial_s']}s, cold "
           f"{f8['cold_s']}s ({f8['cold_vs_serial']}x serial), jobs=2 "

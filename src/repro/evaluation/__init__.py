@@ -11,8 +11,8 @@ from .opcode_distance import DistanceReport, figure11, measure_opcode_distance
 from .internals import InternalsReport, InternalsRow, measure_internals, table2
 from .reporting import format_table, matrix_table, overhead_table
 from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experiment
-from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
-                       resolve_task_timeout, run_tasks, worker_cache)
+from .executor import (ExecutorTaskError, resolve_jobs, resolve_task_timeout,
+                       run_tasks)
 from .checkpoint import run_checkpointed
 from .diff_sharding import shard_diff_matrix
 
@@ -27,8 +27,7 @@ __all__ = [
     "InternalsReport", "InternalsRow", "measure_internals", "table2",
     "format_table", "matrix_table", "overhead_table", "EXPERIMENTS",
     "Experiment", "experiment_names", "run_experiment",
-    "ExecutorTaskError", "reset_worker_cache", "resolve_jobs",
-    "resolve_task_timeout", "run_tasks",
-    "worker_cache", "run_checkpointed",
+    "ExecutorTaskError", "resolve_jobs", "resolve_task_timeout", "run_tasks",
+    "run_checkpointed",
     "shard_overhead_matrix", "shard_diff_matrix",
 ]

@@ -28,7 +28,6 @@ from ..vm.machine import run_program
 from ..workloads.suites import (SPECINT_2006, SPECSPEED_2017, WorkloadProgram,
                                 find_program)
 from .checkpoint import run_matrix
-from .executor import worker_cache
 from .overhead import build_variant
 
 OPT_LEVELS = (0, 1, 2, 3)
@@ -79,28 +78,26 @@ def shard_bintuner_matrix(workloads: Sequence[WorkloadProgram],
     return [(workload, tuner_iterations) for workload in workloads]
 
 
-def _bintuner_shard(shard: BinTunerShard, cache=None
+def _bintuner_shard(shard: BinTunerShard
                     ) -> Tuple[List[float], List[float], float]:
     """Diff both protections' binaries against every opt-level reference.
 
-    The opt-level references and the Khaos build are store-keyed variants,
-    built once and shared by both protections; the BinTuner search is
-    seeded, so the tuned binary is deterministic per (workload,
-    iterations), it takes its O0 baseline and O3 + LTO start from the
-    references instead of compiling them again, and its overhead is
-    measured on the program the search compiled, against the O2 + LTO
-    reference.  Every build and the search start from one synthesis of the
-    workload.  Returns the BinTuner and the Khaos similarity scores in
-    :data:`OPT_LEVELS` order, plus BinTuner's runtime-overhead factor
-    against the O2 + LTO baseline.
+    The opt-level references and the Khaos build are built once each and
+    shared by both protections; the BinTuner search is seeded, so the
+    tuned binary is deterministic per (workload, iterations), it takes its
+    O0 baseline and O3 + LTO start from the references instead of
+    compiling them again, and its overhead is measured on the program the
+    search compiled, against the O2 + LTO reference.  Every build and the
+    search start from one synthesis of the workload.  Returns the BinTuner
+    and the Khaos similarity scores in :data:`OPT_LEVELS` order, plus
+    BinTuner's runtime-overhead factor against the O2 + LTO baseline.
     """
     workload, tuner_iterations = shard
-    cache = cache if cache is not None else worker_cache()
     source = functools.cache(workload.build)
     references = []
     for level in OPT_LEVELS:
         options = OptOptions(level=level, lto=level >= 2)
-        built = build_variant(workload, "baseline", options, cache, source)
+        built = build_variant(workload, "baseline", options, source=source)
         references.append((options, built.program, built.binary))
     tuned = BinTuner(iterations=tuner_iterations).tune(
         source(), references=references)
@@ -109,7 +106,7 @@ def _bintuner_shard(shard: BinTunerShard, cache=None
     baseline_run = run_program(baseline)
     tuned_run = run_program(tuned.best_program)
     base = baseline_run.cycles or 1
-    khaos = build_variant(workload, KHAOS_LABEL, None, cache, source).binary
+    khaos = build_variant(workload, KHAOS_LABEL, source=source).binary
     differ = BinDiff()
     return ([differ.diff(binary, tuned.best_binary).similarity_score
              for _options, _program, binary in references],
@@ -132,16 +129,16 @@ def measure_bintuner(workloads: Sequence[WorkloadProgram],
                      jobs: Optional[int] = None) -> BinTunerReport:
     """Figure 9's measurement loop.
 
-    One unit per workload; an in-process run holds that workload's four
-    opt-level references, the O2 + LTO one doubling as the baseline, while
-    it builds the Khaos build.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
+    One unit per workload; it holds that workload's four opt-level
+    references, the O2 + LTO one doubling as the baseline, while it builds
+    the Khaos build.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
     worker processes.  Rows come back per workload and opt level, bintuner
     before khaos, and the overhead geomean is taken in workload order, so
     the report is identical either way.
     """
     shards = shard_bintuner_matrix(workloads, tuner_iterations)
     keys = [bintuner_shard_key(shard) for shard in shards]
-    results = run_matrix(_bintuner_shard, shards, keys, jobs, None, 1)
+    results = run_matrix(_bintuner_shard, shards, keys, jobs)
     report = BinTunerReport()
     overheads: List[float] = []
     for workload, (bintuner_sims, khaos_sims, overhead) in zip(workloads,

@@ -2,10 +2,10 @@
 
 A fig6–10 matrix run is a deterministic list of value-keyed units, each a
 pure function of its store key.  :func:`run_matrix` is the one path every
-``measure_*`` driver takes: ``jobs=1`` runs the units in-process through a
-cache of the caller's size, ``jobs>1`` fans them across the fail-fast pool
-(:mod:`repro.evaluation.executor`), and the caller reduces the results in
-unit order — so a serial and a parallel run agree by construction.
+``measure_*`` driver takes: ``jobs=1`` runs the units in-process, ``jobs>1``
+fans them across the fail-fast pool (:mod:`repro.evaluation.executor`),
+and the caller reduces the results in unit order — so a serial and a
+parallel run agree by construction.
 
 Whenever a store is attached (``REPRO_STORE_DIR``), no finished unit is
 computed twice — not after an interrupted or failed run (a ``kill -9``, a
@@ -22,14 +22,15 @@ that contains the unit:
   revived units report as store reads, not fresh work) and hands only the
   remainder to :func:`~repro.evaluation.executor.run_tasks`.
 
-These unit rows are all a run stores: the units build their variants
-through in-memory caches, so a unit that did not finish builds them again
-on the rerun.  The store reads and writes only the generation of the code
-that runs, so a unit is never revived from rows other code computed.
-Without ``REPRO_STORE_DIR`` checkpointing is a transparent pass-through,
-and so is an unusable tree, with a ``WARNING`` and the
-``checkpoint.store_attach_failures`` counter.  A result object that was
-lost or quarantined is simply re-executed: the store is the truth.
+These unit rows are all a run stores: a unit holds the variants it builds
+only while it runs (:mod:`repro.core.variant_cache`), so a unit that did
+not finish builds them again on the rerun.  The store reads and writes
+only the generation of the code that runs, so a unit is never revived
+from rows other code computed.  Without ``REPRO_STORE_DIR``
+checkpointing is a transparent pass-through, and so is an unusable tree,
+with a ``WARNING`` and the ``checkpoint.store_attach_failures`` counter.
+A result object that was lost or quarantined is simply re-executed: the
+store is the truth.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ import logging
 from functools import partial
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from ..core.variant_cache import VariantCache
 from ..obs import metrics as obs_metrics
 from ..store.artifact_store import KIND_SHARD, store_dir_from_env, store_from_env
-from .executor import ExecutorTaskError, call_cache, resolve_jobs, run_tasks
+from .executor import ExecutorTaskError, resolve_jobs, run_tasks
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -56,30 +58,26 @@ _ABSENT = _Sentinel()
 
 
 def run_matrix(unit_fn: Callable[..., Result], units: Sequence[Task],
-               unit_keys: Sequence[object], jobs: Optional[int], cache,
-               cache_entries: int,
+               unit_keys: Sequence[object], jobs: Optional[int],
+               cache: Optional[VariantCache] = None,
                normalize: Optional[Callable[[Result], Result]] = None
                ) -> List[Result]:
     """Run one figure's unit list; results come back in unit order.
 
-    ``unit_fn(unit, cache=None)`` builds through ``cache`` when it is given
-    and through the process-wide
-    :func:`~repro.evaluation.executor.worker_cache` otherwise.  At
-    ``jobs=1`` every unit runs in this process through the caller's
-    ``cache`` or, without one, through a fresh
-    :func:`~repro.evaluation.executor.call_cache` of ``cache_entries`` —
-    the working set the units share, released when the run returns.  At
-    ``jobs>1`` the units fan out across the fail-fast pool, each worker
-    building through its own cache.  An explicit ``cache`` is never
-    overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
-    argument engages the pool then).  Either way every finished unit is
-    stored whenever a store is attached (:func:`run_checkpointed`).
+    A unit builds its variants directly and drops each one once it is done
+    with it.  Only a caller's explicit ``cache`` memo outlives a unit: at
+    ``jobs=1`` every unit runs in this process as ``unit_fn(unit,
+    cache=cache)``.  An explicit ``cache`` is never overridden by the
+    ambient ``REPRO_JOBS`` (only an explicit ``jobs`` argument engages the
+    pool then, and the workers build without it).  Either way every
+    finished unit is stored whenever a store is attached
+    (:func:`run_checkpointed`).
     """
-    if cache is not None and jobs is None:
-        jobs = 1
-    if resolve_jobs(jobs) == 1:
-        unit_fn = partial(unit_fn, cache=cache if cache is not None
-                          else call_cache(cache_entries))
+    if cache is not None:
+        if jobs is None:
+            jobs = 1
+        if resolve_jobs(jobs) == 1:
+            unit_fn = partial(unit_fn, cache=cache)
     return run_checkpointed(unit_fn, units, unit_keys, jobs=jobs,
                             normalize=normalize)
 
@@ -106,7 +104,7 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
         raise ValueError(
             f"run_checkpointed: {len(tasks)} tasks but {len(keys)} keys")
     try:
-        store = store_from_env(max_memory_entries=8)
+        store = store_from_env()
     except OSError as error:
         # units are deterministic, so an unusable tree must not stop the
         # run — but it must not silently make it un-resumable either

@@ -4,10 +4,9 @@ A fig 8/10 unit is one workload with its whole label row and tool list,
 the shape the fig 6/7 units already have:
 
 * :func:`shard_diff_matrix` plans one unit per workload;
-* :func:`_diff_unit` builds the workload's baseline and each label once
-  through one cache, from one synthesis of the workload, scores every
-  (label, tool) cell with the tool's whole-binary ``diff()`` and returns
-  only the reduced rows
+* :func:`_diff_unit` builds the workload's baseline and each label once,
+  from one synthesis of the workload, scores every (label, tool) cell with
+  the tool's whole-binary ``diff()`` and returns only the reduced rows
   (:class:`DiffUnitResult`): the baseline's function names and, per cell,
   the similarity score and each function's provenance rank;
 * :func:`diff_cells` runs the units on the shared engine
@@ -15,8 +14,9 @@ the shape the fig 6/7 units already have:
   unit's rows as one ``shard`` object under :func:`diff_unit_key` and
   revives the unit from it on any later run over the same store tree.
 
-A worker therefore builds and featurises each variant once, and the parent
-holds nothing but rows.
+A unit therefore builds and featurises each variant once: it keeps its
+baseline for its whole row and each label's variant only while it scores
+that label, and the parent holds nothing but rows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from ..store.keys import config_cache_key
 from ..toolchain import obfuscator_for
 from ..workloads.suites import WorkloadProgram
 from .checkpoint import run_matrix
-from .executor import worker_cache
 from .overhead import build_variant
 
 #: One unit of the diff matrix: a workload with its label row and tools.
@@ -81,7 +80,6 @@ class DiffUnitResult:
 def _diff_unit(unit: DiffUnit, cache=None) -> DiffUnitResult:
     """Score one workload's cells (the engine's unit function)."""
     workload, labels, differs, options = unit
-    cache = cache if cache is not None else worker_cache()
     source = functools.cache(workload.build)
     baseline = build_variant(workload, "baseline", options, cache,
                              source).binary
@@ -127,14 +125,14 @@ def diff_cells(workloads: Sequence[WorkloadProgram], labels: Sequence[str],
                ) -> List[Cell]:
     """Run the diff matrix; cells come back workload, label, tool major.
 
-    An in-process run builds through a one-entry cache: a unit keeps its
-    baseline for its whole row and needs each label's variant only while
-    it scores that label.  The parent bumps the ``diffunit.*`` registry
-    counters (units, cells scored) from the results.
+    The units build through ``cache`` when it is given (in process only,
+    :func:`~repro.evaluation.checkpoint.run_matrix`).  The parent bumps the
+    ``diffunit.*`` registry counters (units, cells scored) from the
+    results.
     """
     units = shard_diff_matrix(workloads, labels, differs, options)
     keys = [diff_unit_key(unit) for unit in units]
-    results = run_matrix(_diff_unit, units, keys, jobs, cache, 1,
+    results = run_matrix(_diff_unit, units, keys, jobs, cache,
                          normalize=_revived)
     cells: List[Cell] = []
     for workload, result in zip(workloads, results):

@@ -75,10 +75,11 @@ def measure_escape(workloads: Sequence[WorkloadProgram],
                    jobs: Optional[int] = None) -> EscapeReport:
     """Rank the vulnerable functions of every workload under every label.
 
-    Runs the figure-8 units of the vulnerable workloads; ``jobs > 1`` (or
-    ``REPRO_JOBS``) fans them across worker processes, and rows are
-    identical either way.  Raises :class:`MissingVulnerableFunction` when
-    a vulnerable function is absent from its workload's baseline.
+    Runs the figure-8 units of the vulnerable workloads, in process through
+    ``cache`` when one is given; ``jobs > 1`` (or ``REPRO_JOBS``) fans them
+    across worker processes, and rows are identical either way.  Raises
+    :class:`MissingVulnerableFunction` when a vulnerable function is absent
+    from its workload's baseline.
     """
     differs = list(differs) if differs is not None else escape_differs()
     vulnerable_workloads = [w for w in workloads if w.vulnerable_functions]

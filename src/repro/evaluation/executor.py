@@ -24,14 +24,10 @@ task returns its result with the counters its worker recorded since its
 previous one, which the parent keeps apart from its own
 (:mod:`repro.obs.layers`).
 
-Each worker process builds through one process-wide in-memory
-:class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); an
-in-process run builds through a cache of its own (:func:`call_cache`),
-sized by the caller and dropped when the run returns.  Neither attaches a
-store: a store-backed run (``REPRO_STORE_DIR``) persists each finished
-unit's rows through the checkpoint layer and never a built variant, which
-no run would read back.  ``jobs`` defaults to ``REPRO_JOBS`` and, absent
-that, to 1.
+The executor keeps no cache, in a worker or in process: a figure unit
+builds the variants it needs and drops them when it returns
+(:mod:`repro.core.variant_cache`).  ``jobs`` defaults to ``REPRO_JOBS``
+and, absent that, to 1.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from threading import TIMEOUT_MAX
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar)
 
-from ..core.variant_cache import VariantCache
 from ..obs import layer
 from ..obs import layers as obs_layers
 from ..obs import metrics as obs_metrics
@@ -145,44 +140,6 @@ class ExecutorTaskError(RuntimeError):
 def _brief(task: object) -> str:
     text = repr(task)
     return text if len(text) <= 200 else text[:197] + "..."
-
-
-# -- per-worker variant cache ---------------------------------------------------------
-
-_WORKER_CACHE: Optional[VariantCache] = None
-
-#: LRU bound of each worker's cache: the most any unit needs at once (a
-#: fig 6/7 unit's baseline and the label it measures; figs 8–10 units hold
-#: their baseline themselves).  Units are whole workloads and share no
-#: variant, so a larger bound would only pin finished units' variants — and
-#: their features — in memory.
-WORKER_CACHE_ENTRIES = 2
-
-
-def worker_cache() -> VariantCache:
-    """The process-local in-memory :class:`VariantCache` of executor tasks,
-    created on first use in each worker."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = VariantCache(max_entries=WORKER_CACHE_ENTRIES)
-    return _WORKER_CACHE
-
-
-def call_cache(entries: int) -> VariantCache:
-    """The in-memory cache of one in-process matrix run: at most
-    ``entries`` variants.
-
-    The caller sizes it to the variants its units share and drops it when
-    the run returns, so an in-process run never pins artifacts in the
-    process-wide :func:`worker_cache`.
-    """
-    return VariantCache(max_entries=entries)
-
-
-def reset_worker_cache() -> None:
-    """Drop the process-local cache (tests use this to isolate scenarios)."""
-    global _WORKER_CACHE
-    _WORKER_CACHE = None
 
 
 # -- the fail-fast map ------------------------------------------------------------------

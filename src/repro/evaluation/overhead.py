@@ -13,8 +13,8 @@ A unit reads its baseline's and every label's cycles through the process-wide
 what the figures read off that variant — its opcode histogram, a Khaos
 variant's statistics (table 2's) and, once it has run, its cycles and
 observable output — but never its IR or binary.  A
-unit builds a variant (through its cache) and runs it in the VM only when
-the memo lacks it or holds only its histogram, so figures 6, 7 and 11 in one
+unit builds a variant and runs it in the VM only when the memo lacks it or
+holds only its histogram, then drops it, so figures 6, 7 and 11 in one
 process build and run each distinct variant once.  The memo grows only with
 the number of distinct keys, forked children start with it empty, and
 :func:`clear_variant_facts` empties it.  Every unit checks that each label
@@ -22,9 +22,9 @@ prints what its baseline prints (:class:`SemanticsMismatch`).
 
 A unit builds all its variants from one *source*, ``functools.cache(
 workload.build)``: the workload is synthesized on the unit's first build
-and never when every variant comes from the memo, the cache or the store.
-The source lives as long as its unit (a worker synthesizes its own), and
-no build writes it (:mod:`repro.toolchain`).
+and never when every variant comes from the memo, a caller's cache or the
+store.  The source lives as long as its unit (a worker synthesizes its
+own), and no build writes it (:mod:`repro.toolchain`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..utils import geometric_mean
 from ..vm.batch import VMBatch
 from ..workloads.suites import WorkloadProgram, spec2006_programs, spec2017_programs
 from .checkpoint import run_matrix
-from .executor import worker_cache
 
 
 @dataclass
@@ -132,8 +131,7 @@ def _recipe(workload: WorkloadProgram, label: str,
             source(), key_source, options)
 
     def counted_builder():
-        # counts only *fresh* builds: cache and store hits have their own
-        # store.* counters
+        # counts only *fresh* builds, not a caller's cache hits
         obs_metrics.counter("build.variants")
         return builder()
 
@@ -150,9 +148,9 @@ def build_variant(workload: WorkloadProgram, label: str,
     :func:`~repro.toolchain.obfuscator_for`.  A fresh build starts from
     ``source()`` — a unit passes one memoised source to all its builds
     (module docstring) — or, without one, from a fresh synthesis.  Builds
-    are deterministic, so a cached artifact is bit-identical to a fresh
-    build either way; cached artifacts are shared and must not be mutated
-    (execute / diff / read only).
+    are deterministic, so a memoised artifact is bit-identical to a fresh
+    build; memoised artifacts are shared and must not be mutated (execute /
+    diff / read only).
     """
     key, builder = _recipe(workload, label, options, source)
     if cache is None:
@@ -232,8 +230,6 @@ def shard_overhead_matrix(workloads: Sequence[WorkloadProgram],
 def _overhead_shard(shard: OverheadShard, cache=None) -> List[OverheadRow]:
     """One workload's rows (the engine's unit function)."""
     workload, labels, options = shard
-    if cache is None:
-        cache = worker_cache()
     source = functools.cache(workload.build)
     baseline = _variant_facts(workload, "baseline", options, cache,
                               run=True, source=source)
@@ -261,20 +257,19 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
     share theirs) is neither built nor run again: its row comes from the
     facts memo (module docstring).  Every other variant is built — through
     ``cache`` when given, so variants built by an earlier experiment skip
-    obfuscate → optimize → lower — and executed once.  Without a cache, an
-    in-process run holds at most two variants (the baseline and the label
-    being measured) and the unit's source program.  ``jobs > 1`` (or
-    ``REPRO_JOBS``) fans the units across worker processes, which start
-    with an empty memo; rows are identical either way (see
-    :func:`~repro.evaluation.checkpoint.run_matrix`).  Raises
-    :class:`SemanticsMismatch` when a variant prints something other than
-    its baseline.
+    obfuscate → optimize → lower — and executed once.  Without a cache, a
+    unit holds its source program and one variant at a time, the one being
+    measured.  ``jobs > 1`` (or ``REPRO_JOBS``) fans the units across
+    worker processes, which start with an empty memo; rows are identical
+    either way (see :func:`~repro.evaluation.checkpoint.run_matrix`).
+    Raises :class:`SemanticsMismatch` when a variant prints something
+    other than its baseline.
     """
     shards = shard_overhead_matrix(workloads, labels, options)
     keys = [("fig67shard", variant_key(workload, "baseline", options),
              tuple(labels)) for workload in workloads]
     report = OverheadReport()
-    for rows in run_matrix(_overhead_shard, shards, keys, jobs, cache, 2):
+    for rows in run_matrix(_overhead_shard, shards, keys, jobs, cache):
         report.rows.extend(rows)
     return report
 

@@ -74,10 +74,12 @@ def measure_precision(workloads: Sequence[WorkloadProgram],
                       jobs: Optional[int] = None) -> PrecisionReport:
     """Diff every obfuscated build against its baseline with every tool.
 
-    A shared :class:`~repro.core.variant_cache.VariantCache` lets this reuse
-    the variants the overhead experiments already built (and vice versa).
-    ``jobs > 1`` (or ``REPRO_JOBS``) fans the per-workload units across
-    worker processes; rows are identical either way.
+    Each unit builds its variants and drops them when it is done; an
+    explicit :class:`~repro.core.variant_cache.VariantCache` memo shared
+    with the overhead experiments lets an in-process run reuse the variants
+    they already built (and vice versa).  ``jobs > 1`` (or ``REPRO_JOBS``)
+    fans the per-workload units across worker processes, which build
+    without it; rows are identical either way.
     """
     differs = list(differs) if differs is not None else all_differs()
     report = PrecisionReport()

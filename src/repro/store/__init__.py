@@ -7,9 +7,9 @@ The subsystem has these pieces:
   :mod:`repro.core.variant_cache` for backwards compatibility), and
   fingerprints the code that names a store generation;
 * :mod:`repro.store.artifact_store` — the content-addressed
-  :class:`ArtifactStore`: in-process LRU over an atomic on-disk object tree
-  that any number of processes attach to concurrently, each reading and
-  writing only its code's generation;
+  :class:`ArtifactStore`: an atomic on-disk object tree that any number of
+  processes attach to concurrently, each reading and writing only its
+  code's generation;
 * :mod:`repro.store.backend` — :class:`LocalBackend`, the byte layer of
   that tree (crash-durable atomic writes, quarantine moves, listing);
 * :mod:`repro.store.feature_payloads` and :mod:`repro.store.diff_payloads`
@@ -19,15 +19,15 @@ The subsystem has these pieces:
 each finished unit's rows and nothing else; unset, every run is storeless.
 """
 
-from .artifact_store import (CORRUPT_READ_ERRORS, KIND_SHARD, KIND_VARIANT,
-                             ArtifactStore, canonical_key, is_store_tree,
-                             store_digest, store_dir_from_env, store_from_env)
+from .artifact_store import (CORRUPT_READ_ERRORS, KIND_SHARD, ArtifactStore,
+                             canonical_key, is_store_tree, store_digest,
+                             store_dir_from_env, store_from_env)
 from .backend import OBJECTS_DIR, QUARANTINE_DIR, LocalBackend, ObjectRef
 from .keys import code_fingerprint, config_cache_key, variant_key
 
 __all__ = [
     "ArtifactStore", "LocalBackend", "ObjectRef",
-    "KIND_VARIANT", "KIND_SHARD",
+    "KIND_SHARD",
     "OBJECTS_DIR", "QUARANTINE_DIR", "CORRUPT_READ_ERRORS", "canonical_key",
     "store_digest", "is_store_tree", "store_dir_from_env", "store_from_env",
     "code_fingerprint", "config_cache_key", "variant_key",

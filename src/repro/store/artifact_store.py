@@ -1,18 +1,15 @@
 """Content-addressed artifact store shared by every experiment process.
 
-The evaluation pipeline's artifacts — the reduced rows of each figure
-unit and built variants (:class:`~repro.toolchain.BuildArtifact`, lowered
-:class:`~repro.backend.binary.Binary` included) — are pure functions of
-their configuration: workload synthesis is profile-seeded, every
-obfuscator advertises a seeded ``cache_key()``, and the optimizer is
-deterministic.  :class:`ArtifactStore` exploits that purity to compute each
-artifact once per *machine* rather than once per process:
+The evaluation pipeline's stored artifacts — the reduced rows of each
+figure unit — are pure functions of their configuration: workload
+synthesis is profile-seeded, every obfuscator advertises a seeded
+``cache_key()``, and the optimizer is deterministic.  :class:`ArtifactStore`
+exploits that purity to compute each unit once per *machine* rather than
+once per run:
 
-* keys are the frozen tuples of :func:`~repro.core.variant_cache.variant_key`
-  (workload profile × obfuscator ``cache_key()`` × ``OptOptions``), hashed
-  into a stable content address (:func:`store_digest`) under a *kind*
-  namespace (``"variant"``, ``"shard"``);
-* an in-process LRU layer serves repeated lookups without touching disk;
+* keys are frozen value tuples (:mod:`repro.store.keys`), hashed into a
+  stable content address (:func:`store_digest`) under a *kind* namespace
+  (``"shard"``, the one kind a run writes);
 * the on-disk tree (``objects/<generation>/<kind>/<aa>/<digest>.pkl``) is
   written with a single-writer atomic protocol — temp file + ``os.replace``
   — so any number of concurrent processes can attach to one tree: a
@@ -26,29 +23,22 @@ artifact once per *machine* rather than once per process:
   object, and ``scripts/gc_store.py`` deletes the generations of other
   code.
 
-The tree under ``root`` is the store's one persistent backend
-(:class:`~repro.store.backend.LocalBackend`); ``ArtifactStore(root,
-max_memory_entries)`` is the whole constructor.  ``root=None`` degrades to
-a pure in-memory LRU — exactly the pre-store
-:class:`~repro.core.variant_cache.VariantCache` behaviour, which is now a
-façade over this class.  The evaluation drivers attach ``REPRO_STORE_DIR``
-in one place, the checkpoint layer
-(:func:`~repro.evaluation.checkpoint.run_checkpointed`), and store only
-``shard`` objects, one per finished figure unit; their variant caches are
-in-memory.  A ``variant`` object is written only through a
-:class:`~repro.core.variant_cache.VariantCache` given a rooted store
-explicitly.
+The store is that tree and nothing else: it requires a root
+(:class:`~repro.store.backend.LocalBackend` is its byte layer), holds no
+object in memory, and every lookup reads the tree.  The evaluation drivers
+attach ``REPRO_STORE_DIR`` in one place, the checkpoint layer
+(:func:`~repro.evaluation.checkpoint.run_checkpointed`), which opens one
+store per run and reads each unit's key once, before any write.  Built
+variants are never stored (:mod:`repro.core.variant_cache`).
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import os
 import pickle
 import time
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, TypeVar
 
 from ..obs import layer
 from ..obs import metrics as obs_metrics
@@ -57,11 +47,9 @@ from .keys import code_fingerprint
 
 T = TypeVar("T")
 
-#: The artifact kinds: built variants (persisted only through an explicitly
-#: rooted :class:`~repro.core.variant_cache.VariantCache`) and the results
-#: of completed figure units (the checkpoint layer revives a unit from its
-#: ``shard`` object instead of executing it again).
-KIND_VARIANT = "variant"
+#: The one artifact kind a run stores: the results of completed figure
+#: units (the checkpoint layer revives a unit from its ``shard`` object
+#: instead of executing it again).
 KIND_SHARD = "shard"
 
 #: The concrete exception classes a damaged object file can raise on read:
@@ -76,20 +64,14 @@ CORRUPT_READ_ERRORS = (OSError, pickle.UnpicklingError, EOFError,
 def canonical_key(key: object) -> str:
     """A stable textual form of a frozen cache key.
 
-    Keys are built by :func:`~repro.store.keys._freeze`, so they normally
-    only contain ``None``, booleans, numbers, strings, bytes and nested
-    tuples — all of which ``repr`` deterministically across processes and
-    sessions.  :class:`enum.Enum` members (singletons addressed by module /
-    class / member name) are accepted too, so pre-store cache keys that
-    embedded an enum keep working through the façade.  Anything else is
-    rejected: an identity-hashed component would silently never match again
-    after a round trip.
+    Keys are built by :func:`~repro.store.keys._freeze`, so they only
+    contain ``None``, booleans, numbers, strings, bytes and nested tuples —
+    all of which ``repr`` deterministically across processes and sessions.
+    Anything else is rejected: an identity-hashed component would silently
+    never match again after a round trip.
     """
     if key is None or isinstance(key, (bool, int, float, str, bytes)):
         return repr(key)
-    if isinstance(key, enum.Enum):
-        cls = type(key)
-        return f"enum:{cls.__module__}.{cls.__qualname__}.{key.name}"
     if isinstance(key, tuple):
         return "(" + ",".join(canonical_key(item) for item in key) + ")"
     raise TypeError(
@@ -112,70 +94,53 @@ def store_dir_from_env(environ=os.environ) -> Optional[str]:
     return environ.get("REPRO_STORE_DIR") or None
 
 
-def store_from_env(max_memory_entries: Optional[int] = None,
-                   environ=os.environ) -> Optional["ArtifactStore"]:
+def store_from_env(environ=os.environ) -> Optional["ArtifactStore"]:
     """The store ``REPRO_STORE_DIR`` names, or ``None`` for storeless runs.
 
     Raises ``OSError`` on an unusable directory — callers that must degrade
     (the checkpoint layer) catch it.
     """
     root = store_dir_from_env(environ)
-    if root:
-        return ArtifactStore.attach(root,
-                                    max_memory_entries=max_memory_entries)
-    return None
+    return ArtifactStore.attach(root) if root else None
 
 
 class ArtifactStore:
-    """LRU-fronted, content-addressed, multi-process-safe artifact store.
+    """Content-addressed, multi-process-safe store over one on-disk tree.
 
-    One instance per process; any number of processes may attach to the same
-    ``root``.  All lookups go memory → disk → build; every build is persisted
-    before it is returned, so other processes observe it on their next miss.
+    Any number of processes may attach to the same ``root``.  Every lookup
+    reads the tree, and every build is persisted before it is returned, so
+    other processes observe it on their next lookup.
     """
 
-    def __init__(self, root: Optional[str] = None,
-                 max_memory_entries: Optional[int] = None):
-        if max_memory_entries is not None and max_memory_entries <= 0:
-            raise ValueError("max_memory_entries must be positive or None")
-        self.root = os.path.abspath(root) if root else None
-        self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-        #: (kind, digest) -> key, kept alongside the LRU for introspection
-        self._keys: Dict[Tuple[str, str], object] = {}
+    def __init__(self, root: str):
+        self.root = os.path.abspath(root)
         #: The store's counters live in a per-instance metrics registry
         #: chained to the process-global one: ``stats()`` and the counter
         #: properties read the instance view (resettable, one per store
         #: object — the shape the tests assert), while every increment also
         #: lands in :data:`repro.obs.metrics.REGISTRY` for telemetry.
         self.metrics = obs_metrics.MetricsRegistry(parent=obs_metrics.REGISTRY)
-        self._backend: Optional[LocalBackend] = None
-        if self.root is not None:
-            self._backend = LocalBackend(self.root, code_fingerprint())
-            os.makedirs(self._backend.objects, exist_ok=True)
+        self._backend = LocalBackend(self.root, code_fingerprint())
+        os.makedirs(self._backend.objects, exist_ok=True)
 
     @classmethod
-    def attach(cls, root: str,
-               max_memory_entries: Optional[int] = None) -> "ArtifactStore":
+    def attach(cls, root: str) -> "ArtifactStore":
         """Attach to (creating if needed) this code's generation of the
         store tree at ``root``; raises ``OSError`` on an unusable path."""
-        return cls(root=root, max_memory_entries=max_memory_entries)
+        return cls(root)
 
     @property
     def persistent(self) -> bool:
-        """Does this store outlive the process (is it backed by a tree)?"""
-        return self._backend is not None
+        """Does this store outlive the process?  Always: a store is its
+        tree.  Kept because the paper benchmark's tracer reads it."""
+        return True
 
     # -- paths -------------------------------------------------------------------
 
     def object_path(self, kind: str, digest: str) -> str:
-        if self._backend is None:
-            raise ValueError("store has no object paths")
         return self._backend.object_path(kind, digest)
 
     def quarantine_path(self, kind: str, digest: str) -> str:
-        if self._backend is None:
-            raise ValueError("store has no quarantine")
         return self._backend.quarantine_path(kind, digest)
 
     # -- the lookup protocol -----------------------------------------------------
@@ -183,47 +148,29 @@ class ArtifactStore:
     @layer("store.read")
     def get_or_build(self, kind: str, key: object,
                      builder: Callable[[], T]) -> T:
-        """The artifact for ``(kind, key)``: memory, then disk, then build.
+        """The artifact for ``(kind, key)``: read from the tree, else built.
 
-        A freshly built artifact is persisted (root permitting) before it is
-        returned.  Artifacts are shared between callers and processes, so
-        they must be treated as immutable.
+        A freshly built artifact is persisted before it is returned.
+        Artifacts are shared between processes, so they must be treated as
+        immutable.
         """
         digest = store_digest(kind, key)
-        slot = (kind, digest)
-        try:
-            payload = self._memory[slot]
-        except KeyError:
-            pass
-        else:
-            self.metrics.counter("store.memory_hits")
-            self._memory.move_to_end(slot)
-            return payload  # type: ignore[return-value]
         payload = self._read_object(kind, digest, key)
         if payload is not _MISSING:
             self.metrics.counter("store.disk_hits")
-            self._remember(slot, key, payload)
             return payload  # type: ignore[return-value]
         self.metrics.counter("store.misses")
         payload = builder()
-        self._remember(slot, key, payload)
         self._write_object(kind, digest, key, payload)
         return payload
 
     @layer("store.read")
     def get(self, kind: str, key: object, default: object = None) -> object:
         """The stored artifact, or ``default`` — never builds."""
-        digest = store_digest(kind, key)
-        slot = (kind, digest)
-        if slot in self._memory:
-            self.metrics.counter("store.memory_hits")
-            self._memory.move_to_end(slot)
-            return self._memory[slot]
-        payload = self._read_object(kind, digest, key)
+        payload = self._read_object(kind, store_digest(kind, key), key)
         if payload is _MISSING:
             return default
         self.metrics.counter("store.disk_hits")
-        self._remember(slot, key, payload)
         return payload
 
     @layer("store.write")
@@ -237,26 +184,12 @@ class ArtifactStore:
         last-writer-wins; a reader still only ever sees a complete file.
         """
         digest = store_digest(kind, key)
-        self._remember((kind, digest), key, payload)
         self._write_object(kind, digest, key, payload, overwrite=overwrite)
         return digest
 
     @layer("store.read")
     def contains(self, kind: str, key: object) -> bool:
-        digest = store_digest(kind, key)
-        if (kind, digest) in self._memory:
-            return True
-        if self._backend is None:
-            return False
-        return self._backend.contains(kind, digest)
-
-    def entry_count(self, kind: str) -> int:
-        """Distinct artifacts of ``kind`` reachable through this store."""
-        digests = {digest for (k, digest) in self._memory if k == kind}
-        if self._backend is not None:
-            digests.update(digest for _, digest
-                           in self._backend.list_refs(kind))
-        return len(digests)
+        return self._backend.contains(kind, store_digest(kind, key))
 
     def prefetch(self, kind: str, keys: List[object]) -> int:
         """Load nothing ahead and return 0.
@@ -267,28 +200,6 @@ class ArtifactStore:
         """
         return 0
 
-    def keys(self, kind: str) -> List[object]:
-        """The keys of ``kind`` held in the memory layer, LRU order."""
-        return [self._keys[slot] for slot in self._memory if slot[0] == kind]
-
-    # -- memory layer ------------------------------------------------------------
-
-    def _remember(self, slot: Tuple[str, str], key: object,
-                  payload: object) -> None:
-        self._memory[slot] = payload
-        self._memory.move_to_end(slot)
-        self._keys[slot] = key
-        if (self.max_memory_entries is not None
-                and len(self._memory) > self.max_memory_entries):
-            evicted = next(iter(self._memory))
-            del self._memory[evicted]
-            self._keys.pop(evicted, None)
-
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (disk objects are untouched)."""
-        self._memory.clear()
-        self._keys.clear()
-
     def reset_counters(self) -> None:
         """Zero this store's counter view (process-global totals survive)."""
         self.metrics.reset()
@@ -297,8 +208,6 @@ class ArtifactStore:
 
     @layer("store.read")
     def _read_object(self, kind: str, digest: str, key: object) -> object:
-        if self._backend is None:
-            return _MISSING
         try:
             data = self._backend.get(kind, digest)
             if data is None:
@@ -333,8 +242,6 @@ class ArtifactStore:
         impossible either way.
         """
         self.metrics.counter(f"store.corrupt_reads.{cause}")
-        if self._backend is None:
-            return
         record = {"kind": kind, "digest": digest, "reason": reason,
                   "cause": cause, "pid": os.getpid(),
                   "quarantined_at": time.time()}
@@ -344,8 +251,6 @@ class ArtifactStore:
     @layer("store.write")
     def _write_object(self, kind: str, digest: str, key: object,
                       payload: object, overwrite: bool = False) -> None:
-        if self._backend is None:
-            return
         envelope = {"kind": kind, "key": key, "payload": payload}
         try:
             if not overwrite and self._backend.contains(kind, digest):
@@ -367,14 +272,7 @@ class ArtifactStore:
         self.metrics.counter("store.bytes_written", len(data))
 
     # -- reporting ---------------------------------------------------------------
-    # The counter attributes of the pre-telemetry store are now read-only
-    # views over the instance metrics registry — same names, same semantics,
-    # so ``store.misses``-style callers and the ``stats()`` dict shape are
-    # unchanged.
-
-    @property
-    def memory_hits(self) -> int:
-        return int(self.metrics.get("store.memory_hits"))
+    # Read-only views over the instance metrics registry.
 
     @property
     def disk_hits(self) -> int:
@@ -402,21 +300,17 @@ class ArtifactStore:
                 in self.metrics.prefixed("store.corrupt_reads").items()}
 
     @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.disk_hits + self.misses
+        return self.disk_hits / total if total else 0.0
 
     def stats(self) -> Dict[str, object]:
         return {
             "root": self.root,
-            "backend": (self._backend.describe()
-                        if self._backend is not None else "memory"),
-            "memory_entries": len(self._memory),
-            "memory_hits": self.memory_hits,
+            "backend": self._backend.describe(),
+            # no memory layer: the key stays for the paper benchmark's
+            # tracer, which sums it with ``disk_hits``
+            "memory_hits": 0,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "puts": self.puts,

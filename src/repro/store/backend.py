@@ -1,7 +1,7 @@
 """The store's byte layer: the on-disk object tree.
 
 :class:`~repro.store.artifact_store.ArtifactStore` owns the *semantic*
-layer — key freezing, content addressing, the pickle envelope, the LRU,
+layer — key freezing, content addressing, the pickle envelope,
 quarantine policy, counters.  :class:`LocalBackend` owns the *byte* layer
 underneath it: opaque serialized envelopes addressed by ``(kind, digest)``
 in one generation's object tree

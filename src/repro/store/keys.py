@@ -4,10 +4,10 @@ The paper's pipeline compiles every workload "under O2 with LTO" once per
 obfuscation configuration, and workload synthesis plus every obfuscator are
 seeded, so a built variant is a pure function of ``(workload, obfuscation
 config, optimization options)``.  These helpers freeze that triple into a
-hashable, *value-based* tuple — the key space shared by the in-memory
-:class:`~repro.core.variant_cache.VariantCache` façade and the on-disk
-:class:`~repro.store.artifact_store.ArtifactStore` (which content-addresses
-the frozen tuples, see :func:`~repro.store.artifact_store.store_digest`).
+hashable, *value-based* tuple — the key of the in-process
+:class:`~repro.core.variant_cache.VariantCache` memo and the stem of every
+unit key the on-disk :class:`~repro.store.artifact_store.ArtifactStore`
+content-addresses (see :func:`~repro.store.artifact_store.store_digest`).
 
 Obfuscators advertise their configuration through a ``cache_key()`` method
 (see :meth:`repro.core.config.KhaosConfig.cache_key`), so two obfuscators

@@ -15,7 +15,7 @@ def fresh_variant_facts():
 
     The memo is process-wide, so without this a test would read the cycles
     and histograms an earlier test measured and never build or run a
-    variant — just as ``tmp_store`` resets the worker cache.
+    variant.
     """
     from repro.evaluation import clear_variant_facts
     clear_variant_facts()
@@ -28,17 +28,12 @@ def tmp_store(tmp_path, monkeypatch):
     """A fresh shared-store root, exported and cleaned up.
 
     Yields an empty directory path with ``REPRO_STORE_DIR`` pointing at it,
-    so a matrix run stores and revives its units in exactly this tree.
-    The process-local worker cache is reset on both sides of the test, so
-    no scenario sees variants an earlier one built; ``monkeypatch``
-    restores the environment afterwards.
+    so a matrix run stores and revives its units in exactly this tree;
+    ``monkeypatch`` restores the environment afterwards.
     """
-    from repro.evaluation.executor import reset_worker_cache
     root = str(tmp_path / "store")
     monkeypatch.setenv("REPRO_STORE_DIR", root)
-    reset_worker_cache()
-    yield root
-    reset_worker_cache()
+    return root
 
 
 def build_demo_program() -> Program:

@@ -10,23 +10,20 @@ units and nothing else, and the pass-through contract when no store tree
 is in play.
 """
 
-import gc
 import os
-import weakref
 
 import pytest
 
 from repro.core.variant_cache import VariantCache
 from repro.diffing import Asm2Vec, BinDiff, DeepBinDiff
-from repro.evaluation import executor
 from repro.evaluation.bintuner_compare import measure_bintuner
 from repro.evaluation.checkpoint import run_checkpointed, run_matrix
 from repro.evaluation.escape import measure_escape
-from repro.evaluation.executor import ExecutorTaskError, reset_worker_cache
+from repro.evaluation.executor import ExecutorTaskError
 from repro.evaluation.overhead import clear_variant_facts, measure_overhead
 from repro.evaluation.precision import measure_precision
 from repro.obs import measure
-from repro.store import (KIND_SHARD, OBJECTS_DIR, ArtifactStore,
+from repro.store import (KIND_SHARD, OBJECTS_DIR, ArtifactStore, LocalBackend,
                          artifact_store, code_fingerprint, store_digest)
 from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
@@ -83,7 +80,6 @@ def _poisoned(value, cache=None):
 def _storeless(monkeypatch):
     for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
         monkeypatch.delenv(name, raising=False)
-    reset_worker_cache()
 
 
 class TestRunCheckpointed:
@@ -143,7 +139,6 @@ class TestRunCheckpointed:
         victim = store.object_path(KIND_SHARD,
                                    store_digest(KIND_SHARD, keys[1]))
         os.unlink(victim)
-        reset_worker_cache()
         with counted("checkpoint") as stats:
             out = run_checkpointed(_square, values, keys, jobs=1)
         assert out == [1, 4, 9]
@@ -236,34 +231,6 @@ class TestFailedUnitIndex:
 class TestRunMatrix:
     """The one run path every figure driver takes."""
 
-    def test_jobs1_units_share_one_call_cache_of_the_given_size(
-            self, monkeypatch):
-        _storeless(monkeypatch)
-        caches = []
-
-        def unit(value, cache=None):
-            caches.append(cache)
-            return value * value
-
-        values = [1, 2, 3]
-        out = run_matrix(unit, values, _keys(values), 1, None, 4)
-        assert out == [1, 4, 9]
-        assert len({id(cache) for cache in caches}) == 1
-        assert caches[0].max_entries == 4
-        assert executor._WORKER_CACHE is None
-
-    def test_call_cache_is_released_when_the_run_returns(self, monkeypatch):
-        _storeless(monkeypatch)
-        refs = []
-
-        def unit(value, cache=None):
-            refs.append(weakref.ref(cache))
-            return value
-
-        run_matrix(unit, [1, 2], _keys([1, 2]), 1, None, 2)
-        gc.collect()
-        assert refs and all(ref() is None for ref in refs)
-
     def test_explicit_cache_keeps_the_run_in_process(self, monkeypatch):
         _storeless(monkeypatch)
         monkeypatch.setenv("REPRO_JOBS", "2")
@@ -275,35 +242,55 @@ class TestRunMatrix:
             return value
 
         values = [1, 2, 3]
-        assert run_matrix(unit, values, _keys(values), None, mine, 4) == values
+        assert run_matrix(unit, values, _keys(values), None, mine) == values
         assert seen == [(True, os.getpid())] * len(values)
+
+    def test_without_a_cache_a_unit_gets_only_its_unit(self, monkeypatch):
+        _storeless(monkeypatch)
+        calls = []
+
+        def unit(*args, **kwargs):
+            calls.append((args, kwargs))
+            return args[0]
+
+        values = [1, 2]
+        assert run_matrix(unit, values, _keys(values), 1) == values
+        assert calls == [((1,), {}), ((2,), {})]
+
+    def test_without_a_cache_repro_jobs_engages_the_pool(self, monkeypatch):
+        _storeless(monkeypatch)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        values = [1, 2, 3]
+        out = run_matrix(_probe, values, _keys(values), None)
+        assert [square for square, _pid, _ in out] == [1, 4, 9]
+        assert os.getpid() not in {pid for _square, pid, _ in out}
 
     def test_jobs2_runs_units_in_workers_and_returns_unit_order(
             self, monkeypatch):
         _storeless(monkeypatch)
         values = [1, 2, 3, 4]
-        out = run_matrix(_probe, values, _keys(values), 2, VariantCache(), 4)
+        out = run_matrix(_probe, values, _keys(values), 2, VariantCache())
         assert [square for square, _pid, _ in out] == [1, 4, 9, 16]
         assert os.getpid() not in {pid for _square, pid, _ in out}
-        # workers build through their own worker cache, never the caller's
-        assert all(storeless for *_rest, storeless in out)
+        # workers build without a cache, never through the caller's
+        assert all(uncached for *_rest, uncached in out)
 
     def test_jobs1_stores_whenever_a_store_is_attached(self, tmp_store):
         values = [1, 2, 3]
         keys = _keys(values)
         with counted("checkpoint") as first:
-            out = run_matrix(_probe, values, keys, 1, None, 2)
+            out = run_matrix(_probe, values, keys, 1)
         assert first["planned"] == first["executed"] == 3
         assert first["stored"] == 3
         with counted("checkpoint") as second:
-            again = run_matrix(_poisoned, values, keys, 1, None, 2)
+            again = run_matrix(_poisoned, values, keys, 1)
         assert again == out
         assert second["resumed"] == 3 and second["executed"] == 0
 
     def test_jobs2_stores_and_counts_in_the_parent(self, tmp_store):
         values = [1, 2, 3, 4]
         with counted("checkpoint") as stats:
-            run_matrix(_probe, values, _keys(values), 2, None, 2)
+            run_matrix(_probe, values, _keys(values), 2)
         assert stats["planned"] == stats["executed"] == 4
         assert stats["stored"] == 4
         assert _stored(tmp_store, _keys(values)) == 4
@@ -327,7 +314,7 @@ STORE_BACKED_RUNS = {
 class TestStoredUnits:
     """A store-backed figure run stores one ``shard`` object per unit (one
     unit per workload) in the current generation, and nothing else: its
-    variants live only in its in-memory caches."""
+    variants live only in the units that built them."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("figure", sorted(STORE_BACKED_RUNS))
@@ -339,7 +326,8 @@ class TestStoredUnits:
         clear_variant_facts()  # fig 6/7 would answer from the memo
         monkeypatch.setenv("REPRO_STORE_DIR", tmp_store)
         cold = run(jobs)
-        assert ArtifactStore.attach(tmp_store).entry_count(KIND_SHARD) == 2
+        refs = LocalBackend(tmp_store, code_fingerprint()).list_refs()
+        assert [kind for kind, _digest in refs] == [KIND_SHARD] * 2
         assert os.listdir(tmp_store) == [OBJECTS_DIR]
         assert os.listdir(os.path.join(tmp_store, OBJECTS_DIR)) == \
             [code_fingerprint()]
@@ -366,14 +354,12 @@ class TestMatrixResume:
         from repro.diffing import all_differs
         differs = all_differs()[:1]
         reference = self._rows(oracles.precision(WORKLOADS, LABELS, differs))
-        reset_worker_cache()
         with counted("checkpoint") as first:
             rows = self._rows(measure_precision(
                 WORKLOADS, labels=LABELS, differs=differs, jobs=1))
         assert rows == reference
         assert first["executed"] == first["planned"] > 0
 
-        reset_worker_cache()
         with counted("checkpoint") as second, counted("diffunit") as diff:
             resumed = self._rows(measure_precision(
                 WORKLOADS, labels=LABELS, differs=differs, jobs=1))
@@ -384,11 +370,9 @@ class TestMatrixResume:
         assert diff["cells_scored"] == 0
 
     def test_fig67_completed_restart_revives_every_shard(self, tmp_store):
-        reset_worker_cache()
         with counted("checkpoint") as first:
             baseline = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
         assert first["executed"] == first["planned"] > 0
-        reset_worker_cache()
         with counted("checkpoint") as second:
             resumed = measure_overhead(WORKLOADS, labels=LABELS, jobs=1)
         assert self._overhead_rows(resumed) == self._overhead_rows(baseline)

@@ -19,7 +19,6 @@ from repro.evaluation import (MissingVulnerableFunction, figure8, figure9,
 from repro.evaluation.bintuner_compare import (bintuner_shard_key,
                                                shard_bintuner_matrix)
 from repro.evaluation.diff_sharding import diff_unit_key, shard_diff_matrix
-from repro.evaluation.executor import reset_worker_cache
 from repro.store import (KIND_SHARD, LocalBackend, artifact_store,
                          canonical_key, code_fingerprint)
 from repro.store.keys import _freeze, config_cache_key
@@ -51,7 +50,6 @@ def build_log(tmp_path, monkeypatch):
     """
     for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
         monkeypatch.delenv(name, raising=False)
-    reset_worker_cache()
     path = tmp_path / "builds.log"
 
     def logged(build, config):
@@ -76,8 +74,7 @@ def build_log(tmp_path, monkeypatch):
         path.unlink()
         return lines
 
-    yield builds
-    reset_worker_cache()
+    return builds
 
 
 def _precision_rows(report):
@@ -202,7 +199,6 @@ class TestSharedStoreReuse:
         assert _precision_rows(cold) == _precision_rows(reference)
         assert cold_stats["cells_scored"] == len(LABELS) * 5
 
-        reset_worker_cache()
         with counted("diffunit") as warm_stats, \
                 counted("checkpoint") as run, counted("store") as store:
             warm = measure_precision(WORKLOADS[:1], labels=LABELS, jobs=1)
@@ -219,7 +215,6 @@ class TestSharedStoreReuse:
         tree = LocalBackend(tmp_store, code_fingerprint())
         objects = tree.list_refs()
         assert {kind for kind, _digest in objects} == {KIND_SHARD}
-        reset_worker_cache()
         with counted("diffunit") as warm_stats, counted("checkpoint") as run:
             parallel = measure_precision(WORKLOADS, labels=LABELS, jobs=2)
         assert _precision_rows(parallel) == _precision_rows(reference)
@@ -232,7 +227,6 @@ class TestSharedStoreReuse:
         """Rows stored by other code never revive: under a new generation
         a rerun scores every cell again, and equals the first run."""
         first = measure_precision(WORKLOADS[:1], labels=("fission",), jobs=1)
-        reset_worker_cache()
         monkeypatch.setattr(artifact_store, "code_fingerprint",
                             lambda: "d" * 16)
         with counted("diffunit") as stats, counted("checkpoint") as run:
@@ -246,7 +240,6 @@ class TestSharedStoreReuse:
         workloads = spec2006_programs()[:3]
         kwargs = dict(labels=("fission",), differs=[BinDiff()], jobs=1)
         first = measure_precision(workloads[:2], **kwargs)
-        reset_worker_cache()
         with counted("checkpoint") as run, counted("diffunit") as stats:
             wider = measure_precision(workloads, **kwargs)
         assert run["executed"] == 1 and run["resumed"] == 2

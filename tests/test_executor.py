@@ -8,9 +8,8 @@ pool (a raising task, a crashed worker, a timeout, an unpicklable task or
 result and a failing ``on_result`` each stop the run, name the unit and
 leave no worker alive; an unpicklable task function fails before any pool
 starts; a failed run keeps its finished units and its rerun is
-bit-identical), storeless caches and the unusable-tree degradation, what
-an in-process run leaves alive, and the reworked ``escape_ratio``
-signature.
+bit-identical), the unusable-tree degradation, what a storeless run builds
+and leaves alive, and the reworked ``escape_ratio`` signature.
 """
 
 import gc
@@ -25,19 +24,18 @@ import weakref
 
 import pytest
 
+from repro.core.variant_cache import VariantCache
 from repro.diffing import Asm2Vec, BinDiff, escape_ratio
 from repro.evaluation import (executor, figure9, measure_bintuner,
                               measure_escape, measure_overhead,
                               measure_precision, resolve_jobs, run_tasks)
-from repro.evaluation import (bintuner_compare, checkpoint, diff_sharding,
-                              overhead)
+from repro.evaluation import bintuner_compare, diff_sharding, overhead
 from repro.evaluation.checkpoint import run_checkpointed
-from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
-                                       resolve_task_timeout, worker_cache)
+from repro.evaluation.executor import ExecutorTaskError, resolve_task_timeout
 from repro.obs import measure
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import counted
-from repro.store import KIND_SHARD, KIND_VARIANT, ArtifactStore
+from repro.store import KIND_SHARD, ArtifactStore
 from repro.toolchain import BuildArtifact
 from repro.workloads.suites import embedded_programs, spec2006_programs
 from tests import oracles
@@ -113,10 +111,6 @@ class TestRunTasks:
         assert run_tasks(lambda t: marker.append(t) or t, [42], jobs=8) == [42]
         assert marker == [42]  # closure ran here, not in a worker
 
-    def test_worker_cache_is_process_local_singleton(self):
-        reset_worker_cache()
-        assert worker_cache() is worker_cache()
-
     def test_on_result_fires_for_every_task(self):
         seen_serial = []
         run_tasks(_square, [1, 2, 3], jobs=1,
@@ -147,29 +141,6 @@ class TestRunTasks:
         timeout, but none runs for 1 s: with one task per worker in
         flight, none times out."""
         assert run_tasks(_nap, [0.3] * 8, jobs=2, timeout=1.0) == [0.3] * 8
-
-
-class TestCallCache:
-    def test_bounded_private_and_never_the_worker_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        reset_worker_cache()
-        cache = executor.call_cache(2)
-        assert cache is not executor.call_cache(2)     # one per run
-        assert executor._WORKER_CACHE is None
-        assert not cache.store.persistent
-        for index in range(3):
-            cache.get_or_build(("call-cache-test", index), object)
-        assert cache.max_entries == 2 and len(cache) == 2
-
-    def test_never_attaches_the_store(self, tmp_store):
-        """A store-backed run stores units, never the variants its caches
-        build: neither cache attaches ``REPRO_STORE_DIR``."""
-        cache = executor.call_cache(3)
-        assert not cache.store.persistent and cache.max_entries == 3
-        assert executor._WORKER_CACHE is None
-        assert not worker_cache().store.persistent
-        cache.get_or_build(("call-cache-test",), object)
-        assert not os.path.exists(tmp_store)
 
 
 def _square(value):
@@ -267,11 +238,11 @@ class _FailOnLastWorkload:
     def __init__(self, matrix):
         self.matrix = matrix
 
-    def __call__(self, unit, cache=None):
+    def __call__(self, unit):
         workload = unit[0]
         if workload.name == FAILING_WORKLOADS[-1].name:
             raise RuntimeError(f"poisoned workload {workload.name}")
-        return _REAL_UNITS[self.matrix](unit, cache)
+        return _REAL_UNITS[self.matrix](unit)
 
 
 class TestSupervisorKnobs:
@@ -635,39 +606,42 @@ class TestWarmStoreParallelDiffing:
                 == cold.bintuner_overhead_percent)
 
 
-#: (driver call at jobs=1, its call cache size, the variants it builds).
-#: A fig 8/9/10 unit holds its baseline (fig 9: its opt-level references)
-#: itself and needs every other variant once, so one entry is enough.
-SIZED_CALLS = [
-    (lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
-     2, len(LABELS) + 1),
-    (lambda: measure_precision(WORKLOADS[:1], labels=LABELS,
-                               differs=[BinDiff()], jobs=1),
-     1, len(LABELS) + 1),
-    (lambda: measure_escape(embedded_programs()[:1], labels=("sub",),
-                            differs=[Asm2Vec()], jobs=1), 1, 2),
-    (lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
-     1, 5),
-]
-SIZED_IDS = ["overhead", "precision", "escape", "bintuner"]
+#: Each driver over two workloads, and the distinct variants it builds:
+#: a baseline and every label per workload (figure 9: four opt-level
+#: references, the O2 + LTO one its baseline, and the Khaos build).
+STORELESS_RUNS = {
+    "overhead": (lambda jobs: measure_overhead(WORKLOADS, labels=LABELS,
+                                               jobs=jobs), 6),
+    "precision": (lambda jobs: measure_precision(
+        WORKLOADS, labels=LABELS[:1], differs=[BinDiff()], jobs=jobs), 4),
+    "escape": (lambda jobs: measure_escape(
+        embedded_programs()[:2], labels=("sub",), differs=[Asm2Vec()],
+        jobs=jobs), 4),
+    "bintuner": (lambda jobs: measure_bintuner(WORKLOADS, tuner_iterations=1,
+                                               jobs=jobs), 10),
+}
 
 
-def _record_call_caches(monkeypatch):
-    """Collect every call cache the engine makes from here on."""
-    made = []
+class TestStorelessRuns:
+    """Without a store, a figure run touches no store and builds each
+    distinct variant it needs exactly once, in process or in workers."""
 
-    def recording(size):
-        made.append(executor.call_cache(size))
-        return made[-1]
-
-    monkeypatch.setattr(checkpoint, "call_cache", recording)
-    return made
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("driver", sorted(STORELESS_RUNS))
+    def test_no_store_call_and_one_build_per_variant(self, driver, jobs,
+                                                     monkeypatch):
+        for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
+            monkeypatch.delenv(name, raising=False)
+        call, variants = STORELESS_RUNS[driver]
+        with measure() as run:
+            call(jobs)
+        assert "store.read" not in run.calls
+        assert "store.write" not in run.calls
+        assert run.counters["build.variants"] == variants
 
 
 class TestInProcessMemory:
-    """An in-process run builds through a cache of its own, released when
-    the call returns: it never fills the process-wide worker cache and
-    leaves no built variant alive."""
+    """An in-process run leaves no built variant alive once it returns."""
 
     @pytest.mark.parametrize("call", [
         lambda: measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=1),
@@ -677,8 +651,7 @@ class TestInProcessMemory:
                                differs=[Asm2Vec()], jobs=1),
         lambda: measure_bintuner(WORKLOADS[:1], tuner_iterations=1, jobs=1),
     ], ids=["overhead", "precision", "escape", "bintuner"])
-    def test_jobs1_leaves_no_worker_cache_and_no_artifact(self, call,
-                                                          monkeypatch):
+    def test_jobs1_leaves_no_artifact(self, call, monkeypatch):
         for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
             monkeypatch.delenv(name, raising=False)
         built = []
@@ -689,45 +662,79 @@ class TestInProcessMemory:
             built.append(weakref.ref(self))
 
         monkeypatch.setattr(BuildArtifact, "__init__", tracked)
-        reset_worker_cache()
         call()
         gc.collect()
-        assert executor._WORKER_CACHE is None
         assert built and all(ref() is None for ref in built)
 
-    @pytest.mark.parametrize("call, entries, variants", SIZED_CALLS,
-                             ids=SIZED_IDS)
-    def test_jobs1_cache_is_sized_to_one_workloads_variants(
-            self, call, entries, variants, monkeypatch):
-        """The run's one cache holds exactly the variants a workload's
-        units share, and no more is needed: no variant is built twice."""
-        for name in ("REPRO_STORE_DIR", "REPRO_JOBS"):
-            monkeypatch.delenv(name, raising=False)
-        made = _record_call_caches(monkeypatch)
-        call()
-        assert [cache.max_entries for cache in made] == [entries]
-        assert made[0].misses == variants
-        assert len(made[0]) <= entries
 
-    @pytest.mark.parametrize("call, entries, variants", SIZED_CALLS,
-                             ids=SIZED_IDS)
-    def test_store_backed_jobs1_reads_no_variant_back(
-            self, call, entries, variants, tmp_store, monkeypatch):
-        """With a store attached, a cold run builds through the same
-        in-memory cache, stores its one unit and neither reads nor writes
-        a variant object."""
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        made = _record_call_caches(monkeypatch)
-        with counted("store") as store:
-            call()
-        assert [cache.max_entries for cache in made] == [entries]
-        assert not made[0].store.persistent
-        assert made[0].misses == variants
-        assert len(made[0].store.keys(KIND_VARIANT)) <= entries
-        assert store["puts"] == 1 and store["disk_hits"] == 0
-        tree = ArtifactStore.attach(tmp_store)
-        assert tree.entry_count(KIND_SHARD) == 1
-        assert tree.entry_count(KIND_VARIANT) == 0
+#: Each figure's unit function on one workload, called in process, and the
+#: distinct variants one call builds: the baseline and every label (figure
+#: 9: four opt-level references and the Khaos build).  Figures 8 and 10
+#: share ``_diff_unit``; figure 9's unit takes no cache.
+UNIT_CALLS = {
+    "overhead": (lambda cache=None: overhead._overhead_shard(
+        (WORKLOADS[0], LABELS, None), cache), len(LABELS) + 1),
+    "diff": (lambda cache=None: diff_sharding._diff_unit(
+        (WORKLOADS[0], LABELS, [BinDiff()], None), cache), len(LABELS) + 1),
+    "bintuner": (lambda: bintuner_compare._bintuner_shard((WORKLOADS[0], 1)),
+                 5),
+}
+
+#: The most variants a unit keeps alive while it builds another: a fig 6/7
+#: unit keeps only facts, a fig 8/10 unit the label it scored last (its
+#: baseline only as a binary), a fig 9 unit the reference it built last.
+UNIT_HELD = {"overhead": 0, "diff": 1, "bintuner": 1}
+
+
+class TestUnitsHoldNoCache:
+    """A unit builds the variants it needs on every call and drops them:
+    no cache outlives it unless its caller passes one."""
+
+    def test_the_executor_keeps_no_cache(self):
+        import repro.evaluation
+        for name in ("worker_cache", "call_cache", "reset_worker_cache",
+                     "WORKER_CACHE_ENTRIES", "_WORKER_CACHE"):
+            assert not hasattr(executor, name)
+            assert not hasattr(repro.evaluation, name)
+
+    @pytest.mark.parametrize("unit", sorted(UNIT_CALLS))
+    def test_every_call_builds_its_variants(self, unit):
+        call, variants = UNIT_CALLS[unit]
+        first = call()
+        overhead.clear_variant_facts()  # or fig 6/7 answers from its facts
+        with counted("build") as builds:
+            second = call()
+        assert builds["variants"] == variants
+        assert second == first
+
+    @pytest.mark.parametrize("unit", sorted(UNIT_CALLS))
+    def test_a_unit_holds_few_variants_while_it_builds(self, unit,
+                                                       monkeypatch):
+        built, held = [], []
+        init = BuildArtifact.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            gc.collect()
+            held.append(sum(ref() is not None for ref in built))
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(BuildArtifact, "__init__", tracked)
+        call, variants = UNIT_CALLS[unit]
+        call()
+        assert len(held) == variants
+        assert max(held) <= UNIT_HELD[unit]
+
+    @pytest.mark.parametrize("unit", ["diff", "overhead"])
+    def test_an_explicit_memo_serves_a_second_call(self, unit):
+        call, variants = UNIT_CALLS[unit]
+        memo = VariantCache()
+        first = call(memo)
+        overhead.clear_variant_facts()
+        with counted("build") as builds:
+            second = call(memo)
+        assert builds["variants"] == 0 and second == first
+        assert memo.misses == memo.hits == len(memo) == variants
 
 
 class TestEscapeRatioPairs:

@@ -15,9 +15,8 @@ import sys
 
 import pytest
 
-from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR,
-                         QUARANTINE_DIR, ArtifactStore, code_fingerprint,
-                         store_digest)
+from repro.store import (KIND_SHARD, OBJECTS_DIR, QUARANTINE_DIR,
+                         ArtifactStore, code_fingerprint, store_digest)
 from repro.store import backend as store_backend
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
@@ -31,15 +30,15 @@ from fsck_store import fsck, main  # noqa: E402
 def tree(tmp_path):
     root = str(tmp_path / "store")
     store = ArtifactStore.attach(root)
-    store.put(KIND_VARIANT, ("a",), 1)
-    store.put(KIND_VARIANT, ("b",), 2)
+    store.put(KIND_SHARD, ("a",), 1)
+    store.put(KIND_SHARD, ("b",), 2)
     store.put(KIND_SHARD, ("c",), b"\x00\x01")
     return root
 
 
 def plant_generation(root, name, area=OBJECTS_DIR):
     """Generation ``name`` holding one file that is no valid object."""
-    folder = os.path.join(root, area, name, KIND_VARIANT, "00")
+    folder = os.path.join(root, area, name, KIND_SHARD, "00")
     os.makedirs(folder)
     with open(os.path.join(folder, "garbage.pkl"), "wb") as fh:
         fh.write(b"not a pickle")
@@ -64,17 +63,17 @@ class TestScan:
         assert report["findings"] == []
 
     def test_corrupt_object_is_damage(self, tree):
-        with open(_object_path(tree, KIND_VARIANT, ("a",)), "wb") as fh:
+        with open(_object_path(tree, KIND_SHARD, ("a",)), "wb") as fh:
             fh.write(b"garbage")
         report = fsck(tree)
         assert not report["clean"]
         assert [f["code"] for f in report["findings"]] == ["corrupt_object"]
 
     def test_envelope_mismatch_is_damage(self, tree):
-        path = _object_path(tree, KIND_VARIANT, ("a",))
+        path = _object_path(tree, KIND_SHARD, ("a",))
         with open(path, "rb") as fh:
             envelope = pickle.load(fh)
-        envelope["kind"] = KIND_SHARD
+        envelope["kind"] = "other"
         with open(path, "wb") as fh:
             pickle.dump(envelope, fh)
         report = fsck(tree)
@@ -82,8 +81,8 @@ class TestScan:
 
     def test_renamed_object_is_digest_mismatch(self, tree):
         """A pristine pickle under the wrong name is still corruption."""
-        path = _object_path(tree, KIND_VARIANT, ("a",))
-        fake = store_digest(KIND_VARIANT, ("elsewhere",))
+        path = _object_path(tree, KIND_SHARD, ("a",))
+        fake = store_digest(KIND_SHARD, ("elsewhere",))
         target = os.path.join(os.path.dirname(os.path.dirname(path)),
                               fake[:2], f"{fake}.pkl")
         os.makedirs(os.path.dirname(target), exist_ok=True)
@@ -92,7 +91,7 @@ class TestScan:
         assert codes == ["digest_mismatch"]
 
     def test_stale_temp_and_stray_files_reported(self, tree):
-        shard_dir = os.path.dirname(_object_path(tree, KIND_VARIANT, ("a",)))
+        shard_dir = os.path.dirname(_object_path(tree, KIND_SHARD, ("a",)))
         with open(os.path.join(shard_dir, "x.pkl.tmp.123"), "wb") as fh:
             fh.write(b"partial")
         with open(os.path.join(shard_dir, "notes.txt"), "w") as fh:
@@ -140,7 +139,7 @@ class TestScan:
 
 class TestRepair:
     def test_repair_quarantines_damage_and_reconciles(self, tree):
-        victim = _object_path(tree, KIND_VARIANT, ("a",))
+        victim = _object_path(tree, KIND_SHARD, ("a",))
         with open(victim, "wb") as fh:
             fh.write(b"garbage")
         report = fsck(tree, repair=True)
@@ -148,16 +147,16 @@ class TestRepair:
         assert report["counts"]["repaired"] == 1
         # the damaged object moved into the generation's quarantine with an
         # fsck reason
-        digest = store_digest(KIND_VARIANT, ("a",))
+        digest = store_digest(KIND_SHARD, ("a",))
         moved = os.path.join(tree, QUARANTINE_DIR, code_fingerprint(),
-                             KIND_VARIANT, f"{digest}.pkl")
+                             KIND_SHARD, f"{digest}.pkl")
         assert os.path.exists(moved) and not os.path.exists(victim)
         with open(os.path.join(os.path.dirname(moved),
                                f"{digest}.reason.json")) as fh:
             record = json.load(fh)
         assert record["by"] == "fsck_store"
         assert record["cause"] == "corrupt_object"
-        assert record["kind"] == KIND_VARIANT and record["digest"] == digest
+        assert record["kind"] == KIND_SHARD and record["digest"] == digest
         # a second pass finds nothing left to do, and the quarantine is
         # not another generation
         again = fsck(tree)
@@ -171,13 +170,13 @@ class TestRepair:
         fsyncs the reason record, the quarantine directory and the
         directory the object left — also for a misplaced object, whose
         path is not the one its name derives."""
-        path = _object_path(tree, KIND_VARIANT, ("a",))
+        path = _object_path(tree, KIND_SHARD, ("a",))
         if damage == "corrupt":
             with open(path, "wb") as fh:
                 fh.write(b"garbage")
-            digest = store_digest(KIND_VARIANT, ("a",))
+            digest = store_digest(KIND_SHARD, ("a",))
         else:
-            digest = store_digest(KIND_VARIANT, ("elsewhere",))
+            digest = store_digest(KIND_SHARD, ("elsewhere",))
             misplaced = os.path.join(os.path.dirname(os.path.dirname(path)),
                                      "zz", f"{digest}.pkl")
             os.makedirs(os.path.dirname(misplaced))
@@ -189,7 +188,7 @@ class TestRepair:
         report = fsck(tree, repair=True)
         assert report["clean"] and report["counts"]["repaired"] == 1
         moved = os.path.join(tree, QUARANTINE_DIR, code_fingerprint(),
-                             KIND_VARIANT, f"{digest}.pkl")
+                             KIND_SHARD, f"{digest}.pkl")
         assert os.path.exists(moved) and not os.path.exists(path)
         reason = os.path.join(os.path.dirname(moved), f"{digest}.reason.json")
         assert synced == [os.stat(reason).st_ino,
@@ -197,7 +196,7 @@ class TestRepair:
                           os.stat(os.path.dirname(path)).st_ino]
 
     def test_repair_unlinks_temps_and_strays(self, tree):
-        shard_dir = os.path.dirname(_object_path(tree, KIND_VARIANT, ("a",)))
+        shard_dir = os.path.dirname(_object_path(tree, KIND_SHARD, ("a",)))
         temp = os.path.join(shard_dir, "x.pkl.tmp.123")
         stray = os.path.join(shard_dir, "notes.txt")
         for path in (temp, stray):
@@ -208,7 +207,7 @@ class TestRepair:
 
     def test_repair_leaves_other_generations_alone(self, tree):
         plant_generation(tree, "old")
-        garbage = os.path.join(tree, OBJECTS_DIR, "old", KIND_VARIANT, "00",
+        garbage = os.path.join(tree, OBJECTS_DIR, "old", KIND_SHARD, "00",
                                "garbage.pkl")
         report = fsck(tree, repair=True)
         assert report["clean"] and report["counts"]["repaired"] == 0
@@ -222,7 +221,7 @@ class TestCli:
         assert main([tree]) == 0
         out = capsys.readouterr().out
         assert "clean" in out and "other generations" in out and "old" in out
-        with open(_object_path(tree, KIND_VARIANT, ("a",)), "wb") as fh:
+        with open(_object_path(tree, KIND_SHARD, ("a",)), "wb") as fh:
             fh.write(b"garbage")
         assert main([tree]) == 1
         assert "PROBLEMS FOUND" in capsys.readouterr().out

@@ -30,12 +30,10 @@ import pytest
 from repro.core.variant_cache import variant_key
 from repro.diffing import BinDiff
 from repro.evaluation.diff_sharding import diff_unit_key
-from repro.evaluation.executor import reset_worker_cache
 from repro.evaluation.precision import measure_precision
 from repro.obs.metrics import counted
-from repro.store import (KIND_SHARD, KIND_VARIANT, OBJECTS_DIR, QUARANTINE_DIR,
-                         ArtifactStore, artifact_store, code_fingerprint,
-                         store_digest)
+from repro.store import (KIND_SHARD, OBJECTS_DIR, QUARANTINE_DIR, ArtifactStore,
+                         artifact_store, code_fingerprint, store_digest)
 from repro.workloads.suites import spec2006_programs
 from tests import oracles
 
@@ -60,7 +58,6 @@ def run_as(monkeypatch, generation):
 
 def fig8():
     """One small figure-8 run; returns its rows and counters."""
-    reset_worker_cache()
     with counted("build") as builds, counted("checkpoint") as units:
         report = measure_precision(WORKLOADS, labels=LABELS,
                                    differs=[BinDiff()], jobs=1)
@@ -131,11 +128,12 @@ class TestOtherCodesTree:
 
 def plant_pre_generation_tree(root):
     """A tree as written before objects carried their generation: the
-    objects of this very matrix in ``objects/<kind>/<aa>/``, with stale
-    payloads in envelopes stamped schema 2/2, a run journal and the
+    objects of this very matrix in ``objects/<kind>/<aa>/`` (that code also
+    stored built variants, under ``variant``), with stale payloads in
+    envelopes stamped schema 2/2, a run journal and the
     ``generation.json`` stamp.  Returns the kind directories planted."""
     planted = {
-        KIND_VARIANT: variant_key(WORKLOADS[0], "baseline"),
+        "variant": variant_key(WORKLOADS[0], "baseline"),
         KIND_SHARD: diff_unit_key((WORKLOADS[0], LABELS, (BinDiff(),), None)),
     }
     for kind, key in planted.items():
@@ -169,7 +167,7 @@ class TestPreGenerationTree:
         legacy = plant_pre_generation_tree(tmp_store)
         fig8()
         report = gc_store.collect(tmp_store, grace=0)
-        assert report["swept"] == legacy == [KIND_SHARD, KIND_VARIANT]
+        assert report["swept"] == legacy == [KIND_SHARD, "variant"]
         assert report["kept"] == {code_fingerprint(): "current"}
         assert os.listdir(os.path.join(tmp_store, OBJECTS_DIR)) == \
             [code_fingerprint()]
@@ -193,7 +191,7 @@ def plant_generation(root, name, age=0.0, area=OBJECTS_DIR, files=2):
     stamp = time.time() - age
     for index in range(files):
         digest = f"{index:064x}"
-        path = os.path.join(root, area, name, KIND_VARIANT, digest[:2],
+        path = os.path.join(root, area, name, KIND_SHARD, digest[:2],
                             f"{digest}.pkl")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
@@ -205,7 +203,7 @@ def plant_generation(root, name, age=0.0, area=OBJECTS_DIR, files=2):
 def tree(tmp_path):
     """A store tree holding one object of the current generation."""
     root = str(tmp_path / "store")
-    ArtifactStore.attach(root).put(KIND_VARIANT, ("current",), 1)
+    ArtifactStore.attach(root).put(KIND_SHARD, ("current",), 1)
     return root
 
 

@@ -557,7 +557,7 @@ class TestFacades:
         store.put("variant", ("k",), {"payload": 1})
         assert store.puts == 1
         store.get("variant", ("k",))
-        assert store.memory_hits == 1
+        assert store.disk_hits == 1  # no memory layer: reads go to the tree
         fresh = ArtifactStore.attach(str(tmp_path / "store"))
         fresh.get("variant", ("k",))
         assert fresh.disk_hits == 1

@@ -4,9 +4,9 @@ The overhead matrices are pure functions of seeded inputs; running their
 units across processes must reproduce the in-process reports exactly (same
 rows, same order, same cycle counts), both must equal the plain per-cell
 oracle, and a warm shared store must revive every unit and rebuild
-nothing, while variants persist only through an explicitly rooted
-``VariantCache``.  A rerun in one process reads the facts memo, so the
-tests that rerun a matrix in process to exercise a path clear it first.
+nothing, while no variant is ever stored.  A rerun in one process reads
+the facts memo, so the tests that rerun a matrix in process to exercise a
+path clear it first.
 """
 
 
@@ -15,7 +15,7 @@ from repro.evaluation import (clear_variant_facts, figure6, figure7,
                               measure_overhead, shard_overhead_matrix)
 from repro.obs import measure
 from repro.obs.metrics import counted
-from repro.store import KIND_SHARD, KIND_VARIANT, ArtifactStore
+from repro.store import KIND_SHARD, LocalBackend, code_fingerprint
 from repro.workloads.suites import spec2006_programs
 from tests import oracles
 
@@ -112,9 +112,8 @@ class TestShardedBitIdentity:
         assert parallel.rows == serial.rows
         assert run.counters["build.variants"] \
             == len(WORKLOADS) * (len(LABELS) + 1)
-        store = ArtifactStore.attach(tmp_store)
-        assert store.entry_count(KIND_SHARD) == len(WORKLOADS)
-        assert store.entry_count(KIND_VARIANT) == 0
+        refs = LocalBackend(tmp_store, code_fingerprint()).list_refs()
+        assert [kind for kind, _digest in refs] == [KIND_SHARD] * len(WORKLOADS)
 
 
 class TestSharedStoreReuse:
@@ -136,30 +135,5 @@ class TestSharedStoreReuse:
         reference = oracles.overhead(WORKLOADS[:1], LABELS)
         parallel = measure_overhead(WORKLOADS[:1], labels=LABELS, jobs=2)
         assert _rows(parallel) == _rows(reference)
-        store = ArtifactStore.attach(tmp_store)
-        assert store.entry_count(KIND_SHARD) == 1
-        assert store.entry_count(KIND_VARIANT) == 0
-
-    def test_an_explicit_variant_store_serves_figure8(self, tmp_path,
-                                                      monkeypatch):
-        """Cross-experiment reuse of variants is explicit: figure-8 units
-        given a rooted ``VariantCache`` read the variants a figure-6/7 run
-        stored through one, and build none."""
-        from repro.evaluation import measure_precision
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        root = str(tmp_path / "variants")
-        cold = VariantCache(store=ArtifactStore.attach(root))
-        measure_overhead(WORKLOADS[:1], labels=LABELS, cache=cold)
-        stored = cold.store.entry_count(KIND_VARIANT)
-        assert stored == len(LABELS) + 1
-
-        reference = oracles.precision(WORKLOADS[:1], LABELS)
-        warm = VariantCache(store=ArtifactStore.attach(root))
-        precision = measure_precision(WORKLOADS[:1], labels=LABELS,
-                                      cache=warm)
-        assert [(r.program, r.tool, r.label, r.precision)
-                for r in reference.rows] \
-            == [(r.program, r.tool, r.label, r.precision)
-                for r in precision.rows]
-        assert warm.misses == 0 and warm.hits == stored
-        assert ArtifactStore.attach(root).entry_count(KIND_VARIANT) == stored
+        refs = LocalBackend(tmp_store, code_fingerprint()).list_refs()
+        assert [kind for kind, _digest in refs] == [KIND_SHARD]

@@ -1,4 +1,4 @@
-"""Variant cache: keying, LRU behaviour, evaluation-driver wiring."""
+"""Variant memo: keying, hits and misses, evaluation-driver wiring."""
 
 import pytest
 
@@ -46,18 +46,64 @@ class TestCacheBasics:
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
-    def test_lru_eviction(self):
-        cache = VariantCache(max_entries=2)
-        cache.get_or_build(("a",), lambda: "a")
-        cache.get_or_build(("b",), lambda: "b")
-        cache.get_or_build(("a",), lambda: "a2")   # refresh a
-        cache.get_or_build(("c",), lambda: "c")    # evicts b
-        assert ("a",) in cache and ("c",) in cache
-        assert ("b",) not in cache
+    def test_takes_no_argument(self):
+        with pytest.raises(TypeError):
+            VariantCache(2)
 
-    def test_max_entries_must_be_positive(self):
-        with pytest.raises(ValueError):
-            VariantCache(max_entries=0)
+    def test_a_hit_returns_the_built_object_itself(self):
+        cache = VariantCache()
+        built = cache.get_or_build(("k",), list)
+        assert cache.get_or_build(("k",), list) is built
+
+    def test_an_empty_memo_reports_zero(self):
+        cache = VariantCache()
+        assert cache.hit_rate == 0.0
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0,
+                                 "hit_rate": 0.0}
+        assert len(cache) == 0 and ("k",) not in cache
+
+    def test_a_failed_build_memoises_nothing(self):
+        cache = VariantCache()
+
+        def failing():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError, match="build failed"):
+            cache.get_or_build(("k",), failing)
+        assert ("k",) not in cache and cache.misses == 0
+        assert cache.get_or_build(("k",), lambda: "built") == "built"
+        assert cache.misses == 1 and cache.hits == 0
+
+    def test_holds_every_variant_it_built(self):
+        cache = VariantCache()
+        keys = [("k", index) for index in range(64)]
+        for key in keys:
+            cache.get_or_build(key, lambda key=key: key[1])
+        assert len(cache) == 64 and all(key in cache for key in keys)
+        assert [cache.get_or_build(key, lambda: None) for key in keys] == \
+            list(range(64))
+        assert cache.misses == cache.hits == 64
+
+    def test_clear_makes_the_next_lookup_build(self):
+        cache = VariantCache()
+        calls = []
+        cache.get_or_build(("k",), lambda: calls.append(1) or "first")
+        cache.clear()
+        assert cache.get_or_build(("k",),
+                                  lambda: calls.append(2) or "second") == \
+            "second"
+        assert calls == [1, 2] and cache.misses == 1
+
+    def test_keys_of_equal_configurations_share_one_entry(self):
+        """Keys are values: two obfuscator objects of one configuration
+        name one variant, and so hit one entry."""
+        cache = VariantCache()
+        wp = WORKLOADS[0]
+        first = cache.get_or_build(
+            variant_key(wp, obfuscator_for("fission")), object)
+        again = cache.get_or_build(
+            variant_key(wp, obfuscator_for("fission")), object)
+        assert again is first and len(cache) == 1 and cache.hits == 1
 
 
 class TestKeys:
